@@ -65,13 +65,14 @@ cover-check: cover
 # directly for long local sessions). FuzzParse checks parse -> String
 # -> re-parse equality, so the SQL grammar (REUSE FREE, FUSE,
 # CALIBRATE) stays round-trip clean. The storage targets feed the
-# manifest replayer and the column/segment/dataset file parsers
+# manifest replayer and the column/segment/dataset/mixture file parsers
 # arbitrary bytes: any input must yield a clean error or a view that
 # agrees with its declared counts — never a panic, never an
-# out-of-bounds replay. FuzzQuantizedEquivalence throws boundary-heavy
-# columns and thresholds at the 16-bit quantized index and requires
-# bit-identical results against the float index (committed seed corpus
-# in internal/index/testdata).
+# out-of-bounds replay, never a mixture record outliving its index.
+# FuzzQuantizedEquivalence throws boundary-heavy columns and thresholds
+# at the 16-bit quantized index and requires bit-identical results
+# against the float index (committed seed corpus in
+# internal/index/testdata).
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime 10s
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzColumnFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzSegmentFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDatasetFile$$' -fuzztime 10s
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzMixtureFile$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzQuantizedEquivalence$$' -fuzztime 10s
 
 # Fault-injection battery + crash durability: chaos equivalence
@@ -102,7 +104,8 @@ bench:
 # Records the hot-path benchmark battery — steady-state select (float
 # and quantized), the mixture-warm spread-column select, the quantized
 # permutation scan vs the float scan, the loser-tree vs heap merge,
-# the parallel count reduction, quantized index build, and incremental
+# the count reduction under a query pool (sequential at every pool
+# size; kept as the witness), quantized index build, and incremental
 # append — into
 # BENCH_hotpath.json, committed per PR: a "full" section at paper
 # scale (n=1e6) for the human-readable trajectory and a "smoke"
@@ -112,7 +115,7 @@ bench-json:
 	{ $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section full -n 1000000 \
-	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column (quantized <= float with scan-bytes/rec 2 vs 8), dense permutation scan traffic, loser-tree vs heap k-way merge, parallel count reduction, quantized build, and incremental append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
+	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column (quantized <= float with scan-bytes/rec 2 vs 8), dense permutation scan traffic, loser-tree vs heap k-way merge, count reduction at pool sizes 1 and 8 (sequential at both), quantized build, and incremental append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
 	{ SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section smoke -n $(SMOKE_N)

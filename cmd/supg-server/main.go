@@ -9,11 +9,13 @@
 //
 // With -persist-dir set, uploaded datasets and built score indexes
 // are flushed to disk and recovered on the next boot (mmap'd, zero
-// proxy re-scans, byte-identical results); the label WAL defaults to
-// labels.wal inside that directory, so a bare -persist-dir makes the
-// whole server state durable. The boot banner reports what was
-// recovered, and -persist-madvise hints residency for the mapped
-// files.
+// proxy re-scans, byte-identical results); a clean shutdown also
+// checkpoints each index's cached IS sampling mixtures, which the
+// first query after the next boot adopts instead of rebuilding. The
+// label WAL defaults to labels.wal inside that directory, so a bare
+// -persist-dir makes the whole server state durable. The boot banner
+// reports what was recovered, and -persist-madvise hints residency for
+// the mapped files.
 //
 // API:
 //
@@ -96,7 +98,7 @@ func main() {
 		brkCooldown = flag.Duration("breaker-cooldown", 0, "how long an open breaker fails fast before probing the backend again (0 = default 1s); also the Retry-After hint on 503s")
 		grace       = flag.Duration("shutdown-grace", 30*time.Second, "drain window for in-flight jobs on shutdown")
 		variants    = flag.Bool("preload-proxy-variants", false, "register <preload>_proxy_soft (sqrt) and <preload>_proxy_sharp (squared) proxy variants so FUSE queries are demoable out of the box")
-		persistDir  = flag.String("persist-dir", "", "durable storage directory: datasets and built score indexes are flushed here and recovered on restart (mmap'd, zero proxy re-scans, byte-identical results); also the default home of the label WAL")
+		persistDir  = flag.String("persist-dir", "", "durable storage directory: datasets and built score indexes are flushed here and recovered on restart (mmap'd, zero proxy re-scans, byte-identical results), and a clean shutdown checkpoints IS sampling mixtures; also the default home of the label WAL")
 		persistAdv  = flag.String("persist-madvise", "", "residency hint for mmap'd persisted files: normal|random|sequential|willneed (empty = none)")
 	)
 	flag.Parse()
@@ -136,8 +138,8 @@ func main() {
 		fmt.Printf("label WAL %s: replayed %d labels (%d records)\n", *labelWAL, st.WALReplayed, st.WALRecords)
 	}
 	if info, ok := srv.Engine().RecoveryInfo(); ok {
-		fmt.Printf("persist dir %s: recovered %d tables, %d indexes (%d segments), %.1f MiB mapped in %s\n",
-			*persistDir, info.Tables, info.Indexes, info.Segments,
+		fmt.Printf("persist dir %s: recovered %d tables, %d indexes (%d segments, %d mixtures), %.1f MiB mapped in %s\n",
+			*persistDir, info.Tables, info.Indexes, info.Segments, info.Mixtures,
 			float64(info.MappedBytes)/(1<<20), info.Elapsed.Round(time.Millisecond))
 		for _, note := range info.Degraded {
 			log.Printf("supg-server: persist recovery degraded: %s", note)

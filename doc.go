@@ -241,7 +241,10 @@
 // answer byte-identical to the pre-crash one. Corrupt or torn files
 // are never served: the affected index degrades to a clean rebuild
 // (durably tombstoned, reported in RecoveryInfo and /v1/stats), and a
-// torn manifest tail is truncated exactly like the WAL's. See
+// torn manifest tail is truncated exactly like the WAL's. A clean
+// shutdown also checkpoints each index's cached IS sampling mixtures
+// (weights plus Vose alias table), which the first query after the
+// next boot verifies and adopts instead of rebuilding. See
 // README.md ("Durable storage") for the file formats, the
 // invalidation rules, and the recovery procedure.
 //

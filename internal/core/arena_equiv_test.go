@@ -21,8 +21,8 @@ import (
 // Tau, and OracleCalls must be identical across query-parallelism
 // 1/2/8 at all four estimator configs and segment sizes 1/7/1024/n,
 // quantized and float. n and the segment sizes are chosen so the
-// parallel count (>= 32 segments) and parallel gather (>= 16Ki ids)
-// fast paths genuinely engage for the sub-monolithic layouts.
+// parallel gather (>= 16Ki ids) fast path genuinely engages for the
+// sub-monolithic layouts.
 func TestSelectParallelismByteIdentical(t *testing.T) {
 	const n, budget = 40000, 400
 	d := dataset.Beta(randx.New(9090), n, 0.01, 2)

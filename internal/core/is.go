@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"sort"
 
 	"supg/internal/oracle"
 	"supg/internal/randx"
+	"supg/internal/sampling"
 )
 
 // This file implements the SUPG importance-sampling estimators:
@@ -17,11 +19,25 @@ import (
 // weights and their alias table come from the ScoreSource, which caches
 // them per (exponent, mix) on the indexed hot path.
 
+// mixtureOf returns src's defensive mixture for cfg. A source beyond
+// sampling.MaxAliasLen records is refused with an error: its alias
+// table's 32-bit entries could not address every record.
+func mixtureOf(src ScoreSource, cfg Config) ([]float64, *sampling.Alias, error) {
+	if n := src.Len(); n > sampling.MaxAliasLen {
+		return nil, nil, fmt.Errorf("core: importance sampling over %d records exceeds the %d-record limit", n, sampling.MaxAliasLen)
+	}
+	weights, alias := src.Mixture(cfg.WeightExponent, cfg.Mix)
+	return weights, alias, nil
+}
+
 // estimateISRecall implements Algorithm 4. It reuses the Algorithm 2
 // body on an importance-weighted sample: the reweighted indicators
 // O(x)·m(x) make the UB/LB machinery estimate dataset-level recall.
 func estimateISRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
-	weights, alias := src.Mixture(cfg.WeightExponent, cfg.Mix)
+	weights, alias, err := mixtureOf(src, cfg)
+	if err != nil {
+		return TauResult{}, err
+	}
 	s, err := drawWeightedAlias(r, src.Scores(), weights, alias, o, spec.Budget, ar)
 	if err != nil {
 		return TauResult{}, err
@@ -82,7 +98,10 @@ func estimateISPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spe
 }
 
 func estimateISPrecisionOneStage(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
-	weights, alias := src.Mixture(cfg.WeightExponent, cfg.Mix)
+	weights, alias, err := mixtureOf(src, cfg)
+	if err != nil {
+		return TauResult{}, err
+	}
 	s, err := drawWeightedAlias(r, src.Scores(), weights, alias, o, spec.Budget, ar)
 	if err != nil {
 		return TauResult{}, err
@@ -93,9 +112,12 @@ func estimateISPrecisionOneStage(r *randx.Rand, src ScoreSource, o *oracle.Budge
 }
 
 func estimateISPrecisionTwoStage(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+	weights, alias, err := mixtureOf(src, cfg)
+	if err != nil {
+		return TauResult{}, err
+	}
 	scores := src.Scores()
 	n := len(scores)
-	weights, alias := src.Mixture(cfg.WeightExponent, cfg.Mix)
 	b := newBounder(cfg, r.Stream(0xc2))
 
 	// Stage 1: estimate an upper bound on the number of matches with

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 
 	"supg/internal/dataset"
 	"supg/internal/index"
 	"supg/internal/oracle"
 	"supg/internal/randx"
+	"supg/internal/sampling"
 )
 
 // TestSelectFromIndexMatchesRawPath is the load-bearing equivalence
@@ -117,5 +119,53 @@ func TestAssembleFromMergesSampledPositives(t *testing.T) {
 		if res.SampledPositives != 2 {
 			t.Fatalf("%s: SampledPositives = %d, want 2", name, res.SampledPositives)
 		}
+	}
+}
+
+// oversizedSource claims one record more than an alias table can
+// address. Only Len may be called on it: building its mixture would
+// panic deep in sampling.
+type oversizedSource struct{ ScoreSource }
+
+var aliasLimit = sampling.MaxAliasLen // a variable, so 32-bit builds compile
+
+func (oversizedSource) Len() int { return aliasLimit + 1 }
+
+func (oversizedSource) Mixture(float64, float64) ([]float64, *sampling.Alias) {
+	panic("mixture built for a source beyond sampling.MaxAliasLen")
+}
+
+// TestISRefusesSourceBeyondAliasLimit pins that an IS query over more
+// than sampling.MaxAliasLen records returns an error instead of
+// panicking — a panic in a server's query worker would take the
+// process down.
+func TestISRefusesSourceBeyondAliasLimit(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot count past the alias limit")
+	}
+	never := oracle.Func(func(int) (bool, error) {
+		t.Fatal("oracle called")
+		return false, nil
+	})
+	oneStage := DefaultSUPG()
+	oneStage.TwoStage = false
+	cases := map[string]struct {
+		kind TargetKind
+		cfg  Config
+	}{
+		"recall":             {RecallTarget, DefaultSUPG()},
+		"precision-twostage": {PrecisionTarget, DefaultSUPG()},
+		"precision-onestage": {PrecisionTarget, oneStage},
+	}
+	for name, c := range cases {
+		spec := Spec{Kind: c.kind, Gamma: 0.9, Delta: 0.05, Budget: 100}
+		_, err := SelectFrom(randx.New(1), oversizedSource{}, never, spec, c.cfg)
+		if err == nil {
+			t.Fatalf("%s: no error for a source beyond the alias limit", name)
+		}
+	}
+	jspec := JointSpec{GammaRecall: 0.9, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 100}
+	if _, err := SelectJointFrom(randx.New(1), oversizedSource{}, never, jspec, DefaultSUPG()); err == nil {
+		t.Fatal("joint: no error for a source beyond the alias limit")
 	}
 }

@@ -21,6 +21,21 @@ type Dataset struct {
 	name   string
 	scores []float64
 	labels []bool
+	// positives counts the true labels. Datasets are immutable, so it
+	// is computed once at construction (see countPositives) instead of
+	// rescanning the labels on every evaluation and registration.
+	positives int
+}
+
+// countPositives returns the number of true labels.
+func countPositives(labels []bool) int {
+	c := 0
+	for _, l := range labels {
+		if l {
+			c++
+		}
+	}
+	return c
 }
 
 // New constructs a Dataset from parallel score/label slices. The slices
@@ -39,7 +54,7 @@ func New(name string, scores []float64, labels []bool) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset %q: score %g at record %d outside [0,1]", name, s, i)
 		}
 	}
-	return &Dataset{name: name, scores: scores, labels: labels}, nil
+	return &Dataset{name: name, scores: scores, labels: labels, positives: countPositives(labels)}, nil
 }
 
 // FromColumns constructs a Dataset over already-validated parallel
@@ -56,7 +71,7 @@ func FromColumns(name string, scores []float64, labels []bool) (*Dataset, error)
 	if len(scores) != len(labels) {
 		return nil, fmt.Errorf("dataset %q: %d scores but %d labels", name, len(scores), len(labels))
 	}
-	return &Dataset{name: name, scores: scores, labels: labels}, nil
+	return &Dataset{name: name, scores: scores, labels: labels, positives: countPositives(labels)}, nil
 }
 
 // MustNew is New but panics on error; for generators with validated input.
@@ -85,16 +100,8 @@ func (d *Dataset) Scores() []float64 { return d.scores }
 // must not call this; it exists for oracle construction and evaluation.
 func (d *Dataset) TrueLabel(i int) bool { return d.labels[i] }
 
-// PositiveCount returns the number of true-positive records.
-func (d *Dataset) PositiveCount() int {
-	c := 0
-	for _, l := range d.labels {
-		if l {
-			c++
-		}
-	}
-	return c
-}
+// PositiveCount returns the number of true-positive records in O(1).
+func (d *Dataset) PositiveCount() int { return d.positives }
 
 // PositiveRate returns the true-positive rate |O+| / |D|.
 func (d *Dataset) PositiveRate() float64 {
@@ -114,7 +121,7 @@ func (d *Dataset) Positives() []int {
 
 // WithName returns a shallow copy of d renamed to name.
 func (d *Dataset) WithName(name string) *Dataset {
-	return &Dataset{name: name, scores: d.scores, labels: d.labels}
+	return &Dataset{name: name, scores: d.scores, labels: d.labels, positives: d.positives}
 }
 
 // Append returns a new dataset holding d's records followed by
@@ -127,7 +134,7 @@ func (d *Dataset) Append(extra *Dataset) *Dataset {
 	scores = append(append(scores, d.scores...), extra.scores...)
 	labels := make([]bool, 0, len(d.labels)+extra.Len())
 	labels = append(append(labels, d.labels...), extra.labels...)
-	return &Dataset{name: d.name, scores: scores, labels: labels}
+	return &Dataset{name: d.name, scores: scores, labels: labels, positives: d.positives + extra.positives}
 }
 
 // Slice returns a new dataset over records [lo, hi) of d, with copied
@@ -138,7 +145,7 @@ func (d *Dataset) Slice(lo, hi int) *Dataset {
 	copy(scores, d.scores[lo:hi])
 	labels := make([]bool, hi-lo)
 	copy(labels, d.labels[lo:hi])
-	return &Dataset{name: d.name, scores: scores, labels: labels}
+	return &Dataset{name: d.name, scores: scores, labels: labels, positives: countPositives(labels)}
 }
 
 // Clone returns a deep copy of d, so transforms can mutate safely.
@@ -147,7 +154,7 @@ func (d *Dataset) Clone() *Dataset {
 	copy(scores, d.scores)
 	labels := make([]bool, len(d.labels))
 	copy(labels, d.labels)
-	return &Dataset{name: d.name, scores: scores, labels: labels}
+	return &Dataset{name: d.name, scores: scores, labels: labels, positives: d.positives}
 }
 
 // Summary describes a dataset the way the paper's Table 2 does.

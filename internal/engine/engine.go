@@ -105,6 +105,7 @@ type indexEntry struct {
 	epoch     uint64
 
 	once    sync.Once
+	done    atomic.Bool // set once res/err are final; see builtIndex
 	res     built
 	err     error
 	elapsed time.Duration // wall time of the proxy scan + fusion + index build
@@ -123,8 +124,18 @@ func (en *indexEntry) ensure() bool {
 		// parent-entry chain (old indexes, captured datasets), which
 		// must not stay reachable once this index is published.
 		en.build = nil
+		en.done.Store(true)
 	})
 	return ran
+}
+
+// builtIndex returns the entry's index if its build has finished
+// successfully, without waiting for (or starting) one.
+func (en *indexEntry) builtIndex() *index.ScoreIndex {
+	if !en.done.Load() || en.err != nil {
+		return nil
+	}
+	return en.res.ix
 }
 
 // usesProxy reports whether the entry's source reads the named proxy.
@@ -326,11 +337,14 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 }
 
 // Close flushes and closes the label store's write-ahead log and the
-// durable storage tier, if configured. Nil-safe and idempotent.
+// durable storage tier, if configured. Before the storage tier closes,
+// every built index's cached sampling mixtures are checkpointed to it
+// (see checkpointMixtures). Nil-safe and idempotent.
 func (e *Engine) Close() error {
 	if e == nil {
 		return nil
 	}
+	e.checkpointMixtures()
 	err := e.labels.Close()
 	if e.store != nil {
 		if cerr := e.store.Close(); err == nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // The durable storage tier (Options.PersistDir) hooks into the engine
-// at four points:
+// at five points:
 //
 //   - Open stages everything the storage tier recovered: datasets and
 //     verified indexes wait in e.staged / e.stagedIx until the
@@ -29,6 +29,14 @@ import (
 //     append-driven entry drops) tombstones the corresponding durable
 //     record, so a restart can never resurrect state the process
 //     dropped.
+//   - Close checkpoints the cached IS sampling mixtures of every built
+//     index before the store closes (checkpointMixtures). A recovered
+//     index carries them as lazy loaders, so the first IS query after a
+//     restart adopts the stored alias table instead of rebuilding it;
+//     the staged index brings them along when it is adopted. Nothing is
+//     written on the query or append path: an index grown since the
+//     checkpoint, or any index after a crash, rebuilds its mixture on
+//     first use as before.
 //
 // All staged state is consumed at most once: a staged index either
 // becomes the cache entry for its (table, source) — whole if lengths
@@ -255,6 +263,32 @@ func (e *Engine) persistIndex(key indexKey, entry *indexEntry) {
 	e.store.SaveIndex(meta, entry.res.ix, entry.epoch)
 }
 
+// checkpointMixtures writes the cached sampling mixtures of every
+// built index to the durable store, best-effort: a failed or skipped
+// write only costs a rebuild on the next boot. Mixtures already on disk
+// for the same column are not rewritten, so a restarted process that
+// adopted its mixtures shuts down without writing them again.
+func (e *Engine) checkpointMixtures() {
+	if e.store == nil {
+		return
+	}
+	type target struct {
+		key indexKey
+		ix  *index.ScoreIndex
+	}
+	var all []target
+	e.mu.RLock()
+	for k, en := range e.indexes {
+		if ix := en.builtIndex(); ix != nil {
+			all = append(all, target{k, ix})
+		}
+	}
+	e.mu.RUnlock()
+	for _, t := range all {
+		e.store.SaveMixtures(t.key.table, t.key.source, t.ix)
+	}
+}
+
 // RecoveryInfo summarizes what the durable storage tier restored at
 // Open — for the server's boot banner and tests.
 type RecoveryInfo struct {
@@ -262,6 +296,10 @@ type RecoveryInfo struct {
 	Tables   int
 	Indexes  int
 	Segments int
+	// Mixtures counts the stored IS sampling mixtures the recovered
+	// indexes carry; each is verified and adopted by the first query
+	// that uses it.
+	Mixtures int
 	// MappedBytes is the total size of persisted files currently
 	// mmap'd into the process (0 on heap-load platforms or with
 	// PersistNoMmap).
@@ -284,6 +322,7 @@ func (e *Engine) RecoveryInfo() (RecoveryInfo, bool) {
 		Tables:      st.TablesRecovered,
 		Indexes:     st.IndexesRecovered,
 		Segments:    st.SegmentsRecovered,
+		Mixtures:    st.MixturesRecovered,
 		MappedBytes: st.MappedBytes,
 		Elapsed:     st.RecoveryElapsed,
 		Degraded:    st.Degraded,

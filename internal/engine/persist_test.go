@@ -128,8 +128,12 @@ func TestRestartReRegistrationInvalidatesDurably(t *testing.T) {
 	var calls2 int
 	e2 := persistEngine(t, dir, d, &calls2)
 	// Second registration of "p" in this process: an UPDATE, not a load.
+	// The proxy is scored from parallel shards, so the count is guarded.
+	var mu sync.Mutex
 	e2.RegisterProxy("p", func(i int) float64 {
+		mu.Lock()
 		calls2++
+		mu.Unlock()
 		return d.Score(i)
 	})
 	res, err := e2.Execute(persistTestSQL)

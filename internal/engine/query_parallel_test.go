@@ -60,9 +60,8 @@ func queryParPlans(t *testing.T) []*query.Plan {
 
 func queryParEngine(t *testing.T, par int, quantize bool, d *dataset.Dataset) *Engine {
 	t.Helper()
-	// 512-record segments over 40000 records: 79 segments, so both the
-	// parallel count (>= 32 segments) and parallel gather thresholds
-	// engage.
+	// 512-record segments over 40000 records: 79 segments, so the
+	// parallel gather threshold engages.
 	e := NewWithOptions(11, Options{SegmentSize: 512, QueryParallelism: par, Quantize: quantize})
 	e.RegisterDatasetDefaults("t", d)
 	return e

@@ -62,6 +62,10 @@ type External struct {
 	// handle); the index retains it so the mapping cannot be released
 	// while reachable.
 	Backing any
+	// Mixtures are persisted sampling mixtures of this column, adopted
+	// lazily: each Load runs only when a query first asks for its key
+	// (see StoredMixture).
+	Mixtures []StoredMixture
 }
 
 // FromExternal reconstructs a ScoreIndex over externally-owned memory
@@ -158,6 +162,7 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 		pool:     opts.QueryPool,
 		quant:    quant,
 		backing:  ext.Backing,
+		stored:   storedMixtures(ext.Mixtures),
 		mixtures: make(map[MixtureKey]*mixture),
 	}, nil
 }

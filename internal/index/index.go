@@ -75,17 +75,18 @@
 //
 // # Intra-query parallelism
 //
-// Per-segment reductions — CountAtLeast partial counts, AppendAtLeast
-// gathers into presized per-segment slots, and the mixture
-// transform/normalize passes — fan out across the shared query pool
-// (Options.QueryPool). Only phases whose outputs are independent of
-// worker assignment parallelize: integer partial sums commute exactly,
+// Per-segment reductions — AppendAtLeast gathers into presized
+// per-segment slots and the mixture transform/normalize passes — fan
+// out across the shared query pool (Options.QueryPool). Only phases
+// whose outputs are independent of worker assignment parallelize:
 // gathers write disjoint presized slots concatenated in fixed segment
 // order, and the mixture's global normalizing sum stays one sequential
-// left-to-right pass because float addition is not associative. The
-// random stream is never consumed off the submitting goroutine, so
-// results are byte-identical at every parallelism level (pinned by the
-// equivalence sweeps in parallel_query_test.go).
+// left-to-right pass because float addition is not associative.
+// CountAtLeast stays sequential: its per-segment binary searches cost
+// less than dispatching them. The random stream is never consumed off
+// the submitting goroutine, so results are byte-identical at every
+// parallelism level (pinned by the equivalence sweeps in
+// parallel_query_test.go).
 package index
 
 import (
@@ -95,10 +96,8 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"supg/internal/parallel"
-	"supg/internal/sampling"
 )
 
 // DefaultSegmentSize is the records-per-segment default: large enough
@@ -125,13 +124,13 @@ type Options struct {
 	// scan traffic.
 	Quantize bool
 	// QueryPool bounds the intra-query parallel segment reductions —
-	// CountAtLeast partial counts, AppendAtLeast gathers, and the
-	// mixture transform/normalize passes. The pool is typically shared
-	// across every index of an engine (engine.Options.QueryParallelism);
-	// nil selects a private pool of Parallelism workers. Results are
-	// byte-identical at every setting: only phases whose outputs are
-	// order-independent (integer sums, disjoint writes) fan out, and the
-	// random stream is never touched off the submitting goroutine.
+	// AppendAtLeast gathers and the mixture transform/normalize passes.
+	// The pool is typically shared across every index of an engine
+	// (engine.Options.QueryParallelism); nil selects a private pool of
+	// Parallelism workers. Results are byte-identical at every setting:
+	// only phases whose outputs are order-independent (disjoint writes)
+	// fan out, and the random stream is never touched off the
+	// submitting goroutine.
 	QueryPool *parallel.Pool
 }
 
@@ -146,21 +145,6 @@ func (o Options) withDefaults() Options {
 		o.QueryPool = parallel.NewPool(o.Parallelism)
 	}
 	return o
-}
-
-// MixtureKey identifies a cached defensive-mixture sampling
-// distribution: the importance-weight exponent applied to proxy scores
-// and the uniform mixing ratio (Algorithms 4/5 use 0.5 and 0.1).
-type MixtureKey struct {
-	Exponent float64
-	Mix      float64
-}
-
-// mixture pairs the normalized defensive weights with their alias
-// table. Both are immutable once published in the cache.
-type mixture struct {
-	weights []float64
-	alias   *sampling.Alias
 }
 
 // segment is one fixed-size shard of the score column: a validated
@@ -245,6 +229,11 @@ type ScoreIndex struct {
 	// and segment slices alias; nil for heap-built indexes. See
 	// FromExternal.
 	backing any
+
+	// stored holds persisted mixtures a recovered index adopts on first
+	// use instead of building them (FromExternal); immutable after
+	// construction, nil for heap-built and appended indexes.
+	stored map[MixtureKey]*storedMixture
 
 	mu       sync.RWMutex
 	mixtures map[MixtureKey]*mixture
@@ -438,26 +427,12 @@ func (ix *ScoreIndex) Score(i int) float64 { return ix.scores[i] }
 // is shared with the index and must be treated as read-only.
 func (ix *ScoreIndex) Scores() []float64 { return ix.scores }
 
-// countParallelMinSegs gates the parallel CountAtLeast reduction: each
-// segment contributes one O(log S) binary search, so fanning out pays
-// only when there are enough segments to amortize spawning helpers.
-// Below the bound (including every default-segment-size table under
-// ~8M records) the sequential loop is faster and allocation-free.
-const countParallelMinSegs = 32
-
 // CountAtLeast returns |{x : A(x) >= tau}| as the sum of exact
-// per-segment binary-search counts — O(S/segSize · log segSize). With
-// many segments and a query pool the per-segment counts fan out and
-// accumulate atomically; integer addition commutes exactly, so the sum
-// is identical to the sequential loop's at any parallelism.
+// per-segment binary-search counts — O(S/segSize · log segSize). The
+// walk is sequential at every query parallelism: one O(log S) search
+// per segment is far cheaper than handing segments to pool workers
+// (BenchmarkParallelCount keeps the measurement).
 func (ix *ScoreIndex) CountAtLeast(tau float64) int {
-	if len(ix.segs) >= countParallelMinSegs && ix.pool.Limit() > 1 {
-		var total atomic.Int64
-		ix.pool.ForEach(len(ix.segs), func(j int) {
-			total.Add(int64(ix.segs[j].countAtLeast(tau)))
-		})
-		return int(total.Load())
-	}
 	n := 0
 	for _, s := range ix.segs {
 		n += s.countAtLeast(tau)
@@ -614,142 +589,6 @@ func (ix *ScoreIndex) ascendHeap(yield func(id int, score float64) bool) {
 			heap.Pop(&h)
 		}
 	}
-}
-
-// maxCachedMixtures bounds the per-index mixture cache. Each entry
-// holds O(n) weights plus an O(n) alias table, so an unbounded cache
-// keyed by caller-supplied floats would let a parameter-sweeping
-// workload accrete multi-MB entries for the life of the table. Real
-// serving workloads use one or two (exponent, mix) configurations;
-// past the bound, mixtures are built per call and not retained.
-const maxCachedMixtures = 8
-
-// Mixture returns the defensive-mixture weights and alias table for
-// the given exponent/mix, building and caching them on first use (up
-// to maxCachedMixtures distinct keys). The returned slices/tables are
-// shared and must be treated as read-only. Concurrent callers may race
-// to build the same entry; the loser's copy is discarded, so every
-// caller observes one canonical value and draws are deterministic for
-// a deterministic random stream.
-func (ix *ScoreIndex) Mixture(exponent, mix float64) ([]float64, *sampling.Alias) {
-	m := ix.mixtureEntry(exponent, mix)
-	return m.weights, m.alias
-}
-
-// MixtureSegmentCumulative returns, for the given mixture
-// configuration, the cumulative sampling mass of segments 0..i at each
-// position i (the last entry is the total mass, 1 up to float
-// rounding). This is the per-segment view of the sampling
-// distribution: entry i - entry i-1 is the probability one weighted
-// draw lands in segment i. It is an observability call, computed on
-// demand from the cached weights (O(n)) rather than stored, so the
-// query hot path never pays for it.
-func (ix *ScoreIndex) MixtureSegmentCumulative(exponent, mix float64) []float64 {
-	w := ix.mixtureEntry(exponent, mix).weights
-	segCum := make([]float64, len(ix.segs))
-	cum := 0.0
-	for j, s := range ix.segs {
-		for i := range s.scores {
-			cum += w[s.base+i]
-		}
-		segCum[j] = cum
-	}
-	return segCum
-}
-
-func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) *mixture {
-	key := MixtureKey{Exponent: exponent, Mix: mix}
-	ix.mu.RLock()
-	m := ix.mixtures[key]
-	ix.mu.RUnlock()
-	if m == nil {
-		built := ix.buildMixture(exponent, mix)
-		ix.mu.Lock()
-		switch {
-		case ix.mixtures[key] != nil:
-			m = ix.mixtures[key]
-		case len(ix.mixtures) < maxCachedMixtures:
-			ix.mixtures[key] = built
-			m = built
-		default:
-			m = built // cache full: serve uncached, identical draws
-		}
-		ix.mu.Unlock()
-	}
-	return m
-}
-
-// buildMixture computes the defensive-mixture weights and their alias
-// table. The per-element transform runs in parallel across segments,
-// but every operation and the left-to-right summation order match
-// sampling.DefensiveWeights exactly, so the weight vector — and hence
-// the alias table and every draw made from it — is bit-for-bit the one
-// a monolithic index computes (TestMixtureMatchesDefensiveWeights
-// pins this).
-func (ix *ScoreIndex) buildMixture(exponent, mix float64) *mixture {
-	n := len(ix.scores)
-	if mix < 0 {
-		mix = 0
-	}
-	if mix > 1 {
-		mix = 1
-	}
-	w := make([]float64, n)
-	ix.eachSegmentParallel(func(s *segment) {
-		for i, sc := range s.scores {
-			if sc < 0 {
-				sc = 0
-			}
-			var v float64
-			switch {
-			case exponent == 0:
-				v = 1
-			case exponent == 1:
-				v = sc
-			case exponent == 0.5:
-				v = math.Sqrt(sc)
-			default:
-				v = math.Pow(sc, exponent)
-			}
-			w[s.base+i] = v
-		}
-	})
-	// Global left-to-right reduction: float addition is not
-	// associative, so per-segment partial sums would drift from the
-	// monolithic total by rounding and break bit-exact equivalence.
-	total := 0.0
-	for _, v := range w {
-		total += v
-	}
-	uniform := 1.0 / float64(n)
-	if total <= 0 {
-		for i := range w {
-			w[i] = uniform
-		}
-	} else {
-		ix.eachSegmentParallel(func(s *segment) {
-			for i := range s.scores {
-				j := s.base + i
-				w[j] = (1-mix)*w[j]/total + mix*uniform
-			}
-		})
-	}
-	return &mixture{weights: w, alias: sampling.NewAlias(w)}
-}
-
-// eachSegmentParallel runs fn over every segment across the index's
-// shared query pool. fn must only write state disjoint between
-// segments.
-func (ix *ScoreIndex) eachSegmentParallel(fn func(*segment)) {
-	ix.pool.ForEach(len(ix.segs), func(j int) { fn(ix.segs[j]) })
-}
-
-// CachedMixtures reports how many (exponent, mix) entries the cache
-// holds — observability for tests and metrics.
-func (ix *ScoreIndex) CachedMixtures() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.mixtures)
 }
 
 // MinScore returns the smallest score in the column.

@@ -10,12 +10,12 @@ import (
 )
 
 // parallelTestIndex builds an index large and finely-segmented enough
-// to cross both parallel-reduction thresholds (>= countParallelMinSegs
-// segments, >= appendParallelMinIDs matching ids at low taus).
+// to cross the parallel-gather threshold (>= appendParallelMinIDs
+// matching ids at low taus) across many segments.
 func parallelTestIndex(t *testing.T, poolLimit int, quantize bool) *ScoreIndex {
 	t.Helper()
 	n := 2 * appendParallelMinIDs // 32768 records
-	segSize := 256                // 128 segments >= countParallelMinSegs
+	segSize := 256                // 128 segments
 	scores := quantizedScores(99, n)
 	ix, err := NewWithOptions(scores, Options{
 		SegmentSize: segSize,
@@ -25,19 +25,14 @@ func parallelTestIndex(t *testing.T, poolLimit int, quantize bool) *ScoreIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Segments() < countParallelMinSegs {
-		t.Fatalf("test index has %d segments, below the parallel-count threshold %d",
-			ix.Segments(), countParallelMinSegs)
-	}
 	return ix
 }
 
 var parallelTestTaus = []float64{-1, 0, 0.025, 0.3, 0.5, 0.975, 1, 1.5, math.Inf(1), math.Inf(-1)}
 
 // TestParallelCountMatchesSequential pins CountAtLeast and KthHighest
-// at pool limits 2 and 8 against the sequential (limit-1) reference:
-// integer partial sums commute exactly, so the parallel path must be
-// equal, not approximately equal.
+// at pool limits 2 and 8 against the limit-1 reference: a query pool
+// must never change a count or an order statistic.
 func TestParallelCountMatchesSequential(t *testing.T) {
 	for _, quantize := range []bool{false, true} {
 		ref := parallelTestIndex(t, 1, quantize)

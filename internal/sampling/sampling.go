@@ -6,6 +6,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 
 	"supg/internal/randx"
@@ -84,11 +85,27 @@ func Reservoir(r *randx.Rand, n, k int) []int {
 // arbitrary discrete distribution over [0, n).
 type Alias struct {
 	prob  []float64
-	alias []int
+	alias []int32
 }
 
+// MaxAliasLen is the largest support an alias table can hold: alias
+// entries and the build worklist are 32-bit.
+const MaxAliasLen = math.MaxInt32
+
 // NewAlias builds an alias table from non-negative weights. Weights need
-// not be normalized. It returns nil if no weight is positive.
+// not be normalized. It returns nil if no weight is positive, and panics
+// on more than MaxAliasLen weights (core's IS estimators refuse such
+// sources with an error before building one).
+//
+// The build works in place: prob first holds the scaled weights
+// w·n/Σw, and one n-entry worklist holds both Vose stacks — the small
+// stack grows up from the front, the large stack grows down from the
+// back. Every pop removes one entry from each stack and every push adds
+// at most one back, so the two never meet. Both stacks keep the LIFO
+// order of separate slices and every float operation is unchanged, so
+// prob and alias come out bit-for-bit as a textbook two-stack build
+// makes them (pinned in alias_test.go), in 16 bytes per outcome of
+// working memory instead of 40.
 func NewAlias(weights []float64) *Alias {
 	n := len(weights)
 	total := 0.0
@@ -101,44 +118,76 @@ func NewAlias(weights []float64) *Alias {
 	if n == 0 || total <= 0 {
 		return nil
 	}
+	if n > MaxAliasLen {
+		panic("sampling: alias table over MaxAliasLen outcomes")
+	}
 
 	prob := make([]float64, n)
-	alias := make([]int, n)
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
+	alias := make([]int32, n)
+	work := make([]int32, n)
+	small, large := 0, n // small stack work[:small], large stack work[large:]
 	for i, w := range weights {
-		scaled[i] = w / total * float64(n)
-		if scaled[i] < 1 {
-			small = append(small, i)
+		prob[i] = w / total * float64(n)
+		if prob[i] < 1 {
+			work[small] = int32(i)
+			small++
 		} else {
-			large = append(large, i)
+			large--
+			work[large] = int32(i)
 		}
 	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		prob[s] = scaled[s]
+	for small > 0 && large < n {
+		small--
+		s := work[small]
+		l := work[large]
+		large++
+		// prob[s] already holds its final scaled weight.
 		alias[s] = l
-		scaled[l] = scaled[l] + scaled[s] - 1
-		if scaled[l] < 1 {
-			small = append(small, l)
+		prob[l] = prob[l] + prob[s] - 1
+		if prob[l] < 1 {
+			work[small] = l
+			small++
 		} else {
-			large = append(large, l)
+			large--
+			work[large] = l
 		}
 	}
-	for _, i := range large {
+	for _, i := range work[large:] {
 		prob[i] = 1
 		alias[i] = i
 	}
-	for _, i := range small {
+	for _, i := range work[:small] {
 		prob[i] = 1 // numerical residue
 		alias[i] = i
 	}
 	return &Alias{prob: prob, alias: alias}
 }
+
+// AliasFromTables wraps prob/alias tables that NewAlias built earlier
+// (typically mapped back from disk) without copying them. Every entry
+// is bounds-checked first — prob in [0, 1], alias in [0, n) — so no
+// draw from the result can index outside the table. The slices are
+// retained and must not be modified.
+func AliasFromTables(prob []float64, alias []int32) (*Alias, error) {
+	n := len(prob)
+	if n == 0 || n != len(alias) {
+		return nil, fmt.Errorf("sampling: alias tables of %d probabilities and %d aliases", n, len(alias))
+	}
+	for i, p := range prob {
+		if !(p >= 0 && p <= 1) {
+			return nil, fmt.Errorf("sampling: alias probability %g at %d outside [0,1]", p, i)
+		}
+		if a := alias[i]; a < 0 || int(a) >= n {
+			return nil, fmt.Errorf("sampling: alias %d at %d outside [0,%d)", a, i, n)
+		}
+	}
+	return &Alias{prob: prob, alias: alias}, nil
+}
+
+// Tables exposes the table's probabilities and aliases for persistence.
+// The slices are shared with the table and must be treated as
+// read-only.
+func (a *Alias) Tables() (prob []float64, alias []int32) { return a.prob, a.alias }
 
 // Draw returns one index distributed according to the table's weights.
 func (a *Alias) Draw(r *randx.Rand) int {
@@ -146,7 +195,7 @@ func (a *Alias) Draw(r *randx.Rand) int {
 	if r.Float64() < a.prob[i] {
 		return i
 	}
-	return a.alias[i]
+	return int(a.alias[i])
 }
 
 // DrawN returns k indices drawn with replacement.

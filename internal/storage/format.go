@@ -13,9 +13,10 @@ import (
 
 	"supg/internal/dataset"
 	"supg/internal/index"
+	"supg/internal/sampling"
 )
 
-// On-disk file formats. Three write-once file kinds live next to the
+// On-disk file formats. Five write-once file kinds live next to the
 // MANIFEST log, all little-endian, all with every section starting at a
 // multiple of 8 bytes so page-aligned mappings can alias float64/uint64
 // words directly:
@@ -38,6 +39,15 @@ import (
 //	                 zero-padded to the next multiple of 8. Optional
 //	                 sibling of a .seg file — present only for quantized
 //	                 indexes (index.Options.Quantize).
+//	mixture (.mix) — "SUPGMIX1" magic, u32 version, u32 pad, u64 count,
+//	                 f64 exponent, f64 mix, u64 reserved (48-byte
+//	                 header), then one cached IS sampling mixture of an
+//	                 index: count float64 normalized weights, count
+//	                 float64 alias probabilities, and count int32 alias
+//	                 indices zero-padded to the next multiple of 8.
+//	                 Written at clean shutdown (Store.SaveMixtures) and
+//	                 read only when a query first asks for its
+//	                 (exponent, mix) key.
 //
 // None of the files embed their own checksum: the CRC32 (Castagnoli)
 // and exact byte size of each file are recorded in the manifest entry
@@ -45,7 +55,8 @@ import (
 // atomically and a truncated or bit-flipped file is detected before
 // any of its bytes are trusted. Parsers here do structural validation
 // only (magic, version, counts, exact length); semantic validation of
-// segment contents is index.FromExternal's O(n) proof.
+// segment contents is index.FromExternal's O(n) proof, and a mixture's
+// alias table is bounds-checked by sampling.AliasFromTables.
 
 const (
 	formatVersion = 1
@@ -53,6 +64,7 @@ const (
 	colHeaderSize = 32
 	segHeaderSize = 40
 	qcvHeaderSize = 40
+	mixHeaderSize = 48
 
 	// maxFileRecords caps declared counts, mirroring dataset.maxRecords.
 	maxFileRecords = 1 << 33
@@ -62,6 +74,7 @@ var (
 	colMagic = [8]byte{'S', 'U', 'P', 'G', 'C', 'O', 'L', '1'}
 	segMagic = [8]byte{'S', 'U', 'P', 'G', 'S', 'E', 'G', '1'}
 	qcvMagic = [8]byte{'S', 'U', 'P', 'G', 'Q', 'C', 'V', '1'}
+	mixMagic = [8]byte{'S', 'U', 'P', 'G', 'M', 'I', 'X', '1'}
 
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
@@ -170,6 +183,63 @@ func parseCodeFile(data []byte) (codeFile, error) {
 	}, nil
 }
 
+// aliasSectionSize is a mixture file's alias section size: count int32
+// values zero-padded to the next multiple of 8.
+func aliasSectionSize(count int) int {
+	return (4*count + 7) &^ 7
+}
+
+// mixtureFile is the parsed structural view of a .mix file.
+type mixtureFile struct {
+	count    int
+	exponent float64
+	mix      float64
+	weights  []byte // count*8 bytes of little-endian float64
+	prob     []byte // count*8 bytes of little-endian float64
+	alias    []byte // count*4 bytes of little-endian int32
+}
+
+func parseMixtureFile(data []byte) (mixtureFile, error) {
+	if len(data) < mixHeaderSize {
+		return mixtureFile{}, fmt.Errorf("mixture file: %d bytes, shorter than the %d-byte header", len(data), mixHeaderSize)
+	}
+	if [8]byte(data[:8]) != mixMagic {
+		return mixtureFile{}, fmt.Errorf("mixture file: bad magic %q", data[:8])
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != formatVersion {
+		return mixtureFile{}, fmt.Errorf("mixture file: unsupported version %d", v)
+	}
+	count := binary.LittleEndian.Uint64(data[16:])
+	if count == 0 || count > sampling.MaxAliasLen {
+		return mixtureFile{}, fmt.Errorf("mixture file: implausible count %d", count)
+	}
+	exponent := math.Float64frombits(binary.LittleEndian.Uint64(data[24:]))
+	mix := math.Float64frombits(binary.LittleEndian.Uint64(data[32:]))
+	if !finiteKey(exponent, mix) {
+		return mixtureFile{}, fmt.Errorf("mixture file: non-finite key (%g, %g)", exponent, mix)
+	}
+	n := int(count)
+	if want := int64(mixHeaderSize + 16*n + aliasSectionSize(n)); int64(len(data)) != want {
+		return mixtureFile{}, fmt.Errorf("mixture file: %d bytes, want %d for %d entries", len(data), want, count)
+	}
+	probAt := mixHeaderSize + 8*n
+	aliasAt := probAt + 8*n
+	return mixtureFile{
+		count:    n,
+		exponent: exponent,
+		mix:      mix,
+		weights:  data[mixHeaderSize:probAt],
+		prob:     data[probAt:aliasAt],
+		alias:    data[aliasAt : aliasAt+4*n],
+	}, nil
+}
+
+// finiteKey reports whether a mixture (exponent, mix) key can be
+// persisted: NaN and infinite keys never match a lookup.
+func finiteKey(exponent, mix float64) bool {
+	return !math.IsNaN(exponent) && !math.IsInf(exponent, 0) && !math.IsNaN(mix) && !math.IsInf(mix, 0)
+}
+
 // datasetFile is the parsed structural view of a .ds file (the dataset
 // binary interchange format: magic "SUPGDS1\n", u64 count, scores,
 // LSB-first label bits).
@@ -227,6 +297,15 @@ func decodeUint16s(b []byte) []uint16 {
 	out := make([]uint16, len(b)/2)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint16(b[2*i:])
+	}
+	return out
+}
+
+// decodeInt32s is the portable (copying) alternative to aliasInt32s.
+func decodeInt32s(b []byte) []int32 {
+	out := make([]int32, len(b)/4)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -406,6 +485,39 @@ func writeCodeFile(path string, sd index.SegmentData) (crc uint32, size int64, e
 	return aw.Commit()
 }
 
+// writeMixtureFile persists one cached sampling mixture: its key in the
+// header, then the weights, the alias probabilities, and the alias
+// indices, streamed section by section (never buffered whole).
+func writeMixtureFile(path string, mt index.MixtureTables) (crc uint32, size int64, err error) {
+	aw, err := newAtomicWriter(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	var hdr [mixHeaderSize]byte
+	copy(hdr[:8], mixMagic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(mt.Weights)))
+	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(mt.Key.Exponent))
+	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(mt.Key.Mix))
+	if _, err := aw.Write(hdr[:]); err != nil {
+		aw.Abort()
+		return 0, 0, err
+	}
+	if err := writeFloat64s(aw, mt.Weights); err != nil {
+		aw.Abort()
+		return 0, 0, err
+	}
+	if err := writeFloat64s(aw, mt.Prob); err != nil {
+		aw.Abort()
+		return 0, 0, err
+	}
+	if err := writeInt32s(aw, mt.Alias); err != nil {
+		aw.Abort()
+		return 0, 0, err
+	}
+	return aw.Commit()
+}
+
 // encodeChunk is the scratch granularity for bulk encoding (64 KiB).
 const encodeChunk = 1 << 13
 
@@ -442,6 +554,30 @@ func writeUint16s(w io.Writer, vals []uint16) error {
 		vals = vals[n:]
 	}
 	if pad := section - written; pad > 0 {
+		var zero [8]byte
+		if _, err := w.Write(zero[:pad]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeInt32s writes a mixture's alias section: the values plus zero
+// padding to the next multiple of 8 (see aliasSectionSize).
+func writeInt32s(w io.Writer, vals []int32) error {
+	pad := aliasSectionSize(len(vals)) - 4*len(vals)
+	buf := make([]byte, 4*min(len(vals), encodeChunk))
+	for len(vals) > 0 {
+		n := min(len(vals), encodeChunk)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+		}
+		if _, err := w.Write(buf[:4*n]); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	if pad > 0 {
 		var zero [8]byte
 		if _, err := w.Write(zero[:pad]); err != nil {
 			return err

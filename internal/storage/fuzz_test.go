@@ -28,22 +28,40 @@ func frame(payload []byte) []byte {
 	return b
 }
 
+// corpusIndex is the index record of the manifest corpus.
+var corpusIndex = indexRec{
+	table: "t", source: "p", fusion: "none", proxies: []string{"p"},
+	n: 10, colFile: "000002.col", colCRC: 8, colSize: 112,
+	segs: []segRec{{file: "000003.seg", base: 0, count: 10, crc: 9, size: 200}},
+}
+
 // validManifest returns a well-formed multi-record log for the corpus.
 func validManifest() []byte {
 	var b []byte
 	b = append(b, frame(encodeDataset(datasetRec{name: "t", file: "000001.ds", records: 10, crc: 7, size: 100}))...)
-	b = append(b, frame(encodeIndex(indexRec{
-		table: "t", source: "p", fusion: "none", proxies: []string{"p"},
-		n: 10, colFile: "000002.col", colCRC: 8, colSize: 112,
-		segs: []segRec{{file: "000003.seg", base: 0, count: 10, crc: 9, size: 200}},
-	}))...)
+	b = append(b, frame(encodeIndex(corpusIndex))...)
 	b = append(b, frame(encodeDropIndex(ixKey{"t", "p"}))...)
 	b = append(b, frame(encodeDropTable("t"))...)
 	return b
 }
 
+// mixtureManifest is an index record with a mixture bound to it, a
+// second mixture, and a tombstone for the first.
+func mixtureManifest() []byte {
+	mr := mixRec{table: "t", source: "p", n: 10, colCRC: 8, exponent: 0.5, mix: 0.1, file: "000004.mix", crc: 11, size: 288}
+	alt := mr
+	alt.exponent, alt.file = 1, "000005.mix"
+	var b []byte
+	b = append(b, frame(encodeIndex(corpusIndex))...)
+	b = append(b, frame(encodeMixture(mr))...)
+	b = append(b, frame(encodeMixture(alt))...)
+	b = append(b, frame(encodeDropMixture(mr.key()))...)
+	return b
+}
+
 func FuzzManifestReplay(f *testing.F) {
 	f.Add(validManifest())
+	f.Add(mixtureManifest())
 	f.Add(frame(encodeDropTable("t")))
 	f.Add(validManifest()[:13])                   // torn mid-frame
 	f.Add([]byte{})                               // empty log
@@ -61,9 +79,16 @@ func FuzzManifestReplay(f *testing.F) {
 		// (this is what Open commits to after truncating the tail).
 		st2, off2 := replayManifest(data[:goodOff])
 		if off2 != goodOff || st2.frames != st.frames ||
-			len(st2.tables) != len(st.tables) || len(st2.indexes) != len(st.indexes) {
+			len(st2.tables) != len(st.tables) || len(st2.indexes) != len(st.indexes) ||
+			len(st2.mixtures) != len(st.mixtures) {
 			t.Fatalf("replay of the good prefix diverged: %d/%d frames, off %d/%d",
 				st2.frames, st.frames, off2, goodOff)
+		}
+		// Every live mixture is bound to its live index record.
+		for k, mr := range st.mixtures {
+			if ir, ok := st.indexes[k.ixKey]; !ok || !mr.boundTo(ir) || mr.key() != k {
+				t.Fatalf("mixture %+v outlived its index binding", k)
+			}
 		}
 		// Every surviving catalog file name must be safe to join.
 		for _, rec := range st.tables {
@@ -109,6 +134,20 @@ func validDS(f *testing.F) []byte {
 	path := dir + "/d.ds"
 	d := dataset.Beta(randx.New(2), 20, 0.5, 1)
 	if _, _, err := writeDatasetFile(path, d); err != nil {
+		f.Fatal(err)
+	}
+	return readAll(f, path)
+}
+
+func validMixture(f *testing.F) []byte {
+	path := f.TempDir() + "/m.mix"
+	mt := index.MixtureTables{
+		Key:     index.MixtureKey{Exponent: 0.5, Mix: 0.1},
+		Weights: []float64{0.2, 0.3, 0.5},
+		Prob:    []float64{0.6, 0.9, 1},
+		Alias:   []int32{2, 2, 2},
+	}
+	if _, _, err := writeMixtureFile(path, mt); err != nil {
 		f.Fatal(err)
 	}
 	return readAll(f, path)
@@ -179,6 +218,43 @@ func FuzzDatasetFile(f *testing.F) {
 		if df.count <= 0 || len(df.scores) != 8*df.count || len(df.labelBits) != (df.count+7)/8 {
 			t.Fatalf("accepted view disagrees with count %d: %d score bytes, %d label bytes",
 				df.count, len(df.scores), len(df.labelBits))
+		}
+	})
+}
+
+// FuzzMixtureFile feeds the .mix parser arbitrary bytes: it must check
+// magic, version, count, header key and exact length, and any view it
+// accepts must agree with its declared count.
+func FuzzMixtureFile(f *testing.F) {
+	valid := validMixture(f)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-4]) // truncated alias padding
+	f.Add(valid[:mixHeaderSize])
+	badVersion := append([]byte{}, valid...)
+	binary.LittleEndian.PutUint32(badVersion[8:], 2)
+	f.Add(badVersion)
+	lying := append([]byte{}, valid...)
+	binary.LittleEndian.PutUint64(lying[16:], 1<<31) // count lies
+	f.Add(lying)
+	nanKey := append([]byte{}, valid...)
+	binary.LittleEndian.PutUint64(nanKey[24:], 0x7ff8000000000001)
+	f.Add(nanKey)
+	wrongMagic := append([]byte{}, valid...)
+	copy(wrongMagic[:8], segMagic[:])
+	f.Add(wrongMagic)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mf, err := parseMixtureFile(data)
+		if err != nil {
+			return
+		}
+		n := mf.count
+		if n <= 0 || len(mf.weights) != 8*n || len(mf.prob) != 8*n || len(mf.alias) != 4*n ||
+			int64(len(data)) != int64(mixHeaderSize+16*n+aliasSectionSize(n)) {
+			t.Fatalf("accepted view disagrees with count %d: %d/%d/%d section bytes in %d",
+				n, len(mf.weights), len(mf.prob), len(mf.alias), len(data))
+		}
+		if !finiteKey(mf.exponent, mf.mix) || [8]byte(data[:8]) != mixMagic {
+			t.Fatalf("accepted key (%v, %v) or magic %q", mf.exponent, mf.mix, data[:8])
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,6 +33,22 @@ import (
 //	               keeps the recIndex encoding byte-identical, so
 //	               manifests written before quantization existed replay
 //	               unchanged.
+//	recMixture   — one cached IS sampling mixture of an index: its .mix
+//	               file (CRC, size) and (exponent, mix) key, bound to the
+//	               index record by (table, source, record count, column
+//	               CRC). A mixture whose binding does not match the live
+//	               index record is dead: replay ignores it, and a newer
+//	               index record for the same (table, source) — an
+//	               append-grown flush — drops the mixtures it no longer
+//	               matches.
+//	recDropMixture — tombstone for one mixture that failed verification.
+//
+// Downgrades: a binary older than a record type stops replay at the
+// first record of that type (the unknown type reads as a corrupt tail)
+// and truncates the log there, exactly as a pre-quantization binary
+// does at recIndexQ. A binary that predates recMixture therefore loses
+// the catalog from the first mixture record on — a rebuild, never a
+// wrong answer.
 //
 // Data files referenced by a record are fully written, fsynced, and
 // renamed into place BEFORE the record is appended, so a record in the
@@ -41,11 +58,13 @@ import (
 // by rewriting live records to MANIFEST.compact and renaming over.
 
 const (
-	recDataset   byte = 1
-	recIndex     byte = 2
-	recDropTable byte = 3
-	recDropIndex byte = 4
-	recIndexQ    byte = 5
+	recDataset     byte = 1
+	recIndex       byte = 2
+	recDropTable   byte = 3
+	recDropIndex   byte = 4
+	recIndexQ      byte = 5
+	recMixture     byte = 6
+	recDropMixture byte = 7
 
 	manifestName = "MANIFEST"
 
@@ -105,22 +124,67 @@ type ixKey struct {
 	source string
 }
 
+// mixRec describes one persisted sampling mixture and the index record
+// it is bound to: the mixture is live only while the index record for
+// (table, source) covers n rows with column CRC colCRC.
+type mixRec struct {
+	table    string
+	source   string
+	n        int
+	colCRC   uint32
+	exponent float64
+	mix      float64
+	file     string
+	crc      uint32
+	size     int64
+}
+
+// mixKey identifies a mixture in the catalog; the (exponent, mix) key
+// is held as float bits so every stored key is a usable map key.
+type mixKey struct {
+	ixKey
+	exponent uint64
+	mix      uint64
+}
+
+func (r mixRec) key() mixKey {
+	return mixKey{ixKey{r.table, r.source}, math.Float64bits(r.exponent), math.Float64bits(r.mix)}
+}
+
+// boundTo reports whether the mixture was written for the index record.
+func (r mixRec) boundTo(ir indexRec) bool {
+	return r.n == ir.n && r.colCRC == ir.colCRC
+}
+
 // manifestState is the fold of a manifest replay: the live catalog.
 type manifestState struct {
-	tables  map[string]datasetRec
-	indexes map[ixKey]indexRec
-	frames  int64 // frames applied (live + dead)
+	tables   map[string]datasetRec
+	indexes  map[ixKey]indexRec
+	mixtures map[mixKey]mixRec // each bound to its live index record
+	frames   int64             // frames applied (live + dead)
 }
 
 func newManifestState() manifestState {
 	return manifestState{
-		tables:  make(map[string]datasetRec),
-		indexes: make(map[ixKey]indexRec),
+		tables:   make(map[string]datasetRec),
+		indexes:  make(map[ixKey]indexRec),
+		mixtures: make(map[mixKey]mixRec),
 	}
 }
 
 func (st *manifestState) live() int64 {
-	return int64(len(st.tables) + len(st.indexes))
+	return int64(len(st.tables) + len(st.indexes) + len(st.mixtures))
+}
+
+// mixturesOf returns the live mixtures of every index key keep accepts.
+func (st *manifestState) mixturesOf(keep func(ixKey) bool) []mixRec {
+	var out []mixRec
+	for k, r := range st.mixtures {
+		if keep(k.ixKey) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func (st *manifestState) apply(rtype byte, rec any) {
@@ -129,7 +193,13 @@ func (st *manifestState) apply(rtype byte, rec any) {
 		st.tables[rec.(datasetRec).name] = rec.(datasetRec)
 	case recIndex, recIndexQ:
 		ir := rec.(indexRec)
-		st.indexes[ixKey{ir.table, ir.source}] = ir
+		k := ixKey{ir.table, ir.source}
+		st.indexes[k] = ir
+		for mk, mr := range st.mixtures {
+			if mk.ixKey == k && !mr.boundTo(ir) {
+				delete(st.mixtures, mk)
+			}
+		}
 	case recDropTable:
 		name := rec.(string)
 		delete(st.tables, name)
@@ -138,8 +208,26 @@ func (st *manifestState) apply(rtype byte, rec any) {
 				delete(st.indexes, k)
 			}
 		}
+		for mk := range st.mixtures {
+			if mk.table == name {
+				delete(st.mixtures, mk)
+			}
+		}
 	case recDropIndex:
-		delete(st.indexes, rec.(ixKey))
+		k := rec.(ixKey)
+		delete(st.indexes, k)
+		for mk := range st.mixtures {
+			if mk.ixKey == k {
+				delete(st.mixtures, mk)
+			}
+		}
+	case recMixture:
+		mr := rec.(mixRec)
+		if ir, ok := st.indexes[ixKey{mr.table, mr.source}]; ok && mr.boundTo(ir) {
+			st.mixtures[mr.key()] = mr
+		}
+	case recDropMixture:
+		delete(st.mixtures, rec.(mixKey))
 	}
 }
 
@@ -232,6 +320,23 @@ func decodeRecord(payload []byte) (byte, any, error) {
 	case recDropIndex:
 		k := ixKey{table: d.str(), source: d.str()}
 		return rtype, k, d.finish("drop-index")
+	case recMixture:
+		rec := mixRec{
+			table:    d.str(),
+			source:   d.str(),
+			n:        d.count(maxFileRecords),
+			colCRC:   uint32(d.uvarint()),
+			exponent: math.Float64frombits(d.uvarint()),
+			mix:      math.Float64frombits(d.uvarint()),
+			file:     d.str(),
+			crc:      uint32(d.uvarint()),
+			size:     int64(d.uvarint()),
+		}
+		return rtype, rec, d.finish("mixture")
+	case recDropMixture:
+		k := mixKey{ixKey: ixKey{table: d.str(), source: d.str()}}
+		k.exponent, k.mix = d.uvarint(), d.uvarint()
+		return rtype, k, d.finish("drop-mixture")
 	default:
 		return 0, nil, fmt.Errorf("manifest: unknown record type %d", rtype)
 	}
@@ -279,6 +384,27 @@ func encodeIndex(rec indexRec) []byte {
 		}
 	}
 	return b
+}
+
+func encodeMixture(rec mixRec) []byte {
+	b := []byte{recMixture}
+	b = appendString(b, rec.table)
+	b = appendString(b, rec.source)
+	b = binary.AppendUvarint(b, uint64(rec.n))
+	b = binary.AppendUvarint(b, uint64(rec.colCRC))
+	b = binary.AppendUvarint(b, math.Float64bits(rec.exponent))
+	b = binary.AppendUvarint(b, math.Float64bits(rec.mix))
+	b = appendString(b, rec.file)
+	b = binary.AppendUvarint(b, uint64(rec.crc))
+	b = binary.AppendUvarint(b, uint64(rec.size))
+	return b
+}
+
+func encodeDropMixture(k mixKey) []byte {
+	b := appendString([]byte{recDropMixture}, k.table)
+	b = appendString(b, k.source)
+	b = binary.AppendUvarint(b, k.exponent)
+	return binary.AppendUvarint(b, k.mix)
 }
 
 func encodeDropTable(name string) []byte {
@@ -446,6 +572,25 @@ func (m *manifest) compact(st manifestState) error {
 	})
 	for _, k := range keys {
 		appendFrame(encodeIndex(st.indexes[k]))
+	}
+	// Mixture records follow every index record: replay binds each one
+	// to the index record already folded in.
+	mkeys := make([]mixKey, 0, len(st.mixtures))
+	for k := range st.mixtures {
+		mkeys = append(mkeys, k)
+	}
+	sort.Slice(mkeys, func(i, j int) bool {
+		a, b := mkeys[i], mkeys[j]
+		if a.ixKey != b.ixKey {
+			return a.table < b.table || (a.table == b.table && a.source < b.source)
+		}
+		if a.exponent != b.exponent {
+			return a.exponent < b.exponent
+		}
+		return a.mix < b.mix
+	})
+	for _, k := range mkeys {
+		appendFrame(encodeMixture(st.mixtures[k]))
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()

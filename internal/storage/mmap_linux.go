@@ -46,6 +46,11 @@ func mapFile(path string) ([]byte, error) {
 	return b, nil
 }
 
+// unmapFile releases a mapping nothing aliases — one that failed
+// verification before any slice of it was handed out. A failed unmap
+// only leaks address space, so its error is dropped.
+func unmapFile(b []byte) { _ = syscall.Munmap(b) }
+
 // madviseBytes applies the configured residency hint to a mapping.
 func madviseBytes(b []byte, advice int) error {
 	var sys int
@@ -97,4 +102,13 @@ func aliasInts(b []byte) []int {
 		return nil
 	}
 	return unsafe.Slice((*int)(unsafe.Pointer(&b[0])), len(b)/8)
+}
+
+// aliasInt32s reinterprets little-endian int32 bytes as an int32 slice
+// without copying. Sections sit at 8-aligned in-file offsets.
+func aliasInt32s(b []byte) []int32 {
+	if len(b) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }

@@ -15,6 +15,8 @@ func mapFile(path string) ([]byte, error) {
 
 func madviseBytes(b []byte, advice int) error { return nil }
 
+func unmapFile(b []byte) {}
+
 // The alias helpers are unreachable when mmapSupported is false (every
 // load decodes instead); they exist so the package compiles.
 func aliasFloat64s(b []byte) []float64 { panic("storage: aliasFloat64s without mmap support") }
@@ -22,3 +24,5 @@ func aliasFloat64s(b []byte) []float64 { panic("storage: aliasFloat64s without m
 func aliasInts(b []byte) []int { panic("storage: aliasInts without mmap support") }
 
 func aliasUint16s(b []byte) []uint16 { panic("storage: aliasUint16s without mmap support") }
+
+func aliasInt32s(b []byte) []int32 { panic("storage: aliasInt32s without mmap support") }

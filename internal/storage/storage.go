@@ -1,13 +1,34 @@
 // Package storage is the durable tier under the query engine: a
 // write-once, CRC-verified on-disk format for datasets, index score
-// columns, and per-segment (score, id) permutations, plus an
-// append-only MANIFEST log that records which files are live for each
-// (table, score source). The contract is zero-rescan recovery with
-// byte-identical results: Open mmaps the persisted files back into
-// index segment views, re-proving (not re-computing) each permutation,
-// so a restarted process answers queries bit-for-bit the same as
-// before the crash while invoking zero proxy UDFs and performing zero
-// permutation sorts.
+// columns, per-segment (score, id) permutations and cached IS sampling
+// mixtures, plus an append-only MANIFEST log that records which files
+// are live for each (table, score source). The contract is zero-rescan
+// recovery with byte-identical results: Open mmaps the persisted files
+// back into index segment views, re-proving (not re-computing) each
+// permutation, so a restarted process answers queries bit-for-bit the
+// same as before the crash while invoking zero proxy UDFs and
+// performing zero permutation sorts.
+//
+// # Sampling mixtures
+//
+// The IS estimators draw from a defensive mixture of proxy weights
+// whose Vose alias table is the most expensive thing a first query
+// computes. SaveMixtures checkpoints an index's cached mixtures as
+// write-once .mix files, each under a recMixture manifest record bound
+// to the index record (table, source, record count, column CRC); the
+// engine calls it at clean shutdown only, so nothing is written on the
+// query or append path. Open maps nothing for them: a recovered index
+// carries one lazy loader per stored mixture, which verifies size, CRC
+// and structure the first time a query asks for that (exponent, mix)
+// key — a mixture no query uses is never read. A mixture that fails
+// verification is tombstoned (recDropMixture) and the index rebuilds it
+// from its column, with identical draws. An index flush that grows the
+// column (an append) makes its old mixtures dead; they are dropped with
+// the flush and rebuilt on demand, as is everything after a crash,
+// which skips the shutdown checkpoint. Downgrade note: a binary from
+// before mixture records stops manifest replay at the first recMixture
+// record, as it does at recIndexQ, and truncates the log there; the
+// state it loses is rebuilt, never served wrong.
 //
 // Crash discipline, in order of commit:
 //
@@ -28,6 +49,7 @@ package storage
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,6 +61,7 @@ import (
 	"supg/internal/dataset"
 	"supg/internal/index"
 	"supg/internal/metrics"
+	"supg/internal/sampling"
 )
 
 // Options configures a Store.
@@ -119,9 +142,14 @@ type Stats struct {
 	IndexesLive  int
 	SegmentsLive int
 
+	MixturesLive int
+
 	TablesRecovered   int
 	IndexesRecovered  int
 	SegmentsRecovered int
+	// MixturesRecovered counts the stored sampling mixtures attached
+	// to recovered indexes (adopted lazily, on first use).
+	MixturesRecovered int
 
 	MappedBytes     int64
 	RecoveryElapsed time.Duration
@@ -147,6 +175,10 @@ type Store struct {
 	epochs map[string]uint64
 	seq    uint64
 	closed bool
+	// indexOf maps each live index record to the in-memory index it was
+	// flushed from or recovered as, so SaveMixtures can prove that a
+	// mixture's tables belong to the column the record describes.
+	indexOf map[ixKey]*index.ScoreIndex
 
 	counters *metrics.Counters
 
@@ -158,6 +190,7 @@ type Store struct {
 	recTables   []RecoveredTable
 	recIndexes  []RecoveredIndex
 	recSegments int
+	recMixtures int
 	degraded    []string
 	recElapsed  time.Duration
 }
@@ -185,12 +218,13 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:    opts.Dir,
-		opts:   opts,
-		advise: advise,
-		man:    man,
-		st:     st,
-		epochs: make(map[string]uint64),
+		dir:     opts.Dir,
+		opts:    opts,
+		advise:  advise,
+		man:     man,
+		st:      st,
+		epochs:  make(map[string]uint64),
+		indexOf: make(map[ixKey]*index.ScoreIndex),
 	}
 	s.loadCatalog()
 	s.initSeq()
@@ -255,12 +289,15 @@ func (s *Store) loadCatalog() {
 			// with it — recDropTable already covers it in the catalog.
 			continue
 		}
-		ix, err := s.loadIndex(rec, tbl.records)
+		mixes := s.storedMixtures(k)
+		ix, err := s.loadIndex(rec, tbl.records, mixes)
 		if err != nil {
 			s.degrade(fmt.Sprintf("index %s/%s: %v", k.table, k.source, err))
 			s.tombstone(encodeDropIndex(k), recDropIndex, k)
 			continue
 		}
+		s.indexOf[k] = ix
+		s.recMixtures += len(mixes)
 		s.recIndexes = append(s.recIndexes, RecoveredIndex{
 			IndexMeta: IndexMeta{
 				Table:       rec.table,
@@ -317,8 +354,9 @@ func (s *Store) loadDataset(rec datasetRec) (*dataset.Dataset, error) {
 
 // loadIndex maps (or reads) one index's column and segment files and
 // reconstructs the ScoreIndex via FromExternal's verification — zero
-// sorts, zero proxy calls, byte-identical or rejected.
-func (s *Store) loadIndex(rec indexRec, tableRecords int) (*index.ScoreIndex, error) {
+// sorts, zero proxy calls, byte-identical or rejected. mixes are the
+// index's stored sampling mixtures, handed over unread.
+func (s *Store) loadIndex(rec indexRec, tableRecords int, mixes []index.StoredMixture) (*index.ScoreIndex, error) {
 	if rec.n > tableRecords {
 		return nil, fmt.Errorf("index covers %d rows but table has %d", rec.n, tableRecords)
 	}
@@ -391,13 +429,83 @@ func (s *Store) loadIndex(rec indexRec, tableRecords int) (*index.ScoreIndex, er
 			segs[i].SortedCodes = decodeUint16s(qf.sortedCodes)
 		}
 	}
-	return index.FromExternal(index.External{Column: column, Segments: segs, Backing: backing}, s.opts.Index)
+	return index.FromExternal(index.External{Column: column, Segments: segs, Backing: backing, Mixtures: mixes}, s.opts.Index)
+}
+
+// storedMixtures returns lazy loaders for the live mixtures of index k.
+func (s *Store) storedMixtures(k ixKey) []index.StoredMixture {
+	recs := s.st.mixturesOf(func(ik ixKey) bool { return ik == k })
+	out := make([]index.StoredMixture, len(recs))
+	for i, rec := range recs {
+		rec := rec
+		out[i] = index.StoredMixture{
+			Key: index.MixtureKey{Exponent: rec.exponent, Mix: rec.mix},
+			Load: func() ([]float64, *sampling.Alias, error) {
+				w, a, err := s.loadMixture(rec)
+				if err != nil {
+					s.rejectMixture(rec, err)
+				}
+				return w, a, err
+			},
+		}
+	}
+	return out
+}
+
+// loadMixture maps (or reads) one mixture file and checks it against
+// its record: exact size and CRC, header key and count, and in-bounds
+// alias tables (what keeps every draw inside the column). The weight
+// values are trusted on the CRC, like every other persisted float. It
+// runs when a query first asks for the mixture, never at Open.
+func (s *Store) loadMixture(rec mixRec) ([]float64, *sampling.Alias, error) {
+	data, mapped, err := s.loadVerified(rec.file, rec.size, rec.crc)
+	if err != nil {
+		return nil, nil, err
+	}
+	mf, err := parseMixtureFile(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if mf.count != rec.n || math.Float64bits(mf.exponent) != math.Float64bits(rec.exponent) ||
+		math.Float64bits(mf.mix) != math.Float64bits(rec.mix) {
+		return nil, nil, fmt.Errorf("mixture file holds key (%g, %g) over %d rows, manifest says (%g, %g) over %d",
+			mf.exponent, mf.mix, mf.count, rec.exponent, rec.mix, rec.n)
+	}
+	var weights, prob []float64
+	var alias []int32
+	if mapped {
+		weights, prob, alias = aliasFloat64s(mf.weights), aliasFloat64s(mf.prob), aliasInt32s(mf.alias)
+	} else {
+		weights, prob, alias = decodeFloat64s(mf.weights), decodeFloat64s(mf.prob), decodeInt32s(mf.alias)
+	}
+	a, err := sampling.AliasFromTables(prob, alias)
+	if err != nil {
+		return nil, nil, err
+	}
+	return weights, a, nil
+}
+
+// rejectMixture durably drops a stored mixture that failed
+// verification; the index rebuilds it in memory.
+func (s *Store) rejectMixture(rec mixRec, cause error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.degrade(fmt.Sprintf("mixture %s/%s (%g, %g): %v", rec.table, rec.source, rec.exponent, rec.mix, cause))
+	k := rec.key()
+	if cur, ok := s.st.mixtures[k]; s.closed || !ok || cur.file != rec.file {
+		return // already superseded; the next boot re-checks anything left
+	}
+	before := s.man.frames
+	s.tombstone(encodeDropMixture(k), recDropMixture, k)
+	os.Remove(filepath.Join(s.dir, rec.file))
+	s.maybeCompactLocked(before)
 }
 
 // loadVerified loads one named file and checks its exact size and
 // CRC32 against the manifest record before any byte is trusted. The
 // second return reports whether the bytes are a shared mapping (alias,
-// never copy) or heap (decode).
+// never copy) or heap (decode). A mapping that fails the checks is
+// released.
 func (s *Store) loadVerified(name string, wantSize int64, wantCRC uint32) ([]byte, bool, error) {
 	if err := checkFileName(name); err != nil {
 		return nil, false, err
@@ -417,15 +525,24 @@ func (s *Store) loadVerified(name string, wantSize int64, wantCRC uint32) ([]byt
 		}
 		data = b
 	}
+	var err error
 	if int64(len(data)) != wantSize {
-		return nil, false, fmt.Errorf("file is %d bytes, manifest says %d", len(data), wantSize)
+		err = fmt.Errorf("file is %d bytes, manifest says %d", len(data), wantSize)
+	} else if got := crc32.Checksum(data, castagnoli); got != wantCRC {
+		err = fmt.Errorf("CRC mismatch (got %08x, manifest says %08x)", got, wantCRC)
 	}
-	if got := crc32.Checksum(data, castagnoli); got != wantCRC {
-		return nil, false, fmt.Errorf("CRC mismatch (got %08x, manifest says %08x)", got, wantCRC)
+	if err != nil {
+		if mapped {
+			unmapFile(data)
+		}
+		return nil, false, err
 	}
 	if mapped {
 		madviseBytes(data, s.advise)
+		s.mu.Lock()
 		s.mappedBytes += int64(len(data))
+		s.counters.StorageMappedBytes(int64(len(data)))
+		s.mu.Unlock()
 	}
 	return data, mapped, nil
 }
@@ -474,6 +591,9 @@ func (s *Store) sweepOrphans() {
 			}
 		}
 	}
+	for _, rec := range s.st.mixtures {
+		referenced[rec.file] = true
+	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
@@ -484,7 +604,7 @@ func (s *Store) sweepOrphans() {
 			continue
 		}
 		switch filepath.Ext(name) {
-		case ".ds", ".col", ".seg", ".qcv":
+		case ".ds", ".col", ".seg", ".qcv", ".mix":
 			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
@@ -536,9 +656,11 @@ func (s *Store) Stats() Stats {
 		TablesLive:        len(s.st.tables),
 		IndexesLive:       len(s.st.indexes),
 		SegmentsLive:      segs,
+		MixturesLive:      len(s.st.mixtures),
 		TablesRecovered:   len(s.recTables),
 		IndexesRecovered:  len(s.recIndexes),
 		SegmentsRecovered: s.recSegments,
+		MixturesRecovered: s.recMixtures,
 		MappedBytes:       s.mappedBytes,
 		RecoveryElapsed:   s.recElapsed,
 		ManifestRecords:   s.man.frames,
@@ -741,9 +863,13 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 	}
 	// Catalog state may have shifted while we wrote (another flush of
 	// the same key): re-snapshot to delete exactly the files the new
-	// record supersedes.
+	// record supersedes — mixtures included, which the record drops
+	// when it no longer describes their column.
 	cur, hadCur := s.st.indexes[key]
+	mixes := s.st.mixturesOf(func(k ixKey) bool { return k == key })
 	s.st.apply(recIndex, rec)
+	s.indexOf[key] = ix
+	s.removeDeadMixturesLocked(mixes)
 	if hadCur {
 		keep := make(map[string]bool, 2*len(segs)+1)
 		keep[colFile] = true
@@ -811,6 +937,7 @@ func (s *Store) DropTable(name string) error {
 		if k.table != name {
 			continue
 		}
+		delete(s.indexOf, k)
 		os.Remove(filepath.Join(s.dir, rec.colFile))
 		for _, sr := range rec.segs {
 			os.Remove(filepath.Join(s.dir, sr.file))
@@ -819,7 +946,9 @@ func (s *Store) DropTable(name string) error {
 			}
 		}
 	}
+	mixes := s.st.mixturesOf(func(k ixKey) bool { return k.table == name })
 	s.st.apply(recDropTable, name)
+	s.removeDeadMixturesLocked(mixes)
 	s.maybeCompactLocked(before)
 	return nil
 }
@@ -852,7 +981,100 @@ func (s *Store) DropIndex(table, source string) error {
 			os.Remove(filepath.Join(s.dir, sr.codeFile))
 		}
 	}
+	delete(s.indexOf, key)
+	mixes := s.st.mixturesOf(func(k ixKey) bool { return k == key })
 	s.st.apply(recDropIndex, key)
+	s.removeDeadMixturesLocked(mixes)
+	s.maybeCompactLocked(before)
+	return nil
+}
+
+// removeDeadMixturesLocked deletes the files of those mixtures in
+// before that the catalog no longer holds. Called with s.mu held, after
+// the record that dropped them is durable.
+func (s *Store) removeDeadMixturesLocked(before []mixRec) {
+	for _, rec := range before {
+		if cur, ok := s.st.mixtures[rec.key()]; !ok || cur.file != rec.file {
+			os.Remove(filepath.Join(s.dir, rec.file))
+		}
+	}
+}
+
+// SaveMixtures checkpoints the cached sampling mixtures of ix, the
+// index of (table, source), as write-once .mix files: one per
+// (exponent, mix) key not already on disk, each committed under a
+// mixture record bound to the live index record. It writes nothing
+// unless that record was flushed from (or recovered as) ix itself — an
+// index never flushed, or superseded or dropped since, would bind the
+// tables to another column. Files are streamed, never buffered whole.
+// It returns how many mixtures it wrote. Meant for clean shutdown: the
+// engine calls it from Close, so no query or append pays for it.
+func (s *Store) SaveMixtures(table, source string, ix *index.ScoreIndex) (int, error) {
+	key := ixKey{table, source}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return 0, fmt.Errorf("storage: store closed")
+	}
+	ir, ok := s.st.indexes[key]
+	if !ok || s.indexOf[key] != ix {
+		s.mu.Unlock()
+		return 0, nil
+	}
+	type pending struct {
+		rec    mixRec
+		tables index.MixtureTables
+	}
+	var todo []pending
+	for _, mt := range ix.CachedMixtureTables() {
+		rec := mixRec{table: table, source: source, n: ir.n, colCRC: ir.colCRC,
+			exponent: mt.Key.Exponent, mix: mt.Key.Mix}
+		if _, done := s.st.mixtures[rec.key()]; done || len(mt.Weights) != ir.n || !finiteKey(rec.exponent, rec.mix) {
+			continue
+		}
+		rec.file = s.nextFileLocked(".mix")
+		todo = append(todo, pending{rec, mt})
+	}
+	s.mu.Unlock()
+
+	written := 0
+	for _, p := range todo {
+		path := filepath.Join(s.dir, p.rec.file)
+		crc, size, err := writeMixtureFile(path, p.tables)
+		if err != nil {
+			return written, fmt.Errorf("storage: persist mixture for %s/%s: %w", table, source, err)
+		}
+		p.rec.crc, p.rec.size = crc, size
+		if err := s.commitMixture(p.rec, ix); err != nil {
+			os.Remove(path)
+			return written, err
+		}
+		written++
+	}
+	return written, nil
+}
+
+// commitMixture appends a written mixture's record if the index record
+// it was bound to is still the live one for ix.
+func (s *Store) commitMixture(rec mixRec, ix *index.ScoreIndex) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("storage: store closed")
+	}
+	key := ixKey{rec.table, rec.source}
+	if ir, ok := s.st.indexes[key]; !ok || s.indexOf[key] != ix || !rec.boundTo(ir) {
+		return ErrSuperseded
+	}
+	before := s.man.frames
+	if err := s.man.appendRecord(encodeMixture(rec)); err != nil {
+		return err
+	}
+	old, had := s.st.mixtures[rec.key()]
+	s.st.apply(recMixture, rec)
+	if had && old.file != rec.file {
+		os.Remove(filepath.Join(s.dir, old.file))
+	}
 	s.maybeCompactLocked(before)
 	return nil
 }

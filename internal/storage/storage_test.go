@@ -343,14 +343,20 @@ func TestCrashMidCompactionLitterRemoved(t *testing.T) {
 
 func TestOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
-	seedStore(t, dir, 700)
+	_, ix := seedStore(t, dir, 700)
 	for _, name := range []string{"999990.ds", "999991.col", "999992.seg", "999993.col.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// A crash between committing a .mix file and appending its manifest
+	// record leaves a complete, well-formed mixture file no record names.
+	ix.Mixture(0.5, 0.1)
+	if _, _, err := writeMixtureFile(filepath.Join(dir, "999994.mix"), ix.CachedMixtureTables()[0]); err != nil {
+		t.Fatal(err)
+	}
 	s := openStore(t, Options{Dir: dir})
-	for _, name := range []string{"999990.ds", "999991.col", "999992.seg", "999993.col.tmp"} {
+	for _, name := range []string{"999990.ds", "999991.col", "999992.seg", "999993.col.tmp", "999994.mix"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("orphan %s survived Open", name)
 		}
@@ -362,8 +368,11 @@ func TestOrphanSweep(t *testing.T) {
 	}
 	// (*.tmp litter is removed before the sequence scan, so only the
 	// data-file orphans constrain it.)
-	if s.seq < 999992 {
+	if s.seq < 999994 {
 		t.Fatalf("seq %d not advanced past swept orphans", s.seq)
+	}
+	if st := s.Stats(); st.MixturesRecovered != 0 || st.MixturesLive != 0 {
+		t.Fatalf("an unrecorded mixture file was adopted: %+v", st)
 	}
 }
 
