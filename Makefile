@@ -11,7 +11,7 @@ SMOKE_N ?= 65536
 
 # The hot-path trajectory battery (see bench-json / bench-check).
 BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectHotPathQuantized$$|SelectMixtureWarm
-BENCH_HOTPATH_INDEX = PermScan|AscendMerge|ParallelCount|IndexBuildQuantized|IndexAppend
+BENCH_HOTPATH_INDEX = Gather|AscendMerge|ParallelCount|IndexBuildQuantized|IndexAppend
 
 .PHONY: all build test test-race vet lint lint-fix fmt-check bench bench-json bench-check bench-labelstore bench-multiproxy bench-storage cover cover-check fuzz-smoke chaos-smoke profile
 
@@ -71,8 +71,8 @@ cover-check: cover
 # out-of-bounds replay, never a mixture record outliving its index.
 # FuzzQuantizedEquivalence throws boundary-heavy columns and thresholds
 # at the 16-bit quantized index and requires bit-identical results
-# against the float index (committed seed corpus in
-# internal/index/testdata).
+# against the float index, and id gathers from both equal to an O(n)
+# reference scan (committed seed corpus in internal/index/testdata).
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime 10s
@@ -102,8 +102,8 @@ bench:
 	$(GO) test . -bench . -run '^$$'
 
 # Records the hot-path benchmark battery — steady-state select (float
-# and quantized), the mixture-warm spread-column select, the quantized
-# permutation scan vs the float scan, the loser-tree vs heap merge,
+# and quantized), the mixture-warm spread-column select, the bitmap id
+# gather at 1%, 33%, 75% and 99% density, the loser-tree vs heap merge,
 # the count reduction under a query pool (sequential at every pool
 # size; kept as the witness), quantized index build, and incremental
 # append — into
@@ -115,7 +115,7 @@ bench-json:
 	{ $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section full -n 1000000 \
-	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column (quantized <= float with scan-bytes/rec 2 vs 8), dense permutation scan traffic, loser-tree vs heap k-way merge, count reduction at pool sizes 1 and 8 (sequential at both), quantized build, and incremental append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
+	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column, the bitmap id gather at 1/33/75/99% density (no sort, no score branch), loser-tree vs heap k-way merge, count reduction at pool sizes 1 and 8 (sequential at both), quantized build, and incremental append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
 	{ SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section smoke -n $(SMOKE_N)

@@ -46,8 +46,7 @@ type Result struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Metrics holds any extra testing.B.ReportMetric pairs (e.g. the
-	// index resident-bytes and scan-bytes/rec the quantized benchmarks
-	// report).
+	// warm-oracle-calls/op the label-store benchmarks report).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 

@@ -160,11 +160,11 @@ type Options struct {
 	// (<= 0 selects GOMAXPROCS).
 	BuildParallelism int
 	// Quantize builds every score index with 16-bit quantized score
-	// codes (index.Options.Quantize): scans and binary searches run over
-	// 2-byte codes with exact-float tie-breaking at bucket boundaries,
-	// so results stay byte-identical while scan memory traffic drops
-	// ~4x. Persisted quantized indexes carry their code vectors to disk
-	// and recover without recomputation.
+	// codes (index.Options.Quantize): threshold binary searches and
+	// merge comparisons run over 2-byte codes with exact-float
+	// tie-breaking at bucket boundaries, so results stay byte-identical.
+	// Persisted quantized indexes carry their code vectors to disk and
+	// recover without recomputation.
 	Quantize bool
 	// QueryParallelism bounds the intra-query parallel segment
 	// reductions — threshold counts, id gathers, and mixture builds —
@@ -295,21 +295,10 @@ func NewWithOptions(seed uint64, opts Options) *Engine {
 }
 
 // Open is NewWithOptions with the label WAL's open/replay error
-// surfaced instead of panicking.
+// surfaced instead of panicking. The storage tier opens first because
+// it creates PersistDir, the label WAL's usual home; it is closed again
+// when the WAL then fails to open.
 func Open(seed uint64, opts Options) (*Engine, error) {
-	var labels *labelstore.Store
-	if opts.LabelCacheBytes >= 0 {
-		var err error
-		labels, err = labelstore.Open(labelstore.Options{
-			MaxBytes:     opts.LabelCacheBytes,
-			Shards:       opts.LabelCacheShards,
-			WALPath:      opts.LabelWALPath,
-			WALSyncEvery: opts.LabelWALSyncEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
 	e := &Engine{
 		tables:  make(map[string]*dataset.Dataset),
 		oracles: make(map[string]OracleUDF),
@@ -324,14 +313,27 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 			QueryPool:   parallel.NewPool(opts.QueryParallelism),
 		},
 		opts:     opts,
-		labels:   labels,
 		breakers: make(map[string]*oracle.Breaker),
 		staged:   make(map[string]stagedTable),
 		stagedIx: make(map[indexKey]*stagedIndex),
 	}
 	if err := e.openStorage(opts); err != nil {
-		labels.Close()
 		return nil, err
+	}
+	if opts.LabelCacheBytes >= 0 {
+		labels, err := labelstore.Open(labelstore.Options{
+			MaxBytes:     opts.LabelCacheBytes,
+			Shards:       opts.LabelCacheShards,
+			WALPath:      opts.LabelWALPath,
+			WALSyncEvery: opts.LabelWALSyncEvery,
+		})
+		if err != nil {
+			if e.store != nil {
+				e.store.Close()
+			}
+			return nil, err
+		}
+		e.labels = labels
 	}
 	return e, nil
 }

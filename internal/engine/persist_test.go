@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"supg/internal/dataset"
@@ -109,6 +110,60 @@ func TestEngineRestartZeroRescanRecovery(t *testing.T) {
 	if again.IndexRecovered || again.IndexBuilt || again.ProxyCalls != 0 {
 		t.Fatalf("steady state: %+v", again)
 	}
+}
+
+// TestOpenCreatesMissingPersistDir: a PersistDir that does not exist
+// yet, two levels below an existing directory, with the label WAL
+// inside it, must boot — the storage tier creates the directory before
+// the WAL opens — and a reopen must replay the labels the first boot
+// bought, so the repeated query buys none.
+func TestOpenCreatesMissingPersistDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state", "supg")
+	opts := Options{PersistDir: dir, LabelWALPath: filepath.Join(dir, "labels.wal"), SegmentSize: 4096}
+	d := dataset.Beta(randx.New(33), 10000, 0.01, 2)
+	open := func() (*Engine, *atomic.Int64) {
+		e, err := Open(7, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		var oracleCalls atomic.Int64
+		e.RegisterTable("t", d)
+		e.RegisterProxy("p", func(i int) float64 { return d.Score(i) })
+		e.RegisterOracle("o", func(i int) (bool, error) {
+			oracleCalls.Add(1)
+			return d.TrueLabel(i), nil
+		})
+		return e, &oracleCalls
+	}
+
+	e1, calls1 := open()
+	want, err := e1.Execute(persistTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls1.Load() == 0 {
+		t.Fatal("cold query bought no labels")
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(opts.LabelWALPath); err != nil {
+		t.Fatalf("label WAL not inside the persist dir: %v", err)
+	}
+
+	e2, calls2 := open()
+	if got := e2.LabelStore().Stats().WALReplayed; got == 0 {
+		t.Fatal("reopen replayed no labels from the WAL")
+	}
+	got, err := e2.Execute(persistTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls2.Load(); n != 0 {
+		t.Fatalf("reopened engine re-bought %d labels, want 0", n)
+	}
+	assertSameResult(t, want, got)
 }
 
 // TestRestartReRegistrationInvalidatesDurably: a proxy RE-registration

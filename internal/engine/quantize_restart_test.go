@@ -85,7 +85,7 @@ func TestRestartQuantizedZeroRescanRecovery(t *testing.T) {
 // TestRestartQuantizeConfigChangeIsInvisible flips the Quantize option
 // across restarts in both directions. Answers must never change:
 // recovery adopts persisted codes even when quantization is off (they
-// are already verified, and 2-byte scans cost nothing to keep), and a
+// are already verified, so keeping them costs nothing), and a
 // quantize-on restart over a float persist computes codes from the
 // recovered column without re-calling the proxy.
 func TestRestartQuantizeConfigChangeIsInvisible(t *testing.T) {

@@ -62,26 +62,22 @@ func BenchmarkIndexBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkPermScan prices the dense AppendAtLeast scan — the paper's
-// "extract everything above tau" step at an unselective threshold,
-// which walks every record — on the float column versus the 16-bit
-// code vector. The quantized variant reads 2 bytes per record instead
-// of 8 (reported as scan-bytes/rec, the >= 3x traffic cut BENCH_
-// hotpath.json records); both emit identical ids, and neither
-// allocates (dst capacity is reused).
-func BenchmarkPermScan(b *testing.B) {
+// BenchmarkGather prices AppendAtLeast — the paper's "return every
+// record above tau" step, which materializes each answer and each
+// two-stage subset — at 1%, 33%, 75% and 99% of n on one goroutine.
+// The 99% case guards the dense end, where marking the smaller side of
+// the cut keeps the bit-set pass short and the word walk emits nearly
+// every id. dst capacity is reused and pooled bitmaps go back clean, so
+// no case allocates.
+func BenchmarkGather(b *testing.B) {
 	scores := benchScores(benchBuildN)
-	const tau = 0.25 // ~75% of a uniform column matches: the dense path
-	for _, quantize := range []bool{false, true} {
-		name := "float"
-		if quantize {
-			name = "quantized"
-		}
-		b.Run(name, func(b *testing.B) {
-			ix, err := NewWithOptions(scores, Options{Quantize: quantize})
-			if err != nil {
-				b.Fatal(err)
-			}
+	ix, err := NewWithOptions(scores, Options{QueryPool: parallel.NewPool(1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, pct := range []int{1, 33, 75, 99} {
+		tau := 1 - float64(pct)/100
+		b.Run(fmt.Sprintf("pct=%d", pct), func(b *testing.B) {
 			dst := make([]int, 0, ix.CountAtLeast(tau))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -91,9 +87,6 @@ func BenchmarkPermScan(b *testing.B) {
 					b.Fatal("no matches")
 				}
 			}
-			// After ResetTimer: it clears previously reported metrics.
-			b.ReportMetric(float64(ix.ResidentBytes()), "resident-bytes")
-			b.ReportMetric(float64(ix.ScanBytesPerRecord()), "scan-bytes/rec")
 		})
 	}
 }

@@ -146,7 +146,7 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 	// The index counts as quantized when every segment carries codes —
 	// whether configured (opts.Quantize) or adopted from a quantized disk
 	// image under a Quantize-off configuration (the codes are already
-	// verified, so serving them costs nothing and scans stay 2-byte).
+	// verified, so serving them costs nothing).
 	quant := true
 	for _, s := range segs {
 		if s.codes == nil {
@@ -176,7 +176,7 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 // any persisted code vectors are verified against the column in the
 // same pass: a stored code that diverges from quantizeScore of the
 // mmap'd float (bit rot, format skew) would silently misroute quantized
-// scans, so it is rejected like any other corruption.
+// binary searches, so it is rejected like any other corruption.
 func verifySegmentData(sub []float64, sd SegmentData) error {
 	n := len(sub)
 	for i, v := range sub {

@@ -30,16 +30,19 @@
 //     search over the IEEE-754 bit space (scores are validated
 //     non-negative, where the bit pattern orders like the value).
 //   - AppendAtLeast emits each segment's matching ids in ascending id
-//     order; segments partition the id space in order, so the
-//     concatenation is globally ascending — the degenerate k-way merge.
+//     order without sorting them or comparing a score: it marks the
+//     smaller side of the segment's permutation cut in a pooled bitmap
+//     and walks the bitmap's words low to high. Segments partition the
+//     id space in order, so the concatenation is globally ascending —
+//     the degenerate k-way merge.
 //   - Ascend streams (id, score) pairs in global (score, id) order via
 //     a loser-tree k-way merge of the per-segment sorted runs (see
 //     losertree.go) — the explicit form of the global sorted view a
 //     monolithic index stores. The selection hot path itself needs only
 //     the primitives above; Ascend is the exported iteration surface
 //     for consumers that want the merged order, and the equivalence
-//     tests pin it against both the retained heap merge (ascendHeap)
-//     and a monolithic sort.
+//     tests pin it against both a container/heap merge (ascendHeap in
+//     heapmerge_test.go) and a monolithic sort.
 //   - Mixture computes the defensive weights with the exact per-element
 //     operations and left-to-right summation order of
 //     sampling.DefensiveWeights (segments only parallelize the
@@ -55,10 +58,10 @@
 // is monotone, so a strict code inequality decides the exact score
 // inequality and only the threshold's own bucket — resolved with the
 // same float comparisons, in the same order, as the unquantized path —
-// ever consults the 8-byte column. Scans and merge comparisons walk 2
-// bytes per record instead of 8 while every operation stays
-// bit-identical to the float index; see quantize.go for the invariant
-// and the skew guard on dense scans.
+// ever consults the 8-byte column. Codes serve only the threshold
+// binary searches and the merge comparisons: the gather reads neither
+// scores nor codes, so both layouts share it. Every operation stays
+// bit-identical to the float index; see quantize.go for the invariant.
 //
 // # Incremental append
 //
@@ -90,9 +93,9 @@
 package index
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -116,12 +119,12 @@ type Options struct {
 	// Parallelism bounds the number of segments built concurrently.
 	// <= 0 selects GOMAXPROCS.
 	Parallelism int
-	// Quantize additionally stores a 16-bit bucket code per record and
-	// runs scans and binary searches over the 2-byte codes, consulting
-	// the exact floats only inside the boundary bucket (see quantize.go).
-	// Results are byte-identical to an unquantized index; the option
-	// trades ~4 extra bits per record of resident memory for ~4x less
-	// scan traffic.
+	// Quantize additionally stores a 16-bit bucket code per record, in
+	// record and in sorted order, and runs threshold binary searches and
+	// merge comparisons over the 2-byte codes, consulting the exact
+	// floats only inside the boundary bucket (see quantize.go). Results
+	// are byte-identical to an unquantized index; the codes cost 4 bytes
+	// per record of resident memory.
 	Quantize bool
 	// QueryPool bounds the intra-query parallel segment reductions —
 	// AppendAtLeast gathers and the mixture transform/normalize passes.
@@ -167,11 +170,21 @@ func (s *segment) countAtLeast(tau float64) int {
 	return len(s.sorted) - s.cutAtLeast(tau)
 }
 
+// gatherBitmaps recycles the segment-sized bitmaps appendAtLeast marks
+// ids in. A bitmap always goes back all zero — emission clears every
+// word it reads — so a gather never has to clear one first, and
+// indexes of any segment size can share the pool.
+var gatherBitmaps = sync.Pool{New: func() any { return new([]uint64) }}
+
 // appendAtLeast appends the segment's global record ids with score >=
-// tau to dst in ascending id order. Selective thresholds copy the
-// k-record suffix of the sorted permutation and re-sort it by id in
-// O(k log k); dense thresholds scan the sub-column once in O(S), which
-// is cheaper than the sort and emits ids already ordered.
+// tau to dst in ascending id order. The matches are exactly the local
+// ids perm[cut:], in score order; the gather sets one bit per local id
+// of the smaller side of the cut — perm[cut:], or perm[:cut] when more
+// than half the segment matches — in a segment-sized bitmap, then walks
+// its words once, low to high, emitting the set bits (or the clear
+// bits). A set of distinct ids has one ascending order, so the output
+// is the id-sorted suffix without a sort and without a branch on any
+// score: O(min(k, S-k)) bit sets, S/64 word reads and k emits.
 func (s *segment) appendAtLeast(dst []int, tau float64) []int {
 	n := len(s.sorted)
 	cut := s.cutAtLeast(tau)
@@ -179,39 +192,32 @@ func (s *segment) appendAtLeast(dst []int, tau float64) []int {
 	if k == 0 {
 		return dst
 	}
-	if k <= n/8 {
-		start := len(dst)
-		for _, p := range s.perm[cut:] {
-			dst = append(dst, s.base+p)
-		}
-		slices.Sort(dst[start:])
-		return dst
+	words := (n + 63) >> 6
+	bp := gatherBitmaps.Get().(*[]uint64)
+	if cap(*bp) < words {
+		*bp = make([]uint64, words)
 	}
-	if s.codes != nil && tau > 0 && tau <= 1 {
-		ct := quantizeScore(tau)
-		if lo, hi := s.codeBucket(ct); hi-lo <= n/8 {
-			// Quantized dense scan: 2 bytes per record, floats touched
-			// only in the boundary bucket. Strict code inequalities
-			// decide exact score inequalities (monotone map), so the
-			// emitted id set — and its record order — equals the float
-			// scan's. Guarded on the bucket population: a skewed column
-			// can concentrate in one bucket (e.g. Beta(0.01, 2) puts
-			// ~90% of records in bucket 0), and a dominant boundary
-			// bucket would make this path read both vectors — the float
-			// scan below is cheaper there.
-			for i, c := range s.codes {
-				if c > ct || (c == ct && s.scores[i] >= tau) {
-					dst = append(dst, s.base+i)
-				}
-			}
-			return dst
+	bm := (*bp)[:words]
+	mark, flip := s.perm[cut:], uint64(0)
+	if 2*k > n {
+		mark, flip = s.perm[:cut], ^uint64(0)
+		// Emitting clear bits: the tail word's bits past the segment end
+		// are marked too, so they never emit.
+		if r := n & 63; r != 0 {
+			bm[words-1] = ^uint64(0) << r
 		}
 	}
-	for i, sc := range s.scores {
-		if sc >= tau {
-			dst = append(dst, s.base+i)
+	for _, p := range mark {
+		bm[p>>6] |= 1 << (p & 63)
+	}
+	for w, x := range bm {
+		bm[w] = 0
+		id := s.base + w<<6
+		for x ^= flip; x != 0; x &= x - 1 {
+			dst = append(dst, id+bits.TrailingZeros64(x))
 		}
 	}
+	gatherBitmaps.Put(bp)
 	return dst
 }
 
@@ -506,15 +512,17 @@ func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
 				copy(grown, dst)
 				dst = grown
 			}
-			dst = dst[:base+total]
+			// The closure captures out, never dst: a captured parameter
+			// moves to the heap on every call, sequential ones included.
+			out := dst[:base+total]
 			ix.pool.ForEach(len(ix.segs), func(j int) {
 				lo, hi := base+offs[j], base+offs[j+1]
 				// Full slice expression: a slot's cap ends where the next
 				// slot begins, so appendAtLeast can never write outside
 				// its own segment's range.
-				ix.segs[j].appendAtLeast(dst[lo:lo:hi], tau)
+				ix.segs[j].appendAtLeast(out[lo:lo:hi], tau)
 			})
-			return dst
+			return out
 		}
 	}
 	for _, s := range ix.segs {
@@ -522,39 +530,6 @@ func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
 	}
 	return dst
 }
-
-// segCursor is one segment's position in the Ascend k-way merge.
-type segCursor struct {
-	seg *segment
-	pos int // index into seg.perm/seg.sorted
-}
-
-func (c segCursor) score() float64 { return c.seg.sorted[c.pos] }
-func (c segCursor) id() int        { return c.seg.base + c.seg.perm[c.pos] }
-
-// mergeHeap orders segment cursors by (score, global id) ascending.
-type mergeHeap []segCursor
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(a, b int) bool {
-	ca, cb := h[a], h[b]
-	// On a quantized index, a strict 2-byte code inequality decides the
-	// exact score comparison (monotone map); only code-equal cursors —
-	// one bucket in 65536 — touch the 8-byte sorted runs. The resulting
-	// order is identical either way.
-	if qa, qb := ca.seg.qsorted, cb.seg.qsorted; qa != nil && qb != nil {
-		if x, y := qa[ca.pos], qb[cb.pos]; x != y {
-			return x < y
-		}
-	}
-	if ca.score() != cb.score() {
-		return ca.score() < cb.score()
-	}
-	return ca.id() < cb.id()
-}
-func (h mergeHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(segCursor)) }
-func (h *mergeHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
 // Ascend streams every (record id, score) pair in ascending (score,
 // id) order — the global sorted view a monolithic index stores
@@ -564,31 +539,6 @@ func (h *mergeHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:l
 // Iteration stops when yield returns false.
 func (ix *ScoreIndex) Ascend(yield func(id int, score float64) bool) {
 	newLoserTree(ix.segs, ix.quant).ascend(yield)
-}
-
-// ascendHeap is the historical container/heap merge, retained as the
-// independent test oracle for the loser tree (the equivalence sweep in
-// losertree_test.go pins Ascend's output against it).
-func (ix *ScoreIndex) ascendHeap(yield func(id int, score float64) bool) {
-	h := make(mergeHeap, 0, len(ix.segs))
-	for _, s := range ix.segs {
-		if len(s.sorted) > 0 {
-			h = append(h, segCursor{seg: s})
-		}
-	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		c := h[0]
-		if !yield(c.id(), c.score()) {
-			return
-		}
-		if c.pos+1 < len(c.seg.sorted) {
-			h[0].pos++
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
 }
 
 // MinScore returns the smallest score in the column.

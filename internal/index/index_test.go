@@ -2,10 +2,11 @@ package index
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
+	"supg/internal/parallel"
 	"supg/internal/randx"
 	"supg/internal/sampling"
 )
@@ -88,39 +89,141 @@ func appendAtLeastRef(scores []float64, tau float64) []int {
 	return out
 }
 
+// TestAppendAtLeastMatchesReference pins the bitmap gather against the
+// O(n) reference on every layout an index can have: segment sizes
+// around the 64-bit bitmap word (1, 63, 64, 65), a mid size and the
+// default; float and quantized codes; an Append-grown index, whose
+// segment bases are not multiples of 64; and a FromExternal one.
+// Thresholds are every distinct score of each column, one float either
+// side of each, and the out-of-range values. Both sides of the cut must
+// run: segments with fewer than, exactly, and more than half their
+// records matching.
 func TestAppendAtLeastMatchesReference(t *testing.T) {
 	r := randx.New(41)
-	n := 5000
-	scores := make([]float64, n)
-	for i := range scores {
+	tieHeavy := make([]float64, 5000)
+	for i := range tieHeavy {
 		// Coarse quantization forces heavy score ties.
-		scores[i] = math.Round(r.Float64()*50) / 50
+		tieHeavy[i] = math.Round(r.Float64()*50) / 50
 	}
-	ix, err := New(scores)
-	if err != nil {
-		t.Fatal(err)
+	// Every even-sized segment of this column matches exactly half its
+	// records at tau in (0.25, 0.75].
+	alternating := make([]float64, 130)
+	for i := range alternating {
+		alternating[i] = 0.25 + 0.5*float64(i%2)
 	}
-	// Thresholds spanning the dense-scan and sparse-copy regimes,
-	// including exact tie values and the empty selection.
-	taus := []float64{0, 0.02, 0.5, 0.9, 0.98, 1.0, 1.1, math.Inf(1)}
-	for _, tau := range taus {
-		got := ix.AppendAtLeast(nil, tau)
-		want := appendAtLeastRef(scores, tau)
-		if len(got) != len(want) {
-			t.Fatalf("tau=%v: %d ids, want %d", tau, len(got), len(want))
+	var fewer, half, more int // segments seen on each side of the cut
+	for _, scores := range [][]float64{tieHeavy, alternating} {
+		taus := []float64{0, 1, 1.1, -0.5, math.NaN(), math.Inf(1)}
+		distinct := slices.Clone(scores)
+		slices.Sort(distinct)
+		for _, v := range slices.Compact(distinct) {
+			taus = append(taus, v, math.Nextafter(v, 2), math.Nextafter(v, -1))
 		}
-		if !sort.IntsAreSorted(got) {
-			t.Fatalf("tau=%v: output not ascending", tau)
+		wants := make([][]int, len(taus))
+		for i, tau := range taus {
+			wants[i] = appendAtLeastRef(scores, tau)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("tau=%v: got[%d]=%d, want %d", tau, i, got[i], want[i])
+		// Odd, so the first appended segment's base is not a multiple of 64.
+		head := len(scores)*3/5 | 1
+		for _, segSize := range []int{1, 63, 64, 65, 1000, DefaultSegmentSize} {
+			for _, quantize := range []bool{false, true} {
+				opts := Options{SegmentSize: segSize, Quantize: quantize}
+				built, err := NewWithOptions(scores, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				grown, err := NewWithOptions(scores[:head], opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if grown, err = grown.Append(scores[head:]); err != nil {
+					t.Fatal(err)
+				}
+				external, err := FromExternal(externalImage(built), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, layout := range []struct {
+					name string
+					ix   *ScoreIndex
+				}{{"built", built}, {"appended", grown}, {"external", external}} {
+					ix := layout.ix
+					for i, tau := range taus {
+						want := wants[i]
+						// A non-empty dst: the gather must append after it.
+						got := ix.AppendAtLeast([]int{-1}, tau)
+						if got[0] != -1 || !slices.Equal(got[1:], want) {
+							t.Fatalf("n=%d seg=%d quantized=%v %s tau=%v: got %d ids, want %d (first diff at %d)",
+								len(scores), segSize, quantize, layout.name, tau, len(got)-1, len(want), firstDiff(got[1:], want))
+						}
+						if len(want) != ix.CountAtLeast(tau) {
+							t.Fatalf("tau=%v: CountAtLeast disagrees with extraction", tau)
+						}
+						for _, s := range ix.segs {
+							switch k := s.countAtLeast(tau); {
+							case k == 0:
+							case 2*k < len(s.sorted):
+								fewer++
+							case 2*k == len(s.sorted):
+								half++
+							default:
+								more++
+							}
+						}
+					}
+				}
 			}
 		}
-		if len(got) != ix.CountAtLeast(tau) {
-			t.Fatalf("tau=%v: CountAtLeast disagrees with extraction", tau)
+	}
+	if fewer == 0 || half == 0 || more == 0 {
+		t.Fatalf("cut sides not all exercised: %d segments below half, %d at half, %d above", fewer, half, more)
+	}
+}
+
+// firstDiff returns the first position where a and b differ.
+func firstDiff(a, b []int) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
 		}
 	}
+	return min(len(a), len(b))
+}
+
+// TestAppendAtLeastConcurrentSharedBitmaps gathers from two indexes
+// with different segment sizes on many goroutines at once, through both
+// the sequential loop and the parallel fan-out. Every gather borrows
+// its bitmaps from the one process-wide pool, so a bitmap that went
+// back dirty, or to two gathers at once, shows up as a wrong id list
+// here and as a data race under -race.
+func TestAppendAtLeastConcurrentSharedBitmaps(t *testing.T) {
+	scores := testScores(40000)
+	pool := parallel.NewPool(4)
+	var ixs []*ScoreIndex
+	for _, segSize := range []int{1000, 4099} {
+		ix, err := NewWithOptions(scores, Options{SegmentSize: segSize, QueryPool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, ix)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rg := randx.New(uint64(300 + g))
+			for i := 0; i < 40; i++ {
+				ix, tau := ixs[(g+i)%2], rg.Float64()
+				if got, want := ix.AppendAtLeast(nil, tau), appendAtLeastRef(scores, tau); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d, seg=%d, tau=%v: got %d ids, want %d (first diff at %d)",
+						g, ix.SegmentSize(), tau, len(got), len(want), firstDiff(got, want))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestAppendAtLeastReusesCapacity(t *testing.T) {

@@ -2,7 +2,8 @@ package index
 
 // This file implements the flat tournament (loser) tree behind Ascend's
 // k-way merge of the per-segment sorted runs, replacing the historical
-// container/heap merge (kept as ascendHeap, the test oracle).
+// container/heap merge (kept as ascendHeap in heapmerge_test.go, the
+// test oracle).
 //
 // A loser tree beats a binary heap for repeated-pop merges on two
 // counts. First, replacing the just-popped minimum costs exactly one

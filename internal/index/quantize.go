@@ -5,22 +5,23 @@ import "sort"
 // Quantized score codes (Options.Quantize).
 //
 // The selection hot path is a pure function of the score column, and
-// the column's only job inside a scan or binary search is to answer
-// order comparisons against a threshold. A 16-bit bucket code preserves
-// enough of that order to answer almost every comparison: because the
-// code map is monotone, a strict code inequality decides the exact
-// score inequality, and only records whose code EQUALS the threshold's
-// code — one bucket out of 65536 — need the 8-byte float consulted.
-// Scans therefore walk 2 bytes per record instead of 8 (~4x less
-// memory traffic; segment-sized code vectors stay cache-resident where
-// float columns do not) while every operation returns byte-identical
-// results: the boundary bucket is resolved with the same float
-// comparisons, in the same order, as the unquantized path, so the
-// unique (score, id) total order — and with it counts, order
-// statistics, extraction order, alias tables, and RNG stream
-// consumption — is untouched. This is the paper's proxy idea applied
-// one level down: a cheap approximation does the bulk work, the exact
-// signal is consulted only at decision boundaries.
+// the column's only job inside a binary search or a merge comparison is
+// to answer order comparisons. A 16-bit bucket code preserves enough of
+// that order to answer almost every comparison: because the code map
+// is monotone, a strict code inequality decides the exact score
+// inequality, and only records whose code EQUALS the threshold's code —
+// one bucket out of 65536 — need the 8-byte float consulted. At query
+// time codes serve exactly two consumers: cutAtLeast's binary searches
+// and the Ascend merge's comparisons. The id gather (appendAtLeast)
+// reads neither codes nor scores once the cut is known, so it is the
+// same on both layouts. Every operation returns byte-identical results:
+// the boundary bucket is resolved with the same float comparisons, in
+// the same order, as the unquantized path, so the unique (score, id)
+// total order — and with it counts, order statistics, extraction
+// order, alias tables, and RNG stream consumption — is untouched. This
+// is the paper's proxy idea applied one level down: a cheap
+// approximation does the bulk work, the exact signal is consulted only
+// at decision boundaries.
 
 // codeBuckets is the number of quantization buckets — one per uint16
 // code value.
@@ -29,7 +30,7 @@ const codeBuckets = 1 << 16
 // quantizeScore maps a validated score in [0, 1] onto its bucket code:
 // floor(s * 65536), clamped so s = 1.0 shares the top bucket. The map
 // is monotone — s <= t implies quantizeScore(s) <= quantizeScore(t) —
-// which is the entire contract quantized scans rely on.
+// which is the entire contract quantized comparisons rely on.
 //
 // The input must be a column buildSegment has already validated and
 // normalized: NaN and out-of-range values rejected, -0.0 rewritten to
@@ -95,7 +96,7 @@ func (s *segment) codeBucket(ct uint16) (lo, hi int) {
 }
 
 // Quantized reports whether the index carries 16-bit score codes and
-// runs its scans over them.
+// runs its binary searches and merge comparisons over them.
 func (ix *ScoreIndex) Quantized() bool { return ix.quant }
 
 // ResidentBytes estimates the index's resident data memory: the score
@@ -108,16 +109,4 @@ func (ix *ScoreIndex) ResidentBytes() int64 {
 		total += int64(8*len(s.perm) + 8*len(s.sorted) + 2*len(s.codes) + 2*len(s.qsorted))
 	}
 	return total
-}
-
-// ScanBytesPerRecord reports how many bytes a full permutation scan
-// (the dense AppendAtLeast path) reads per record: 2 over the code
-// vector of a quantized index, 8 over the float column otherwise —
-// boundary-bucket float touches excluded, as they cover one bucket out
-// of 65536.
-func (ix *ScoreIndex) ScanBytesPerRecord() int {
-	if ix.quant {
-		return 2
-	}
-	return 8
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"supg/internal/randx"
@@ -157,8 +158,8 @@ func TestQuantizedBoundaryBuckets(t *testing.T) {
 	}
 }
 
-// TestQuantizedRandomColumns is the randomized variant at sizes that
-// cross the dense-scan and bucket-population cutoffs in appendAtLeast.
+// TestQuantizedRandomColumns is the randomized variant: bucket-boundary
+// records, a cluster packed into a few buckets, and uniform records.
 func TestQuantizedRandomColumns(t *testing.T) {
 	r := randx.New(4242)
 	for _, n := range []int{33, 257, 3000} {
@@ -262,10 +263,13 @@ func TestQuantizeScoreMonotone(t *testing.T) {
 
 // FuzzQuantizedEquivalence feeds arbitrary boundary-heavy columns and
 // thresholds through both indexes and requires bit-identical counts,
-// cuts, extraction, and order statistics. Each 2-byte chunk of data
-// becomes one record: chunks ending in 0 sit exactly on their bucket
-// boundary, others are perturbed into the bucket interior — the
-// distribution lives on the code map's decision edges by construction.
+// cuts, and order statistics. Float and quantized indexes share one
+// gather, so each index's extraction is checked against the O(n)
+// reference instead of against the other, at segment sizes either side
+// of the 64-bit bitmap word. Each 2-byte chunk of data becomes one
+// record: chunks ending in 0 sit exactly on their bucket boundary,
+// others are perturbed into the bucket interior — the distribution
+// lives on the code map's decision edges by construction.
 func FuzzQuantizedEquivalence(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0xff, 0xff, 0x64, 0x00, 0x64, 0x01}, 0.5)
 	f.Add([]byte{0x01, 0x00, 0x01, 0x00, 0x01, 0x00, 0x02, 0x00}, 1.0/codeBuckets)
@@ -288,7 +292,8 @@ func FuzzQuantizedEquivalence(f *testing.F) {
 			scores = append(scores, s)
 		}
 		n := len(scores)
-		for _, segSize := range []int{1, 3, n} {
+		wantIDs := appendAtLeastRef(scores, tau)
+		for _, segSize := range []int{1, 3, 63, 64, 65, n} {
 			ref, err := NewWithOptions(scores, Options{SegmentSize: segSize})
 			if err != nil {
 				t.Fatal(err)
@@ -300,14 +305,10 @@ func FuzzQuantizedEquivalence(f *testing.F) {
 			if w, g := ref.CountAtLeast(tau), q.CountAtLeast(tau); w != g {
 				t.Fatalf("seg=%d: CountAtLeast(%v) %d vs %d", segSize, tau, g, w)
 			}
-			w := ref.AppendAtLeast(nil, tau)
-			g := q.AppendAtLeast(nil, tau)
-			if len(w) != len(g) {
-				t.Fatalf("seg=%d: AppendAtLeast(%v) lengths %d vs %d", segSize, tau, len(g), len(w))
-			}
-			for i := range w {
-				if w[i] != g[i] {
-					t.Fatalf("seg=%d: AppendAtLeast(%v)[%d] %d vs %d", segSize, tau, i, g[i], w[i])
+			for _, ix := range []*ScoreIndex{ref, q} {
+				if got := ix.AppendAtLeast(nil, tau); !slices.Equal(got, wantIDs) {
+					t.Fatalf("seg=%d quantized=%v: AppendAtLeast(%v) %d ids, want %d (first diff at %d)",
+						segSize, ix.Quantized(), tau, len(got), len(wantIDs), firstDiff(got, wantIDs))
 				}
 			}
 			for k := 1; k <= n; k += 1 + n/7 {

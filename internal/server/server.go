@@ -56,9 +56,9 @@ type Options struct {
 	// (default GOMAXPROCS).
 	IndexBuildParallelism int
 	// QuantizeIndex builds score indexes with 16-bit quantized score
-	// codes: byte-identical results, ~4x less scan memory traffic, code
-	// vectors persisted alongside segments when PersistDir is set. See
-	// engine.Options.Quantize.
+	// codes that threshold binary searches and merge comparisons run
+	// over: byte-identical results, code vectors persisted alongside
+	// segments when PersistDir is set. See engine.Options.Quantize.
 	QuantizeIndex bool
 	// QueryParallelism bounds the intra-query parallel segment
 	// reductions shared across all concurrent queries (default

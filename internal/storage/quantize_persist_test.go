@@ -39,7 +39,7 @@ func seedQuantizedStore(t testing.TB, dir string, segSize int) *index.ScoreIndex
 
 // TestQuantizedRoundTripRecovery pins the tentpole's persistence
 // claim: a quantized index recovers from disk with zero permutation
-// sorts, keeps its codes (scans stay 2-byte), and answers every
+// sorts, keeps its codes, and answers every
 // threshold query bit-identically — on both the mmap and the
 // heap-decode path.
 func TestQuantizedRoundTripRecovery(t *testing.T) {
@@ -64,9 +64,6 @@ func TestQuantizedRoundTripRecovery(t *testing.T) {
 			got := s.RecoveredIndexes()[0].Index
 			if !got.Quantized() {
 				t.Fatal("recovered index lost its code vectors")
-			}
-			if got.ScanBytesPerRecord() != 2 {
-				t.Fatalf("recovered scan width %d bytes/record, want 2", got.ScanBytesPerRecord())
 			}
 			assertIndexEquivalent(t, ix, got)
 		})
