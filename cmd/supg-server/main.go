@@ -91,7 +91,7 @@ func main() {
 		labelBytes  = flag.Int64("label-cache-bytes", 0, "cross-query oracle label cache budget in bytes (0 = default 64 MiB; negative disables label reuse)")
 		labelShards = flag.Int("label-cache-shards", 0, "label cache shards per (table, oracle) pair (0 = default 16)")
 		labelWAL    = flag.String("label-wal", "", "path of the label store write-ahead log; bought labels are journaled and replayed on restart, so the server re-buys zero labels (empty = not durable)")
-		walSync     = flag.Int("label-wal-sync-every", 1, "fsync the label WAL every N records (1 = every record)")
+		walSync     = flag.Int("label-wal-sync-every", 1, "label WAL fsync cadence: 1 = each label is durable before the query that bought it uses it (one fsync per oracle batch); N > 1 = fsync every N records")
 		oracleTO    = flag.Duration("oracle-timeout", 0, "per-attempt oracle UDF timeout; timed-out attempts are retried as transient failures (0 = unbounded)")
 		oracleRetry = flag.Int("oracle-retries", 0, "retries per oracle call after a transient failure (0 = fail on first error); retries never change query results")
 		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive failed oracle calls that trip the circuit breaker open (0 = default 5)")

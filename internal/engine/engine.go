@@ -191,7 +191,10 @@ type Options struct {
 	// labelstore.Options.WALPath. Ignored when the label store is
 	// disabled.
 	LabelWALPath string
-	// LabelWALSyncEvery is the WAL fsync cadence (0 or 1 = every record).
+	// LabelWALSyncEvery is the WAL fsync cadence. 0 or 1 (the default):
+	// each label is durable before the query that bought it uses it, one
+	// fsync per oracle batch. N > 1: fsync every N records. See
+	// labelstore.Options.WALSyncEvery.
 	LabelWALSyncEvery int
 	// OracleTimeout bounds one oracle UDF attempt's wall-clock time
 	// (0 = unbounded). A timed-out attempt counts as a transient failure

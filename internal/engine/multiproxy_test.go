@@ -1,12 +1,17 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"supg/internal/dataset"
+	"supg/internal/query"
 	"supg/internal/randx"
 )
 
@@ -194,6 +199,45 @@ func TestWarmLogisticCalibrationZeroUDFCalls(t *testing.T) {
 		t.Errorf("warm calibration: %d of %d labels from the store", warm.CalibrationCacheHits, warm.CalibrationCalls)
 	}
 	sameResult(t, "cold vs warm rebuild", cold, warm)
+}
+
+// TestFusedLogisticCalibrationOneWALBatch pins the calibration sample
+// to one oracle batch on a WAL-backed engine: building the fused index
+// makes at most one WAL fsync, and the fused column is bit-identical to
+// the one the per-label calibration loop produced (the digest below
+// was recorded from that loop).
+func TestFusedLogisticCalibrationOneWALBatch(t *testing.T) {
+	e, _, udfCalls := fusedEngine(t, Options{LabelWALPath: filepath.Join(t.TempDir(), "labels.wal")})
+	defer e.Close()
+	q, err := query.Parse(fusedLogisticRT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := query.BuildPlan(q, query.PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, _, err := e.tableIndex(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.LabelStore().Stats()
+	if st.WALSyncs > 1 {
+		t.Errorf("calibration made %d WAL fsyncs, want at most 1", st.WALSyncs)
+	}
+	if udfCalls.Load() != 100 || st.WALRecords != 101 {
+		t.Errorf("calibration bought %d labels in %d WAL records, want 100 in 101 (def + labels)", udfCalls.Load(), st.WALRecords)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, s := range entry.res.ix.Scores() {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
+		h.Write(buf[:])
+	}
+	const want = "ae1a9f26395a75a9ab09891c754b8945088ee8b5554a39f0fdb17793c11a368b"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("fused column digest %s, want %s", got, want)
+	}
 }
 
 // TestAppendExtendsFusedIndexIncrementally asserts a label-free fused

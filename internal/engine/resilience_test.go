@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -154,24 +155,9 @@ func TestKillRestartZeroRebuy(t *testing.T) {
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
 	opts := Options{LabelWALPath: walPath}
 
-	mk := func() (*Engine, *atomic.Int64) {
-		e, err := Open(42, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var udfCalls atomic.Int64
-		e.RegisterTable("video", d)
-		e.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
-		e.RegisterOracle("video_oracle", func(i int) (bool, error) {
-			udfCalls.Add(1)
-			return d.TrueLabel(i), nil
-		})
-		return e, &udfCalls
-	}
-
 	for name, sql := range resilienceSQL {
 		t.Run(name, func(t *testing.T) {
-			e1, calls1 := mk()
+			e1, calls1 := countingEngine(t, d, opts)
 			want, err := e1.Execute(sql)
 			if err != nil {
 				t.Fatal(err)
@@ -185,8 +171,7 @@ func TestKillRestartZeroRebuy(t *testing.T) {
 
 			// "Restart": a fresh engine process replays the WAL; the fresh
 			// registrations must NOT invalidate the recovered labels.
-			e2, calls2 := mk()
-			defer e2.Close()
+			e2, calls2 := countingEngine(t, d, opts)
 			if got := e2.LabelStore().Stats().WALReplayed; got == 0 {
 				t.Fatal("nothing replayed from the WAL")
 			}
@@ -204,6 +189,94 @@ func TestKillRestartZeroRebuy(t *testing.T) {
 				t.Fatalf("warm run: %d cache hits vs %d oracle calls, want equal", got.LabelCacheHits, got.OracleCalls)
 			}
 		})
+	}
+}
+
+// countingEngine opens an engine with opts and registers the test
+// table like registerVideo, but with an oracle UDF that counts its
+// calls. The engine is closed when the test ends.
+func countingEngine(t *testing.T, d *dataset.Dataset, opts Options) (*Engine, *atomic.Int64) {
+	t.Helper()
+	e, err := Open(42, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	var udfCalls atomic.Int64
+	e.RegisterTable("video", d)
+	e.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
+	e.RegisterOracle("video_oracle", func(i int) (bool, error) {
+		udfCalls.Add(1)
+		return d.TrueLabel(i), nil
+	})
+	return e, &udfCalls
+}
+
+// TestKillRestartGroupCommit is the crash half of the durability
+// contract. The label WAL fsyncs once per oracle batch, not per label,
+// and each query's labels are durable before it returns: copying the
+// log while the engine is still open (all a kill -9 leaves, since
+// nothing buffered in the process survives) must hold every label the
+// answer used, so a fresh engine on the copy answers byte-identically
+// with zero oracle UDF calls. Every existing restart test closes the
+// store first, which flushes the log and would hide a missing commit.
+func TestKillRestartGroupCommit(t *testing.T) {
+	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
+	for name, sql := range resilienceSQL {
+		t.Run(name, func(t *testing.T) {
+			walPath := filepath.Join(t.TempDir(), "labels.wal")
+			e1, calls1 := countingEngine(t, d, Options{LabelWALPath: walPath})
+			want, err := e1.Execute(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// RT labels one batch; PT (two-stage) and JT two.
+			st := e1.LabelStore().Stats()
+			if st.WALSyncs < 1 || st.WALSyncs > 2 {
+				t.Errorf("query made %d WAL fsyncs, want 1 or 2 (one per oracle batch)", st.WALSyncs)
+			}
+			// One frame per fresh label, plus the cache definition the
+			// first label writes.
+			if st.WALRecords != calls1.Load()+1 {
+				t.Errorf("query wrote %d WAL records for %d fresh labels", st.WALRecords, calls1.Load())
+			}
+
+			raw, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			killed := filepath.Join(t.TempDir(), "labels.wal")
+			if err := os.WriteFile(killed, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e2, calls2 := countingEngine(t, d, Options{LabelWALPath: killed})
+			got, err := e2.Execute(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := calls2.Load(); n != 0 {
+				t.Fatalf("run on the kill copy re-bought %d labels, want 0", n)
+			}
+			if !sameIndices(got.Indices, want.Indices) || got.Tau != want.Tau || got.OracleCalls != want.OracleCalls {
+				t.Fatal("run on the kill copy diverged")
+			}
+		})
+	}
+
+	// Relaxed mode keeps its own cadence: 4096 records per fsync, so a
+	// query buying fewer labels never syncs.
+	e, calls := countingEngine(t, d, Options{
+		LabelWALPath:      filepath.Join(t.TempDir(), "labels.wal"),
+		LabelWALSyncEvery: 4096,
+	})
+	if _, err := e.Execute(resilienceSQL["PT"]); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() == 0 || calls.Load() >= 4096 {
+		t.Fatalf("PT query bought %d labels; the relaxed check needs 1..4095", calls.Load())
+	}
+	if got := e.LabelStore().Stats().WALSyncs; got != 0 {
+		t.Errorf("relaxed mode made %d fsyncs, want 0", got)
 	}
 }
 

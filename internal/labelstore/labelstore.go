@@ -58,10 +58,13 @@ type Options struct {
 	// restarted process recovers every label it paid for with zero
 	// oracle re-buys. See wal.go for the on-disk format.
 	WALPath string
-	// WALSyncEvery is the fsync cadence: the log is flushed and synced
-	// after every N appended records (0 or 1 = every record, the
-	// durable default; larger values trade the tail of a crash for
-	// throughput).
+	// WALSyncEvery is the fsync cadence. The default (0 or 1) is group
+	// commit: each label is durable before the query that bought it uses
+	// it, with one fsync per oracle batch — Put appends without syncing
+	// and Cache.Commit, which oracle.Budgeted calls at the end of every
+	// batch, flushes and syncs everything pending. Larger values sync
+	// after every N appended records instead and make Commit a no-op,
+	// trading the tail of a crash for throughput.
 	WALSyncEvery int
 }
 
@@ -168,7 +171,8 @@ func (s *Store) WithCounters(c *metrics.Counters) *Store {
 	if s != nil {
 		s.counters.Store(c)
 		if s.wal != nil {
-			c.WALRecords(s.wal.recordCount())
+			records, _ := s.wal.counts()
+			c.WALRecords(records)
 			c.WALReplayed(s.walReplayed.Load())
 		}
 	}
@@ -307,10 +311,13 @@ type Stats struct {
 	Entries int64 `json:"entries"`
 	Caches  int   `json:"caches"`
 	// WALRecords is the number of frames currently in the write-ahead
-	// log; WALReplayed the number of labels restored from it on boot.
-	// Both zero without a WAL.
+	// log; WALReplayed the number of labels restored from it on boot;
+	// WALSyncs the number of fsyncs of the log since Open (commits,
+	// relaxed-cadence syncs, tombstones, compactions and Close). All
+	// zero without a WAL.
 	WALRecords  int64 `json:"wal_records"`
 	WALReplayed int64 `json:"wal_replayed"`
+	WALSyncs    int64 `json:"wal_syncs"`
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -321,6 +328,7 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	caches := len(s.caches)
 	s.mu.RUnlock()
+	records, syncs := s.wal.counts()
 	return Stats{
 		Hits:          s.hits.Load(),
 		Misses:        s.misses.Load(),
@@ -328,8 +336,9 @@ func (s *Store) Stats() Stats {
 		Invalidations: s.invalidations.Load(),
 		Entries:       s.entries.Load(),
 		Caches:        caches,
-		WALRecords:    s.wal.recordCount(),
+		WALRecords:    records,
 		WALReplayed:   s.walReplayed.Load(),
+		WALSyncs:      syncs,
 	}
 }
 
@@ -391,46 +400,79 @@ func (c *Cache) Get(i int) (bool, bool) {
 // leak into the replacement cache. When the store-wide byte budget is
 // exceeded an oldest entry is evicted — preferably from another shard
 // or cache, so a fresh workload is not starved by a budget another
-// table filled. With a WAL attached the label is journaled after the
-// memory insert, so the log never holds a label memory rejected.
+// table filled. With a WAL attached the label's frame is appended
+// right after the memory insert, so the log never holds a label memory
+// rejected; in the default group-commit mode it is not synced until
+// the next Commit.
 func (c *Cache) Put(i int, v bool) {
-	c.put(i, v, true)
+	c.put(i, v, c.store.wal)
 }
 
-// put is Put with the WAL append gated: replay applies logged labels
-// with log=false (they are already durable). Reports whether the label
-// was newly inserted.
-func (c *Cache) put(i int, v bool, log bool) bool {
-	sh := c.shardOf(i)
-	sh.mu.Lock()
-	// The dead flag is re-checked under the shard lock: kill sets it
-	// before clearing the shards, so an insert that won the lock first
-	// is counted (and cleared) by kill, and one that lost observes dead
-	// and drops — either way Store.entries stays consistent.
-	if c.dead.Load() {
-		sh.mu.Unlock()
-		return false
+// Commit makes every label journaled so far durable: one flush and one
+// fsync of all pending frames, whichever cache appended them. In the
+// default group-commit mode (Options.WALSyncEvery 0 or 1) this is the
+// durability point: oracle.Budgeted calls it at the end of every
+// oracle batch, so each label is durable before the query that bought
+// it — or hit it in the store — uses it. No-op without a WAL, when
+// nothing is pending, and in relaxed mode (WALSyncEvery > 1), which
+// syncs on its own cadence. A failed sync is fail-stop like a failed
+// append: later writes are dropped and the error surfaces from
+// Store.Close.
+func (c *Cache) Commit() {
+	c.store.wal.commit()
+}
+
+// put inserts the label and journals it to w (nil = not journaled:
+// replay applies labels that are already durable). With a WAL the
+// memory insert and the frame append happen under the WAL lock, so Get
+// never returns a label whose frame is not yet in the log: a Commit
+// after any Get covers every label that Get could have returned.
+// Reports whether the label was newly inserted.
+func (c *Cache) put(i int, v bool, w *wal) bool {
+	var total int64
+	if w != nil {
+		w.mu.Lock()
+		if total = c.insert(i, v); total > 0 {
+			w.appendLabelLocked(c, i, v)
+		}
+		w.mu.Unlock()
+	} else {
+		total = c.insert(i, v)
 	}
-	if _, ok := sh.m[i]; ok {
-		// Labels are a pure function of the record index; an existing
-		// entry is already correct.
-		sh.mu.Unlock()
+	if total == 0 {
 		return false
-	}
-	sh.m[i] = v
-	sh.fifo = append(sh.fifo, i)
-	total := c.store.entries.Add(1)
-	sh.mu.Unlock()
-	if log {
-		c.store.wal.appendLabel(c, i, v)
 	}
 	if total > c.store.maxEntries {
-		if n := c.store.evictOne(c, sh); n > 0 {
+		if n := c.store.evictOne(c, c.shardOf(i)); n > 0 {
 			c.store.evictions.Add(int64(n))
 			c.store.counters.Load().LabelCacheEvictions(int64(n))
 		}
 	}
 	return true
+}
+
+// insert adds the label to its shard and returns the store's new entry
+// count, or 0 when the label was not inserted (killed cache, or already
+// present).
+func (c *Cache) insert(i int, v bool) int64 {
+	sh := c.shardOf(i)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	// The dead flag is re-checked under the shard lock: kill sets it
+	// before clearing the shards, so an insert that won the lock first
+	// is counted (and cleared) by kill, and one that lost observes dead
+	// and drops — either way Store.entries stays consistent.
+	if c.dead.Load() {
+		return 0
+	}
+	if _, ok := sh.m[i]; ok {
+		// Labels are a pure function of the record index; an existing
+		// entry is already correct.
+		return 0
+	}
+	sh.m[i] = v
+	sh.fifo = append(sh.fifo, i)
+	return c.store.entries.Add(1)
 }
 
 // evictOne reclaims one entry to get back under the byte budget. It

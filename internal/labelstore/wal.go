@@ -7,14 +7,27 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
 // The write-ahead log makes paid oracle labels crash-durable: every
-// label written through a Cache is appended (and fsync'd per the sync
-// policy) to an append-only file, and Open replays the file into the
-// in-memory shards on boot — a restarted server recovers every label
-// it ever bought with zero oracle re-buys.
+// label written through a Cache is appended to an append-only file,
+// and Open replays the file into the in-memory shards on boot — a
+// restarted server recovers every label it ever bought with zero
+// oracle re-buys.
+//
+// Sync policy. By default the log group-commits: each label is durable
+// before the query that bought it uses it, with one fsync per oracle
+// batch. Put appends its frame to the buffered writer without syncing,
+// and Cache.Commit flushes and fsyncs every pending frame at once.
+// oracle.Budgeted commits at the end of every batch, even one served
+// entirely from the store, since a hit may be another query's
+// still-pending label. A crash can lose only the labels of batches
+// still in flight, which no returned answer used. Tombstones sync
+// immediately, so an invalidation never un-happens. With
+// Options.WALSyncEvery = N > 1 the log instead syncs after every N
+// frames and Commit is a no-op. Both policies write the same format.
 //
 // Format: a sequence of CRC-framed records. Each frame is
 //
@@ -52,10 +65,11 @@ const walMaxFrame = 1 << 20
 const walCompactMinRecords = 1024
 
 // wal is the append side of the write-ahead log. All appends are
-// serialized under mu; the store's in-memory insert happens first, so
-// the log is an ordered journal of every label the memory tier
-// accepted. Append failures are fail-stop: the first error disables
-// further appends and surfaces from Close.
+// serialized under mu, and a logged label's in-memory insert happens
+// under mu right before its append, so the log is an ordered journal
+// of every label the memory tier accepted. Append and sync failures
+// are fail-stop: the first error disables further appends and surfaces
+// from Close.
 type wal struct {
 	store *Store
 
@@ -63,9 +77,10 @@ type wal struct {
 	path      string
 	f         *os.File
 	w         *bufio.Writer
-	syncEvery int
-	unsynced  int
+	syncEvery int // 1 = group commit; N > 1 = sync every N frames
+	unsynced  int // frames appended since the last sync
 	records   int64
+	syncs     int64
 	ids       map[*Cache]uint64
 	nextID    uint64
 	err       error
@@ -79,7 +94,7 @@ func openWAL(s *Store, path string, syncEvery int) (*wal, int64, error) {
 	if syncEvery <= 0 {
 		syncEvery = 1
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644) //supg:atomiccommit-ok the WAL is the commit path: frames are CRC-framed and fsynced per sync policy, torn tails are truncated on replay
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644) //supg:atomiccommit-ok the WAL is the commit path: frames are CRC-framed and fsynced per sync policy, torn tails are truncated on replay, and a new log's directory is synced below
 	if err != nil {
 		return nil, 0, fmt.Errorf("labelstore: open wal: %w", err)
 	}
@@ -102,6 +117,16 @@ func openWAL(s *Store, path string, syncEvery int) (*wal, int64, error) {
 		if err := f.Truncate(goodOff); err != nil {
 			f.Close()
 			return nil, 0, fmt.Errorf("labelstore: truncate torn wal tail: %w", err)
+		}
+	}
+	// An empty log may be one this call just created. Its directory
+	// entry is durable only once the directory is synced; without that
+	// a crash could lose the file along with every label later
+	// committed to it.
+	if goodOff == 0 {
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, 0, fmt.Errorf("labelstore: sync wal dir: %w", err)
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
@@ -195,7 +220,7 @@ func (w *wal) apply(payload []byte, liveID map[uint64]*Cache, defs map[uint64]Ke
 			// dropped by put's dead check — exactly the in-memory
 			// semantics of a stale write. Duplicates (possible after a
 			// compaction raced an insert) are dropped the same way.
-			if c.put(int(idx), rest[0] != 0, false) {
+			if c.put(int(idx), rest[0] != 0, nil) {
 				*replayed++
 			}
 		}
@@ -217,14 +242,10 @@ func (w *wal) apply(payload []byte, liveID map[uint64]*Cache, defs map[uint64]Ke
 	return true
 }
 
-// appendLabel journals one freshly-bought label, writing the cache's
-// def record first if this is its first label. Nil-safe.
-func (w *wal) appendLabel(c *Cache, i int, v bool) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// appendLabelLocked journals one freshly-bought label, writing the
+// cache's def record first if this is its first label. Callers hold
+// w.mu.
+func (w *wal) appendLabelLocked(c *Cache, i int, v bool) {
 	if w.err != nil || w.closed {
 		return
 	}
@@ -288,11 +309,22 @@ func (w *wal) appendTombstone(kind byte, name string) {
 	rec = appendString(rec, name)
 	if err := w.appendFrameLocked(rec); err != nil {
 		w.err = err
+		return
+	}
+	// Under group commit nothing else would sync the tombstone until the
+	// next batch; syncing now means a returned invalidation survives a
+	// crash, so superseded labels can never resurrect.
+	if w.syncEvery == 1 {
+		if err := w.syncLocked(); err != nil {
+			w.err = err
+		}
 	}
 }
 
-// appendFrameLocked writes one CRC-framed record and applies the sync
-// policy. Callers hold w.mu.
+// appendFrameLocked writes one CRC-framed record to the buffered
+// writer. In relaxed mode it syncs after every syncEvery frames; under
+// group commit the frame stays pending until the next commit. Callers
+// hold w.mu.
 func (w *wal) appendFrameLocked(payload []byte) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -306,25 +338,50 @@ func (w *wal) appendFrameLocked(payload []byte) error {
 	w.records++
 	w.unsynced++
 	w.store.counters.Load().WALRecords(1)
-	if w.unsynced >= w.syncEvery {
-		if err := w.w.Flush(); err != nil {
-			return fmt.Errorf("labelstore: wal flush: %w", err)
-		}
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("labelstore: wal sync: %w", err)
-		}
-		w.unsynced = 0
+	if w.syncEvery > 1 && w.unsynced >= w.syncEvery {
+		return w.syncLocked()
 	}
+	return nil
+}
+
+// commit makes every pending frame durable with one flush and one
+// fsync (see Cache.Commit). Nil-safe.
+func (w *wal) commit() {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.syncEvery > 1 || w.unsynced == 0 || w.err != nil || w.closed {
+		return
+	}
+	if err := w.syncLocked(); err != nil {
+		w.err = err
+	}
+}
+
+// syncLocked flushes the buffered frames and fsyncs the log. Callers
+// hold w.mu.
+func (w *wal) syncLocked() error {
+	if err := w.w.Flush(); err != nil {
+		return fmt.Errorf("labelstore: wal flush: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("labelstore: wal sync: %w", err)
+	}
+	w.unsynced = 0
+	w.syncs++
 	return nil
 }
 
 // compactLocked rewrites the log to hold only the live labels: a fresh
 // def per live cache plus its current entries, written to a temp file
-// that atomically replaces the old log. Callers hold w.mu (appends are
-// blocked for the duration; in-memory reads and writes are not — a
-// label inserted mid-compaction is either snapshotted into the new
-// file or journaled right after it, possibly both, and replay is
-// idempotent).
+// that atomically replaces the old log. Callers hold w.mu, and Put
+// takes w.mu before its memory insert, so no journaled label is
+// inserted mid-compaction: every pending (unsynced) frame of a label
+// still in memory is carried over by the snapshot, which is synced
+// before it replaces the log. Pending frames of evicted or invalidated
+// labels are dropped with the old log, as their synced frames are.
 func (w *wal) compactLocked() error {
 	if w.err != nil {
 		return w.err
@@ -345,7 +402,13 @@ func (w *wal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("labelstore: wal compact: %w", err)
 	}
-	defer os.Remove(tmpPath) // no-op after a successful rename
+	renamed := false
+	defer func() {
+		if !renamed {
+			tmp.Close()
+			os.Remove(tmpPath)
+		}
+	}()
 	bw := bufio.NewWriter(tmp)
 	var (
 		records int64
@@ -386,7 +449,6 @@ func (w *wal) compactLocked() error {
 					def = appendString(def, c.key.Table)
 					def = appendString(def, c.key.Oracle)
 					if err := writeFrame(def); err != nil {
-						tmp.Close()
 						return fmt.Errorf("labelstore: wal compact: %w", err)
 					}
 				}
@@ -400,7 +462,6 @@ func (w *wal) compactLocked() error {
 					rec = append(rec, 0)
 				}
 				if err := writeFrame(rec); err != nil {
-					tmp.Close()
 					return fmt.Errorf("labelstore: wal compact: %w", err)
 				}
 			}
@@ -410,32 +471,32 @@ func (w *wal) compactLocked() error {
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		tmp.Close()
 		return fmt.Errorf("labelstore: wal compact: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
 		return fmt.Errorf("labelstore: wal compact: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
+	w.syncs++
+	if err := os.Rename(tmpPath, w.path); err != nil { //supg:atomiccommit-ok this IS the compaction commit point: tmp was fsynced above and the directory is synced right after
 		return fmt.Errorf("labelstore: wal compact: %w", err)
 	}
-	if err := os.Rename(tmpPath, w.path); err != nil { //supg:atomiccommit-ok this IS the compaction commit point: tmp was fsynced above and the directory is synced after
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	// Swap the append side over to the fresh file.
-	old := w.f
-	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("labelstore: wal compact reopen: %w", err)
-	}
-	old.Close()
-	w.f = f
-	w.w = bufio.NewWriter(f)
+	// The old handle now names an unlinked file; the still-open tmp
+	// handle, positioned at its end, is the log from here on.
+	renamed = true
+	w.f.Close()
+	w.f = tmp
+	w.w = bufio.NewWriter(tmp)
 	w.unsynced = 0
 	w.records = records
 	w.ids = ids
 	w.nextID = nextID
+	// Until the directory is synced a crash can bring the old log back
+	// and drop labels committed to the new one, so a failure here is
+	// fail-stop like a failed append.
+	if err := syncDir(filepath.Dir(w.path)); err != nil {
+		w.err = fmt.Errorf("labelstore: wal compact: sync dir: %w", err)
+		return w.err
+	}
 	return nil
 }
 
@@ -452,11 +513,7 @@ func (w *wal) close() error {
 	}
 	w.closed = true
 	if w.err == nil {
-		if err := w.w.Flush(); err != nil {
-			w.err = fmt.Errorf("labelstore: wal flush: %w", err)
-		} else if err := w.f.Sync(); err != nil {
-			w.err = fmt.Errorf("labelstore: wal sync: %w", err)
-		}
+		w.err = w.syncLocked()
 	}
 	if err := w.f.Close(); err != nil && w.err == nil {
 		w.err = fmt.Errorf("labelstore: wal close: %w", err)
@@ -464,14 +521,26 @@ func (w *wal) close() error {
 	return w.err
 }
 
-// recordCount returns the number of frames currently in the file.
-func (w *wal) recordCount() int64 {
+// counts returns the number of frames currently in the file and the
+// number of fsyncs of the log since Open.
+func (w *wal) counts() (records, syncs int64) {
 	if w == nil {
-		return 0
+		return 0, 0
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.records
+	return w.records, w.syncs
+}
+
+// syncDir fsyncs a directory so that a create or rename within it is
+// durable.
+func syncDir(dir string) error {
+	df, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer df.Close()
+	return df.Sync()
 }
 
 // appendString writes a uvarint-length-prefixed string.

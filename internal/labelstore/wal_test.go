@@ -1,11 +1,14 @@
 package labelstore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"supg/internal/metrics"
+	"supg/internal/oracle"
 )
 
 func walStore(t *testing.T, path string) *Store {
@@ -16,6 +19,22 @@ func walStore(t *testing.T, path string) *Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// killCopy copies the live log at path while its store stays open —
+// what a kill -9 leaves behind, since nothing buffered in the process
+// survives — and returns the copy's path.
+func killCopy(t *testing.T, path string) string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(t.TempDir(), "killed.wal")
+	if err := os.WriteFile(dst, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }
 
 func TestWALRoundtrip(t *testing.T) {
@@ -295,5 +314,154 @@ func TestWALConcurrentPuts(t *testing.T) {
 				t.Fatalf("record %d: (%v, %v)", g*200+i, v, ok)
 			}
 		}
+	}
+}
+
+// TestWALSyncPolicy pins the fsync count of each mode. Group commit
+// (the default) syncs once per Commit and never inside Put; tombstones
+// sync at once. Relaxed mode syncs every N frames and ignores Commit.
+func TestWALSyncPolicy(t *testing.T) {
+	t.Run("group-commit", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "labels.wal")
+		s := walStore(t, path)
+		c := s.Cache("t", "o")
+		for i := 0; i < 100; i++ {
+			c.Put(i, i%2 == 0)
+		}
+		if st := s.Stats(); st.WALSyncs != 0 || st.WALRecords != 101 {
+			t.Fatalf("after 100 puts: %d syncs, %d records; want 0 syncs, 101 records (def + labels)", st.WALSyncs, st.WALRecords)
+		}
+		c.Commit()
+		if got := s.Stats().WALSyncs; got != 1 {
+			t.Fatalf("syncs after commit = %d, want 1", got)
+		}
+		if r := walStore(t, killCopy(t, path)); r.Len() != 100 {
+			t.Fatalf("committed labels replayed from a kill copy = %d, want 100", r.Len())
+		}
+		c.Commit() // nothing pending
+		if got := s.Stats().WALSyncs; got != 1 {
+			t.Fatalf("syncs after an empty commit = %d, want 1", got)
+		}
+		s.InvalidateOracle("o")
+		if got := s.Stats().WALSyncs; got != 2 {
+			t.Fatalf("syncs after a tombstone = %d, want 2", got)
+		}
+		if r := walStore(t, killCopy(t, path)); r.Len() != 0 {
+			t.Fatalf("tombstoned labels replayed from a kill copy: %d", r.Len())
+		}
+	})
+	t.Run("relaxed", func(t *testing.T) {
+		s, err := Open(Options{WALPath: filepath.Join(t.TempDir(), "labels.wal"), WALSyncEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		c := s.Cache("t", "o")
+		for i := 0; i < 10; i++ {
+			c.Put(i, true)
+		}
+		c.Commit()
+		s.InvalidateTable("t")
+		// 12 frames (def, 10 labels, tombstone): syncs at frames 4, 8, 12.
+		if got := s.Stats().WALSyncs; got != 3 {
+			t.Fatalf("relaxed syncs = %d, want 3", got)
+		}
+	})
+}
+
+// TestWALConcurrentLabelAllDurableWithoutClose runs 8 queries that
+// label overlapping ids through one WAL-backed cache at once. Right
+// after each LabelAll returns, the log is copied with the store still
+// open; that copy must replay every label the call returned, including
+// store hits on labels another query bought and had not committed.
+func TestWALConcurrentLabelAllDurableWithoutClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.wal")
+	s := walStore(t, path)
+	c := s.Cache("t", "o")
+	label := func(i int) bool { return i%3 == 0 }
+	type returned struct {
+		log []byte
+		ids []int
+	}
+	var (
+		mu   sync.Mutex
+		seen []returned
+		wg   sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 4; round++ {
+				ids := make([]int, 60)
+				for k := range ids {
+					ids[k] = (g*20 + round*37 + k*3) % 400
+				}
+				b := oracle.NewBudgeted(oracle.Func(func(i int) (bool, error) { return label(i), nil }), len(ids)).WithStore(c, false)
+				labs, err := b.LabelAll(ids)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k, v := range labs {
+					if v != label(ids[k]) {
+						t.Errorf("record %d labeled %v", ids[k], v)
+					}
+				}
+				mu.Lock()
+				seen = append(seen, returned{raw, ids})
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for n, ret := range seen {
+		dst := filepath.Join(t.TempDir(), fmt.Sprintf("killed-%d.wal", n))
+		if err := os.WriteFile(dst, ret.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := walStore(t, dst)
+		rc := r.Cache("t", "o")
+		for _, i := range ret.ids {
+			if v, ok := rc.Get(i); !ok || v != label(i) {
+				t.Fatalf("call %d used record %d, but its kill copy replays (%v, %v)", n, i, v, ok)
+			}
+		}
+		r.Close()
+	}
+}
+
+// TestWALCompactionCarriesPendingLabels compacts while labels are still
+// pending (appended, not committed): the compacted log must hold them,
+// so a kill right after compaction loses no live label.
+func TestWALCompactionCarriesPendingLabels(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.wal")
+	s := walStore(t, path)
+	c := s.Cache("t", "o")
+	for i := 0; i < 100; i++ {
+		c.Put(i, i%2 == 0)
+	}
+	if err := s.CompactWAL(); err != nil {
+		t.Fatal(err)
+	}
+	r := walStore(t, killCopy(t, path))
+	if got := r.Len(); got != 100 {
+		t.Fatalf("kill copy after compaction replays %d labels, want 100", got)
+	}
+	for i := 0; i < 100; i++ {
+		if v, ok := r.Cache("t", "o").Get(i); !ok || v != (i%2 == 0) {
+			t.Fatalf("record %d: (%v, %v)", i, v, ok)
+		}
+	}
+	// The compacted log keeps group-committing.
+	c.Put(100, true)
+	c.Commit()
+	if got := walStore(t, killCopy(t, path)).Len(); got != 101 {
+		t.Fatalf("kill copy after a post-compaction commit replays %d labels, want 101", got)
 	}
 }

@@ -190,6 +190,8 @@ func FitLogistic(features [][]float64, labels []bool, epochs int, lr, l2 float64
 
 // Calibrate draws calibBudget uniform records, labels them with the
 // budgeted oracle, and fits a logistic stacker over the proxy columns.
+// The sample is labeled as one batch (one LabelAll: the same labels,
+// budget charges and error as a Label loop, one durability commit).
 func Calibrate(r *randx.Rand, columns [][]float64, o *oracle.Budgeted, calibBudget int) (*LogisticModel, error) {
 	n, err := validateColumns(columns)
 	if err != nil {
@@ -199,19 +201,17 @@ func Calibrate(r *randx.Rand, columns [][]float64, o *oracle.Budgeted, calibBudg
 		return nil, fmt.Errorf("multiproxy: calibration budget %d too small (need >= 10)", calibBudget)
 	}
 	idx := sampling.UniformWithoutReplacement(r, n, calibBudget)
-	features := make([][]float64, 0, len(idx))
-	labels := make([]bool, 0, len(idx))
-	for _, i := range idx {
+	labels, err := o.LabelAll(idx)
+	if err != nil {
+		return nil, fmt.Errorf("multiproxy: calibration labeling: %w", err)
+	}
+	features := make([][]float64, len(idx))
+	for k, i := range idx {
 		row := make([]float64, len(columns))
 		for j, c := range columns {
 			row[j] = c[i]
 		}
-		lab, err := o.Label(i)
-		if err != nil {
-			return nil, fmt.Errorf("multiproxy: calibration labeling: %w", err)
-		}
-		features = append(features, row)
-		labels = append(labels, lab)
+		features[k] = row
 	}
 	return FitLogistic(features, labels, 0, 0, 1e-4)
 }

@@ -127,6 +127,13 @@ type LabelCache interface {
 	Put(i int, v bool)
 }
 
+// committer is a LabelCache with a durability point: Commit makes
+// every label the cache has returned or accepted so far durable
+// (labelstore.Cache, whose write-ahead log group-commits).
+type committer interface {
+	Commit()
+}
+
 // Budgeted wraps an oracle with a hard call limit and memoization.
 // Repeat labels of an already-labeled record are served from cache and
 // do NOT consume budget, matching the paper's model where the label of
@@ -144,8 +151,10 @@ type Budgeted struct {
 	cache  map[int]bool
 	ctx    context.Context // nil = never cancelled
 
-	// store is the optional cross-query label tier (see WithStore).
+	// store is the optional cross-query label tier (see WithStore);
+	// committer is store when it has a durability point.
 	store     LabelCache
+	committer committer
 	freeReuse bool
 	storeHits int
 	onCharge  func(n int) // notified per charged store hit batch
@@ -183,14 +192,28 @@ func (b *Budgeted) WithContext(ctx context.Context) *Budgeted {
 // oracle's call count drops. With free = true hits cost nothing,
 // stretching the effective sample size a budget can buy at the price
 // of run-to-run comparability. Fresh labels fetched from the inner
-// oracle are written through to the store either way. Returns b for
-// chaining; a nil store leaves b unchanged.
+// oracle are written through to the store either way. When the store
+// has a Commit method (a WAL-backed labelstore.Cache), every LabelAll
+// and every Label that consulted the store commits before returning,
+// so each label a caller receives is durable. Returns b for chaining;
+// a nil store leaves b unchanged.
 func (b *Budgeted) WithStore(store LabelCache, free bool) *Budgeted {
 	if store != nil {
 		b.store = store
+		b.committer, _ = store.(committer)
 		b.freeReuse = free
 	}
 	return b
+}
+
+// commitStore makes the store durable up to this call: the labels it
+// bought, and any store hit on a label another query bought but has not
+// committed yet. It runs on every return path, including errors and
+// cancellation, because a failed batch may still have bought a prefix.
+func (b *Budgeted) commitStore() {
+	if b.committer != nil {
+		b.committer.Commit()
+	}
 }
 
 // WithChargeHook registers fn to be notified whenever charged store
@@ -227,6 +250,7 @@ func (b *Budgeted) Label(i int) (bool, error) {
 		}
 	}
 	if b.store != nil {
+		defer b.commitStore()
 		if v, ok := b.store.Get(i); ok {
 			if b.freeReuse {
 				b.cache[i] = v
@@ -273,7 +297,11 @@ func (b *Budgeted) Label(i int) (bool, error) {
 // oracle dispatches that way — and merged back in idx order, so results
 // are bit-for-bit identical to the sequential path for any oracle that
 // is a pure function of the record index.
+//
+// The whole call is one durability batch: with a committing store
+// attached it commits once on return (see WithStore).
 func (b *Budgeted) LabelAll(idx []int) ([]bool, error) {
+	defer b.commitStore()
 	if b.ctx != nil {
 		if err := b.ctx.Err(); err != nil {
 			return nil, fmt.Errorf("oracle: %w", err)

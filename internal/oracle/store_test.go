@@ -315,3 +315,75 @@ func TestFetchAllFoldsParallelBatchPrefix(t *testing.T) {
 		t.Errorf("cached %d labels but charged %d units", cached, b.Used())
 	}
 }
+
+// committingStore is a LabelCache with a durability point that counts
+// its commits.
+type committingStore struct {
+	LabelCache
+	commits int
+}
+
+func (s *committingStore) Commit() { s.commits++ }
+
+// TestBudgetedCommitsStoreOncePerBatch pins when Budgeted commits a
+// committing store: once at the end of every LabelAll, on the error
+// and cancellation paths too, and after every Label that consulted the
+// store, so no caller ever holds a label that is not yet durable.
+func TestBudgetedCommitsStoreOncePerBatch(t *testing.T) {
+	boom := errors.New("backend down")
+	inner := Func(func(i int) (bool, error) {
+		if i == 99 {
+			return false, boom
+		}
+		return i%2 == 0, nil
+	})
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name string
+		run  func(b *Budgeted) error
+	}{
+		{"fresh batch", func(b *Budgeted) error { _, err := b.LabelAll([]int{1, 2, 3}); return err }},
+		{"inner error", func(b *Budgeted) error { _, err := b.LabelAll([]int{1, 99, 3}); return err }},
+		{"budget exhausted", func(b *Budgeted) error { _, err := b.LabelAll([]int{1, 2, 3, 4, 5, 6}); return err }},
+		{"cancelled", func(b *Budgeted) error { _, err := b.WithContext(cancelled).LabelAll([]int{1}); return err }},
+		{"store hits only", func(b *Budgeted) error {
+			b.store.Put(7, false)
+			_, err := b.LabelAll([]int{7})
+			return err
+		}},
+		{"label fresh", func(b *Budgeted) error { _, err := b.Label(1); return err }},
+		{"label store hit", func(b *Budgeted) error {
+			b.store.Put(7, false)
+			_, err := b.Label(7)
+			return err
+		}},
+		{"nested stage budget", func(b *Budgeted) error {
+			_, err := NewBudgeted(b, 5).LabelAll([]int{1, 2, 3})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			store := &committingStore{LabelCache: storeFor(t)}
+			b := NewBudgeted(inner, 5).WithStore(store, false)
+			tc.run(b)
+			if store.commits != 1 {
+				t.Fatalf("%d commits, want 1", store.commits)
+			}
+		})
+	}
+
+	// A memo hit never reaches the store, so it does not commit.
+	store := &committingStore{LabelCache: storeFor(t)}
+	b := NewBudgeted(inner, 5).WithStore(store, false)
+	if _, err := b.Label(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Label(1); err != nil {
+		t.Fatal(err)
+	}
+	if store.commits != 1 {
+		t.Fatalf("memo hit committed: %d commits, want 1", store.commits)
+	}
+}

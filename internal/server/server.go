@@ -79,7 +79,9 @@ type Options struct {
 	// labelstore.Options.WALPath). Configure via Open — NewWithOptions
 	// panics if the log cannot be opened.
 	LabelWALPath string
-	// LabelWALSyncEvery is the WAL fsync cadence (0 or 1 = every record).
+	// LabelWALSyncEvery is the WAL fsync cadence. 0 or 1 (the default):
+	// each label is durable before the query that bought it uses it, one
+	// fsync per oracle batch. N > 1: fsync every N records.
 	LabelWALSyncEvery int
 	// OracleTimeout bounds one oracle UDF attempt (0 = unbounded);
 	// timed-out attempts count as transient failures and are retried.
