@@ -68,7 +68,8 @@ cover-check: cover
 # manifest replayer and the column/segment/dataset/mixture file parsers
 # arbitrary bytes: any input must yield a clean error or a view that
 # agrees with its declared counts — never a panic, never an
-# out-of-bounds replay, never a mixture record outliving its index.
+# out-of-bounds replay, never a mixture record outliving its index,
+# never a table or column whose chunks leave a gap.
 # FuzzQuantizedEquivalence throws boundary-heavy columns and thresholds
 # at the 16-bit quantized index and requires bit-identical results
 # against the float index, and id gathers from both equal to an O(n)
@@ -87,8 +88,10 @@ fuzz-smoke:
 # Fault-injection battery + crash durability: chaos equivalence
 # (byte-identical Indices/Tau/oracle_calls under 30% injected
 # transient oracle failures), retry/backoff/breaker determinism, WAL
-# torn-tail/tombstone/compaction replay, and the kill-and-restart
-# recovery tests (a restarted server re-buys zero labels).
+# torn-tail/tombstone/compaction replay, the storage crash windows
+# (torn, corrupt and orphaned files and chunk records, appends after a
+# compaction), and the kill-and-restart recovery tests (a restarted
+# server re-buys zero labels and re-reads appended chunks whole).
 chaos-smoke:
 	$(GO) test ./internal/oracle -run 'Chaos|Breaker|Resilient' -count=1
 	$(GO) test ./internal/labelstore -run 'WAL' -count=1
@@ -146,9 +149,13 @@ bench-multiproxy:
 # Durable storage: cold boot with recovery (manifest replay + CRC
 # verify + mmap adoption, zero proxy calls, zero sorts) vs the only
 # alternative — a full proxy re-scan and segmented re-sort — at
-# n=1e6. Committed snapshot: BENCH_storage.json.
+# n=1e6, plus both sides of chunked appends: the bytes one 8192-record
+# append and its index flush write (StorageAppend, written-B/op) and
+# the one-time heap copy when booting a table stored as a base plus 64
+# appended chunks (StorageBoot/recover/chunked). Committed snapshot:
+# BENCH_storage.json.
 bench-storage:
-	$(GO) test ./internal/storage -bench StorageBoot -benchmem -run '^$$'
+	$(GO) test ./internal/storage -bench 'StorageBoot|StorageAppend' -benchmem -run '^$$'
 
 # Profile scale (records); the default matches the CI bench smoke.
 PROFILE_N ?= $(SMOKE_N)

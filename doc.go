@@ -233,8 +233,10 @@
 // CRC-framed manifest log with the same torn-tail-truncation and
 // compaction discipline as the label WAL. An engine opened with a
 // persist directory (engine.Options.PersistDir, supg-server
-// -persist-dir) flushes each index after build or append and, on
-// boot, mmaps everything back: recovery re-sorts zero permutations
+// -persist-dir) flushes each index after build or append — an append
+// writes only its tail, as one new dataset chunk and one new column
+// chunk — and, on boot, mmaps everything back (a grown table's chunks
+// are copied into one heap column): recovery re-sorts zero permutations
 // and calls zero proxy UDFs — persisted segments are verified in
 // O(n) (strict (score, id) ascent, bounds, bitwise agreement with the
 // column), which pins the unique sort order and makes every recovered

@@ -472,7 +472,10 @@ func (e *Engine) RegisterTable(name string, d *dataset.Dataset) {
 // the new ids get labeled. Registered UDFs must accept the extended
 // id range; the
 // dataset-default UDFs (RegisterDatasetDefaults) are extended
-// automatically. The combined dataset is returned.
+// automatically. With persistence on, only the appended records are
+// written, as a new chunk of the table's stored dataset, and they are
+// durable when AppendTable returns; each grown index adds one column
+// chunk at its next flush. The combined dataset is returned.
 func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Dataset, error) {
 	if extra == nil || extra.Len() == 0 {
 		return nil, fmt.Errorf("engine: empty append to table %q", name)
@@ -492,11 +495,11 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 		// state.
 		ref.Store(combined)
 	}
-	// Persist the grown dataset. Index records are left alone: lineages
-	// survive appends, and each index re-flushes its extended form after
-	// its next build.
-	e.persistDataset(name, combined)
+	// Persist the appended records. Index records are left alone:
+	// lineages survive appends, and each index re-flushes its extended
+	// form after its next build.
 	oldLen, newLen := old.Len(), combined.Len()
+	e.persistAppend(name, combined, oldLen)
 	for key, parent := range e.indexes {
 		if key.table != name {
 			continue

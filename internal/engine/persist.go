@@ -12,7 +12,7 @@ import (
 )
 
 // The durable storage tier (Options.PersistDir) hooks into the engine
-// at five points:
+// at six points:
 //
 //   - Open stages everything the storage tier recovered: datasets and
 //     verified indexes wait in e.staged / e.stagedIx until the
@@ -21,6 +21,9 @@ import (
 //     recovered name with identical content — loading, not
 //     superseding, mirroring the label store's WAL semantics) or
 //     durably drops and rewrites it.
+//   - AppendTable persists only the appended records, as a new chunk of
+//     the table's stored dataset; the next flush of each grown index
+//     likewise writes one column chunk for its new rows.
 //   - tableIndex flushes a freshly built index after publishing it,
 //     outside the engine lock; a per-table epoch makes a flush that
 //     raced an invalidation abandon itself instead of resurrecting
@@ -168,13 +171,15 @@ func (e *Engine) dropIndexDurably(k indexKey) {
 	}
 }
 
-// persistDataset records a dataset's current content (AppendTable's
-// grown snapshot) without touching index records: index lineages
-// survive appends and flush their extended form after the next build.
-// Callers hold e.mu.
-func (e *Engine) persistDataset(name string, d *dataset.Dataset) {
+// persistAppend records an append durably: the records [base,
+// d.Len()) of the grown dataset d become one new chunk of the table's
+// stored dataset (a whole write if the store's copy is not exactly base
+// records long). Index records are left alone: lineages survive appends
+// and flush their extended form after the next build. Callers hold
+// e.mu.
+func (e *Engine) persistAppend(name string, d *dataset.Dataset, base int) {
 	if e.store != nil {
-		e.store.SaveDataset(name, d)
+		e.store.AppendDataset(name, d, base) // best-effort, like persistTableLocked
 	}
 }
 

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"supg/internal/core"
@@ -31,7 +33,20 @@ import (
 // directory whose clean shutdown checkpointed the mixture, so the query
 // verifies and adopts it; "built-mixture" boots the same directory
 // without it, so the query builds the weights and alias table.
+//
+// "recover/chunked" boots the same n=10^6 records stored as a base plus
+// 64 appended chunks of benchAppendN records, the shape a table grown
+// by appends has: its dataset and column are copied into heap memory
+// (and the table's identity hashed) once, at this boot, instead of
+// being rewritten by every append.
 const benchBootN = 1_000_000
+
+// benchAppendN is the append batch of the chunked benchmarks, the size
+// e2ebench's ingest-durable workload appends per op.
+const benchAppendN = 8192
+
+// benchChunks is how many appended chunks recover/chunked boots.
+const benchChunks = 64
 
 func BenchmarkStorageBoot(b *testing.B) {
 	d := dataset.Beta(randx.New(99), benchBootN, 0.01, 2)
@@ -70,6 +85,10 @@ func BenchmarkStorageBoot(b *testing.B) {
 		return dir
 	}
 	dir, mixDir := seedDir(false), seedDir(true)
+	chunkedDir := b.TempDir()
+	if s, _, _ := seedAppended(b, chunkedDir, d, ixOpts, benchChunks); s.Close() != nil {
+		b.Fatal("close the chunked seed store")
+	}
 
 	b.Run("recover", func(b *testing.B) {
 		b.ReportAllocs()
@@ -80,6 +99,23 @@ func BenchmarkStorageBoot(b *testing.B) {
 			}
 			rec := s.RecoveredIndexes()
 			if len(rec) != 1 || rec[0].Index.Len() != benchBootN {
+				b.Fatalf("recovery incomplete: %d indexes", len(rec))
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("recover/chunked", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := Open(Options{Dir: chunkedDir, Index: ixOpts})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := s.RecoveredIndexes()
+			if len(rec) != 1 || rec[0].Index.Len() != benchBootN || len(s.st.tables["t"].chunks) != benchChunks+1 {
 				b.Fatalf("recovery incomplete: %d indexes", len(rec))
 			}
 			if err := s.Close(); err != nil {
@@ -138,4 +174,108 @@ func BenchmarkStorageBoot(b *testing.B) {
 			}
 		}
 	})
+}
+
+// seedAppended persists the first d.Len()-chunks*benchAppendN records
+// of d with an index over them into dir, then appends the rest in
+// chunks batches, flushing the grown index after each, as the engine
+// does. It returns the open store and the grown index.
+func seedAppended(b *testing.B, dir string, d *dataset.Dataset, ixOpts index.Options, chunks int) (*Store, *dataset.Dataset, *index.ScoreIndex) {
+	b.Helper()
+	s, err := Open(Options{Dir: dir, Index: ixOpts})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := d.Len() - chunks*benchAppendN
+	cur := d.Slice(0, base)
+	ix, err := index.NewWithOptions(cur.Scores(), ixOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.SaveDataset("t", cur); err != nil {
+		b.Fatal(err)
+	}
+	meta := IndexMeta{Table: "t", Source: "p", Fusion: "none", Proxies: []string{"p"}}
+	if err := s.SaveIndex(meta, ix, s.Epoch("t")); err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < chunks; k++ {
+		lo := cur.Len()
+		cur = cur.Append(d.Slice(lo, lo+benchAppendN))
+		if err := s.AppendDataset("t", cur, lo); err != nil {
+			b.Fatal(err)
+		}
+		if ix, err = ix.Append(cur.Scores()[lo:]); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.SaveIndex(meta, ix, s.Epoch("t")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, cur, ix
+}
+
+// BenchmarkStorageAppend prices the write side of chunked storage: one
+// benchAppendN-record append to an n=10^6 table — AppendDataset, then
+// SaveIndex of the grown index, the engine's AppendTable and next-query
+// flush — with the in-memory dataset and index appends untimed. It
+// reports written-B/op: the bytes of every file the op created plus
+// the manifest's growth, i.e. the appended dataset chunk, column chunk
+// and segment and their two records, independent of the table size.
+func BenchmarkStorageAppend(b *testing.B) {
+	d := dataset.Beta(randx.New(99), benchBootN, 0.01, 2)
+	tail := dataset.Beta(randx.New(100), benchAppendN, 0.01, 2)
+	ixOpts := index.Options{SegmentSize: 128 << 10}
+	dir := b.TempDir()
+	s, cur, ix := seedAppended(b, dir, d, ixOpts, 0)
+	defer s.Close()
+	meta := IndexMeta{Table: "t", Source: "p", Fusion: "none", Proxies: []string{"p"}}
+	var written int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := dirSizes(b, dir)
+		lo := cur.Len()
+		cur = cur.Append(tail)
+		grown, err := ix.Append(tail.Scores())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ix = grown
+		b.StartTimer()
+		if err := s.AppendDataset("t", cur, lo); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.SaveIndex(meta, ix, s.Epoch("t")); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for name, size := range dirSizes(b, dir) {
+			if old, ok := before[name]; !ok {
+				written += size
+			} else if name == manifestName {
+				written += size - old
+			}
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(written)/float64(b.N), "written-B/op")
+}
+
+// dirSizes maps each file in dir to its size.
+func dirSizes(b *testing.B, dir string) map[string]int64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		fi, err := os.Stat(filepath.Join(dir, e.Name()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[e.Name()] = fi.Size()
+	}
+	return out
 }

@@ -21,13 +21,20 @@ import (
 // multiple of 8 bytes so page-aligned mappings can alias float64/uint64
 // words directly:
 //
-//	dataset (.ds)  — the dataset binary interchange format verbatim
-//	                 (magic "SUPGDS1\n" + count + scores + label bits);
-//	                 scores start at offset 16, already 8-aligned.
-//	column  (.col) — "SUPGCOL1" magic, u32 version, u32 pad, u64 count,
-//	                 u64 reserved (32-byte header), then count float64
-//	                 proxy scores: the contiguous score column an index
-//	                 was built over (post-fusion, -0 normalized).
+//	dataset (.ds)  — one chunk of a table's dataset: records [base,
+//	                 base+count) in the dataset binary interchange format
+//	                 verbatim (magic "SUPGDS1\n" + count + scores + label
+//	                 bits); scores start at offset 16, already 8-aligned.
+//	                 A table written whole is one chunk; each append adds
+//	                 one. The base lives in the manifest record only.
+//	column  (.col) — one chunk of an index's score column: "SUPGCOL1"
+//	                 magic, u32 version, u32 pad, u64 count, u64 reserved
+//	                 (32-byte header), then count float64 proxy scores,
+//	                 rows [base, base+count) of the column the index was
+//	                 built over (post-fusion, -0 normalized). A fresh
+//	                 build writes one chunk; a flush after an append adds
+//	                 one for the new rows. The base lives in the manifest
+//	                 record only.
 //	segment (.seg) — "SUPGSEG1" magic, u32 version, u32 pad, u64 base,
 //	                 u64 count, u64 reserved (40-byte header), then the
 //	                 permutation (count u64 local ids) and the sorted
@@ -274,22 +281,27 @@ func parseDatasetFile(data []byte) (datasetFile, error) {
 	}, nil
 }
 
-// decodeLabelBits expands LSB-first label bits into a []bool column.
-func decodeLabelBits(bits []byte, n int) []bool {
-	labels := make([]bool, n)
+// decodeLabelBits expands LSB-first label bits into labels, one bit per
+// element.
+func decodeLabelBits(labels []bool, bits []byte) {
 	for i := range labels {
 		labels[i] = bits[i/8]&(1<<(i%8)) != 0
 	}
-	return labels
 }
 
 // decodeFloat64s is the portable (copying) alternative to aliasFloat64s.
 func decodeFloat64s(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	decodeFloat64sInto(out, b)
 	return out
+}
+
+// decodeFloat64sInto decodes len(b)/8 little-endian float64s into the
+// front of dst.
+func decodeFloat64sInto(dst []float64, b []byte) {
+	for i := range dst[:len(b)/8] {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 // decodeUint16s is the portable (copying) alternative to aliasUint16s.

@@ -31,14 +31,14 @@ func frame(payload []byte) []byte {
 // corpusIndex is the index record of the manifest corpus.
 var corpusIndex = indexRec{
 	table: "t", source: "p", fusion: "none", proxies: []string{"p"},
-	n: 10, colFile: "000002.col", colCRC: 8, colSize: 112,
+	n: 10, cols: []chunkRec{{file: "000002.col", count: 10, crc: 8, size: 112}},
 	segs: []segRec{{file: "000003.seg", base: 0, count: 10, crc: 9, size: 200}},
 }
 
 // validManifest returns a well-formed multi-record log for the corpus.
 func validManifest() []byte {
 	var b []byte
-	b = append(b, frame(encodeDataset(datasetRec{name: "t", file: "000001.ds", records: 10, crc: 7, size: 100}))...)
+	b = append(b, frame(encodeDataset("t", chunkRec{file: "000001.ds", count: 10, crc: 7, size: 100}))...)
 	b = append(b, frame(encodeIndex(corpusIndex))...)
 	b = append(b, frame(encodeDropIndex(ixKey{"t", "p"}))...)
 	b = append(b, frame(encodeDropTable("t"))...)
@@ -59,9 +59,36 @@ func mixtureManifest() []byte {
 	return b
 }
 
+// chunkManifest is a table grown by two appended chunks, an index over
+// a two-chunk column with a mixture bound to it, and a chunk record
+// whose base skips past the table's length (corrupt: replay stops
+// there).
+func chunkManifest() []byte {
+	ir := indexRec{
+		table: "t", source: "p", fusion: "none", proxies: []string{"p"}, n: 16,
+		cols: []chunkRec{{file: "000002.col", count: 10, crc: 8, size: 112}, {file: "000006.col", base: 10, count: 6, crc: 3, size: 80}},
+		segs: []segRec{{file: "000003.seg", base: 0, count: 10, crc: 9, size: 200}, {file: "000007.seg", base: 10, count: 6, crc: 4, size: 136}},
+	}
+	var b []byte
+	b = append(b, frame(encodeDataset("t", chunkRec{file: "000001.ds", count: 10, crc: 7, size: 100}))...)
+	b = append(b, frame(encodeDatasetChunk("t", chunkRec{file: "000004.ds", base: 10, count: 4, crc: 5, size: 49}))...)
+	b = append(b, frame(encodeDatasetChunk("t", chunkRec{file: "000005.ds", base: 14, count: 2, crc: 6, size: 33}))...)
+	b = append(b, frame(encodeIndex(ir))...)
+	b = append(b, frame(encodeMixture(mixRec{table: "t", source: "p", n: 16, colCRC: ir.colCRC(),
+		exponent: 0.5, mix: 0.1, file: "000008.mix", crc: 11, size: 400}))...)
+	b = append(b, frame(encodeDatasetChunk("t", chunkRec{file: "000009.ds", base: 20, count: 1, crc: 1, size: 25}))...)
+	return b
+}
+
 func FuzzManifestReplay(f *testing.F) {
 	f.Add(validManifest())
 	f.Add(mixtureManifest())
+	f.Add(chunkManifest())
+	f.Add(chunkManifest()[:40])                                                           // torn chunk record
+	f.Add(frame(encodeDatasetChunk("t", chunkRec{file: "000004.ds", base: 0, count: 4}))) // chunk of no table
+	huge := maxFileRecords - 2
+	f.Add(append(frame(encodeDataset("t", chunkRec{file: "000001.ds", count: huge})),
+		frame(encodeDatasetChunk("t", chunkRec{file: "000004.ds", base: huge, count: 4}))...)) // past maxFileRecords
 	f.Add(frame(encodeDropTable("t")))
 	f.Add(validManifest()[:13])                   // torn mid-frame
 	f.Add([]byte{})                               // empty log
@@ -90,10 +117,32 @@ func FuzzManifestReplay(f *testing.F) {
 				t.Fatalf("mixture %+v outlived its index binding", k)
 			}
 		}
+		// Every table's chunks tile it from base 0, so no replay leaves a
+		// gap, and stay within maxFileRecords; every index column's
+		// chunks tile its record count.
+		for name, rec := range st.tables {
+			next := 0
+			for i, c := range rec.chunks {
+				if c.base != next || c.count < 0 || (i > 0 && c.count == 0) {
+					t.Fatalf("table %q chunk %d covers [%d, +%d), want base %d", name, i, c.base, c.count, next)
+				}
+				next += c.count
+			}
+			if len(rec.chunks) == 0 || next != rec.records() || next > maxFileRecords {
+				t.Fatalf("table %q: %d chunks sum to %d records, table has %d", name, len(rec.chunks), next, rec.records())
+			}
+		}
+		for k, rec := range st.indexes {
+			if len(rec.cols) == 0 || chunksEnd(rec.cols) != rec.n || (len(rec.cols) > 1 && !contiguous(rec.cols, rec.n)) {
+				t.Fatalf("index %+v: column chunks do not tile its %d records", k, rec.n)
+			}
+		}
 		// Every surviving catalog file name must be safe to join.
 		for _, rec := range st.tables {
-			if err := checkFileName(rec.file); err == nil != (rec.file != "" && !containsSep(rec.file)) {
-				t.Fatalf("file name check inconsistent for %q", rec.file)
+			for _, c := range rec.chunks {
+				if err := checkFileName(c.file); err == nil != (c.file != "" && !containsSep(c.file)) {
+					t.Fatalf("file name check inconsistent for %q", c.file)
+				}
 			}
 		}
 	})

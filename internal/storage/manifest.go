@@ -21,10 +21,11 @@ import (
 // is truncated on open. Replay folds records last-wins into the live
 // catalog:
 //
-//	recDataset   — a table's dataset file (name, file, records, crc, size)
+//	recDataset   — a table's dataset written whole, as its only chunk
+//	               file (name, file, records, crc, size)
 //	recIndex     — a segmented index for (table, score source): its
-//	               column file, segment files, and provenance (proxies,
-//	               fusion kind, calibration oracle)
+//	               one-chunk column file, segment files, and provenance
+//	               (proxies, fusion kind, calibration oracle)
 //	recDropTable — tombstone: the table and all its indexes are gone
 //	recDropIndex — tombstone for one (table, score source) index
 //	recIndexQ    — recIndex for a quantized index: each segment entry
@@ -42,29 +43,45 @@ import (
 //	               append-grown flush — drops the mixtures it no longer
 //	               matches.
 //	recDropMixture — tombstone for one mixture that failed verification.
+//	recDatasetChunk — one appended chunk of a table's dataset: a .ds file
+//	               holding records [base, base+records) (name, file,
+//	               base, records, crc, size). It applies only when base
+//	               is the table's current length; any other base (or an
+//	               unknown table) is a corrupt record and ends replay,
+//	               so a table's chunks are always contiguous from 0.
+//	recIndexChunked — recIndex for an index whose score column is stored
+//	               as several chunk files (file, base, count, crc, size
+//	               each, contiguous from 0 and covering the record
+//	               count), written by flushes that grew an unquantized
+//	               index. A mixture binds to the column through a CRC
+//	               over every chunk's (base, count, crc).
 //
 // Downgrades: a binary older than a record type stops replay at the
 // first record of that type (the unknown type reads as a corrupt tail)
 // and truncates the log there, exactly as a pre-quantization binary
 // does at recIndexQ. A binary that predates recMixture therefore loses
-// the catalog from the first mixture record on — a rebuild, never a
-// wrong answer.
+// the catalog from the first mixture record on, and one that predates
+// chunks loses it from the first recDatasetChunk or recIndexChunked
+// record on — a rebuild, never a wrong answer.
 //
 // Data files referenced by a record are fully written, fsynced, and
 // renamed into place BEFORE the record is appended, so a record in the
 // manifest implies its files are durable; a crash between file commit
 // and record append leaves an orphan file that boot-time cleanup
 // removes. When dead records outnumber live ones the log is compacted
-// by rewriting live records to MANIFEST.compact and renaming over.
+// by rewriting live records to MANIFEST.compact and renaming over; the
+// compacted file's open handle becomes the live log.
 
 const (
-	recDataset     byte = 1
-	recIndex       byte = 2
-	recDropTable   byte = 3
-	recDropIndex   byte = 4
-	recIndexQ      byte = 5
-	recMixture     byte = 6
-	recDropMixture byte = 7
+	recDataset      byte = 1
+	recIndex        byte = 2
+	recDropTable    byte = 3
+	recDropIndex    byte = 4
+	recIndexQ       byte = 5
+	recMixture      byte = 6
+	recDropMixture  byte = 7
+	recDatasetChunk byte = 8
+	recIndexChunked byte = 9
 
 	manifestName = "MANIFEST"
 
@@ -79,13 +96,41 @@ const (
 	compactMinFrames = 64
 )
 
-// datasetRec describes a table's persisted dataset file.
+// chunkRec describes one immutable chunk file of a persisted column:
+// records [base, base+count) of a table's dataset (.ds) or of an
+// index's score column (.col).
+type chunkRec struct {
+	file  string
+	base  int
+	count int
+	crc   uint32
+	size  int64
+}
+
+// chunksEnd returns the record count a contiguous chunk list covers.
+func chunksEnd(chunks []chunkRec) int {
+	if len(chunks) == 0 {
+		return 0
+	}
+	last := chunks[len(chunks)-1]
+	return last.base + last.count
+}
+
+// datasetRec describes a table's persisted dataset: the chunk files
+// holding its records, contiguous from id 0. A recDataset record sets
+// the table to one chunk written whole; each recDatasetChunk record
+// appends one.
 type datasetRec struct {
-	name    string
-	file    string
-	records int
-	crc     uint32
-	size    int64
+	name   string
+	chunks []chunkRec
+}
+
+func (r datasetRec) records() int { return chunksEnd(r.chunks) }
+
+// tableChunk is a decoded recDatasetChunk record.
+type tableChunk struct {
+	name  string
+	chunk chunkRec
 }
 
 // segRec describes one persisted segment file of an index, plus — on
@@ -110,12 +155,26 @@ type indexRec struct {
 	fusion      string // query.FusionKind string form
 	calibOracle string // oracle name for calibrated fusion, else ""
 	proxies     []string
-	n           int // rows covered (== column length)
-	colFile     string
-	colCRC      uint32
-	colSize     int64
+	n           int        // rows covered (== column length)
+	cols        []chunkRec // score column chunks, contiguous from 0, covering n
 	segs        []segRec
-	quantized   bool // segments carry .qcv code files (recIndexQ)
+	quantized   bool // segments carry .qcv code files (recIndexQ); the column is one chunk
+}
+
+// colCRC is the column's identity, the value mixture records bind to:
+// the CRC of its file when the column is one chunk (as recIndex records
+// it), else a CRC over every chunk's (base, count, crc).
+func (r indexRec) colCRC() uint32 {
+	if len(r.cols) == 1 {
+		return r.cols[0].crc
+	}
+	var b []byte
+	for _, c := range r.cols {
+		b = binary.AppendUvarint(b, uint64(c.base))
+		b = binary.AppendUvarint(b, uint64(c.count))
+		b = binary.AppendUvarint(b, uint64(c.crc))
+	}
+	return crc32.Checksum(b, castagnoli)
 }
 
 // ixKey identifies an index in the catalog.
@@ -153,7 +212,7 @@ func (r mixRec) key() mixKey {
 
 // boundTo reports whether the mixture was written for the index record.
 func (r mixRec) boundTo(ir indexRec) bool {
-	return r.n == ir.n && r.colCRC == ir.colCRC
+	return r.n == ir.n && r.colCRC == ir.colCRC()
 }
 
 // manifestState is the fold of a manifest replay: the live catalog.
@@ -172,8 +231,14 @@ func newManifestState() manifestState {
 	}
 }
 
+// live counts the records a compacted log holds: one per dataset chunk,
+// index and mixture.
 func (st *manifestState) live() int64 {
-	return int64(len(st.tables) + len(st.indexes) + len(st.mixtures))
+	n := len(st.indexes) + len(st.mixtures)
+	for _, t := range st.tables {
+		n += len(t.chunks)
+	}
+	return int64(n)
 }
 
 // mixturesOf returns the live mixtures of every index key keep accepts.
@@ -191,7 +256,15 @@ func (st *manifestState) apply(rtype byte, rec any) {
 	switch rtype {
 	case recDataset:
 		st.tables[rec.(datasetRec).name] = rec.(datasetRec)
-	case recIndex, recIndexQ:
+	case recDatasetChunk:
+		tc := rec.(tableChunk)
+		t := st.tables[tc.name]
+		t.name = tc.name
+		// A fresh slice: the previous state's list may be shared with a
+		// snapshot the caller still holds.
+		t.chunks = append(t.chunks[:len(t.chunks):len(t.chunks)], tc.chunk)
+		st.tables[tc.name] = t
+	case recIndex, recIndexQ, recIndexChunked:
 		ir := rec.(indexRec)
 		k := ixKey{ir.table, ir.source}
 		st.indexes[k] = ir
@@ -231,6 +304,28 @@ func (st *manifestState) apply(rtype byte, rec any) {
 	}
 }
 
+// admit rejects a well-formed record that cannot apply to the catalog:
+// a dataset chunk must extend a live table at exactly its current
+// length and keep it within maxFileRecords. Replay treats a rejected
+// record as corrupt.
+func (st *manifestState) admit(rtype byte, rec any) error {
+	if rtype != recDatasetChunk {
+		return nil
+	}
+	tc := rec.(tableChunk)
+	t, ok := st.tables[tc.name]
+	if !ok {
+		return fmt.Errorf("manifest: chunk for unknown table %q", tc.name)
+	}
+	if n := t.records(); tc.chunk.base != n {
+		return fmt.Errorf("manifest: chunk of table %q starts at %d, table has %d records", tc.name, tc.chunk.base, n)
+	}
+	if uint64(tc.chunk.base)+uint64(tc.chunk.count) > maxFileRecords {
+		return fmt.Errorf("manifest: chunk grows table %q beyond %d records", tc.name, maxFileRecords)
+	}
+	return nil
+}
+
 // replayManifest folds the manifest bytes into the live catalog. It
 // never fails: corruption at offset X means the log is valid up to the
 // last whole, decodable frame before X, and goodOff reports where that
@@ -252,6 +347,9 @@ func replayManifest(data []byte) (manifestState, int64) {
 			break
 		}
 		rtype, rec, err := decodeRecord(payload)
+		if err == nil {
+			err = st.admit(rtype, rec)
+		}
 		if err != nil {
 			break
 		}
@@ -270,15 +368,16 @@ func decodeRecord(payload []byte) (byte, any, error) {
 	d := decoder{b: payload[1:]}
 	switch rtype := payload[0]; rtype {
 	case recDataset:
-		rec := datasetRec{
-			name:    d.str(),
-			file:    d.str(),
-			records: d.count(maxFileRecords),
-			crc:     uint32(d.uvarint()),
-			size:    int64(d.uvarint()),
-		}
+		rec := datasetRec{name: d.str()}
+		c := chunkRec{file: d.str(), count: d.count(maxFileRecords)}
+		c.crc, c.size = uint32(d.uvarint()), int64(d.uvarint())
+		rec.chunks = []chunkRec{c}
 		return rtype, rec, d.finish("dataset")
-	case recIndex, recIndexQ:
+	case recDatasetChunk:
+		tc := tableChunk{name: d.str()}
+		tc.chunk = d.chunk()
+		return rtype, tc, d.finish("dataset-chunk")
+	case recIndex, recIndexQ, recIndexChunked:
 		rec := indexRec{
 			table:       d.str(),
 			source:      d.str(),
@@ -291,9 +390,23 @@ func decodeRecord(payload []byte) (byte, any, error) {
 			rec.proxies[i] = d.str()
 		}
 		rec.n = d.count(maxFileRecords)
-		rec.colFile = d.str()
-		rec.colCRC = uint32(d.uvarint())
-		rec.colSize = int64(d.uvarint())
+		if rtype == recIndexChunked {
+			ncols := d.count(maxManifestList)
+			if d.err != nil {
+				return 0, nil, d.finish("index")
+			}
+			rec.cols = make([]chunkRec, ncols)
+			for i := range rec.cols {
+				rec.cols[i] = d.chunk()
+			}
+			if d.err == nil && !contiguous(rec.cols, rec.n) {
+				d.err = fmt.Errorf("column chunks do not tile %d records", rec.n)
+			}
+		} else {
+			c := chunkRec{file: d.str(), count: rec.n}
+			c.crc, c.size = uint32(d.uvarint()), int64(d.uvarint())
+			rec.cols = []chunkRec{c}
+		}
 		nsegs := d.count(maxManifestList)
 		if d.err != nil {
 			return 0, nil, d.finish("index")
@@ -342,20 +455,63 @@ func decodeRecord(payload []byte) (byte, any, error) {
 	}
 }
 
-func encodeDataset(rec datasetRec) []byte {
+// contiguous reports whether chunks tile records [0, n) in order, each
+// holding at least one record.
+func contiguous(chunks []chunkRec, n int) bool {
+	next := 0
+	for _, c := range chunks {
+		if c.base != next || c.count <= 0 {
+			return false
+		}
+		next += c.count
+	}
+	return next == n
+}
+
+// encodeDataset encodes a table written whole: name plus its one chunk.
+func encodeDataset(name string, c chunkRec) []byte {
 	b := []byte{recDataset}
-	b = appendString(b, rec.name)
-	b = appendString(b, rec.file)
-	b = binary.AppendUvarint(b, uint64(rec.records))
-	b = binary.AppendUvarint(b, uint64(rec.crc))
-	b = binary.AppendUvarint(b, uint64(rec.size))
+	b = appendString(b, name)
+	b = appendString(b, c.file)
+	b = binary.AppendUvarint(b, uint64(c.count))
+	b = binary.AppendUvarint(b, uint64(c.crc))
+	b = binary.AppendUvarint(b, uint64(c.size))
 	return b
 }
 
+func encodeDatasetChunk(name string, c chunkRec) []byte {
+	return appendChunk(appendString([]byte{recDatasetChunk}, name), c)
+}
+
+func appendChunk(b []byte, c chunkRec) []byte {
+	b = appendString(b, c.file)
+	b = binary.AppendUvarint(b, uint64(c.base))
+	b = binary.AppendUvarint(b, uint64(c.count))
+	b = binary.AppendUvarint(b, uint64(c.crc))
+	return binary.AppendUvarint(b, uint64(c.size))
+}
+
+// encodeTable encodes a table's whole chunk list: its first chunk as a
+// recDataset record, each later one as a recDatasetChunk record.
+func encodeTable(rec datasetRec) [][]byte {
+	out := [][]byte{encodeDataset(rec.name, rec.chunks[0])}
+	for _, c := range rec.chunks[1:] {
+		out = append(out, encodeDatasetChunk(rec.name, c))
+	}
+	return out
+}
+
+// encodeIndex encodes an index record: recIndex (recIndexQ when
+// quantized) for a one-chunk column, byte-identical to the format
+// before chunks, else recIndexChunked. A quantized index always has a
+// one-chunk column.
 func encodeIndex(rec indexRec) []byte {
 	rtype := recIndex
-	if rec.quantized {
+	switch {
+	case rec.quantized:
 		rtype = recIndexQ
+	case len(rec.cols) != 1:
+		rtype = recIndexChunked
 	}
 	b := []byte{rtype}
 	b = appendString(b, rec.table)
@@ -367,9 +523,16 @@ func encodeIndex(rec indexRec) []byte {
 		b = appendString(b, p)
 	}
 	b = binary.AppendUvarint(b, uint64(rec.n))
-	b = appendString(b, rec.colFile)
-	b = binary.AppendUvarint(b, uint64(rec.colCRC))
-	b = binary.AppendUvarint(b, uint64(rec.colSize))
+	if rtype == recIndexChunked {
+		b = binary.AppendUvarint(b, uint64(len(rec.cols)))
+		for _, c := range rec.cols {
+			b = appendChunk(b, c)
+		}
+	} else {
+		b = appendString(b, rec.cols[0].file)
+		b = binary.AppendUvarint(b, uint64(rec.cols[0].crc))
+		b = binary.AppendUvarint(b, uint64(rec.cols[0].size))
+	}
 	b = binary.AppendUvarint(b, uint64(len(rec.segs)))
 	for _, s := range rec.segs {
 		b = appendString(b, s.file)
@@ -447,6 +610,17 @@ func (d *decoder) count(limit uint64) int {
 	return int(v)
 }
 
+// chunk reads one chunk entry (file, base, count, crc, size) with a
+// non-empty count.
+func (d *decoder) chunk() chunkRec {
+	c := chunkRec{file: d.str(), base: d.count(maxFileRecords), count: d.count(maxFileRecords)}
+	c.crc, c.size = uint32(d.uvarint()), int64(d.uvarint())
+	if d.err == nil && c.count == 0 {
+		d.err = fmt.Errorf("empty chunk %q", c.file)
+	}
+	return c
+}
+
 func (d *decoder) str() string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -477,6 +651,10 @@ type manifest struct {
 	path   string
 	f      *os.File
 	frames int64 // frames currently in the file
+	// err is sticky: once an append or a compaction's commit fails, the
+	// log's state on disk is unknown, so every later write reports it
+	// instead of appending to a file a boot might not read (fail-stop).
+	err error
 }
 
 // openManifest replays dir/MANIFEST (creating it if absent), truncates
@@ -511,8 +689,13 @@ func openManifest(dir string) (*manifest, manifestState, error) {
 
 // appendRecord frames, writes, and fsyncs one record payload. Catalog
 // mutations are rare (registrations, flushes, invalidations), so every
-// append is synced — a record present in the catalog is durable.
+// append is synced — a record present in the catalog is durable. A
+// failed write or sync is fail-stop: it may leave a torn frame that
+// would hide every later record from replay.
 func (m *manifest) appendRecord(payload []byte) error {
+	if m.err != nil {
+		return m.err
+	}
 	if len(payload) == 0 || len(payload) > manMaxFrame {
 		return fmt.Errorf("storage: manifest record of %d bytes", len(payload))
 	}
@@ -521,10 +704,12 @@ func (m *manifest) appendRecord(payload []byte) error {
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
 	copy(frame[8:], payload)
 	if _, err := m.f.Write(frame); err != nil {
-		return fmt.Errorf("storage: append manifest record: %w", err)
+		m.err = fmt.Errorf("storage: append manifest record: %w", err)
+		return m.err
 	}
 	if err := m.f.Sync(); err != nil {
-		return fmt.Errorf("storage: sync manifest: %w", err)
+		m.err = fmt.Errorf("storage: sync manifest: %w", err)
+		return m.err
 	}
 	m.frames++
 	return nil
@@ -537,10 +722,15 @@ func (m *manifest) shouldCompact(live int64) bool {
 
 // compact rewrites the live catalog to a fresh log and atomically
 // renames it over the old one. Deterministic record order (sorted
-// names/keys) keeps compacted logs reproducible.
+// names/keys) keeps compacted logs reproducible. The fresh log's open
+// handle, positioned at its end, becomes the live log, so no reopen can
+// fail and leave appends going to the unlinked old file.
 func (m *manifest) compact(st manifestState) error {
+	if m.err != nil {
+		return m.err
+	}
 	tmp := m.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644) //supg:atomiccommit-ok compaction's tmp log; fsynced below, then renamed over the manifest
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644) //supg:atomiccommit-ok compaction's tmp log; fsynced below, then renamed over the manifest
 	if err != nil {
 		return fmt.Errorf("storage: compact manifest: %w", err)
 	}
@@ -558,7 +748,9 @@ func (m *manifest) compact(st manifestState) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		appendFrame(encodeDataset(st.tables[name]))
+		for _, payload := range encodeTable(st.tables[name]) {
+			appendFrame(payload)
+		}
 	}
 	keys := make([]ixKey, 0, len(st.indexes))
 	for k := range st.indexes {
@@ -592,39 +784,32 @@ func (m *manifest) compact(st manifestState) error {
 	for _, k := range mkeys {
 		appendFrame(encodeMixture(st.mixtures[k]))
 	}
-	if _, err := f.Write(buf); err != nil {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("storage: compact manifest: %w", err)
+	}
+	if _, err := f.Write(buf); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: compact manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: compact manifest: %w", err)
+		return fail(err)
 	}
 	if err := os.Rename(tmp, m.path); err != nil { //supg:atomiccommit-ok this IS the compaction commit point: tmp was fsynced above and the directory is synced after
-		os.Remove(tmp)
-		return fmt.Errorf("storage: compact manifest: %w", err)
+		return fail(err)
 	}
-	if err := syncDir(filepath.Dir(m.path)); err != nil {
-		return fmt.Errorf("storage: compact manifest: %w", err)
-	}
-	old := m.f
-	nf, err := os.OpenFile(m.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: reopen compacted manifest: %w", err)
-	}
-	if _, err := nf.Seek(0, 2); err != nil {
-		nf.Close()
-		return fmt.Errorf("storage: reopen compacted manifest: %w", err)
-	}
-	old.Close()
-	m.f = nf
+	// The old handle now names an unlinked file; the tmp handle is the
+	// log from here on.
+	m.f.Close()
+	m.f = f
 	m.frames = st.live()
+	// Until the directory is synced a crash can bring the old log back
+	// and lose records appended to the new one, while the files those
+	// records superseded are already deleted: fail-stop.
+	if err := syncDir(filepath.Dir(m.path)); err != nil {
+		m.err = fmt.Errorf("storage: compact manifest: sync dir: %w", err)
+		return m.err
+	}
 	return nil
 }
 

@@ -402,7 +402,7 @@ func TestMixtureRecordRoundTrip(t *testing.T) {
 // index record matches its (rows, column CRC) binding.
 func TestMixtureRecordBinding(t *testing.T) {
 	ir := indexRec{table: "t", source: "p", fusion: "none", proxies: []string{"p"}, n: 10,
-		colFile: "000002.col", colCRC: 8, colSize: 112,
+		cols: []chunkRec{{file: "000002.col", count: 10, crc: 8, size: 112}},
 		segs: []segRec{{file: "000003.seg", count: 10, crc: 9, size: 200}}}
 	mr := mixRec{table: "t", source: "p", n: 10, colCRC: 8, exponent: 0.5, mix: 0.1, file: "000004.mix", crc: 1, size: 2}
 	orphan := mr
@@ -410,7 +410,7 @@ func TestMixtureRecordBinding(t *testing.T) {
 	stale := mr
 	stale.colCRC, stale.exponent = 7, 1
 	grown := ir
-	grown.n, grown.colCRC = 11, 5
+	grown.n, grown.cols = 11, []chunkRec{{file: "000005.col", count: 11, crc: 5, size: 120}}
 	cases := []struct {
 		name string
 		log  [][]byte

@@ -183,12 +183,12 @@ func TestQuantizedManifestRecordRoundTrip(t *testing.T) {
 	recs := []indexRec{
 		{
 			table: "t", source: "p", fusion: "none", proxies: []string{"p"},
-			n: 9, colFile: "000001.col", colCRC: 7, colSize: 100,
+			n: 9, cols: []chunkRec{{file: "000001.col", count: 9, crc: 7, size: 100}},
 			segs: []segRec{{file: "000002.seg", base: 0, count: 9, crc: 9, size: 160}},
 		},
 		{
 			table: "t", source: "q", fusion: "none", proxies: []string{"q"},
-			n: 9, colFile: "000003.col", colCRC: 8, colSize: 100, quantized: true,
+			n: 9, cols: []chunkRec{{file: "000003.col", count: 9, crc: 8, size: 100}}, quantized: true,
 			segs: []segRec{{file: "000004.seg", base: 0, count: 9, crc: 3, size: 160,
 				codeFile: "000005.qcv", codeCRC: 5, codeSize: 64}},
 		},

@@ -9,6 +9,22 @@
 // same as before the crash while invoking zero proxy UDFs and
 // performing zero permutation sorts.
 //
+// # Chunks
+//
+// A table's dataset and every index's score column are each stored as
+// an ordered list of immutable chunk files keyed by base, as segment
+// files are: chunk k holds records [base_k, base_k+count_k) and the
+// chunks tile the column from 0. A registration or a fresh build writes
+// one chunk holding everything. An append writes only its tail:
+// AppendDataset adds one dataset chunk with the new records, and the
+// next SaveIndex of a grown index keeps the column's chunks and writes
+// one chunk for the new rows, next to the new segment files. So the
+// bytes an append writes scale with the append, not the table. Open
+// adopts a one-chunk column zero-copy from its mapping, and copies a
+// column of several chunks into heap memory once: the O(n) cost moves
+// from every append to the next boot of a table that grew. Chunks are
+// never merged (compaction rewrites records, not files).
+//
 // # Sampling mixtures
 //
 // The IS estimators draw from a defensive mixture of proxy weights
@@ -28,7 +44,8 @@
 // which skips the shutdown checkpoint. Downgrade note: a binary from
 // before mixture records stops manifest replay at the first recMixture
 // record, as it does at recIndexQ, and truncates the log there; the
-// state it loses is rebuilt, never served wrong.
+// state it loses is rebuilt, never served wrong. The same holds for a
+// binary from before chunks at the first chunk record.
 //
 // Crash discipline, in order of commit:
 //
@@ -44,6 +61,9 @@
 // with its manifest record — and any permutation that fails the O(n)
 // ascent proof — causes that table or index to be dropped (durably
 // tombstoned) rather than served: the engine falls back to a rebuild.
+// One bad chunk drops its whole table or index, never leaves a gap. A
+// failed manifest write, or a compaction whose rename cannot be made
+// durable, stops every later store write (fail-stop).
 package storage
 
 import (
@@ -262,14 +282,13 @@ func (s *Store) loadCatalog() {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		rec := s.st.tables[name]
-		d, err := s.loadDataset(rec)
+		d, crc, err := s.loadDataset(s.st.tables[name])
 		if err != nil {
 			s.degrade(fmt.Sprintf("table %s: %v", name, err))
 			s.tombstone(encodeDropTable(name), recDropTable, name)
 			continue
 		}
-		s.recTables = append(s.recTables, RecoveredTable{Name: name, Dataset: d, CRC: rec.crc})
+		s.recTables = append(s.recTables, RecoveredTable{Name: name, Dataset: d, CRC: crc})
 	}
 	keys := make([]ixKey, 0, len(s.st.indexes))
 	for k := range s.st.indexes {
@@ -290,7 +309,7 @@ func (s *Store) loadCatalog() {
 			continue
 		}
 		mixes := s.storedMixtures(k)
-		ix, err := s.loadIndex(rec, tbl.records, mixes)
+		ix, err := s.loadIndex(rec, tbl.records(), mixes)
 		if err != nil {
 			s.degrade(fmt.Sprintf("index %s/%s: %v", k.table, k.source, err))
 			s.tombstone(encodeDropIndex(k), recDropIndex, k)
@@ -327,61 +346,123 @@ func (s *Store) tombstone(payload []byte, rtype byte, rec any) {
 	s.st.apply(rtype, rec)
 }
 
-// loadDataset maps (or reads) and verifies one table's dataset file.
-func (s *Store) loadDataset(rec datasetRec) (*dataset.Dataset, error) {
-	data, mapped, err := s.loadVerified(rec.file, rec.size, rec.crc)
-	if err != nil {
-		return nil, err
+// loadDataset maps (or reads) and verifies a table's dataset chunks,
+// and returns the dataset with its identity, the CRC of its whole
+// binary form. A one-chunk dataset's scores ride the mapping zero-copy
+// and its identity is the file's CRC; the chunks of a grown table are
+// copied into one heap column and hashed once.
+func (s *Store) loadDataset(rec datasetRec) (*dataset.Dataset, uint32, error) {
+	if len(rec.chunks) == 1 {
+		c := rec.chunks[0]
+		data, mapped, err := s.loadVerified(c.file, c.size, c.crc)
+		if err != nil {
+			return nil, 0, err
+		}
+		df, err := parseDatasetChunk(data, c)
+		if err != nil {
+			return nil, 0, err
+		}
+		var scores []float64
+		if mapped {
+			scores = aliasFloat64s(df.scores)
+		} else {
+			scores = decodeFloat64s(df.scores)
+		}
+		// Labels are always decoded to the heap (bit-unpacking is
+		// required either way). The CRC check above stands in for New's
+		// per-record range scan.
+		labels := make([]bool, df.count)
+		decodeLabelBits(labels, df.labelBits)
+		d, err := dataset.FromColumns(rec.name, scores, labels)
+		return d, c.crc, err
 	}
+	n := rec.records()
+	scores, labels := make([]float64, n), make([]bool, n)
+	for _, c := range rec.chunks {
+		err := s.copyVerified(c.file, c.size, c.crc, func(data []byte) error {
+			df, err := parseDatasetChunk(data, c)
+			if err != nil {
+				return err
+			}
+			decodeFloat64sInto(scores[c.base:], df.scores)
+			decodeLabelBits(labels[c.base:c.base+c.count], df.labelBits)
+			return nil
+		})
+		if err != nil {
+			return nil, 0, fmt.Errorf("chunk %s: %w", c.file, err)
+		}
+	}
+	d, err := dataset.FromColumns(rec.name, scores, labels)
+	if err != nil {
+		return nil, 0, err
+	}
+	return d, DatasetCRC(d), nil
+}
+
+// parseDatasetChunk parses one dataset chunk file and checks its record
+// count against the manifest.
+func parseDatasetChunk(data []byte, c chunkRec) (datasetFile, error) {
 	df, err := parseDatasetFile(data)
-	if err != nil {
-		return nil, err
+	if err == nil && df.count != c.count {
+		err = fmt.Errorf("dataset file holds %d records, manifest says %d", df.count, c.count)
 	}
-	if df.count != rec.records {
-		return nil, fmt.Errorf("dataset file holds %d records, manifest says %d", df.count, rec.records)
+	return df, err
+}
+
+// parseColumnChunk parses one column chunk file and checks its score
+// count against the manifest.
+func parseColumnChunk(data []byte, c chunkRec) (columnFile, error) {
+	cf, err := parseColumnFile(data)
+	if err == nil && cf.count != c.count {
+		err = fmt.Errorf("column file holds %d scores, manifest says %d", cf.count, c.count)
 	}
-	var scores []float64
-	if mapped {
-		scores = aliasFloat64s(df.scores)
-	} else {
-		scores = decodeFloat64s(df.scores)
-	}
-	// Labels are always decoded to the heap (bit-unpacking is required
-	// either way); scores ride the mapping zero-copy. The CRC check
-	// above stands in for New's per-record range scan.
-	return dataset.FromColumns(rec.name, scores, decodeLabelBits(df.labelBits, df.count))
+	return cf, err
 }
 
 // loadIndex maps (or reads) one index's column and segment files and
 // reconstructs the ScoreIndex via FromExternal's verification — zero
-// sorts, zero proxy calls, byte-identical or rejected. mixes are the
-// index's stored sampling mixtures, handed over unread.
+// sorts, zero proxy calls, byte-identical or rejected. A one-chunk
+// column is adopted from its mapping; a chunked one is copied into heap
+// memory. mixes are the index's stored sampling mixtures, handed over
+// unread.
 func (s *Store) loadIndex(rec indexRec, tableRecords int, mixes []index.StoredMixture) (*index.ScoreIndex, error) {
 	if rec.n > tableRecords {
 		return nil, fmt.Errorf("index covers %d rows but table has %d", rec.n, tableRecords)
 	}
-	colData, colMapped, err := s.loadVerified(rec.colFile, rec.colSize, rec.colCRC)
-	if err != nil {
-		return nil, fmt.Errorf("column %s: %w", rec.colFile, err)
-	}
-	cf, err := parseColumnFile(colData)
-	if err != nil {
-		return nil, err
-	}
-	if cf.count != rec.n {
-		return nil, fmt.Errorf("column file holds %d scores, manifest says %d", cf.count, rec.n)
-	}
 	var column []float64
-	if colMapped {
-		column = aliasFloat64s(cf.scores)
+	backing := make([]any, 0, len(rec.segs)+1)
+	if len(rec.cols) == 1 {
+		c := rec.cols[0]
+		colData, colMapped, err := s.loadVerified(c.file, c.size, c.crc)
+		if err != nil {
+			return nil, fmt.Errorf("column %s: %w", c.file, err)
+		}
+		cf, err := parseColumnChunk(colData, c)
+		if err != nil {
+			return nil, err
+		}
+		if colMapped {
+			column = aliasFloat64s(cf.scores)
+			backing = append(backing, colData)
+		} else {
+			column = decodeFloat64s(cf.scores)
+		}
 	} else {
-		column = decodeFloat64s(cf.scores)
+		column = make([]float64, rec.n)
+		for _, c := range rec.cols {
+			err := s.copyVerified(c.file, c.size, c.crc, func(data []byte) error {
+				cf, err := parseColumnChunk(data, c)
+				if err == nil {
+					decodeFloat64sInto(column[c.base:], cf.scores)
+				}
+				return err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("column %s: %w", c.file, err)
+			}
+		}
 	}
 	segs := make([]index.SegmentData, len(rec.segs))
-	backing := make([]any, 0, len(rec.segs)+1)
-	if colMapped {
-		backing = append(backing, colData)
-	}
 	for i, sr := range rec.segs {
 		data, mapped, err := s.loadVerified(sr.file, sr.size, sr.crc)
 		if err != nil {
@@ -507,6 +588,35 @@ func (s *Store) rejectMixture(rec mixRec, cause error) {
 // never copy) or heap (decode). A mapping that fails the checks is
 // released.
 func (s *Store) loadVerified(name string, wantSize int64, wantCRC uint32) ([]byte, bool, error) {
+	data, mapped, err := s.readVerified(name, wantSize, wantCRC)
+	if err != nil || !mapped {
+		return data, mapped, err
+	}
+	madviseBytes(data, s.advise)
+	s.mu.Lock()
+	s.mappedBytes += int64(len(data))
+	s.counters.StorageMappedBytes(int64(len(data)))
+	s.mu.Unlock()
+	return data, mapped, nil
+}
+
+// copyVerified loads and verifies one named file like loadVerified and
+// hands its bytes to use, which must copy out what it keeps: a mapping
+// is released when use returns.
+func (s *Store) copyVerified(name string, wantSize int64, wantCRC uint32, use func([]byte) error) error {
+	data, mapped, err := s.readVerified(name, wantSize, wantCRC)
+	if err != nil {
+		return err
+	}
+	if mapped {
+		defer unmapFile(data)
+	}
+	return use(data)
+}
+
+// readVerified maps (or reads) one named file and checks its exact size
+// and CRC32; a mapping that fails the checks is released.
+func (s *Store) readVerified(name string, wantSize int64, wantCRC uint32) ([]byte, bool, error) {
 	if err := checkFileName(name); err != nil {
 		return nil, false, err
 	}
@@ -536,13 +646,6 @@ func (s *Store) loadVerified(name string, wantSize int64, wantCRC uint32) ([]byt
 			unmapFile(data)
 		}
 		return nil, false, err
-	}
-	if mapped {
-		madviseBytes(data, s.advise)
-		s.mu.Lock()
-		s.mappedBytes += int64(len(data))
-		s.counters.StorageMappedBytes(int64(len(data)))
-		s.mu.Unlock()
 	}
 	return data, mapped, nil
 }
@@ -580,10 +683,14 @@ func (s *Store) initSeq() {
 func (s *Store) sweepOrphans() {
 	referenced := make(map[string]bool)
 	for _, rec := range s.st.tables {
-		referenced[rec.file] = true
+		for _, c := range rec.chunks {
+			referenced[c.file] = true
+		}
 	}
 	for _, rec := range s.st.indexes {
-		referenced[rec.colFile] = true
+		for _, c := range rec.cols {
+			referenced[c.file] = true
+		}
 		for _, sr := range rec.segs {
 			referenced[sr.file] = true
 			if sr.codeFile != "" {
@@ -679,15 +786,16 @@ func DatasetCRC(d *dataset.Dataset) uint32 {
 	return h.Sum32()
 }
 
-// SaveDataset persists a table's dataset and commits it to the
-// manifest, superseding (and deleting) any previous dataset file for
-// the name. Index records for the table are left alone — an append
-// grows the dataset without invalidating index lineages.
+// SaveDataset persists a table's dataset whole, as the table's only
+// chunk, and commits it to the manifest, superseding (and deleting)
+// every previous chunk file for the name. Index records for the table
+// are left alone. An append should call AppendDataset, which writes
+// only the new records.
 func (s *Store) SaveDataset(name string, d *dataset.Dataset) error {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.writableLocked(); err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("storage: store closed")
+		return err
 	}
 	file := s.nextFileLocked(".ds")
 	s.mu.Unlock()
@@ -699,39 +807,107 @@ func (s *Store) SaveDataset(name string, d *dataset.Dataset) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		os.Remove(filepath.Join(s.dir, file))
-		return fmt.Errorf("storage: store closed")
-	}
-	rec := datasetRec{name: name, file: file, records: d.Len(), crc: crc, size: size}
-	before := s.man.frames
-	if err := s.man.appendRecord(encodeDataset(rec)); err != nil {
+	if err := s.writableLocked(); err != nil {
 		os.Remove(filepath.Join(s.dir, file))
 		return err
 	}
-	old, had := s.st.tables[name]
-	s.st.apply(recDataset, rec)
-	if had && old.file != file {
-		os.Remove(filepath.Join(s.dir, old.file))
+	c := chunkRec{file: file, count: d.Len(), crc: crc, size: size}
+	before := s.man.frames
+	if err := s.man.appendRecord(encodeDataset(name, c)); err != nil {
+		os.Remove(filepath.Join(s.dir, file))
+		return err
 	}
+	old := s.st.tables[name]
+	s.st.apply(recDataset, datasetRec{name: name, chunks: []chunkRec{c}})
+	s.removeChunksLocked(old.chunks, nil)
 	s.maybeCompactLocked(before)
 	return nil
 }
 
+// AppendDataset persists the records [base, d.Len()) that an append
+// added to a table of base records, as one new chunk of the table's
+// dataset: the bytes written scale with the append, not the table. The
+// chunk is durable (fsynced, renamed, directory synced) before its
+// record is appended and fsynced. When the store's live dataset for
+// name does not hold exactly base records — none was persisted, or an
+// earlier write failed — it writes d whole instead (SaveDataset), so
+// the catalog never has a gap. Index records are left alone: lineages
+// survive appends.
+func (s *Store) AppendDataset(name string, d *dataset.Dataset, base int) error {
+	if base <= 0 || base >= d.Len() {
+		return s.SaveDataset(name, d)
+	}
+	s.mu.Lock()
+	if err := s.writableLocked(); err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	file := s.nextFileLocked(".ds")
+	s.mu.Unlock()
+
+	path := filepath.Join(s.dir, file)
+	crc, size, err := writeDatasetFile(path, d.Slice(base, d.Len()))
+	if err != nil {
+		return fmt.Errorf("storage: persist dataset chunk %s: %w", name, err)
+	}
+	committed, err := s.commitDatasetChunk(name, chunkRec{file: file, base: base, count: d.Len() - base, crc: crc, size: size})
+	if err != nil || !committed {
+		os.Remove(path)
+	}
+	if err == nil && !committed {
+		return s.SaveDataset(name, d)
+	}
+	return err
+}
+
+// commitDatasetChunk appends a written chunk's record if the table
+// still holds exactly c.base records; it reports false otherwise.
+func (s *Store) commitDatasetChunk(name string, c chunkRec) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
+		return false, err
+	}
+	if s.st.tables[name].records() != c.base {
+		return false, nil
+	}
+	before := s.man.frames
+	if err := s.man.appendRecord(encodeDatasetChunk(name, c)); err != nil {
+		return false, err
+	}
+	s.st.apply(recDatasetChunk, tableChunk{name: name, chunk: c})
+	s.maybeCompactLocked(before)
+	return true, nil
+}
+
+// removeChunksLocked deletes the files of chunks that keep does not
+// name. Called with s.mu held, after the record that superseded them is
+// durable.
+func (s *Store) removeChunksLocked(chunks []chunkRec, keep map[string]bool) {
+	for _, c := range chunks {
+		if !keep[c.file] {
+			os.Remove(filepath.Join(s.dir, c.file))
+		}
+	}
+}
+
 // SaveIndex persists an index built for meta's (table, source) at the
-// given epoch: the contiguous score column plus one file per segment,
-// committed as a single manifest record. Segment files from a previous
-// flush of the same lineage are reused by (base, count) — segments are
-// immutable, so an append-grown index rewrites only its new tail.
-// Returns ErrSuperseded (after deleting anything it wrote) if the
-// table's epoch advanced, i.e. an invalidation raced the build.
+// given epoch: its score column as chunk files plus one file per
+// segment, committed as a single manifest record. Files from a previous
+// flush of the same lineage are reused — segments by (base, count),
+// column chunks while they hold a prefix of the column — so an
+// append-grown index writes only one column chunk for its new rows and
+// its new segments. A quantized index keeps a one-chunk column and
+// rewrites it whole when it grows. Returns ErrSuperseded (after
+// deleting anything it wrote) if the table's epoch advanced, i.e. an
+// invalidation raced the build.
 func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) error {
 	key := ixKey{meta.Table, meta.Source}
 
 	s.mu.Lock()
-	if s.closed {
+	if err := s.writableLocked(); err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("storage: store closed")
+		return err
 	}
 	if s.epochs[meta.Table] != epoch {
 		s.mu.Unlock()
@@ -780,11 +956,21 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		}
 		writes = append(writes, p)
 	}
-	colFile := old.colFile
-	colCRC, colSize := old.colCRC, old.colSize
-	writeCol := !hadOld || old.n != ix.Len()
+	// The column: reuse it whole when unchanged, extend it by one chunk
+	// when it grew, else write it as one chunk.
+	var cols []chunkRec
+	writeCol := true
+	switch {
+	case hadOld && old.n == ix.Len() && (!quantized || len(old.cols) == 1):
+		cols, writeCol = old.cols, false
+	case hadOld && old.n < ix.Len() && !quantized:
+		cols = append(old.cols[:len(old.cols):len(old.cols)], chunkRec{base: old.n})
+	default:
+		cols = []chunkRec{{}}
+	}
 	if writeCol {
-		colFile = s.nextFileLocked(".col")
+		c := &cols[len(cols)-1]
+		c.file, c.count = s.nextFileLocked(".col"), ix.Len()-c.base
 	}
 	s.mu.Unlock()
 
@@ -797,13 +983,14 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		}
 	}
 	if writeCol {
-		crc, size, err := writeColumnFile(filepath.Join(s.dir, colFile), ix.Scores())
+		c := &cols[len(cols)-1]
+		crc, size, err := writeColumnFile(filepath.Join(s.dir, c.file), ix.Scores()[c.base:])
 		if err != nil {
 			abort()
 			return fmt.Errorf("storage: persist column for %s/%s: %w", meta.Table, meta.Source, err)
 		}
-		colCRC, colSize = crc, size
-		written = append(written, colFile)
+		c.crc, c.size = crc, size
+		written = append(written, c.file)
 	}
 	for _, p := range writes {
 		if p.file != "" {
@@ -836,11 +1023,12 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.epochs[meta.Table] != epoch {
+	if err := s.writableLocked(); err != nil {
 		abort()
-		if s.closed {
-			return fmt.Errorf("storage: store closed")
-		}
+		return err
+	}
+	if s.epochs[meta.Table] != epoch {
+		abort()
 		return ErrSuperseded
 	}
 	rec := indexRec{
@@ -850,9 +1038,7 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		calibOracle: meta.CalibOracle,
 		proxies:     append([]string(nil), meta.Proxies...),
 		n:           ix.Len(),
-		colFile:     colFile,
-		colCRC:      colCRC,
-		colSize:     colSize,
+		cols:        cols,
 		segs:        segs,
 		quantized:   quantized,
 	}
@@ -871,25 +1057,17 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 	s.indexOf[key] = ix
 	s.removeDeadMixturesLocked(mixes)
 	if hadCur {
-		keep := make(map[string]bool, 2*len(segs)+1)
-		keep[colFile] = true
+		keep := make(map[string]bool, 2*len(segs)+len(cols))
+		for _, c := range cols {
+			keep[c.file] = true
+		}
 		for _, sr := range segs {
 			keep[sr.file] = true
 			if sr.codeFile != "" {
 				keep[sr.codeFile] = true
 			}
 		}
-		if !keep[cur.colFile] {
-			os.Remove(filepath.Join(s.dir, cur.colFile))
-		}
-		for _, sr := range cur.segs {
-			if !keep[sr.file] {
-				os.Remove(filepath.Join(s.dir, sr.file))
-			}
-			if sr.codeFile != "" && !keep[sr.codeFile] {
-				os.Remove(filepath.Join(s.dir, sr.codeFile))
-			}
-		}
+		s.removeIndexFilesLocked(cur, keep)
 	}
 	// Count .seg files only: a code-only write (quantize turned on over
 	// reused segments) persists no segment.
@@ -905,14 +1083,29 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 	return nil
 }
 
-// DropTable durably tombstones a table, its dataset file, and every
-// index built over it, and advances the table's epoch so in-flight
-// index flushes abandon themselves.
+// removeIndexFilesLocked deletes the column chunk, segment and code
+// files of rec that keep does not name. Called with s.mu held, after
+// the record that superseded them is durable.
+func (s *Store) removeIndexFilesLocked(rec indexRec, keep map[string]bool) {
+	s.removeChunksLocked(rec.cols, keep)
+	for _, sr := range rec.segs {
+		if !keep[sr.file] {
+			os.Remove(filepath.Join(s.dir, sr.file))
+		}
+		if sr.codeFile != "" && !keep[sr.codeFile] {
+			os.Remove(filepath.Join(s.dir, sr.codeFile))
+		}
+	}
+}
+
+// DropTable durably tombstones a table, its dataset chunk files, and
+// every index built over it, and advances the table's epoch so
+// in-flight index flushes abandon themselves.
 func (s *Store) DropTable(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("storage: store closed")
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	s.epochs[name]++
 	_, hadTable := s.st.tables[name]
@@ -930,21 +1123,13 @@ func (s *Store) DropTable(name string) error {
 	if err := s.man.appendRecord(encodeDropTable(name)); err != nil {
 		return err
 	}
-	if rec, ok := s.st.tables[name]; ok {
-		os.Remove(filepath.Join(s.dir, rec.file))
-	}
+	s.removeChunksLocked(s.st.tables[name].chunks, nil)
 	for k, rec := range s.st.indexes {
 		if k.table != name {
 			continue
 		}
 		delete(s.indexOf, k)
-		os.Remove(filepath.Join(s.dir, rec.colFile))
-		for _, sr := range rec.segs {
-			os.Remove(filepath.Join(s.dir, sr.file))
-			if sr.codeFile != "" {
-				os.Remove(filepath.Join(s.dir, sr.codeFile))
-			}
-		}
+		s.removeIndexFilesLocked(rec, nil)
 	}
 	mixes := s.st.mixturesOf(func(k ixKey) bool { return k.table == name })
 	s.st.apply(recDropTable, name)
@@ -961,8 +1146,8 @@ func (s *Store) DropTable(name string) error {
 func (s *Store) DropIndex(table, source string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("storage: store closed")
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	s.epochs[table]++
 	key := ixKey{table, source}
@@ -974,13 +1159,7 @@ func (s *Store) DropIndex(table, source string) error {
 	if err := s.man.appendRecord(encodeDropIndex(key)); err != nil {
 		return err
 	}
-	os.Remove(filepath.Join(s.dir, rec.colFile))
-	for _, sr := range rec.segs {
-		os.Remove(filepath.Join(s.dir, sr.file))
-		if sr.codeFile != "" {
-			os.Remove(filepath.Join(s.dir, sr.codeFile))
-		}
-	}
+	s.removeIndexFilesLocked(rec, nil)
 	delete(s.indexOf, key)
 	mixes := s.st.mixturesOf(func(k ixKey) bool { return k == key })
 	s.st.apply(recDropIndex, key)
@@ -1012,9 +1191,9 @@ func (s *Store) removeDeadMixturesLocked(before []mixRec) {
 func (s *Store) SaveMixtures(table, source string, ix *index.ScoreIndex) (int, error) {
 	key := ixKey{table, source}
 	s.mu.Lock()
-	if s.closed {
+	if err := s.writableLocked(); err != nil {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("storage: store closed")
+		return 0, err
 	}
 	ir, ok := s.st.indexes[key]
 	if !ok || s.indexOf[key] != ix {
@@ -1027,7 +1206,7 @@ func (s *Store) SaveMixtures(table, source string, ix *index.ScoreIndex) (int, e
 	}
 	var todo []pending
 	for _, mt := range ix.CachedMixtureTables() {
-		rec := mixRec{table: table, source: source, n: ir.n, colCRC: ir.colCRC,
+		rec := mixRec{table: table, source: source, n: ir.n, colCRC: ir.colCRC(),
 			exponent: mt.Key.Exponent, mix: mt.Key.Mix}
 		if _, done := s.st.mixtures[rec.key()]; done || len(mt.Weights) != ir.n || !finiteKey(rec.exponent, rec.mix) {
 			continue
@@ -1059,8 +1238,8 @@ func (s *Store) SaveMixtures(table, source string, ix *index.ScoreIndex) (int, e
 func (s *Store) commitMixture(rec mixRec, ix *index.ScoreIndex) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("storage: store closed")
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	key := ixKey{rec.table, rec.source}
 	if ir, ok := s.st.indexes[key]; !ok || s.indexOf[key] != ix || !rec.boundTo(ir) {
@@ -1077,6 +1256,15 @@ func (s *Store) commitMixture(rec mixRec, ix *index.ScoreIndex) error {
 	}
 	s.maybeCompactLocked(before)
 	return nil
+}
+
+// writableLocked reports why the store takes no writes: it is closed,
+// or an earlier manifest failure stopped it. Called with s.mu held.
+func (s *Store) writableLocked() error {
+	if s.closed {
+		return fmt.Errorf("storage: store closed")
+	}
+	return s.man.err
 }
 
 // maybeCompactLocked folds manifest bookkeeping after an append and

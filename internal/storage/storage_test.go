@@ -568,14 +568,15 @@ func TestCheckFileName(t *testing.T) {
 }
 
 func TestManifestRecordRoundTrip(t *testing.T) {
-	ds := datasetRec{name: "t", file: "000001.ds", records: 42, crc: 0xdeadbeef, size: 999}
-	rtype, rec, err := decodeRecord(encodeDataset(ds))
-	if err != nil || rtype != recDataset || rec.(datasetRec) != ds {
+	ds := chunkRec{file: "000001.ds", count: 42, crc: 0xdeadbeef, size: 999}
+	rtype, rec, err := decodeRecord(encodeDataset("t", ds))
+	if dr, ok := rec.(datasetRec); err != nil || rtype != recDataset || !ok || dr.name != "t" ||
+		len(dr.chunks) != 1 || dr.chunks[0] != ds {
 		t.Fatalf("dataset round trip: %v %v %v", rtype, rec, err)
 	}
 	ir := indexRec{
 		table: "t", source: "fuse(mean,a,b)", fusion: "mean", calibOracle: "o",
-		proxies: []string{"a", "b"}, n: 7, colFile: "000002.col", colCRC: 1, colSize: 88,
+		proxies: []string{"a", "b"}, n: 7, cols: []chunkRec{{file: "000002.col", count: 7, crc: 1, size: 88}},
 		segs: []segRec{{file: "000003.seg", base: 0, count: 4, crc: 2, size: 104}},
 	}
 	rtype, rec, err = decodeRecord(encodeIndex(ir))
@@ -585,7 +586,7 @@ func TestManifestRecordRoundTrip(t *testing.T) {
 	got := rec.(indexRec)
 	if got.table != ir.table || got.source != ir.source || got.fusion != ir.fusion ||
 		got.calibOracle != ir.calibOracle || len(got.proxies) != 2 || got.proxies[1] != "b" ||
-		got.n != ir.n || got.colFile != ir.colFile || len(got.segs) != 1 || got.segs[0] != ir.segs[0] {
+		got.n != ir.n || len(got.cols) != 1 || got.cols[0] != ir.cols[0] || len(got.segs) != 1 || got.segs[0] != ir.segs[0] {
 		t.Fatalf("index record diverged: %+v", got)
 	}
 	rtype, rec, err = decodeRecord(encodeDropTable("t"))
@@ -614,7 +615,7 @@ func TestDatasetCRCMatchesPersistedFile(t *testing.T) {
 	if err := s.SaveDataset("t", d); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.st.tables["t"].crc; got != DatasetCRC(d) {
+	if got := s.st.tables["t"].chunks[0].crc; got != DatasetCRC(d) {
 		t.Fatalf("manifest CRC %08x, DatasetCRC %08x", got, DatasetCRC(d))
 	}
 }
