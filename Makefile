@@ -74,6 +74,9 @@ cover-check: cover
 # at the 16-bit quantized index and requires bit-identical results
 # against the float index, and id gathers from both equal to an O(n)
 # reference scan (committed seed corpus in internal/index/testdata).
+# FuzzAliasMatchesReference requires the bitmap alias build to match
+# the two-stack Vose reference bit for bit on any finite non-negative
+# weights.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime 10s
@@ -84,6 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDatasetFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzMixtureFile$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzQuantizedEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzAliasMatchesReference$$' -fuzztime 10s
 
 # Fault-injection battery + crash durability: chaos equivalence
 # (byte-identical Indices/Tau/oracle_calls under 30% injected
@@ -109,7 +113,7 @@ bench:
 # gather at 1%, 33%, 75% and 99% density, the loser-tree vs heap merge,
 # the count reduction under a query pool (sequential at every pool
 # size; kept as the witness), quantized index build, and incremental
-# append — into
+# and chained append — into
 # BENCH_hotpath.json, committed per PR: a "full" section at paper
 # scale (n=1e6) for the human-readable trajectory and a "smoke"
 # section at SMOKE_N that bench-check diffs in CI. ns/op is recorded
@@ -118,7 +122,7 @@ bench-json:
 	{ $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section full -n 1000000 \
-	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column, the bitmap id gather at 1/33/75/99% density (no sort, no score branch), loser-tree vs heap k-way merge, count reduction at pool sizes 1 and 8 (sequential at both), quantized build, and incremental append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
+	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column, the bitmap id gather at 1/33/75/99% density (no sort, no score branch), loser-tree vs heap k-way merge, count reduction at pool sizes 1 and 8 (sequential at both), quantized build, and incremental and chained (in-place growth) append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
 	{ SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section smoke -n $(SMOKE_N)

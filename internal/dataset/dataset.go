@@ -12,6 +12,7 @@ package dataset
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // Dataset is an immutable collection of records. Each record i has a
@@ -25,6 +26,37 @@ type Dataset struct {
 	// is computed once at construction (see countPositives) instead of
 	// rescanning the labels on every evaluation and registration.
 	positives int
+	// grow guards the spare capacity of scores and labels, which Append
+	// may fill in place; nil unless Append allocated both arrays. See
+	// Append.
+	grow *extent
+}
+
+// extent records how far the datasets sharing one pair of
+// Append-allocated arrays have claimed them: every record below end
+// belongs to some dataset of the lineage, so only a dataset exactly
+// end records long may write past its length.
+type extent struct{ end atomic.Int64 }
+
+// claim reports whether a dataset of n records over the arrays may
+// write records [n, m) in place, and if so takes them. At most one
+// caller wins per n; a nil extent (arrays Append did not allocate)
+// never grants a claim.
+func (e *extent) claim(n, m int) bool {
+	return e != nil && e.end.CompareAndSwap(int64(n), int64(m))
+}
+
+// grown returns s followed by tail: written in place into s's spare
+// capacity when inPlace is set (the caller holds the claim), otherwise
+// copied into a fresh array with append's growth headroom.
+func grown[T any](s, tail []T, inPlace bool) []T {
+	n := len(s)
+	if inPlace {
+		s = s[:n+len(tail)]
+		copy(s[n:], tail)
+		return s
+	}
+	return append(s[:n:n], tail...)
 }
 
 // countPositives returns the number of true labels.
@@ -93,8 +125,10 @@ func (d *Dataset) Len() int { return len(d.scores) }
 func (d *Dataset) Score(i int) float64 { return d.scores[i] }
 
 // Scores returns the full proxy-score column. The returned slice is the
-// dataset's backing array; treat it as read-only.
-func (d *Dataset) Scores() []float64 { return d.scores }
+// dataset's backing array; treat it as read-only. Its capacity ends at
+// its length, so appending to it copies instead of writing into space
+// a grown dataset may own.
+func (d *Dataset) Scores() []float64 { return d.scores[:len(d.scores):len(d.scores)] }
 
 // TrueLabel reports the ground-truth label of record i. Algorithm code
 // must not call this; it exists for oracle construction and evaluation.
@@ -119,22 +153,44 @@ func (d *Dataset) Positives() []int {
 	return out
 }
 
-// WithName returns a shallow copy of d renamed to name.
+// WithName returns a shallow copy of d renamed to name. The copy shares
+// d's arrays and their extent, so the two count as one parent to
+// Append.
 func (d *Dataset) WithName(name string) *Dataset {
-	return &Dataset{name: name, scores: d.scores, labels: d.labels, positives: d.positives}
+	return &Dataset{name: name, scores: d.scores, labels: d.labels, positives: d.positives, grow: d.grow}
 }
 
 // Append returns a new dataset holding d's records followed by
-// extra's; both inputs are left untouched (slices are copied). The
-// name is d's. Appended records take the ids [d.Len(), d.Len()+
-// extra.Len()), which is what makes incremental index appends safe:
-// existing ids keep their scores and labels bit for bit.
+// extra's; the records of both inputs are left untouched. The name is
+// d's. Appended records take the ids [d.Len(), d.Len()+extra.Len()),
+// which is what makes incremental index appends safe: existing ids
+// keep their scores and labels bit for bit.
+//
+// Append costs O(extra.Len()) when it can write the new records into
+// the spare capacity of the arrays d lives in. It does so only when an
+// earlier Append allocated those arrays and no other child of d (or of
+// a dataset of the same length over them) has claimed the space past
+// d's length: the claim is atomic, so the first child grows in place
+// and every other child copies. Arrays retained from callers (New,
+// FromColumns, ReadBinaryInto's buffers) or mapped from files are
+// never written past their length. A copy costs O(d.Len()) and takes
+// append's growth headroom, which the chain of appends after it fills
+// in place.
 func (d *Dataset) Append(extra *Dataset) *Dataset {
-	scores := make([]float64, 0, len(d.scores)+extra.Len())
-	scores = append(append(scores, d.scores...), extra.scores...)
-	labels := make([]bool, 0, len(d.labels)+extra.Len())
-	labels = append(append(labels, d.labels...), extra.labels...)
-	return &Dataset{name: d.name, scores: scores, labels: labels, positives: d.positives + extra.positives}
+	n, m := len(d.scores), len(d.scores)+extra.Len()
+	g := d.grow
+	inPlace := m <= cap(d.scores) && m <= cap(d.labels) && g.claim(n, m)
+	if !inPlace {
+		g = new(extent)
+		g.end.Store(int64(m))
+	}
+	return &Dataset{
+		name:      d.name,
+		scores:    grown(d.scores, extra.scores, inPlace),
+		labels:    grown(d.labels, extra.labels, inPlace),
+		positives: d.positives + extra.positives,
+		grow:      g,
+	}
 }
 
 // Slice returns a new dataset over records [lo, hi) of d, with copied

@@ -122,7 +122,8 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 	errs := make([]error, len(ext.Segments))
 	parallel.Run(opts.Parallelism, len(ext.Segments), func(j int) {
 		sd := ext.Segments[j]
-		sub := ext.Column[sd.Base : sd.Base+len(sd.Perm)]
+		end := sd.Base + len(sd.Perm)
+		sub := ext.Column[sd.Base:end:end]
 		if err := verifySegmentData(sub, sd); err != nil {
 			errs[j] = err
 			return
@@ -155,7 +156,7 @@ func FromExternal(ext External, opts Options) (*ScoreIndex, error) {
 		}
 	}
 	return &ScoreIndex{
-		scores:   ext.Column,
+		scores:   ext.Column[:n:n], // never grown in place: see Append
 		segs:     segs,
 		segSize:  opts.SegmentSize,
 		par:      opts.Parallelism,

@@ -72,6 +72,21 @@
 // cache starts empty on the appended index because the defensive
 // weights are a function of the whole column.
 //
+// The column itself grows in place when it can, so an append costs
+// O(appended records) outside the mixture rebuild. Append writes the
+// new records into the spare capacity of the array the parent's column
+// lives in when an earlier Append allocated that array and no other
+// child has claimed the space past the parent's length. The claim is
+// atomic (see extent): of several children of one parent, the first
+// grows in place — sharing the parent's segment structs, which already
+// alias the array — and every other child copies. A failed append
+// gives its claim back. A copy takes append's growth headroom, which
+// the appends after it fill in place. Columns adopted from external
+// memory (FromExternal, typically a mapped file) are never written past
+// their length. Scores and every segment sub-column are clipped to
+// their length, so no caller's append can reach the shared capacity
+// either.
+//
 // A ScoreIndex is immutable after New/Append and safe for concurrent
 // use by any number of queries; the mixture cache is internally
 // synchronized.
@@ -99,6 +114,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"supg/internal/parallel"
 )
@@ -235,6 +251,9 @@ type ScoreIndex struct {
 	// and segment slices alias; nil for heap-built indexes. See
 	// FromExternal.
 	backing any
+	// grow guards the column array's spare capacity, which Append may
+	// fill in place; nil unless Append allocated the array.
+	grow *extent
 
 	// stored holds persisted mixtures a recovered index adopts on first
 	// use instead of building them (FromExternal); immutable after
@@ -286,35 +305,58 @@ func NewWithOptions(scores []float64, opts Options) (*ScoreIndex, error) {
 // appended records. The appended records always start a fresh segment
 // at the old column's end regardless of how full the last segment is —
 // query results are segmentation-independent, so nothing observable
-// depends on the boundary. The receiving index is unchanged.
+// depends on the boundary. The receiving index, and every record of
+// its column, is unchanged. The column grows in place into spare
+// capacity when this is the parent's first child to claim it, and is
+// copied otherwise (see "Incremental append" in the package doc); a
+// failed append leaves the spare capacity unclaimed.
 func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 	if len(extra) == 0 {
 		return nil, fmt.Errorf("index: empty append")
 	}
-	old := len(ix.scores)
-	own := make([]float64, old+len(extra))
-	copy(own, ix.scores)
-	copy(own[old:], extra)
+	n, m := len(ix.scores), len(ix.scores)+len(extra)
+	g := ix.grow
+	inPlace := m <= cap(ix.scores) && g.claim(n, m)
+	var own []float64
+	if inPlace {
+		own = ix.scores[:m]
+		copy(own[n:], extra)
+	} else {
+		own = append(ix.scores[:n:n], extra...)
+		g = new(extent)
+		g.end.Store(int64(m))
+	}
 	opts := Options{SegmentSize: ix.segSize, Parallelism: ix.par, Quantize: ix.quant, QueryPool: ix.pool}
-	fresh, err := buildSegments(own, old, opts)
+	fresh, err := buildSegments(own, n, opts)
 	if err != nil {
+		if inPlace {
+			g.release(n, m)
+		}
 		return nil, err
 	}
-	segs := make([]*segment, 0, len(ix.segs)+len(fresh))
-	for _, s := range ix.segs {
-		// Re-point the sub-column into the new backing array (values are
-		// bit-identical); perm, sorted, and the code vectors are local and
-		// shared as-is — codes are per-segment, so nothing rebases.
-		segs = append(segs, &segment{
-			base:    s.base,
-			scores:  own[s.base : s.base+len(s.scores)],
-			perm:    s.perm,
-			sorted:  s.sorted,
-			codes:   s.codes,
-			qsorted: s.qsorted,
-		})
+	var segs []*segment
+	if inPlace {
+		// The old segments' sub-columns already alias own.
+		segs = append(ix.segs[:len(ix.segs):len(ix.segs)], fresh...)
+	} else {
+		segs = make([]*segment, 0, len(ix.segs)+len(fresh))
+		for _, s := range ix.segs {
+			// Re-point the sub-column into the new backing array (values
+			// are bit-identical); perm, sorted, and the code vectors are
+			// local and shared as-is — codes are per-segment, so nothing
+			// rebases.
+			end := s.base + len(s.scores)
+			segs = append(segs, &segment{
+				base:    s.base,
+				scores:  own[s.base:end:end],
+				perm:    s.perm,
+				sorted:  s.sorted,
+				codes:   s.codes,
+				qsorted: s.qsorted,
+			})
+		}
+		segs = append(segs, fresh...)
 	}
-	segs = append(segs, fresh...)
 	return &ScoreIndex{
 		scores:  own,
 		segs:    segs,
@@ -325,9 +367,29 @@ func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 		// Old segments share their perm/sorted slices, which may alias
 		// externally-owned memory — keep it pinned.
 		backing:  ix.backing,
+		grow:     g,
 		mixtures: make(map[MixtureKey]*mixture),
 	}, nil
 }
+
+// extent records how far the indexes sharing one Append-allocated
+// column array have claimed it: every record below end belongs to
+// some index of the lineage, so only an index exactly end records
+// long may write past its length.
+type extent struct{ end atomic.Int64 }
+
+// claim reports whether an index of n records over the array may write
+// records [n, m) in place, and if so takes them. At most one caller
+// wins per n; a nil extent (an array Append did not allocate) never
+// grants a claim.
+func (e *extent) claim(n, m int) bool {
+	return e != nil && e.end.CompareAndSwap(int64(n), int64(m))
+}
+
+// release gives back a claim of [n, m) whose append failed. No index
+// of m records over the array was published, so nothing can have
+// claimed past m in between.
+func (e *extent) release(n, m int) { e.end.CompareAndSwap(int64(m), int64(n)) }
 
 // buildSegments validates and sorts column[start:] as SegmentSize-record
 // segments across a bounded worker pool. Segment bases are global ids
@@ -367,7 +429,7 @@ func buildSegments(column []float64, start int, opts Options) ([]*segment, error
 // The returned int is the global id of the offending record when
 // validation fails.
 func buildSegment(column []float64, base, end int, quantize bool) (*segment, int, error) {
-	sub := column[base:end]
+	sub := column[base:end:end]
 	for i, s := range sub {
 		if s < 0 || s > 1 || s != s {
 			return nil, base + i, fmt.Errorf("index: score %g for record %d outside [0,1]", s, base+i)
@@ -430,8 +492,10 @@ func (ix *ScoreIndex) SegmentSize() int { return ix.segSize }
 func (ix *ScoreIndex) Score(i int) float64 { return ix.scores[i] }
 
 // Scores returns the validated score column in record order. The slice
-// is shared with the index and must be treated as read-only.
-func (ix *ScoreIndex) Scores() []float64 { return ix.scores }
+// is shared with the index and must be treated as read-only. Its
+// capacity ends at its length, so appending to it copies instead of
+// writing into space a grown index may own.
+func (ix *ScoreIndex) Scores() []float64 { return ix.scores[:len(ix.scores):len(ix.scores)] }
 
 // CountAtLeast returns |{x : A(x) >= tau}| as the sum of exact
 // per-segment binary-search counts — O(S/segSize · log segSize). The

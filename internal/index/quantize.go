@@ -100,11 +100,15 @@ func (s *segment) codeBucket(ct uint16) (lo, hi int) {
 func (ix *ScoreIndex) Quantized() bool { return ix.quant }
 
 // ResidentBytes estimates the index's resident data memory: the score
-// column plus each segment's permutation, sorted run, and (when
-// quantized) code vectors. Cached mixtures are excluded — they are a
-// per-configuration cost, not part of the index layout.
+// column's array, spare capacity included, plus each segment's
+// permutation, sorted run, and (when quantized) code vectors. Cached
+// mixtures are excluded — they are a per-configuration cost, not part
+// of the index layout. Indexes that grew in place share one column
+// array (and their common segments), and each member of such a
+// lineage counts the whole array, so summing over a lineage counts it
+// more than once.
 func (ix *ScoreIndex) ResidentBytes() int64 {
-	total := int64(8 * len(ix.scores))
+	total := int64(8 * cap(ix.scores))
 	for _, s := range ix.segs {
 		total += int64(8*len(s.perm) + 8*len(s.sorted) + 2*len(s.codes) + 2*len(s.qsorted))
 	}

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"strconv"
 	"strings"
@@ -85,7 +87,49 @@ func aliasCases() map[string][]float64 {
 	for _, n := range []int{1, 7, 1000, 1 << 16, 1<<20 + 3} {
 		cases["skewed/"+strconv.Itoa(n)] = skewedWeights(r, n)
 	}
+	// Sizes at the class bitmap's word boundaries: the large cursor
+	// masks the tail word's past-the-end bits.
+	for _, n := range []int{63, 64, 65, 127, 128, 129} {
+		cases["skewed/"+strconv.Itoa(n)] = skewedWeights(r, n)
+		cases["mixed/"+strconv.Itoa(n)] = mixedWeights(r, n)
+	}
+	cases["mixed/1000"] = mixedWeights(r, 1000)
+	cases["mixed/"+strconv.Itoa(1<<20+3)] = mixedWeights(r, 1<<20+3)
+	// All-equal columns whose scaled weights round to either side of 1.
+	for _, c := range []struct {
+		n int
+		w float64
+	}{{1000, 0.1}, {129, 1.0 / 3}, {64, 0.7}, {1000, 1e-300}} {
+		w := make([]float64, c.n)
+		for i := range w {
+			w[i] = c.w
+		}
+		cases["equal/"+strconv.Itoa(c.n)+"/"+strconv.FormatFloat(c.w, 'g', -1, 64)] = w
+	}
+	// One large entry that every small pairs with.
+	one := make([]float64, 1000)
+	for i := range one {
+		one[i] = 1
+	}
+	one[500] = 500
+	cases["one-large"] = one
 	return cases
+}
+
+// mixedWeights interleaves ~70% small and ~30% large scaled weights in
+// random order, as night-street's defensive weights do: neither class
+// comes in runs, so the build's class tests and cursors branch
+// unpredictably.
+func mixedWeights(r *randx.Rand, n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		if r.Float64() < 0.7 {
+			w[i] = 0.2 + 0.7*r.Float64()
+		} else {
+			w[i] = 1 + 2*r.Float64()
+		}
+	}
+	return w
 }
 
 // skewedWeights is an unnormalized defensive mixture over a heavily
@@ -102,19 +146,62 @@ func skewedWeights(r *randx.Rand, n int) []float64 {
 
 func TestAliasInPlaceMatchesReference(t *testing.T) {
 	for name, w := range aliasCases() {
-		wantProb, wantAlias := newAliasReference(w)
-		a := NewAlias(w)
-		prob, alias := a.Tables()
-		if len(prob) != len(wantProb) || len(alias) != len(wantAlias) {
-			t.Fatalf("%s: %d/%d entries, reference %d/%d", name, len(prob), len(alias), len(wantProb), len(wantAlias))
+		checkAliasMatchesReference(t, name, w)
+	}
+}
+
+// checkAliasMatchesReference fails unless NewAlias(w) has exactly the
+// reference build's entries, bit for bit.
+func checkAliasMatchesReference(t *testing.T, name string, w []float64) {
+	t.Helper()
+	wantProb, wantAlias := newAliasReference(w)
+	a := NewAlias(w)
+	if wantProb == nil {
+		if a != nil {
+			t.Fatalf("%s: built a table, reference builds none", name)
 		}
-		for i := range prob {
-			if math.Float64bits(prob[i]) != math.Float64bits(wantProb[i]) || int(alias[i]) != wantAlias[i] {
-				t.Fatalf("%s: entry %d is (%v, %d), reference (%v, %d)",
-					name, i, prob[i], alias[i], wantProb[i], wantAlias[i])
-			}
+		return
+	}
+	prob, alias := a.Tables()
+	if len(prob) != len(wantProb) || len(alias) != len(wantAlias) {
+		t.Fatalf("%s: %d/%d entries, reference %d/%d", name, len(prob), len(alias), len(wantProb), len(wantAlias))
+	}
+	for i := range prob {
+		if math.Float64bits(prob[i]) != math.Float64bits(wantProb[i]) || int(alias[i]) != wantAlias[i] {
+			t.Fatalf("%s: entry %d is (%v, %d), reference (%v, %d)",
+				name, i, prob[i], alias[i], wantProb[i], wantAlias[i])
 		}
 	}
+}
+
+// FuzzAliasMatchesReference requires NewAlias to reproduce the two-stack
+// reference bit for bit on any finite non-negative weights. Each input
+// is read twice: as raw float64 bit patterns (non-finite ones zeroed,
+// signs dropped), which reach overflowing totals and subnormal masses,
+// and as one small integer weight per byte, which packs ties, zeros
+// and residue on either side of 1 into short inputs.
+func FuzzAliasMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 3})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add(bytes.Repeat([]byte{7}, 129))
+	f.Add(bytes.Repeat([]byte{1, 200, 3, 0, 90, 17, 5}, 40))
+	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.MaxFloat64)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		raw := make([]float64, 0, len(data)/8)
+		for i := 0; i+8 <= len(data); i += 8 {
+			x := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(data[i:])))
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				x = 0
+			}
+			raw = append(raw, x)
+		}
+		checkAliasMatchesReference(t, "raw", raw)
+		small := make([]float64, len(data))
+		for i, b := range data {
+			small[i] = float64(b)
+		}
+		checkAliasMatchesReference(t, "bytes", small)
+	})
 }
 
 func TestAliasAllZeroMatchesReference(t *testing.T) {
@@ -192,21 +279,30 @@ func TestAliasFromTablesRejectsOutOfBounds(t *testing.T) {
 // the step a mixture rebuild spends most of its time in, against the
 // two-stack reference build.
 func BenchmarkNewAlias(b *testing.B) {
-	w := skewedWeights(randx.New(1), 1_000_000)
-	b.Run("in-place", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if NewAlias(w) == nil {
-				b.Fatal("nil table")
+	// skewed pairs long runs of one class; mixed interleaves the classes
+	// at random, which defeats branch prediction.
+	for _, c := range []struct {
+		name string
+		w    []float64
+	}{
+		{"skewed", skewedWeights(randx.New(1), 1_000_000)},
+		{"mixed", mixedWeights(randx.New(1), 1_000_000)},
+	} {
+		b.Run("in-place/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if NewAlias(c.w) == nil {
+					b.Fatal("nil table")
+				}
 			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if p, _ := newAliasReference(w); p == nil {
-				b.Fatal("nil table")
+		})
+		b.Run("reference/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if p, _ := newAliasReference(c.w); p == nil {
+					b.Fatal("nil table")
+				}
 			}
-		}
-	})
+		})
+	}
 }

@@ -8,6 +8,7 @@ package sampling
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"supg/internal/randx"
 )
@@ -89,7 +90,7 @@ type Alias struct {
 }
 
 // MaxAliasLen is the largest support an alias table can hold: alias
-// entries and the build worklist are 32-bit.
+// entries are 32-bit.
 const MaxAliasLen = math.MaxInt32
 
 // NewAlias builds an alias table from non-negative weights. Weights need
@@ -97,15 +98,19 @@ const MaxAliasLen = math.MaxInt32
 // on more than MaxAliasLen weights (core's IS estimators refuse such
 // sources with an error before building one).
 //
-// The build works in place: prob first holds the scaled weights
-// w·n/Σw, and one n-entry worklist holds both Vose stacks — the small
-// stack grows up from the front, the large stack grows down from the
-// back. Every pop removes one entry from each stack and every push adds
-// at most one back, so the two never meet. Both stacks keep the LIFO
-// order of separate slices and every float operation is unchanged, so
-// prob and alias come out bit-for-bit as a textbook two-stack build
-// makes them (pinned in alias_test.go), in 16 bytes per outcome of
-// working memory instead of 40.
+// prob and alias come out bit-for-bit as a textbook two-stack Vose
+// build makes them (pinned in alias_test.go), without the stacks. The
+// scaling pass writes the scaled weights w·n/Σw into prob and records
+// each outcome's class — small (< 1) or large — in a bitmap. Both
+// stacks are filled in index order, so each pops its original entries
+// in descending index order, and the only entry ever pushed back is the
+// large just popped: it stays on top of the large stack while it stays
+// large, and moves to the top of the small stack, to be popped next,
+// once it turns small. The pairing therefore walks two descending
+// cursors over the bitmap, one over set bits and one over clear bits,
+// and keeps the current large's mass in a register; every float
+// operation is the stacks'. Working memory beyond the tables is the
+// one bitmap, a bit per outcome, instead of a 4-byte worklist entry.
 func NewAlias(weights []float64) *Alias {
 	n := len(weights)
 	total := 0.0
@@ -124,43 +129,102 @@ func NewAlias(weights []float64) *Alias {
 
 	prob := make([]float64, n)
 	alias := make([]int32, n)
-	work := make([]int32, n)
-	small, large := 0, n // small stack work[:small], large stack work[large:]
-	for i, w := range weights {
-		prob[i] = w / total * float64(n)
-		if prob[i] < 1 {
-			work[small] = int32(i)
-			small++
-		} else {
-			large--
-			work[large] = int32(i)
+	small := make([]uint64, (n+63)>>6) // bit i: prob[i] started below 1
+	for w := range small {
+		lo := w << 6
+		ws := weights[lo:min(lo+64, n)]
+		ps := prob[lo : lo+len(ws)]
+		var word uint64
+		for j, x := range ws {
+			p := x / total * float64(n)
+			ps[j] = p
+			word |= b2u(p < 1) << j
+		}
+		small[w] = word
+	}
+	// The large cursor walks clear bits: mask the tail word's bits past
+	// n, which are clear but no outcome.
+	tail := ^uint64(0)
+	if r := n & 63; r != 0 {
+		tail = 1<<r - 1
+	}
+	smalls := bitCursor{words: small, w: len(small), flip: 0, tail: tail}
+	larges := bitCursor{words: small, w: len(small), flip: ^uint64(0), tail: tail}
+
+	s, l := smalls.next(), larges.next()
+	if s >= 0 && l >= 0 {
+		pl := prob[l]
+		for {
+			// prob[s] already holds its final scaled weight.
+			alias[s] = int32(l)
+			pl = pl + prob[s] - 1
+			if pl < 1 {
+				// l turns small: it is the next small popped, paired with
+				// the next large.
+				prob[l] = pl
+				s = l
+				if l = larges.next(); l < 0 {
+					break
+				}
+				pl = prob[l]
+				continue
+			}
+			if s = smalls.next(); s < 0 {
+				break
+			}
 		}
 	}
-	for small > 0 && large < n {
-		small--
-		s := work[small]
-		l := work[large]
-		large++
-		// prob[s] already holds its final scaled weight.
-		alias[s] = l
-		prob[l] = prob[l] + prob[s] - 1
-		if prob[l] < 1 {
-			work[small] = l
-			small++
-		} else {
-			large--
-			work[large] = l
+	// Numerical residue: whichever side is left over — the current
+	// entry and everything its cursor has not reached — takes itself.
+	if s >= 0 {
+		prob[s], alias[s] = 1, int32(s)
+		for i := smalls.next(); i >= 0; i = smalls.next() {
+			prob[i], alias[i] = 1, int32(i)
 		}
 	}
-	for _, i := range work[large:] {
-		prob[i] = 1
-		alias[i] = i
-	}
-	for _, i := range work[:small] {
-		prob[i] = 1 // numerical residue
-		alias[i] = i
+	if l >= 0 {
+		prob[l], alias[l] = 1, int32(l)
+		for i := larges.next(); i >= 0; i = larges.next() {
+			prob[i], alias[i] = 1, int32(i)
+		}
 	}
 	return &Alias{prob: prob, alias: alias}
+}
+
+// b2u converts a bool to 0 or 1 without a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// bitCursor yields the positions of a bitmap's set bits (flip 0) or
+// clear bits (flip all ones) in descending order; tail masks the last
+// word's valid bits.
+type bitCursor struct {
+	words      []uint64
+	w          int    // index of the word cur came from
+	cur        uint64 // unvisited matching bits of words[w]
+	flip, tail uint64
+}
+
+// next returns the next position, or -1 when none is left.
+func (c *bitCursor) next() int {
+	for c.cur == 0 {
+		if c.w == 0 {
+			return -1
+		}
+		c.w--
+		c.cur = c.words[c.w] ^ c.flip
+		if c.w == len(c.words)-1 {
+			c.cur &= c.tail
+		}
+	}
+	b := 63 - bits.LeadingZeros64(c.cur)
+	c.cur &^= 1 << b
+	return c.w<<6 | b
 }
 
 // AliasFromTables wraps prob/alias tables that NewAlias built earlier

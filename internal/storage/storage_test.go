@@ -181,6 +181,51 @@ func TestRecoveredIndexAppends(t *testing.T) {
 	}
 }
 
+// TestRecoveredAppendsCopyMappedColumns pins that a recovered table and
+// index over mapped memory copy their columns on the first append
+// instead of growing into the read-only mapping (a write there would
+// fault), and that the heap copies take the next append in place.
+func TestRecoveredAppendsCopyMappedColumns(t *testing.T) {
+	dir := t.TempDir()
+	d, ix := seedStore(t, dir, 700)
+	s := openStore(t, Options{Dir: dir, Index: index.Options{SegmentSize: 700}})
+	if s.Stats().MappedBytes == 0 {
+		t.Fatal("nothing was mapped")
+	}
+	recD, recIx := s.RecoveredTables()[0].Dataset, s.RecoveredIndexes()[0].Index
+	extra := testDataset(t, 9, 1200)
+	tailA, tailB := extra.Slice(0, 600), extra.Slice(600, 1200)
+
+	gotD := recD.Append(tailA)
+	gotIx, err := recIx.Append(tailA.Scores())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &gotD.Scores()[0] == &recD.Scores()[0] || &gotIx.Scores()[0] == &recIx.Scores()[0] {
+		t.Fatal("append to a recovered column grew into its mapping")
+	}
+	nextD := gotD.Append(tailB)
+	nextIx, err := gotIx.Append(tailB.Scores())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &nextD.Scores()[0] != &gotD.Scores()[0] || &nextIx.Scores()[0] != &gotIx.Scores()[0] {
+		t.Fatal("append to a copied column did not grow in place")
+	}
+
+	wantIx, err := ix.Append(extra.Scores())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIndexEquivalent(t, wantIx, nextIx)
+	if got, want := DatasetCRC(nextD), DatasetCRC(d.Append(extra)); got != want {
+		t.Fatalf("grown dataset CRC %08x, want %08x", got, want)
+	}
+	if got, want := DatasetCRC(recD), DatasetCRC(d); got != want {
+		t.Fatalf("recovered dataset CRC %08x after the appends, want %08x", got, want)
+	}
+}
+
 func corruptFile(t *testing.T, path string, truncate bool) {
 	t.Helper()
 	data, err := os.ReadFile(path)
