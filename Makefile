@@ -10,8 +10,8 @@ COVER_FLOOR ?= 79.1
 SMOKE_N ?= 65536
 
 # The hot-path trajectory battery (see bench-json / bench-check).
-BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectHotPathQuantized$$|SelectMixtureWarm
-BENCH_HOTPATH_INDEX = Gather|AscendMerge|ParallelCount|IndexBuildQuantized|IndexAppend
+BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectMixtureWarm
+BENCH_HOTPATH_INDEX = Gather|AscendMerge|IndexAppend
 
 .PHONY: all build test test-race vet lint lint-fix fmt-check bench bench-json bench-check bench-labelstore bench-multiproxy bench-storage cover cover-check fuzz-smoke chaos-smoke profile
 
@@ -70,10 +70,11 @@ cover-check: cover
 # agrees with its declared counts — never a panic, never an
 # out-of-bounds replay, never a mixture record outliving its index,
 # never a table or column whose chunks leave a gap.
-# FuzzQuantizedEquivalence throws boundary-heavy columns and thresholds
-# at the 16-bit quantized index and requires bit-identical results
-# against the float index, and id gathers from both equal to an O(n)
-# reference scan (committed seed corpus in internal/index/testdata).
+# FuzzGatherMatchesScan throws boundary-heavy columns and thresholds at
+# the bitmap id gather and requires it to equal an O(n) reference scan
+# at segment sizes around the 64-bit bitmap word, with counts and order
+# statistics equal to the monolithic index's (committed seed corpus in
+# internal/index/testdata).
 # FuzzAliasMatchesReference requires the bitmap alias build to match
 # the two-stack Vose reference bit for bit on any finite non-negative
 # weights.
@@ -86,7 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzSegmentFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDatasetFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzMixtureFile$$' -fuzztime 10s
-	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzQuantizedEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzGatherMatchesScan$$' -fuzztime 10s
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzAliasMatchesReference$$' -fuzztime 10s
 
 # Fault-injection battery + crash durability: chaos equivalence
@@ -94,12 +95,13 @@ fuzz-smoke:
 # transient oracle failures), retry/backoff/breaker determinism, WAL
 # torn-tail/tombstone/compaction replay, the storage crash windows
 # (torn, corrupt and orphaned files and chunk records, appends after a
-# compaction), and the kill-and-restart recovery tests (a restarted
-# server re-buys zero labels and re-reads appended chunks whole).
+# compaction, the upgrade of a legacy quantized-index directory), and
+# the kill-and-restart recovery tests (a restarted server re-buys zero
+# labels and re-reads appended chunks whole).
 chaos-smoke:
 	$(GO) test ./internal/oracle -run 'Chaos|Breaker|Resilient' -count=1
 	$(GO) test ./internal/labelstore -run 'WAL' -count=1
-	$(GO) test ./internal/storage -run 'Torn|Corrupt|Crash|Orphan' -count=1
+	$(GO) test ./internal/storage -run 'Torn|Corrupt|Crash|Orphan|Legacy' -count=1
 	$(GO) test ./internal/engine -run 'Chaos|KillRestart|RestartThenReRegistration|BreakerFailFast|Restart' -count=1
 	$(GO) test ./internal/server -run 'KillRestartWALRecovery|OracleUnavailable|JobFailureCarriesDiagnostic|Persist' -count=1
 
@@ -108,11 +110,9 @@ bench:
 	$(GO) test ./internal/index -bench 'IndexBuild|IndexAppend' -benchmem -run '^$$'
 	$(GO) test . -bench . -run '^$$'
 
-# Records the hot-path benchmark battery — steady-state select (float
-# and quantized), the mixture-warm spread-column select, the bitmap id
-# gather at 1%, 33%, 75% and 99% density, the loser-tree vs heap merge,
-# the count reduction under a query pool (sequential at every pool
-# size; kept as the witness), quantized index build, and incremental
+# Records the hot-path benchmark battery — steady-state select, the
+# mixture-warm spread-column select, the bitmap id gather at 1%, 33%,
+# 75% and 99% density, the loser-tree vs heap merge, and incremental
 # and chained append — into
 # BENCH_hotpath.json, committed per PR: a "full" section at paper
 # scale (n=1e6) for the human-readable trajectory and a "smoke"
@@ -122,7 +122,7 @@ bench-json:
 	{ $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section full -n 1000000 \
-	    -note "Hot-path trajectory: steady-state SUPG select (float vs 16-bit quantized index, byte-identical results), mixture-warm select on a spread column, the bitmap id gather at 1/33/75/99% density (no sort, no score branch), loser-tree vs heap k-way merge, count reduction at pool sizes 1 and 8 (sequential at both), quantized build, and incremental and chained (in-place growth) append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
+	    -note "Hot-path trajectory: steady-state SUPG select, mixture-warm select on a spread column, the bitmap id gather at 1/33/75/99% density (no sort, no score branch), loser-tree vs heap k-way merge, and incremental and chained (in-place growth) append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
 	{ SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section smoke -n $(SMOKE_N)

@@ -80,7 +80,10 @@
 // exact arithmetic and summation order of the monolithic code before
 // feeding the same global alias table — so results are bit-for-bit
 // identical at every segment size, which the test suite asserts
-// segment size by segment size.
+// segment size by segment size. The same bounded fan-out splits the two
+// per-query phases that work segment by segment — id gathers of 16Ki
+// or more ids and mixture builds — with identical results at every
+// worker count.
 //
 // Segmentation buys two operational properties. Registration of large
 // tables parallelizes (segments sort independently; even serially,

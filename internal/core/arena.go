@@ -20,9 +20,9 @@ import "sync"
 //     that outlives the query (copy it out instead — see assembleFrom's
 //     no-threshold path).
 //   - A nil *arena is valid everywhere and falls back to plain make,
-//     which is how the public EstimateTau/EstimateTauFrom entry points
-//     run: their TauResult (Labeled map included) escapes to the
-//     caller, so it must own its memory.
+//     which is how the public EstimateTau entry point runs: its
+//     TauResult (Labeled map included) escapes to the caller, so it
+//     must own its memory.
 //   - Arenas are single-goroutine, like the random stream. The
 //     intra-query parallelism in internal/index never sees them.
 type arena struct {

@@ -7,22 +7,20 @@ import (
 	"supg/internal/dataset"
 	"supg/internal/index"
 	"supg/internal/oracle"
-	"supg/internal/parallel"
 	"supg/internal/randx"
 )
 
-// This file pins the two new execution details of the read path — the
-// pooled scratch arena and intra-query parallelism — as invisible:
-// byte-identical Results at every query-parallelism level, every
-// segmentation, quantized and float, and between the arena'd Select
-// path and the nil-arena public estimator path.
+// This file pins two execution details of the read path — the pooled
+// scratch arena and intra-query parallelism — as invisible:
+// byte-identical Results at every parallelism level, every
+// segmentation, and between the arena'd Select path and the nil-arena
+// estimator path.
 
 // TestSelectParallelismByteIdentical is the acceptance sweep: Indices,
-// Tau, and OracleCalls must be identical across query-parallelism
-// 1/2/8 at all four estimator configs and segment sizes 1/7/1024/n,
-// quantized and float. n and the segment sizes are chosen so the
-// parallel gather (>= 16Ki ids) fast path genuinely engages for the
-// sub-monolithic layouts.
+// Tau, and OracleCalls must be identical across index parallelism
+// 1/2/8 at all four estimator configs and segment sizes 1/7/1024/n.
+// n and the segment sizes are chosen so the parallel gather (>= 16Ki
+// ids) fast path genuinely engages for the sub-monolithic layouts.
 func TestSelectParallelismByteIdentical(t *testing.T) {
 	const n, budget = 40000, 400
 	d := dataset.Beta(randx.New(9090), n, 0.01, 2)
@@ -33,34 +31,31 @@ func TestSelectParallelismByteIdentical(t *testing.T) {
 		"Finite": DefaultFinite(),
 	}
 	for _, segSize := range segmentSizes(n) {
-		for _, quantize := range []bool{false, true} {
-			mk := func(par int) *index.ScoreIndex {
-				ix, err := index.NewWithOptions(d.Scores(), index.Options{
-					SegmentSize: segSize,
-					Quantize:    quantize,
-					QueryPool:   parallel.NewPool(par),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return ix
+		mk := func(par int) *index.ScoreIndex {
+			ix, err := index.NewWithOptions(d.Scores(), index.Options{
+				SegmentSize: segSize,
+				Parallelism: par,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			ref := mk(1)
-			for name, cfg := range configs {
-				for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
-					spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: budget}
-					seed := uint64(segSize)*31 + 7
-					want, err := SelectFrom(randx.New(seed), ref, oracle.NewSimulated(d), spec, cfg)
+			return ix
+		}
+		ref := mk(1)
+		for name, cfg := range configs {
+			for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
+				spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: budget}
+				seed := uint64(segSize)*31 + 7
+				want, err := SelectFrom(randx.New(seed), ref, oracle.NewSimulated(d), spec, cfg)
+				if err != nil {
+					t.Fatalf("segSize=%d %s/%v sequential: %v", segSize, name, kind, err)
+				}
+				for _, par := range []int{2, 8} {
+					got, err := SelectFrom(randx.New(seed), mk(par), oracle.NewSimulated(d), spec, cfg)
 					if err != nil {
-						t.Fatalf("segSize=%d quant=%v %s/%v sequential: %v", segSize, quantize, name, kind, err)
+						t.Fatalf("segSize=%d %s/%v par=%d: %v", segSize, name, kind, par, err)
 					}
-					for _, par := range []int{2, 8} {
-						got, err := SelectFrom(randx.New(seed), mk(par), oracle.NewSimulated(d), spec, cfg)
-						if err != nil {
-							t.Fatalf("segSize=%d quant=%v %s/%v par=%d: %v", segSize, quantize, name, kind, par, err)
-						}
-						assertResultsEqual(t, name, want, got)
-					}
+					assertResultsEqual(t, name, want, got)
 				}
 			}
 		}
@@ -69,7 +64,7 @@ func TestSelectParallelismByteIdentical(t *testing.T) {
 
 // TestSelectArenaMatchesPublicPath pins that routing scratch through
 // the pooled arena changes nothing observable: Select (arena'd) must
-// equal EstimateTauFrom (nil arena, caller-owned memory) + assemble,
+// equal estimateTau with a nil arena (caller-owned memory) + assemble,
 // and repeated Selects — which reuse dirtied slabs and recycled label
 // maps — must keep producing the identical Result.
 func TestSelectArenaMatchesPublicPath(t *testing.T) {
@@ -79,8 +74,8 @@ func TestSelectArenaMatchesPublicPath(t *testing.T) {
 		for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 			spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: 250}
 
-			tr, err := EstimateTauFrom(randx.New(77), newRawSource(d.Scores()),
-				oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget), spec, cfg)
+			tr, err := estimateTau(randx.New(77), newRawSource(d.Scores()),
+				oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget), spec, cfg, nil)
 			if err != nil && err != ErrNoPositives {
 				t.Fatalf("%s/%v estimate: %v", name, kind, err)
 			}

@@ -94,7 +94,7 @@ func TestSelectFromContextCancellation(t *testing.T) {
 		return d.TrueLabel(i), nil
 	})
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 200}
-	_, err := SelectFromContext(ctx, randx.New(9), newRawSource(d.Scores()), orc, spec, DefaultSUPG())
+	_, err := SelectFromContextOptions(ctx, randx.New(9), newRawSource(d.Scores()), orc, spec, DefaultSUPG(), SelectOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -102,8 +102,8 @@ func TestSelectFromContextCancellation(t *testing.T) {
 		t.Errorf("oracle called %d times after cancellation", calls.Load())
 	}
 
-	_, err = SelectJointFromContext(ctx, randx.New(9), newRawSource(d.Scores()), orc,
-		JointSpec{GammaRecall: 0.9, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 200}, DefaultSUPG())
+	_, err = SelectJointFromContextOptions(ctx, randx.New(9), newRawSource(d.Scores()), orc,
+		JointSpec{GammaRecall: 0.9, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 200}, DefaultSUPG(), SelectOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("joint err = %v, want context.Canceled", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestSelectJointFromIndexMatchesRawPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxRes, err := SelectJointFrom(randx.New(5), ix, oracle.NewSimulated(d), spec, DefaultSUPG())
+	idxRes, err := SelectJointFromContextOptions(context.Background(), randx.New(5), ix, oracle.NewSimulated(d), spec, DefaultSUPG(), SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestISRefusesSourceBeyondAliasLimit(t *testing.T) {
 		}
 	}
 	jspec := JointSpec{GammaRecall: 0.9, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 100}
-	if _, err := SelectJointFrom(randx.New(1), oversizedSource{}, never, jspec, DefaultSUPG()); err == nil {
+	if _, err := SelectJointFromContextOptions(context.Background(), randx.New(1), oversizedSource{}, never, jspec, DefaultSUPG(), SelectOptions{}); err == nil {
 		t.Fatal("joint: no error for a source beyond the alias limit")
 	}
 }

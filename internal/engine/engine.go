@@ -30,7 +30,6 @@ import (
 	"supg/internal/metrics"
 	"supg/internal/multiproxy"
 	"supg/internal/oracle"
-	"supg/internal/parallel"
 	"supg/internal/query"
 	"supg/internal/randx"
 	"supg/internal/storage"
@@ -96,6 +95,12 @@ type indexEntry struct {
 	fusion      query.FusionKind // FusionNone for single-proxy entries
 	calibOracle string           // oracle UDF a calibrated fusion was fitted with ("" otherwise)
 
+	// table is the table version the index covers, record for record:
+	// the ids a query of this entry returns refer to it, whatever
+	// re-registration or append replaces the table meanwhile. It pins
+	// only that one version, never the append chain behind it.
+	table *dataset.Dataset
+
 	// recovered marks an entry adopted from the durable storage tier:
 	// its build verifies (or append-extends) a persisted index instead
 	// of scanning proxies. epoch is the table's invalidation epoch at
@@ -156,26 +161,13 @@ type Options struct {
 	// finer-grained parallel builds and cheaper appends; results are
 	// identical at every setting.
 	SegmentSize int
-	// BuildParallelism bounds concurrent segment builds per index
-	// (<= 0 selects GOMAXPROCS).
+	// BuildParallelism bounds the goroutines of one index operation:
+	// concurrent segment builds, and the two per-query fan-outs across
+	// segments — id gathers of 16Ki or more ids and mixture builds
+	// (index.Options.Parallelism). <= 0 selects GOMAXPROCS; 1 runs them
+	// all on the calling goroutine. Results are byte-identical at every
+	// setting — only RNG-free, order-independent phases fan out.
 	BuildParallelism int
-	// Quantize builds every score index with 16-bit quantized score
-	// codes (index.Options.Quantize): threshold binary searches and
-	// merge comparisons run over 2-byte codes with exact-float
-	// tie-breaking at bucket boundaries, so results stay byte-identical.
-	// Persisted quantized indexes carry their code vectors to disk and
-	// recover without recomputation.
-	Quantize bool
-	// QueryParallelism bounds the intra-query parallel segment
-	// reductions — threshold counts, id gathers, and mixture builds —
-	// across ALL concurrent queries of this engine: one shared
-	// parallel.Pool hands out at most QueryParallelism-1 helper
-	// goroutines engine-wide, and every query's submitting goroutine
-	// always participates, so queries degrade to sequential instead of
-	// queueing. <= 0 selects GOMAXPROCS; 1 disables intra-query
-	// parallelism. Results are byte-identical at every setting — only
-	// RNG-free, order-independent phases fan out.
-	QueryParallelism int
 	// LabelCacheBytes bounds the cross-query oracle label store shared
 	// by every query and job of this engine (0 selects
 	// labelstore.DefaultMaxBytes; negative disables label reuse
@@ -312,8 +304,6 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 		ixOpts: index.Options{
 			SegmentSize: opts.SegmentSize,
 			Parallelism: opts.BuildParallelism,
-			Quantize:    opts.Quantize,
-			QueryPool:   parallel.NewPool(opts.QueryParallelism),
 		},
 		opts:     opts,
 		breakers: make(map[string]*oracle.Breaker),
@@ -531,6 +521,7 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 		e.indexes[key] = &indexEntry{
 			proxies: parent.proxies,
 			fusion:  fusion,
+			table:   combined,
 			epoch:   e.storeEpoch(name),
 			build: func() (built, error) {
 				var b built
@@ -784,6 +775,11 @@ type QueryResult struct {
 	ProxyElapsed time.Duration
 	// Plan echoes the executed plan.
 	Plan *query.Plan
+	// Table is the table version Indices refer to: the one the query's
+	// index was built over, even when a re-registration or an append
+	// replaced the table while the query ran. Evaluate achieved quality
+	// against it, never against the table registered now.
+	Table *dataset.Dataset
 }
 
 // ExecOptions tune one query execution. The zero value runs the query
@@ -905,7 +901,7 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 		}
 	}
 
-	res := &QueryResult{Plan: plan}
+	res := &QueryResult{Plan: plan, Table: entry.table}
 	if built {
 		if entry.recovered {
 			res.IndexRecovered = true
@@ -1088,6 +1084,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	entry := &indexEntry{
 		proxies: append([]string(nil), src.Proxies...),
 		fusion:  src.Fusion,
+		table:   table,
 		epoch:   e.storeEpoch(key.table),
 	}
 

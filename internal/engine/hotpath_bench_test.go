@@ -78,66 +78,35 @@ func BenchmarkSelectHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectHotPathQuantized is BenchmarkSelectHotPath over a
-// quantized index (engine Options.Quantize): identical query results,
-// scans over 2-byte codes instead of 8-byte floats.
-func BenchmarkSelectHotPathQuantized(b *testing.B) {
-	d := benchDataset(b)
-	e := NewWithOptions(42, Options{Quantize: true})
-	e.RegisterDatasetDefaults("video", d)
-	plan := benchPlan(b)
-	if _, err := e.ExecutePlan(plan); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.ExecutePlan(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.IndexBuilt {
-			b.Fatal("steady state rebuilt the index")
-		}
-	}
-}
-
 // BenchmarkSelectMixtureWarm measures select on a spread score column
 // (Beta(2,2), where thresholds cut mid-column instead of in the pile of
 // near-zero scores benchDataset's Beta(0.01,2) column has) with the
-// index and the defensive-mixture cache both warm. The float and
-// quantized sub-runs answer identical queries through the same bitmap
-// gather; they differ only in the threshold binary searches, which the
-// quantized index runs over its 2-byte codes.
+// index and the defensive-mixture cache both warm. The sub-benchmark
+// keeps the name "float" it had beside a since-removed quantized one,
+// so its trajectory in BENCH_hotpath.json continues.
 func BenchmarkSelectMixtureWarm(b *testing.B) {
 	d := dataset.Beta(randx.New(2401), benchN, 2, 2)
-	for _, quantize := range []bool{false, true} {
-		name := "float"
-		if quantize {
-			name = "quantized"
+	b.Run("float", func(b *testing.B) {
+		e := New(42)
+		e.RegisterDatasetDefaults("video", d)
+		plan := benchPlan(b)
+		// Warm the index and the mixture/alias cache so the timed
+		// region is pure select: sample, estimate, scan, assemble.
+		if _, err := e.ExecutePlan(plan); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			e := NewWithOptions(42, Options{Quantize: quantize})
-			e.RegisterDatasetDefaults("video", d)
-			plan := benchPlan(b)
-			// Warm the index and the mixture/alias cache so the timed
-			// region is pure select: sample, estimate, scan, assemble.
-			if _, err := e.ExecutePlan(plan); err != nil {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := e.ExecutePlan(plan)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := e.ExecutePlan(plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.IndexBuilt {
-					b.Fatal("steady state rebuilt the index")
-				}
+			if res.IndexBuilt {
+				b.Fatal("steady state rebuilt the index")
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSelectHotPathPreIndex reproduces the historical per-query

@@ -10,10 +10,10 @@ import (
 	"supg/internal/randx"
 )
 
-// This file pins engine.Options.QueryParallelism as an execution
-// detail: every query result must be byte-identical at parallelism
-// 1/2/8, and the shared pool must be race-free under concurrent
-// queries and AppendTable traffic.
+// This file pins engine.Options.BuildParallelism, which also bounds
+// the per-query fan-outs, as an execution detail: every query result
+// must be byte-identical at parallelism 1/2/8, and the fan-outs must
+// be race-free under concurrent queries and AppendTable traffic.
 
 // queryParCase pairs a parseable statement with an estimator config
 // override (nil keeps the planner's SUPG default). The SQL grammar has
@@ -58,46 +58,44 @@ func queryParPlans(t *testing.T) []*query.Plan {
 	return plans
 }
 
-func queryParEngine(t *testing.T, par int, quantize bool, d *dataset.Dataset) *Engine {
+func queryParEngine(t *testing.T, par int, d *dataset.Dataset) *Engine {
 	t.Helper()
 	// 512-record segments over 40000 records: 79 segments, so the
 	// parallel gather threshold engages.
-	e := NewWithOptions(11, Options{SegmentSize: 512, QueryParallelism: par, Quantize: quantize})
+	e := NewWithOptions(11, Options{SegmentSize: 512, BuildParallelism: par})
 	e.RegisterDatasetDefaults("t", d)
 	return e
 }
 
 // TestExecuteByteIdenticalAcrossQueryParallelism runs every estimator
-// family at query-parallelism 1, 2, and 8 and requires identical
-// Indices, Tau, and OracleCalls.
+// family at parallelism 1, 2, and 8 and requires identical Indices,
+// Tau, and OracleCalls.
 func TestExecuteByteIdenticalAcrossQueryParallelism(t *testing.T) {
 	d := dataset.Beta(randx.New(3), 40000, 0.01, 2)
 	plans := queryParPlans(t)
-	for _, quantize := range []bool{false, true} {
-		ref := queryParEngine(t, 1, quantize, d)
-		for ci, plan := range plans {
-			want, err := ref.ExecutePlan(plan)
+	ref := queryParEngine(t, 1, d)
+	for ci, plan := range plans {
+		want, err := ref.ExecutePlan(plan)
+		if err != nil {
+			t.Fatalf("case %d sequential: %v", ci, err)
+		}
+		for _, par := range []int{2, 8} {
+			got, err := queryParEngine(t, par, d).ExecutePlan(plan)
 			if err != nil {
-				t.Fatalf("quant=%v case %d sequential: %v", quantize, ci, err)
+				t.Fatalf("case %d par=%d: %v", ci, par, err)
 			}
-			for _, par := range []int{2, 8} {
-				got, err := queryParEngine(t, par, quantize, d).ExecutePlan(plan)
-				if err != nil {
-					t.Fatalf("quant=%v case %d par=%d: %v", quantize, ci, par, err)
-				}
-				if got.Tau != want.Tau || got.OracleCalls != want.OracleCalls {
-					t.Fatalf("quant=%v case %d par=%d: tau/calls %v/%d, sequential %v/%d",
-						quantize, ci, par, got.Tau, got.OracleCalls, want.Tau, want.OracleCalls)
-				}
-				if len(got.Indices) != len(want.Indices) {
-					t.Fatalf("quant=%v case %d par=%d: %d records, sequential %d",
-						quantize, ci, par, len(got.Indices), len(want.Indices))
-				}
-				for i := range want.Indices {
-					if got.Indices[i] != want.Indices[i] {
-						t.Fatalf("quant=%v case %d par=%d: record %d = %d, sequential %d",
-							quantize, ci, par, i, got.Indices[i], want.Indices[i])
-					}
+			if got.Tau != want.Tau || got.OracleCalls != want.OracleCalls {
+				t.Fatalf("case %d par=%d: tau/calls %v/%d, sequential %v/%d",
+					ci, par, got.Tau, got.OracleCalls, want.Tau, want.OracleCalls)
+			}
+			if len(got.Indices) != len(want.Indices) {
+				t.Fatalf("case %d par=%d: %d records, sequential %d",
+					ci, par, len(got.Indices), len(want.Indices))
+			}
+			for i := range want.Indices {
+				if got.Indices[i] != want.Indices[i] {
+					t.Fatalf("case %d par=%d: record %d = %d, sequential %d",
+						ci, par, i, got.Indices[i], want.Indices[i])
 				}
 			}
 		}
@@ -107,16 +105,16 @@ func TestExecuteByteIdenticalAcrossQueryParallelism(t *testing.T) {
 // TestQueryParallelStress hammers one parallel engine with concurrent
 // queries on a stable table while a second table grows through
 // AppendTable, checking every stable-table result against a
-// sequential reference engine. Run under -race this pins the shared
-// query pool, the shared arena pool, and the index read path as free
-// of cross-query data races.
+// sequential reference engine. Run under -race this pins the
+// per-query fan-outs, the shared arena pool, and the index read path
+// as free of cross-query data races.
 func TestQueryParallelStress(t *testing.T) {
 	stable := dataset.Beta(randx.New(5), 40000, 0.01, 2)
 	growBase := dataset.Beta(randx.New(6), 8000, 0.5, 1)
 	plans := queryParPlans(t)
 
-	ref := queryParEngine(t, 1, true, stable)
-	e := queryParEngine(t, 8, true, stable)
+	ref := queryParEngine(t, 1, stable)
+	e := queryParEngine(t, 8, stable)
 	e.RegisterDatasetDefaults("g", growBase)
 
 	want := make([]*QueryResult, len(plans))
@@ -158,7 +156,7 @@ func TestQueryParallelStress(t *testing.T) {
 		}(g)
 	}
 	// Concurrent append + query traffic on the growing table exercises
-	// index extension under the shared pool.
+	// index extension alongside the fan-outs.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"supg/internal/benchtool"
-	"supg/internal/parallel"
 	"supg/internal/randx"
 )
 
@@ -71,7 +70,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 // no case allocates.
 func BenchmarkGather(b *testing.B) {
 	scores := benchScores(benchBuildN)
-	ix, err := NewWithOptions(scores, Options{QueryPool: parallel.NewPool(1)})
+	ix, err := NewWithOptions(scores, Options{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,90 +95,35 @@ func BenchmarkGather(b *testing.B) {
 // index through the loser-tree Ascend versus the historical
 // container/heap merge it replaced (kept as the test oracle). Both
 // emit the identical stream; the tree does one comparison per level
-// with the quantized code inline instead of interface-dispatched sift
-// calls.
+// instead of interface-dispatched sift calls.
 func BenchmarkAscendMerge(b *testing.B) {
 	scores := benchScores(benchBuildN)
 	const topK = 4096
-	for _, quantize := range []bool{false, true} {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: 128 << 10, Quantize: quantize})
-		if err != nil {
-			b.Fatal(err)
-		}
-		suffix := ""
-		if quantize {
-			suffix = "-quantized"
-		}
-		for _, v := range []struct {
-			name   string
-			ascend func(func(int, float64) bool)
-		}{
-			{"loser-tree", ix.Ascend},
-			{"heap", ix.ascendHeap},
-		} {
-			ascend := v.ascend
-			b.Run(v.name+suffix, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					popped := 0
-					ascend(func(id int, score float64) bool {
-						popped++
-						return popped < topK
-					})
-					if popped != topK {
-						b.Fatalf("popped %d", popped)
-					}
-				}
-			})
-		}
+	ix, err := NewWithOptions(scores, Options{SegmentSize: 128 << 10})
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkParallelCount is the witness for CountAtLeast staying
-// sequential under a query pool: at n=1e6 a fan-out of the per-segment
-// binary searches measured 5.2µs and 11 allocs/op at par=8 against
-// 1.5µs and 0 allocs at par=1, so it was removed. par=8 must now match
-// par=1 in both allocs/op and speed.
-func BenchmarkParallelCount(b *testing.B) {
-	scores := benchScores(benchBuildN)
-	const tau = 0.25
-	for _, par := range []int{1, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			// 16k-record segments: 62 segments, past the 32-segment gate
-			// the removed fan-out used.
-			ix, err := NewWithOptions(scores, Options{
-				SegmentSize: 16 << 10,
-				QueryPool:   parallel.NewPool(par),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := ix.CountAtLeast(tau)
+	for _, v := range []struct {
+		name   string
+		ascend func(func(int, float64) bool)
+	}{
+		{"loser-tree", ix.Ascend},
+		{"heap", ix.ascendHeap},
+	} {
+		ascend := v.ascend
+		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := ix.CountAtLeast(tau); got != want {
-					b.Fatalf("count %d, want %d", got, want)
+				popped := 0
+				ascend(func(id int, score float64) bool {
+					popped++
+					return popped < topK
+				})
+				if popped != topK {
+					b.Fatalf("popped %d", popped)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkIndexBuildQuantized prices quantized index construction
-// (the extra cost is one linear pass building both code vectors).
-func BenchmarkIndexBuildQuantized(b *testing.B) {
-	scores := benchScores(benchBuildN)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: 128 << 10, Parallelism: 1, Quantize: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ix.Len() != benchBuildN {
-			b.Fatal("bad build")
-		}
 	}
 }
 

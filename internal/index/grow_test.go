@@ -63,37 +63,35 @@ func TestAppendChainMatchesFreshBuildAcrossGrowth(t *testing.T) {
 	const total = 9000
 	col := quantizedScores(61, total)
 	col[4321] = math.Copysign(0, -1) // normalized inside an appended tail
-	for _, quant := range []bool{false, true} {
-		opts := Options{SegmentSize: 512, Quantize: quant}
-		ix, err := NewWithOptions(col[:1000], opts)
+	opts := Options{SegmentSize: 512}
+	ix, err := NewWithOptions(col[:1000], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := randx.New(5)
+	inPlace, copies := 0, 0
+	for n := 1000; n < total; {
+		k := min(1+r.IntN(400), total-n)
+		grown, err := ix.Append(col[n : n+k])
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := randx.New(5)
-		inPlace, copies := 0, 0
-		for n := 1000; n < total; {
-			k := min(1+r.IntN(400), total-n)
-			grown, err := ix.Append(col[n : n+k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sameArray(grown, ix) {
-				inPlace++
-			} else {
-				copies++
-			}
-			n += k
-			ix = grown
-			fresh, err := NewWithOptions(col[:n], opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSamePrimitives(t, "chain", fresh, ix)
+		if sameArray(grown, ix) {
+			inPlace++
+		} else {
+			copies++
 		}
-		if copies < 3 || inPlace < 3*copies {
-			t.Fatalf("quantize=%v: %d in-place appends and %d copies, want a chain across several growth boundaries",
-				quant, inPlace, copies)
+		n += k
+		ix = grown
+		fresh, err := NewWithOptions(col[:n], opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertSamePrimitives(t, "chain", fresh, ix)
+	}
+	if copies < 3 || inPlace < 3*copies {
+		t.Fatalf("%d in-place appends and %d copies, want a chain across several growth boundaries",
+			inPlace, copies)
 	}
 }
 

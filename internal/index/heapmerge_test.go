@@ -22,15 +22,6 @@ type mergeHeap []segCursor
 func (h mergeHeap) Len() int { return len(h) }
 func (h mergeHeap) Less(a, b int) bool {
 	ca, cb := h[a], h[b]
-	// On a quantized index, a strict 2-byte code inequality decides the
-	// exact score comparison (monotone map); only code-equal cursors —
-	// one bucket in 65536 — touch the 8-byte sorted runs. The resulting
-	// order is identical either way.
-	if qa, qb := ca.seg.qsorted, cb.seg.qsorted; qa != nil && qb != nil {
-		if x, y := qa[ca.pos], qb[cb.pos]; x != y {
-			return x < y
-		}
-	}
 	if ca.score() != cb.score() {
 		return ca.score() < cb.score()
 	}

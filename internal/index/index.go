@@ -51,18 +51,6 @@
 //     random stream identically to the monolithic path. Per-segment
 //     cumulative weight masses are exposed for observability.
 //
-// # Quantized codes
-//
-// With Options.Quantize, each segment additionally carries a 16-bit
-// bucket code per record (floor(score·65536), clamped). The code map
-// is monotone, so a strict code inequality decides the exact score
-// inequality and only the threshold's own bucket — resolved with the
-// same float comparisons, in the same order, as the unquantized path —
-// ever consults the 8-byte column. Codes serve only the threshold
-// binary searches and the merge comparisons: the gather reads neither
-// scores nor codes, so both layouts share it. Every operation stays
-// bit-identical to the float index; see quantize.go for the invariant.
-//
 // # Incremental append
 //
 // Append extends an index with newly appended records without
@@ -93,16 +81,17 @@
 //
 // # Intra-query parallelism
 //
-// Per-segment reductions — AppendAtLeast gathers into presized
-// per-segment slots and the mixture transform/normalize passes — fan
-// out across the shared query pool (Options.QueryPool). Only phases
-// whose outputs are independent of worker assignment parallelize:
-// gathers write disjoint presized slots concatenated in fixed segment
-// order, and the mixture's global normalizing sum stays one sequential
+// Two read-path phases fan out across segments on the same
+// parallel.Run the segment build uses, bounded by Options.Parallelism:
+// AppendAtLeast gathers of 16Ki or more ids, into presized per-segment
+// slots, and the mixture transform/normalize passes. Only phases whose
+// outputs are independent of worker assignment parallelize: gathers
+// write disjoint presized slots concatenated in fixed segment order,
+// and the mixture's global normalizing sum stays one sequential
 // left-to-right pass because float addition is not associative.
 // CountAtLeast stays sequential: its per-segment binary searches cost
 // less than dispatching them. The random stream is never consumed off
-// the submitting goroutine, so results are byte-identical at every
+// the calling goroutine, so results are byte-identical at every
 // parallelism level (pinned by the equivalence sweeps in
 // parallel_query_test.go).
 package index
@@ -113,6 +102,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -132,25 +122,12 @@ type Options struct {
 	// segment of a table may be smaller). <= 0 selects
 	// DefaultSegmentSize.
 	SegmentSize int
-	// Parallelism bounds the number of segments built concurrently.
-	// <= 0 selects GOMAXPROCS.
+	// Parallelism bounds the goroutines one call runs on: the segments
+	// built concurrently, and the two read-path fan-outs (large
+	// AppendAtLeast gathers and mixture builds). <= 0 selects
+	// GOMAXPROCS; 1 runs everything on the calling goroutine. Results
+	// are byte-identical at every setting.
 	Parallelism int
-	// Quantize additionally stores a 16-bit bucket code per record, in
-	// record and in sorted order, and runs threshold binary searches and
-	// merge comparisons over the 2-byte codes, consulting the exact
-	// floats only inside the boundary bucket (see quantize.go). Results
-	// are byte-identical to an unquantized index; the codes cost 4 bytes
-	// per record of resident memory.
-	Quantize bool
-	// QueryPool bounds the intra-query parallel segment reductions —
-	// AppendAtLeast gathers and the mixture transform/normalize passes.
-	// The pool is typically shared across every index of an engine
-	// (engine.Options.QueryParallelism); nil selects a private pool of
-	// Parallelism workers. Results are byte-identical at every setting:
-	// only phases whose outputs are order-independent (disjoint writes)
-	// fan out, and the random stream is never touched off the
-	// submitting goroutine.
-	QueryPool *parallel.Pool
 }
 
 func (o Options) withDefaults() Options {
@@ -159,9 +136,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.QueryPool == nil {
-		o.QueryPool = parallel.NewPool(o.Parallelism)
 	}
 	return o
 }
@@ -175,10 +149,12 @@ type segment struct {
 	scores []float64 // sub-column, record order (aliases the global column)
 	perm   []int     // local ids ascending by (score, local id)
 	sorted []float64 // scores[perm[i]] — ascending
-	// codes / qsorted are the 16-bit quantized views of scores / sorted
-	// (nil on unquantized segments). See quantize.go.
-	codes   []uint16
-	qsorted []uint16
+}
+
+// cutAtLeast returns the first position of the segment's ascending run
+// with score >= tau.
+func (s *segment) cutAtLeast(tau float64) int {
+	return sort.SearchFloat64s(s.sorted, tau)
 }
 
 // countAtLeast returns the segment's |{x : A(x) >= tau}| in O(log S).
@@ -244,9 +220,7 @@ type ScoreIndex struct {
 	scores  []float64 // full validated column, record order
 	segs    []*segment
 	segSize int
-	par     int
-	pool    *parallel.Pool // intra-query reduction pool (Options.QueryPool)
-	quant   bool           // segments carry 16-bit score codes (Options.Quantize)
+	par     int // Options.Parallelism: build and read-path fan-out bound
 	// backing pins externally-owned memory (a mapped file) the column
 	// and segment slices alias; nil for heap-built indexes. See
 	// FromExternal.
@@ -294,8 +268,6 @@ func NewWithOptions(scores []float64, opts Options) (*ScoreIndex, error) {
 		segs:     segs,
 		segSize:  opts.SegmentSize,
 		par:      opts.Parallelism,
-		pool:     opts.QueryPool,
-		quant:    opts.Quantize,
 		mixtures: make(map[MixtureKey]*mixture),
 	}, nil
 }
@@ -326,8 +298,7 @@ func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 		g = new(extent)
 		g.end.Store(int64(m))
 	}
-	opts := Options{SegmentSize: ix.segSize, Parallelism: ix.par, Quantize: ix.quant, QueryPool: ix.pool}
-	fresh, err := buildSegments(own, n, opts)
+	fresh, err := buildSegments(own, n, Options{SegmentSize: ix.segSize, Parallelism: ix.par})
 	if err != nil {
 		if inPlace {
 			g.release(n, m)
@@ -342,17 +313,14 @@ func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 		segs = make([]*segment, 0, len(ix.segs)+len(fresh))
 		for _, s := range ix.segs {
 			// Re-point the sub-column into the new backing array (values
-			// are bit-identical); perm, sorted, and the code vectors are
-			// local and shared as-is — codes are per-segment, so nothing
-			// rebases.
+			// are bit-identical); perm and sorted are local and shared
+			// as-is, so nothing rebases.
 			end := s.base + len(s.scores)
 			segs = append(segs, &segment{
-				base:    s.base,
-				scores:  own[s.base:end:end],
-				perm:    s.perm,
-				sorted:  s.sorted,
-				codes:   s.codes,
-				qsorted: s.qsorted,
+				base:   s.base,
+				scores: own[s.base:end:end],
+				perm:   s.perm,
+				sorted: s.sorted,
 			})
 		}
 		segs = append(segs, fresh...)
@@ -362,8 +330,6 @@ func (ix *ScoreIndex) Append(extra []float64) (*ScoreIndex, error) {
 		segs:    segs,
 		segSize: ix.segSize,
 		par:     ix.par,
-		pool:    ix.pool,
-		quant:   ix.quant,
 		// Old segments share their perm/sorted slices, which may alias
 		// externally-owned memory — keep it pinned.
 		backing:  ix.backing,
@@ -409,7 +375,7 @@ func buildSegments(column []float64, start int, opts Options) ([]*segment, error
 		if end > len(column) {
 			end = len(column)
 		}
-		segs[j], errAt[j], errs[j] = buildSegment(column, base, end, opts.Quantize)
+		segs[j], errAt[j], errs[j] = buildSegment(column, base, end)
 	})
 
 	firstErr, firstAt := error(nil), -1
@@ -425,10 +391,9 @@ func buildSegments(column []float64, start int, opts Options) ([]*segment, error
 }
 
 // buildSegment validates column[base:end] and builds its sorted
-// permutation (plus, when quantize is set, the 16-bit code vectors).
-// The returned int is the global id of the offending record when
-// validation fails.
-func buildSegment(column []float64, base, end int, quantize bool) (*segment, int, error) {
+// permutation. The returned int is the global id of the offending
+// record when validation fails.
+func buildSegment(column []float64, base, end int) (*segment, int, error) {
 	sub := column[base:end:end]
 	for i, s := range sub {
 		if s < 0 || s > 1 || s != s {
@@ -468,15 +433,7 @@ func buildSegment(column []float64, base, end int, quantize bool) (*segment, int
 	for i, p := range perm {
 		sorted[i] = sub[p]
 	}
-	seg := &segment{base: base, scores: sub, perm: perm, sorted: sorted}
-	if quantize {
-		// Quantize AFTER the validation loop above so the codes are built
-		// from the normalized sub-column (-0.0 already rewritten to +0.0),
-		// never from the caller's raw values.
-		seg.codes = quantizeSub(sub)
-		seg.qsorted = permuteCodes(seg.codes, perm)
-	}
-	return seg, 0, nil
+	return &segment{base: base, scores: sub, perm: perm, sorted: sorted}, 0, nil
 }
 
 // Len returns the number of records.
@@ -499,9 +456,8 @@ func (ix *ScoreIndex) Scores() []float64 { return ix.scores[:len(ix.scores):len(
 
 // CountAtLeast returns |{x : A(x) >= tau}| as the sum of exact
 // per-segment binary-search counts — O(S/segSize · log segSize). The
-// walk is sequential at every query parallelism: one O(log S) search
-// per segment is far cheaper than handing segments to pool workers
-// (BenchmarkParallelCount keeps the measurement).
+// walk is sequential at every parallelism: one O(log S) search per
+// segment is far cheaper than handing segments to helper goroutines.
 func (ix *ScoreIndex) CountAtLeast(tau float64) int {
 	n := 0
 	for _, s := range ix.segs {
@@ -552,13 +508,14 @@ const appendParallelMinIDs = 1 << 14
 // emitting each segment's ascending matches in segment order yields
 // the globally ascending id list.
 //
-// Large gathers with a query pool fan out: an exact per-segment count
-// pre-pass (binary searches) sizes disjoint destination slots at fixed
-// offsets, each segment emits into its own slot concurrently, and the
-// slots concatenate in segment order — every byte of output, and its
-// position, is the one the sequential loop writes.
+// Large gathers fan out across Options.Parallelism goroutines: an
+// exact per-segment count pre-pass (binary searches) sizes disjoint
+// destination slots at fixed offsets, each segment emits into its own
+// slot concurrently, and the slots concatenate in segment order —
+// every byte of output, and its position, is the one the sequential
+// loop writes.
 func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
-	if len(ix.segs) > 1 && ix.pool.Limit() > 1 {
+	if len(ix.segs) > 1 && ix.par > 1 {
 		base := len(dst)
 		// Common segment counts keep the offset table on the stack so the
 		// pre-pass stays allocation-free on the hot path.
@@ -579,7 +536,7 @@ func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
 			// The closure captures out, never dst: a captured parameter
 			// moves to the heap on every call, sequential ones included.
 			out := dst[:base+total]
-			ix.pool.ForEach(len(ix.segs), func(j int) {
+			parallel.Run(ix.par, len(ix.segs), func(j int) {
 				lo, hi := base+offs[j], base+offs[j+1]
 				// Full slice expression: a slot's cap ends where the next
 				// slot begins, so appendAtLeast can never write outside
@@ -599,10 +556,10 @@ func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
 // id) order — the global sorted view a monolithic index stores
 // explicitly — via a loser-tree k-way merge of the per-segment sorted
 // runs (see losertree.go), O(n log S) for S segments with one
-// comparison per level per pop and the quantized code carried inline.
-// Iteration stops when yield returns false.
+// comparison per level per pop. Iteration stops when yield returns
+// false.
 func (ix *ScoreIndex) Ascend(yield func(id int, score float64) bool) {
-	newLoserTree(ix.segs, ix.quant).ascend(yield)
+	newLoserTree(ix.segs).ascend(yield)
 }
 
 // MinScore returns the smallest score in the column.
@@ -625,4 +582,19 @@ func (ix *ScoreIndex) MaxScore() float64 {
 		}
 	}
 	return max
+}
+
+// ResidentBytes estimates the index's resident data memory: the score
+// column's array, spare capacity included, plus each segment's
+// permutation and sorted run. Cached mixtures are excluded — they are a
+// per-configuration cost, not part of the index layout. Indexes that
+// grew in place share one column array (and their common segments),
+// and each member of such a lineage counts the whole array, so summing
+// over a lineage counts it more than once.
+func (ix *ScoreIndex) ResidentBytes() int64 {
+	total := int64(8 * cap(ix.scores))
+	for _, s := range ix.segs {
+		total += int64(8*len(s.perm) + 8*len(s.sorted))
+	}
+	return total
 }

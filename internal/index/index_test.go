@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"supg/internal/parallel"
 	"supg/internal/randx"
 	"supg/internal/sampling"
 )
@@ -92,8 +91,8 @@ func appendAtLeastRef(scores []float64, tau float64) []int {
 // TestAppendAtLeastMatchesReference pins the bitmap gather against the
 // O(n) reference on every layout an index can have: segment sizes
 // around the 64-bit bitmap word (1, 63, 64, 65), a mid size and the
-// default; float and quantized codes; an Append-grown index, whose
-// segment bases are not multiples of 64; and a FromExternal one.
+// default; an Append-grown index, whose segment bases are not
+// multiples of 64; and a FromExternal one.
 // Thresholds are every distinct score of each column, one float either
 // side of each, and the out-of-range values. Both sides of the cut must
 // run: segments with fewer than, exactly, and more than half their
@@ -126,49 +125,47 @@ func TestAppendAtLeastMatchesReference(t *testing.T) {
 		// Odd, so the first appended segment's base is not a multiple of 64.
 		head := len(scores)*3/5 | 1
 		for _, segSize := range []int{1, 63, 64, 65, 1000, DefaultSegmentSize} {
-			for _, quantize := range []bool{false, true} {
-				opts := Options{SegmentSize: segSize, Quantize: quantize}
-				built, err := NewWithOptions(scores, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				grown, err := NewWithOptions(scores[:head], opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if grown, err = grown.Append(scores[head:]); err != nil {
-					t.Fatal(err)
-				}
-				external, err := FromExternal(externalImage(built), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, layout := range []struct {
-					name string
-					ix   *ScoreIndex
-				}{{"built", built}, {"appended", grown}, {"external", external}} {
-					ix := layout.ix
-					for i, tau := range taus {
-						want := wants[i]
-						// A non-empty dst: the gather must append after it.
-						got := ix.AppendAtLeast([]int{-1}, tau)
-						if got[0] != -1 || !slices.Equal(got[1:], want) {
-							t.Fatalf("n=%d seg=%d quantized=%v %s tau=%v: got %d ids, want %d (first diff at %d)",
-								len(scores), segSize, quantize, layout.name, tau, len(got)-1, len(want), firstDiff(got[1:], want))
-						}
-						if len(want) != ix.CountAtLeast(tau) {
-							t.Fatalf("tau=%v: CountAtLeast disagrees with extraction", tau)
-						}
-						for _, s := range ix.segs {
-							switch k := s.countAtLeast(tau); {
-							case k == 0:
-							case 2*k < len(s.sorted):
-								fewer++
-							case 2*k == len(s.sorted):
-								half++
-							default:
-								more++
-							}
+			opts := Options{SegmentSize: segSize}
+			built, err := NewWithOptions(scores, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grown, err := NewWithOptions(scores[:head], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grown, err = grown.Append(scores[head:]); err != nil {
+				t.Fatal(err)
+			}
+			external, err := FromExternal(externalImage(built), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, layout := range []struct {
+				name string
+				ix   *ScoreIndex
+			}{{"built", built}, {"appended", grown}, {"external", external}} {
+				ix := layout.ix
+				for i, tau := range taus {
+					want := wants[i]
+					// A non-empty dst: the gather must append after it.
+					got := ix.AppendAtLeast([]int{-1}, tau)
+					if got[0] != -1 || !slices.Equal(got[1:], want) {
+						t.Fatalf("n=%d seg=%d %s tau=%v: got %d ids, want %d (first diff at %d)",
+							len(scores), segSize, layout.name, tau, len(got)-1, len(want), firstDiff(got[1:], want))
+					}
+					if len(want) != ix.CountAtLeast(tau) {
+						t.Fatalf("tau=%v: CountAtLeast disagrees with extraction", tau)
+					}
+					for _, s := range ix.segs {
+						switch k := s.countAtLeast(tau); {
+						case k == 0:
+						case 2*k < len(s.sorted):
+							fewer++
+						case 2*k == len(s.sorted):
+							half++
+						default:
+							more++
 						}
 					}
 				}
@@ -178,6 +175,63 @@ func TestAppendAtLeastMatchesReference(t *testing.T) {
 	if fewer == 0 || half == 0 || more == 0 {
 		t.Fatalf("cut sides not all exercised: %d segments below half, %d at half, %d above", fewer, half, more)
 	}
+}
+
+// FuzzGatherMatchesScan feeds arbitrary boundary-heavy columns and
+// thresholds to the bitmap gather at segment sizes either side of the
+// 64-bit bitmap word: AppendAtLeast must equal the O(n) reference
+// scan, and CountAtLeast and KthHighest must equal the monolithic
+// index's. Each 2-byte chunk of data becomes one record on the grid of
+// multiples of 1/65536: chunks with an even first byte sit exactly on
+// a grid point, odd ones are perturbed between two, so columns are
+// dense with ties and near-ties by construction.
+func FuzzGatherMatchesScan(f *testing.F) {
+	const grid = 1 << 16
+	f.Add([]byte{0x00, 0x00, 0xff, 0xff, 0x64, 0x00, 0x64, 0x01}, 0.5)
+	f.Add([]byte{0x01, 0x00, 0x01, 0x00, 0x01, 0x00, 0x02, 0x00}, 1.0/grid)
+	f.Add([]byte{0xff, 0xff}, 1.0)
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90, 0xa0}, math.NaN())
+	f.Fuzz(func(t *testing.T, data []byte, tau float64) {
+		if len(data) < 2 || len(data) > 4096 {
+			t.Skip()
+		}
+		scores := make([]float64, 0, len(data)/2)
+		for i := 0; i+1 < len(data); i += 2 {
+			c := uint16(data[i]) | uint16(data[i+1])<<8
+			s := float64(c) / grid
+			if data[i]&1 != 0 {
+				s += float64(data[i+1]) / (256 * grid) // between grid points
+			}
+			if s > 1 {
+				s = 1
+			}
+			scores = append(scores, s)
+		}
+		n := len(scores)
+		wantIDs := appendAtLeastRef(scores, tau)
+		mono, err := NewWithOptions(scores, Options{SegmentSize: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, segSize := range []int{1, 3, 63, 64, 65, n} {
+			ix, err := NewWithOptions(scores, Options{SegmentSize: segSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, g := mono.CountAtLeast(tau), ix.CountAtLeast(tau); w != g {
+				t.Fatalf("seg=%d: CountAtLeast(%v) %d vs monolithic %d", segSize, tau, g, w)
+			}
+			if got := ix.AppendAtLeast(nil, tau); !slices.Equal(got, wantIDs) {
+				t.Fatalf("seg=%d: AppendAtLeast(%v) %d ids, want %d (first diff at %d)",
+					segSize, tau, len(got), len(wantIDs), firstDiff(got, wantIDs))
+			}
+			for k := 1; k <= n; k += 1 + n/7 {
+				if wb, gb := math.Float64bits(mono.KthHighest(k)), math.Float64bits(ix.KthHighest(k)); wb != gb {
+					t.Fatalf("seg=%d: KthHighest(%d) %x vs monolithic %x", segSize, k, gb, wb)
+				}
+			}
+		}
+	})
 }
 
 // firstDiff returns the first position where a and b differ.
@@ -198,10 +252,9 @@ func firstDiff(a, b []int) int {
 // here and as a data race under -race.
 func TestAppendAtLeastConcurrentSharedBitmaps(t *testing.T) {
 	scores := testScores(40000)
-	pool := parallel.NewPool(4)
 	var ixs []*ScoreIndex
 	for _, segSize := range []int{1000, 4099} {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: segSize, QueryPool: pool})
+		ix, err := NewWithOptions(scores, Options{SegmentSize: segSize, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,13 +10,11 @@ package index
 // root-to-leaf path of ceil(log2 k) comparisons — a heap's sift-down
 // performs up to two comparisons per level to pick the smaller child.
 // Second, the structure is monomorphic: cursors cache their current
-// (code, score, id) key inline in a flat slice, so a comparison touches
-// two 32-byte cursor records with no interface dispatch and no
-// heap.Interface indirection. On a quantized index the cached 2-byte
-// code decides all but the one-in-65536 boundary-bucket comparisons
-// exactly as the heap's Less did, so the emitted order — (score, id)
-// ascending — is byte-identical either way (pinned by the
-// loser-tree-vs-heap equivalence sweep in losertree_test.go).
+// (score, id) key inline in a flat slice, so a comparison touches two
+// cursor records with no interface dispatch and no heap.Interface
+// indirection. The emitted order — (score, id) ascending — is
+// byte-identical to the heap's (pinned by the loser-tree-vs-heap
+// equivalence sweep in losertree_test.go).
 
 // ltCursor is one segment's position in the merge with its current sort
 // key cached inline. done marks an exhausted (or initially empty)
@@ -26,18 +24,14 @@ type ltCursor struct {
 	pos   int
 	id    int     // seg.base + seg.perm[pos]
 	score float64 // seg.sorted[pos]
-	code  uint16  // seg.qsorted[pos] (quantized trees only)
 	done  bool
 }
 
 // load refreshes the cached key from the cursor's position.
-func (c *ltCursor) load(quant bool) {
+func (c *ltCursor) load() {
 	s := c.seg
 	c.id = s.base + s.perm[c.pos]
 	c.score = s.sorted[c.pos]
-	if quant {
-		c.code = s.qsorted[c.pos]
-	}
 }
 
 // loserTree is the flat tournament over k segment cursors. node[1..k-1]
@@ -48,20 +42,18 @@ func (c *ltCursor) load(quant bool) {
 type loserTree struct {
 	cursors []ltCursor
 	node    []int
-	quant   bool
 }
 
 // newLoserTree builds the initial tournament over every non-empty
-// segment. quant must only be set when every segment carries sorted
-// code vectors.
-func newLoserTree(segs []*segment, quant bool) *loserTree {
-	lt := &loserTree{quant: quant}
+// segment.
+func newLoserTree(segs []*segment) *loserTree {
+	lt := &loserTree{}
 	for _, s := range segs {
 		if len(s.sorted) == 0 {
 			continue
 		}
 		c := ltCursor{seg: s}
-		c.load(quant)
+		c.load()
 		lt.cursors = append(lt.cursors, c)
 	}
 	k := len(lt.cursors)
@@ -90,19 +82,12 @@ func newLoserTree(segs []*segment, quant bool) *loserTree {
 }
 
 // less reports whether cursor a's current key sorts strictly before
-// cursor b's in the global (score, id) ascent. On a quantized tree the
-// cached 2-byte codes decide every comparison except within the one
-// bucket where they tie (the code map is monotone, so a strict code
-// inequality is exactly a strict score inequality); there the float
-// comparison resolves it, as in the unquantized tree. Exhausted cursors
-// sort after everything.
+// cursor b's in the global (score, id) ascent. Exhausted cursors sort
+// after everything.
 func (lt *loserTree) less(a, b int) bool {
 	ca, cb := &lt.cursors[a], &lt.cursors[b]
 	if ca.done || cb.done {
 		return !ca.done && cb.done
-	}
-	if lt.quant && ca.code != cb.code {
-		return ca.code < cb.code
 	}
 	if ca.score != cb.score {
 		return ca.score < cb.score
@@ -139,7 +124,7 @@ func (lt *loserTree) ascend(yield func(id int, score float64) bool) {
 			return
 		}
 		if c.pos++; c.pos < len(c.seg.sorted) {
-			c.load(lt.quant)
+			c.load()
 		} else {
 			c.done = true
 		}

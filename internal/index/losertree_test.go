@@ -32,28 +32,26 @@ func collectAscendHeap(ix *ScoreIndex, limit int) []mergedPair {
 
 // TestAscendMatchesHeapMerge is the loser-tree equivalence sweep: the
 // production Ascend must emit exactly the sequence of the retained
-// container/heap oracle at every segmentation, quantized and float,
-// over a column dense with cross-segment score ties.
+// container/heap oracle at every segmentation, over a column dense with
+// cross-segment score ties.
 func TestAscendMatchesHeapMerge(t *testing.T) {
 	for _, n := range []int{1, 2, 9, 1000, 5000} {
 		scores := quantizedScores(uint64(500+n), n)
 		for _, segSize := range segmentSizesFor(n) {
-			for _, quantize := range []bool{false, true} {
-				ix, err := NewWithOptions(scores, Options{SegmentSize: segSize, Quantize: quantize})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := collectAscendHeap(ix, 0)
-				got := collectAscend(ix, 0)
-				if len(got) != n || len(want) != n {
-					t.Fatalf("n=%d segSize=%d quant=%v: emitted %d/%d pairs, want %d",
-						n, segSize, quantize, len(got), len(want), n)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d segSize=%d quant=%v: pair %d = %v, heap oracle %v",
-							n, segSize, quantize, i, got[i], want[i])
-					}
+			ix, err := NewWithOptions(scores, Options{SegmentSize: segSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := collectAscendHeap(ix, 0)
+			got := collectAscend(ix, 0)
+			if len(got) != n || len(want) != n {
+				t.Fatalf("n=%d segSize=%d: emitted %d/%d pairs, want %d",
+					n, segSize, len(got), len(want), n)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d segSize=%d: pair %d = %v, heap oracle %v",
+						n, segSize, i, got[i], want[i])
 				}
 			}
 		}
@@ -70,20 +68,18 @@ func TestAscendTieColumn(t *testing.T) {
 		scores[i] = 0.5
 	}
 	for _, segSize := range []int{1, 7, 64, n} {
-		for _, quantize := range []bool{false, true} {
-			ix, err := NewWithOptions(scores, Options{SegmentSize: segSize, Quantize: quantize})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collectAscend(ix, 0)
-			if len(got) != n {
-				t.Fatalf("segSize=%d quant=%v: %d pairs, want %d", segSize, quantize, len(got), n)
-			}
-			for i, p := range got {
-				if p.id != i || p.bits != math.Float64bits(0.5) {
-					t.Fatalf("segSize=%d quant=%v: pair %d = %v, want id %d score 0.5",
-						segSize, quantize, i, p, i)
-				}
+		ix, err := NewWithOptions(scores, Options{SegmentSize: segSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collectAscend(ix, 0)
+		if len(got) != n {
+			t.Fatalf("segSize=%d: %d pairs, want %d", segSize, len(got), n)
+		}
+		for i, p := range got {
+			if p.id != i || p.bits != math.Float64bits(0.5) {
+				t.Fatalf("segSize=%d: pair %d = %v, want id %d score 0.5",
+					segSize, i, p, i)
 			}
 		}
 	}
@@ -95,22 +91,20 @@ func TestAscendTieColumn(t *testing.T) {
 func TestAscendEarlyStop(t *testing.T) {
 	const n = 1000
 	scores := quantizedScores(42, n)
-	for _, quantize := range []bool{false, true} {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: 64, Quantize: quantize})
-		if err != nil {
-			t.Fatal(err)
+	ix, err := NewWithOptions(scores, Options{SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{1, 2, 63, 64, 65, n - 1, n} {
+		got := collectAscend(ix, limit)
+		want := collectAscendHeap(ix, limit)
+		if len(got) != limit || len(want) != limit {
+			t.Fatalf("limit=%d: emitted %d/%d pairs", limit, len(got), len(want))
 		}
-		for _, limit := range []int{1, 2, 63, 64, 65, n - 1, n} {
-			got := collectAscend(ix, limit)
-			want := collectAscendHeap(ix, limit)
-			if len(got) != limit || len(want) != limit {
-				t.Fatalf("quant=%v limit=%d: emitted %d/%d pairs", quantize, limit, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("quant=%v limit=%d: pair %d = %v, heap oracle %v",
-						quantize, limit, i, got[i], want[i])
-				}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("limit=%d: pair %d = %v, heap oracle %v",
+					limit, i, got[i], want[i])
 			}
 		}
 	}
@@ -142,7 +136,7 @@ func TestLoserTreeEmptySegments(t *testing.T) {
 		{"single run after empties", []*segment{empty, mk(5, 0.2, 0.4), empty},
 			[]mergedPair{{5, math.Float64bits(0.2)}, {6, math.Float64bits(0.4)}}},
 	} {
-		lt := newLoserTree(tc.segs, false)
+		lt := newLoserTree(tc.segs)
 		var got []mergedPair
 		lt.ascend(func(id int, score float64) bool {
 			got = append(got, mergedPair{id, math.Float64bits(score)})

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"supg/internal/parallel"
 	"supg/internal/sampling"
 )
 
@@ -201,11 +202,11 @@ func (ix *ScoreIndex) buildMixture(exponent, mix float64) *mixture {
 	return &mixture{weights: w, alias: sampling.NewAlias(w)}
 }
 
-// eachSegmentParallel runs fn over every segment across the index's
-// shared query pool. fn must only write state disjoint between
-// segments.
+// eachSegmentParallel runs fn over every segment across up to
+// Options.Parallelism goroutines. fn must only write state disjoint
+// between segments.
 func (ix *ScoreIndex) eachSegmentParallel(fn func(*segment)) {
-	ix.pool.ForEach(len(ix.segs), func(j int) { fn(ix.segs[j]) })
+	parallel.Run(ix.par, len(ix.segs), func(j int) { fn(ix.segs[j]) })
 }
 
 // CachedMixtures reports how many (exponent, mix) entries the cache

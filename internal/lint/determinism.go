@@ -8,8 +8,8 @@ import (
 
 // resultPathPackages are the packages whose outputs must be a pure
 // function of (data, seed): every byte-identical-results guarantee —
-// segmented vs monolithic, quantized vs float, warm vs cold, retried
-// vs fault-free — is proved by tests that assume it.
+// segmented vs monolithic, parallel vs sequential, warm vs cold,
+// retried vs fault-free — is proved by tests that assume it.
 var resultPathPackages = []string{
 	"internal/core",
 	"internal/index",

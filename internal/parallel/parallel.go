@@ -1,123 +1,28 @@
-// Package parallel provides the bounded worker pool behind the
-// deterministic intra-query read path: per-segment reductions
-// (threshold counts, id gathers, mixture transforms) fan out across a
-// shared goroutine budget while the observable results stay a pure
-// function of (data, seed).
+// Package parallel provides Run, the bounded fan-out behind index
+// builds and the two read-path phases that split across segments:
+// large id gathers and mixture transforms. Their results stay a pure
+// function of (data, seed) at every worker count.
 //
-// The pool never owns resident goroutines. Each ForEach call spawns up
-// to its share of helpers for the duration of the loop and the calling
-// goroutine always participates, so a loop completes even when the
-// shared budget is exhausted by concurrent queries — it just runs with
-// fewer helpers, possibly alone. That makes the parallelism level an
-// execution detail: callers must arrange (and the index package's
-// equivalence tests pin) that the work assigned to each iteration is
-// order-independent — disjoint writes, or commutative integer
-// accumulation — so any helper count produces byte-identical results.
+// Run never owns resident goroutines. Each call spawns its helpers for
+// the duration of the loop and the calling goroutine always
+// participates. Iterations are claimed from a shared counter, so their
+// assignment to goroutines is racy by design: callers must arrange (and
+// the index package's equivalence tests pin) that the work of each
+// iteration is order-independent — disjoint writes, or commutative
+// integer accumulation — so any worker count produces byte-identical
+// results.
 package parallel
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// Pool bounds the helper goroutines of every loop that shares it. The
-// zero value and the nil pool both run loops inline; construct with
-// NewPool.
-type Pool struct {
-	// helpers is the shared budget of extra goroutines; submitting
-	// goroutines are not counted, so a Pool of limit L runs one loop on
-	// at most L goroutines and N concurrent loops on at most N+L-1.
-	helpers  atomic.Int64
-	maxExtra int64
-	limit    int
-}
-
-// NewPool returns a pool allowing up to limit concurrent workers per
-// loop, the submitter included (<= 0 selects GOMAXPROCS).
-func NewPool(limit int) *Pool {
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{maxExtra: int64(limit - 1), limit: limit}
-}
-
-// Limit reports the configured per-loop worker bound (1 for a nil or
-// zero pool).
-func (p *Pool) Limit() int {
-	if p == nil || p.limit <= 0 {
-		return 1
-	}
-	return p.limit
-}
-
-// tryAcquire claims one helper slot without blocking.
-func (p *Pool) tryAcquire() bool {
-	for {
-		cur := p.helpers.Load()
-		if cur >= p.maxExtra {
-			return false
-		}
-		if p.helpers.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-func (p *Pool) release() { p.helpers.Add(-1) }
-
-// ForEach runs fn(0), ..., fn(n-1), each exactly once, across the
-// submitter plus however many helper goroutines the shared budget
-// grants (possibly none — the submitter alone is always sufficient).
-// Iterations are claimed from an atomic counter, so their assignment to
-// workers is racy by design: fn must produce results independent of
-// which worker runs which iteration and in what order. ForEach returns
-// after every iteration has completed.
-func (p *Pool) ForEach(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	want := p.Limit()
-	if want > n {
-		want = n
-	}
-	if want <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 1; w < want && p.tryAcquire(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer p.release()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	for {
-		i := int(next.Add(1))
-		if i >= n {
-			break
-		}
-		fn(i)
-	}
-	wg.Wait()
-}
-
-// Run is the pool-free form of ForEach: fn(0..n-1) across at most
-// workers goroutines, the caller included. It backs one-shot build
-// phases that size their own worker count instead of sharing a query
-// budget.
+// Run runs fn(0), ..., fn(n-1), each exactly once, across at most
+// workers goroutines, the caller included (workers <= 1 runs the loop
+// inline). fn must produce results independent of which goroutine runs
+// which iteration and in what order. Run returns after every iteration
+// has completed.
 func Run(workers, n int, fn func(int)) {
 	if n <= 0 {
 		return

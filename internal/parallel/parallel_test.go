@@ -1,29 +1,9 @@
 package parallel
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-// TestForEachCoversEveryIndexOnce pins the contract every index-layer
-// reduction builds on: each iteration runs exactly once, at every pool
-// limit, for loop sizes around the worker count.
-func TestForEachCoversEveryIndexOnce(t *testing.T) {
-	for _, limit := range []int{0, 1, 2, 3, 8, 64} {
-		p := NewPool(limit)
-		for _, n := range []int{0, 1, 2, 3, 7, 64, 1000} {
-			hits := make([]atomic.Int32, n)
-			p.ForEach(n, func(i int) { hits[i].Add(1) })
-			for i := range hits {
-				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("limit %d n %d: index %d ran %d times", limit, n, i, got)
-				}
-			}
-		}
-	}
-}
 
 func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{-1, 1, 2, 7} {
@@ -36,63 +16,5 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestNilAndZeroPoolRunInline(t *testing.T) {
-	var nilPool *Pool
-	if nilPool.Limit() != 1 {
-		t.Fatalf("nil pool limit = %d, want 1", nilPool.Limit())
-	}
-	var zero Pool
-	ran := 0
-	// Inline execution: the closure mutates a local with no
-	// synchronization, which is only safe single-threaded.
-	nilPool.ForEach(10, func(int) { ran++ })
-	zero.ForEach(10, func(int) { ran++ })
-	if ran != 20 {
-		t.Fatalf("inline runs = %d, want 20", ran)
-	}
-}
-
-func TestDefaultLimitIsGOMAXPROCS(t *testing.T) {
-	if got, want := NewPool(0).Limit(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("default limit = %d, want %d", got, want)
-	}
-}
-
-// TestSharedBudgetNeverExceeded runs many concurrent loops through one
-// pool and asserts the total worker count (submitters excluded) never
-// exceeds limit-1 — the degrade-to-inline guarantee that makes a shared
-// pool safe under concurrent queries.
-func TestSharedBudgetNeverExceeded(t *testing.T) {
-	const limit = 4
-	p := NewPool(limit)
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.ForEach(256, func(int) {
-				c := cur.Add(1)
-				for {
-					pk := peak.Load()
-					if c <= pk || peak.CompareAndSwap(pk, c) {
-						break
-					}
-				}
-				cur.Add(-1)
-			})
-		}()
-	}
-	wg.Wait()
-	// Each of the 16 loops contributes its submitter plus a share of the
-	// limit-1 helpers.
-	if got, max := peak.Load(), int64(16+limit-1); got > max {
-		t.Fatalf("peak concurrent workers %d exceeds submitters+helpers bound %d", got, max)
-	}
-	if p.helpers.Load() != 0 {
-		t.Fatalf("helper budget not released: %d outstanding", p.helpers.Load())
 	}
 }

@@ -53,18 +53,11 @@ type Options struct {
 	// setting; it tunes build parallelism granularity and append cost.
 	SegmentSize int
 	// IndexBuildParallelism bounds concurrent segment builds per index
-	// (default GOMAXPROCS).
+	// and the two per-query fan-outs across segments, large id gathers
+	// and mixture builds (default GOMAXPROCS; 1 disables). Results are
+	// byte-identical at every setting. See
+	// engine.Options.BuildParallelism.
 	IndexBuildParallelism int
-	// QuantizeIndex builds score indexes with 16-bit quantized score
-	// codes that threshold binary searches and merge comparisons run
-	// over: byte-identical results, code vectors persisted alongside
-	// segments when PersistDir is set. See engine.Options.Quantize.
-	QuantizeIndex bool
-	// QueryParallelism bounds the intra-query parallel segment
-	// reductions shared across all concurrent queries (default
-	// GOMAXPROCS; 1 disables). Results are byte-identical at every
-	// setting. See engine.Options.QueryParallelism.
-	QueryParallelism int
 	// LabelCacheBytes bounds the cross-query oracle label store shared
 	// by every query and job (default 64 MiB; negative disables label
 	// reuse). In the default charged mode the store changes only the
@@ -184,8 +177,6 @@ func Open(seed uint64, opts Options) (*Server, error) {
 	eng, err := engine.Open(seed, engine.Options{
 		SegmentSize:       opts.SegmentSize,
 		BuildParallelism:  opts.IndexBuildParallelism,
-		Quantize:          opts.QuantizeIndex,
-		QueryParallelism:  opts.QueryParallelism,
 		LabelCacheBytes:   opts.LabelCacheBytes,
 		LabelCacheShards:  opts.LabelCacheShards,
 		LabelWALPath:      opts.LabelWALPath,
@@ -631,13 +622,12 @@ func (s *Server) buildQueryResponse(req QueryRequest, res *engine.QueryResult) Q
 		tau := res.Tau
 		resp.Tau = &tau
 	}
-	s.mu.RLock()
-	if d, ok := s.datasets[res.Plan.Table]; ok {
-		eval := metrics.Evaluate(d, res.Indices)
-		resp.AchievedPrecision = eval.Precision
-		resp.AchievedRecall = eval.Recall
-	}
-	s.mu.RUnlock()
+	// Evaluate against the table version the ids refer to: the table
+	// registered now may have been re-uploaded shorter, or grown by
+	// positives the answer never saw, while the query ran.
+	eval := metrics.Evaluate(res.Table, res.Indices)
+	resp.AchievedPrecision = eval.Precision
+	resp.AchievedRecall = eval.Recall
 	if req.IncludeIndices {
 		resp.Indices = res.Indices
 		if req.MaxIndices > 0 && len(resp.Indices) > req.MaxIndices {

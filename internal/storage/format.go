@@ -16,7 +16,7 @@ import (
 	"supg/internal/sampling"
 )
 
-// On-disk file formats. Five write-once file kinds live next to the
+// On-disk file formats. Four write-once file kinds live next to the
 // MANIFEST log, all little-endian, all with every section starting at a
 // multiple of 8 bytes so page-aligned mappings can alias float64/uint64
 // words directly:
@@ -39,13 +39,6 @@ import (
 //	                 u64 count, u64 reserved (40-byte header), then the
 //	                 permutation (count u64 local ids) and the sorted
 //	                 scores (count float64).
-//	codes   (.qcv) — "SUPGQCV1" magic, u32 version, u32 pad, u64 base,
-//	                 u64 count, u64 reserved (40-byte header), then the
-//	                 record-order 16-bit score codes (count uint16) and
-//	                 the sorted-order codes (count uint16), each section
-//	                 zero-padded to the next multiple of 8. Optional
-//	                 sibling of a .seg file — present only for quantized
-//	                 indexes (index.Options.Quantize).
 //	mixture (.mix) — "SUPGMIX1" magic, u32 version, u32 pad, u64 count,
 //	                 f64 exponent, f64 mix, u64 reserved (48-byte
 //	                 header), then one cached IS sampling mixture of an
@@ -64,13 +57,19 @@ import (
 // only (magic, version, counts, exact length); semantic validation of
 // segment contents is index.FromExternal's O(n) proof, and a mixture's
 // alias table is bounds-checked by sampling.AliasFromTables.
+//
+// Legacy: directories written by older binaries may also hold .qcv
+// files, 16-bit score codes a since-removed quantized index kept next
+// to each .seg file. They are never written or read again: recovery
+// adopts such an index from its .seg and .col files alone, the orphan
+// sweep leaves the .qcv files of a live legacy record in place, and the
+// flush that supersedes the record deletes them (see recIndexQ).
 
 const (
 	formatVersion = 1
 
 	colHeaderSize = 32
 	segHeaderSize = 40
-	qcvHeaderSize = 40
 	mixHeaderSize = 48
 
 	// maxFileRecords caps declared counts, mirroring dataset.maxRecords.
@@ -80,7 +79,6 @@ const (
 var (
 	colMagic = [8]byte{'S', 'U', 'P', 'G', 'C', 'O', 'L', '1'}
 	segMagic = [8]byte{'S', 'U', 'P', 'G', 'S', 'E', 'G', '1'}
-	qcvMagic = [8]byte{'S', 'U', 'P', 'G', 'Q', 'C', 'V', '1'}
 	mixMagic = [8]byte{'S', 'U', 'P', 'G', 'M', 'I', 'X', '1'}
 
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -144,49 +142,6 @@ func parseSegmentFile(data []byte) (segmentFile, error) {
 		count:  int(count),
 		perm:   data[segHeaderSize:permEnd],
 		sorted: data[permEnd:],
-	}, nil
-}
-
-// codeSectionSize is one code section's on-disk size: count uint16
-// values zero-padded to the next multiple of 8, so both sections (and
-// anything after the file) keep the 8-aligned section discipline.
-func codeSectionSize(count int) int {
-	return (2*count + 7) &^ 7
-}
-
-// codeFile is the parsed structural view of a .qcv file.
-type codeFile struct {
-	base        int
-	count       int
-	codes       []byte // count*2 bytes of little-endian uint16, record order
-	sortedCodes []byte // count*2 bytes of little-endian uint16, sorted order
-}
-
-func parseCodeFile(data []byte) (codeFile, error) {
-	if len(data) < qcvHeaderSize {
-		return codeFile{}, fmt.Errorf("code file: %d bytes, shorter than the %d-byte header", len(data), qcvHeaderSize)
-	}
-	if [8]byte(data[:8]) != qcvMagic {
-		return codeFile{}, fmt.Errorf("code file: bad magic %q", data[:8])
-	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != formatVersion {
-		return codeFile{}, fmt.Errorf("code file: unsupported version %d", v)
-	}
-	base := binary.LittleEndian.Uint64(data[16:])
-	count := binary.LittleEndian.Uint64(data[24:])
-	if count == 0 || count > maxFileRecords || base > maxFileRecords {
-		return codeFile{}, fmt.Errorf("code file: implausible base %d / count %d", base, count)
-	}
-	section := codeSectionSize(int(count))
-	if want := int64(qcvHeaderSize + 2*section); int64(len(data)) != want {
-		return codeFile{}, fmt.Errorf("code file: %d bytes, want %d for %d entries", len(data), want, count)
-	}
-	n := int(count)
-	return codeFile{
-		base:        int(base),
-		count:       n,
-		codes:       data[qcvHeaderSize : qcvHeaderSize+2*n],
-		sortedCodes: data[qcvHeaderSize+section : qcvHeaderSize+section+2*n],
 	}, nil
 }
 
@@ -302,15 +257,6 @@ func decodeFloat64sInto(dst []float64, b []byte) {
 	for i := range dst[:len(b)/8] {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-}
-
-// decodeUint16s is the portable (copying) alternative to aliasUint16s.
-func decodeUint16s(b []byte) []uint16 {
-	out := make([]uint16, len(b)/2)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint16(b[2*i:])
-	}
-	return out
 }
 
 // decodeInt32s is the portable (copying) alternative to aliasInt32s.
@@ -469,34 +415,6 @@ func writeSegmentFile(path string, sd index.SegmentData) (crc uint32, size int64
 	return aw.Commit()
 }
 
-// writeCodeFile persists one segment's 16-bit score-code vectors
-// (record order, then sorted order) as the .qcv sibling of its .seg
-// file.
-func writeCodeFile(path string, sd index.SegmentData) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	var hdr [qcvHeaderSize]byte
-	copy(hdr[:8], qcvMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(sd.Base))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(sd.Codes)))
-	if _, err := aw.Write(hdr[:]); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeUint16s(aw, sd.Codes); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeUint16s(aw, sd.SortedCodes); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	return aw.Commit()
-}
-
 // writeMixtureFile persists one cached sampling mixture: its key in the
 // header, then the weights, the alias probabilities, and the alias
 // indices, streamed section by section (never buffered whole).
@@ -544,32 +462,6 @@ func writeFloat64s(w io.Writer, vals []float64) error {
 			return err
 		}
 		vals = vals[n:]
-	}
-	return nil
-}
-
-// writeUint16s writes one code section: the values plus zero padding to
-// the next multiple of 8 (see codeSectionSize).
-func writeUint16s(w io.Writer, vals []uint16) error {
-	section := codeSectionSize(len(vals))
-	buf := make([]byte, min(section, 2*encodeChunk))
-	written := 0
-	for len(vals) > 0 {
-		n := min(len(vals), encodeChunk)
-		for i, v := range vals[:n] {
-			binary.LittleEndian.PutUint16(buf[2*i:], v)
-		}
-		if _, err := w.Write(buf[:2*n]); err != nil {
-			return err
-		}
-		written += 2 * n
-		vals = vals[n:]
-	}
-	if pad := section - written; pad > 0 {
-		var zero [8]byte
-		if _, err := w.Write(zero[:pad]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -28,12 +28,13 @@ import (
 //	               (proxies, fusion kind, calibration oracle)
 //	recDropTable — tombstone: the table and all its indexes are gone
 //	recDropIndex — tombstone for one (table, score source) index
-//	recIndexQ    — recIndex for a quantized index: each segment entry
-//	               additionally names its .qcv code-vector file with CRC
-//	               and size. A distinct type (not new recIndex fields)
-//	               keeps the recIndex encoding byte-identical, so
-//	               manifests written before quantization existed replay
-//	               unchanged.
+//	recIndexQ    — legacy, read but never written: recIndex for an index
+//	               of the since-removed 16-bit quantized layout, whose
+//	               segment entries also name a .qcv code file with CRC
+//	               and size. Replay adopts it as a float index from its
+//	               .seg and .col files and never loads the .qcv files;
+//	               compaction re-encodes a live one unchanged, and the
+//	               flush that supersedes it deletes its .qcv files.
 //	recMixture   — one cached IS sampling mixture of an index: its .mix
 //	               file (CRC, size) and (exponent, mix) key, bound to the
 //	               index record by (table, source, record count, column
@@ -52,9 +53,9 @@ import (
 //	recIndexChunked — recIndex for an index whose score column is stored
 //	               as several chunk files (file, base, count, crc, size
 //	               each, contiguous from 0 and covering the record
-//	               count), written by flushes that grew an unquantized
-//	               index. A mixture binds to the column through a CRC
-//	               over every chunk's (base, count, crc).
+//	               count), written by flushes that grew an index. A
+//	               mixture binds to the column through a CRC over every
+//	               chunk's (base, count, crc).
 //
 // Downgrades: a binary older than a record type stops replay at the
 // first record of that type (the unknown type reads as a corrupt tail)
@@ -134,8 +135,9 @@ type tableChunk struct {
 }
 
 // segRec describes one persisted segment file of an index, plus — on
-// quantized indexes only — its .qcv code-vector sibling (codeFile ==
-// "" otherwise).
+// legacy recIndexQ records only — its .qcv code-file sibling (codeFile
+// == "" otherwise), kept so the orphan sweep spares it and the flush
+// that supersedes the record deletes it.
 type segRec struct {
 	file  string
 	base  int
@@ -158,7 +160,7 @@ type indexRec struct {
 	n           int        // rows covered (== column length)
 	cols        []chunkRec // score column chunks, contiguous from 0, covering n
 	segs        []segRec
-	quantized   bool // segments carry .qcv code files (recIndexQ); the column is one chunk
+	quantized   bool // legacy recIndexQ: segments name .qcv files; set only by replay
 }
 
 // colCRC is the column's identity, the value mixture records bind to:
@@ -501,10 +503,10 @@ func encodeTable(rec datasetRec) [][]byte {
 	return out
 }
 
-// encodeIndex encodes an index record: recIndex (recIndexQ when
-// quantized) for a one-chunk column, byte-identical to the format
-// before chunks, else recIndexChunked. A quantized index always has a
-// one-chunk column.
+// encodeIndex encodes an index record: recIndex for a one-chunk
+// column, byte-identical to the format before chunks, else
+// recIndexChunked. A replayed legacy recIndexQ record (always one
+// chunk) re-encodes as recIndexQ, so compaction keeps it unchanged.
 func encodeIndex(rec indexRec) []byte {
 	rtype := recIndex
 	switch {

@@ -440,9 +440,10 @@ func TestMixtureRecordBinding(t *testing.T) {
 
 // TestParentManifestReplaysUnchanged opens a persistence directory
 // written before mixture records existed (testdata/manifest-v1: one
-// table, a float and a quantized index, and a dropped third index). It
-// must recover exactly that catalog, answer like a rebuild, and leave
-// the manifest bytes untouched through Open and Close.
+// table, a float and a legacy quantized index, and a dropped third
+// index). It must recover exactly that catalog, answer like a rebuild,
+// and leave the manifest bytes and the file set untouched through Open
+// and Close.
 func TestParentManifestReplaysUnchanged(t *testing.T) {
 	src := filepath.Join("testdata", "manifest-v1")
 	dir := t.TempDir()
@@ -471,14 +472,11 @@ func TestParentManifestReplaysUnchanged(t *testing.T) {
 	}
 	d := s.RecoveredTables()[0].Dataset
 	for _, ri := range s.RecoveredIndexes() {
-		want, err := index.NewWithOptions(d.Scores(), index.Options{SegmentSize: 128, Quantize: ri.Source == "q"})
+		want, err := index.NewWithOptions(d.Scores(), index.Options{SegmentSize: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertIndexEquivalent(t, want, ri.Index)
-		if ri.Index.Quantized() != (ri.Source == "q") {
-			t.Fatalf("index %s: quantized=%v", ri.Source, ri.Index.Quantized())
-		}
 		builds := index.MixtureBuildsTotal()
 		assertMixtureEquivalent(t, want, ri.Index, keyIS)
 		if index.MixtureBuildsTotal()-builds != 2 {

@@ -23,6 +23,4 @@ func aliasFloat64s(b []byte) []float64 { panic("storage: aliasFloat64s without m
 
 func aliasInts(b []byte) []int { panic("storage: aliasInts without mmap support") }
 
-func aliasUint16s(b []byte) []uint16 { panic("storage: aliasUint16s without mmap support") }
-
 func aliasInt32s(b []byte) []int32 { panic("storage: aliasInt32s without mmap support") }

@@ -476,38 +476,13 @@ func (s *Store) loadIndex(rec indexRec, tableRecords int, mixes []index.StoredMi
 			return nil, fmt.Errorf("segment %s header (%d,%d) disagrees with manifest (%d,%d)",
 				sr.file, sf.base, sf.count, sr.base, sr.count)
 		}
+		// A legacy recIndexQ segment's .qcv sibling is never read: the
+		// index is adopted from its verified .seg and .col files alone.
 		if mapped {
 			segs[i] = index.SegmentData{Base: sf.base, Perm: aliasInts(sf.perm), Sorted: aliasFloat64s(sf.sorted)}
 			backing = append(backing, data)
 		} else {
 			segs[i] = index.SegmentData{Base: sf.base, Perm: decodeInts(sf.perm), Sorted: decodeFloat64s(sf.sorted)}
-		}
-		if sr.codeFile == "" {
-			continue
-		}
-		// Quantized index: map the segment's .qcv sibling too. The codes
-		// are structurally validated here and semantically verified
-		// against the mmap'd float column inside FromExternal's O(n)
-		// pass, exactly like the permutation.
-		cdata, cmapped, err := s.loadVerified(sr.codeFile, sr.codeSize, sr.codeCRC)
-		if err != nil {
-			return nil, fmt.Errorf("codes %s: %w", sr.codeFile, err)
-		}
-		qf, err := parseCodeFile(cdata)
-		if err != nil {
-			return nil, fmt.Errorf("codes %s: %w", sr.codeFile, err)
-		}
-		if qf.base != sr.base || qf.count != sr.count {
-			return nil, fmt.Errorf("codes %s header (%d,%d) disagrees with manifest (%d,%d)",
-				sr.codeFile, qf.base, qf.count, sr.base, sr.count)
-		}
-		if cmapped {
-			segs[i].Codes = aliasUint16s(qf.codes)
-			segs[i].SortedCodes = aliasUint16s(qf.sortedCodes)
-			backing = append(backing, cdata)
-		} else {
-			segs[i].Codes = decodeUint16s(qf.codes)
-			segs[i].SortedCodes = decodeUint16s(qf.sortedCodes)
 		}
 	}
 	return index.FromExternal(index.External{Column: column, Segments: segs, Backing: backing, Mixtures: mixes}, s.opts.Index)
@@ -897,10 +872,11 @@ func (s *Store) removeChunksLocked(chunks []chunkRec, keep map[string]bool) {
 // flush of the same lineage are reused — segments by (base, count),
 // column chunks while they hold a prefix of the column — so an
 // append-grown index writes only one column chunk for its new rows and
-// its new segments. A quantized index keeps a one-chunk column and
-// rewrites it whole when it grows. Returns ErrSuperseded (after
-// deleting anything it wrote) if the table's epoch advanced, i.e. an
-// invalidation raced the build.
+// its new segments. A reused segment of a legacy recIndexQ record loses
+// its .qcv reference, so the new record is a float one and the old
+// .qcv files go with the superseded record once it commits. Returns
+// ErrSuperseded (after deleting anything it wrote) if the table's epoch
+// advanced, i.e. an invalidation raced the build.
 func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) error {
 	key := ixKey{meta.Table, meta.Source}
 
@@ -920,50 +896,34 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 			reuse[[2]int{sr.base, sr.count}] = sr
 		}
 	}
-	quantized := ix.Quantized()
 	type pending struct {
-		file     string // .seg to write, "" when only codes are missing
-		codeFile string // .qcv to write, "" when unquantized or reused
-		view     index.SegmentData
+		file string // .seg to write
+		view index.SegmentData
 	}
 	segs := make([]segRec, ix.Segments())
 	var writes []pending
 	for i := 0; i < ix.Segments(); i++ {
 		sd := ix.SegmentView(i)
 		if sr, ok := reuse[[2]int{sd.Base, len(sd.Perm)}]; ok {
-			// The immutable .seg file is reusable; the .qcv sibling is
-			// reusable only if the previous flush's quantization matches.
-			// Quantize turned on since: write just the missing code file.
-			// Turned off: drop the reference (the superseded-file sweep
-			// below deletes the .qcv once the new record commits).
-			switch {
-			case quantized && sr.codeFile == "":
-				sr.codeFile = s.nextFileLocked(".qcv")
-				sr.codeCRC, sr.codeSize = 0, 0
-				writes = append(writes, pending{codeFile: sr.codeFile, view: sd})
-			case !quantized && sr.codeFile != "":
-				sr.codeFile, sr.codeCRC, sr.codeSize = "", 0, 0
-			}
+			// The immutable .seg file is reusable. A legacy .qcv sibling
+			// is dropped from the record; the superseded-file sweep below
+			// deletes it once the new record commits.
+			sr.codeFile, sr.codeCRC, sr.codeSize = "", 0, 0
 			segs[i] = sr
 			continue
 		}
 		file := s.nextFileLocked(".seg")
 		segs[i] = segRec{file: file, base: sd.Base, count: len(sd.Perm)}
-		p := pending{file: file, view: sd}
-		if quantized {
-			segs[i].codeFile = s.nextFileLocked(".qcv")
-			p.codeFile = segs[i].codeFile
-		}
-		writes = append(writes, p)
+		writes = append(writes, pending{file: file, view: sd})
 	}
 	// The column: reuse it whole when unchanged, extend it by one chunk
 	// when it grew, else write it as one chunk.
 	var cols []chunkRec
 	writeCol := true
 	switch {
-	case hadOld && old.n == ix.Len() && (!quantized || len(old.cols) == 1):
+	case hadOld && old.n == ix.Len():
 		cols, writeCol = old.cols, false
-	case hadOld && old.n < ix.Len() && !quantized:
+	case hadOld && old.n < ix.Len():
 		cols = append(old.cols[:len(old.cols):len(old.cols)], chunkRec{base: old.n})
 	default:
 		cols = []chunkRec{{}}
@@ -993,30 +953,15 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		written = append(written, c.file)
 	}
 	for _, p := range writes {
-		if p.file != "" {
-			crc, size, err := writeSegmentFile(filepath.Join(s.dir, p.file), p.view)
-			if err != nil {
-				abort()
-				return fmt.Errorf("storage: persist segment for %s/%s: %w", meta.Table, meta.Source, err)
-			}
-			written = append(written, p.file)
-			for i := range segs {
-				if segs[i].file == p.file {
-					segs[i].crc, segs[i].size = crc, size
-				}
-			}
+		crc, size, err := writeSegmentFile(filepath.Join(s.dir, p.file), p.view)
+		if err != nil {
+			abort()
+			return fmt.Errorf("storage: persist segment for %s/%s: %w", meta.Table, meta.Source, err)
 		}
-		if p.codeFile != "" {
-			crc, size, err := writeCodeFile(filepath.Join(s.dir, p.codeFile), p.view)
-			if err != nil {
-				abort()
-				return fmt.Errorf("storage: persist segment codes for %s/%s: %w", meta.Table, meta.Source, err)
-			}
-			written = append(written, p.codeFile)
-			for i := range segs {
-				if segs[i].codeFile == p.codeFile {
-					segs[i].codeCRC, segs[i].codeSize = crc, size
-				}
+		written = append(written, p.file)
+		for i := range segs {
+			if segs[i].file == p.file {
+				segs[i].crc, segs[i].size = crc, size
 			}
 		}
 	}
@@ -1040,7 +985,6 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		n:           ix.Len(),
 		cols:        cols,
 		segs:        segs,
-		quantized:   quantized,
 	}
 	before := s.man.frames
 	if err := s.man.appendRecord(encodeIndex(rec)); err != nil {
@@ -1063,29 +1007,19 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		}
 		for _, sr := range segs {
 			keep[sr.file] = true
-			if sr.codeFile != "" {
-				keep[sr.codeFile] = true
-			}
 		}
 		s.removeIndexFilesLocked(cur, keep)
 	}
-	// Count .seg files only: a code-only write (quantize turned on over
-	// reused segments) persists no segment.
-	var segWrites int64
-	for _, p := range writes {
-		if p.file != "" {
-			segWrites++
-		}
-	}
+	segWrites := int64(len(writes))
 	s.segmentsPersisted += segWrites
 	s.counters.StorageSegmentsPersisted(segWrites)
 	s.maybeCompactLocked(before)
 	return nil
 }
 
-// removeIndexFilesLocked deletes the column chunk, segment and code
-// files of rec that keep does not name. Called with s.mu held, after
-// the record that superseded them is durable.
+// removeIndexFilesLocked deletes the column chunk, segment and legacy
+// .qcv files of rec that keep does not name. Called with s.mu held,
+// after the record that superseded them is durable.
 func (s *Store) removeIndexFilesLocked(rec indexRec, keep map[string]bool) {
 	s.removeChunksLocked(rec.cols, keep)
 	for _, sr := range rec.segs {
