@@ -11,7 +11,7 @@ SMOKE_N ?= 65536
 
 # The hot-path trajectory battery (see bench-json / bench-check).
 BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectMixtureWarm
-BENCH_HOTPATH_INDEX = Gather|AscendMerge|IndexAppend
+BENCH_HOTPATH_INDEX = Gather|AscendMerge|IndexAppend|IndexBuild
 
 .PHONY: all build test test-race vet lint lint-fix fmt-check bench bench-json bench-check bench-labelstore bench-multiproxy bench-storage cover cover-check fuzz-smoke chaos-smoke profile
 
@@ -77,7 +77,12 @@ cover-check: cover
 # internal/index/testdata).
 # FuzzAliasMatchesReference requires the bitmap alias build to match
 # the two-stack Vose reference bit for bit on any finite non-negative
-# weights.
+# weights. FuzzSegmentSortMatchesReference requires the radix-sorted
+# segment permutation to match the comparator sort on raw float bit
+# patterns folded into [0, 1]. FuzzQueryRequest posts arbitrary
+# /v1/query and /v1/jobs bodies to a server with a small preloaded
+# table: no panic, only documented statuses, and a decodable body on
+# every success.
 fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadCSV$$' -fuzztime 10s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime 10s
@@ -89,6 +94,8 @@ fuzz-smoke:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzMixtureFile$$' -fuzztime 10s
 	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzGatherMatchesScan$$' -fuzztime 10s
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzAliasMatchesReference$$' -fuzztime 10s
+	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzSegmentSortMatchesReference$$' -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime 10s
 
 # Fault-injection battery + crash durability: chaos equivalence
 # (byte-identical Indices/Tau/oracle_calls under 30% injected
@@ -112,8 +119,9 @@ bench:
 
 # Records the hot-path benchmark battery — steady-state select, the
 # mixture-warm spread-column select, the bitmap id gather at 1%, 33%,
-# 75% and 99% density, the loser-tree vs heap merge, and incremental
-# and chained append — into
+# 75% and 99% density, the loser-tree vs heap merge, incremental and
+# chained append, and full index builds on uniform and Beta(0.01, 2)
+# columns — into
 # BENCH_hotpath.json, committed per PR: a "full" section at paper
 # scale (n=1e6) for the human-readable trajectory and a "smoke"
 # section at SMOKE_N that bench-check diffs in CI. ns/op is recorded
@@ -122,7 +130,7 @@ bench-json:
 	{ $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section full -n 1000000 \
-	    -note "Hot-path trajectory: steady-state SUPG select, mixture-warm select on a spread column, the bitmap id gather at 1/33/75/99% density (no sort, no score branch), loser-tree vs heap k-way merge, and incremental and chained (in-place growth) append. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
+	    -note "Hot-path trajectory: steady-state SUPG select, mixture-warm select on a spread column, the bitmap id gather at 1/33/75/99% density (no sort, no score branch), loser-tree vs heap k-way merge, incremental and chained (in-place growth) append, and radix-sorted index builds on uniform and Beta(0.01, 2) columns. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
 	{ SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section smoke -n $(SMOKE_N)

@@ -85,7 +85,7 @@ func main() {
 		retention   = flag.Duration("job-retention", 15*time.Minute, "how long finished jobs stay queryable")
 		oracleLat   = flag.Duration("oracle-latency", 0, "simulated per-call oracle latency for every registered dataset (preloads and uploads)")
 		segSize     = flag.Int("segment-size", 0, "records per score-index segment (0 = default 256Ki); identical results at any setting")
-		buildPar    = flag.Int("index-build-parallelism", 0, "goroutines per index operation: concurrent segment builds, and the per-query fan-outs across segments for large id gathers and mixture builds (0 = GOMAXPROCS, 1 disables); byte-identical results at any setting")
+		buildPar    = flag.Int("index-build-parallelism", 0, "goroutines per index operation: proxy scoring, concurrent segment builds, and the per-query fan-outs across segments for large id gathers and mixture builds (0 = GOMAXPROCS, 1 disables); byte-identical results at any setting")
 		labelBytes  = flag.Int64("label-cache-bytes", 0, "cross-query oracle label cache budget in bytes (0 = default 64 MiB; negative disables label reuse)")
 		labelShards = flag.Int("label-cache-shards", 0, "label cache shards per (table, oracle) pair (0 = default 16)")
 		labelWAL    = flag.String("label-wal", "", "path of the label store write-ahead log; bought labels are journaled and replayed on restart, so the server re-buys zero labels (empty = not durable)")

@@ -86,8 +86,9 @@
 // worker count.
 //
 // Segmentation buys two operational properties. Registration of large
-// tables parallelizes (segments sort independently; even serially,
-// n·log(segment) beats n·log(n)). And tables can grow in place:
+// tables parallelizes: segments sort independently, each with a stable
+// radix sort on its scores' bit patterns (at most six linear passes,
+// so O(n) work however the column is cut). And tables can grow in place:
 // engine.AppendTable / PUT /v1/datasets/{name}/append extend a table
 // by indexing only the appended records as fresh segments — existing
 // permutations are reused verbatim — instead of re-scanning and

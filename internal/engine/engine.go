@@ -30,6 +30,7 @@ import (
 	"supg/internal/metrics"
 	"supg/internal/multiproxy"
 	"supg/internal/oracle"
+	"supg/internal/parallel"
 	"supg/internal/query"
 	"supg/internal/randx"
 	"supg/internal/storage"
@@ -44,7 +45,8 @@ var ErrUnknownTable = errors.New("unknown table")
 type OracleUDF func(record int) (bool, error)
 
 // ProxyUDF is a user-provided proxy scorer over record ids; scores must
-// be in [0, 1].
+// be in [0, 1]. Index builds call it from up to
+// Options.BuildParallelism goroutines at once.
 type ProxyUDF func(record int) float64
 
 // indexKey identifies one cached per-table score-source index. source
@@ -162,8 +164,9 @@ type Options struct {
 	// identical at every setting.
 	SegmentSize int
 	// BuildParallelism bounds the goroutines of one index operation:
-	// concurrent segment builds, and the two per-query fan-outs across
-	// segments — id gathers of 16Ki or more ids and mixture builds
+	// proxy scoring of a build or of an append's tail, concurrent
+	// segment builds, and the two per-query fan-outs across segments —
+	// id gathers of 16Ki or more ids and mixture builds
 	// (index.Options.Parallelism). <= 0 selects GOMAXPROCS; 1 runs them
 	// all on the calling goroutine. Results are byte-identical at every
 	// setting — only RNG-free, order-independent phases fan out.
@@ -294,6 +297,10 @@ func NewWithOptions(seed uint64, opts Options) *Engine {
 // it creates PersistDir, the label WAL's usual home; it is closed again
 // when the WAL then fails to open.
 func Open(seed uint64, opts Options) (*Engine, error) {
+	buildPar := opts.BuildParallelism
+	if buildPar <= 0 {
+		buildPar = runtime.GOMAXPROCS(0)
+	}
 	e := &Engine{
 		tables:  make(map[string]*dataset.Dataset),
 		oracles: make(map[string]OracleUDF),
@@ -303,7 +310,7 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 		seed:    seed,
 		ixOpts: index.Options{
 			SegmentSize: opts.SegmentSize,
-			Parallelism: opts.BuildParallelism,
+			Parallelism: buildPar,
 		},
 		opts:     opts,
 		breakers: make(map[string]*oracle.Breaker),
@@ -531,7 +538,7 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 				if parent.err != nil {
 					return b, parent.err
 				}
-				fresh, err := fuseRange(fns, fusion, oldLen, newLen)
+				fresh, err := fuseRange(fns, fusion, oldLen, newLen, e.ixOpts.Parallelism)
 				if err != nil {
 					return b, fmt.Errorf("engine: source %q: %w", key.source, err)
 				}
@@ -548,15 +555,16 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 	return combined, nil
 }
 
-// fuseRange evaluates every member proxy over records [lo, hi) and
-// fuses the columns with the label-free strategy (FusionNone passes the
-// single column through). Label-free fusions are per-record functions,
-// which is what makes incremental appends possible: fusing only the
-// appended rows yields exactly the rows a full rebuild would compute.
-func fuseRange(fns []ProxyUDF, fusion query.FusionKind, lo, hi int) ([]float64, error) {
+// fuseRange evaluates every member proxy over records [lo, hi) across
+// at most par goroutines and fuses the columns with the label-free
+// strategy (FusionNone passes the single column through). Label-free
+// fusions are per-record functions, which is what makes incremental
+// appends possible: fusing only the appended rows yields exactly the
+// rows a full rebuild would compute.
+func fuseRange(fns []ProxyUDF, fusion query.FusionKind, lo, hi, par int) ([]float64, error) {
 	cols := make([][]float64, len(fns))
 	for i, fn := range fns {
-		cols[i] = scoreRange(fn, lo, hi)
+		cols[i] = scoreRange(fn, lo, hi, par)
 	}
 	if fusion == query.FusionNone {
 		return cols[0], nil
@@ -1104,7 +1112,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	if src.Single() {
 		proxyFn, proxyName := fns[0], src.Proxies[0]
 		entry.build = func() (built, error) {
-			scores := scoreRange(proxyFn, 0, table.Len())
+			scores := scoreRange(proxyFn, 0, table.Len(), opts.Parallelism)
 			ix, err := index.NewWithOptions(scores, opts)
 			if err != nil {
 				return built{proxyCalls: table.Len()}, fmt.Errorf("engine: proxy %q: %w", proxyName, err)
@@ -1146,7 +1154,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 		n := table.Len()
 		cols := make([][]float64, len(fns))
 		for i, fn := range fns {
-			cols[i] = scoreRange(fn, 0, n)
+			cols[i] = scoreRange(fn, 0, n, opts.Parallelism)
 		}
 		b := built{proxyCalls: len(fns) * n}
 		var budgeted *oracle.Budgeted
@@ -1176,40 +1184,24 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	return entry, nil
 }
 
-// scoreAll evaluates the proxy over all records, in parallel shards.
-func scoreAll(proxyFn ProxyUDF, n int) []float64 {
-	return scoreRange(proxyFn, 0, n)
-}
+// scoreBlock is the number of records one proxy-scoring task
+// evaluates. Blocks are fixed, so the records scored together never
+// depend on the worker count.
+const scoreBlock = 4096
 
-// scoreRange evaluates the proxy over records [lo, hi), in parallel
-// shards, returning the hi-lo scores in record order.
-func scoreRange(proxyFn ProxyUDF, lo, hi int) []float64 {
-	n := hi - lo
-	scores := make([]float64, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start := w * chunk
-		end := start + chunk
-		if end > n {
-			end = n
+// scoreRange evaluates the proxy over records [lo, hi) in scoreBlock
+// blocks across at most par goroutines (1 scores on the calling
+// goroutine), returning the hi-lo scores in record order.
+func scoreRange(proxyFn ProxyUDF, lo, hi, par int) []float64 {
+	scores := make([]float64, hi-lo)
+	blocks := (len(scores) + scoreBlock - 1) / scoreBlock
+	parallel.Run(par, blocks, func(b int) {
+		start := b * scoreBlock
+		end := min(start+scoreBlock, len(scores))
+		for i := start; i < end; i++ {
+			scores[i] = proxyFn(lo + i)
 		}
-		if start >= end {
-			break
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			for i := start; i < end; i++ {
-				scores[i] = proxyFn(lo + i)
-			}
-		}(start, end)
-	}
-	wg.Wait()
+	})
 	return scores
 }
 

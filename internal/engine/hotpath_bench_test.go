@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -123,7 +124,7 @@ func BenchmarkSelectHotPathPreIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scores := scoreAll(proxyFn, d.Len())
+		scores := scoreRange(proxyFn, 0, d.Len(), runtime.GOMAXPROCS(0))
 		for j, s := range scores {
 			if s < 0 || s > 1 || s != s {
 				b.Fatalf("score %g at %d", s, j)

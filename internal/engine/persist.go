@@ -228,7 +228,7 @@ func (e *Engine) adoptStagedLocked(key indexKey, src query.ScoreSource, table *d
 	base, fusion := si.ix, src.Fusion
 	lo, hi, source := base.Len(), table.Len(), key.source
 	return func() (built, error) {
-		fresh, err := fuseRange(fns, fusion, lo, hi)
+		fresh, err := fuseRange(fns, fusion, lo, hi, e.ixOpts.Parallelism)
 		if err != nil {
 			return built{}, fmt.Errorf("engine: source %q: %w", source, err)
 		}

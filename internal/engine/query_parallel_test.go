@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"supg/internal/core"
@@ -184,6 +187,57 @@ func TestQueryParallelStress(t *testing.T) {
 		}
 		if got.Tau != want[i].Tau {
 			t.Fatalf("post-stress query %d: tau %v, want %v", i, got.Tau, want[i].Tau)
+		}
+	}
+}
+
+// TestProxyScoringHonorsBuildParallelism pins the proxy scan of an
+// index build, and of an append's tail, to the build fan-out: at
+// parallelism 1 the calling goroutine scores every record, so no two
+// proxy calls ever overlap, no width lets more than its bound overlap,
+// and the scored column is identical at 1, 2 and 8.
+func TestProxyScoringHonorsBuildParallelism(t *testing.T) {
+	base := dataset.Beta(randx.New(7), 40000, 0.01, 2)
+	extra := dataset.Beta(randx.New(8), 9000, 0.01, 2)
+	full := base.Append(extra)
+	plan := queryParPlans(t)[0]
+	var want []float64
+	for _, par := range []int{1, 2, 8} {
+		var inFlight, peak atomic.Int64
+		e := queryParEngine(t, par, base)
+		e.RegisterProxy("t_proxy", func(i int) float64 {
+			n := inFlight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			runtime.Gosched() // widen the window in which calls can overlap
+			inFlight.Add(-1)
+			return full.Score(i)
+		})
+		if _, err := e.ExecutePlan(plan); err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if _, err := e.AppendTable("t", extra); err != nil {
+			t.Fatalf("par=%d: append: %v", par, err)
+		}
+		entry, built, err := e.tableIndex(plan)
+		if err != nil || !built {
+			t.Fatalf("par=%d: appended index built=%v err=%v", par, built, err)
+		}
+		if got := peak.Load(); got > int64(par) {
+			t.Fatalf("par=%d: %d proxy calls in flight at once", par, got)
+		}
+		got := entry.res.ix.Scores()
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("par=%d: %d scores, sequential %d", par, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("par=%d: score %d = %v, sequential %v", par, i, got[i], want[i])
+			}
 		}
 	}
 }

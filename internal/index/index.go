@@ -15,14 +15,16 @@
 // The score column is split into fixed-size segments (Options.
 // SegmentSize, default 256Ki records). Each segment owns its validated
 // score sub-column and an ascending (score, id) permutation, and the
-// segments are built independently across a bounded worker pool, so
-// registration of an n-record table costs O(n/P · log S) wall time for
-// P workers and segment size S instead of a single-core O(n log n)
-// sort. The paper's statistical guarantees are distributional — they
-// constrain which records are sampled, not how the sampling structures
-// are laid out in memory — so the segmented index is required (and
-// tested, see core.TestSelectSegmentedMatchesMonolithic) to answer
-// every ScoreSource operation bit-for-bit identically to a monolithic
+// segments are built independently across a bounded worker pool. Each
+// permutation comes from a stable radix sort on the scores' bit
+// patterns (radix.go), at most six linear passes over the segment, so
+// registration of an n-record table costs O(n/P) wall time for P
+// workers instead of a single-core O(n log n) comparator sort. The
+// paper's statistical guarantees are distributional — they constrain
+// which records are sampled, not how the sampling structures are laid
+// out in memory — so the segmented index is required (and tested, see
+// core.TestSelectSegmentedMatchesMonolithic) to answer every
+// ScoreSource operation bit-for-bit identically to a monolithic
 // single-segment index:
 //
 //   - CountAtLeast sums exact per-segment binary-search counts.
@@ -101,7 +103,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -393,8 +394,20 @@ func buildSegments(column []float64, start int, opts Options) ([]*segment, error
 // buildSegment validates column[base:end] and builds its sorted
 // permutation. The returned int is the global id of the offending
 // record when validation fails.
+//
+// Ties break by record id, so the permutation is a deterministic
+// function of the column: the unique ascending (score, id) total order.
+// Local id order equals global id order within a segment. The sort is
+// the stable radix sort of radix.go, whose digit histograms the
+// validation pass counts: at most six linear passes, O(S) per segment
+// instead of a comparator sort's O(S log S). On a 2-core Xeon VM a
+// 256Ki-record segment builds in ~20 ms (the comparator sort alone took
+// ~72 ms) and an 8192-record appended tail in ~0.4 ms (~1.5 ms).
 func buildSegment(column []float64, base, end int) (*segment, int, error) {
 	sub := column[base:end:end]
+	r := radixScratches.Get().(*radixScratch)
+	defer radixScratches.Put(r)
+	r.counts = [radixPasses][radixSize]int{}
 	for i, s := range sub {
 		if s < 0 || s > 1 || s != s {
 			return nil, base + i, fmt.Errorf("index: score %g for record %d outside [0,1]", s, base+i)
@@ -402,37 +415,18 @@ func buildSegment(column []float64, base, end int) (*segment, int, error) {
 		if s == 0 {
 			// Normalize -0.0 (which passes the s < 0 check) to +0.0:
 			// the two compare equal everywhere scores are used, but
-			// KthHighest's bit-space search and JSON serialization
-			// distinguish the sign bit, and results must be identical
-			// at every segment size.
-			sub[i] = 0
+			// KthHighest's bit-space search, the radix sort's keys and
+			// JSON serialization distinguish the sign bit, and results
+			// must be identical at every segment size.
+			sub[i], s = 0, 0
 		}
+		r.count(math.Float64bits(s))
 	}
 	n := len(sub)
 	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	buildSorts.Add(1)
-	// Ties break by record id so the permutation is a deterministic
-	// function of the column — the unique ascending (score, id) total
-	// order, independent of the sort algorithm. Local id order equals
-	// global id order within a segment. slices.SortFunc (pdqsort over a
-	// monomorphized comparator) sorts measurably faster than the
-	// interface-based sort.Slice on large segments.
-	slices.SortFunc(perm, func(a, b int) int {
-		if sub[a] != sub[b] {
-			if sub[a] < sub[b] {
-				return -1
-			}
-			return 1
-		}
-		return a - b
-	})
 	sorted := make([]float64, n)
-	for i, p := range perm {
-		sorted[i] = sub[p]
-	}
+	buildSorts.Add(1)
+	r.sort(sub, perm, sorted)
 	return &segment{base: base, scores: sub, perm: perm, sorted: sorted}, 0, nil
 }
 

@@ -52,9 +52,10 @@ type Options struct {
 	// (default index.DefaultSegmentSize). Results are identical at any
 	// setting; it tunes build parallelism granularity and append cost.
 	SegmentSize int
-	// IndexBuildParallelism bounds concurrent segment builds per index
-	// and the two per-query fan-outs across segments, large id gathers
-	// and mixture builds (default GOMAXPROCS; 1 disables). Results are
+	// IndexBuildParallelism bounds the goroutines of one index
+	// operation: proxy scoring, concurrent segment builds, and the two
+	// per-query fan-outs across segments, large id gathers and mixture
+	// builds (default GOMAXPROCS; 1 disables). Results are
 	// byte-identical at every setting. See
 	// engine.Options.BuildParallelism.
 	IndexBuildParallelism int
