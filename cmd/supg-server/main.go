@@ -14,8 +14,7 @@
 // first query after the next boot adopts instead of rebuilding. The
 // label WAL defaults to labels.wal inside that directory, so a bare
 // -persist-dir makes the whole server state durable. The boot banner
-// reports what was recovered, and -persist-madvise hints residency for
-// the mapped files.
+// reports what was recovered.
 //
 // API:
 //
@@ -97,7 +96,6 @@ func main() {
 		grace       = flag.Duration("shutdown-grace", 30*time.Second, "drain window for in-flight jobs on shutdown")
 		variants    = flag.Bool("preload-proxy-variants", false, "register <preload>_proxy_soft (sqrt) and <preload>_proxy_sharp (squared) proxy variants so FUSE queries are demoable out of the box")
 		persistDir  = flag.String("persist-dir", "", "durable storage directory: datasets and built score indexes are flushed here and recovered on restart (mmap'd, zero proxy re-scans, byte-identical results), and a clean shutdown checkpoints IS sampling mixtures; also the default home of the label WAL")
-		persistAdv  = flag.String("persist-madvise", "", "residency hint for mmap'd persisted files: normal|random|sequential|willneed (empty = none)")
 	)
 	flag.Parse()
 
@@ -124,7 +122,6 @@ func main() {
 		BreakerThreshold:      *brkThresh,
 		BreakerCooldown:       *brkCooldown,
 		PersistDir:            *persistDir,
-		PersistMadvise:        *persistAdv,
 	})
 	if err != nil {
 		log.Fatalf("supg-server: %v", err)
@@ -142,7 +139,7 @@ func main() {
 		}
 	}
 	if *preload != "" {
-		d := srv.Dataset(*preload)
+		d := srv.Engine().Table(*preload)
 		if d != nil {
 			// The storage tier already recovered this dataset — keep it
 			// (and its persisted indexes) instead of regenerating, which

@@ -189,9 +189,9 @@
 // the oracle UDF at all. Label-free fused indexes extend incrementally
 // on AppendTable; calibrated ones are rebuilt (warm) because the
 // stacker must be refitted against the grown table. Re-registering any
-// member proxy invalidates a fused index, and re-registering or
-// wrapping the calibration oracle invalidates every index fitted with
-// its labels.
+// member proxy invalidates a fused index, and re-registering the
+// calibration oracle invalidates every index fitted with its labels
+// (Engine.WrapOracle, which only decorates, invalidates nothing).
 //
 // The library path RunMulti keeps the one-shot semantics: fusion via
 // the same multiproxy.Fuser provider, with calibration charged against

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"supg/internal/dataset"
-	"supg/internal/metrics"
 	"supg/internal/randx"
 )
 
@@ -31,10 +30,8 @@ func TestExecuteContextMatchesSequential(t *testing.T) {
 	}
 
 	par, _ := newCtxTestEngine(t, 1)
-	var c metrics.Counters
 	got, err := par.ExecuteContext(context.Background(), ctxTestSQL, ExecOptions{
 		OracleParallelism: 8,
-		Counters:          &c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +47,7 @@ func TestExecuteContextMatchesSequential(t *testing.T) {
 			t.Fatalf("index[%d] = %d, want %d", i, got.Indices[i], want.Indices[i])
 		}
 	}
-	snap := c.Snapshot()
+	snap := par.Counters().Snapshot()
 	if snap.Queries != 1 || snap.DispatchBatches == 0 {
 		t.Errorf("counters = %+v, want 1 query and >0 dispatch batches", snap)
 	}

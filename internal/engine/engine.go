@@ -86,8 +86,8 @@ type built struct {
 //
 // The proxies/fusion/calibOracle fields are immutable invalidation
 // metadata: re-registering any member proxy drops the entry, and
-// re-registering (or wrapping) the calibration oracle drops every
-// fused index whose stacker was fitted with its labels.
+// re-registering the calibration oracle drops every fused index whose
+// stacker was fitted with its labels.
 type indexEntry struct {
 	// build produces the index plus its work accounting. Set at entry
 	// creation, run at most once via ensure.
@@ -212,7 +212,7 @@ type Options struct {
 	// breaker open (0 = 5).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker fails fast before
-	// half-opening for a probe (0 = 1s).
+	// half-opening for a probe (0 = oracle.DefaultBreakerCooldown, 1s).
 	BreakerCooldown time.Duration
 	// Clock overrides the resilience layer's time source (nil = real
 	// time) — tests inject oracle.ManualClock to run retry/backoff and
@@ -225,12 +225,6 @@ type Options struct {
 	// queries byte-identically to the pre-restart process. See
 	// internal/storage.
 	PersistDir string
-	// PersistNoMmap forces heap loads with portable decoding even on
-	// platforms that support zero-copy mapping.
-	PersistNoMmap bool
-	// PersistMadvise optionally hints mapped-file residency: "",
-	// "normal", "random", "sequential", or "willneed".
-	PersistMadvise string
 }
 
 // resilienceEnabled reports whether queries should stack the Resilient
@@ -263,9 +257,10 @@ type Engine struct {
 	// breakers holds one circuit breaker per oracle UDF name, created
 	// lazily and shared by every query of the backend (guarded by mu).
 	breakers map[string]*oracle.Breaker
-	// counters receives breaker transitions and retry/timeout activity
-	// (nil until WithCounters).
-	counters atomic.Pointer[metrics.Counters]
+	// counters records query, dispatch, retry and timeout totals; its
+	// snapshots read the label store's, storage tier's and breakers'
+	// own totals (readOwnedStats).
+	counters *metrics.Counters
 	// store is the durable storage tier (nil when Options.PersistDir is
 	// empty). staged / stagedIx hold its recovered datasets and indexes
 	// until the registrations they depend on arrive (guarded by mu);
@@ -317,6 +312,7 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 		staged:   make(map[string]stagedTable),
 		stagedIx: make(map[indexKey]*stagedIndex),
 	}
+	e.counters = metrics.NewCounters(e.readOwnedStats)
 	if err := e.openStorage(opts); err != nil {
 		return nil, err
 	}
@@ -356,22 +352,41 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// WithCounters mirrors breaker transitions and retry/timeout activity
-// into the service counters. Attach before serving queries — breakers
-// created earlier keep a nil counter set. Returns e for chaining.
-func (e *Engine) WithCounters(c *metrics.Counters) *Engine {
-	if e != nil {
-		e.counters.Store(c)
-		if e.store != nil && c != nil {
-			e.store.WithCounters(c)
-		}
+// Counters returns the engine's service counters: every query
+// execution, oracle dispatch, retry and timeout of this engine is
+// recorded there, and each Snapshot reads the label store's, the
+// storage tier's and the circuit breakers' own totals, so the served
+// stats never drift from their owners.
+func (e *Engine) Counters() *metrics.Counters { return e.counters }
+
+// readOwnedStats fills the snapshot fields whose totals the label
+// store, the storage tier and the circuit breakers keep themselves.
+func (e *Engine) readOwnedStats(snap *metrics.CounterSnapshot) {
+	ls := e.labels.Stats()
+	snap.LabelCacheHits = ls.Hits
+	snap.LabelCacheMisses = ls.Misses
+	snap.LabelCacheEvictions = ls.Evictions
+	snap.LabelCacheInvalidations = ls.Invalidations
+	snap.WALRecords = ls.WALRecords
+	snap.WALReplayed = ls.WALReplayed
+	snap.BreakerState = int64(e.OpenBreakers())
+	if e.store == nil {
+		return
 	}
-	return e
+	st := e.store.Stats()
+	snap.StorageSegmentsPersisted = st.SegmentsPersisted
+	snap.StorageTablesRecovered = int64(st.TablesRecovered)
+	snap.StorageIndexesRecovered = int64(st.IndexesRecovered)
+	snap.StorageSegmentsRecovered = int64(st.SegmentsRecovered)
+	snap.StorageMappedBytes = st.MappedBytes
+	snap.StorageRecoveryMillis = st.RecoveryElapsed.Milliseconds()
+	snap.StorageManifestRecords = st.ManifestRecords
+	snap.StorageManifestCompactions = st.Compactions
 }
 
 // LabelStore exposes the engine's cross-query oracle label store (nil
-// when disabled via Options.LabelCacheBytes < 0) — for stats, counter
-// attachment, and tests.
+// when disabled via Options.LabelCacheBytes < 0) — for stats and
+// tests.
 func (e *Engine) LabelStore() *labelstore.Store { return e.labels }
 
 // breakerFor returns the circuit breaker shared by every query of the
@@ -396,7 +411,7 @@ func (e *Engine) breakerFor(name string) *oracle.Breaker {
 		Threshold: e.opts.BreakerThreshold,
 		Cooldown:  e.opts.BreakerCooldown,
 		Clock:     e.opts.Clock,
-	}).WithCounters(e.counters.Load())
+	})
 	e.breakers[name] = b
 	return b
 }
@@ -640,9 +655,11 @@ func (e *Engine) RegisterProxy(name string, fn ProxyUDF) {
 // WrapOracle replaces a registered oracle UDF with wrap(current) — the
 // hook for layering simulated latency or instrumentation onto an
 // existing registration without re-implementing it. It reports whether
-// the name was registered. Stored labels of the name are invalidated —
-// the wrapper may change what the function answers — and with them
-// every fused index calibrated through it.
+// the name was registered. The wrapper must answer exactly as the
+// function it wraps, so nothing is invalidated: stored labels of the
+// name (WAL-replayed ones included) and fused indexes calibrated
+// through it stay valid. A replacement that may answer differently
+// goes through RegisterOracle, which invalidates.
 func (e *Engine) WrapOracle(name string, wrap func(OracleUDF) OracleUDF) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -651,7 +668,6 @@ func (e *Engine) WrapOracle(name string, wrap func(OracleUDF) OracleUDF) bool {
 		return false
 	}
 	e.oracles[name] = wrap(fn)
-	e.invalidateOracleLocked(name)
 	return true
 }
 
@@ -805,8 +821,6 @@ type ExecOptions struct {
 	// from multiple goroutines concurrently (under parallel dispatch)
 	// and must be fast and goroutine-safe.
 	Progress func(oracleCalls int)
-	// Counters, when non-nil, records query and dispatch activity.
-	Counters *metrics.Counters
 	// FreeReuse makes cross-query label store hits free instead of
 	// budget-charged for this execution — the ExecOptions form of the
 	// query grammar's ORACLE LIMIT ... REUSE FREE clause. The default
@@ -871,7 +885,7 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 	e.mu.RUnlock()
 
 	if !okT {
-		return nil, fmt.Errorf("engine: %w %q (known: %v)", ErrUnknownTable, plan.Table, e.tableNames())
+		return nil, fmt.Errorf("engine: %w %q (known: %v)", ErrUnknownTable, plan.Table, e.TableNames())
 	}
 	if !okO {
 		return nil, fmt.Errorf("engine: unknown oracle UDF %q", plan.OracleUDF)
@@ -891,7 +905,7 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 	rng := randx.New(seed).Stream(hashString(plan.SourceText))
 	progress := newProgressCounter(opts.Progress)
 	orc := e.buildOracle(ctx, plan, oracleFn, opts, progress)
-	opts.Counters.QueryExecuted()
+	e.counters.QueryExecuted()
 
 	// Wire the shared label store into the budget wrapper. The grammar's
 	// REUSE FREE clause and the per-execution option are equivalent —
@@ -965,23 +979,19 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 func (e *Engine) buildOracle(ctx context.Context, plan *query.Plan, fn OracleUDF, opts ExecOptions, progress *progressCounter) oracle.Oracle {
 	var orc oracle.Oracle = oracle.Func(fn)
 	if e.opts.resilienceEnabled() {
-		counters := opts.Counters
-		if counters == nil {
-			counters = e.counters.Load()
-		}
 		orc = oracle.NewResilient(orc, oracle.ResilientOptions{
 			Timeout:     e.opts.OracleTimeout,
 			Retries:     e.opts.OracleRetries,
 			BaseBackoff: e.opts.OracleBackoff,
 			Seed:        e.seed ^ hashString("resilient:"+plan.SourceText),
 			Clock:       e.opts.Clock,
-		}).WithBreaker(e.breakerFor(plan.OracleUDF)).WithContext(ctx).WithCounters(counters)
+		}).WithBreaker(e.breakerFor(plan.OracleUDF)).WithContext(ctx).WithCounters(e.counters)
 	}
 	if opts.Progress != nil {
 		orc = &countingOracle{inner: orc, progress: progress}
 	}
 	if opts.OracleParallelism > 1 {
-		orc = oracle.NewDispatcher(orc, opts.OracleParallelism).WithCounters(opts.Counters)
+		orc = oracle.NewDispatcher(orc, opts.OracleParallelism).WithCounters(e.counters)
 	}
 	return orc
 }
@@ -1205,13 +1215,22 @@ func scoreRange(proxyFn ProxyUDF, lo, hi, par int) []float64 {
 	return scores
 }
 
-func (e *Engine) tableNames() []string {
+// Table returns the dataset registered under name (nil when absent):
+// the version queries of the name run against now, appends included.
+func (e *Engine) Table(name string) *dataset.Dataset {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.tables[name]
+}
+
+// TableNames returns the names of the registered tables, sorted.
+func (e *Engine) TableNames() []string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.tableNamesLocked()
 }
 
-// tableNamesLocked is tableNames for callers already holding e.mu.
+// tableNamesLocked is TableNames for callers already holding e.mu.
 func (e *Engine) tableNamesLocked() []string {
 	names := make([]string, 0, len(e.tables))
 	for n := range e.tables {

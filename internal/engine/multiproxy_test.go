@@ -321,7 +321,7 @@ func TestAppendDropsCalibratedFusedIndex(t *testing.T) {
 
 // TestFusedInvalidation covers the invalidation matrix: any member
 // proxy re-registration drops a fused index; oracle re-registration
-// (and wrapping) drops calibrated fusions but spares label-free ones.
+// drops calibrated fusions but spares label-free ones.
 func TestFusedInvalidation(t *testing.T) {
 	e, d, _ := fusedEngine(t, Options{})
 	if _, err := e.Execute(fusedMeanRT); err != nil {
@@ -346,18 +346,6 @@ func TestFusedInvalidation(t *testing.T) {
 	}
 	if !logi.IndexBuilt {
 		t.Error("oracle re-registration kept a calibrated fused index")
-	}
-
-	// Wrapping the oracle: same rule.
-	if !e.WrapOracle("video_oracle", func(inner OracleUDF) OracleUDF { return inner }) {
-		t.Fatal("WrapOracle lost the registration")
-	}
-	logi, err = e.Execute(fusedLogisticRT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !logi.IndexBuilt {
-		t.Error("oracle wrap kept a calibrated fused index")
 	}
 
 	// Re-registering the second member drops both fused indexes.

@@ -91,10 +91,8 @@ func (e *Engine) openStorage(opts Options) error {
 		return nil
 	}
 	store, err := storage.Open(storage.Options{
-		Dir:     opts.PersistDir,
-		NoMmap:  opts.PersistNoMmap,
-		Madvise: opts.PersistMadvise,
-		Index:   e.ixOpts,
+		Dir:   opts.PersistDir,
+		Index: e.ixOpts,
 	})
 	if err != nil {
 		return err
@@ -306,8 +304,7 @@ type RecoveryInfo struct {
 	// that uses it.
 	Mixtures int
 	// MappedBytes is the total size of persisted files currently
-	// mmap'd into the process (0 on heap-load platforms or with
-	// PersistNoMmap).
+	// mmap'd into the process (0 on heap-load platforms).
 	MappedBytes int64
 	// Elapsed is the wall-clock recovery duration.
 	Elapsed time.Duration

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"supg/internal/dataset"
-	"supg/internal/metrics"
 	"supg/internal/oracle"
 	"supg/internal/randx"
 )
@@ -80,8 +79,7 @@ func TestChaosEquivalence(t *testing.T) {
 			)
 			chaotic.RegisterOracle("video_oracle", chaos.Label)
 
-			var c metrics.Counters
-			got, err := chaotic.ExecutePlanContextForTest(t, sql, &c)
+			got, err := chaotic.Execute(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,19 +96,12 @@ func TestChaosEquivalence(t *testing.T) {
 			if injected == 0 {
 				t.Fatal("chaos injected nothing; the equivalence is vacuous")
 			}
-			if got := c.Snapshot().OracleRetries; got == 0 {
+			if got := chaotic.Counters().Snapshot().OracleRetries; got == 0 {
 				t.Fatal("no retries recorded despite injected failures")
 			}
 			t.Logf("%s: %d injected transient failures, identical result", name, injected)
 		})
 	}
-}
-
-// ExecutePlanContextForTest executes sql with counters attached —
-// a test shim keeping the chaos battery readable.
-func (e *Engine) ExecutePlanContextForTest(t *testing.T, sql string, c *metrics.Counters) (*QueryResult, error) {
-	t.Helper()
-	return e.ExecuteContext(context.Background(), sql, ExecOptions{Counters: c})
 }
 
 // TestChaosEquivalenceParallelDispatch repeats the RT equivalence

@@ -24,8 +24,6 @@ package labelstore
 import (
 	"sync"
 	"sync/atomic"
-
-	"supg/internal/metrics"
 )
 
 // DefaultMaxBytes is the store-wide byte budget when Options.MaxBytes
@@ -95,8 +93,6 @@ type Store struct {
 
 	wal         *wal
 	walReplayed atomic.Int64
-
-	counters atomic.Pointer[metrics.Counters]
 }
 
 // New returns an empty store with the given bounds. It panics if the
@@ -160,23 +156,6 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// WithCounters mirrors hit/miss/eviction/invalidation activity into
-// the service counters (shown by GET /v1/stats). Returns s for
-// chaining. When a WAL is attached, the records already in the log and
-// the labels replayed on boot are folded into the counters at attach
-// time.
-func (s *Store) WithCounters(c *metrics.Counters) *Store {
-	if s != nil {
-		s.counters.Store(c)
-		if s.wal != nil {
-			records, _ := s.wal.counts()
-			c.WALRecords(records)
-			c.WALReplayed(s.walReplayed.Load())
-		}
-	}
-	return s
 }
 
 // Close flushes and closes the write-ahead log, if one is attached.
@@ -249,7 +228,7 @@ func (s *Store) InvalidateTable(table string) int {
 
 // InvalidateOracle kills every cache of the oracle UDF (any table) and
 // reports how many caches were dropped. Call when an oracle UDF is
-// re-registered or wrapped: the function may now label differently.
+// re-registered: the function may now label differently.
 // With a WAL attached, a tombstone is journaled so the dropped labels
 // stay dead across restarts.
 func (s *Store) InvalidateOracle(oracle string) int {
@@ -284,7 +263,6 @@ func (s *Store) invalidateMatch(match func(Key) bool, count bool) int {
 	}
 	if n := len(dead); n > 0 && count {
 		s.invalidations.Add(int64(n))
-		s.counters.Load().LabelCacheInvalidations(int64(n))
 	}
 	return len(dead)
 }
@@ -302,7 +280,8 @@ type Stats struct {
 	// Hits and Misses count Get outcomes across all caches.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Evictions counts labels dropped to stay under the byte budget.
+	// Evictions counts labels dropped to stay under the byte budget,
+	// during WAL replay as well.
 	Evictions int64 `json:"evictions"`
 	// Invalidations counts caches killed by table/oracle re-registration.
 	Invalidations int64 `json:"invalidations"`
@@ -378,7 +357,6 @@ func (c *Cache) shardOf(i int) *shard {
 func (c *Cache) Get(i int) (bool, bool) {
 	if c.dead.Load() {
 		c.store.misses.Add(1)
-		c.store.counters.Load().LabelCacheMisses(1)
 		return false, false
 	}
 	sh := c.shardOf(i)
@@ -387,10 +365,8 @@ func (c *Cache) Get(i int) (bool, bool) {
 	sh.mu.Unlock()
 	if ok {
 		c.store.hits.Add(1)
-		c.store.counters.Load().LabelCacheHits(1)
 	} else {
 		c.store.misses.Add(1)
-		c.store.counters.Load().LabelCacheMisses(1)
 	}
 	return v, ok
 }
@@ -445,7 +421,6 @@ func (c *Cache) put(i int, v bool, w *wal) bool {
 	if total > c.store.maxEntries {
 		if n := c.store.evictOne(c, c.shardOf(i)); n > 0 {
 			c.store.evictions.Add(int64(n))
-			c.store.counters.Load().LabelCacheEvictions(int64(n))
 		}
 	}
 	return true

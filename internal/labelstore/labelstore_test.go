@@ -3,8 +3,6 @@ package labelstore
 import (
 	"sync"
 	"testing"
-
-	"supg/internal/metrics"
 )
 
 func TestGetPutRoundTrip(t *testing.T) {
@@ -57,7 +55,6 @@ func TestNilStoreServesMisses(t *testing.T) {
 	if s.Len() != 0 || s.Stats() != (Stats{}) {
 		t.Error("nil store reported state")
 	}
-	s.WithCounters(nil) // must not panic
 }
 
 func TestEvictionBoundsEntries(t *testing.T) {
@@ -136,9 +133,8 @@ func TestInvalidateOracleMatchesAcrossTables(t *testing.T) {
 	}
 }
 
-func TestStatsAndCountersMirror(t *testing.T) {
-	var counters metrics.Counters
-	s := New(Options{MaxBytes: 2 * entryBytes, Shards: 1}).WithCounters(&counters)
+func TestStatsCountActivity(t *testing.T) {
+	s := New(Options{MaxBytes: 2 * entryBytes, Shards: 1})
 	c := s.Cache("t", "o")
 	c.Put(1, true)
 	c.Get(1) // hit
@@ -153,11 +149,6 @@ func TestStatsAndCountersMirror(t *testing.T) {
 	}
 	if st.Entries != 0 || st.Caches != 0 {
 		t.Errorf("post-invalidation Stats = %+v, want empty", st)
-	}
-	snap := counters.Snapshot()
-	if snap.LabelCacheHits != 1 || snap.LabelCacheMisses != 1 ||
-		snap.LabelCacheEvictions != 1 || snap.LabelCacheInvalidations != 1 {
-		t.Errorf("mirrored counters = %+v, want 1 of each label-cache field", snap)
 	}
 }
 

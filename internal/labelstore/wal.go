@@ -337,7 +337,6 @@ func (w *wal) appendFrameLocked(payload []byte) error {
 	}
 	w.records++
 	w.unsynced++
-	w.store.counters.Load().WALRecords(1)
 	if w.syncEvery > 1 && w.unsynced >= w.syncEvery {
 		return w.syncLocked()
 	}

@@ -2,10 +2,15 @@ package metrics
 
 import "sync/atomic"
 
-// Counters aggregates service-level activity: async job lifecycle
-// transitions and batch-oracle dispatch volume. All methods are
-// goroutine-safe and nil-safe — a nil *Counters records nothing, so
-// instrumented code never needs a nil check at the call site.
+// Counters records the service totals no other package owns: async job
+// lifecycle transitions, engine query executions, batch-oracle dispatch
+// volume, and the resilience layer's retries and timeouts. The label
+// store, the storage tier and the circuit breakers keep their own
+// totals; Snapshot reads them through the function the counters were
+// built with (NewCounters) instead of counting them a second time. All
+// methods are goroutine-safe and nil-safe — a nil *Counters records
+// nothing, so instrumented code never needs a nil check at the call
+// site.
 type Counters struct {
 	jobsSubmitted atomic.Int64
 	jobsDone      atomic.Int64
@@ -17,35 +22,19 @@ type Counters struct {
 	dispatchBatches atomic.Int64
 	dispatchCalls   atomic.Int64
 
-	labelCacheHits          atomic.Int64
-	labelCacheMisses        atomic.Int64
-	labelCacheEvictions     atomic.Int64
-	labelCacheInvalidations atomic.Int64
-
 	oracleRetries  atomic.Int64
 	oracleTimeouts atomic.Int64
-	// breakerState is a gauge: the number of circuit breakers currently
-	// not closed (open or half-open). 0 means every oracle backend is
-	// considered healthy.
-	breakerState atomic.Int64
 
-	walRecords  atomic.Int64
-	walReplayed atomic.Int64
+	// read fills the snapshot fields other packages own (nil leaves
+	// them zero).
+	read func(*CounterSnapshot)
+}
 
-	storageSegmentsPersisted atomic.Int64
-	storageTablesRecovered   atomic.Int64
-	storageIndexesRecovered  atomic.Int64
-	storageSegmentsRecovered atomic.Int64
-	// storageMappedBytes is a gauge: bytes of persisted files currently
-	// mmap'd into the process.
-	storageMappedBytes atomic.Int64
-	// storageRecoveryMillis is a gauge: wall-clock milliseconds the last
-	// storage recovery took.
-	storageRecoveryMillis atomic.Int64
-	// storageManifestRecords is a gauge: frames currently in the storage
-	// manifest (drops after a compaction).
-	storageManifestRecords     atomic.Int64
-	storageManifestCompactions atomic.Int64
+// NewCounters returns counters whose Snapshot fills the label-store,
+// WAL, storage and breaker fields by calling read. The zero Counters
+// value leaves those fields zero.
+func NewCounters(read func(*CounterSnapshot)) *Counters {
+	return &Counters{read: read}
 }
 
 // JobSubmitted records a job accepted into the queue.
@@ -91,37 +80,6 @@ func (c *Counters) DispatchBatch(n int) {
 	}
 }
 
-// LabelCacheHits records n label reads served from the cross-query
-// label store.
-func (c *Counters) LabelCacheHits(n int64) {
-	if c != nil {
-		c.labelCacheHits.Add(n)
-	}
-}
-
-// LabelCacheMisses records n label-store lookups that missed.
-func (c *Counters) LabelCacheMisses(n int64) {
-	if c != nil {
-		c.labelCacheMisses.Add(n)
-	}
-}
-
-// LabelCacheEvictions records n labels evicted to stay under the
-// store's byte budget.
-func (c *Counters) LabelCacheEvictions(n int64) {
-	if c != nil {
-		c.labelCacheEvictions.Add(n)
-	}
-}
-
-// LabelCacheInvalidations records n label caches dropped because their
-// table or oracle UDF was re-registered.
-func (c *Counters) LabelCacheInvalidations(n int64) {
-	if c != nil {
-		c.labelCacheInvalidations.Add(n)
-	}
-}
-
 // OracleRetries records n transient oracle failures that were retried
 // by the resilience layer.
 func (c *Counters) OracleRetries(n int64) {
@@ -138,90 +96,11 @@ func (c *Counters) OracleTimeouts(n int64) {
 	}
 }
 
-// BreakerOpened records a circuit breaker leaving the closed state
-// (the breaker-state gauge goes up by one).
-func (c *Counters) BreakerOpened() {
-	if c != nil {
-		c.breakerState.Add(1)
-	}
-}
-
-// BreakerClosed records a circuit breaker returning to the closed
-// state after a successful half-open probe.
-func (c *Counters) BreakerClosed() {
-	if c != nil {
-		c.breakerState.Add(-1)
-	}
-}
-
-// WALRecords records n records appended to (or, at attach time, already
-// present in) the label store's write-ahead log.
-func (c *Counters) WALRecords(n int64) {
-	if c != nil {
-		c.walRecords.Add(n)
-	}
-}
-
-// WALReplayed records n labels restored from the write-ahead log on
-// boot.
-func (c *Counters) WALReplayed(n int64) {
-	if c != nil {
-		c.walReplayed.Add(n)
-	}
-}
-
-// StorageSegmentsPersisted records n segment files flushed to the
-// durable storage tier.
-func (c *Counters) StorageSegmentsPersisted(n int64) {
-	if c != nil {
-		c.storageSegmentsPersisted.Add(n)
-	}
-}
-
-// StorageRecovered records the boot-time recovery outcome: tables,
-// segmented indexes, and segment files restored from the storage tier
-// without rebuilding.
-func (c *Counters) StorageRecovered(tables, indexes, segments int64) {
-	if c != nil {
-		c.storageTablesRecovered.Add(tables)
-		c.storageIndexesRecovered.Add(indexes)
-		c.storageSegmentsRecovered.Add(segments)
-	}
-}
-
-// StorageMappedBytes moves the mapped-bytes gauge by n.
-func (c *Counters) StorageMappedBytes(n int64) {
-	if c != nil {
-		c.storageMappedBytes.Add(n)
-	}
-}
-
-// StorageRecoveryMillis moves the recovery-time gauge by n milliseconds
-// (attached once after recovery, so the gauge reads as the last
-// recovery's duration).
-func (c *Counters) StorageRecoveryMillis(n int64) {
-	if c != nil {
-		c.storageRecoveryMillis.Add(n)
-	}
-}
-
-// StorageManifestRecords moves the manifest-frames gauge by n (negative
-// after a compaction shrinks the log).
-func (c *Counters) StorageManifestRecords(n int64) {
-	if c != nil {
-		c.storageManifestRecords.Add(n)
-	}
-}
-
-// StorageManifestCompactions records n manifest compactions.
-func (c *Counters) StorageManifestCompactions(n int64) {
-	if c != nil {
-		c.storageManifestCompactions.Add(n)
-	}
-}
-
-// CounterSnapshot is a point-in-time copy of all counters, shaped for
-// the /v1/stats endpoint.
+// CounterSnapshot is a point-in-time copy of the service totals, shaped
+// for the /v1/stats endpoint. The label_cache_* and wal_* fields are the
+// label store's own totals (labelstore.Stats), the storage_* fields the
+// storage tier's (storage.Stats), and breaker_state is read from the
+// circuit breakers; Counters records the rest.
 type CounterSnapshot struct {
 	JobsSubmitted   int64 `json:"jobs_submitted"`
 	JobsDone        int64 `json:"jobs_done"`
@@ -242,6 +121,9 @@ type CounterSnapshot struct {
 	// closed (0 = all oracle backends healthy).
 	BreakerState int64 `json:"breaker_state"`
 
+	// WALRecords is the number of frames currently in the label store's
+	// write-ahead log (it drops after a compaction); WALReplayed the
+	// number of labels restored from it on boot.
 	WALRecords  int64 `json:"wal_records"`
 	WALReplayed int64 `json:"wal_replayed"`
 
@@ -258,13 +140,14 @@ type CounterSnapshot struct {
 	StorageManifestCompactions int64 `json:"storage_manifest_compactions"`
 }
 
-// Snapshot returns a consistent-enough copy of the counters (each field
-// is read atomically; cross-field skew is acceptable for monitoring).
+// Snapshot returns a consistent-enough copy of the totals (each field
+// is read atomically or under its owner's lock; cross-field skew is
+// acceptable for monitoring).
 func (c *Counters) Snapshot() CounterSnapshot {
 	if c == nil {
 		return CounterSnapshot{}
 	}
-	return CounterSnapshot{
+	snap := CounterSnapshot{
 		JobsSubmitted:   c.jobsSubmitted.Load(),
 		JobsDone:        c.jobsDone.Load(),
 		JobsFailed:      c.jobsFailed.Load(),
@@ -272,26 +155,11 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Queries:         c.queries.Load(),
 		DispatchBatches: c.dispatchBatches.Load(),
 		DispatchCalls:   c.dispatchCalls.Load(),
-
-		LabelCacheHits:          c.labelCacheHits.Load(),
-		LabelCacheMisses:        c.labelCacheMisses.Load(),
-		LabelCacheEvictions:     c.labelCacheEvictions.Load(),
-		LabelCacheInvalidations: c.labelCacheInvalidations.Load(),
-
-		OracleRetries:  c.oracleRetries.Load(),
-		OracleTimeouts: c.oracleTimeouts.Load(),
-		BreakerState:   c.breakerState.Load(),
-
-		WALRecords:  c.walRecords.Load(),
-		WALReplayed: c.walReplayed.Load(),
-
-		StorageSegmentsPersisted:   c.storageSegmentsPersisted.Load(),
-		StorageTablesRecovered:     c.storageTablesRecovered.Load(),
-		StorageIndexesRecovered:    c.storageIndexesRecovered.Load(),
-		StorageSegmentsRecovered:   c.storageSegmentsRecovered.Load(),
-		StorageMappedBytes:         c.storageMappedBytes.Load(),
-		StorageRecoveryMillis:      c.storageRecoveryMillis.Load(),
-		StorageManifestRecords:     c.storageManifestRecords.Load(),
-		StorageManifestCompactions: c.storageManifestCompactions.Load(),
+		OracleRetries:   c.oracleRetries.Load(),
+		OracleTimeouts:  c.oracleTimeouts.Load(),
 	}
+	if c.read != nil {
+		c.read(&snap)
+	}
+	return snap
 }

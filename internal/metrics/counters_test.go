@@ -44,3 +44,19 @@ func TestCountersConcurrent(t *testing.T) {
 		t.Errorf("dispatch counters = %+v", snap)
 	}
 }
+
+func TestSnapshotReadsOwnedFields(t *testing.T) {
+	c := NewCounters(func(s *CounterSnapshot) {
+		s.LabelCacheEvictions = 7
+		s.StorageMappedBytes = 9
+	})
+	c.QueryExecuted()
+	c.OracleRetries(2)
+	snap := c.Snapshot()
+	if snap.Queries != 1 || snap.OracleRetries != 2 {
+		t.Errorf("recorded totals = %+v, want 1 query and 2 retries", snap)
+	}
+	if snap.LabelCacheEvictions != 7 || snap.StorageMappedBytes != 9 {
+		t.Errorf("owned fields = %+v, want the values the read function filled", snap)
+	}
+}

@@ -51,6 +51,10 @@ const (
 	OutcomeSkip
 )
 
+// DefaultBreakerCooldown is how long an open breaker refuses calls when
+// BreakerOptions.Cooldown is unset.
+const DefaultBreakerCooldown = time.Second
+
 // BreakerOptions tune a Breaker. The zero value selects the defaults
 // noted on each field.
 type BreakerOptions struct {
@@ -59,7 +63,7 @@ type BreakerOptions struct {
 	// open (default 5).
 	Threshold int
 	// Cooldown is how long an open breaker refuses calls before
-	// half-opening for a probe (default 1s).
+	// half-opening for a probe (default DefaultBreakerCooldown).
 	Cooldown time.Duration
 	// Clock overrides the time source (nil = real time).
 	Clock Clock
@@ -70,7 +74,7 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 		o.Threshold = 5
 	}
 	if o.Cooldown <= 0 {
-		o.Cooldown = time.Second
+		o.Cooldown = DefaultBreakerCooldown
 	}
 	o.Clock = clockOrReal(o.Clock)
 	return o
@@ -88,8 +92,7 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 // breaker state deterministic for workloads whose calls all eventually
 // succeed.
 type Breaker struct {
-	opts     BreakerOptions
-	counters *metrics.Counters
+	opts BreakerOptions
 
 	mu       sync.Mutex
 	state    BreakerState
@@ -101,15 +104,6 @@ type Breaker struct {
 // NewBreaker returns a closed breaker.
 func NewBreaker(opts BreakerOptions) *Breaker {
 	return &Breaker{opts: opts.withDefaults()}
-}
-
-// WithCounters mirrors open/close transitions into the breaker-state
-// gauge. Returns b for chaining.
-func (b *Breaker) WithCounters(c *metrics.Counters) *Breaker {
-	if b != nil {
-		b.counters = c
-	}
-	return b
 }
 
 // State returns the breaker's current position.
@@ -167,7 +161,6 @@ func (b *Breaker) reportClosed(o Outcome) {
 		if b.failures >= b.opts.Threshold {
 			b.state = BreakerOpen
 			b.openedAt = b.opts.Clock.Now()
-			b.counters.BreakerOpened()
 		}
 	}
 }
@@ -186,7 +179,6 @@ func (b *Breaker) reportProbe(o Outcome) {
 	case OutcomeSuccess:
 		b.state = BreakerClosed
 		b.failures = 0
-		b.counters.BreakerClosed()
 	case OutcomeFailure:
 		b.state = BreakerOpen
 		b.openedAt = b.opts.Clock.Now()
@@ -281,7 +273,7 @@ func (r *Resilient) WithContext(ctx context.Context) *Resilient {
 	return r
 }
 
-// WithCounters mirrors retry and timeout activity into the service
+// WithCounters records retry and timeout activity in the service
 // counters. Returns r for chaining.
 func (r *Resilient) WithCounters(c *metrics.Counters) *Resilient {
 	r.counters = c

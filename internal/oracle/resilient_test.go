@@ -278,8 +278,7 @@ func waitPending(t *testing.T, clock *ManualClock, n int) {
 
 func TestBreakerTransitions(t *testing.T) {
 	clock := NewManualClock(time.Unix(0, 0))
-	var c metrics.Counters
-	b := NewBreaker(BreakerOptions{Threshold: 2, Cooldown: time.Minute, Clock: clock}).WithCounters(&c)
+	b := NewBreaker(BreakerOptions{Threshold: 2, Cooldown: time.Minute, Clock: clock})
 
 	fail := func() {
 		t.Helper()
@@ -305,9 +304,6 @@ func TestBreakerTransitions(t *testing.T) {
 	fail()
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v, want open", b.State())
-	}
-	if got := c.Snapshot().BreakerState; got != 1 {
-		t.Fatalf("breaker_state gauge = %d, want 1", got)
 	}
 	if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Allow while open = %v, want ErrBreakerOpen", err)
@@ -341,13 +337,10 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("probe refused after restarted cooldown: %v", err)
 	}
 
-	// Successful probe closes the breaker and zeroes the gauge.
+	// Successful probe closes the breaker.
 	probe(OutcomeSuccess)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %v, want closed after successful probe", b.State())
-	}
-	if got := c.Snapshot().BreakerState; got != 0 {
-		t.Fatalf("breaker_state gauge = %d, want 0", got)
 	}
 }
 
@@ -386,8 +379,7 @@ func TestNilBreakerAllowsEverything(t *testing.T) {
 // goroutines (the -race target): mixed outcomes, open/close cycles.
 func TestBreakerConcurrentQueries(t *testing.T) {
 	clock := NewManualClock(time.Unix(0, 0))
-	var c metrics.Counters
-	b := NewBreaker(BreakerOptions{Threshold: 3, Cooldown: time.Millisecond, Clock: clock}).WithCounters(&c)
+	b := NewBreaker(BreakerOptions{Threshold: 3, Cooldown: time.Millisecond, Clock: clock})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -416,14 +408,6 @@ func TestBreakerConcurrentQueries(t *testing.T) {
 		case <-done:
 			if s := b.State(); s != BreakerClosed && s != BreakerOpen && s != BreakerHalfOpen {
 				t.Fatalf("invalid state %v", s)
-			}
-			// The gauge must agree with the final state.
-			want := int64(0)
-			if b.State() != BreakerClosed {
-				want = 1
-			}
-			if got := c.Snapshot().BreakerState; got != want {
-				t.Fatalf("breaker_state gauge = %d, want %d (state %v)", got, want, b.State())
 			}
 			return
 		default:

@@ -2,10 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+
+	"supg/internal/dataset"
+	"supg/internal/randx"
 )
 
 // TestConcurrentQueriesShareIndex hammers /v1/query from many
@@ -87,5 +94,77 @@ func TestQueryNoCertifiableThresholdEncodes(t *testing.T) {
 	}
 	if qr.Tau != nil {
 		t.Fatalf("tau = %v, want null for an uncertifiable threshold", *qr.Tau)
+	}
+}
+
+// TestConcurrentStatsAndListingDuringWrites reads /v1/stats and
+// /v1/datasets while other goroutines query, append to one table and
+// re-upload another on a persisted server (the -race target for the
+// engine-owned tables and stats). Every request must succeed, and once
+// the writers finish the listing must show each table's final length.
+func TestConcurrentStatsAndListingDuringWrites(t *testing.T) {
+	s, err := Open(7, Options{PersistDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	s.RegisterDataset("beta", dataset.Beta(randx.New(1), 5000, 0.05, 2))
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	tail := csvBytes(t, dataset.Beta(randx.New(2), 100, 0.5, 1))
+	gamma := csvBytes(t, dataset.Beta(randx.New(3), 800, 0.1, 1))
+	query := `{"sql": "SELECT * FROM beta WHERE beta_oracle(x) = true ORACLE LIMIT 200 USING beta_proxy(x) RECALL TARGET 90% WITH PROBABILITY 95%"}`
+
+	const rounds = 8
+	do := func(method, path, body string) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Errorf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+	}
+	workers := []func(){
+		func() { do(http.MethodPost, "/v1/query", query) },
+		func() { do(http.MethodPut, "/v1/datasets/beta/append", string(tail)) },
+		func() { do(http.MethodPut, "/v1/datasets/gamma", string(gamma)) },
+		func() { do(http.MethodGet, "/v1/stats", "") },
+		func() { do(http.MethodGet, "/v1/datasets", "") },
+	}
+	var wg sync.WaitGroup
+	for _, work := range workers {
+		wg.Add(1)
+		go func(work func()) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				work()
+			}
+		}(work)
+	}
+	wg.Wait()
+
+	resp, err := http.Get(ts.URL + "/v1/datasets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var infos []DatasetInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 2 || infos[0].Name != "beta" || infos[1].Name != "gamma" {
+		t.Fatalf("listing = %+v, want beta and gamma", infos)
+	}
+	if infos[0].Records != 5000+rounds*100 || infos[1].Records != 800 {
+		t.Fatalf("listing = %+v, want %d and 800 records", infos, 5000+rounds*100)
 	}
 }

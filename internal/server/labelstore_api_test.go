@@ -117,10 +117,7 @@ func TestUploadInvalidatesLabelCache(t *testing.T) {
 		t.Fatal("store empty after a query")
 	}
 	// Re-register the same dataset under the same name.
-	s.mu.RLock()
-	d := s.datasets["beta"]
-	s.mu.RUnlock()
-	s.RegisterDataset("beta", d)
+	s.RegisterDataset("beta", s.engine.Table("beta"))
 	res := postQueryOK(t, ts.URL, QueryRequest{SQL: storeSQL})
 	if res.LabelCacheHits != 0 {
 		t.Errorf("query after re-registration served %d stale hits", res.LabelCacheHits)

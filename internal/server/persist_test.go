@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"supg/internal/dataset"
 	"supg/internal/index"
@@ -81,7 +85,7 @@ func TestServerKillRestartPersistRecovery(t *testing.T) {
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
 
-	if !s2.HasDataset("beta") {
+	if s2.Engine().Table("beta") == nil {
 		t.Fatal("restarted server did not auto-register the recovered dataset")
 	}
 	info, ok := s2.Engine().RecoveryInfo()
@@ -155,7 +159,7 @@ func TestServerPersistUploadSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Shutdown(context.Background())
-	got := s2.Dataset("up")
+	got := s2.Engine().Table("up")
 	if got == nil || got.Len() != d.Len() {
 		t.Fatalf("uploaded dataset not recovered: %v", got)
 	}
@@ -163,5 +167,111 @@ func TestServerPersistUploadSurvivesRestart(t *testing.T) {
 		if got.Score(i) != d.Score(i) || got.TrueLabel(i) != d.TrueLabel(i) {
 			t.Fatalf("recovered record %d diverged", i)
 		}
+	}
+}
+
+// TestPersistRestartWithOracleLatencyKeepsLabels restarts a persisted
+// server that simulates oracle latency. Recovery re-registers the
+// table, and the latency decoration that comes with it must keep what
+// the first boot paid for: the replayed labels (the restarted query
+// re-buys none) and the staged calibrated fused index (adopted, not
+// recalibrated).
+func TestPersistRestartWithOracleLatencyKeepsLabels(t *testing.T) {
+	dir := t.TempDir()
+	d := dataset.Beta(randx.New(1), 20000, 0.01, 2)
+	opts := Options{
+		PersistDir:    dir,
+		LabelWALPath:  filepath.Join(dir, "labels.wal"),
+		OracleLatency: time.Microsecond,
+	}
+	soft := func(i int) float64 { return math.Sqrt(d.Score(i)) }
+
+	s1, err := Open(7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.RegisterDataset("beta", d)
+	s1.RegisterProxy("beta_proxy_soft", soft)
+	ts1 := httptest.NewServer(s1)
+	cold := postQueryOK(t, ts1.URL, QueryRequest{SQL: resilienceRT})
+	postQueryOK(t, ts1.URL, QueryRequest{SQL: fusedSQL})
+	ts1.Close()
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	s2.RegisterProxy("beta_proxy_soft", soft)
+	ts2 := httptest.NewServer(s2)
+	defer ts2.Close()
+	warm := postQueryOK(t, ts2.URL, QueryRequest{SQL: resilienceRT})
+	if warm.OracleCalls != cold.OracleCalls || warm.LabelCacheHits != warm.OracleCalls {
+		t.Fatalf("restarted query served %d of %d labels from the store (cold run: %d calls)",
+			warm.LabelCacheHits, warm.OracleCalls, cold.OracleCalls)
+	}
+	fused := postQueryOK(t, ts2.URL, QueryRequest{SQL: fusedSQL})
+	if !fused.IndexRecovered || fused.CalibrationCalls != 0 {
+		t.Fatalf("restarted fused query recalibrated: recovered %v, %d calibration calls",
+			fused.IndexRecovered, fused.CalibrationCalls)
+	}
+}
+
+// TestPersistDatasetsListingGolden pins the GET /v1/datasets body for
+// uploaded (CSV and binary), appended and recovered tables to the
+// bytes the server produced when it still kept its own table summaries
+// beside the engine's tables.
+func TestPersistDatasetsListingGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "datasets_listing.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := func(ts *httptest.Server) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/datasets")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	opts := Options{PersistDir: t.TempDir()}
+
+	s1, err := Open(7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1)
+	if w := putBody(t, s1, "/v1/datasets/beta", "", csvBytes(t, dataset.Beta(randx.New(1), 2000, 0.05, 2))); w.Code != http.StatusCreated {
+		t.Fatalf("upload: %d %s", w.Code, w.Body.String())
+	}
+	uploadBinary(t, ts1, "alpha", dataset.Beta(randx.New(2), 1000, 0.2, 1))
+	if w := putBody(t, s1, "/v1/datasets/beta/append", "", csvBytes(t, dataset.Beta(randx.New(3), 500, 0.5, 1))); w.Code != http.StatusOK {
+		t.Fatalf("append: %d %s", w.Code, w.Body.String())
+	}
+	if got := listing(ts1); !bytes.Equal(got, want) {
+		t.Errorf("listing before restart:\n%s\nwant:\n%s", got, want)
+	}
+	ts1.Close()
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	ts2 := httptest.NewServer(s2)
+	defer ts2.Close()
+	if got := listing(ts2); !bytes.Equal(got, want) {
+		t.Errorf("listing of recovered tables:\n%s\nwant:\n%s", got, want)
 	}
 }

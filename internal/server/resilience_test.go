@@ -203,6 +203,23 @@ func TestOracleUnavailableMapsTo503(t *testing.T) {
 	}
 }
 
+// TestOracleUnavailableRetryAfterDefault pins the Retry-After hint at
+// zero-value breaker options: the breaker's default cooldown, one
+// second.
+func TestOracleUnavailableRetryAfterDefault(t *testing.T) {
+	_, ts := brokenBackendServer(t, 5, Options{
+		OracleRetries: 1,
+		OracleBackoff: time.Nanosecond,
+	})
+	resp, body := postSQL(t, ts, resilienceRT)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d (%s), want 503", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\" (the default breaker cooldown)", got)
+	}
+}
+
 // TestJobFailureCarriesDiagnostic pins the async path: a job against a
 // dead backend transitions to failed with the unavailability
 // diagnostic (including the labels-folded count) in its error string.

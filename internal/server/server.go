@@ -4,8 +4,11 @@
 // SUPG statements — synchronously via /v1/query, or asynchronously via
 // the /v1/jobs API, which queues the query onto a bounded worker pool,
 // labels oracle draws through the concurrent batch dispatcher, and
-// serves progress and results over submit/poll. All state is
-// in-memory; the service is a front-end to engine.Engine.
+// serves progress and results over submit/poll. The service is a
+// front-end to engine.Engine, which owns every table, label and
+// counter it reports; beyond that the server keeps only its job queue.
+// With Options.PersistDir and Options.LabelWALPath the engine's state
+// survives restarts.
 package server
 
 import (
@@ -15,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,8 +93,8 @@ type Options struct {
 	// fast with 503 and GET /readyz reports not-ready.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker fails fast before
-	// half-opening for a probe (0 = 1s). Also the Retry-After hint on
-	// 503 responses.
+	// half-opening for a probe (0 = oracle.DefaultBreakerCooldown, 1s).
+	// Also the Retry-After hint on 503 responses.
 	BreakerCooldown time.Duration
 	// PersistDir, when non-empty, enables the engine's durable storage
 	// tier: datasets and built score indexes are flushed there and
@@ -101,12 +103,6 @@ type Options struct {
 	// OracleLatency wrapping, exactly like a preload). See
 	// engine.Options.PersistDir.
 	PersistDir string
-	// PersistMadvise optionally hints mapped-file residency ("normal",
-	// "random", "sequential", "willneed"; empty = no hint).
-	PersistMadvise string
-	// PersistNoMmap forces heap loads of persisted files (testing and
-	// portability escape hatch).
-	PersistNoMmap bool
 }
 
 // defaultMaxBodyBytes caps uploads at 64 MiB unless overridden.
@@ -141,16 +137,14 @@ func (o Options) withDefaults() Options {
 //	DELETE /v1/jobs/{id}               -> cancel an active job / remove a finished one
 //	GET    /v1/stats                   -> service counters
 type Server struct {
-	mu     sync.RWMutex
-	engine *engine.Engine
-	// summaries tracks uploads for the list endpoint; the engine holds
-	// the authoritative data.
-	summaries map[string]dataset.Summary
-	datasets  map[string]*dataset.Dataset
-	mux       *http.ServeMux
-	opts      Options
-	counters  *metrics.Counters
-	manager   *jobs.Manager
+	// mu makes RegisterDataset's registration and latency decoration
+	// one step, so concurrent registrations of a name cannot wrap its
+	// oracle twice.
+	mu      sync.Mutex
+	engine  *engine.Engine
+	mux     *http.ServeMux
+	opts    Options
+	manager *jobs.Manager
 }
 
 // New returns a server with default options whose query randomness
@@ -188,25 +182,15 @@ func Open(seed uint64, opts Options) (*Server, error) {
 		BreakerThreshold:  opts.BreakerThreshold,
 		BreakerCooldown:   opts.BreakerCooldown,
 		PersistDir:        opts.PersistDir,
-		PersistNoMmap:     opts.PersistNoMmap,
-		PersistMadvise:    opts.PersistMadvise,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		engine:    eng,
-		summaries: make(map[string]dataset.Summary),
-		datasets:  make(map[string]*dataset.Dataset),
-		mux:       http.NewServeMux(),
-		opts:      opts,
-		counters:  &metrics.Counters{},
+		engine: eng,
+		mux:    http.NewServeMux(),
+		opts:   opts,
 	}
-	// Mirror label store activity into the service counters so
-	// GET /v1/stats reports hit/miss/eviction/invalidation totals (plus
-	// WAL records/replays), and breaker/retry/timeout activity likewise.
-	s.engine.LabelStore().WithCounters(s.counters)
-	s.engine.WithCounters(s.counters)
 	// Re-register every dataset the storage tier recovered, before any
 	// request can arrive. Registration passes the recovered dataset
 	// pointer back, so the engine adopts the on-disk state (and its
@@ -218,7 +202,7 @@ func Open(seed uint64, opts Options) (*Server, error) {
 		Workers:    opts.Workers,
 		QueueDepth: opts.JobQueueDepth,
 		Retention:  opts.JobRetention,
-		Counters:   s.counters,
+		Counters:   eng.Counters(),
 	})
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
@@ -250,14 +234,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // cmd/supg-server and for tests).
 func (s *Server) Engine() *engine.Engine { return s.engine }
 
-// Counters exposes the service counters (for tests and the stats
-// endpoint).
-func (s *Server) Counters() *metrics.Counters { return s.counters }
+// Counters exposes the engine's service counters, whose snapshots are
+// what GET /v1/stats serves.
+func (s *Server) Counters() *metrics.Counters { return s.engine.Counters() }
 
 // RegisterDataset adds a dataset directly (used by cmd/supg-server to
 // preload data and by tests). When Options.OracleLatency is set the
 // dataset's oracle UDF sleeps that long per call, standing in for an
-// expensive labeling backend.
+// expensive labeling backend; the delay changes no answer, so labels
+// the engine already holds for the name stay valid.
 func (s *Server) RegisterDataset(name string, d *dataset.Dataset) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,21 +255,6 @@ func (s *Server) RegisterDataset(name string, d *dataset.Dataset) {
 			}
 		})
 	}
-	s.summaries[name] = d.Summarize()
-	s.datasets[name] = d
-}
-
-// HasDataset reports whether a dataset is registered under name —
-// via preload, upload, or storage-tier recovery.
-func (s *Server) HasDataset(name string) bool {
-	return s.Dataset(name) != nil
-}
-
-// Dataset returns the dataset registered under name (nil when absent).
-func (s *Server) Dataset(name string) *dataset.Dataset {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.datasets[name]
 }
 
 // RegisterProxy adds an extra proxy UDF to the underlying engine so
@@ -339,25 +309,28 @@ type DatasetInfo struct {
 	ProxyUDF  string  `json:"proxy_udf"`
 }
 
+// datasetInfo summarizes the table registered under name.
+func datasetInfo(name string, d *dataset.Dataset) DatasetInfo {
+	sum := d.Summarize()
+	return DatasetInfo{
+		Name: name, Records: sum.Records, Positives: sum.Positives, TPR: sum.TPR,
+		OracleUDF: name + "_oracle", ProxyUDF: name + "_proxy",
+	}
+}
+
+// handleListDatasets lists the engine's tables, sorted by name.
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	s.mu.RLock()
-	infos := make([]DatasetInfo, 0, len(s.summaries))
-	for name, sum := range s.summaries {
-		infos = append(infos, DatasetInfo{
-			Name:      name,
-			Records:   sum.Records,
-			Positives: sum.Positives,
-			TPR:       sum.TPR,
-			OracleUDF: name + "_oracle",
-			ProxyUDF:  name + "_proxy",
-		})
+	names := s.engine.TableNames()
+	infos := make([]DatasetInfo, 0, len(names))
+	for _, name := range names {
+		if d := s.engine.Table(name); d != nil {
+			infos = append(infos, datasetInfo(name, d))
+		}
 	}
-	s.mu.RUnlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, infos)
 }
 
@@ -412,11 +385,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.RegisterDataset(name, d)
-	sum := d.Summarize()
-	writeJSON(w, http.StatusCreated, DatasetInfo{
-		Name: name, Records: sum.Records, Positives: sum.Positives, TPR: sum.TPR,
-		OracleUDF: name + "_oracle", ProxyUDF: name + "_proxy",
-	})
+	writeJSON(w, http.StatusCreated, datasetInfo(name, d))
 }
 
 // handleAppendDataset extends an uploaded dataset in place. Unlike a
@@ -424,15 +393,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 // indexes only the appended records (a fresh segment) on the next
 // query instead of re-scanning and re-sorting the whole table.
 func (s *Server) handleAppendDataset(w http.ResponseWriter, name string, extra *dataset.Dataset) {
-	var sum dataset.Summary
-	s.mu.Lock()
 	combined, err := s.engine.AppendTable(name, extra)
-	if err == nil {
-		sum = combined.Summarize()
-		s.summaries[name] = sum
-		s.datasets[name] = combined
-	}
-	s.mu.Unlock()
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, engine.ErrUnknownTable) {
@@ -442,11 +403,8 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, name string, extra *
 		return
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{
-		DatasetInfo: DatasetInfo{
-			Name: name, Records: sum.Records, Positives: sum.Positives, TPR: sum.TPR,
-			OracleUDF: name + "_oracle", ProxyUDF: name + "_proxy",
-		},
-		Appended: extra.Len(),
+		DatasetInfo: datasetInfo(name, combined),
+		Appended:    extra.Len(),
 	})
 }
 
@@ -515,7 +473,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// job path and is cancelled when the client disconnects.
 	res, err := s.engine.ExecuteContext(r.Context(), req.SQL, engine.ExecOptions{
 		OracleParallelism: s.opts.OracleParallelism,
-		Counters:          s.counters,
 		FreeReuse:         req.FreeReuse,
 	})
 	if err != nil {
@@ -562,7 +519,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 func (s *Server) retryAfterSeconds() int {
 	cooldown := s.opts.BreakerCooldown
 	if cooldown <= 0 {
-		cooldown = time.Second
+		cooldown = oracle.DefaultBreakerCooldown
 	}
 	secs := int(math.Ceil(cooldown.Seconds()))
 	if secs < 1 {
@@ -648,7 +605,6 @@ func (s *Server) runJob(ctx context.Context, payload any, progress func(int)) (a
 	res, err := s.engine.ExecuteContext(ctx, req.SQL, engine.ExecOptions{
 		OracleParallelism: s.opts.OracleParallelism,
 		Progress:          progress,
-		Counters:          s.counters,
 		FreeReuse:         req.FreeReuse,
 	})
 	if err != nil {
@@ -759,13 +715,14 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleStats serves the service counters.
+// handleStats serves the engine's counters. The label-store, WAL,
+// storage and breaker keys are read from those owners on each request.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.counters.Snapshot())
+	writeJSON(w, http.StatusOK, s.engine.Counters().Snapshot())
 }
 
 // errorBody is the JSON error envelope.

@@ -145,7 +145,7 @@ func TestLegacyIndexUpgrade(t *testing.T) {
 	legacySegs := s.st.indexes[ixKey{"t", "q"}].segs
 
 	// A flush that commits.
-	persisted := s.segmentsPersisted
+	persisted := s.Stats().SegmentsPersisted
 	if err := s.SaveIndex(q.IndexMeta, grown, s.Epoch("t")); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestLegacyIndexUpgrade(t *testing.T) {
 			t.Fatalf("segment %d: %+v, want %s reused without a code file", i, rec.segs[i], sr.file)
 		}
 	}
-	if got, want := s.segmentsPersisted-persisted, int64(grown.Segments()-len(legacySegs)); got != want {
+	if got, want := s.Stats().SegmentsPersisted-persisted, int64(grown.Segments()-len(legacySegs)); got != want {
 		t.Fatalf("flush wrote %d segment files, want only the %d new ones", got, want)
 	}
 	if left := codeFiles(t, dir); len(left) != 0 {

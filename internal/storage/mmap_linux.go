@@ -51,26 +51,6 @@ func mapFile(path string) ([]byte, error) {
 // only leaks address space, so its error is dropped.
 func unmapFile(b []byte) { _ = syscall.Munmap(b) }
 
-// madviseBytes applies the configured residency hint to a mapping.
-func madviseBytes(b []byte, advice int) error {
-	var sys int
-	switch advice {
-	case adviseNone:
-		return nil
-	case adviseNormal:
-		sys = syscall.MADV_NORMAL
-	case adviseRandom:
-		sys = syscall.MADV_RANDOM
-	case adviseSequential:
-		sys = syscall.MADV_SEQUENTIAL
-	case adviseWillneed:
-		sys = syscall.MADV_WILLNEED
-	default:
-		return fmt.Errorf("storage: unknown madvise %d", advice)
-	}
-	return syscall.Madvise(b, sys)
-}
-
 // aliasFloat64s reinterprets little-endian IEEE 754 bytes as a float64
 // slice without copying. Safe here because the build tag pins a
 // little-endian platform, the caller guarantees 8-byte in-file

@@ -13,8 +13,6 @@ func mapFile(path string) ([]byte, error) {
 	return nil, fmt.Errorf("storage: mmap unsupported on this platform")
 }
 
-func madviseBytes(b []byte, advice int) error { return nil }
-
 func unmapFile(b []byte) {}
 
 // The alias helpers are unreachable when mmapSupported is false (every

@@ -80,7 +80,6 @@ import (
 
 	"supg/internal/dataset"
 	"supg/internal/index"
-	"supg/internal/metrics"
 	"supg/internal/sampling"
 )
 
@@ -91,38 +90,9 @@ type Options struct {
 	// NoMmap forces heap loads with portable decoding even on
 	// platforms that support zero-copy mapping.
 	NoMmap bool
-	// Madvise optionally hints residency for mapped files: "",
-	// "normal", "random", "sequential", or "willneed".
-	Madvise string
 	// Index supplies the segment size and parallelism recovered
 	// indexes use for verification and future appends.
 	Index index.Options
-}
-
-// Residency hints (resolved from Options.Madvise).
-const (
-	adviseNone = iota
-	adviseNormal
-	adviseRandom
-	adviseSequential
-	adviseWillneed
-)
-
-func parseMadvise(s string) (int, error) {
-	switch s {
-	case "", "none":
-		return adviseNone, nil
-	case "normal":
-		return adviseNormal, nil
-	case "random":
-		return adviseRandom, nil
-	case "sequential":
-		return adviseSequential, nil
-	case "willneed":
-		return adviseWillneed, nil
-	default:
-		return 0, fmt.Errorf("storage: unknown madvise hint %q (want normal, random, sequential, or willneed)", s)
-	}
 }
 
 // ErrSuperseded reports that a SaveIndex was abandoned because the
@@ -171,6 +141,10 @@ type Stats struct {
 	// to recovered indexes (adopted lazily, on first use).
 	MixturesRecovered int
 
+	// SegmentsPersisted counts the segment files SaveIndex wrote since
+	// Open.
+	SegmentsPersisted int64
+
 	MappedBytes     int64
 	RecoveryElapsed time.Duration
 	ManifestRecords int64
@@ -185,9 +159,8 @@ type Stats struct {
 // Store owns a persistence directory: the MANIFEST log plus write-once
 // dataset/column/segment files.
 type Store struct {
-	dir    string
-	opts   Options
-	advise int
+	dir  string
+	opts Options
 
 	mu     sync.Mutex
 	man    *manifest
@@ -199,8 +172,6 @@ type Store struct {
 	// flushed from or recovered as, so SaveMixtures can prove that a
 	// mixture's tables belong to the column the record describes.
 	indexOf map[ixKey]*index.ScoreIndex
-
-	counters *metrics.Counters
 
 	segmentsPersisted int64
 	mappedBytes       int64
@@ -224,10 +195,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("storage: no directory configured")
 	}
-	advise, err := parseMadvise(opts.Madvise)
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", opts.Dir, err)
 	}
@@ -240,7 +207,6 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		dir:     opts.Dir,
 		opts:    opts,
-		advise:  advise,
 		man:     man,
 		st:      st,
 		epochs:  make(map[string]uint64),
@@ -551,10 +517,9 @@ func (s *Store) rejectMixture(rec mixRec, cause error) {
 	if cur, ok := s.st.mixtures[k]; s.closed || !ok || cur.file != rec.file {
 		return // already superseded; the next boot re-checks anything left
 	}
-	before := s.man.frames
 	s.tombstone(encodeDropMixture(k), recDropMixture, k)
 	os.Remove(filepath.Join(s.dir, rec.file))
-	s.maybeCompactLocked(before)
+	s.maybeCompactLocked()
 }
 
 // loadVerified loads one named file and checks its exact size and
@@ -567,10 +532,8 @@ func (s *Store) loadVerified(name string, wantSize int64, wantCRC uint32) ([]byt
 	if err != nil || !mapped {
 		return data, mapped, err
 	}
-	madviseBytes(data, s.advise)
 	s.mu.Lock()
 	s.mappedBytes += int64(len(data))
-	s.counters.StorageMappedBytes(int64(len(data)))
 	s.mu.Unlock()
 	return data, mapped, nil
 }
@@ -712,20 +675,6 @@ func (s *Store) Epoch(table string) uint64 {
 	return s.epochs[table]
 }
 
-// WithCounters attaches service metrics, retroactively adding the
-// recovery outcome (the store is opened before counters exist).
-func (s *Store) WithCounters(c *metrics.Counters) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters = c
-	c.StorageRecovered(int64(len(s.recTables)), int64(len(s.recIndexes)), int64(s.recSegments))
-	c.StorageMappedBytes(s.mappedBytes)
-	c.StorageRecoveryMillis(s.recElapsed.Milliseconds())
-	c.StorageSegmentsPersisted(s.segmentsPersisted)
-	c.StorageManifestRecords(s.man.frames)
-	c.StorageManifestCompactions(s.compactions)
-}
-
 // Stats returns a point-in-time summary.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -743,6 +692,7 @@ func (s *Store) Stats() Stats {
 		IndexesRecovered:  len(s.recIndexes),
 		SegmentsRecovered: s.recSegments,
 		MixturesRecovered: s.recMixtures,
+		SegmentsPersisted: s.segmentsPersisted,
 		MappedBytes:       s.mappedBytes,
 		RecoveryElapsed:   s.recElapsed,
 		ManifestRecords:   s.man.frames,
@@ -787,7 +737,6 @@ func (s *Store) SaveDataset(name string, d *dataset.Dataset) error {
 		return err
 	}
 	c := chunkRec{file: file, count: d.Len(), crc: crc, size: size}
-	before := s.man.frames
 	if err := s.man.appendRecord(encodeDataset(name, c)); err != nil {
 		os.Remove(filepath.Join(s.dir, file))
 		return err
@@ -795,7 +744,7 @@ func (s *Store) SaveDataset(name string, d *dataset.Dataset) error {
 	old := s.st.tables[name]
 	s.st.apply(recDataset, datasetRec{name: name, chunks: []chunkRec{c}})
 	s.removeChunksLocked(old.chunks, nil)
-	s.maybeCompactLocked(before)
+	s.maybeCompactLocked()
 	return nil
 }
 
@@ -846,12 +795,11 @@ func (s *Store) commitDatasetChunk(name string, c chunkRec) (bool, error) {
 	if s.st.tables[name].records() != c.base {
 		return false, nil
 	}
-	before := s.man.frames
 	if err := s.man.appendRecord(encodeDatasetChunk(name, c)); err != nil {
 		return false, err
 	}
 	s.st.apply(recDatasetChunk, tableChunk{name: name, chunk: c})
-	s.maybeCompactLocked(before)
+	s.maybeCompactLocked()
 	return true, nil
 }
 
@@ -986,7 +934,6 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		cols:        cols,
 		segs:        segs,
 	}
-	before := s.man.frames
 	if err := s.man.appendRecord(encodeIndex(rec)); err != nil {
 		abort()
 		return err
@@ -1010,10 +957,8 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		}
 		s.removeIndexFilesLocked(cur, keep)
 	}
-	segWrites := int64(len(writes))
-	s.segmentsPersisted += segWrites
-	s.counters.StorageSegmentsPersisted(segWrites)
-	s.maybeCompactLocked(before)
+	s.segmentsPersisted += int64(len(writes))
+	s.maybeCompactLocked()
 	return nil
 }
 
@@ -1053,7 +998,6 @@ func (s *Store) DropTable(name string) error {
 	if !hadTable && !hasIx {
 		return nil
 	}
-	before := s.man.frames
 	if err := s.man.appendRecord(encodeDropTable(name)); err != nil {
 		return err
 	}
@@ -1068,7 +1012,7 @@ func (s *Store) DropTable(name string) error {
 	mixes := s.st.mixturesOf(func(k ixKey) bool { return k.table == name })
 	s.st.apply(recDropTable, name)
 	s.removeDeadMixturesLocked(mixes)
-	s.maybeCompactLocked(before)
+	s.maybeCompactLocked()
 	return nil
 }
 
@@ -1089,7 +1033,6 @@ func (s *Store) DropIndex(table, source string) error {
 	if !ok {
 		return nil
 	}
-	before := s.man.frames
 	if err := s.man.appendRecord(encodeDropIndex(key)); err != nil {
 		return err
 	}
@@ -1098,7 +1041,7 @@ func (s *Store) DropIndex(table, source string) error {
 	mixes := s.st.mixturesOf(func(k ixKey) bool { return k == key })
 	s.st.apply(recDropIndex, key)
 	s.removeDeadMixturesLocked(mixes)
-	s.maybeCompactLocked(before)
+	s.maybeCompactLocked()
 	return nil
 }
 
@@ -1179,7 +1122,6 @@ func (s *Store) commitMixture(rec mixRec, ix *index.ScoreIndex) error {
 	if ir, ok := s.st.indexes[key]; !ok || s.indexOf[key] != ix || !rec.boundTo(ir) {
 		return ErrSuperseded
 	}
-	before := s.man.frames
 	if err := s.man.appendRecord(encodeMixture(rec)); err != nil {
 		return err
 	}
@@ -1188,7 +1130,7 @@ func (s *Store) commitMixture(rec mixRec, ix *index.ScoreIndex) error {
 	if had && old.file != rec.file {
 		os.Remove(filepath.Join(s.dir, old.file))
 	}
-	s.maybeCompactLocked(before)
+	s.maybeCompactLocked()
 	return nil
 }
 
@@ -1201,18 +1143,13 @@ func (s *Store) writableLocked() error {
 	return s.man.err
 }
 
-// maybeCompactLocked folds manifest bookkeeping after an append and
-// compacts when dead records dominate. Called with s.mu held; before is
-// the frame count prior to the append(s) being accounted.
-func (s *Store) maybeCompactLocked(before int64) {
+// maybeCompactLocked compacts the manifest after an append when dead
+// records dominate. Called with s.mu held.
+func (s *Store) maybeCompactLocked() {
 	if s.man.shouldCompact(s.st.live()) {
 		if err := s.man.compact(s.st); err == nil {
 			s.compactions++
-			s.counters.StorageManifestCompactions(1)
 		}
-	}
-	if delta := s.man.frames - before; delta != 0 {
-		s.counters.StorageManifestRecords(delta)
 	}
 }
 

@@ -520,7 +520,7 @@ func TestSaveIndexReusesUnchangedSegments(t *testing.T) {
 	if err := s.SaveIndex(meta, ix, s.Epoch("t")); err != nil {
 		t.Fatal(err)
 	}
-	firstWrites := s.segmentsPersisted
+	firstWrites := s.Stats().SegmentsPersisted
 	if firstWrites != int64(ix.Segments()) {
 		t.Fatalf("first flush wrote %d segments, want %d", firstWrites, ix.Segments())
 	}
@@ -540,7 +540,7 @@ func TestSaveIndexReusesUnchangedSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	newSegs := int64(grown.Segments() - ix.Segments())
-	if got := s.segmentsPersisted - firstWrites; got != newSegs {
+	if got := s.Stats().SegmentsPersisted - firstWrites; got != newSegs {
 		t.Fatalf("append flush wrote %d segment files, want only the %d new ones", got, newSegs)
 	}
 	newRec := s.st.indexes[ixKey{"t", "p"}]
@@ -580,35 +580,10 @@ func TestIndexLongerThanTableRejected(t *testing.T) {
 	}
 }
 
-func TestParseMadvise(t *testing.T) {
-	for s, want := range map[string]int{
-		"": adviseNone, "none": adviseNone, "normal": adviseNormal,
-		"random": adviseRandom, "sequential": adviseSequential, "willneed": adviseWillneed,
-	} {
-		got, err := parseMadvise(s)
-		if err != nil || got != want {
-			t.Fatalf("parseMadvise(%q) = %d, %v", s, got, err)
-		}
-	}
-	if _, err := parseMadvise("aggressive"); err == nil {
-		t.Fatal("unknown hint accepted")
-	}
-	if _, err := Open(Options{Dir: t.TempDir(), Madvise: "aggressive"}); err == nil {
-		t.Fatal("Open accepted an unknown madvise hint")
-	}
+func TestOpenRequiresDir(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open accepted an empty directory")
 	}
-}
-
-func TestMadviseHintRecovery(t *testing.T) {
-	dir := t.TempDir()
-	_, ix := seedStore(t, dir, 700)
-	s := openStore(t, Options{Dir: dir, Madvise: "random"})
-	if st := s.Stats(); st.IndexesRecovered != 1 {
-		t.Fatalf("madvise=random recovery failed: %+v", st)
-	}
-	assertIndexEquivalent(t, ix, s.RecoveredIndexes()[0].Index)
 }
 
 func TestCheckFileName(t *testing.T) {
