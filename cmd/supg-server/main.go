@@ -72,102 +72,112 @@ import (
 	"supg/internal/server"
 )
 
-func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		seed        = flag.Uint64("seed", 1, "query randomness seed")
-		preload     = flag.String("preload", "", "preload a demo dataset: beta|imagenet|nightstreet")
-		n           = flag.Int("n", 100_000, "preloaded dataset size (beta/nightstreet)")
-		workers     = flag.Int("workers", 4, "async job worker-pool size")
-		parallelism = flag.Int("oracle-parallelism", 1, "concurrent oracle calls per query (oracle UDFs must be goroutine-safe when > 1)")
-		maxBody     = flag.Int64("max-body-bytes", 64<<20, "dataset upload size limit in bytes (negative disables)")
-		retention   = flag.Duration("job-retention", 15*time.Minute, "how long finished jobs stay queryable")
-		oracleLat   = flag.Duration("oracle-latency", 0, "simulated per-call oracle latency for every registered dataset (preloads and uploads)")
-		segSize     = flag.Int("segment-size", 0, "records per score-index segment (0 = default 256Ki); identical results at any setting")
-		buildPar    = flag.Int("index-build-parallelism", 0, "goroutines per index operation: proxy scoring, concurrent segment builds, and the per-query fan-outs across segments for large id gathers and mixture builds (0 = GOMAXPROCS, 1 disables); byte-identical results at any setting")
-		labelBytes  = flag.Int64("label-cache-bytes", 0, "cross-query oracle label cache budget in bytes (0 = default 64 MiB; negative disables label reuse)")
-		labelShards = flag.Int("label-cache-shards", 0, "label cache shards per (table, oracle) pair (0 = default 16)")
-		labelWAL    = flag.String("label-wal", "", "path of the label store write-ahead log; bought labels are journaled and replayed on restart, so the server re-buys zero labels (empty = not durable)")
-		walSync     = flag.Int("label-wal-sync-every", 1, "label WAL fsync cadence: 1 = each label is durable before the query that bought it uses it (one fsync per oracle batch); N > 1 = fsync every N records")
-		oracleTO    = flag.Duration("oracle-timeout", 0, "per-attempt oracle UDF timeout; timed-out attempts are retried as transient failures (0 = unbounded)")
-		oracleRetry = flag.Int("oracle-retries", 0, "retries per oracle call after a transient failure (0 = fail on first error); retries never change query results")
-		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive failed oracle calls that trip the circuit breaker open (0 = default 5)")
-		brkCooldown = flag.Duration("breaker-cooldown", 0, "how long an open breaker fails fast before probing the backend again (0 = default 1s); also the Retry-After hint on 503s")
-		grace       = flag.Duration("shutdown-grace", 30*time.Second, "drain window for in-flight jobs on shutdown")
-		variants    = flag.Bool("preload-proxy-variants", false, "register <preload>_proxy_soft (sqrt) and <preload>_proxy_sharp (squared) proxy variants so FUSE queries are demoable out of the box")
-		persistDir  = flag.String("persist-dir", "", "durable storage directory: datasets and built score indexes are flushed here and recovered on restart (mmap'd, zero proxy re-scans, byte-identical results), and a clean shutdown checkpoints IS sampling mixtures; also the default home of the label WAL")
-	)
-	flag.Parse()
+// processFlags are the command-line settings that are not server
+// options.
+type processFlags struct {
+	addr     string
+	seed     uint64
+	preload  string
+	n        int
+	variants bool
+	grace    time.Duration
+}
 
+// bindFlags declares every supg-server flag on fs: the process settings
+// into p, and each server option straight onto its field of o.
+func bindFlags(fs *flag.FlagSet, p *processFlags, o *server.Options) {
+	fs.StringVar(&p.addr, "addr", ":8080", "listen address")
+	fs.Uint64Var(&p.seed, "seed", 1, "query randomness seed")
+	fs.StringVar(&p.preload, "preload", "", "preload a demo dataset: beta|imagenet|nightstreet")
+	fs.IntVar(&p.n, "n", 100_000, "preloaded dataset size (beta/nightstreet)")
+	fs.IntVar(&o.Workers, "workers", 4, "async job worker-pool size")
+	fs.IntVar(&o.OracleParallelism, "oracle-parallelism", 1, "concurrent oracle calls per query (oracle UDFs must be goroutine-safe when > 1)")
+	fs.Int64Var(&o.MaxBodyBytes, "max-body-bytes", 64<<20, "dataset upload size limit in bytes (negative disables)")
+	fs.DurationVar(&o.JobRetention, "job-retention", 15*time.Minute, "how long finished jobs stay queryable")
+	fs.DurationVar(&o.OracleLatency, "oracle-latency", 0, "simulated per-call oracle latency for every registered dataset (preloads and uploads)")
+	fs.IntVar(&o.SegmentSize, "segment-size", 0, "records per score-index segment (0 = default 256Ki); identical results at any setting")
+	fs.IntVar(&o.IndexBuildParallelism, "index-build-parallelism", 0, "goroutines per index operation: proxy scoring, concurrent segment builds, and the per-query fan-outs across segments for large id gathers and mixture builds (0 = GOMAXPROCS, 1 disables); byte-identical results at any setting")
+	fs.Int64Var(&o.LabelCacheBytes, "label-cache-bytes", 0, "cross-query oracle label cache budget in bytes (0 = default 64 MiB; negative disables label reuse)")
+	fs.StringVar(&o.LabelWALPath, "label-wal", "", "path of the label store write-ahead log; bought labels are journaled and replayed on restart, so the server re-buys zero labels (empty = not durable)")
+	fs.IntVar(&o.LabelWALSyncEvery, "label-wal-sync-every", 1, "label WAL fsync cadence: 1 = each label is durable before the query that bought it uses it (one fsync per oracle batch); N > 1 = fsync every N records")
+	fs.DurationVar(&o.OracleTimeout, "oracle-timeout", 0, "per-attempt oracle UDF timeout; timed-out attempts are retried as transient failures (0 = unbounded)")
+	fs.IntVar(&o.OracleRetries, "oracle-retries", 0, "retries per oracle call after a transient failure (0 = fail on first error); retries never change query results")
+	fs.IntVar(&o.BreakerThreshold, "breaker-threshold", 0, "consecutive failed oracle calls that trip the circuit breaker open (0 = default 5)")
+	fs.DurationVar(&o.BreakerCooldown, "breaker-cooldown", 0, "how long an open breaker fails fast before probing the backend again (0 = default 1s); also the Retry-After hint on 503s")
+	fs.DurationVar(&p.grace, "shutdown-grace", 30*time.Second, "drain window for in-flight jobs on shutdown")
+	fs.BoolVar(&p.variants, "preload-proxy-variants", false, "register <preload>_proxy_soft (sqrt) and <preload>_proxy_sharp (squared) proxy variants so FUSE queries are demoable out of the box")
+	fs.StringVar(&o.PersistDir, "persist-dir", "", "durable storage directory: datasets and built score indexes are flushed here and recovered on restart (mmap'd, zero proxy re-scans, byte-identical results), and a clean shutdown checkpoints IS sampling mixtures; also the default home of the label WAL")
+}
+
+// parseFlags parses args into the process settings and server options.
+func parseFlags(fs *flag.FlagSet, args []string) (processFlags, server.Options, error) {
+	var (
+		p    processFlags
+		opts server.Options
+	)
+	bindFlags(fs, &p, &opts)
+	if err := fs.Parse(args); err != nil {
+		return p, opts, err
+	}
 	// A persistent server wants a persistent label store too: default
 	// the label WAL into the persist dir unless explicitly configured.
-	if *persistDir != "" && *labelWAL == "" {
-		*labelWAL = filepath.Join(*persistDir, "labels.wal")
+	if opts.PersistDir != "" && opts.LabelWALPath == "" {
+		opts.LabelWALPath = filepath.Join(opts.PersistDir, "labels.wal")
 	}
+	return p, opts, nil
+}
 
-	srv, err := server.Open(*seed, server.Options{
-		Workers:               *workers,
-		OracleParallelism:     *parallelism,
-		MaxBodyBytes:          *maxBody,
-		JobRetention:          *retention,
-		OracleLatency:         *oracleLat,
-		SegmentSize:           *segSize,
-		IndexBuildParallelism: *buildPar,
-		LabelCacheBytes:       *labelBytes,
-		LabelCacheShards:      *labelShards,
-		LabelWALPath:          *labelWAL,
-		LabelWALSyncEvery:     *walSync,
-		OracleTimeout:         *oracleTO,
-		OracleRetries:         *oracleRetry,
-		BreakerThreshold:      *brkThresh,
-		BreakerCooldown:       *brkCooldown,
-		PersistDir:            *persistDir,
-	})
+func main() {
+	// flag.CommandLine exits on a parse error, so the error is always nil.
+	p, opts, _ := parseFlags(flag.CommandLine, os.Args[1:])
+
+	srv, err := server.Open(p.seed, opts)
 	if err != nil {
 		log.Fatalf("supg-server: %v", err)
 	}
-	if *labelWAL != "" {
+	if opts.LabelWALPath != "" {
 		st := srv.Engine().LabelStore().Stats()
-		fmt.Printf("label WAL %s: replayed %d labels (%d records)\n", *labelWAL, st.WALReplayed, st.WALRecords)
+		fmt.Printf("label WAL %s: replayed %d labels (%d records)\n", opts.LabelWALPath, st.WALReplayed, st.WALRecords)
 	}
-	if info, ok := srv.Engine().RecoveryInfo(); ok {
+	if store := srv.Engine().Storage(); store != nil {
+		st := store.Stats()
 		fmt.Printf("persist dir %s: recovered %d tables, %d indexes (%d segments, %d mixtures), %.1f MiB mapped in %s\n",
-			*persistDir, info.Tables, info.Indexes, info.Segments, info.Mixtures,
-			float64(info.MappedBytes)/(1<<20), info.Elapsed.Round(time.Millisecond))
-		for _, note := range info.Degraded {
+			opts.PersistDir, st.TablesRecovered, st.IndexesRecovered, st.SegmentsRecovered, st.MixturesRecovered,
+			float64(st.MappedBytes)/(1<<20), st.RecoveryElapsed.Round(time.Millisecond))
+		for _, note := range st.Degraded {
 			log.Printf("supg-server: persist recovery degraded: %s", note)
 		}
 	}
-	if *preload != "" {
-		d := srv.Engine().Table(*preload)
+	if p.preload != "" {
+		d := srv.Engine().Table(p.preload)
 		if d != nil {
 			// The storage tier already recovered this dataset — keep it
 			// (and its persisted indexes) instead of regenerating, which
 			// would invalidate the recovered state.
 			fmt.Printf("preload %s: recovered %d records from persist dir, skipping regeneration\n",
-				*preload, d.Len())
+				p.preload, d.Len())
 		} else {
-			r := randx.New(*seed)
-			switch *preload {
+			r := randx.New(p.seed)
+			switch p.preload {
 			case "beta":
-				d = dataset.Beta(r, *n, 0.01, 2)
+				d = dataset.Beta(r, p.n, 0.01, 2)
 			case "imagenet":
 				d = dataset.ImageNetSim(r)
 			case "nightstreet":
-				d = dataset.NightStreetSimN(r, *n)
+				d = dataset.NightStreetSimN(r, p.n)
 			default:
-				log.Fatalf("supg-server: unknown preload %q", *preload)
+				log.Fatalf("supg-server: unknown preload %q", p.preload)
 			}
-			srv.RegisterDataset(*preload, d)
+			srv.RegisterDataset(p.preload, d)
 			fmt.Printf("preloaded %s: %d records (%.3f%% positive)\n",
-				*preload, d.Len(), 100*d.PositiveRate())
+				p.preload, d.Len(), 100*d.PositiveRate())
 		}
-		if *variants {
+		if p.variants {
 			// Deterministic monotone transforms of the preloaded proxy:
 			// individually they are miscalibrated views of the same
 			// signal, which is exactly the shape FUSE queries combine —
 			// e.g. USING FUSE(mean, beta_proxy(x), beta_proxy_soft(x)).
-			soft, sharp := *preload+"_proxy_soft", *preload+"_proxy_sharp"
+			soft, sharp := p.preload+"_proxy_soft", p.preload+"_proxy_sharp"
 			srv.RegisterProxy(soft, func(i int) float64 { return math.Sqrt(d.Score(i)) })
 			srv.RegisterProxy(sharp, func(i int) float64 { s := d.Score(i); return s * s })
 			fmt.Printf("registered proxy variants %s, %s\n", soft, sharp)
@@ -175,7 +185,7 @@ func main() {
 	}
 
 	httpServer := &http.Server{
-		Addr:    *addr,
+		Addr:    p.addr,
 		Handler: srv,
 		// Hardening against slow or stuck clients: bound the header read
 		// (slowloris), the full response write (queries can run minutes —
@@ -191,7 +201,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpServer.ListenAndServe() }()
 	fmt.Printf("supg-server listening on %s (%d job workers, oracle parallelism %d)\n",
-		*addr, *workers, *parallelism)
+		p.addr, opts.Workers, opts.OracleParallelism)
 
 	select {
 	case err := <-errCh:
@@ -204,7 +214,7 @@ func main() {
 	// The listener shutdown and the job drain share the grace window but
 	// run concurrently, so a slow synchronous query cannot starve the
 	// job drain of its time.
-	graceCtx, cancel := context.WithTimeout(context.Background(), *grace)
+	graceCtx, cancel := context.WithTimeout(context.Background(), p.grace)
 	defer cancel()
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -30,6 +30,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,10 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	eng := engine.New(*seed)
+	eng, err := engine.Open(*seed, engine.Options{})
+	if err != nil {
+		fatalf("%v", err)
+	}
 	eng.RegisterDatasetDefaults("data", d)
 	for _, a := range aux {
 		ad, err := loadDataset(a.path, a.name)
@@ -92,7 +96,7 @@ func main() {
 		eng.RegisterDatasetDefaults(a.name, ad)
 	}
 
-	res, err := eng.Execute(sql)
+	res, err := eng.ExecuteContext(context.Background(), sql, engine.ExecOptions{})
 	if err != nil {
 		fatalf("executing query: %v", err)
 	}

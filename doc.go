@@ -26,15 +26,19 @@
 // The SQL-style interface of the paper's Figure 3 is available through
 // Engine:
 //
-//	eng := supg.NewEngine(42)
+//	eng, err := supg.OpenEngine(42, supg.EngineOptions{})
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
+//	defer eng.Close()
 //	eng.RegisterDatasetDefaults("video", ds)
-//	res, err := eng.Execute(`
+//	res, err := eng.ExecuteContext(ctx, `
 //	    SELECT * FROM video
 //	    WHERE video_oracle(frame) = true
 //	    ORACLE LIMIT 1000
 //	    USING video_proxy(frame)
 //	    RECALL TARGET 90%
-//	    WITH PROBABILITY 95%`)
+//	    WITH PROBABILITY 95%`, supg.ExecOptions{})
 //
 // # Algorithms
 //
@@ -246,7 +250,7 @@
 // column), which pins the unique sort order and makes every recovered
 // answer byte-identical to the pre-crash one. Corrupt or torn files
 // are never served: the affected index degrades to a clean rebuild
-// (durably tombstoned, reported in RecoveryInfo and /v1/stats), and a
+// (durably tombstoned, reported in storage.Stats and /v1/stats), and a
 // torn manifest tail is truncated exactly like the WAL's. A clean
 // shutdown also checkpoints each index's cached IS sampling mixtures
 // (weights plus Vose alias table), which the first query after the

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,17 +35,20 @@ func main() {
 	fmt.Printf("video shard: %d frames, %d hummingbird frames (%.3f%%)\n",
 		video.Len(), video.PositiveCount(), 100*video.PositiveRate())
 
-	eng := supg.NewEngine(7)
+	eng, err := supg.OpenEngine(7, supg.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	eng.RegisterDatasetDefaults("hummingbird_video", video)
 
 	// The paper's Section 3.1 example query, verbatim syntax.
-	res, err := eng.Execute(`
+	res, err := eng.ExecuteContext(context.Background(), `
 		SELECT * FROM hummingbird_video
 		WHERE hummingbird_video_oracle(frame) = true
 		ORACLE LIMIT 10000
 		USING hummingbird_video_proxy(frame)
 		RECALL TARGET 95%
-		WITH PROBABILITY 95%`)
+		WITH PROBABILITY 95%`, supg.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,16 +30,19 @@ func main() {
 	fmt.Printf("corpus: %d documents, %d relevant (%.2f%%)\n",
 		corpus.Len(), corpus.PositiveCount(), 100*corpus.PositiveRate())
 
-	eng := supg.NewEngine(11)
+	eng, err := supg.OpenEngine(11, supg.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	eng.RegisterDatasetDefaults("discovery_corpus", corpus)
 
-	res, err := eng.Execute(`
+	res, err := eng.ExecuteContext(context.Background(), `
 		SELECT * FROM discovery_corpus
 		WHERE discovery_corpus_oracle(doc) = true
 		ORACLE LIMIT 2000
 		USING discovery_corpus_proxy(doc)
 		PRECISION TARGET 90%
-		WITH PROBABILITY 95%`)
+		WITH PROBABILITY 95%`, supg.ExecOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

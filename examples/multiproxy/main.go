@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -41,20 +42,24 @@ func main() {
 	}
 	fmt.Printf("dataset: %d records, %d positives (%.1f%%)\n", n, positives, 100*float64(positives)/n)
 
-	eng := supg.NewEngine(42)
+	eng, err := supg.OpenEngine(42, supg.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	eng.RegisterTable("readings", ds)
 	eng.RegisterOracle("truth", func(i int) (bool, error) { return labels[i], nil })
 	eng.RegisterProxy("sensor_a", func(i int) float64 { return a[i] })
 	eng.RegisterProxy("sensor_b", func(i int) float64 { return b[i] })
 
 	run := func(name, using string) *supg.QueryResult {
-		res, err := eng.Execute(`
+		sql := `
 			SELECT * FROM readings
 			WHERE truth(x) = true
 			ORACLE LIMIT 2000
 			USING ` + using + `
 			RECALL TARGET 90%
-			WITH PROBABILITY 95%`)
+			WITH PROBABILITY 95%`
+		res, err := eng.ExecuteContext(context.Background(), sql, supg.ExecOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

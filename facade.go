@@ -62,21 +62,22 @@ type Engine = engine.Engine
 // QueryResult is the engine-level answer with execution statistics.
 type QueryResult = engine.QueryResult
 
-// NewEngine returns an empty engine seeded for deterministic queries.
-func NewEngine(seed uint64) *Engine { return engine.New(seed) }
-
 // EngineOptions tune engine construction: score-index segmentation and
-// the cross-query oracle label store bounds.
+// the cross-query oracle label store bounds. The zero value selects
+// every default.
 type EngineOptions = engine.Options
+
+// OpenEngine returns an empty engine seeded for deterministic queries.
+// It fails only when opts asks for durable state (a label WAL or a
+// persist directory) that cannot be opened. Close the engine when done
+// to flush that state.
+func OpenEngine(seed uint64, opts EngineOptions) (*Engine, error) {
+	return engine.Open(seed, opts)
+}
 
 // ExecOptions tune one engine query execution (oracle parallelism,
 // progress reporting, label-reuse charging mode).
 type ExecOptions = engine.ExecOptions
-
-// NewEngineWithOptions is NewEngine with explicit tuning.
-func NewEngineWithOptions(seed uint64, opts EngineOptions) *Engine {
-	return engine.NewWithOptions(seed, opts)
-}
 
 // LabelStoreStats is a snapshot of the engine's cross-query oracle
 // label store activity (hits, misses, evictions, invalidations); see
@@ -109,21 +110,11 @@ type Fuser = multiproxy.Fuser
 // multiple-proxy extension sketched in the paper's Section 8. Columns
 // are fused into one score per record (optionally calibrated with
 // oracle labels, within the budget) and the standard guarantees then
-// apply to the fused query. It is a thin shim over the Fuser provider;
-// the SQL engine composes the same provider into its cached per-table
-// indexes (see the FUSE clause in the query grammar).
+// apply to the fused query. It is a thin shim over multiproxy.Select;
+// the SQL engine composes the same Fuser provider into its cached
+// per-table indexes (see the FUSE clause in the query grammar).
 func RunMulti(columns [][]float64, o Oracle, q Query, fusion Fusion, opts ...Option) (*MultiResult, error) {
 	rc := buildConfig(opts)
-	spec := coreSpec(q)
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	f := Fuser{Kind: fusion}
-	if fusion == FuseLogistic {
-		f.CalibrationBudget = rc.calib
-		if f.CalibrationBudget <= 0 {
-			f.CalibrationBudget = multiproxy.DefaultCalibration(spec.Budget)
-		}
-	}
-	return multiproxy.SelectFused(randx.New(rc.seed), columns, o, spec, rc.cfg, f)
+	f := Fuser{Kind: fusion, CalibrationBudget: rc.calib}
+	return multiproxy.Select(randx.New(rc.seed), columns, o, coreSpec(q), rc.cfg, f)
 }

@@ -14,7 +14,7 @@ import "sync"
 //
 // Ownership rules:
 //
-//   - Arena memory lives until the owning Select call releases the
+//   - Arena memory lives until the owning select call releases the
 //     arena. Nothing arena-backed may be stored in a Result, a
 //     TauResult returned by a public function, or any other structure
 //     that outlives the query (copy it out instead — see assembleFrom's

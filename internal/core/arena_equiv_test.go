@@ -46,12 +46,12 @@ func TestSelectParallelismByteIdentical(t *testing.T) {
 			for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 				spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: budget}
 				seed := uint64(segSize)*31 + 7
-				want, err := SelectFrom(randx.New(seed), ref, oracle.NewSimulated(d), spec, cfg)
+				want, err := selectFrom(randx.New(seed), ref, oracle.NewSimulated(d), spec, cfg)
 				if err != nil {
 					t.Fatalf("segSize=%d %s/%v sequential: %v", segSize, name, kind, err)
 				}
 				for _, par := range []int{2, 8} {
-					got, err := SelectFrom(randx.New(seed), mk(par), oracle.NewSimulated(d), spec, cfg)
+					got, err := selectFrom(randx.New(seed), mk(par), oracle.NewSimulated(d), spec, cfg)
 					if err != nil {
 						t.Fatalf("segSize=%d %s/%v par=%d: %v", segSize, name, kind, par, err)
 					}
@@ -74,7 +74,7 @@ func TestSelectArenaMatchesPublicPath(t *testing.T) {
 		for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 			spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: 250}
 
-			tr, err := estimateTau(randx.New(77), newRawSource(d.Scores()),
+			tr, err := estimateTau(randx.New(77), NewRawSource(d.Scores()),
 				oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget), spec, cfg, nil)
 			if err != nil && err != ErrNoPositives {
 				t.Fatalf("%s/%v estimate: %v", name, kind, err)
@@ -85,7 +85,7 @@ func TestSelectArenaMatchesPublicPath(t *testing.T) {
 			want := assemble(d.Scores(), tr)
 
 			for round := 0; round < 3; round++ {
-				got, err := Select(randx.New(77), d.Scores(), oracle.NewSimulated(d), spec, cfg)
+				got, err := selectFrom(randx.New(77), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg)
 				if err != nil {
 					t.Fatalf("%s/%v round %d: %v", name, kind, round, err)
 				}

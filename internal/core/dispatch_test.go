@@ -25,27 +25,27 @@ func TestConcurrentDispatchDeterminism(t *testing.T) {
 	}{
 		{"recall/IS-CI", func(orc oracle.Oracle) ([]int, float64, int, error) {
 			spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 400}
-			res, err := Select(randx.New(42), d.Scores(), orc, spec, DefaultSUPG())
+			res, err := selectFrom(randx.New(42), NewRawSource(d.Scores()), orc, spec, DefaultSUPG())
 			return res.Indices, res.Tau, res.OracleCalls, err
 		}},
 		{"recall/U-CI", func(orc oracle.Oracle) ([]int, float64, int, error) {
 			spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 400}
-			res, err := Select(randx.New(43), d.Scores(), orc, spec, DefaultUCI())
+			res, err := selectFrom(randx.New(43), NewRawSource(d.Scores()), orc, spec, DefaultUCI())
 			return res.Indices, res.Tau, res.OracleCalls, err
 		}},
 		{"precision/IS-CI two-stage", func(orc oracle.Oracle) ([]int, float64, int, error) {
 			spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 400}
-			res, err := Select(randx.New(44), d.Scores(), orc, spec, DefaultSUPG())
+			res, err := selectFrom(randx.New(44), NewRawSource(d.Scores()), orc, spec, DefaultSUPG())
 			return res.Indices, res.Tau, res.OracleCalls, err
 		}},
 		{"precision/U-CI", func(orc oracle.Oracle) ([]int, float64, int, error) {
 			spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 400}
-			res, err := Select(randx.New(45), d.Scores(), orc, spec, DefaultUCI())
+			res, err := selectFrom(randx.New(45), NewRawSource(d.Scores()), orc, spec, DefaultUCI())
 			return res.Indices, res.Tau, res.OracleCalls, err
 		}},
 		{"joint", func(orc oracle.Oracle) ([]int, float64, int, error) {
 			spec := JointSpec{GammaRecall: 0.9, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 400}
-			res, err := SelectJoint(randx.New(46), d.Scores(), orc, spec, DefaultSUPG())
+			res, err := selectJoint(randx.New(46), NewRawSource(d.Scores()), orc, spec, DefaultSUPG())
 			return res.Indices, res.Tau, res.OracleCalls, err
 		}},
 	}
@@ -94,7 +94,7 @@ func TestSelectFromContextCancellation(t *testing.T) {
 		return d.TrueLabel(i), nil
 	})
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 200}
-	_, err := SelectFromContextOptions(ctx, randx.New(9), newRawSource(d.Scores()), orc, spec, DefaultSUPG(), SelectOptions{})
+	_, err := SelectFromContextOptions(ctx, randx.New(9), NewRawSource(d.Scores()), orc, spec, DefaultSUPG(), SelectOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -102,7 +102,7 @@ func TestSelectFromContextCancellation(t *testing.T) {
 		t.Errorf("oracle called %d times after cancellation", calls.Load())
 	}
 
-	_, err = SelectJointFromContextOptions(ctx, randx.New(9), newRawSource(d.Scores()), orc,
+	_, err = SelectJointFromContextOptions(ctx, randx.New(9), NewRawSource(d.Scores()), orc,
 		JointSpec{GammaRecall: 0.9, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 200}, DefaultSUPG(), SelectOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("joint err = %v, want context.Canceled", err)

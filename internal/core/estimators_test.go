@@ -10,18 +10,33 @@ import (
 	"supg/internal/randx"
 )
 
-// trialStats runs `trials` independent selections and returns the
-// failure rate against the spec target plus mean quality (the opposite
-// metric).
-func trialStats(t *testing.T, d *dataset.Dataset, spec Spec, cfg Config, trials int, seed uint64) (failRate, quality float64) {
+// trialSummary aggregates independent selections of one cell.
+type trialSummary struct {
+	// failRate is the share of trials whose answer misses the spec
+	// target.
+	failRate float64
+	// quality is the mean of the opposite metric.
+	quality float64
+	// certified counts the trials whose answer came with a finite
+	// threshold. A precision-target answer without one is the labeled
+	// positives alone, whose precision is 1 by construction, so only
+	// certified trials can fail a PT target.
+	certified int
+}
+
+// trialStats runs `trials` independent selections and summarizes them.
+func trialStats(t *testing.T, d *dataset.Dataset, spec Spec, cfg Config, trials int, seed uint64) trialSummary {
 	t.Helper()
 	r := randx.New(seed)
-	fails := 0
+	fails, certified := 0, 0
 	qsum := 0.0
 	for trial := 0; trial < trials; trial++ {
-		res, err := Select(r.Stream(uint64(trial)), d.Scores(), oracle.NewSimulated(d), spec, cfg)
+		res, err := selectFrom(r.Stream(uint64(trial)), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !math.IsInf(res.Tau, 1) {
+			certified++
 		}
 		e := metrics.Evaluate(d, res.Indices)
 		var achieved, q float64
@@ -35,11 +50,36 @@ func trialStats(t *testing.T, d *dataset.Dataset, spec Spec, cfg Config, trials 
 		}
 		qsum += q
 	}
-	return float64(fails) / float64(trials), qsum / float64(trials)
+	return trialSummary{
+		failRate:  float64(fails) / float64(trials),
+		quality:   qsum / float64(trials),
+		certified: certified,
+	}
 }
 
 func calibratedDataset(seed uint64, n int) *dataset.Dataset {
 	return dataset.Beta(randx.New(seed), n, 0.01, 2)
+}
+
+// checkCertifiedPrecision runs a precision-target cell the estimators
+// can certify — Beta(1, 1) scores, n=60000, γ=0.75, budget 2000, 60
+// trials — and requires both a failure rate within the validity
+// tolerance and a finite threshold in at least half the trials. The
+// Beta(0.01, 2) cells at γ=0.9 certify none: every answer there is the
+// labeled positives alone, whose precision is 1 by construction, so
+// their failure-rate assertions cannot fail.
+func checkCertifiedPrecision(t *testing.T, name string, dataSeed uint64, cfg Config, seed uint64) {
+	t.Helper()
+	const trials = 60
+	d := dataset.Beta(randx.New(dataSeed), 60000, 1, 1)
+	spec := Spec{Kind: PrecisionTarget, Gamma: 0.75, Delta: 0.05, Budget: 2000}
+	s := trialStats(t, d, spec, cfg, trials, seed)
+	if s.failRate > 0.15 {
+		t.Fatalf("%s failure rate %v far above delta 0.05 on the certifiable cell", name, s.failRate)
+	}
+	if s.certified < trials/2 {
+		t.Fatalf("%s certified a threshold in %d/%d trials, want at least %d", name, s.certified, trials, trials/2)
+	}
 }
 
 // --- Validity: the CI methods must respect the failure probability. ---
@@ -47,7 +87,7 @@ func calibratedDataset(seed uint64, n int) *dataset.Dataset {
 func TestUCIRecallValidity(t *testing.T) {
 	d := calibratedDataset(1, 60000)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	fail, _ := trialStats(t, d, spec, DefaultUCI(), 60, 10)
+	fail := trialStats(t, d, spec, DefaultUCI(), 60, 10).failRate
 	// Binomial(60, 0.05) rarely exceeds 8 failures; allow slack.
 	if fail > 0.15 {
 		t.Fatalf("U-CI-R failure rate %v far above delta 0.05", fail)
@@ -57,16 +97,17 @@ func TestUCIRecallValidity(t *testing.T) {
 func TestUCIPrecisionValidity(t *testing.T) {
 	d := calibratedDataset(2, 60000)
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	fail, _ := trialStats(t, d, spec, DefaultUCI(), 60, 11)
+	fail := trialStats(t, d, spec, DefaultUCI(), 60, 11).failRate
 	if fail > 0.15 {
 		t.Fatalf("U-CI-P failure rate %v far above delta 0.05", fail)
 	}
+	checkCertifiedPrecision(t, "U-CI-P", 2, DefaultUCI(), 11)
 }
 
 func TestISRecallValidity(t *testing.T) {
 	d := calibratedDataset(3, 60000)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	fail, _ := trialStats(t, d, spec, DefaultSUPG(), 60, 12)
+	fail := trialStats(t, d, spec, DefaultSUPG(), 60, 12).failRate
 	if fail > 0.15 {
 		t.Fatalf("IS-CI-R failure rate %v far above delta 0.05", fail)
 	}
@@ -75,10 +116,11 @@ func TestISRecallValidity(t *testing.T) {
 func TestISPrecisionValidity(t *testing.T) {
 	d := calibratedDataset(4, 60000)
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	fail, _ := trialStats(t, d, spec, DefaultSUPG(), 60, 13)
+	fail := trialStats(t, d, spec, DefaultSUPG(), 60, 13).failRate
 	if fail > 0.15 {
 		t.Fatalf("IS-CI-P failure rate %v far above delta 0.05", fail)
 	}
+	checkCertifiedPrecision(t, "IS-CI-P", 4, DefaultSUPG(), 13)
 }
 
 func TestISPrecisionOneStageValidity(t *testing.T) {
@@ -86,10 +128,11 @@ func TestISPrecisionOneStageValidity(t *testing.T) {
 	cfg := DefaultSUPG()
 	cfg.TwoStage = false
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	fail, _ := trialStats(t, d, spec, cfg, 60, 14)
+	fail := trialStats(t, d, spec, cfg, 60, 14).failRate
 	if fail > 0.15 {
 		t.Fatalf("one-stage IS-CI-P failure rate %v far above delta 0.05", fail)
 	}
+	checkCertifiedPrecision(t, "one-stage IS-CI-P", 5, cfg, 14)
 }
 
 // --- The headline claims: U-NoCI fails often; SUPG beats U-CI. ---
@@ -99,7 +142,7 @@ func TestUNoCIFailsOften(t *testing.T) {
 	// cutoff misses the target roughly half the time.
 	d := calibratedDataset(6, 60000)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	fail, _ := trialStats(t, d, spec, DefaultUNoCI(), 60, 15)
+	fail := trialStats(t, d, spec, DefaultUNoCI(), 60, 15).failRate
 	if fail < 0.2 {
 		t.Fatalf("U-NoCI failure rate %v suspiciously low; expected frequent failures", fail)
 	}
@@ -110,8 +153,8 @@ func TestSUPGBeatsUniformOnPrecisionTarget(t *testing.T) {
 	// at a precision target on rare-event data.
 	d := calibratedDataset(7, 100000)
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	_, uQual := trialStats(t, d, spec, DefaultUCI(), 20, 16)
-	_, sQual := trialStats(t, d, spec, DefaultSUPG(), 20, 17)
+	uQual := trialStats(t, d, spec, DefaultUCI(), 20, 16).quality
+	sQual := trialStats(t, d, spec, DefaultSUPG(), 20, 17).quality
 	if sQual <= uQual {
 		t.Fatalf("SUPG recall %v should beat U-CI %v on rare events", sQual, uQual)
 	}
@@ -121,8 +164,8 @@ func TestSqrtWeightsBeatUniformOnRecallTarget(t *testing.T) {
 	// Figure 8's shape at a mid recall target.
 	d := calibratedDataset(8, 200000)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.7, Delta: 0.05, Budget: 4000}
-	_, uQual := trialStats(t, d, spec, DefaultUCI(), 15, 18)
-	_, sQual := trialStats(t, d, spec, DefaultSUPG(), 15, 19)
+	uQual := trialStats(t, d, spec, DefaultUCI(), 15, 18).quality
+	sQual := trialStats(t, d, spec, DefaultSUPG(), 15, 19).quality
 	if sQual <= uQual {
 		t.Fatalf("SUPG precision %v should beat U-CI %v", sQual, uQual)
 	}
@@ -138,7 +181,7 @@ func TestUNoCIRecallEmpiricalThreshold(t *testing.T) {
 	d := dataset.MustNew("hand", scores, labels)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.5, Delta: 0.05, Budget: 10}
 	budgeted := oracle.NewBudgeted(oracle.NewSimulated(d), 10)
-	tr, err := EstimateTau(randx.New(1), scores, budgeted, spec, DefaultUNoCI())
+	tr, err := EstimateTau(randx.New(1), NewRawSource(scores), budgeted, spec, DefaultUNoCI())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +199,7 @@ func TestRecallTauShrinksWithGamma(t *testing.T) {
 	for _, gamma := range []float64{0.5, 0.7, 0.9, 0.99} {
 		spec := Spec{Kind: RecallTarget, Gamma: gamma, Delta: 0.05, Budget: 2000}
 		budgeted := oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget)
-		tr, err := EstimateTau(randx.New(555), d.Scores(), budgeted, spec, DefaultUCI())
+		tr, err := EstimateTau(randx.New(555), NewRawSource(d.Scores()), budgeted, spec, DefaultUCI())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +217,7 @@ func TestBudgetRespected(t *testing.T) {
 		for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 			spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: 777}
 			sim := oracle.NewSimulated(d)
-			res, err := Select(randx.New(21), d.Scores(), sim, spec, cfg)
+			res, err := selectFrom(randx.New(21), NewRawSource(d.Scores()), sim, spec, cfg)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", cfg.Method, kind, err)
 			}
@@ -191,11 +234,11 @@ func TestBudgetRespected(t *testing.T) {
 func TestDeterministicWithSeed(t *testing.T) {
 	d := calibratedDataset(11, 30000)
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 1000}
-	a, err := Select(randx.New(42), d.Scores(), oracle.NewSimulated(d), spec, DefaultSUPG())
+	a, err := selectFrom(randx.New(42), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Select(randx.New(42), d.Scores(), oracle.NewSimulated(d), spec, DefaultSUPG())
+	b, err := selectFrom(randx.New(42), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +259,7 @@ func TestNoPositivesRecallReturnsEverything(t *testing.T) {
 	labels[n-1] = true
 	d := dataset.MustNew("rare", scores, labels)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 50}
-	res, err := Select(randx.New(22), d.Scores(), oracle.NewSimulated(d), spec, DefaultUCI())
+	res, err := selectFrom(randx.New(22), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultUCI())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +278,7 @@ func TestNoPositivesPrecisionReturnsLabeledOnly(t *testing.T) {
 	labels := make([]bool, n) // all negative
 	d := dataset.MustNew("neg", scores, labels)
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 100}
-	res, err := Select(randx.New(23), d.Scores(), oracle.NewSimulated(d), spec, DefaultUCI())
+	res, err := selectFrom(randx.New(23), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultUCI())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +298,7 @@ func TestAllPositives(t *testing.T) {
 	d := dataset.MustNew("allpos", scores, labels)
 	for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 		spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: 500}
-		res, err := Select(randx.New(24), d.Scores(), oracle.NewSimulated(d), spec, DefaultSUPG())
+		res, err := selectFrom(randx.New(24), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -291,7 +334,7 @@ func TestSpecValidation(t *testing.T) {
 func TestEstimateTauRejectsEmptyDataset(t *testing.T) {
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 100}
 	budgeted := oracle.NewBudgeted(oracle.Func(func(int) (bool, error) { return false, nil }), 100)
-	if _, err := EstimateTau(randx.New(1), nil, budgeted, spec, DefaultSUPG()); err == nil {
+	if _, err := EstimateTau(randx.New(1), NewRawSource(nil), budgeted, spec, DefaultSUPG()); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -300,7 +343,7 @@ func TestUnknownMethod(t *testing.T) {
 	d := calibratedDataset(12, 5000)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 100}
 	cfg := Config{Method: Method(99)}
-	if _, err := Select(randx.New(1), d.Scores(), oracle.NewSimulated(d), spec, cfg); err == nil {
+	if _, err := selectFrom(randx.New(1), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg); err == nil {
 		t.Fatal("unknown method should error")
 	}
 }
@@ -385,8 +428,8 @@ func TestTwoStageTightensStageOne(t *testing.T) {
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
 	one := DefaultSUPG()
 	one.TwoStage = false
-	_, oneQ := trialStats(t, d, spec, one, 15, 30)
-	_, twoQ := trialStats(t, d, spec, DefaultSUPG(), 15, 31)
+	oneQ := trialStats(t, d, spec, one, 15, 30).quality
+	twoQ := trialStats(t, d, spec, DefaultSUPG(), 15, 31).quality
 	if twoQ < oneQ*0.7 {
 		t.Fatalf("two-stage recall %v much worse than one-stage %v", twoQ, oneQ)
 	}
@@ -401,7 +444,7 @@ func TestDefensiveMixingGuardsAdversarialProxy(t *testing.T) {
 		inv.Scores()[i] = 1 - s
 	}
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
-	fail, _ := trialStats(t, inv, spec, DefaultSUPG(), 40, 32)
+	fail := trialStats(t, inv, spec, DefaultSUPG(), 40, 32).failRate
 	if fail > 0.15 {
 		t.Fatalf("adversarial proxy broke the recall guarantee: fail rate %v", fail)
 	}
@@ -416,7 +459,7 @@ func TestExponentSweepInteriorOptimum(t *testing.T) {
 	for _, exp := range []float64{0, 0.5, 1} {
 		cfg := DefaultSUPG()
 		cfg.WeightExponent = exp
-		_, q := trialStats(t, d, spec, cfg, 15, uint64(40+int(exp*10)))
+		q := trialStats(t, d, spec, cfg, 15, uint64(40+int(exp*10))).quality
 		quality[exp] = q
 	}
 	if quality[0.5] < quality[0]*0.8 {

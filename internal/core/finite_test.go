@@ -14,7 +14,7 @@ func TestFiniteRecallValidityAtSmallSamples(t *testing.T) {
 	// with a handful of positives. The exact construction must hold.
 	d := dataset.Beta(randx.New(1), 40000, 0.05, 1) // ~4.7% positives
 	spec := Spec{Kind: RecallTarget, Gamma: 0.8, Delta: 0.05, Budget: 400}
-	fail, _ := trialStats(t, d, spec, DefaultFinite(), 80, 50)
+	fail := trialStats(t, d, spec, DefaultFinite(), 80, 50).failRate
 	if fail > 0.1 {
 		t.Fatalf("finite-sample RT failure rate %v exceeds delta 0.05", fail)
 	}
@@ -23,7 +23,7 @@ func TestFiniteRecallValidityAtSmallSamples(t *testing.T) {
 func TestFinitePrecisionValidity(t *testing.T) {
 	d := dataset.Beta(randx.New(2), 40000, 0.05, 1)
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.8, Delta: 0.05, Budget: 1000}
-	fail, _ := trialStats(t, d, spec, DefaultFinite(), 60, 51)
+	fail := trialStats(t, d, spec, DefaultFinite(), 60, 51).failRate
 	if fail > 0.1 {
 		t.Fatalf("finite-sample PT failure rate %v exceeds delta 0.05", fail)
 	}
@@ -36,7 +36,7 @@ func TestFiniteTauIsSampledPositiveScore(t *testing.T) {
 	d := dataset.Beta(randx.New(3), 60000, 0.05, 1)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
 	budgeted := oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget)
-	fin, err := EstimateTau(randx.New(99), d.Scores(), budgeted, spec, DefaultFinite())
+	fin, err := EstimateTau(randx.New(99), NewRawSource(d.Scores()), budgeted, spec, DefaultFinite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFiniteTauIsSampledPositiveScore(t *testing.T) {
 	}
 	// Same seed reproduces.
 	budgeted2 := oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget)
-	fin2, err := EstimateTau(randx.New(99), d.Scores(), budgeted2, spec, DefaultFinite())
+	fin2, err := EstimateTau(randx.New(99), NewRawSource(d.Scores()), budgeted2, spec, DefaultFinite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestFiniteFallsBackToSelectAll(t *testing.T) {
 	}
 	d := dataset.MustNew("sparse", scores, labels)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.95, Delta: 0.05, Budget: 2000}
-	res, err := Select(randx.New(4), d.Scores(), oracle.NewSimulated(d), spec, DefaultFinite())
+	res, err := selectFrom(randx.New(4), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultFinite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFiniteNoPositives(t *testing.T) {
 	labels[0] = true // unreachable by most samples
 	d := dataset.MustNew("rare", scores, labels)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 50}
-	res, err := Select(randx.New(5), d.Scores(), oracle.NewSimulated(d), spec, DefaultFinite())
+	res, err := selectFrom(randx.New(5), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultFinite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBernsteinBoundUsableInEstimators(t *testing.T) {
 	cfg := DefaultUCI()
 	cfg.Bound = BoundBernstein
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.8, Delta: 0.05, Budget: 1500}
-	fail, _ := trialStats(t, d, spec, cfg, 40, 52)
+	fail := trialStats(t, d, spec, cfg, 40, 52).failRate
 	if fail > 0.1 {
 		t.Fatalf("Bernstein-certified PT failure rate %v", fail)
 	}

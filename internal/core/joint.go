@@ -54,7 +54,8 @@ type JointResult struct {
 	CandidateSize int
 }
 
-// SelectJoint runs the appendix three-stage JT algorithm:
+// SelectJointFromContextOptions runs the appendix three-stage JT
+// algorithm over src:
 //
 //  1. allocate StageBudget optimistically,
 //  2. run a recall-target subroutine (cfg selects U-CI or IS-CI) to
@@ -65,13 +66,9 @@ type JointResult struct {
 // The final set retains every verified positive, so the recall
 // guarantee carries over from stage 2 and precision is 1 (>= any
 // GammaPrecision). The oracle is unbudgeted by JT semantics.
-func SelectJoint(r *randx.Rand, scores []float64, orc oracle.Oracle, spec JointSpec, cfg Config) (JointResult, error) {
-	return SelectJointFromContextOptions(context.Background(), r, newRawSource(scores), orc, spec, cfg, SelectOptions{})
-}
-
-// SelectJointFromContextOptions is SelectJoint over any ScoreSource,
-// with cancellation and a label-store tier (see
-// SelectFromContextOptions). The stage-3 exhaustive filter — by far the
+//
+// Cancellation and the label-store tier work as in
+// SelectFromContextOptions. The stage-3 exhaustive filter — by far the
 // most oracle-hungry phase of a JT query — labels the whole candidate
 // set through one batch call, so a batch-capable oracle verifies
 // candidates with bounded parallelism. The store attaches to the

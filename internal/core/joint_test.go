@@ -30,7 +30,7 @@ func TestJointSpecValidation(t *testing.T) {
 func TestSelectJointPrecisionIsOne(t *testing.T) {
 	d := dataset.Beta(randx.New(1), 50000, 0.01, 2)
 	spec := JointSpec{GammaRecall: 0.8, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 2000}
-	res, err := SelectJoint(randx.New(2), d.Scores(), oracle.NewSimulated(d), spec, DefaultSUPG())
+	res, err := selectJoint(randx.New(2), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestSelectJointOracleAccounting(t *testing.T) {
 	d := dataset.Beta(randx.New(3), 30000, 0.01, 2)
 	spec := JointSpec{GammaRecall: 0.7, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 1000}
 	sim := oracle.NewSimulated(d)
-	res, err := SelectJoint(randx.New(4), d.Scores(), sim, spec, DefaultSUPG())
+	res, err := selectJoint(randx.New(4), NewRawSource(d.Scores()), sim, spec, DefaultSUPG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSelectJointRecallValidity(t *testing.T) {
 	fails := 0
 	trials := 30
 	for trial := 0; trial < trials; trial++ {
-		res, err := SelectJoint(r.Stream(uint64(trial)), d.Scores(), oracle.NewSimulated(d), spec, DefaultSUPG())
+		res, err := selectJoint(r.Stream(uint64(trial)), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +91,11 @@ func TestSelectJointSUPGCheaperThanUniform(t *testing.T) {
 	var uCalls, sCalls int
 	trials := 8
 	for trial := 0; trial < trials; trial++ {
-		u, err := SelectJoint(r.Stream(uint64(trial)), d.Scores(), oracle.NewSimulated(d), spec, DefaultUCI())
+		u, err := selectJoint(r.Stream(uint64(trial)), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultUCI())
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := SelectJoint(r.Stream(uint64(100+trial)), d.Scores(), oracle.NewSimulated(d), spec, DefaultSUPG())
+		s, err := selectJoint(r.Stream(uint64(100+trial)), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestSelectJointSUPGCheaperThanUniform(t *testing.T) {
 
 func TestSelectJointInvalidSpec(t *testing.T) {
 	d := dataset.Beta(randx.New(9), 1000, 1, 1)
-	if _, err := SelectJoint(randx.New(1), d.Scores(), oracle.NewSimulated(d), JointSpec{}, DefaultSUPG()); err == nil {
+	if _, err := selectJoint(randx.New(1), NewRawSource(d.Scores()), oracle.NewSimulated(d), JointSpec{}, DefaultSUPG()); err == nil {
 		t.Fatal("zero joint spec should error")
 	}
 }

@@ -75,11 +75,11 @@ func TestSelectSegmentedMatchesMonolithic(t *testing.T) {
 			for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 				spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: tbl.budget}
 				seed := uint64(1000*ti) + 17
-				want, err := SelectFrom(randx.New(seed), mono, oracle.NewSimulated(d), spec, cfg)
+				want, err := selectFrom(randx.New(seed), mono, oracle.NewSimulated(d), spec, cfg)
 				if err != nil {
 					t.Fatalf("n=%d %s/%v monolithic: %v", tbl.n, name, kind, err)
 				}
-				raw, err := Select(randx.New(seed), d.Scores(), oracle.NewSimulated(d), spec, cfg)
+				raw, err := selectFrom(randx.New(seed), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg)
 				if err != nil {
 					t.Fatalf("n=%d %s/%v raw: %v", tbl.n, name, kind, err)
 				}
@@ -89,7 +89,7 @@ func TestSelectSegmentedMatchesMonolithic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := SelectFrom(randx.New(seed), seg, oracle.NewSimulated(d), spec, cfg)
+					got, err := selectFrom(randx.New(seed), seg, oracle.NewSimulated(d), spec, cfg)
 					if err != nil {
 						t.Fatalf("n=%d segSize=%d %s/%v: %v", tbl.n, segSize, name, kind, err)
 					}
@@ -178,11 +178,11 @@ func TestSelectAppendedIndexMatchesMonolithic(t *testing.T) {
 	}
 	for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 		spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: 400}
-		want, err := SelectFrom(randx.New(3), mono, oracle.NewSimulated(d), spec, DefaultSUPG())
+		want, err := selectFrom(randx.New(3), mono, oracle.NewSimulated(d), spec, DefaultSUPG())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SelectFrom(randx.New(3), grown, oracle.NewSimulated(d), spec, DefaultSUPG())
+		got, err := selectFrom(randx.New(3), grown, oracle.NewSimulated(d), spec, DefaultSUPG())
 		if err != nil {
 			t.Fatal(err)
 		}

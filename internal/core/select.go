@@ -13,18 +13,18 @@ import (
 
 // EstimateTau dispatches to the configured threshold-estimation
 // algorithm (the SampleOracle + EstimateTau stages of Algorithm 1) over
-// a plain score slice. The oracle must already be budget-wrapped;
-// estimators never exceed spec.Budget draws.
-func EstimateTau(r *randx.Rand, scores []float64, o *oracle.Budgeted, spec Spec, cfg Config) (TauResult, error) {
+// src. The oracle must already be budget-wrapped; estimators never
+// exceed spec.Budget draws.
+func EstimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config) (TauResult, error) {
 	// nil arena: the returned TauResult (Labeled map included) escapes
 	// to the caller, so every buffer must be freshly owned.
-	return estimateTau(r, newRawSource(scores), o, spec, cfg, nil)
+	return estimateTau(r, src, o, spec, cfg, nil)
 }
 
 // estimateTau is the arena-threaded dispatch behind EstimateTau and
-// every Select entry point.
+// both select entry points.
 // With a non-nil arena the TauResult's Labeled map and any scratch are
-// arena-owned and die when the calling Select releases it.
+// arena-owned and die when the calling select releases it.
 func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
 	if err := spec.Validate(); err != nil {
 		return TauResult{}, err
@@ -65,28 +65,9 @@ func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, 
 	return TauResult{}, fmt.Errorf("core: unknown method %v", cfg.Method)
 }
 
-// Select answers a SUPG query end to end (Algorithm 1) over a plain
-// score slice: it wraps the oracle with the budget, estimates tau, and
-// returns R = R1 ∪ R2 = {labeled positives} ∪ {x : A(x) >= tau}.
-//
-// For recall-target queries whose sample surfaces no positives, the
-// only recall-safe answer is the full dataset, which Select returns
-// (the query stays valid; its quality is the degenerate minimum).
-func Select(r *randx.Rand, scores []float64, orc oracle.Oracle, spec Spec, cfg Config) (Result, error) {
-	return SelectFrom(r, newRawSource(scores), orc, spec, cfg)
-}
-
-// SelectFrom is Select over any ScoreSource — the entry point of the
-// indexed hot path. For a fixed random stream it returns exactly the
-// records the raw-slice path returns.
-func SelectFrom(r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec Spec, cfg Config) (Result, error) {
-	return SelectFromContextOptions(context.Background(), r, src, orc, spec, cfg, SelectOptions{})
-}
-
 // SelectOptions carries execution-environment tuning orthogonal to the
 // algorithm Config: the cross-query label store tier and its charging
-// mode. The zero value runs without a store, exactly as SelectFrom
-// does.
+// mode. The zero value runs without a store.
 type SelectOptions struct {
 	// Store is a shared label cache consulted before the oracle and
 	// extended with every fresh label (nil = none).
@@ -102,15 +83,23 @@ type SelectOptions struct {
 	OnCachedCharge func(n int)
 }
 
-// SelectFromContextOptions is SelectFrom with cancellation and a
-// label-store tier. Once ctx is done the query stops consuming oracle
-// budget and returns ctx's error. When orc implements
-// oracle.BatchOracle (e.g. an oracle.Dispatcher), each round of sampled
-// draws is labeled through one batch call, overlapping slow oracle
-// latency; results are bit-for-bit identical to the sequential path for
-// the same random stream. In charged mode (the default) the result —
-// Indices, Tau, and OracleCalls — is byte-identical to a storeless run;
-// only Result.CachedLabels and the inner oracle's call count differ.
+// SelectFromContextOptions answers a SUPG query end to end
+// (Algorithm 1) over src: it wraps the oracle with the budget,
+// estimates tau, and returns R = R1 ∪ R2 = {labeled positives} ∪
+// {x : A(x) >= tau}. For recall-target queries whose sample surfaces no
+// positives, the only recall-safe answer is the full dataset, which it
+// returns (the query stays valid; its quality is the degenerate
+// minimum). For a fixed random stream an index.ScoreIndex and
+// NewRawSource over the same column return exactly the same records.
+//
+// Once ctx is done the query stops consuming oracle budget and returns
+// ctx's error. When orc implements oracle.BatchOracle (e.g. an
+// oracle.Dispatcher), each round of sampled draws is labeled through
+// one batch call, overlapping slow oracle latency; results are
+// bit-for-bit identical to the sequential path for the same random
+// stream. In charged mode (the default) the result — Indices, Tau, and
+// OracleCalls — is byte-identical to a storeless run; only
+// Result.CachedLabels and the inner oracle's call count differ.
 func SelectFromContextOptions(ctx context.Context, r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec Spec, cfg Config, sopts SelectOptions) (Result, error) {
 	budgeted := oracle.NewBudgeted(orc, spec.Budget).WithContext(ctx).
 		WithStore(sopts.Store, sopts.FreeReuse).WithChargeHook(sopts.OnCachedCharge)
@@ -133,12 +122,6 @@ func SelectFromContextOptions(ctx context.Context, r *randx.Rand, src ScoreSourc
 	res := assembleFrom(src, tr, ar)
 	res.CachedLabels = budgeted.StoreHits()
 	return res, nil
-}
-
-// assemble constructs Algorithm 1's R1 ∪ R2 from a threshold estimate
-// over a plain score slice.
-func assemble(scores []float64, tr TauResult) Result {
-	return assembleFrom(newRawSource(scores), tr, nil)
 }
 
 // assembleFrom merges the presorted threshold suffix R2 with the

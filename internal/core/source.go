@@ -9,9 +9,8 @@ import (
 // counts, order statistics, threshold extraction, and the
 // defensive-mixture sampling distribution. Two implementations exist:
 // internal/index.ScoreIndex amortizes everything across queries of a
-// registered table (the engine hot path), and the package-private
-// rawSource computes lazily for one-shot score slices (the supg.Run
-// path).
+// registered table (the engine hot path), and NewRawSource computes
+// lazily for one-shot score slices (the supg.Run path).
 type ScoreSource interface {
 	// Len returns the number of records.
 	Len() int
@@ -29,8 +28,8 @@ type ScoreSource interface {
 	Mixture(exponent, mix float64) ([]float64, *sampling.Alias)
 }
 
-// rawSource adapts a plain score slice to ScoreSource for the
-// non-indexed entry points. The sorted view and the mixture are built
+// rawSource adapts a plain score slice to ScoreSource for one-shot
+// queries (see NewRawSource). The sorted view and the mixture are built
 // lazily — at most once per query — and a single mixture entry is
 // cached because one query uses one (exponent, mix) pair. It is not
 // safe for concurrent use; each query owns its own rawSource.
@@ -44,7 +43,13 @@ type rawSource struct {
 	alias   *sampling.Alias
 }
 
-func newRawSource(scores []float64) *rawSource {
+// NewRawSource adapts a plain score slice to ScoreSource without
+// copying it. A one-shot query over a slice answers faster through it
+// than through a freshly built index.ScoreIndex for recall targets
+// (one O(n) scan, no sort), and slower for precision targets, whose
+// candidate walk needs the sorted view. The source is not safe for
+// concurrent use; give each query its own.
+func NewRawSource(scores []float64) ScoreSource {
 	return &rawSource{scores: scores}
 }
 

@@ -18,7 +18,7 @@ import (
 // returns, for every estimator family.
 func TestSelectFromIndexMatchesRawPath(t *testing.T) {
 	d := dataset.Beta(randx.New(314), 30000, 0.01, 2)
-	ix, err := index.New(d.Scores())
+	ix, err := index.NewWithOptions(d.Scores(), index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +31,11 @@ func TestSelectFromIndexMatchesRawPath(t *testing.T) {
 	for name, cfg := range configs {
 		for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 			spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: 800}
-			raw, err := Select(randx.New(99), d.Scores(), oracle.NewSimulated(d), spec, cfg)
+			raw, err := selectFrom(randx.New(99), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v raw: %v", name, kind, err)
 			}
-			idxRes, err := SelectFrom(randx.New(99), ix, oracle.NewSimulated(d), spec, cfg)
+			idxRes, err := selectFrom(randx.New(99), ix, oracle.NewSimulated(d), spec, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v indexed: %v", name, kind, err)
 			}
@@ -64,12 +64,12 @@ func TestSelectFromIndexMatchesRawPath(t *testing.T) {
 // the joint-target appendix algorithm.
 func TestSelectJointFromIndexMatchesRawPath(t *testing.T) {
 	d := dataset.Beta(randx.New(27), 20000, 0.01, 2)
-	ix, err := index.New(d.Scores())
+	ix, err := index.NewWithOptions(d.Scores(), index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := JointSpec{GammaRecall: 0.8, GammaPrecision: 0.9, Delta: 0.05, StageBudget: 500}
-	raw, err := SelectJoint(randx.New(5), d.Scores(), oracle.NewSimulated(d), spec, DefaultSUPG())
+	raw, err := selectJoint(randx.New(5), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSelectJointFromIndexMatchesRawPath(t *testing.T) {
 // labeled positives below the threshold into the presorted suffix.
 func TestAssembleFromMergesSampledPositives(t *testing.T) {
 	scores := []float64{0.95, 0.05, 0.6, 0.2, 0.8, 0.1}
-	ix, err := index.New(scores)
+	ix, err := index.NewWithOptions(scores, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestISRefusesSourceBeyondAliasLimit(t *testing.T) {
 	}
 	for name, c := range cases {
 		spec := Spec{Kind: c.kind, Gamma: 0.9, Delta: 0.05, Budget: 100}
-		_, err := SelectFrom(randx.New(1), oversizedSource{}, never, spec, c.cfg)
+		_, err := selectFrom(randx.New(1), oversizedSource{}, never, spec, c.cfg)
 		if err == nil {
 			t.Fatalf("%s: no error for a source beyond the alias limit", name)
 		}

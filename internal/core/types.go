@@ -243,8 +243,8 @@ type Result struct {
 
 // ErrNoPositives is returned by recall-target estimation when the
 // sample contains no positive labels, in which case no data-driven
-// threshold exists. Select treats it by returning the whole dataset
-// (the only recall-safe answer).
+// threshold exists. SelectFromContextOptions treats it by returning
+// the whole dataset (the only recall-safe answer).
 var ErrNoPositives = errors.New("core: no positive oracle labels in sample")
 
 // selectAllTau is the threshold that admits every record.

@@ -184,7 +184,7 @@ func ReadBinarySized(r io.Reader, name string, size int64) (*Dataset, error) {
 	// bytes long (the per-record cost is 8 bytes + 1 bit).
 	if size > 16 {
 		n := int(((size - 16) * 8) / 65)
-		for cand := n; cand <= n+2 && cand <= maxRecords; cand++ {
+		for cand := n; cand <= n+2 && int64(cand) <= maxRecords; cand++ {
 			if cand > 0 && BinarySize(cand) == size {
 				return ReadBinaryInto(r, name, make([]float64, 0, cand), make([]bool, 0, cand))
 			}

@@ -31,7 +31,7 @@ func TestConcurrentAppendQueryReregister(t *testing.T) {
 		queriers = 4
 	)
 	base := dataset.Beta(randx.New(404), baseN, 0.01, 2)
-	e := NewWithOptions(11, Options{SegmentSize: 512})
+	e := openEngine(t, 11, Options{SegmentSize: 512})
 	e.RegisterDatasetDefaults("t", base)
 
 	q, err := query.Parse(`SELECT * FROM t WHERE t_oracle(x) ORACLE LIMIT 200 USING t_proxy(x) RECALL TARGET 90% WITH PROBABILITY 95%`)
@@ -61,7 +61,7 @@ func TestConcurrentAppendQueryReregister(t *testing.T) {
 					return
 				default:
 				}
-				res, err := e.ExecutePlan(plan)
+				res, err := executePlan(e, plan)
 				if err != nil {
 					t.Errorf("query: %v", err)
 					return
@@ -109,7 +109,7 @@ func TestConcurrentAppendQueryReregister(t *testing.T) {
 	// a stale pre-re-registration index would have a longer id space,
 	// a dropped append a shorter one.
 	finalLen := baseN + (appends-appends/2)*appendN
-	res, err := e.ExecutePlan(plan)
+	res, err := executePlan(e, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

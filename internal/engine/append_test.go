@@ -24,9 +24,9 @@ func betaPair(t *testing.T) (*dataset.Dataset, *dataset.Dataset) {
 func TestAppendTableMatchesFreshRegistration(t *testing.T) {
 	base, extra := betaPair(t)
 
-	grown := NewWithOptions(7, Options{SegmentSize: 4096})
+	grown := openEngine(t, 7, Options{SegmentSize: 4096})
 	grown.RegisterDatasetDefaults("t", base)
-	if _, err := grown.Execute(appendTestSQL); err != nil {
+	if _, err := execute(grown, appendTestSQL); err != nil {
 		t.Fatal(err)
 	}
 	combined, err := grown.AppendTable("t", extra)
@@ -36,7 +36,7 @@ func TestAppendTableMatchesFreshRegistration(t *testing.T) {
 	if combined.Len() != base.Len()+extra.Len() {
 		t.Fatalf("combined has %d records, want %d", combined.Len(), base.Len()+extra.Len())
 	}
-	grownRes, err := grown.Execute(appendTestSQL)
+	grownRes, err := execute(grown, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +48,9 @@ func TestAppendTableMatchesFreshRegistration(t *testing.T) {
 			grownRes.ProxyCalls, extra.Len())
 	}
 
-	fresh := NewWithOptions(7, Options{SegmentSize: 4096})
+	fresh := openEngine(t, 7, Options{SegmentSize: 4096})
 	fresh.RegisterDatasetDefaults("t", base.Append(extra))
-	freshRes, err := fresh.Execute(appendTestSQL)
+	freshRes, err := execute(fresh, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAppendTableMatchesFreshRegistration(t *testing.T) {
 	}
 
 	// Steady state after the extension: cache hit, no proxy work.
-	again, err := grown.Execute(appendTestSQL)
+	again, err := execute(grown, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestAppendTableMatchesFreshRegistration(t *testing.T) {
 // the parent entry, extra through the append entry.
 func TestAppendTableBeforeFirstQuery(t *testing.T) {
 	base, extra := betaPair(t)
-	e := New(7)
+	e := openEngine(t, 7, Options{})
 	e.RegisterDatasetDefaults("t", base)
 	if _, err := e.AppendTable("t", extra); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(appendTestSQL)
+	res, err := execute(e, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +103,9 @@ func TestAppendTableBeforeFirstQuery(t *testing.T) {
 // incremental entries; the query pays for exactly the un-indexed tail.
 func TestAppendTableChained(t *testing.T) {
 	base, extra := betaPair(t)
-	e := New(7)
+	e := openEngine(t, 7, Options{})
 	e.RegisterDatasetDefaults("t", base)
-	if _, err := e.Execute(appendTestSQL); err != nil {
+	if _, err := execute(e, appendTestSQL); err != nil {
 		t.Fatal(err)
 	}
 	half := extra.Len() / 2
@@ -116,7 +116,7 @@ func TestAppendTableChained(t *testing.T) {
 	if _, err := e.AppendTable("t", second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(appendTestSQL)
+	res, err := execute(e, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAppendTableChained(t *testing.T) {
 // empty appends are rejected.
 func TestAppendTableErrors(t *testing.T) {
 	base, extra := betaPair(t)
-	e := New(1)
+	e := openEngine(t, 1, Options{})
 	if _, err := e.AppendTable("missing", extra); err == nil || !strings.Contains(err.Error(), "unknown table") {
 		t.Fatalf("appending to unknown table: err = %v", err)
 	}
@@ -145,9 +145,9 @@ func TestAppendTableErrors(t *testing.T) {
 // query rebuilds from the new registration, never from stale segments.
 func TestReregistrationAfterAppendRebuildsFully(t *testing.T) {
 	base, extra := betaPair(t)
-	e := New(7)
+	e := openEngine(t, 7, Options{})
 	e.RegisterDatasetDefaults("t", base)
-	if _, err := e.Execute(appendTestSQL); err != nil {
+	if _, err := execute(e, appendTestSQL); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.AppendTable("t", extra); err != nil {
@@ -155,7 +155,7 @@ func TestReregistrationAfterAppendRebuildsFully(t *testing.T) {
 	}
 	d2 := dataset.Beta(randx.New(99), 5000, 1, 1)
 	e.RegisterDatasetDefaults("t", d2)
-	res, err := e.Execute(appendTestSQL)
+	res, err := execute(e, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func TestKillRestartChunkedAppends(t *testing.T) {
 		}
 	}
 
-	ref := NewWithOptions(42, opts)
+	ref := openEngine(t, 42, opts)
 	register(ref, full)
 	want := make([]*QueryResult, len(sqls))
 	for i, sql := range sqls {
@@ -97,8 +97,8 @@ func TestKillRestartChunkedAppends(t *testing.T) {
 	}
 
 	e2 := open(killed)
-	info, _ := e2.RecoveryInfo()
-	if info.Tables != 1 || info.Indexes != 2 || len(info.Degraded) != 0 {
+	info := e2.Storage().Stats()
+	if info.TablesRecovered != 1 || info.IndexesRecovered != 2 || len(info.Degraded) != 0 {
 		t.Fatalf("recovery info %+v", info)
 	}
 	rec := e2.RecoveredDatasets()

@@ -17,14 +17,14 @@ const ctxTestSQL = `SELECT * FROM beta WHERE beta_oracle(x) = true ` +
 func newCtxTestEngine(t *testing.T, seed uint64) (*Engine, *dataset.Dataset) {
 	t.Helper()
 	d := dataset.Beta(randx.New(3), 20_000, 0.02, 2)
-	e := New(seed)
+	e := openEngine(t, seed, Options{})
 	e.RegisterDatasetDefaults("beta", d)
 	return e, d
 }
 
 func TestExecuteContextMatchesSequential(t *testing.T) {
 	seq, _ := newCtxTestEngine(t, 1)
-	want, err := seq.Execute(ctxTestSQL)
+	want, err := execute(seq, ctxTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestExecuteContextCancelledBeforeStart(t *testing.T) {
 
 func TestExecuteContextCancelledMidQuery(t *testing.T) {
 	d := dataset.Beta(randx.New(3), 20_000, 0.02, 2)
-	e := New(1)
+	e := openEngine(t, 1, Options{})
 	e.RegisterTable("beta", d)
 	e.RegisterProxy("beta_proxy", func(i int) float64 { return d.Score(i) })
 	var calls atomic.Int64

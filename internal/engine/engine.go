@@ -177,9 +177,6 @@ type Options struct {
 	// entirely). In the default charged mode the store changes only the
 	// inner oracle's call count, never query results.
 	LabelCacheBytes int64
-	// LabelCacheShards is the label store's shard count per (table,
-	// oracle) pair (<= 0 selects labelstore.DefaultShards).
-	LabelCacheShards int
 	// LabelWALPath, when non-empty, makes the label store crash-durable:
 	// bought labels are journaled to a write-ahead log at this path and
 	// replayed on Open, so a restarted process re-buys zero labels. See
@@ -227,12 +224,6 @@ type Options struct {
 	PersistDir string
 }
 
-// resilienceEnabled reports whether queries should stack the Resilient
-// wrapper onto the oracle UDF.
-func (o Options) resilienceEnabled() bool {
-	return o.OracleTimeout > 0 || o.OracleRetries > 0
-}
-
 // Engine holds the catalog of tables, the UDF registry, and the cache
 // of per-(table, proxy) score indexes.
 type Engine struct {
@@ -249,7 +240,12 @@ type Engine struct {
 	refs   map[string]*atomic.Pointer[dataset.Dataset]
 	seed   uint64
 	ixOpts index.Options
-	opts   Options
+	// resilient is the per-attempt timeout, retry and backoff policy
+	// every query stacks onto its oracle UDF when Enabled; each query
+	// sets its own jitter Seed (buildOracle). breaker configures the
+	// per-oracle circuit breakers that policy shares.
+	resilient oracle.ResilientOptions
+	breaker   oracle.BreakerOptions
 	// labels is the cross-query oracle label store (nil when disabled).
 	// It is invalidated on table/oracle re-registration and survives
 	// AppendTable: appends never change existing record ids or labels.
@@ -270,27 +266,13 @@ type Engine struct {
 	stagedIx map[indexKey]*stagedIndex
 }
 
-// New returns an empty engine whose query randomness derives from seed.
-func New(seed uint64) *Engine {
-	return NewWithOptions(seed, Options{})
-}
-
-// NewWithOptions is New with explicit index-construction, label-store,
-// and resilience tuning. It panics if the configured label WAL cannot
-// be opened — only reachable when Options.LabelWALPath is set; callers
-// configuring a WAL should prefer Open and handle the error.
-func NewWithOptions(seed uint64, opts Options) *Engine {
-	e, err := Open(seed, opts)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// Open is NewWithOptions with the label WAL's open/replay error
-// surfaced instead of panicking. The storage tier opens first because
-// it creates PersistDir, the label WAL's usual home; it is closed again
-// when the WAL then fails to open.
+// Open returns an empty engine whose query randomness derives from
+// seed, with the index-construction, label-store, resilience and
+// storage tuning of opts (the zero Options select every default). It
+// fails only when the durable state opts configures cannot be opened:
+// the storage tier opens first because it creates PersistDir, the
+// label WAL's usual home, and is closed again when the WAL then fails
+// to open or replay.
 func Open(seed uint64, opts Options) (*Engine, error) {
 	buildPar := opts.BuildParallelism
 	if buildPar <= 0 {
@@ -307,10 +289,20 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 			SegmentSize: opts.SegmentSize,
 			Parallelism: buildPar,
 		},
-		opts:     opts,
 		breakers: make(map[string]*oracle.Breaker),
 		staged:   make(map[string]stagedTable),
 		stagedIx: make(map[indexKey]*stagedIndex),
+		resilient: oracle.ResilientOptions{
+			Timeout:     opts.OracleTimeout,
+			Retries:     opts.OracleRetries,
+			BaseBackoff: opts.OracleBackoff,
+			Clock:       opts.Clock,
+		},
+		breaker: oracle.BreakerOptions{
+			Threshold: opts.BreakerThreshold,
+			Cooldown:  opts.BreakerCooldown,
+			Clock:     opts.Clock,
+		},
 	}
 	e.counters = metrics.NewCounters(e.readOwnedStats)
 	if err := e.openStorage(opts); err != nil {
@@ -319,7 +311,6 @@ func Open(seed uint64, opts Options) (*Engine, error) {
 	if opts.LabelCacheBytes >= 0 {
 		labels, err := labelstore.Open(labelstore.Options{
 			MaxBytes:     opts.LabelCacheBytes,
-			Shards:       opts.LabelCacheShards,
 			WALPath:      opts.LabelWALPath,
 			WALSyncEvery: opts.LabelWALSyncEvery,
 		})
@@ -393,7 +384,7 @@ func (e *Engine) LabelStore() *labelstore.Store { return e.labels }
 // named oracle UDF, creating it on first use. Returns nil (allow
 // everything) when resilience is not configured.
 func (e *Engine) breakerFor(name string) *oracle.Breaker {
-	if !e.opts.resilienceEnabled() {
+	if !e.resilient.Enabled() {
 		return nil
 	}
 	e.mu.RLock()
@@ -407,11 +398,7 @@ func (e *Engine) breakerFor(name string) *oracle.Breaker {
 	if b = e.breakers[name]; b != nil {
 		return b
 	}
-	b = oracle.NewBreaker(oracle.BreakerOptions{
-		Threshold: e.opts.BreakerThreshold,
-		Cooldown:  e.opts.BreakerCooldown,
-		Clock:     e.opts.Clock,
-	})
+	b = oracle.NewBreaker(e.breaker)
 	e.breakers[name] = b
 	return b
 }
@@ -807,8 +794,7 @@ type QueryResult struct {
 }
 
 // ExecOptions tune one query execution. The zero value runs the query
-// synchronously with a sequential oracle, exactly as ExecutePlan always
-// has.
+// synchronously with a sequential oracle.
 type ExecOptions struct {
 	// OracleParallelism bounds the number of concurrent oracle UDF
 	// invocations per labeling batch (<= 1 labels sequentially). The
@@ -829,11 +815,6 @@ type ExecOptions struct {
 	FreeReuse bool
 }
 
-// Execute parses, plans, and runs a SUPG statement.
-func (e *Engine) Execute(sql string) (*QueryResult, error) {
-	return e.ExecuteContext(context.Background(), sql, ExecOptions{})
-}
-
 // ExecuteContext parses, plans, and runs a SUPG statement with
 // cancellation, oracle parallelism, and progress reporting.
 func (e *Engine) ExecuteContext(ctx context.Context, sql string, opts ExecOptions) (*QueryResult, error) {
@@ -846,11 +827,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, sql string, opts ExecOption
 		return nil, err
 	}
 	return e.ExecutePlanContext(ctx, plan, opts)
-}
-
-// ExecutePlan runs an already-built plan.
-func (e *Engine) ExecutePlan(plan *query.Plan) (*QueryResult, error) {
-	return e.ExecutePlanContext(context.Background(), plan, ExecOptions{})
 }
 
 // ExecutePlanContext runs an already-built plan under ctx: once ctx is
@@ -978,14 +954,11 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 // on an identical schedule regardless of interleaving.
 func (e *Engine) buildOracle(ctx context.Context, plan *query.Plan, fn OracleUDF, opts ExecOptions, progress *progressCounter) oracle.Oracle {
 	var orc oracle.Oracle = oracle.Func(fn)
-	if e.opts.resilienceEnabled() {
-		orc = oracle.NewResilient(orc, oracle.ResilientOptions{
-			Timeout:     e.opts.OracleTimeout,
-			Retries:     e.opts.OracleRetries,
-			BaseBackoff: e.opts.OracleBackoff,
-			Seed:        e.seed ^ hashString("resilient:"+plan.SourceText),
-			Clock:       e.opts.Clock,
-		}).WithBreaker(e.breakerFor(plan.OracleUDF)).WithContext(ctx).WithCounters(e.counters)
+	if e.resilient.Enabled() {
+		ropts := e.resilient
+		ropts.Seed = e.seed ^ hashString("resilient:"+plan.SourceText)
+		orc = oracle.NewResilient(orc, ropts).
+			WithBreaker(e.breakerFor(plan.OracleUDF)).WithContext(ctx).WithCounters(e.counters)
 	}
 	if opts.Progress != nil {
 		orc = &countingOracle{inner: orc, progress: progress}

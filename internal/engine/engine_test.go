@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,10 +12,31 @@ import (
 	"supg/internal/randx"
 )
 
+// openEngine opens an engine, failing tb when Open does.
+func openEngine(tb testing.TB, seed uint64, opts Options) *Engine {
+	tb.Helper()
+	e, err := Open(seed, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// execute runs sql with no cancellation and the default ExecOptions.
+func execute(e *Engine, sql string) (*QueryResult, error) {
+	return e.ExecuteContext(context.Background(), sql, ExecOptions{})
+}
+
+// executePlan runs plan with no cancellation and the default
+// ExecOptions.
+func executePlan(e *Engine, plan *query.Plan) (*QueryResult, error) {
+	return e.ExecutePlanContext(context.Background(), plan, ExecOptions{})
+}
+
 func testEngine(t *testing.T) (*Engine, *dataset.Dataset) {
 	t.Helper()
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
-	e := New(42)
+	e := openEngine(t, 42, Options{})
 	e.RegisterDatasetDefaults("video", d)
 	return e, d
 }
@@ -29,7 +51,7 @@ const engineRT = `
 
 func TestExecuteRecallQuery(t *testing.T) {
 	e, d := testEngine(t)
-	res, err := e.Execute(engineRT)
+	res, err := execute(e, engineRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +75,7 @@ func TestExecuteRecallQuery(t *testing.T) {
 
 func TestExecutePrecisionQuery(t *testing.T) {
 	e, d := testEngine(t)
-	res, err := e.Execute(`
+	res, err := execute(e, `
 		SELECT * FROM video
 		WHERE video_oracle(frame) = true
 		ORACLE LIMIT 1000
@@ -71,7 +93,7 @@ func TestExecutePrecisionQuery(t *testing.T) {
 
 func TestExecuteJointQuery(t *testing.T) {
 	e, d := testEngine(t)
-	res, err := e.Execute(`
+	res, err := execute(e, `
 		SELECT * FROM video
 		WHERE video_oracle(frame) = true
 		USING video_proxy(frame)
@@ -89,7 +111,7 @@ func TestExecuteJointQuery(t *testing.T) {
 
 func TestExecuteUnknownTable(t *testing.T) {
 	e, _ := testEngine(t)
-	_, err := e.Execute(strings.Replace(engineRT, "FROM video", "FROM nope", 1))
+	_, err := execute(e, strings.Replace(engineRT, "FROM video", "FROM nope", 1))
 	if err == nil || !strings.Contains(err.Error(), "unknown table") {
 		t.Fatalf("err = %v", err)
 	}
@@ -97,11 +119,11 @@ func TestExecuteUnknownTable(t *testing.T) {
 
 func TestExecuteUnknownUDFs(t *testing.T) {
 	e, _ := testEngine(t)
-	_, err := e.Execute(strings.Replace(engineRT, "video_oracle", "mystery", 1))
+	_, err := execute(e, strings.Replace(engineRT, "video_oracle", "mystery", 1))
 	if err == nil || !strings.Contains(err.Error(), "unknown oracle") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = e.Execute(strings.Replace(engineRT, "video_proxy", "mystery", 1))
+	_, err = execute(e, strings.Replace(engineRT, "video_proxy", "mystery", 1))
 	if err == nil || !strings.Contains(err.Error(), "unknown proxy") {
 		t.Fatalf("err = %v", err)
 	}
@@ -109,18 +131,18 @@ func TestExecuteUnknownUDFs(t *testing.T) {
 
 func TestExecuteParseErrorPropagates(t *testing.T) {
 	e, _ := testEngine(t)
-	if _, err := e.Execute("SELECT nothing"); err == nil {
+	if _, err := execute(e, "SELECT nothing"); err == nil {
 		t.Fatal("parse error should propagate")
 	}
 }
 
 func TestProxyRangeValidation(t *testing.T) {
 	d := dataset.Beta(randx.New(2), 1000, 1, 1)
-	e := New(1)
+	e := openEngine(t, 1, Options{})
 	e.RegisterTable("t", d)
 	e.RegisterOracle("o", func(i int) (bool, error) { return d.TrueLabel(i), nil })
 	e.RegisterProxy("p", func(i int) float64 { return 1.5 }) // invalid
-	_, err := e.Execute(`SELECT * FROM t WHERE o(x) ORACLE LIMIT 100 USING p(x) RECALL TARGET 90% WITH PROBABILITY 95%`)
+	_, err := execute(e, `SELECT * FROM t WHERE o(x) ORACLE LIMIT 100 USING p(x) RECALL TARGET 90% WITH PROBABILITY 95%`)
 	if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
 		t.Fatalf("err = %v", err)
 	}
@@ -128,7 +150,7 @@ func TestProxyRangeValidation(t *testing.T) {
 
 func TestCustomUDFRegistration(t *testing.T) {
 	d := dataset.Beta(randx.New(3), 20000, 0.01, 2)
-	e := New(5)
+	e := openEngine(t, 5, Options{})
 	e.RegisterTable("t", d)
 	oracleCalls := 0
 	e.RegisterOracle("my_oracle", func(i int) (bool, error) {
@@ -136,7 +158,7 @@ func TestCustomUDFRegistration(t *testing.T) {
 		return d.TrueLabel(i), nil
 	})
 	e.RegisterProxy("my_proxy", func(i int) float64 { return d.Score(i) })
-	res, err := e.Execute(`SELECT * FROM t WHERE my_oracle(x) ORACLE LIMIT 500 USING my_proxy(x) RECALL TARGET 80% WITH PROBABILITY 95%`)
+	res, err := execute(e, `SELECT * FROM t WHERE my_oracle(x) ORACLE LIMIT 500 USING my_proxy(x) RECALL TARGET 80% WITH PROBABILITY 95%`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +172,11 @@ func TestCustomUDFRegistration(t *testing.T) {
 
 func TestExecutePlanDeterministicForSameQuery(t *testing.T) {
 	e, _ := testEngine(t)
-	a, err := e.Execute(engineRT)
+	a, err := execute(e, engineRT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Execute(engineRT)
+	b, err := execute(e, engineRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +196,7 @@ func TestExecutePlanDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExecutePlan(plan)
+	res, err := executePlan(e, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestKillRestartInPlaceAppends(t *testing.T) {
 		}
 	}
 
-	ref := NewWithOptions(42, opts)
+	ref := openEngine(t, 42, opts)
 	register(ref, full)
 	want := make([]*QueryResult, len(sqls))
 	for i, sql := range sqls {
@@ -121,7 +121,7 @@ func TestKillRestartInPlaceAppends(t *testing.T) {
 	}
 
 	e2 := open(killed)
-	if info, _ := e2.RecoveryInfo(); info.Tables != 1 || info.Indexes != 2 || len(info.Degraded) != 0 {
+	if info := e2.Storage().Stats(); info.TablesRecovered != 1 || info.IndexesRecovered != 2 || len(info.Degraded) != 0 {
 		t.Fatalf("recovery info %+v", info)
 	}
 	proxyCalls.Store(0)

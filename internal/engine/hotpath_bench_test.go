@@ -59,17 +59,17 @@ func benchPlan(b *testing.B) *query.Plan {
 // registered table through the cached ScoreIndex.
 func BenchmarkSelectHotPath(b *testing.B) {
 	d := benchDataset(b)
-	e := New(42)
+	e := openEngine(b, 42, Options{})
 	e.RegisterDatasetDefaults("video", d)
 	plan := benchPlan(b)
 	// Warm the index so the steady state is measured.
-	if _, err := e.ExecutePlan(plan); err != nil {
+	if _, err := executePlan(e, plan); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.ExecutePlan(plan)
+		res, err := executePlan(e, plan)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,18 +88,18 @@ func BenchmarkSelectHotPath(b *testing.B) {
 func BenchmarkSelectMixtureWarm(b *testing.B) {
 	d := dataset.Beta(randx.New(2401), benchN, 2, 2)
 	b.Run("float", func(b *testing.B) {
-		e := New(42)
+		e := openEngine(b, 42, Options{})
 		e.RegisterDatasetDefaults("video", d)
 		plan := benchPlan(b)
 		// Warm the index and the mixture/alias cache so the timed
 		// region is pure select: sample, estimate, scan, assemble.
-		if _, err := e.ExecutePlan(plan); err != nil {
+		if _, err := executePlan(e, plan); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := e.ExecutePlan(plan)
+			res, err := executePlan(e, plan)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func BenchmarkSelectHotPathPreIndex(b *testing.B) {
 		}
 		r := rng.Stream(hashString(plan.SourceText))
 		budgeted := oracle.NewBudgeted(orc, plan.Spec.Budget)
-		tr, err := core.EstimateTau(r, scores, budgeted, plan.Spec, plan.Config)
+		tr, err := core.EstimateTau(r, core.NewRawSource(scores), budgeted, plan.Spec, plan.Config)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := New(42)
+		e := openEngine(b, 42, Options{})
 		e.RegisterTable("video", d)
 		e.RegisterOracle("video_oracle", func(j int) (bool, error) { return d.TrueLabel(j), nil })
 		e.RegisterProxy("video_proxy", proxyFn)

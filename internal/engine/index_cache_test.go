@@ -14,7 +14,7 @@ import (
 // queries reuse the index and report zero proxy evaluations.
 func TestIndexCachedAcrossQueries(t *testing.T) {
 	d := dataset.Beta(randx.New(6), 20000, 0.01, 2)
-	e := New(1)
+	e := openEngine(t, 1, Options{})
 	e.RegisterTable("t", d)
 	e.RegisterOracle("o", func(i int) (bool, error) { return d.TrueLabel(i), nil })
 	proxyCalls := 0
@@ -27,7 +27,7 @@ func TestIndexCachedAcrossQueries(t *testing.T) {
 	})
 	const sql = `SELECT * FROM t WHERE o(x) ORACLE LIMIT 500 USING p(x) RECALL TARGET 90% WITH PROBABILITY 95%`
 
-	first, err := e.Execute(sql)
+	first, err := execute(e, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestIndexCachedAcrossQueries(t *testing.T) {
 		t.Fatalf("proxy UDF invoked %d times, want %d", proxyCalls, d.Len())
 	}
 
-	second, err := e.Execute(sql)
+	second, err := execute(e, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +57,17 @@ func TestIndexCachedAcrossQueries(t *testing.T) {
 // proxy must drop the cached index so stale scores are never served.
 func TestIndexInvalidatedOnReregistration(t *testing.T) {
 	d := dataset.Beta(randx.New(7), 5000, 1, 1)
-	e := New(1)
+	e := openEngine(t, 1, Options{})
 	e.RegisterDatasetDefaults("t", d)
 	const sql = `SELECT * FROM t WHERE t_oracle(x) ORACLE LIMIT 200 USING t_proxy(x) RECALL TARGET 90% WITH PROBABILITY 95%`
-	if _, err := e.Execute(sql); err != nil {
+	if _, err := execute(e, sql); err != nil {
 		t.Fatal(err)
 	}
 
 	// New data under the same names: the next query must rebuild.
 	d2 := dataset.Beta(randx.New(8), 5000, 1, 1)
 	e.RegisterDatasetDefaults("t", d2)
-	res, err := e.Execute(sql)
+	res, err := execute(e, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestIndexInvalidatedOnReregistration(t *testing.T) {
 // same table must share one proxy scan and agree on the answer.
 func TestConcurrentQueriesBuildIndexOnce(t *testing.T) {
 	d := dataset.Beta(randx.New(9), 30000, 0.01, 2)
-	e := New(3)
+	e := openEngine(t, 3, Options{})
 	e.RegisterTable("t", d)
 	e.RegisterOracle("o", func(i int) (bool, error) { return d.TrueLabel(i), nil })
 	proxyCalls := 0
@@ -108,7 +108,7 @@ func TestConcurrentQueriesBuildIndexOnce(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w], errs[w] = e.ExecutePlan(plan)
+			results[w], errs[w] = executePlan(e, plan)
 		}(w)
 	}
 	wg.Wait()

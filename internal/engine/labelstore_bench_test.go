@@ -11,14 +11,14 @@ import (
 // cross-query label reuse — see `make bench-labelstore`.
 func BenchmarkLabelStoreWarmQuery(b *testing.B) { //supg:benchhygiene-ok trailing StopTimer excludes the metric math from the timed region; no StartTimer follows by design
 	e, _, udfCalls := countedEngine(b, Options{})
-	if _, err := e.Execute(engineRT); err != nil {
+	if _, err := execute(e, engineRT); err != nil {
 		b.Fatal(err)
 	}
 	cold := udfCalls.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(engineRT); err != nil {
+		if _, err := execute(e, engineRT); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -32,14 +32,14 @@ func BenchmarkLabelStoreWarmQuery(b *testing.B) { //supg:benchhygiene-ok trailin
 // iteration re-buys the full oracle budget.
 func BenchmarkLabelStoreDisabled(b *testing.B) { //supg:benchhygiene-ok trailing StopTimer excludes the metric math from the timed region; no StartTimer follows by design
 	e, _, udfCalls := countedEngine(b, Options{LabelCacheBytes: -1})
-	if _, err := e.Execute(engineRT); err != nil {
+	if _, err := execute(e, engineRT); err != nil {
 		b.Fatal(err)
 	}
 	before := udfCalls.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(engineRT); err != nil {
+		if _, err := execute(e, engineRT); err != nil {
 			b.Fatal(err)
 		}
 	}

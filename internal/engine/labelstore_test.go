@@ -16,7 +16,7 @@ import (
 func countedEngine(t testing.TB, opts Options) (*Engine, *dataset.Dataset, *atomic.Int64) {
 	t.Helper()
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
-	e := NewWithOptions(42, opts)
+	e := openEngine(t, 42, opts)
 	var udfCalls atomic.Int64
 	e.RegisterTable("video", d)
 	e.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
@@ -58,7 +58,7 @@ func TestWarmChargedRunIsByteIdentical(t *testing.T) {
 		PRECISION TARGET 90%
 		WITH PROBABILITY 95%`} {
 		e, _, udfCalls := countedEngine(t, Options{})
-		cold, err := e.Execute(sql)
+		cold, err := execute(e, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestWarmChargedRunIsByteIdentical(t *testing.T) {
 			t.Errorf("cold run reported %d label cache hits", cold.LabelCacheHits)
 		}
 
-		warm, err := e.Execute(sql)
+		warm, err := execute(e, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,16 +100,16 @@ func TestWarmRunMatchesStorelessEngine(t *testing.T) {
 	if bare.LabelStore() != nil {
 		t.Fatal("negative LabelCacheBytes did not disable the store")
 	}
-	want, err := bare.Execute(engineRT)
+	want, err := execute(bare, engineRT)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cached, _, _ := countedEngine(t, Options{})
-	if _, err := cached.Execute(engineRT); err != nil { // cold, fills store
+	if _, err := execute(cached, engineRT); err != nil { // cold, fills store
 		t.Fatal(err)
 	}
-	got, err := cached.Execute(engineRT) // warm
+	got, err := execute(cached, engineRT) // warm
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ const engineRTFree = `
 // zero budget while returning the identical result.
 func TestFreeReuseStretchesSampleBudget(t *testing.T) {
 	e, _, udfCalls := countedEngine(t, Options{})
-	first, err := e.Execute(engineRTFree)
+	first, err := execute(e, engineRTFree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFreeReuseStretchesSampleBudget(t *testing.T) {
 	}
 	afterFirst := udfCalls.Load()
 
-	second, err := e.Execute(engineRTFree)
+	second, err := execute(e, engineRTFree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFreeReuseStretchesSampleBudget(t *testing.T) {
 // FREE is equivalent to the grammar clause.
 func TestFreeReuseViaExecOptions(t *testing.T) {
 	e, _, _ := countedEngine(t, Options{})
-	if _, err := e.Execute(engineRT); err != nil {
+	if _, err := execute(e, engineRT); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.ExecuteContext(context.Background(), engineRT, ExecOptions{FreeReuse: true})
@@ -183,7 +183,7 @@ func TestFreeReuseViaExecOptions(t *testing.T) {
 // served.
 func TestReRegistrationInvalidatesLabels(t *testing.T) {
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
-	e := New(42)
+	e := openEngine(t, 42, Options{})
 	e.RegisterTable("video", d)
 	e.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
 	e.RegisterOracle("video_oracle", func(i int) (bool, error) { return true, nil })
@@ -195,7 +195,7 @@ func TestReRegistrationInvalidatesLabels(t *testing.T) {
 		USING video_proxy(frame)
 		PRECISION TARGET 90%
 		WITH PROBABILITY 95%`
-	res, err := e.Execute(pt)
+	res, err := execute(e, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReRegistrationInvalidatesLabels(t *testing.T) {
 	// Replace the oracle with one that rejects everything. Any stored
 	// all-true label served now would surface as a positive.
 	e.RegisterOracle("video_oracle", func(i int) (bool, error) { return false, nil })
-	res, err = e.Execute(pt)
+	res, err = execute(e, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +218,12 @@ func TestReRegistrationInvalidatesLabels(t *testing.T) {
 	}
 
 	// Same for table re-registration.
-	if _, err := e.Execute(pt); err != nil { // refill store under all-false
+	if _, err := execute(e, pt); err != nil { // refill store under all-false
 		t.Fatal(err)
 	}
 	e.RegisterOracle("video_oracle", func(i int) (bool, error) { return true, nil })
 	e.RegisterTable("video", d)
-	res, err = e.Execute(pt)
+	res, err = execute(e, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestProgressMatchesOracleCallsWarm(t *testing.T) {
 func TestLabelStoreSharedAcrossQueriesRace(t *testing.T) {
 	d := dataset.Beta(randx.New(3), 4000, 0.05, 2)
 	extra := dataset.Beta(randx.New(4), 100, 0.05, 2)
-	e := New(7)
+	e := openEngine(t, 7, Options{})
 	e.RegisterTable("video", d)
 	e.RegisterProxy("video_proxy", func(i int) float64 {
 		// Appended ids score mid-range; any in-range value works.
@@ -312,7 +312,7 @@ func TestLabelStoreSharedAcrossQueriesRace(t *testing.T) {
 				// Errors are expected while re-registration races the
 				// query (unknown UDF windows); only data races and stale
 				// labels are failures here.
-				_, _ = e.Execute(sql)
+				_, _ = execute(e, sql)
 			}
 		}(map[bool]string{true: rt, false: rtFree}[w%2 == 0])
 	}
@@ -337,7 +337,7 @@ func TestLabelStoreSharedAcrossQueriesRace(t *testing.T) {
 			// Flip to an all-false oracle; immediately afterwards no
 			// stored all-true label may survive.
 			e.RegisterOracle("video_oracle", func(int) (bool, error) { return false, nil })
-			if res, err := e.Execute(pt); err == nil && len(res.Indices) != 0 {
+			if res, err := execute(e, pt); err == nil && len(res.Indices) != 0 {
 				t.Errorf("round %d: stale labels served after invalidation (%d positives)", i, len(res.Indices))
 			}
 			e.RegisterOracle("video_oracle", func(int) (bool, error) { return true, nil })

@@ -30,13 +30,13 @@ func mixFileCount(t *testing.T, dir string) int {
 // referenceResults answers sqls on an engine that never persisted.
 func referenceResults(t *testing.T, d *dataset.Dataset, sqls ...string) []*QueryResult {
 	t.Helper()
-	e := NewWithOptions(7, Options{SegmentSize: 4096})
+	e := openEngine(t, 7, Options{SegmentSize: 4096})
 	e.RegisterTable("t", d)
 	e.RegisterOracle("o", func(i int) (bool, error) { return d.TrueLabel(i), nil })
 	e.RegisterProxy("p", func(i int) float64 { return d.Score(i) })
 	out := make([]*QueryResult, len(sqls))
 	for i, sql := range sqls {
-		res, err := e.Execute(sql)
+		res, err := execute(e, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func referenceResults(t *testing.T, d *dataset.Dataset, sqls ...string) []*Query
 
 func mustExecute(t *testing.T, e *Engine, sql string) *QueryResult {
 	t.Helper()
-	res, err := e.Execute(sql)
+	res, err := execute(e, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestRestartAdoptsCheckpointedMixture(t *testing.T) {
 	}
 
 	e2 := persistEngine(t, dir, d.Clone(), &calls)
-	info, _ := e2.RecoveryInfo()
-	if info.Indexes != 1 || info.Mixtures != 1 || len(info.Degraded) != 0 {
+	info := e2.Storage().Stats()
+	if info.IndexesRecovered != 1 || info.MixturesRecovered != 1 || len(info.Degraded) != 0 {
 		t.Fatalf("recovery info %+v", info)
 	}
 	builds = index.MixtureBuildsTotal()
@@ -114,7 +114,7 @@ func TestRestartWithoutCheckpointRebuildsMixture(t *testing.T) {
 	e1.store.Close()
 
 	e2 := persistEngine(t, dir, d, &calls)
-	if info, _ := e2.RecoveryInfo(); info.Indexes != 1 || info.Mixtures != 0 {
+	if info := e2.Storage().Stats(); info.IndexesRecovered != 1 || info.MixturesRecovered != 0 {
 		t.Fatalf("recovery info %+v", info)
 	}
 	builds := index.MixtureBuildsTotal()
@@ -234,7 +234,7 @@ func TestRestartCorruptMixtureFallsBack(t *testing.T) {
 	if !res.IndexRecovered || calls != 0 || index.MixtureBuildsTotal()-builds != 1 {
 		t.Fatalf("corrupt mixture: recovered=%v proxy calls %d builds %d", res.IndexRecovered, calls, index.MixtureBuildsTotal()-builds)
 	}
-	if info, _ := e2.RecoveryInfo(); len(info.Degraded) != 1 {
+	if info := e2.Storage().Stats(); len(info.Degraded) != 1 {
 		t.Fatalf("degraded notes %q, want the mixture's", info.Degraded)
 	}
 }
@@ -263,7 +263,7 @@ func TestRestartConcurrentFirstQueriesAdoptOnce(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			got[g], errs[g] = e2.Execute([]string{mixRecallSQL, mixPrecisionSQL}[g%2])
+			got[g], errs[g] = execute(e2, []string{mixRecallSQL, mixPrecisionSQL}[g%2])
 		}(g)
 	}
 	close(start)

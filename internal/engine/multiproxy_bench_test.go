@@ -12,7 +12,7 @@ import (
 // warm-calibration-calls/op are both 0. See `make bench-multiproxy`.
 func BenchmarkMultiProxyFusedWarmQuery(b *testing.B) { //supg:benchhygiene-ok trailing StopTimer excludes the metric math from the timed region; no StartTimer follows by design
 	e, _, udfCalls := fusedEngine(b, Options{})
-	cold, err := e.Execute(fusedLogisticRT)
+	cold, err := execute(e, fusedLogisticRT)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func BenchmarkMultiProxyFusedWarmQuery(b *testing.B) { //supg:benchhygiene-ok tr
 	b.ResetTimer()
 	warmCalib := 0
 	for i := 0; i < b.N; i++ {
-		res, err := e.Execute(fusedLogisticRT)
+		res, err := execute(e, fusedLogisticRT)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func BenchmarkMultiProxyFusedWarmQuery(b *testing.B) { //supg:benchhygiene-ok tr
 // is never invoked again (warm-oracle-calls/op = 0 in charged mode).
 func BenchmarkMultiProxyWarmRecalibration(b *testing.B) { //supg:benchhygiene-ok trailing StopTimer excludes the metric math from the timed region; no StartTimer follows by design
 	e, d, udfCalls := fusedEngine(b, Options{})
-	if _, err := e.Execute(fusedLogisticRT); err != nil {
+	if _, err := execute(e, fusedLogisticRT); err != nil {
 		b.Fatal(err)
 	}
 	coldUDF := udfCalls.Load()
@@ -50,7 +50,7 @@ func BenchmarkMultiProxyWarmRecalibration(b *testing.B) { //supg:benchhygiene-ok
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RegisterProxy("video_proxy", func(j int) float64 { return d.Score(j) })
-		res, err := e.Execute(fusedLogisticRT)
+		res, err := execute(e, fusedLogisticRT)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,13 +80,13 @@ func BenchmarkMultiProxyFusedVsBestSingle(b *testing.B) {
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			e, _, _ := fusedEngine(b, Options{})
-			if _, err := e.Execute(bench.sql); err != nil {
+			if _, err := execute(e, bench.sql); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Execute(bench.sql); err != nil {
+				if _, err := execute(e, bench.sql); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -21,7 +21,7 @@ import (
 func fusedEngine(t testing.TB, opts Options) (*Engine, *dataset.Dataset, *atomic.Int64) {
 	t.Helper()
 	d := dataset.Beta(randx.New(3), 20000, 0.05, 1)
-	e := NewWithOptions(42, opts)
+	e := openEngine(t, 42, opts)
 	var udfCalls atomic.Int64
 	e.RegisterTable("video", d)
 	e.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
@@ -81,12 +81,12 @@ func TestFusedSingleMemberByteIdenticalToLegacy(t *testing.T) {
 			"USING FUSE("+kind+", video_proxy(frame))", 1)
 
 		e1, _, _ := fusedEngine(t, Options{})
-		legacy, err := e1.Execute(legacySQL)
+		legacy, err := execute(e1, legacySQL)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e2, _, _ := fusedEngine(t, Options{})
-		fused, err := e2.Execute(fusedSQL)
+		fused, err := execute(e2, fusedSQL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestFusedSingleMemberByteIdenticalToLegacy(t *testing.T) {
 		}
 
 		// Same engine: the two spellings share one index cache slot.
-		again, err := e1.Execute(fusedSQL)
+		again, err := execute(e1, fusedSQL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestFusedSingleMemberByteIdenticalToLegacy(t *testing.T) {
 func TestFusedIndexCachedAcrossQueries(t *testing.T) {
 	for _, sql := range []string{fusedMeanRT, fusedLogisticRT} {
 		e, d, _ := fusedEngine(t, Options{})
-		cold, err := e.Execute(sql)
+		cold, err := execute(e, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestFusedIndexCachedAcrossQueries(t *testing.T) {
 		if cold.ProxyCalls != 2*d.Len() {
 			t.Errorf("fused build proxy calls %d, want %d (2 members x %d records)", cold.ProxyCalls, 2*d.Len(), d.Len())
 		}
-		warm, err := e.Execute(sql)
+		warm, err := execute(e, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,14 +140,14 @@ func TestFusedIndexCachedAcrossQueries(t *testing.T) {
 // calibration for label-free fusions.
 func TestFusedStatsReporting(t *testing.T) {
 	e, _, _ := fusedEngine(t, Options{})
-	mean, err := e.Execute(fusedMeanRT)
+	mean, err := execute(e, fusedMeanRT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mean.Fusion != "mean" || mean.CalibrationCalls != 0 || mean.CalibrationCacheHits != 0 {
 		t.Errorf("mean stats %q %d %d", mean.Fusion, mean.CalibrationCalls, mean.CalibrationCacheHits)
 	}
-	logi, err := e.Execute(fusedLogisticRT)
+	logi, err := execute(e, fusedLogisticRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFusedStatsReporting(t *testing.T) {
 // returns byte-identical results.
 func TestWarmLogisticCalibrationZeroUDFCalls(t *testing.T) {
 	e, d, udfCalls := fusedEngine(t, Options{})
-	cold, err := e.Execute(fusedLogisticRT)
+	cold, err := execute(e, fusedLogisticRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestWarmLogisticCalibrationZeroUDFCalls(t *testing.T) {
 	// stored labels survive.
 	e.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
 
-	warm, err := e.Execute(fusedLogisticRT)
+	warm, err := execute(e, fusedLogisticRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestAppendExtendsFusedIndexIncrementally(t *testing.T) {
 	head, tail := full.Slice(0, 20000), full.Slice(20000, 24000)
 
 	build := func(d *dataset.Dataset) *Engine {
-		e := New(42)
+		e := openEngine(t, 42, Options{})
 		e.RegisterTable("video", d)
 		e.RegisterProxy("video_proxy", func(i int) float64 { return full.Score(i) })
 		e.RegisterProxy("video_proxy_b", func(i int) float64 { return math.Sqrt(full.Score(i)) })
@@ -258,13 +258,13 @@ func TestAppendExtendsFusedIndexIncrementally(t *testing.T) {
 	}
 
 	inc := build(head)
-	if _, err := inc.Execute(fusedMeanRT); err != nil {
+	if _, err := execute(inc, fusedMeanRT); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inc.AppendTable("video", tail); err != nil {
 		t.Fatal(err)
 	}
-	after, err := inc.Execute(fusedMeanRT)
+	after, err := execute(inc, fusedMeanRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestAppendExtendsFusedIndexIncrementally(t *testing.T) {
 	}
 
 	fresh := build(full)
-	scratch, err := fresh.Execute(fusedMeanRT)
+	scratch, err := execute(fresh, fusedMeanRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,19 +292,19 @@ func TestAppendDropsCalibratedFusedIndex(t *testing.T) {
 
 	// UDFs cover the full id range up front, so the append only has to
 	// extend the table registration.
-	e := New(42)
+	e := openEngine(t, 42, Options{})
 	e.RegisterTable("video", head)
 	e.RegisterProxy("video_proxy", func(i int) float64 { return full.Score(i) })
 	e.RegisterProxy("video_proxy_b", func(i int) float64 { return math.Sqrt(full.Score(i)) })
 	e.RegisterOracle("video_oracle", func(i int) (bool, error) { return full.TrueLabel(i), nil })
 
-	if _, err := e.Execute(fusedLogisticRT); err != nil {
+	if _, err := execute(e, fusedLogisticRT); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.AppendTable("video", tail); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(fusedLogisticRT)
+	res, err := execute(e, fusedLogisticRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,23 +324,23 @@ func TestAppendDropsCalibratedFusedIndex(t *testing.T) {
 // drops calibrated fusions but spares label-free ones.
 func TestFusedInvalidation(t *testing.T) {
 	e, d, _ := fusedEngine(t, Options{})
-	if _, err := e.Execute(fusedMeanRT); err != nil {
+	if _, err := execute(e, fusedMeanRT); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(fusedLogisticRT); err != nil {
+	if _, err := execute(e, fusedLogisticRT); err != nil {
 		t.Fatal(err)
 	}
 
 	// Oracle re-registration: logistic drops, mean survives.
 	e.RegisterOracle("video_oracle", func(i int) (bool, error) { return d.TrueLabel(i), nil })
-	mean, err := e.Execute(fusedMeanRT)
+	mean, err := execute(e, fusedMeanRT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mean.IndexBuilt {
 		t.Error("oracle re-registration dropped a label-free fused index")
 	}
-	logi, err := e.Execute(fusedLogisticRT)
+	logi, err := execute(e, fusedLogisticRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestFusedInvalidation(t *testing.T) {
 
 	// Re-registering the second member drops both fused indexes.
 	e.RegisterProxy("video_proxy_b", func(i int) float64 { return math.Sqrt(d.Score(i)) })
-	mean, err = e.Execute(fusedMeanRT)
+	mean, err = execute(e, fusedMeanRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestFusedInvalidation(t *testing.T) {
 // defeat WithStore's nil guard and panic the build goroutine.)
 func TestFusedLogisticWithLabelStoreDisabled(t *testing.T) {
 	e, _, udfCalls := fusedEngine(t, Options{LabelCacheBytes: -1})
-	res, err := e.Execute(fusedLogisticRT)
+	res, err := execute(e, fusedLogisticRT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestFusedLogisticWithLabelStoreDisabled(t *testing.T) {
 func TestFusedUnknownMemberProxy(t *testing.T) {
 	e, _, _ := fusedEngine(t, Options{})
 	bad := strings.Replace(fusedMeanRT, "video_proxy_b", "mystery", 1)
-	_, err := e.Execute(bad)
+	_, err := execute(e, bad)
 	if err == nil || !strings.Contains(err.Error(), `"mystery"`) {
 		t.Fatalf("missing member proxy error = %v", err)
 	}
@@ -390,7 +390,7 @@ func TestFusedUnknownMemberProxy(t *testing.T) {
 // TestFusedJointQuery runs a fused joint-target plan end to end.
 func TestFusedJointQuery(t *testing.T) {
 	e, d, _ := fusedEngine(t, Options{})
-	res, err := e.Execute(`
+	res, err := execute(e, `
 		SELECT * FROM video
 		WHERE video_oracle(frame) = true
 		USING FUSE(logistic, video_proxy(frame), video_proxy_b(frame)) CALIBRATE 60

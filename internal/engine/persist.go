@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"supg/internal/dataset"
 	"supg/internal/index"
@@ -292,45 +291,6 @@ func (e *Engine) checkpointMixtures() {
 	}
 }
 
-// RecoveryInfo summarizes what the durable storage tier restored at
-// Open — for the server's boot banner and tests.
-type RecoveryInfo struct {
-	// Tables / Indexes / Segments restored, verified, and staged.
-	Tables   int
-	Indexes  int
-	Segments int
-	// Mixtures counts the stored IS sampling mixtures the recovered
-	// indexes carry; each is verified and adopted by the first query
-	// that uses it.
-	Mixtures int
-	// MappedBytes is the total size of persisted files currently
-	// mmap'd into the process (0 on heap-load platforms).
-	MappedBytes int64
-	// Elapsed is the wall-clock recovery duration.
-	Elapsed time.Duration
-	// Degraded lists manifest entries that could not be served
-	// (corrupt or torn files) and were dropped in favor of a rebuild.
-	Degraded []string
-}
-
-// RecoveryInfo reports the storage tier's boot-time recovery outcome;
-// ok is false when no persistence directory is configured.
-func (e *Engine) RecoveryInfo() (RecoveryInfo, bool) {
-	if e == nil || e.store == nil {
-		return RecoveryInfo{}, false
-	}
-	st := e.store.Stats()
-	return RecoveryInfo{
-		Tables:      st.TablesRecovered,
-		Indexes:     st.IndexesRecovered,
-		Segments:    st.SegmentsRecovered,
-		Mixtures:    st.MixturesRecovered,
-		MappedBytes: st.MappedBytes,
-		Elapsed:     st.RecoveryElapsed,
-		Degraded:    st.Degraded,
-	}, true
-}
-
 // RecoveredDatasets returns the recovered datasets still awaiting
 // their first registration, sorted by name. Registering one of them
 // (same pointer or identical content) adopts the on-disk state instead
@@ -351,5 +311,7 @@ func (e *Engine) RecoveredDatasets() []*dataset.Dataset {
 }
 
 // Storage exposes the engine's durable store (nil when persistence is
-// off) — for stats and tests.
+// off). Its Stats report what Open recovered — tables, indexes,
+// segments, mixtures, mapped bytes, elapsed time and degraded entries —
+// for the server's boot banner and tests.
 func (e *Engine) Storage() *storage.Store { return e.store }

@@ -63,7 +63,7 @@ func TestEngineRestartZeroRescanRecovery(t *testing.T) {
 
 	var calls1 int
 	e1 := persistEngine(t, dir, d, &calls1)
-	cold, err := e1.Execute(persistTestSQL)
+	cold, err := execute(e1, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +79,14 @@ func TestEngineRestartZeroRescanRecovery(t *testing.T) {
 	var calls2 int
 	sortsBefore := index.BuildSortsTotal()
 	e2 := persistEngine(t, dir, d.Clone(), &calls2)
-	info, ok := e2.RecoveryInfo()
-	if !ok || info.Tables != 1 || info.Indexes != 1 {
-		t.Fatalf("recovery info = %+v, %v", info, ok)
+	info := e2.Storage().Stats()
+	if info.TablesRecovered != 1 || info.IndexesRecovered != 1 {
+		t.Fatalf("recovery info = %+v", info)
 	}
 	if len(info.Degraded) != 0 {
 		t.Fatalf("recovery degraded: %v", info.Degraded)
 	}
-	warm, err := e2.Execute(persistTestSQL)
+	warm, err := execute(e2, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEngineRestartZeroRescanRecovery(t *testing.T) {
 	assertSameResult(t, cold, warm)
 
 	// Steady state: the adopted entry is a plain cache hit now.
-	again, err := e2.Execute(persistTestSQL)
+	again, err := execute(e2, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestOpenCreatesMissingPersistDir(t *testing.T) {
 	}
 
 	e1, calls1 := open()
-	want, err := e1.Execute(persistTestSQL)
+	want, err := execute(e1, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestOpenCreatesMissingPersistDir(t *testing.T) {
 	if got := e2.LabelStore().Stats().WALReplayed; got == 0 {
 		t.Fatal("reopen replayed no labels from the WAL")
 	}
-	got, err := e2.Execute(persistTestSQL)
+	got, err := execute(e2, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRestartReRegistrationInvalidatesDurably(t *testing.T) {
 
 	var calls1 int
 	e1 := persistEngine(t, dir, d, &calls1)
-	if _, err := e1.Execute(persistTestSQL); err != nil {
+	if _, err := execute(e1, persistTestSQL); err != nil {
 		t.Fatal(err)
 	}
 	e1.Close()
@@ -191,7 +191,7 @@ func TestRestartReRegistrationInvalidatesDurably(t *testing.T) {
 		mu.Unlock()
 		return d.Score(i)
 	})
-	res, err := e2.Execute(persistTestSQL)
+	res, err := execute(e2, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRestartReRegistrationInvalidatesDurably(t *testing.T) {
 	// the old one is gone for good either way.
 	var calls3 int
 	e3 := persistEngine(t, dir, d, &calls3)
-	res3, err := e3.Execute(persistTestSQL)
+	res3, err := execute(e3, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRestartAppendChainsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1.RegisterDatasetDefaults("t", base)
-	if _, err := e1.Execute(appendTestSQL); err != nil {
+	if _, err := execute(e1, appendTestSQL); err != nil {
 		t.Fatal(err)
 	}
 	// Grow the table but crash before any query flushes the extended
@@ -247,7 +247,7 @@ func TestRestartAppendChainsTail(t *testing.T) {
 		t.Fatalf("recovered datasets: %d (len %d)", len(recovered), recovered[0].Len())
 	}
 	e2.RegisterDatasetDefaults("t", recovered[0])
-	res, err := e2.Execute(appendTestSQL)
+	res, err := execute(e2, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +256,9 @@ func TestRestartAppendChainsTail(t *testing.T) {
 			res.IndexRecovered, res.ProxyCalls, extra.Len())
 	}
 
-	fresh := NewWithOptions(7, Options{SegmentSize: 4096})
+	fresh := openEngine(t, 7, Options{SegmentSize: 4096})
 	fresh.RegisterDatasetDefaults("t", base.Append(extra))
-	want, err := fresh.Execute(appendTestSQL)
+	want, err := execute(fresh, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRestartAppendChainsTail(t *testing.T) {
 	}
 	defer e3.Close()
 	e3.RegisterDatasetDefaults("t", e3.RecoveredDatasets()[0])
-	res3, err := e3.Execute(appendTestSQL)
+	res3, err := execute(e3, appendTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestRestartCorruptSegmentRebuilds(t *testing.T) {
 
 	var calls1 int
 	e1 := persistEngine(t, dir, d, &calls1)
-	cold, err := e1.Execute(persistTestSQL)
+	cold, err := execute(e1, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,14 +312,14 @@ func TestRestartCorruptSegmentRebuilds(t *testing.T) {
 
 	var calls2 int
 	e2 := persistEngine(t, dir, d, &calls2)
-	info, _ := e2.RecoveryInfo()
-	if info.Indexes != 0 || len(info.Degraded) == 0 {
+	info := e2.Storage().Stats()
+	if info.IndexesRecovered != 0 || len(info.Degraded) == 0 {
 		t.Fatalf("corrupt segment not degraded: %+v", info)
 	}
-	if info.Tables != 1 {
+	if info.TablesRecovered != 1 {
 		t.Fatalf("dataset lost with the corrupt segment: %+v", info)
 	}
-	warm, err := e2.Execute(persistTestSQL)
+	warm, err := execute(e2, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,14 +340,14 @@ func TestRestartDifferentContentRewrites(t *testing.T) {
 
 	var calls1 int
 	e1 := persistEngine(t, dir, d1, &calls1)
-	if _, err := e1.Execute(persistTestSQL); err != nil {
+	if _, err := execute(e1, persistTestSQL); err != nil {
 		t.Fatal(err)
 	}
 	e1.Close()
 
 	var calls2 int
 	e2 := persistEngine(t, dir, d2, &calls2)
-	res, err := e2.Execute(persistTestSQL)
+	res, err := execute(e2, persistTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func queryParEngine(t *testing.T, par int, d *dataset.Dataset) *Engine {
 	t.Helper()
 	// 512-record segments over 40000 records: 79 segments, so the
 	// parallel gather threshold engages.
-	e := NewWithOptions(11, Options{SegmentSize: 512, BuildParallelism: par})
+	e := openEngine(t, 11, Options{SegmentSize: 512, BuildParallelism: par})
 	e.RegisterDatasetDefaults("t", d)
 	return e
 }
@@ -78,12 +78,12 @@ func TestExecuteByteIdenticalAcrossQueryParallelism(t *testing.T) {
 	plans := queryParPlans(t)
 	ref := queryParEngine(t, 1, d)
 	for ci, plan := range plans {
-		want, err := ref.ExecutePlan(plan)
+		want, err := executePlan(ref, plan)
 		if err != nil {
 			t.Fatalf("case %d sequential: %v", ci, err)
 		}
 		for _, par := range []int{2, 8} {
-			got, err := queryParEngine(t, par, d).ExecutePlan(plan)
+			got, err := executePlan(queryParEngine(t, par, d), plan)
 			if err != nil {
 				t.Fatalf("case %d par=%d: %v", ci, par, err)
 			}
@@ -122,7 +122,7 @@ func TestQueryParallelStress(t *testing.T) {
 
 	want := make([]*QueryResult, len(plans))
 	for i, plan := range plans {
-		res, err := ref.ExecutePlan(plan)
+		res, err := executePlan(ref, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestQueryParallelStress(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 6; iter++ {
 				i := (g + iter) % len(plans)
-				got, err := e.ExecutePlan(plans[i])
+				got, err := executePlan(e, plans[i])
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -170,7 +170,7 @@ func TestQueryParallelStress(t *testing.T) {
 				t.Errorf("append %d: %v", iter, err)
 				return
 			}
-			if _, err := e.Execute(growSQL); err != nil {
+			if _, err := execute(e, growSQL); err != nil {
 				t.Errorf("growing-table query %d: %v", iter, err)
 				return
 			}
@@ -181,7 +181,7 @@ func TestQueryParallelStress(t *testing.T) {
 	// The stress must not have perturbed determinism: a final quiet
 	// pass still matches the sequential reference.
 	for i, plan := range plans {
-		got, err := e.ExecutePlan(plan)
+		got, err := executePlan(e, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestProxyScoringHonorsBuildParallelism(t *testing.T) {
 			inFlight.Add(-1)
 			return full.Score(i)
 		})
-		if _, err := e.ExecutePlan(plan); err != nil {
+		if _, err := executePlan(e, plan); err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
 		if _, err := e.AppendTable("t", extra); err != nil {

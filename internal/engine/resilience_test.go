@@ -56,9 +56,9 @@ func TestChaosEquivalence(t *testing.T) {
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
 	for name, sql := range resilienceSQL {
 		t.Run(name, func(t *testing.T) {
-			base := NewWithOptions(42, Options{})
+			base := openEngine(t, 42, Options{})
 			registerVideo(base, d)
-			want, err := base.Execute(sql)
+			want, err := execute(base, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestChaosEquivalence(t *testing.T) {
 			// retries it is ~3e-13 — deterministically zero failures for
 			// any fixed seed that does not hit the bound, and this one
 			// does not (the test would fail loudly if it did).
-			chaotic := NewWithOptions(42, Options{
+			chaotic := openEngine(t, 42, Options{
 				OracleRetries: 24,
 				OracleBackoff: time.Nanosecond,
 			})
@@ -79,7 +79,7 @@ func TestChaosEquivalence(t *testing.T) {
 			)
 			chaotic.RegisterOracle("video_oracle", chaos.Label)
 
-			got, err := chaotic.Execute(sql)
+			got, err := execute(chaotic, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,14 +110,14 @@ func TestChaosEquivalence(t *testing.T) {
 // byte-identical.
 func TestChaosEquivalenceParallelDispatch(t *testing.T) {
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
-	base := NewWithOptions(42, Options{})
+	base := openEngine(t, 42, Options{})
 	registerVideo(base, d)
-	want, err := base.Execute(resilienceSQL["RT"])
+	want, err := execute(base, resilienceSQL["RT"])
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	chaotic := NewWithOptions(42, Options{OracleRetries: 24, OracleBackoff: time.Nanosecond})
+	chaotic := openEngine(t, 42, Options{OracleRetries: 24, OracleBackoff: time.Nanosecond})
 	chaotic.RegisterTable("video", d)
 	chaotic.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
 	chaos := oracle.NewChaos(
@@ -149,7 +149,7 @@ func TestKillRestartZeroRebuy(t *testing.T) {
 	for name, sql := range resilienceSQL {
 		t.Run(name, func(t *testing.T) {
 			e1, calls1 := countingEngine(t, d, opts)
-			want, err := e1.Execute(sql)
+			want, err := execute(e1, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestKillRestartZeroRebuy(t *testing.T) {
 			if got := e2.LabelStore().Stats().WALReplayed; got == 0 {
 				t.Fatal("nothing replayed from the WAL")
 			}
-			got, err := e2.Execute(sql)
+			got, err := execute(e2, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestKillRestartGroupCommit(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			walPath := filepath.Join(t.TempDir(), "labels.wal")
 			e1, calls1 := countingEngine(t, d, Options{LabelWALPath: walPath})
-			want, err := e1.Execute(sql)
+			want, err := execute(e1, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +241,7 @@ func TestKillRestartGroupCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 			e2, calls2 := countingEngine(t, d, Options{LabelWALPath: killed})
-			got, err := e2.Execute(sql)
+			got, err := execute(e2, sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestKillRestartGroupCommit(t *testing.T) {
 		LabelWALPath:      filepath.Join(t.TempDir(), "labels.wal"),
 		LabelWALSyncEvery: 4096,
 	})
-	if _, err := e.Execute(resilienceSQL["PT"]); err != nil {
+	if _, err := execute(e, resilienceSQL["PT"]); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() == 0 || calls.Load() >= 4096 {
@@ -285,7 +285,7 @@ func TestRestartThenReRegistrationInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerVideo(e1, d)
-	if _, err := e1.Execute(resilienceSQL["RT"]); err != nil {
+	if _, err := execute(e1, resilienceSQL["RT"]); err != nil {
 		t.Fatal(err)
 	}
 	e1.Close()
@@ -332,7 +332,7 @@ func failAfterOracle(d *dataset.Dataset, n int64) (OracleUDF, *atomic.Int64) {
 // failures trip the shared breaker, and further queries fail fast.
 func TestBreakerFailFastWithDiagnostic(t *testing.T) {
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
-	e := NewWithOptions(42, Options{
+	e := openEngine(t, 42, Options{
 		OracleRetries:    1,
 		OracleBackoff:    time.Nanosecond,
 		BreakerThreshold: 3,
@@ -344,7 +344,7 @@ func TestBreakerFailFastWithDiagnostic(t *testing.T) {
 	e.RegisterOracle("video_oracle", udf)
 
 	for q := 0; q < 3; q++ {
-		_, err := e.Execute(resilienceSQL["RT"])
+		_, err := execute(e, resilienceSQL["RT"])
 		if !errors.Is(err, oracle.ErrOracleUnavailable) {
 			t.Fatalf("query %d: err = %v, want ErrOracleUnavailable", q, err)
 		}
@@ -366,7 +366,7 @@ func TestBreakerFailFastWithDiagnostic(t *testing.T) {
 	}
 
 	// Fail-fast: the breaker refuses the call without touching the UDF.
-	_, err := e.Execute(resilienceSQL["RT"])
+	_, err := execute(e, resilienceSQL["RT"])
 	if !errors.Is(err, oracle.ErrOracleUnavailable) || !errors.Is(err, oracle.ErrBreakerOpen) {
 		t.Fatalf("breaker-open query: err = %v, want breaker-open unavailable", err)
 	}
@@ -377,12 +377,12 @@ func TestBreakerFailFastWithDiagnostic(t *testing.T) {
 // UnavailableError, no breaker).
 func TestResilienceDisabledIsTransparent(t *testing.T) {
 	d := dataset.Beta(randx.New(1), 30000, 0.01, 2)
-	e := New(42)
+	e := openEngine(t, 42, Options{})
 	e.RegisterTable("video", d)
 	e.RegisterProxy("video_proxy", func(i int) float64 { return d.Score(i) })
 	raw := errors.New("plain failure")
 	e.RegisterOracle("video_oracle", func(i int) (bool, error) { return false, raw })
-	_, err := e.Execute(resilienceSQL["RT"])
+	_, err := execute(e, resilienceSQL["RT"])
 	if err == nil || errors.Is(err, oracle.ErrOracleUnavailable) {
 		t.Fatalf("err = %v, want the raw error", err)
 	}

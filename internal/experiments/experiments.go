@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -147,7 +148,7 @@ func IDs() []string {
 func runTrials(r *randx.Rand, d *dataset.Dataset, spec core.Spec, cfg core.Config, trials, parallelism int) (*metrics.TrialSet, error) {
 	return runTrialsVia(r, d, trials, parallelism,
 		func(rt *randx.Rand) (core.Result, error) {
-			return core.Select(rt, d.Scores(), oracle.NewSimulated(d), spec, cfg)
+			return core.SelectFromContextOptions(context.Background(), rt, core.NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg, core.SelectOptions{})
 		})
 }
 
@@ -158,7 +159,7 @@ func runTrials(r *randx.Rand, d *dataset.Dataset, spec core.Spec, cfg core.Confi
 func runTrialsFrom(r *randx.Rand, d *dataset.Dataset, src core.ScoreSource, spec core.Spec, cfg core.Config, trials, parallelism int) (*metrics.TrialSet, error) {
 	return runTrialsVia(r, d, trials, parallelism,
 		func(rt *randx.Rand) (core.Result, error) {
-			return core.SelectFrom(rt, src, oracle.NewSimulated(d), spec, cfg)
+			return core.SelectFromContextOptions(context.Background(), rt, src, oracle.NewSimulated(d), spec, cfg, core.SelectOptions{})
 		})
 }
 

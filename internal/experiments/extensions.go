@@ -87,7 +87,7 @@ func runMultiTrials(r *randx.Rand, d *dataset.Dataset, cols [][]float64, spec co
 		go func(t int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, err := multiproxy.Select(r.Stream(uint64(t)+1), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), fusion)
+			res, err := multiproxy.Select(r.Stream(uint64(t)+1), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), multiproxy.Fuser{Kind: fusion})
 			if err != nil {
 				results[t] = outcome{err: err}
 				return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -118,7 +119,7 @@ func runJointTrials(r *randx.Rand, d *dataset.Dataset, spec core.JointSpec, cfg 
 			defer wg.Done()
 			defer func() { <-sem }()
 			rt := r.Stream(uint64(t) + 1)
-			res, err := core.SelectJoint(rt, d.Scores(), oracle.NewSimulated(d), spec, cfg)
+			res, err := core.SelectJointFromContextOptions(context.Background(), rt, core.NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg, core.SelectOptions{})
 			if err != nil {
 				results[t] = outcome{err: err}
 				return

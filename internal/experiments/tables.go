@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"time"
@@ -144,7 +145,7 @@ func naiveFixedThresholdAccuracy(r *randx.Rand, pair dataset.DriftPair, kind cor
 	// "Oracle labels on the entire training dataset": budget = |train|.
 	spec := core.Spec{Kind: kind, Gamma: gamma, Delta: 0.05, Budget: train.Len()}
 	budgeted := oracle.NewBudgeted(oracle.NewSimulated(train), train.Len())
-	tr, err := core.EstimateTau(r, train.Scores(), budgeted, spec, core.DefaultUNoCI())
+	tr, err := core.EstimateTau(r, core.NewRawSource(train.Scores()), budgeted, spec, core.DefaultUNoCI())
 	if err != nil && err != core.ErrNoPositives {
 		return 0
 	}
@@ -192,7 +193,7 @@ func runTable5(o Options) (*Report, error) {
 		}
 		spec := core.Spec{Kind: core.RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: budget}
 		start := time.Now()
-		res, err := core.Select(r.Stream(uint64(40+i)), d.Scores(), oracle.NewSimulated(d), spec, core.DefaultSUPG())
+		res, err := core.SelectFromContextOptions(context.Background(), r.Stream(uint64(40+i)), core.NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, core.DefaultSUPG(), core.SelectOptions{})
 		if err != nil {
 			return nil, err
 		}

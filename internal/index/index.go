@@ -77,9 +77,9 @@
 // their length, so no caller's append can reach the shared capacity
 // either.
 //
-// A ScoreIndex is immutable after New/Append and safe for concurrent
-// use by any number of queries; the mixture cache is internally
-// synchronized.
+// A ScoreIndex is immutable after NewWithOptions/Append and safe for
+// concurrent use by any number of queries; the mixture cache is
+// internally synchronized.
 //
 // # Intra-query parallelism
 //
@@ -215,8 +215,8 @@ func (s *segment) appendAtLeast(dst []int, tau float64) []int {
 }
 
 // ScoreIndex is the precomputed, immutable segmented index over one
-// proxy-score column. Construct with New, NewWithOptions, or Append;
-// the zero value is not usable.
+// proxy-score column. Construct with NewWithOptions or Append; the
+// zero value is not usable.
 type ScoreIndex struct {
 	scores  []float64 // full validated column, record order
 	segs    []*segment
@@ -239,19 +239,13 @@ type ScoreIndex struct {
 	mixtures map[MixtureKey]*mixture
 }
 
-// New validates the score column and builds the index with default
-// options. Every score must be a non-NaN value in [0, 1]; the first
-// offending record is reported. The slice is copied, so callers may
-// reuse their buffer.
-func New(scores []float64) (*ScoreIndex, error) {
-	return NewWithOptions(scores, Options{})
-}
-
-// NewWithOptions is New with explicit segment size and build
-// parallelism. The resulting index answers every query identically to
-// any other segmentation of the same column (including the monolithic
-// SegmentSize >= len(scores) layout); options trade build latency and
-// append granularity only.
+// NewWithOptions validates the score column and builds the index; the
+// zero Options select the defaults. Every score must be a non-NaN
+// value in [0, 1]; the first offending record is reported. The slice
+// is copied, so callers may reuse their buffer. The resulting index
+// answers every query identically to any other segmentation of the
+// same column (including the monolithic SegmentSize >= len(scores)
+// layout); options trade build latency and append granularity only.
 func NewWithOptions(scores []float64, opts Options) (*ScoreIndex, error) {
 	n := len(scores)
 	if n == 0 {

@@ -11,26 +11,26 @@ import (
 )
 
 func TestNewValidates(t *testing.T) {
-	if _, err := New(nil); err == nil {
+	if _, err := NewWithOptions(nil, Options{}); err == nil {
 		t.Error("empty column must be rejected")
 	}
-	if _, err := New([]float64{0.5, math.NaN()}); err == nil {
+	if _, err := NewWithOptions([]float64{0.5, math.NaN()}, Options{}); err == nil {
 		t.Error("NaN score must be rejected")
 	}
-	if _, err := New([]float64{0.5, -0.1}); err == nil {
+	if _, err := NewWithOptions([]float64{0.5, -0.1}, Options{}); err == nil {
 		t.Error("negative score must be rejected")
 	}
-	if _, err := New([]float64{0.5, 1.5}); err == nil {
+	if _, err := NewWithOptions([]float64{0.5, 1.5}, Options{}); err == nil {
 		t.Error("score above 1 must be rejected")
 	}
-	if _, err := New([]float64{0, 1, 0.5}); err != nil {
+	if _, err := NewWithOptions([]float64{0, 1, 0.5}, Options{}); err != nil {
 		t.Errorf("valid boundary scores rejected: %v", err)
 	}
 }
 
 func TestNewCopiesInput(t *testing.T) {
 	scores := []float64{0.3, 0.7}
-	ix, err := New(scores)
+	ix, err := NewWithOptions(scores, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestNewCopiesInput(t *testing.T) {
 
 func TestSortedPermutationWithTies(t *testing.T) {
 	scores := []float64{0.5, 0.1, 0.9, 0.5, 0.5, 0.0}
-	ix, err := New(scores)
+	ix, err := NewWithOptions(scores, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestAppendAtLeastConcurrentSharedBitmaps(t *testing.T) {
 }
 
 func TestAppendAtLeastReusesCapacity(t *testing.T) {
-	ix, err := New([]float64{0.1, 0.9, 0.5, 0.8})
+	ix, err := NewWithOptions([]float64{0.1, 0.9, 0.5, 0.8}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestAppendAtLeastReusesCapacity(t *testing.T) {
 }
 
 func TestMixtureCacheKeying(t *testing.T) {
-	ix, err := New([]float64{0.2, 0.4, 0.9, 0.1})
+	ix, err := NewWithOptions([]float64{0.2, 0.4, 0.9, 0.1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestMixtureDrawsMatchUncached(t *testing.T) {
 	for i := range scores {
 		scores[i] = r.Float64()
 	}
-	ix, err := New(scores)
+	ix, err := NewWithOptions(scores, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestConcurrentReads(t *testing.T) {
 	for i := range scores {
 		scores[i] = r.Float64()
 	}
-	ix, err := New(scores)
+	ix, err := NewWithOptions(scores, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -259,7 +259,7 @@ func TestAppendLeavesReceiverUsable(t *testing.T) {
 // TestAppendValidation: invalid appended scores are rejected with the
 // offending global record id, and empty appends are errors.
 func TestAppendValidation(t *testing.T) {
-	ix, err := New([]float64{0.5, 0.5})
+	ix, err := NewWithOptions([]float64{0.5, 0.5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

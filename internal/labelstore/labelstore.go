@@ -95,23 +95,11 @@ type Store struct {
 	walReplayed atomic.Int64
 }
 
-// New returns an empty store with the given bounds. It panics if the
-// configured write-ahead log cannot be opened — only reachable when
-// Options.WALPath is set; callers configuring a WAL should prefer Open
-// and handle the error.
-func New(opts Options) *Store {
-	s, err := Open(opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Open returns a store with the given bounds. When Options.WALPath is
-// set it opens (creating if absent) the write-ahead log, replays every
-// durable label into the in-memory shards, truncates any torn tail
-// left by a crash, and compacts the log if it has grown far past the
-// live label set.
+// Open returns an empty store with the given bounds. When
+// Options.WALPath is set it opens (creating if absent) the
+// write-ahead log, replays every durable label into the in-memory
+// shards, truncates any torn tail left by a crash, and compacts the log
+// if it has grown far past the live label set.
 func Open(opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes

@@ -5,8 +5,18 @@ import (
 	"testing"
 )
 
+// memStore opens a store without a write-ahead log.
+func memStore(t *testing.T, opts Options) *Store {
+	t.Helper()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestGetPutRoundTrip(t *testing.T) {
-	s := New(Options{})
+	s := memStore(t, Options{})
 	c := s.Cache("video", "video_oracle")
 	if _, ok := c.Get(7); ok {
 		t.Fatal("empty cache reported a hit")
@@ -30,7 +40,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestCacheHandleIsSharedPerKey(t *testing.T) {
-	s := New(Options{})
+	s := memStore(t, Options{})
 	a := s.Cache("t", "o")
 	b := s.Cache("t", "o")
 	if a != b {
@@ -59,7 +69,7 @@ func TestNilStoreServesMisses(t *testing.T) {
 
 func TestEvictionBoundsEntries(t *testing.T) {
 	// Budget for exactly 10 entries, one shard so FIFO order is global.
-	s := New(Options{MaxBytes: 10 * entryBytes, Shards: 1})
+	s := memStore(t, Options{MaxBytes: 10 * entryBytes, Shards: 1})
 	c := s.Cache("t", "o")
 	for i := 0; i < 100; i++ {
 		c.Put(i, i%2 == 0)
@@ -85,7 +95,7 @@ func TestEvictionBoundsEntries(t *testing.T) {
 }
 
 func TestInvalidateTableKillsLiveHandles(t *testing.T) {
-	s := New(Options{})
+	s := memStore(t, Options{})
 	c := s.Cache("t", "o")
 	other := s.Cache("u", "o2")
 	c.Put(1, true)
@@ -121,7 +131,7 @@ func TestInvalidateTableKillsLiveHandles(t *testing.T) {
 }
 
 func TestInvalidateOracleMatchesAcrossTables(t *testing.T) {
-	s := New(Options{})
+	s := memStore(t, Options{})
 	s.Cache("a", "shared_oracle").Put(1, true)
 	s.Cache("b", "shared_oracle").Put(1, true)
 	s.Cache("a", "other_oracle").Put(1, true)
@@ -134,7 +144,7 @@ func TestInvalidateOracleMatchesAcrossTables(t *testing.T) {
 }
 
 func TestStatsCountActivity(t *testing.T) {
-	s := New(Options{MaxBytes: 2 * entryBytes, Shards: 1})
+	s := memStore(t, Options{MaxBytes: 2 * entryBytes, Shards: 1})
 	c := s.Cache("t", "o")
 	c.Put(1, true)
 	c.Get(1) // hit
@@ -155,7 +165,7 @@ func TestStatsCountActivity(t *testing.T) {
 // TestConcurrentAccess exercises the sharded locking under -race:
 // parallel readers, writers, and invalidators on overlapping keys.
 func TestConcurrentAccess(t *testing.T) {
-	s := New(Options{MaxBytes: 1000 * entryBytes, Shards: 4})
+	s := memStore(t, Options{MaxBytes: 1000 * entryBytes, Shards: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -199,7 +209,7 @@ func TestConcurrentAccess(t *testing.T) {
 // old workload's entries rather than self-evicting their own fresh
 // entries (which would pin the hit rate of every new workload at 0).
 func TestNewCacheDisplacesOldWorkload(t *testing.T) {
-	s := New(Options{MaxBytes: 50 * entryBytes, Shards: 2})
+	s := memStore(t, Options{MaxBytes: 50 * entryBytes, Shards: 2})
 	old := s.Cache("old", "o")
 	for i := 0; i < 50; i++ {
 		old.Put(i, true)

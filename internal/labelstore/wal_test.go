@@ -238,7 +238,7 @@ func TestWALAutoCompactOnOpen(t *testing.T) {
 }
 
 func TestWALDisabledIsNoop(t *testing.T) {
-	s := New(Options{})
+	s := memStore(t, Options{})
 	s.Cache("t", "o").Put(1, true)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@
 // Fuser into its per-table index builds (the fused column becomes a
 // cached, segmented ScoreIndex shared by every query of the same score
 // source, with calibration labels flowing through the cross-query label
-// store), while the Select shim below runs the classic one-shot
-// library path where calibration shares the query's own oracle budget.
+// store), while Select below runs the classic one-shot library path
+// where calibration shares the query's own oracle budget.
 package multiproxy
 
 import (
@@ -238,9 +238,9 @@ func (m *LogisticModel) Apply(columns [][]float64) ([]float64, error) {
 
 // Fuser is a fusion provider: a pure transformer from K proxy-score
 // columns to the one fused column the selection machinery consumes.
-// The zero CalibrationBudget is invalid for FuseLogistic; callers (the
-// query planner, the Select shim) resolve a concrete budget first so
-// equal Fusers always produce equal columns.
+// The zero CalibrationBudget is invalid for Fuse with FuseLogistic;
+// callers (the query planner, Select) resolve a concrete budget first
+// so equal Fusers always produce equal columns.
 type Fuser struct {
 	// Kind selects the fusion strategy.
 	Kind Fusion
@@ -335,24 +335,15 @@ func DefaultCalibration(budget int) int {
 	return calib
 }
 
-// Select answers a SUPG query over multiple proxy columns: fuse, then
-// run the configured single-proxy estimator on the fused scores. For
-// FuseLogistic, DefaultCalibration of the oracle budget is reserved for
-// stacker calibration and the remainder drives threshold estimation;
-// the spec's total budget is never exceeded.
-func Select(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec core.Spec, cfg core.Config, fusion Fusion) (*Result, error) {
-	f := Fuser{Kind: fusion}
-	if fusion == FuseLogistic {
-		f.CalibrationBudget = DefaultCalibration(spec.Budget)
-	}
-	return SelectFused(r, columns, orc, spec, cfg, f)
-}
-
-// SelectFused is Select with an explicit Fuser — the thin shim the
-// facade keeps over the fusion provider. Calibration shares the query's
-// own oracle budget (the engine path instead charges calibration to
-// index construction and amortizes it across queries).
-func SelectFused(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec core.Spec, cfg core.Config, f Fuser) (*Result, error) {
+// Select answers a SUPG query over multiple proxy columns: fuse with f,
+// then run the configured single-proxy estimator on the fused scores.
+// Calibration shares the query's own oracle budget (the engine path
+// instead charges calibration to index construction and amortizes it
+// across queries): a FuseLogistic Fuser with no CalibrationBudget
+// reserves DefaultCalibration of the budget for the stacker, and the
+// remainder drives threshold estimation; the spec's total budget is
+// never exceeded.
+func Select(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec core.Spec, cfg core.Config, f Fuser) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -360,6 +351,9 @@ func SelectFused(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec cor
 		return nil, err
 	}
 
+	if f.Kind == FuseLogistic && f.CalibrationBudget <= 0 {
+		f.CalibrationBudget = DefaultCalibration(spec.Budget)
+	}
 	budgeted := oracle.NewBudgeted(orc, spec.Budget)
 	fused, err := f.Fuse(r.Stream(1), columns, budgeted)
 	if err != nil {
@@ -368,7 +362,7 @@ func SelectFused(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec cor
 
 	subSpec := spec
 	subSpec.Budget = spec.Budget - fused.CalibrationCalls
-	tr, err := core.EstimateTau(r.Stream(2), fused.Scores, budgeted, subSpec, cfg)
+	tr, err := core.EstimateTau(r.Stream(2), core.NewRawSource(fused.Scores), budgeted, subSpec, cfg)
 	if err != nil && err != core.ErrNoPositives {
 		return nil, err
 	}

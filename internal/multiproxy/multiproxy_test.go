@@ -164,7 +164,7 @@ func TestSelectMultiGuaranteeHolds(t *testing.T) {
 	fails := 0
 	trials := 30
 	for trial := 0; trial < trials; trial++ {
-		res, err := Select(r.Stream(uint64(trial)), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), FuseLogistic)
+		res, err := Select(r.Stream(uint64(trial)), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), Fuser{Kind: FuseLogistic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestLogisticFusionBeatsSingleNoisyProxy(t *testing.T) {
 		sum := 0.0
 		trials := 10
 		for trial := 0; trial < trials; trial++ {
-			res, err := Select(r.Stream(uint64(1000+trial+int(fusion)*100)), scores, oracle.NewSimulated(d), spec, core.DefaultSUPG(), fusion)
+			res, err := Select(r.Stream(uint64(1000+trial+int(fusion)*100)), scores, oracle.NewSimulated(d), spec, core.DefaultSUPG(), Fuser{Kind: fusion})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func TestSelectMultiMeanAndMax(t *testing.T) {
 	d, cols := twoProxyDataset(7, 20000)
 	spec := core.Spec{Kind: core.RecallTarget, Gamma: 0.8, Delta: 0.05, Budget: 1500}
 	for _, f := range []Fusion{FuseMean, FuseMax} {
-		res, err := Select(randx.New(8), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), f)
+		res, err := Select(randx.New(8), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), Fuser{Kind: f})
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
 		}
@@ -245,14 +245,14 @@ func TestSelectMultiMeanAndMax(t *testing.T) {
 func TestSelectMultiValidation(t *testing.T) {
 	d, cols := twoProxyDataset(9, 5000)
 	bad := core.Spec{Kind: core.RecallTarget, Gamma: 0, Delta: 0.05, Budget: 100}
-	if _, err := Select(randx.New(1), cols, oracle.NewSimulated(d), bad, core.DefaultSUPG(), FuseMean); err == nil {
+	if _, err := Select(randx.New(1), cols, oracle.NewSimulated(d), bad, core.DefaultSUPG(), Fuser{Kind: FuseMean}); err == nil {
 		t.Error("invalid spec should be rejected")
 	}
 	good := core.Spec{Kind: core.RecallTarget, Gamma: 0.8, Delta: 0.05, Budget: 100}
-	if _, err := Select(randx.New(1), nil, oracle.NewSimulated(d), good, core.DefaultSUPG(), FuseMean); err == nil {
+	if _, err := Select(randx.New(1), nil, oracle.NewSimulated(d), good, core.DefaultSUPG(), Fuser{Kind: FuseMean}); err == nil {
 		t.Error("nil columns should be rejected")
 	}
-	if _, err := Select(randx.New(1), cols, oracle.NewSimulated(d), good, core.DefaultSUPG(), Fusion(9)); err == nil {
+	if _, err := Select(randx.New(1), cols, oracle.NewSimulated(d), good, core.DefaultSUPG(), Fuser{Kind: Fusion(9)}); err == nil {
 		t.Error("unknown fusion should be rejected")
 	}
 }
@@ -298,7 +298,7 @@ func TestLogisticFusionBeatsMediocreSingles(t *testing.T) {
 	quality := func(scores [][]float64, fusion Fusion, streamBase uint64, countFails bool) float64 {
 		sum := 0.0
 		for trial := 0; trial < trials; trial++ {
-			res, err := Select(r.Stream(streamBase+uint64(trial)), scores, oracle.NewSimulated(d), spec, cfg, fusion)
+			res, err := Select(r.Stream(streamBase+uint64(trial)), scores, oracle.NewSimulated(d), spec, cfg, Fuser{Kind: fusion})
 			if err != nil {
 				t.Fatal(err)
 			}

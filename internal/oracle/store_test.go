@@ -13,7 +13,11 @@ import (
 // implementation the engine wires in.
 func storeFor(t *testing.T) LabelCache {
 	t.Helper()
-	return labelstore.New(labelstore.Options{}).Cache("t", "o")
+	s, err := labelstore.Open(labelstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Cache("t", "o")
 }
 
 // TestChargedStoreHitsPreserveBudgetTrace is the oracle-level half of

@@ -72,7 +72,7 @@ func TestAppendEndpoint(t *testing.T) {
 	extra := dataset.Beta(randx.New(22), 2000, 0.01, 2)
 	sql := `SELECT * FROM t WHERE t_oracle(x) ORACLE LIMIT 300 USING t_proxy(x) RECALL TARGET 90% WITH PROBABILITY 95%`
 
-	grown := NewWithOptions(9, Options{SegmentSize: 512})
+	grown := openServer(t, 9, Options{SegmentSize: 512})
 	defer shutdownServer(t, grown)
 	if w := putBody(t, grown, "/v1/datasets/t", "", csvBytes(t, base)); w.Code != http.StatusCreated {
 		t.Fatalf("upload: %d %s", w.Code, w.Body.String())
@@ -102,7 +102,7 @@ func TestAppendEndpoint(t *testing.T) {
 
 	// A fresh server uploaded with the combined dataset must agree
 	// byte for byte (same seed, same SQL, same sampling stream).
-	fresh := NewWithOptions(9, Options{SegmentSize: 512})
+	fresh := openServer(t, 9, Options{SegmentSize: 512})
 	defer shutdownServer(t, fresh)
 	if w := putBody(t, fresh, "/v1/datasets/t", "", csvBytes(t, base.Append(extra))); w.Code != http.StatusCreated {
 		t.Fatalf("combined upload: %d %s", w.Code, w.Body.String())
@@ -137,7 +137,7 @@ func TestAppendEndpoint(t *testing.T) {
 func TestAppendEndpointBinary(t *testing.T) {
 	base := dataset.Beta(randx.New(31), 1000, 0.5, 1)
 	extra := dataset.Beta(randx.New(32), 400, 0.5, 1)
-	srv := New(3)
+	srv := openServer(t, 3, Options{})
 	defer shutdownServer(t, srv)
 
 	var baseBuf, extraBuf bytes.Buffer
@@ -165,7 +165,7 @@ func TestAppendEndpointBinary(t *testing.T) {
 
 // TestAppendEndpointErrors: unknown datasets 404, malformed bodies 400.
 func TestAppendEndpointErrors(t *testing.T) {
-	srv := New(1)
+	srv := openServer(t, 1, Options{})
 	defer shutdownServer(t, srv)
 	if w := putBody(t, srv, "/v1/datasets/nope/append", "", csvBytes(t, dataset.Beta(randx.New(1), 10, 0.5, 1))); w.Code != http.StatusNotFound {
 		t.Fatalf("append to unknown dataset: %d, want 404", w.Code)

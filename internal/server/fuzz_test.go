@@ -44,7 +44,7 @@ var jobStatuses = map[int]bool{
 // and every error a non-empty JSON error message. Committed seed
 // corpus in testdata/fuzz/FuzzQueryRequest.
 func FuzzQueryRequest(f *testing.F) {
-	s := NewWithOptions(3, Options{MaxBodyBytes: fuzzMaxBody})
+	s := openServer(f, 3, Options{MaxBodyBytes: fuzzMaxBody})
 	f.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 	d := dataset.Beta(randx.New(9), 2000, 0.01, 2)
 	s.RegisterDataset("t", d)

@@ -19,7 +19,7 @@ import (
 // 20k-record dataset, and a live HTTP listener.
 func newJobTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewWithOptions(7, opts)
+	s := openServer(t, 7, opts)
 	d := dataset.Beta(randx.New(1), 20_000, 0.01, 2)
 	s.RegisterDataset("beta", d)
 	ts := httptest.NewServer(s)

@@ -17,7 +17,7 @@ import (
 // member columns to combine.
 func newFusedTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s := NewWithOptions(7, opts)
+	s := openServer(t, 7, opts)
 	d := dataset.Beta(randx.New(1), 20_000, 0.01, 2)
 	s.RegisterDataset("beta", d)
 	s.RegisterProxy("beta_proxy_soft", func(i int) float64 { return math.Sqrt(d.Score(i)) })

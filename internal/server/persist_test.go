@@ -88,9 +88,9 @@ func TestServerKillRestartPersistRecovery(t *testing.T) {
 	if s2.Engine().Table("beta") == nil {
 		t.Fatal("restarted server did not auto-register the recovered dataset")
 	}
-	info, ok := s2.Engine().RecoveryInfo()
-	if !ok || info.Tables != 1 || info.Indexes != 1 || len(info.Degraded) != 0 {
-		t.Fatalf("recovery info: %+v, %v", info, ok)
+	info := s2.Engine().Storage().Stats()
+	if info.TablesRecovered != 1 || info.IndexesRecovered != 1 || len(info.Degraded) != 0 {
+		t.Fatalf("recovery info: %+v", info)
 	}
 
 	resp, body = postSQL(t, ts2, resilienceRT)

@@ -53,7 +53,7 @@ func TestQueryContextErrorStatuses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(7)
+			s := openServer(t, 7, Options{})
 			d := dataset.Beta(randx.New(1), 20000, 0.01, 2)
 			s.RegisterDataset("beta", d)
 			// The oracle surfaces the context error mid-query, exactly as
@@ -74,7 +74,7 @@ func TestQueryContextErrorStatuses(t *testing.T) {
 // TestQueryClientDisconnectMapsTo499 cancels the request context
 // mid-query — the real client-gone path, not a simulated error.
 func TestQueryClientDisconnectMapsTo499(t *testing.T) {
-	s := New(7)
+	s := openServer(t, 7, Options{})
 	d := dataset.Beta(randx.New(1), 20000, 0.01, 2)
 	s.RegisterDataset("beta", d)
 	started := make(chan struct{})

@@ -41,8 +41,6 @@ type Options struct {
 	// MaxBodyBytes caps dataset upload bodies (default 64 MiB;
 	// negative disables the cap).
 	MaxBodyBytes int64
-	// JobQueueDepth bounds the pending job queue (default 256).
-	JobQueueDepth int
 	// JobRetention is how long finished jobs stay queryable
 	// (default 15 minutes).
 	JobRetention time.Duration
@@ -66,14 +64,11 @@ type Options struct {
 	// reuse). In the default charged mode the store changes only the
 	// oracle UDF's call count, never query results.
 	LabelCacheBytes int64
-	// LabelCacheShards is the label store's shard count per (table,
-	// oracle) pair (default 16).
-	LabelCacheShards int
 	// LabelWALPath, when non-empty, makes the label store crash-durable:
 	// bought labels are journaled to a write-ahead log and replayed on
 	// boot, so a restarted server re-buys zero labels (see
-	// labelstore.Options.WALPath). Configure via Open — NewWithOptions
-	// panics if the log cannot be opened.
+	// labelstore.Options.WALPath). Open fails if the log cannot be
+	// opened or replayed.
 	LabelWALPath string
 	// LabelWALSyncEvery is the WAL fsync cadence. 0 or 1 (the default):
 	// each label is durable before the query that bought it uses it, one
@@ -147,33 +142,19 @@ type Server struct {
 	manager *jobs.Manager
 }
 
-// New returns a server with default options whose query randomness
-// derives from seed.
-func New(seed uint64) *Server { return NewWithOptions(seed, Options{}) }
-
-// NewWithOptions returns a server with explicit tuning. Call Shutdown
-// to drain the job workers when done. It panics if the configured
-// label WAL cannot be opened — only reachable when Options.LabelWALPath
-// is set; callers configuring a WAL should prefer Open.
-func NewWithOptions(seed uint64, opts Options) *Server {
-	s, err := Open(seed, opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Open is NewWithOptions with the label WAL's open/replay error
-// surfaced instead of panicking. By the time Open returns, WAL replay
-// is complete — a served request can never observe a half-recovered
-// label store, which is why GET /readyz needs no replay progress state.
+// Open returns a server whose query randomness derives from seed, tuned
+// by opts (the zero Options select every default). Call Shutdown to
+// drain the job workers when done. Open fails only when the durable
+// state opts configures (PersistDir, LabelWALPath) cannot be opened.
+// By the time Open returns, WAL replay is complete — a served request
+// can never observe a half-recovered label store, which is why GET
+// /readyz needs no replay progress state.
 func Open(seed uint64, opts Options) (*Server, error) {
 	opts = opts.withDefaults()
 	eng, err := engine.Open(seed, engine.Options{
 		SegmentSize:       opts.SegmentSize,
 		BuildParallelism:  opts.IndexBuildParallelism,
 		LabelCacheBytes:   opts.LabelCacheBytes,
-		LabelCacheShards:  opts.LabelCacheShards,
 		LabelWALPath:      opts.LabelWALPath,
 		LabelWALSyncEvery: opts.LabelWALSyncEvery,
 		OracleTimeout:     opts.OracleTimeout,
@@ -199,10 +180,9 @@ func Open(seed uint64, opts Options) (*Server, error) {
 		s.RegisterDataset(d.Name(), d)
 	}
 	s.manager = jobs.NewManager(s.runJob, jobs.Config{
-		Workers:    opts.Workers,
-		QueueDepth: opts.JobQueueDepth,
-		Retention:  opts.JobRetention,
-		Counters:   eng.Counters(),
+		Workers:   opts.Workers,
+		Retention: opts.JobRetention,
+		Counters:  eng.Counters(),
 	})
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)

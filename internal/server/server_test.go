@@ -12,9 +12,19 @@ import (
 	"supg/internal/randx"
 )
 
+// openServer opens a server, failing tb when Open does.
+func openServer(tb testing.TB, seed uint64, opts Options) *Server {
+	tb.Helper()
+	s, err := Open(seed, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *dataset.Dataset) {
 	t.Helper()
-	s := New(7)
+	s := openServer(t, 7, Options{})
 	d := dataset.Beta(randx.New(1), 20000, 0.01, 2)
 	s.RegisterDataset("beta", d)
 	ts := httptest.NewServer(s)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -72,7 +73,7 @@ func BenchmarkStorageBoot(b *testing.B) {
 			b.Fatal(err)
 		}
 		if withMixture {
-			if _, err := core.SelectFrom(randx.New(1), ix, orc, spec, cfg); err != nil {
+			if _, err := core.SelectFromContextOptions(context.Background(), randx.New(1), ix, orc, spec, cfg, core.SelectOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			if n, err := seed.SaveMixtures("t", "p", ix); err != nil || n != 1 {
@@ -144,7 +145,7 @@ func BenchmarkStorageBoot(b *testing.B) {
 				if len(rec) != 1 {
 					b.Fatalf("recovery incomplete: %d indexes", len(rec))
 				}
-				if _, err := core.SelectFrom(randx.New(1), rec[0].Index, orc, spec, cfg); err != nil {
+				if _, err := core.SelectFromContextOptions(context.Background(), randx.New(1), rec[0].Index, orc, spec, cfg, core.SelectOptions{}); err != nil {
 					b.Fatal(err)
 				}
 				if got := index.MixtureBuildsTotal() - builds; got != c.builds {

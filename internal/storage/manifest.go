@@ -323,7 +323,7 @@ func (st *manifestState) admit(rtype byte, rec any) error {
 		return fmt.Errorf("manifest: chunk of table %q starts at %d, table has %d records", tc.name, tc.chunk.base, n)
 	}
 	if uint64(tc.chunk.base)+uint64(tc.chunk.count) > maxFileRecords {
-		return fmt.Errorf("manifest: chunk grows table %q beyond %d records", tc.name, maxFileRecords)
+		return fmt.Errorf("manifest: chunk grows table %q beyond %d records", tc.name, uint64(maxFileRecords))
 	}
 	return nil
 }

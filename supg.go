@@ -1,6 +1,7 @@
 package supg
 
 import (
+	"context"
 	"fmt"
 
 	"supg/internal/core"
@@ -205,7 +206,7 @@ func Run(scores []float64, o Oracle, q Query, opts ...Option) (*Result, error) {
 		return nil, fmt.Errorf("supg: unknown query kind %d", int(q.Kind))
 	}
 	rc := buildConfig(opts)
-	res, err := core.Select(randx.New(rc.seed), scores, o, coreSpec(q), rc.cfg)
+	res, err := core.SelectFromContextOptions(context.Background(), randx.New(rc.seed), core.NewRawSource(scores), o, coreSpec(q), rc.cfg, core.SelectOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +225,7 @@ func RunJoint(scores []float64, o Oracle, q JointQuery, opts ...Option) (*Result
 		Delta:          1 - q.Probability,
 		StageBudget:    q.StageBudget,
 	}
-	res, err := core.SelectJoint(randx.New(rc.seed), scores, o, spec, rc.cfg)
+	res, err := core.SelectJointFromContextOptions(context.Background(), randx.New(rc.seed), core.NewRawSource(scores), o, spec, rc.cfg, core.SelectOptions{})
 	if err != nil {
 		return nil, err
 	}

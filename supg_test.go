@@ -2,6 +2,7 @@ package supg_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -171,15 +172,18 @@ func TestDatasetCSVFacade(t *testing.T) {
 
 func TestEngineFacade(t *testing.T) {
 	ds := supg.GenerateBeta(10, 20000, 0.01, 2)
-	eng := supg.NewEngine(3)
+	eng, err := supg.OpenEngine(3, supg.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng.RegisterDatasetDefaults("tbl", ds)
-	res, err := eng.Execute(`
+	res, err := eng.ExecuteContext(context.Background(), `
 		SELECT * FROM tbl
 		WHERE tbl_oracle(x) = true
 		ORACLE LIMIT 800
 		USING tbl_proxy(x)
 		RECALL TARGET 85%
-		WITH PROBABILITY 95%`)
+		WITH PROBABILITY 95%`, supg.ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
