@@ -69,7 +69,10 @@ cover-check: cover
 # arbitrary bytes: any input must yield a clean error or a view that
 # agrees with its declared counts — never a panic, never an
 # out-of-bounds replay, never a mixture record outliving its index,
-# never a table or column whose chunks leave a gap.
+# never a table or column whose chunks leave a gap. FuzzWALReplay opens
+# arbitrary bytes as the label WAL: no panic, the file is cut to a
+# prefix of whole frames that WALRecords counts, and a reopen gives the
+# same Len and Stats.
 # FuzzGatherMatchesScan throws boundary-heavy columns and thresholds at
 # the bitmap id gather and requires it to equal an O(n) reference scan
 # at segment sizes around the 64-bit bitmap word, with counts and order
@@ -88,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzLoadBinary$$' -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzManifestReplay$$' -fuzztime 10s
+	$(GO) test ./internal/labelstore -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzColumnFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzSegmentFile$$' -fuzztime 10s
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDatasetFile$$' -fuzztime 10s
@@ -99,14 +103,18 @@ fuzz-smoke:
 
 # Fault-injection battery + crash durability: chaos equivalence
 # (byte-identical Indices/Tau/oracle_calls under 30% injected
-# transient oracle failures), retry/backoff/breaker determinism, WAL
-# torn-tail/tombstone/compaction replay, the storage crash windows
+# transient oracle failures), retry/backoff/breaker determinism, the
+# frame log under the WAL and the MANIFEST (torn tail, bad CRC, rejected
+# payload, a rewrite failing before and after its rename, a sticky write
+# failure, Close idempotence), WAL torn-tail/tombstone/compaction
+# replay, the storage crash windows
 # (torn, corrupt and orphaned files and chunk records, appends after a
 # compaction, the upgrade of a legacy quantized-index directory), and
 # the kill-and-restart recovery tests (a restarted server re-buys zero
 # labels and re-reads appended chunks whole).
 chaos-smoke:
 	$(GO) test ./internal/oracle -run 'Chaos|Breaker|Resilient' -count=1
+	$(GO) test ./internal/framelog -count=1
 	$(GO) test ./internal/labelstore -run 'WAL' -count=1
 	$(GO) test ./internal/storage -run 'Torn|Corrupt|Crash|Orphan|Legacy' -count=1
 	$(GO) test ./internal/engine -run 'Chaos|KillRestart|RestartThenReRegistration|BreakerFailFast|Restart' -count=1

@@ -143,8 +143,8 @@
 // Oracle labels are a pure function of the record index, so a label
 // bought by one query is valid for every later query of the same
 // (table, oracle UDF) pair. The engine keeps bought labels in a
-// shared, bounded label store (internal/labelstore): sharded for
-// concurrent queries and jobs, FIFO-evicted under a configurable byte
+// shared, bounded label store (internal/labelstore): one lock and one
+// FIFO queue per cache, evicted oldest first under a configurable byte
 // budget (EngineOptions.LabelCacheBytes, -label-cache-bytes), and
 // invalidated whenever a table or oracle UDF is re-registered — while
 // AppendTable extends a table without touching existing ids, so the
@@ -226,7 +226,9 @@
 // boot, truncating any torn tail — a restarted server re-buys zero
 // labels. Invalidations append tombstones, and a compaction pass
 // (automatic on boot when the log is mostly dead) rewrites live
-// labels into a fresh log via atomic rename. See README.md ("Fault
+// labels into a fresh log via atomic rename. The log is an
+// internal/framelog log, the same frame layout, replay, compaction and
+// fail-stop code as the storage manifest below. See README.md ("Fault
 // tolerance & durability") for the frame format and the recovery
 // procedure.
 //
@@ -238,8 +240,9 @@
 // threw all of it away. internal/storage persists both — dataset
 // columns and the per-segment immutable (score, id) permutations of
 // every built index — as write-once files committed through a
-// CRC-framed manifest log with the same torn-tail-truncation and
-// compaction discipline as the label WAL. An engine opened with a
+// CRC-framed manifest log, an internal/framelog log like the label
+// WAL, so torn-tail truncation and compaction are one code path for
+// both. An engine opened with a
 // persist directory (engine.Options.PersistDir, supg-server
 // -persist-dir) flushes each index after build or append — an append
 // writes only its tail, as one new dataset chunk and one new column

@@ -70,12 +70,20 @@ func calibratedDataset(seed uint64, n int) *dataset.Dataset {
 // their failure-rate assertions cannot fail.
 func checkCertifiedPrecision(t *testing.T, name string, dataSeed uint64, cfg Config, seed uint64) {
 	t.Helper()
-	const trials = 60
 	d := dataset.Beta(randx.New(dataSeed), 60000, 1, 1)
 	spec := Spec{Kind: PrecisionTarget, Gamma: 0.75, Delta: 0.05, Budget: 2000}
+	checkCertified(t, name, d, spec, cfg, 60, seed, 0.15)
+}
+
+// checkCertified requires a precision-target cell to fail at most
+// maxFail of its trials and to certify a finite threshold in at least
+// half of them.
+func checkCertified(t *testing.T, name string, d *dataset.Dataset, spec Spec, cfg Config, trials int, seed uint64, maxFail float64) {
+	t.Helper()
 	s := trialStats(t, d, spec, cfg, trials, seed)
-	if s.failRate > 0.15 {
-		t.Fatalf("%s failure rate %v far above delta 0.05 on the certifiable cell", name, s.failRate)
+	t.Logf("%s: %d/%d trials certified, failure rate %v", name, s.certified, trials, s.failRate)
+	if s.failRate > maxFail {
+		t.Fatalf("%s failure rate %v exceeds %v on the certifiable cell", name, s.failRate, maxFail)
 	}
 	if s.certified < trials/2 {
 		t.Fatalf("%s certified a threshold in %d/%d trials, want at least %d", name, s.certified, trials, trials/2)

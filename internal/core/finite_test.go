@@ -27,6 +27,11 @@ func TestFinitePrecisionValidity(t *testing.T) {
 	if fail > 0.1 {
 		t.Fatalf("finite-sample PT failure rate %v exceeds delta 0.05", fail)
 	}
+	// The cell above certifies no threshold (see checkCertifiedPrecision);
+	// Beta(1, 1) scores at γ=0.75 do.
+	d = dataset.Beta(randx.New(2), 40000, 1, 1)
+	spec.Gamma = 0.75
+	checkCertified(t, "finite-sample PT", d, spec, DefaultFinite(), 60, 51, 0.1)
 }
 
 func TestFiniteTauIsSampledPositiveScore(t *testing.T) {
@@ -113,4 +118,9 @@ func TestBernsteinBoundUsableInEstimators(t *testing.T) {
 	if fail > 0.1 {
 		t.Fatalf("Bernstein-certified PT failure rate %v", fail)
 	}
+	// As in TestFinitePrecisionValidity, only the Beta(1, 1) cell
+	// certifies a threshold.
+	d = dataset.Beta(randx.New(6), 30000, 1, 1)
+	spec.Gamma = 0.75
+	checkCertified(t, "Bernstein PT", d, spec, cfg, 40, 52, 0.1)
 }

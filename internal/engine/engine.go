@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -143,16 +144,6 @@ func (en *indexEntry) builtIndex() *index.ScoreIndex {
 		return nil
 	}
 	return en.res.ix
-}
-
-// usesProxy reports whether the entry's source reads the named proxy.
-func (en *indexEntry) usesProxy(name string) bool {
-	for _, p := range en.proxies {
-		if p == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Options tune index construction for all tables of an engine. The
@@ -442,6 +433,11 @@ func (e *Engine) OpenBreakers() int {
 func (e *Engine) RegisterTable(name string, d *dataset.Dataset) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.registerTableLocked(name, d)
+}
+
+// registerTableLocked is RegisterTable's body. Callers hold e.mu.
+func (e *Engine) registerTableLocked(name string, d *dataset.Dataset) {
 	_, existed := e.tables[name]
 	e.tables[name] = d
 	delete(e.refs, name) // a direct registration detaches default UDF refs
@@ -503,16 +499,6 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 		if key.table != name {
 			continue
 		}
-		// Calibrated fusions cannot extend incrementally: the stacker is
-		// fitted on a uniform sample of the whole table, so an append
-		// changes the population it must be calibrated against. Drop the
-		// entry — the next query rebuilds and recalibrates, and its
-		// labels come warm out of the cross-query label store.
-		if parent.fusion.Calibrated() {
-			delete(e.indexes, key)
-			e.dropIndexDurably(key)
-			continue
-		}
 		fns := make([]ProxyUDF, len(parent.proxies))
 		ok := true
 		for i, p := range parent.proxies {
@@ -520,41 +506,54 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 				break
 			}
 		}
-		if !ok {
+		// Calibrated fusions cannot extend incrementally: the stacker is
+		// fitted on a uniform sample of the whole table, so an append
+		// changes the population it must be calibrated against. Drop the
+		// entry — the next query rebuilds and recalibrates, and its
+		// labels come warm out of the cross-query label store.
+		if !ok || parent.fusion.Calibrated() {
 			delete(e.indexes, key)
 			e.dropIndexDurably(key)
 			continue
 		}
-		key, parent := key, parent
-		fusion := parent.fusion
 		e.indexes[key] = &indexEntry{
 			proxies: parent.proxies,
-			fusion:  fusion,
+			fusion:  parent.fusion,
 			table:   combined,
 			epoch:   e.storeEpoch(name),
-			build: func() (built, error) {
+			build: e.extendBuild(key.source, fns, parent.fusion, oldLen, newLen, func() (built, error) {
 				var b built
 				if parent.ensure() {
-					b.proxyCalls += parent.res.proxyCalls
+					b.proxyCalls = parent.res.proxyCalls
 				}
-				if parent.err != nil {
-					return b, parent.err
-				}
-				fresh, err := fuseRange(fns, fusion, oldLen, newLen, e.ixOpts.Parallelism)
-				if err != nil {
-					return b, fmt.Errorf("engine: source %q: %w", key.source, err)
-				}
-				b.proxyCalls += len(fns) * (newLen - oldLen)
-				ix, err := parent.res.ix.Append(fresh)
-				if err != nil {
-					return b, fmt.Errorf("engine: source %q: %w", key.source, err)
-				}
-				b.ix = ix
-				return b, nil
-			},
+				b.ix = parent.res.ix
+				return b, parent.err
+			}),
 		}
 	}
 	return combined, nil
+}
+
+// extendBuild returns a build that runs base, scores records [lo, hi)
+// with the label-free source (fns, fusion) and appends them to base's
+// index as fresh segments — an append, indexed without re-scanning or
+// re-sorting the records base covers.
+func (e *Engine) extendBuild(source string, fns []ProxyUDF, fusion query.FusionKind, lo, hi int, base func() (built, error)) func() (built, error) {
+	return func() (built, error) {
+		b, err := base()
+		if err != nil {
+			return b, err
+		}
+		fresh, err := fuseRange(fns, fusion, lo, hi, e.ixOpts.Parallelism)
+		if err == nil {
+			b.proxyCalls += len(fns) * (hi - lo)
+			b.ix, err = b.ix.Append(fresh)
+		}
+		if err != nil {
+			return b, fmt.Errorf("engine: source %q: %w", source, err)
+		}
+		return b, nil
+	}
 }
 
 // fuseRange evaluates every member proxy over records [lo, hi) across
@@ -604,10 +603,19 @@ func fuserFor(fusion query.FusionKind, calibBudget int) (multiproxy.Fuser, error
 func (e *Engine) RegisterOracle(name string, fn OracleUDF) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.registerOracleLocked(name, fn)
+}
+
+// registerOracleLocked is RegisterOracle's body: a re-registration
+// drops everything derived from the old function's labels — the label
+// store's caches and every index, cached or staged, whose fused column
+// was calibrated with them. Callers hold e.mu.
+func (e *Engine) registerOracleLocked(name string, fn OracleUDF) {
 	_, existed := e.oracles[name]
 	e.oracles[name] = fn
 	if existed {
-		e.invalidateOracleLocked(name)
+		e.labels.InvalidateOracle(name)
+		e.dropIndexesLocked(true, func(_ []string, calibOracle string) bool { return calibOracle == name })
 	}
 }
 
@@ -617,24 +625,37 @@ func (e *Engine) RegisterOracle(name string, fn OracleUDF) {
 func (e *Engine) RegisterProxy(name string, fn ProxyUDF) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.registerProxyLocked(name, fn)
+}
+
+// registerProxyLocked is RegisterProxy's body. Staged recovered indexes
+// follow the first-registration rule: the first RegisterProxy after
+// boot is loading the UDF the index was built from, not superseding it.
+// (Cached entries need no such guard — they can only exist if the proxy
+// was already registered.) Callers hold e.mu.
+func (e *Engine) registerProxyLocked(name string, fn ProxyUDF) {
 	_, existed := e.proxies[name]
 	e.proxies[name] = fn
+	e.dropIndexesLocked(existed, func(proxies []string, _ string) bool { return slices.Contains(proxies, name) })
+}
+
+// dropIndexesLocked drops, and durably tombstones, every cached index —
+// and with staged every staged recovered index too — whose member
+// proxies and calibration oracle match accepts. Callers hold e.mu.
+func (e *Engine) dropIndexesLocked(staged bool, match func(proxies []string, calibOracle string) bool) {
 	for k, en := range e.indexes {
-		if en.usesProxy(name) {
+		if match(en.proxies, en.calibOracle) {
 			delete(e.indexes, k)
 			e.dropIndexDurably(k)
 		}
 	}
-	// Staged recovered indexes follow the first-registration rule: the
-	// first RegisterProxy after boot is loading the UDF the index was
-	// built from, not superseding it. (In-memory entries need no such
-	// guard — they can only exist if the proxy was already registered.)
-	if existed {
-		for k, si := range e.stagedIx {
-			if si.usesProxy(name) {
-				delete(e.stagedIx, k)
-				e.dropIndexDurably(k)
-			}
+	if !staged {
+		return
+	}
+	for k, si := range e.stagedIx {
+		if match(si.proxies, si.calibOracle) {
+			delete(e.stagedIx, k)
+			e.dropIndexDurably(k)
 		}
 	}
 }
@@ -658,25 +679,6 @@ func (e *Engine) WrapOracle(name string, wrap func(OracleUDF) OracleUDF) bool {
 	return true
 }
 
-// invalidateOracleLocked drops everything derived from labels of the
-// named oracle: the label store's cache and every index whose fused
-// column was calibrated with it. Callers hold e.mu.
-func (e *Engine) invalidateOracleLocked(name string) {
-	e.labels.InvalidateOracle(name)
-	for k, en := range e.indexes {
-		if en.calibOracle == name {
-			delete(e.indexes, k)
-			e.dropIndexDurably(k)
-		}
-	}
-	for k, si := range e.stagedIx {
-		if si.calibOracle == name {
-			delete(e.stagedIx, k)
-			e.dropIndexDurably(k)
-		}
-	}
-}
-
 // RegisterDatasetDefaults registers table name plus "<name>_oracle" and
 // "<name>_proxy" UDFs backed by the dataset's own labels and scores —
 // the common simulation path. The UDFs read the dataset through an
@@ -688,53 +690,25 @@ func (e *Engine) invalidateOracleLocked(name string) {
 func (e *Engine) RegisterDatasetDefaults(name string, d *dataset.Dataset) {
 	ref := &atomic.Pointer[dataset.Dataset]{}
 	ref.Store(d)
-	oracleName, proxyName := name+"_oracle", name+"_proxy"
 	// One critical section for table, UDFs, ref, and invalidation: a
 	// concurrent AppendTable interleaving between the steps could
 	// otherwise extend the table without extending the ref the UDFs
-	// read, and the next proxy scan would index out of range.
+	// read, and the next proxy scan would index out of range. The table
+	// goes first: its re-registration drops the table's cached indexes
+	// and tombstones them wholesale, so the UDFs' drops that follow
+	// tombstone only other tables' indexes.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, tableExisted := e.tables[name]
-	_, oracleExisted := e.oracles[oracleName]
-	_, proxyExisted := e.proxies[proxyName]
-	e.tables[name] = d
-	e.oracles[oracleName] = func(i int) (bool, error) {
+	e.registerTableLocked(name, d)
+	e.refs[name] = ref
+	e.registerProxyLocked(name+"_proxy", func(i int) float64 { return ref.Load().Score(i) })
+	e.registerOracleLocked(name+"_oracle", func(i int) (bool, error) {
 		cur := ref.Load()
 		if i < 0 || i >= cur.Len() {
 			return false, fmt.Errorf("engine: record %d out of range", i)
 		}
 		return cur.TrueLabel(i), nil
-	}
-	e.proxies[proxyName] = func(i int) float64 { return ref.Load().Score(i) }
-	e.refs[name] = ref
-	for k, en := range e.indexes {
-		if k.table == name || en.usesProxy(proxyName) || en.calibOracle == oracleName {
-			delete(e.indexes, k)
-			if k.table != name {
-				// Same-table drops are tombstoned wholesale by
-				// persistTableLocked below (when not adopting).
-				e.dropIndexDurably(k)
-			}
-		}
-	}
-	// Invalidate only on re-registration (see RegisterTable): a fresh
-	// boot loading the same dataset keeps every WAL-replayed label.
-	if tableExisted {
-		e.labels.InvalidateTable(name)
-	}
-	if oracleExisted {
-		e.labels.InvalidateOracle(oracleName)
-	}
-	if proxyExisted || oracleExisted {
-		for k, si := range e.stagedIx {
-			if (proxyExisted && si.usesProxy(proxyName)) || (oracleExisted && si.calibOracle == oracleName) {
-				delete(e.stagedIx, k)
-				e.dropIndexDurably(k)
-			}
-		}
-	}
-	e.persistTableLocked(name, d, tableExisted)
+	})
 }
 
 // QueryResult is the engine-level answer with execution statistics.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 
 	"supg/internal/dataset"
@@ -58,15 +57,6 @@ type stagedIndex struct {
 	proxies     []string
 	fusion      query.FusionKind
 	calibOracle string
-}
-
-func (si *stagedIndex) usesProxy(name string) bool {
-	for _, p := range si.proxies {
-		if p == name {
-			return true
-		}
-	}
-	return false
 }
 
 // matches reports whether the staged index's provenance is exactly the
@@ -207,11 +197,12 @@ func (e *Engine) adoptStagedLocked(key indexKey, src query.ScoreSource, table *d
 		e.dropIndexDurably(key)
 		return nil
 	}
-	if si.ix.Len() == table.Len() {
-		// Whole-index adoption: zero proxy calls, zero sorts — the
-		// verified on-disk permutation answers queries byte-identically.
-		ix := si.ix
-		return func() (built, error) { return built{ix: ix}, nil }
+	// Whole-index adoption: zero proxy calls, zero sorts — the verified
+	// on-disk permutation answers queries byte-identically.
+	ix := si.ix
+	adopt := func() (built, error) { return built{ix: ix}, nil }
+	if ix.Len() == table.Len() {
+		return adopt
 	}
 	// The table grew (AppendTable, or a larger upload adopted by CRC —
 	// impossible, so: appends) since the index was flushed. Label-free
@@ -222,21 +213,7 @@ func (e *Engine) adoptStagedLocked(key indexKey, src query.ScoreSource, table *d
 		e.dropIndexDurably(key)
 		return nil
 	}
-	base, fusion := si.ix, src.Fusion
-	lo, hi, source := base.Len(), table.Len(), key.source
-	return func() (built, error) {
-		fresh, err := fuseRange(fns, fusion, lo, hi, e.ixOpts.Parallelism)
-		if err != nil {
-			return built{}, fmt.Errorf("engine: source %q: %w", source, err)
-		}
-		b := built{proxyCalls: len(fns) * (hi - lo)}
-		ix, err := base.Append(fresh)
-		if err != nil {
-			return b, fmt.Errorf("engine: source %q: %w", source, err)
-		}
-		b.ix = ix
-		return b, nil
-	}
+	return e.extendBuild(key.source, fns, src.Fusion, ix.Len(), table.Len(), adopt)
 }
 
 // persistIndex flushes a just-built index to the durable store. Runs

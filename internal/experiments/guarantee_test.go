@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -8,6 +11,7 @@ import (
 	"supg/internal/dataset"
 	"supg/internal/index"
 	"supg/internal/metrics"
+	"supg/internal/oracle"
 	"supg/internal/randx"
 )
 
@@ -25,6 +29,11 @@ import (
 // delta=0.05, the empirical rate exceeding 0.15 has probability below
 // 1e-3 even at the guarantee boundary — and the observed rates sit
 // well under delta because the paper's bounds are conservative.
+//
+// The Beta(0.01, 2) precision cell certifies no threshold: every answer
+// there is the labeled positives alone, whose precision is 1 by
+// construction. A Beta(1, 1) cell at γ=0.6 certifies one in most
+// trials, and must in at least half.
 func TestSegmentedGuaranteeFailureRate(t *testing.T) {
 	const (
 		trials    = 60
@@ -60,6 +69,29 @@ func TestSegmentedGuaranteeFailureRate(t *testing.T) {
 			t.Errorf("%v-target: empirical failure rate %.3f exceeds delta %.2f + tolerance %.2f",
 				tc.kind, fail, delta, tolerance)
 		}
+	}
+	uniform := dataset.Beta(randx.New(0xFA11), 20000, 1, 1)
+	seg, err = index.NewWithOptions(uniform.Scores(), index.Options{SegmentSize: 1024, Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.Spec{Kind: core.PrecisionTarget, Gamma: 0.6, Delta: delta, Budget: budget}
+	var certified atomic.Int64
+	ts, err := runTrialsVia(randx.New(0x5E6), uniform, trials, 4, func(rt *randx.Rand) (core.Result, error) {
+		res, err := core.SelectFromContextOptions(context.Background(), rt, seg, oracle.NewSimulated(uniform), spec, core.DefaultSUPG(), core.SelectOptions{})
+		if err == nil && !math.IsInf(res.Tau, 1) {
+			certified.Add(1)
+		}
+		return res, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := ts.FailureRate(metrics.MetricPrecision, spec.Gamma)
+	t.Logf("certifiable precision cell: %d/%d trials certified, failure rate %.3f", certified.Load(), trials, fail)
+	if fail > delta+tolerance || certified.Load() < trials/2 {
+		t.Errorf("certifiable precision cell: failure rate %.3f (bound %.2f), %d/%d certified (want at least %d)",
+			fail, delta+tolerance, certified.Load(), trials, trials/2)
 	}
 	// The satellite contract pins this harness to a CI-friendly budget.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {

@@ -15,10 +15,12 @@
 // effective sample size (see oracle.Budgeted.WithStore).
 //
 // The store is bounded by an approximate byte budget with FIFO
-// eviction, sharded to keep concurrent queries off a single lock, and
-// invalidated (never silently reused) when a table or oracle UDF is
-// re-registered. Appends extend a table without changing existing
-// record ids or labels, so append leaves the store intact by design.
+// eviction, each cache behind one lock, and invalidated (never
+// silently reused) when a table or oracle UDF is re-registered.
+// Appends extend a table without changing existing record ids or
+// labels, so append leaves the store intact by design. An optional
+// write-ahead log (Options.WALPath, an internal/framelog log) makes
+// bought labels survive a crash.
 package labelstore
 
 import (
@@ -30,10 +32,6 @@ import (
 // is zero.
 const DefaultMaxBytes = 64 << 20
 
-// DefaultShards is the per-cache shard count when Options.Shards is
-// zero.
-const DefaultShards = 16
-
 // entryBytes is the approximate in-memory footprint of one cached
 // label: a map[int]bool entry (bucket share, key, value, padding)
 // plus its FIFO queue slot. Deliberately conservative so the
@@ -44,12 +42,9 @@ const entryBytes = 48
 type Options struct {
 	// MaxBytes bounds the approximate total memory of all cached labels
 	// across every (table, oracle) pair (0 = DefaultMaxBytes). When the
-	// bound is exceeded the inserting shard evicts its oldest entries
-	// (FIFO) until the store fits again.
+	// bound is exceeded an insert evicts one oldest entry (FIFO),
+	// another cache's first.
 	MaxBytes int64
-	// Shards is the number of independently-locked segments per cache
-	// (0 = DefaultShards; values are rounded up to a power of two).
-	Shards int
 	// WALPath, when non-empty, makes the store crash-durable: every
 	// label written through a Cache is appended to the write-ahead log
 	// at this path, and Open replays the log into memory on boot so a
@@ -82,7 +77,6 @@ type Store struct {
 	mu     sync.RWMutex
 	caches map[Key]*Cache
 
-	shards     int
 	maxEntries int64
 	entries    atomic.Int64
 
@@ -97,30 +91,16 @@ type Store struct {
 
 // Open returns an empty store with the given bounds. When
 // Options.WALPath is set it opens (creating if absent) the
-// write-ahead log, replays every durable label into the in-memory
-// shards, truncates any torn tail left by a crash, and compacts the log
-// if it has grown far past the live label set.
+// write-ahead log, replays every durable label into memory, truncates
+// any torn tail left by a crash, and compacts the log if it has grown
+// far past the live label set.
 func Open(opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	// Round up to a power of two so shard selection is a mask.
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	maxEntries := opts.MaxBytes / entryBytes
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
 	s := &Store{
 		caches:     make(map[Key]*Cache),
-		shards:     n,
-		maxEntries: maxEntries,
+		maxEntries: max(opts.MaxBytes/entryBytes, 1),
 	}
 	if opts.WALPath != "" {
 		w, replayed, err := openWAL(s, opts.WALPath, opts.WALSyncEvery)
@@ -133,7 +113,7 @@ func Open(opts Options) (*Store, error) {
 		// (tombstoned labels, duplicates), so it cannot grow without
 		// bound across restarts.
 		live := s.entries.Load() + int64(len(s.caches))
-		if w.records > walCompactMinRecords && w.records > 2*live {
+		if frames := w.log.Frames(); frames > walCompactMinRecords && frames > 2*live {
 			w.mu.Lock()
 			err := w.compactLocked()
 			w.mu.Unlock()
@@ -190,10 +170,7 @@ func (s *Store) Cache(table, oracle string) *Cache {
 	if c = s.caches[key]; c != nil {
 		return c
 	}
-	c = &Cache{store: s, key: key, shards: make([]shard, s.shards), mask: uint32(s.shards - 1)}
-	for i := range c.shards {
-		c.shards[i].m = make(map[int]bool)
-	}
+	c = &Cache{store: s, key: key, m: make(map[int]bool)}
 	s.caches[key] = c
 	return c
 }
@@ -204,14 +181,7 @@ func (s *Store) Cache(table, oracle string) *Cache {
 // attached, a tombstone is journaled so the dropped labels stay dead
 // across restarts.
 func (s *Store) InvalidateTable(table string) int {
-	if s == nil {
-		return 0
-	}
-	n := s.invalidateMatch(func(k Key) bool { return k.Table == table }, true)
-	if n > 0 {
-		s.wal.appendTombstone(recTombTable, table)
-	}
-	return n
+	return s.invalidate(recTombTable, table)
 }
 
 // InvalidateOracle kills every cache of the oracle UDF (any table) and
@@ -220,27 +190,30 @@ func (s *Store) InvalidateTable(table string) int {
 // With a WAL attached, a tombstone is journaled so the dropped labels
 // stay dead across restarts.
 func (s *Store) InvalidateOracle(oracle string) int {
+	return s.invalidate(recTombOracle, oracle)
+}
+
+// invalidate kills the caches a tombstone of kind (recTombTable or
+// recTombOracle) names and journals the tombstone when any died.
+func (s *Store) invalidate(kind byte, name string) int {
 	if s == nil {
 		return 0
 	}
-	n := s.invalidateMatch(func(k Key) bool { return k.Oracle == oracle }, true)
+	n := s.invalidateMatch(kind, name, true)
 	if n > 0 {
-		s.wal.appendTombstone(recTombOracle, oracle)
+		s.wal.appendTombstone(kind, name)
 	}
 	return n
 }
 
-// invalidateMatch kills every cache whose key matches. count=false is
-// the WAL replay path: reconstructing a past invalidation must not
-// inflate the live stats.
-func (s *Store) invalidateMatch(match func(Key) bool, count bool) int {
-	if s == nil {
-		return 0
-	}
+// invalidateMatch kills every cache of the table (kind recTombTable)
+// or oracle (recTombOracle) name. count=false is the WAL replay path:
+// reconstructing a past invalidation must not inflate the live stats.
+func (s *Store) invalidateMatch(kind byte, name string, count bool) int {
 	s.mu.Lock()
 	var dead []*Cache
 	for k, c := range s.caches {
-		if match(k) {
+		if (kind == recTombTable && k.Table == name) || (kind == recTombOracle && k.Oracle == name) {
 			dead = append(dead, c)
 			delete(s.caches, k)
 		}
@@ -309,36 +282,23 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// shard is one independently-locked segment of a cache. Insertion
-// order is tracked in a FIFO queue so eviction is O(1).
-type shard struct {
-	mu   sync.Mutex
-	m    map[int]bool
-	fifo []int
-	head int
-}
-
 // Cache is the label cache of one (table, oracle) pair. It implements
 // the read/write interface oracle.Budgeted consumes (Get/Put) and is
-// safe for concurrent use by any number of queries.
+// safe for concurrent use by any number of queries. Its insertion
+// order is tracked in a FIFO queue so eviction is O(1).
 type Cache struct {
 	store *Store
 	key   Key
 	dead  atomic.Bool
 
-	shards []shard
-	mask   uint32
+	mu   sync.Mutex
+	m    map[int]bool
+	fifo []int // insertion order; fifo[head:] are the cached ids
+	head int
 }
 
 // Key returns the (table, oracle) pair this cache serves.
 func (c *Cache) Key() Key { return c.key }
-
-// shardOf maps a record index to its shard (Fibonacci hashing so
-// consecutive ids spread across shards).
-func (c *Cache) shardOf(i int) *shard {
-	h := uint32(uint64(i)*0x9E3779B97F4A7C15>>32) & c.mask
-	return &c.shards[h]
-}
 
 // Get returns the cached label of record i. A killed (invalidated)
 // cache always misses.
@@ -347,10 +307,9 @@ func (c *Cache) Get(i int) (bool, bool) {
 		c.store.misses.Add(1)
 		return false, false
 	}
-	sh := c.shardOf(i)
-	sh.mu.Lock()
-	v, ok := sh.m[i]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	v, ok := c.m[i]
+	c.mu.Unlock()
 	if ok {
 		c.store.hits.Add(1)
 	} else {
@@ -362,12 +321,12 @@ func (c *Cache) Get(i int) (bool, bool) {
 // Put records the label of record i. Writes to a killed cache are
 // dropped: labels bought against a superseded registration must not
 // leak into the replacement cache. When the store-wide byte budget is
-// exceeded an oldest entry is evicted — preferably from another shard
-// or cache, so a fresh workload is not starved by a budget another
-// table filled. With a WAL attached the label's frame is appended
-// right after the memory insert, so the log never holds a label memory
-// rejected; in the default group-commit mode it is not synced until
-// the next Commit.
+// exceeded an oldest entry is evicted — another cache's first, so a
+// fresh workload is not starved by a budget another table filled.
+// With a WAL attached the label's frame is appended right after the
+// memory insert, so the log never holds a label memory rejected; in
+// the default group-commit mode it is not synced until the next
+// Commit.
 func (c *Cache) Put(i int, v bool) {
 	c.put(i, v, c.store.wal)
 }
@@ -407,104 +366,94 @@ func (c *Cache) put(i int, v bool, w *wal) bool {
 		return false
 	}
 	if total > c.store.maxEntries {
-		if n := c.store.evictOne(c, c.shardOf(i)); n > 0 {
-			c.store.evictions.Add(int64(n))
-		}
+		c.store.evictOne(c)
 	}
 	return true
 }
 
-// insert adds the label to its shard and returns the store's new entry
-// count, or 0 when the label was not inserted (killed cache, or already
-// present).
+// insert adds the label and returns the store's new entry count, or 0
+// when the label was not inserted (killed cache, or already present).
 func (c *Cache) insert(i int, v bool) int64 {
-	sh := c.shardOf(i)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// The dead flag is re-checked under the shard lock: kill sets it
-	// before clearing the shards, so an insert that won the lock first
-	// is counted (and cleared) by kill, and one that lost observes dead
-	// and drops — either way Store.entries stays consistent.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// The dead flag is re-checked under the lock: kill sets it before
+	// clearing the cache, so an insert that won the lock first is
+	// counted (and cleared) by kill, and one that lost observes dead and
+	// drops — either way Store.entries stays consistent.
 	if c.dead.Load() {
 		return 0
 	}
-	if _, ok := sh.m[i]; ok {
+	if _, ok := c.m[i]; ok {
 		// Labels are a pure function of the record index; an existing
 		// entry is already correct.
 		return 0
 	}
-	sh.m[i] = v
-	sh.fifo = append(sh.fifo, i)
+	c.m[i] = v
+	c.fifo = append(c.fifo, i)
 	return c.store.entries.Add(1)
 }
 
-// evictOne reclaims one entry to get back under the byte budget. It
-// prefers other caches first — a new workload displaces an old one
-// instead of self-evicting its own fresh entries forever — then the
-// inserting cache's other shards (per-cache FIFO in the common
-// single-workload case), and only as a last resort the shard the
-// insert landed in. At most one shard lock is held at a time, so
-// concurrent evictions cannot deadlock.
-func (s *Store) evictOne(from *Cache, inserted *shard) int {
+// evictOne drops one oldest entry to get back under the byte budget.
+// It prefers other caches — a new workload displaces an old one
+// instead of self-evicting its own fresh entries forever — and only
+// then takes the inserting cache's own oldest. Locks are taken in the
+// order s.mu, then one cache's mu.
+func (s *Store) evictOne(from *Cache) {
 	s.mu.RLock()
-	others := make([]*Cache, 0, len(s.caches))
+	defer s.mu.RUnlock()
 	for _, c := range s.caches {
-		if c != from {
-			others = append(others, c)
+		if c != from && c.evictOldest() {
+			s.evicted()
+			return
 		}
 	}
-	s.mu.RUnlock()
-	for _, c := range others {
-		if evictFromCache(c, nil) {
-			s.entries.Add(-1)
-			return 1
-		}
+	if from.evictOldest() {
+		s.evicted()
 	}
-	if evictFromCache(from, inserted) {
-		s.entries.Add(-1)
-		return 1
-	}
-	inserted.mu.Lock()
-	n := inserted.evictOldest()
-	inserted.mu.Unlock()
-	s.entries.Add(int64(-n))
-	return n
 }
 
-// evictFromCache drops the oldest entry of the first non-empty shard
-// of c, skipping skip. Reports whether an entry was evicted.
-func evictFromCache(c *Cache, skip *shard) bool {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		if sh == skip {
-			continue
-		}
-		sh.mu.Lock()
-		n := sh.evictOldest()
-		sh.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
+func (s *Store) evicted() {
+	s.entries.Add(-1)
+	s.evictions.Add(1)
 }
 
-// evictOldest removes the shard's oldest entry (callers hold sh.mu)
-// and returns how many entries were dropped (0 when the shard is
-// empty — another shard holds the overflow).
-func (sh *shard) evictOldest() int {
-	if sh.head >= len(sh.fifo) {
-		return 0
+// evictOldest removes the cache's oldest entry and reports whether it
+// held one.
+func (c *Cache) evictOldest() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.head >= len(c.fifo) {
+		return false
 	}
-	oldest := sh.fifo[sh.head]
-	sh.head++
+	delete(c.m, c.fifo[c.head])
+	c.head++
 	// Compact the queue once the dead prefix dominates.
-	if sh.head > 32 && sh.head > len(sh.fifo)/2 {
-		sh.fifo = append(sh.fifo[:0], sh.fifo[sh.head:]...)
-		sh.head = 0
+	if c.head > 32 && c.head > len(c.fifo)/2 {
+		c.fifo = append(c.fifo[:0], c.fifo[c.head:]...)
+		c.head = 0
 	}
-	delete(sh.m, oldest)
-	return 1
+	return true
+}
+
+// label is one cached (record index, label) pair.
+type label struct {
+	i int
+	v bool
+}
+
+// snapshot returns the cache's labels oldest first, none once it is
+// dead.
+func (c *Cache) snapshot() []label {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead.Load() {
+		return nil
+	}
+	out := make([]label, 0, len(c.fifo)-c.head)
+	for _, i := range c.fifo[c.head:] {
+		out = append(out, label{i, c.m[i]})
+	}
+	return out
 }
 
 // kill marks the cache dead and releases its entries. In-flight
@@ -513,15 +462,9 @@ func (c *Cache) kill() {
 	if c.dead.Swap(true) {
 		return
 	}
-	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += int64(len(sh.m))
-		sh.m = make(map[int]bool)
-		sh.fifo = nil
-		sh.head = 0
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	n := int64(len(c.m))
+	c.m, c.fifo, c.head = nil, nil, 0
+	c.mu.Unlock()
 	c.store.entries.Add(-n)
 }

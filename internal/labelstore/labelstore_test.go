@@ -68,8 +68,8 @@ func TestNilStoreServesMisses(t *testing.T) {
 }
 
 func TestEvictionBoundsEntries(t *testing.T) {
-	// Budget for exactly 10 entries, one shard so FIFO order is global.
-	s := memStore(t, Options{MaxBytes: 10 * entryBytes, Shards: 1})
+	// Budget for exactly 10 entries.
+	s := memStore(t, Options{MaxBytes: 10 * entryBytes})
 	c := s.Cache("t", "o")
 	for i := 0; i < 100; i++ {
 		c.Put(i, i%2 == 0)
@@ -91,6 +91,25 @@ func TestEvictionBoundsEntries(t *testing.T) {
 		if v, ok := c.Get(i); !ok || v != (i%2 == 0) {
 			t.Fatalf("retained record %d = %v, %v", i, v, ok)
 		}
+	}
+}
+
+// TestDefaultOptionsEvictFIFO: eviction under the default options is
+// FIFO over the whole cache — of 1100 labels under a 1000-label budget,
+// exactly the oldest 100 are gone.
+func TestDefaultOptionsEvictFIFO(t *testing.T) {
+	s := memStore(t, Options{MaxBytes: 1000 * entryBytes})
+	c := s.Cache("t", "o")
+	for i := 0; i < 1100; i++ {
+		c.Put(i, true)
+	}
+	for i := 0; i < 1100; i++ {
+		if _, ok := c.Get(i); ok != (i >= 100) {
+			t.Fatalf("record %d cached = %v, want %v", i, ok, i >= 100)
+		}
+	}
+	if st := s.Stats(); st.Entries != 1000 || st.Evictions != 100 {
+		t.Fatalf("entries %d, evictions %d; want 1000 and 100", st.Entries, st.Evictions)
 	}
 }
 
@@ -144,7 +163,7 @@ func TestInvalidateOracleMatchesAcrossTables(t *testing.T) {
 }
 
 func TestStatsCountActivity(t *testing.T) {
-	s := memStore(t, Options{MaxBytes: 2 * entryBytes, Shards: 1})
+	s := memStore(t, Options{MaxBytes: 2 * entryBytes})
 	c := s.Cache("t", "o")
 	c.Put(1, true)
 	c.Get(1) // hit
@@ -162,10 +181,10 @@ func TestStatsCountActivity(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess exercises the sharded locking under -race:
+// TestConcurrentAccess exercises the cache locking under -race:
 // parallel readers, writers, and invalidators on overlapping keys.
 func TestConcurrentAccess(t *testing.T) {
-	s := memStore(t, Options{MaxBytes: 1000 * entryBytes, Shards: 4})
+	s := memStore(t, Options{MaxBytes: 1000 * entryBytes})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -209,7 +228,7 @@ func TestConcurrentAccess(t *testing.T) {
 // old workload's entries rather than self-evicting their own fresh
 // entries (which would pin the hit rate of every new workload at 0).
 func TestNewCacheDisplacesOldWorkload(t *testing.T) {
-	s := memStore(t, Options{MaxBytes: 50 * entryBytes, Shards: 2})
+	s := memStore(t, Options{MaxBytes: 50 * entryBytes})
 	old := s.Cache("old", "o")
 	for i := 0; i < 50; i++ {
 		old.Put(i, true)

@@ -1,21 +1,19 @@
 package labelstore
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
+
+	"supg/internal/framelog"
 )
 
 // The write-ahead log makes paid oracle labels crash-durable: every
 // label written through a Cache is appended to an append-only file,
-// and Open replays the file into the in-memory shards on boot — a
-// restarted server recovers every label it ever bought with zero
-// oracle re-buys.
+// and Open replays the file into memory on boot — a restarted server
+// recovers every label it ever bought with zero oracle re-buys.
 //
 // Sync policy. By default the log group-commits: each label is durable
 // before the query that bought it uses it, with one fsync per oracle
@@ -29,11 +27,9 @@ import (
 // Options.WALSyncEvery = N > 1 the log instead syncs after every N
 // frames and Commit is a no-op. Both policies write the same format.
 //
-// Format: a sequence of CRC-framed records. Each frame is
-//
-//	[4-byte LE payload length][4-byte LE CRC32(payload)][payload]
-//
-// and the payload starts with a one-byte record type:
+// Format: a framelog log (frames, torn-tail truncation, compaction and
+// fail-stop are that package's), checksummed with CRC32-IEEE and with
+// payloads up to 1 MiB. Each payload starts with a one-byte record type:
 //
 //	recCacheDef   assigns a numeric id to a (table, oracle) pair;
 //	              labels reference the id instead of repeating strings
@@ -54,207 +50,119 @@ const (
 	recTombOracle byte = 4
 )
 
-// walMaxFrame bounds a frame payload; anything larger is treated as
-// corruption (the largest legitimate payload is a cache-def with two
-// names).
-const walMaxFrame = 1 << 20
+// walFormat frames the log. 1 MiB bounds a payload; the largest
+// legitimate one is a cache def with two names.
+var walFormat = framelog.Format{Table: crc32.IEEETable, MaxFrame: 1 << 20}
 
 // walCompactMinRecords is the auto-compaction floor: Open rewrites the
 // log only when it holds more than this many frames and more than half
 // of them are dead (tombstoned or superseded).
 const walCompactMinRecords = 1024
 
+var errBadRecord = errors.New("labelstore: malformed wal record")
+
 // wal is the append side of the write-ahead log. All appends are
 // serialized under mu, and a logged label's in-memory insert happens
 // under mu right before its append, so the log is an ordered journal
 // of every label the memory tier accepted. Append and sync failures
-// are fail-stop: the first error disables further appends and surfaces
-// from Close.
+// are fail-stop: the log refuses every later write and the first error
+// surfaces from Close.
 type wal struct {
 	store *Store
 
 	mu        sync.Mutex
-	path      string
-	f         *os.File
-	w         *bufio.Writer
+	log       *framelog.Log
 	syncEvery int // 1 = group commit; N > 1 = sync every N frames
-	unsynced  int // frames appended since the last sync
-	records   int64
-	syncs     int64
 	ids       map[*Cache]uint64
 	nextID    uint64
-	err       error
-	closed    bool
 }
 
 // openWAL opens (creating if absent) the log at path, replays it into
-// s, truncates any torn tail, and returns the append handle plus the
-// number of labels replayed.
+// s, and returns the append handle plus the number of labels replayed.
 func openWAL(s *Store, path string, syncEvery int) (*wal, int64, error) {
-	if syncEvery <= 0 {
-		syncEvery = 1
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644) //supg:atomiccommit-ok the WAL is the commit path: frames are CRC-framed and fsynced per sync policy, torn tails are truncated on replay, and a new log's directory is synced below
+	w := &wal{store: s, syncEvery: max(syncEvery, 1), ids: make(map[*Cache]uint64), nextID: 1}
+	var (
+		replayed int64
+		liveID   = make(map[uint64]*Cache)
+	)
+	log, err := framelog.Open(path, walFormat, func(payload []byte) error {
+		return w.apply(payload, liveID, &replayed)
+	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("labelstore: open wal: %w", err)
 	}
-	w := &wal{
-		store:     s,
-		path:      path,
-		f:         f,
-		syncEvery: syncEvery,
-		ids:       make(map[*Cache]uint64),
-		nextID:    1,
-	}
-	replayed, goodOff, err := w.replay()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	// A torn tail is the normal post-crash state: drop it and append
-	// from the last whole frame.
-	if fi, err := f.Stat(); err == nil && fi.Size() > goodOff {
-		if err := f.Truncate(goodOff); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("labelstore: truncate torn wal tail: %w", err)
-		}
-	}
-	// An empty log may be one this call just created. Its directory
-	// entry is durable only once the directory is synced; without that
-	// a crash could lose the file along with every label later
-	// committed to it.
-	if goodOff == 0 {
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("labelstore: sync wal dir: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("labelstore: seek wal: %w", err)
-	}
-	w.w = bufio.NewWriter(f)
-	return w, replayed, nil
-}
-
-// replay reads every whole frame from the start of the file, applies
-// it to the store (bypassing logging), and returns the number of label
-// records applied plus the offset just past the last good frame.
-func (w *wal) replay() (replayed int64, goodOff int64, err error) {
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, fmt.Errorf("labelstore: seek wal: %w", err)
-	}
-	var (
-		r      = bufio.NewReader(w.f)
-		hdr    [8]byte
-		liveID = make(map[uint64]*Cache)
-		defs   = make(map[uint64]Key)
-	)
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n == 0 || n > walMaxFrame {
-			break // corrupt length
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			break // corrupt payload
-		}
-		if !w.apply(payload, liveID, defs, &replayed) {
-			break // structurally invalid record
-		}
-		goodOff += 8 + int64(n)
-		w.records++
-	}
+	w.log = log
 	// Adopt the surviving id assignments for the append side, so new
 	// labels of an already-defined cache need no fresh def record.
 	for id, c := range liveID {
 		if !c.dead.Load() {
 			w.ids[c] = id
 		}
-		if id >= w.nextID {
-			w.nextID = id + 1
-		}
+		w.nextID = max(w.nextID, id+1)
 	}
-	return replayed, goodOff, nil
+	return w, replayed, nil
 }
 
-// apply folds one replayed record into the store. Reports whether the
-// record was structurally valid.
-func (w *wal) apply(payload []byte, liveID map[uint64]*Cache, defs map[uint64]Key, replayed *int64) bool {
-	s := w.store
-	switch payload[0] {
+// apply folds one replayed record into the store, counting the labels
+// it inserts in replayed, and rejects a structurally invalid one.
+func (w *wal) apply(payload []byte, liveID map[uint64]*Cache, replayed *int64) error {
+	d := framelog.Decoder{B: payload[1:]}
+	switch kind := payload[0]; kind {
 	case recCacheDef:
-		rest := payload[1:]
-		id, rest, ok := readUvarint(rest)
-		if !ok {
-			return false
+		id, table, oracle := d.Uvarint(), d.Str(), d.Str()
+		if d.Err != nil {
+			return errBadRecord
 		}
-		table, rest, ok := readString(rest)
-		if !ok {
-			return false
-		}
-		oracle, _, ok := readString(rest)
-		if !ok {
-			return false
-		}
-		defs[id] = Key{Table: table, Oracle: oracle}
-		liveID[id] = s.Cache(table, oracle)
+		liveID[id] = w.store.Cache(table, oracle)
 	case recLabel:
-		rest := payload[1:]
-		id, rest, ok := readUvarint(rest)
-		if !ok {
-			return false
+		id, idx := d.Uvarint(), d.Uvarint()
+		if d.Err != nil || len(d.B) != 1 {
+			return errBadRecord
 		}
-		idx, rest, ok := readUvarint(rest)
-		if !ok || len(rest) != 1 {
-			return false
+		// A label referencing a tombstoned (dead) cache is silently
+		// dropped by put's dead check — exactly the in-memory semantics
+		// of a stale write. Duplicates (possible after a compaction raced
+		// an insert) are dropped the same way.
+		if c := liveID[id]; c != nil && c.put(int(idx), d.B[0] != 0, nil) {
+			*replayed++
 		}
-		if c := liveID[id]; c != nil {
-			// A label referencing a tombstoned (dead) cache is silently
-			// dropped by put's dead check — exactly the in-memory
-			// semantics of a stale write. Duplicates (possible after a
-			// compaction raced an insert) are dropped the same way.
-			if c.put(int(idx), rest[0] != 0, nil) {
-				*replayed++
-			}
+	case recTombTable, recTombOracle:
+		name := d.Str()
+		if d.Err != nil {
+			return errBadRecord
 		}
-	case recTombTable:
-		name, _, ok := readString(payload[1:])
-		if !ok {
-			return false
-		}
-		s.invalidateMatch(func(k Key) bool { return k.Table == name }, false)
-	case recTombOracle:
-		name, _, ok := readString(payload[1:])
-		if !ok {
-			return false
-		}
-		s.invalidateMatch(func(k Key) bool { return k.Oracle == name }, false)
+		w.store.invalidateMatch(kind, name, false)
 	default:
-		return false
+		return errBadRecord
 	}
-	return true
+	return nil
+}
+
+func encodeDef(id uint64, k Key) []byte {
+	b := binary.AppendUvarint([]byte{recCacheDef}, id)
+	b = framelog.AppendString(b, k.Table)
+	return framelog.AppendString(b, k.Oracle)
+}
+
+func encodeLabel(id uint64, i int, v bool) []byte {
+	b := binary.AppendUvarint([]byte{recLabel}, id)
+	b = binary.AppendUvarint(b, uint64(i))
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // appendLabelLocked journals one freshly-bought label, writing the
 // cache's def record first if this is its first label. Callers hold
 // w.mu.
 func (w *wal) appendLabelLocked(c *Cache, i int, v bool) {
-	if w.err != nil || w.closed {
-		return
-	}
 	// An insert that raced an invalidation may reach here after the
 	// tombstone was journaled (kill sets dead before the tombstone
 	// append). Logging it would resurrect the label under a fresh def on
 	// replay, so it is dropped — matching the memory tier, where kill
 	// clears the entry the racing insert produced.
-	if c.dead.Load() {
+	if w.log.Err() != nil || c.dead.Load() {
 		return
 	}
 	id, ok := w.ids[c]
@@ -262,28 +170,11 @@ func (w *wal) appendLabelLocked(c *Cache, i int, v bool) {
 		id = w.nextID
 		w.nextID++
 		w.ids[c] = id
-		var def []byte
-		def = append(def, recCacheDef)
-		def = binary.AppendUvarint(def, id)
-		def = appendString(def, c.key.Table)
-		def = appendString(def, c.key.Oracle)
-		if err := w.appendFrameLocked(def); err != nil {
-			w.err = err
+		if w.appendLocked(encodeDef(id, c.key)) != nil {
 			return
 		}
 	}
-	var rec []byte
-	rec = append(rec, recLabel)
-	rec = binary.AppendUvarint(rec, id)
-	rec = binary.AppendUvarint(rec, uint64(i))
-	if v {
-		rec = append(rec, 1)
-	} else {
-		rec = append(rec, 0)
-	}
-	if err := w.appendFrameLocked(rec); err != nil {
-		w.err = err
-	}
+	w.appendLocked(encodeLabel(id, i, v))
 }
 
 // appendTombstone journals an invalidation (kind is recTombTable or
@@ -301,44 +192,23 @@ func (w *wal) appendTombstone(kind byte, name string) {
 			delete(w.ids, c)
 		}
 	}
-	if w.err != nil || w.closed {
-		return
-	}
-	var rec []byte
-	rec = append(rec, kind)
-	rec = appendString(rec, name)
-	if err := w.appendFrameLocked(rec); err != nil {
-		w.err = err
-		return
-	}
 	// Under group commit nothing else would sync the tombstone until the
 	// next batch; syncing now means a returned invalidation survives a
 	// crash, so superseded labels can never resurrect.
-	if w.syncEvery == 1 {
-		if err := w.syncLocked(); err != nil {
-			w.err = err
-		}
+	if w.appendLocked(framelog.AppendString([]byte{kind}, name)) == nil && w.syncEvery == 1 {
+		w.log.Sync() // a failure sticks in the log and surfaces from Close
 	}
 }
 
-// appendFrameLocked writes one CRC-framed record to the buffered
-// writer. In relaxed mode it syncs after every syncEvery frames; under
-// group commit the frame stays pending until the next commit. Callers
-// hold w.mu.
-func (w *wal) appendFrameLocked(payload []byte) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("labelstore: wal append: %w", err)
+// appendLocked appends one frame. In relaxed mode it syncs after every
+// syncEvery frames; under group commit the frame stays pending until
+// the next commit. A failure sticks in the log. Callers hold w.mu.
+func (w *wal) appendLocked(payload []byte) error {
+	if err := w.log.Append(payload); err != nil {
+		return err
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("labelstore: wal append: %w", err)
-	}
-	w.records++
-	w.unsynced++
-	if w.syncEvery > 1 && w.unsynced >= w.syncEvery {
-		return w.syncLocked()
+	if w.syncEvery > 1 && w.log.Pending() >= w.syncEvery {
+		return w.log.Sync()
 	}
 	return nil
 }
@@ -351,43 +221,20 @@ func (w *wal) commit() {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.syncEvery > 1 || w.unsynced == 0 || w.err != nil || w.closed {
-		return
+	if w.syncEvery == 1 && w.log.Pending() > 0 {
+		w.log.Sync() // a failure sticks in the log and surfaces from Close
 	}
-	if err := w.syncLocked(); err != nil {
-		w.err = err
-	}
-}
-
-// syncLocked flushes the buffered frames and fsyncs the log. Callers
-// hold w.mu.
-func (w *wal) syncLocked() error {
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("labelstore: wal flush: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("labelstore: wal sync: %w", err)
-	}
-	w.unsynced = 0
-	w.syncs++
-	return nil
 }
 
 // compactLocked rewrites the log to hold only the live labels: a fresh
-// def per live cache plus its current entries, written to a temp file
-// that atomically replaces the old log. Callers hold w.mu, and Put
-// takes w.mu before its memory insert, so no journaled label is
+// def per live cache plus its current entries, oldest first, so a
+// replay rebuilds each cache's eviction order. Callers hold w.mu, and
+// Put takes w.mu before its memory insert, so no journaled label is
 // inserted mid-compaction: every pending (unsynced) frame of a label
 // still in memory is carried over by the snapshot, which is synced
 // before it replaces the log. Pending frames of evicted or invalidated
 // labels are dropped with the old log, as their synced frames are.
 func (w *wal) compactLocked() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return fmt.Errorf("labelstore: wal closed")
-	}
 	s := w.store
 	s.mu.RLock()
 	caches := make([]*Cache, 0, len(s.caches))
@@ -395,107 +242,30 @@ func (w *wal) compactLocked() error {
 		caches = append(caches, c)
 	}
 	s.mu.RUnlock()
-
-	tmpPath := w.path + ".compact"
-	tmp, err := os.Create(tmpPath) //supg:atomiccommit-ok compaction's tmp file; fsynced below, then renamed over the WAL
+	ids := make(map[*Cache]uint64)
+	err := w.log.Rewrite(func(emit func([]byte) error) error {
+		for _, c := range caches {
+			labels := c.snapshot()
+			if len(labels) == 0 {
+				continue
+			}
+			id := uint64(len(ids) + 1)
+			ids[c] = id
+			if err := emit(encodeDef(id, c.key)); err != nil {
+				return err
+			}
+			for _, l := range labels {
+				if err := emit(encodeLabel(id, l.i, l.v)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("labelstore: wal compact: %w", err)
 	}
-	renamed := false
-	defer func() {
-		if !renamed {
-			tmp.Close()
-			os.Remove(tmpPath)
-		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	var (
-		records int64
-		ids     = make(map[*Cache]uint64)
-		nextID  = uint64(1)
-	)
-	writeFrame := func(payload []byte) error {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(payload)
-		records++
-		return err
-	}
-	for _, c := range caches {
-		if c.dead.Load() {
-			continue
-		}
-		var id uint64
-		for si := range c.shards {
-			sh := &c.shards[si]
-			sh.mu.Lock()
-			snap := make(map[int]bool, len(sh.m))
-			for k, v := range sh.m {
-				snap[k] = v
-			}
-			sh.mu.Unlock()
-			for k, v := range snap {
-				if id == 0 {
-					id = nextID
-					nextID++
-					var def []byte
-					def = append(def, recCacheDef)
-					def = binary.AppendUvarint(def, id)
-					def = appendString(def, c.key.Table)
-					def = appendString(def, c.key.Oracle)
-					if err := writeFrame(def); err != nil {
-						return fmt.Errorf("labelstore: wal compact: %w", err)
-					}
-				}
-				var rec []byte
-				rec = append(rec, recLabel)
-				rec = binary.AppendUvarint(rec, id)
-				rec = binary.AppendUvarint(rec, uint64(k))
-				if v {
-					rec = append(rec, 1)
-				} else {
-					rec = append(rec, 0)
-				}
-				if err := writeFrame(rec); err != nil {
-					return fmt.Errorf("labelstore: wal compact: %w", err)
-				}
-			}
-		}
-		if id != 0 {
-			ids[c] = id
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	w.syncs++
-	if err := os.Rename(tmpPath, w.path); err != nil { //supg:atomiccommit-ok this IS the compaction commit point: tmp was fsynced above and the directory is synced right after
-		return fmt.Errorf("labelstore: wal compact: %w", err)
-	}
-	// The old handle now names an unlinked file; the still-open tmp
-	// handle, positioned at its end, is the log from here on.
-	renamed = true
-	w.f.Close()
-	w.f = tmp
-	w.w = bufio.NewWriter(tmp)
-	w.unsynced = 0
-	w.records = records
-	w.ids = ids
-	w.nextID = nextID
-	// Until the directory is synced a crash can bring the old log back
-	// and drop labels committed to the new one, so a failure here is
-	// fail-stop like a failed append.
-	if err := syncDir(filepath.Dir(w.path)); err != nil {
-		w.err = fmt.Errorf("labelstore: wal compact: sync dir: %w", err)
-		return w.err
-	}
+	w.ids, w.nextID = ids, uint64(len(ids)+1)
 	return nil
 }
 
@@ -507,17 +277,7 @@ func (w *wal) close() error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return w.err
-	}
-	w.closed = true
-	if w.err == nil {
-		w.err = w.syncLocked()
-	}
-	if err := w.f.Close(); err != nil && w.err == nil {
-		w.err = fmt.Errorf("labelstore: wal close: %w", err)
-	}
-	return w.err
+	return w.log.Close()
 }
 
 // counts returns the number of frames currently in the file and the
@@ -528,40 +288,5 @@ func (w *wal) counts() (records, syncs int64) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.records, w.syncs
-}
-
-// syncDir fsyncs a directory so that a create or rename within it is
-// durable.
-func syncDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	return df.Sync()
-}
-
-// appendString writes a uvarint-length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// readUvarint consumes a uvarint from b.
-func readUvarint(b []byte) (v uint64, rest []byte, ok bool) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, false
-	}
-	return v, b[n:], true
-}
-
-// readString consumes a length-prefixed string from b.
-func readString(b []byte) (s string, rest []byte, ok bool) {
-	n, b, ok := readUvarint(b)
-	if !ok || uint64(len(b)) < n {
-		return "", nil, false
-	}
-	return string(b[:n]), b[n:], true
+	return w.log.Frames(), w.log.Syncs()
 }

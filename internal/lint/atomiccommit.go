@@ -8,11 +8,12 @@ import (
 )
 
 // AtomicCommit enforces the durable-storage commit discipline in
-// internal/storage and internal/labelstore:
+// internal/storage, internal/labelstore and internal/framelog, the log
+// under both of their journals:
 //
 //   - file creation and renames must flow through the fsync'd
-//     tmp→rename commit helpers (atomicWriter, the WAL/manifest
-//     appenders). Direct os.Rename / os.WriteFile / os.Create /
+//     tmp→rename commit helpers (atomicWriter, framelog's Open and
+//     Rewrite). Direct os.Rename / os.WriteFile / os.Create /
 //     os.OpenFile(O_CREATE) sites are flagged — the helpers
 //     themselves carry //supg:atomiccommit-ok annotations stating why
 //     they are the commit path.
@@ -27,6 +28,7 @@ var AtomicCommit = &Analyzer{
 	Packages: []string{
 		"internal/storage",
 		"internal/labelstore",
+		"internal/framelog",
 	},
 	Run: runAtomicCommit,
 }
@@ -51,14 +53,14 @@ func checkRawFileOp(pass *Pass, call *ast.CallExpr) {
 		if pass.CalleeIsPkgFunc(call, "os", name) {
 			pass.Report(call.Pos(),
 				fmt.Sprintf("direct os.%s bypasses the fsync'd tmp→rename commit path", name),
-				"route the write through the commit helpers (atomicWriter / the WAL appenders); if this call IS the commit helper, annotate it with //supg:atomiccommit-ok <reason>")
+				"route the write through the commit helpers (atomicWriter / framelog); if this call IS the commit helper, annotate it with //supg:atomiccommit-ok <reason>")
 			return
 		}
 	}
 	if pass.CalleeIsPkgFunc(call, "os", "OpenFile") && len(call.Args) >= 2 && mentionsOCreate(pass, call.Args[1]) {
 		pass.Report(call.Pos(),
 			"direct os.OpenFile with O_CREATE bypasses the fsync'd tmp→rename commit path",
-			"route the write through the commit helpers (atomicWriter / the WAL appenders); if this call IS the commit helper, annotate it with //supg:atomiccommit-ok <reason>")
+			"route the write through the commit helpers (atomicWriter / framelog); if this call IS the commit helper, annotate it with //supg:atomiccommit-ok <reason>")
 	}
 }
 

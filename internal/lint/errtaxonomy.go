@@ -34,6 +34,7 @@ var ErrTaxonomy = &Analyzer{
 		"internal/server",
 		"internal/jobs",
 		"internal/labelstore",
+		"internal/framelog",
 	},
 	Run: runErrTaxonomy,
 }

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"supg/internal/dataset"
+	"supg/internal/framelog"
 	"supg/internal/index"
 	"supg/internal/sampling"
 )
@@ -331,7 +332,7 @@ func (aw *atomicWriter) Commit() (crc uint32, size int64, err error) {
 	if err = os.Rename(aw.tmp, aw.path); err != nil { //supg:atomiccommit-ok atomicWriter.Commit's rename: the tmp file was flushed, fsynced, and closed above
 		return 0, 0, err
 	}
-	if err = syncDir(filepath.Dir(aw.path)); err != nil {
+	if err = framelog.SyncDir(filepath.Dir(aw.path)); err != nil {
 		return 0, 0, err
 	}
 	return aw.crc.Sum32(), aw.size, nil
@@ -341,17 +342,6 @@ func (aw *atomicWriter) Commit() (crc uint32, size int64, err error) {
 func (aw *atomicWriter) Abort() {
 	aw.f.Close()
 	os.Remove(aw.tmp)
-}
-
-// syncDir fsyncs a directory so that renames/creates within it are
-// durable before dependent manifest records are appended.
-func syncDir(dir string) error {
-	df, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	return df.Sync()
 }
 
 // writeDatasetFile persists d in the dataset binary interchange format.

@@ -134,8 +134,8 @@ func TestLegacyIndexUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A flush whose manifest record cannot commit.
-	s.man.f.Close()
+	// A flush the manifest refuses to commit.
+	s.man.Close()
 	if err := s.SaveIndex(q.IndexMeta, grown, s.Epoch("t")); err == nil {
 		t.Fatal("flush through a failed manifest succeeded")
 	}

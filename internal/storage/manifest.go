@@ -1,17 +1,19 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
+
+	"supg/internal/framelog"
 )
 
-// The MANIFEST is an append-only log of catalog records, using the same
-// frame discipline as the label store's WAL: each record is
+// The MANIFEST is an append-only log of catalog records, a framelog
+// log like the label store's WAL: each record is
 //
 //	[4B LE payload length][4B LE CRC32(Castagnoli) of payload][payload]
 //
@@ -70,8 +72,9 @@ import (
 // manifest implies its files are durable; a crash between file commit
 // and record append leaves an orphan file that boot-time cleanup
 // removes. When dead records outnumber live ones the log is compacted
-// by rewriting live records to MANIFEST.compact and renaming over; the
-// compacted file's open handle becomes the live log.
+// by rewriting live records to MANIFEST.compact and renaming over
+// (framelog.Log.Rewrite); the compacted file's open handle becomes the
+// live log.
 
 const (
 	recDataset      byte = 1
@@ -85,10 +88,6 @@ const (
 	recIndexChunked byte = 9
 
 	manifestName = "MANIFEST"
-
-	// manMaxFrame bounds a single record (an index record lists every
-	// segment file name; 8 MiB covers ~10^5 segments).
-	manMaxFrame = 8 << 20
 
 	// maxManifestList bounds decoded list lengths (segments, proxies).
 	maxManifestList = 1 << 20
@@ -328,38 +327,29 @@ func (st *manifestState) admit(rtype byte, rec any) error {
 	return nil
 }
 
+// replay folds one frame payload into the catalog. A payload that does
+// not decode, or cannot apply, ends the usable log.
+func (st *manifestState) replay(payload []byte) error {
+	rtype, rec, err := decodeRecord(payload)
+	if err == nil {
+		err = st.admit(rtype, rec)
+	}
+	if err != nil {
+		return err
+	}
+	st.apply(rtype, rec)
+	st.frames++
+	return nil
+}
+
 // replayManifest folds the manifest bytes into the live catalog. It
 // never fails: corruption at offset X means the log is valid up to the
 // last whole, decodable frame before X, and goodOff reports where that
-// prefix ends so the caller can truncate the tail.
-func replayManifest(data []byte) (manifestState, int64) {
-	st := newManifestState()
-	off := int64(0)
-	for int64(len(data))-off >= 8 {
-		length := binary.LittleEndian.Uint32(data[off:])
-		if length == 0 || length > manMaxFrame {
-			break
-		}
-		end := off + 8 + int64(length)
-		if end > int64(len(data)) {
-			break
-		}
-		payload := data[off+8 : end]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
-			break
-		}
-		rtype, rec, err := decodeRecord(payload)
-		if err == nil {
-			err = st.admit(rtype, rec)
-		}
-		if err != nil {
-			break
-		}
-		st.apply(rtype, rec)
-		st.frames++
-		off = end
-	}
-	return st, off
+// prefix ends; Open truncates the tail there.
+func replayManifest(data []byte) (st manifestState, goodOff int64) {
+	st = newManifestState()
+	_, goodOff = framelog.Scan(bytes.NewReader(data), manifestFormat, st.replay)
+	return st, goodOff
 }
 
 // decodeRecord parses one frame payload into its typed record.
@@ -367,91 +357,91 @@ func decodeRecord(payload []byte) (byte, any, error) {
 	if len(payload) == 0 {
 		return 0, nil, fmt.Errorf("manifest: empty record")
 	}
-	d := decoder{b: payload[1:]}
+	d := framelog.Decoder{B: payload[1:]}
 	switch rtype := payload[0]; rtype {
 	case recDataset:
-		rec := datasetRec{name: d.str()}
-		c := chunkRec{file: d.str(), count: d.count(maxFileRecords)}
-		c.crc, c.size = uint32(d.uvarint()), int64(d.uvarint())
+		rec := datasetRec{name: d.Str()}
+		c := chunkRec{file: d.Str(), count: d.Count(maxFileRecords)}
+		c.crc, c.size = uint32(d.Uvarint()), int64(d.Uvarint())
 		rec.chunks = []chunkRec{c}
-		return rtype, rec, d.finish("dataset")
+		return rtype, rec, finish(&d, "dataset")
 	case recDatasetChunk:
-		tc := tableChunk{name: d.str()}
-		tc.chunk = d.chunk()
-		return rtype, tc, d.finish("dataset-chunk")
+		tc := tableChunk{name: d.Str()}
+		tc.chunk = readChunk(&d)
+		return rtype, tc, finish(&d, "dataset-chunk")
 	case recIndex, recIndexQ, recIndexChunked:
 		rec := indexRec{
-			table:       d.str(),
-			source:      d.str(),
-			fusion:      d.str(),
-			calibOracle: d.str(),
+			table:       d.Str(),
+			source:      d.Str(),
+			fusion:      d.Str(),
+			calibOracle: d.Str(),
 			quantized:   rtype == recIndexQ,
 		}
-		rec.proxies = make([]string, d.count(maxManifestList))
+		rec.proxies = make([]string, d.Count(maxManifestList))
 		for i := range rec.proxies {
-			rec.proxies[i] = d.str()
+			rec.proxies[i] = d.Str()
 		}
-		rec.n = d.count(maxFileRecords)
+		rec.n = d.Count(maxFileRecords)
 		if rtype == recIndexChunked {
-			ncols := d.count(maxManifestList)
-			if d.err != nil {
-				return 0, nil, d.finish("index")
+			ncols := d.Count(maxManifestList)
+			if d.Err != nil {
+				return 0, nil, finish(&d, "index")
 			}
 			rec.cols = make([]chunkRec, ncols)
 			for i := range rec.cols {
-				rec.cols[i] = d.chunk()
+				rec.cols[i] = readChunk(&d)
 			}
-			if d.err == nil && !contiguous(rec.cols, rec.n) {
-				d.err = fmt.Errorf("column chunks do not tile %d records", rec.n)
+			if d.Err == nil && !contiguous(rec.cols, rec.n) {
+				d.Err = fmt.Errorf("column chunks do not tile %d records", rec.n)
 			}
 		} else {
-			c := chunkRec{file: d.str(), count: rec.n}
-			c.crc, c.size = uint32(d.uvarint()), int64(d.uvarint())
+			c := chunkRec{file: d.Str(), count: rec.n}
+			c.crc, c.size = uint32(d.Uvarint()), int64(d.Uvarint())
 			rec.cols = []chunkRec{c}
 		}
-		nsegs := d.count(maxManifestList)
-		if d.err != nil {
-			return 0, nil, d.finish("index")
+		nsegs := d.Count(maxManifestList)
+		if d.Err != nil {
+			return 0, nil, finish(&d, "index")
 		}
 		rec.segs = make([]segRec, nsegs)
 		for i := range rec.segs {
 			rec.segs[i] = segRec{
-				file:  d.str(),
-				base:  d.count(maxFileRecords),
-				count: d.count(maxFileRecords),
-				crc:   uint32(d.uvarint()),
-				size:  int64(d.uvarint()),
+				file:  d.Str(),
+				base:  d.Count(maxFileRecords),
+				count: d.Count(maxFileRecords),
+				crc:   uint32(d.Uvarint()),
+				size:  int64(d.Uvarint()),
 			}
 			if rec.quantized {
-				rec.segs[i].codeFile = d.str()
-				rec.segs[i].codeCRC = uint32(d.uvarint())
-				rec.segs[i].codeSize = int64(d.uvarint())
+				rec.segs[i].codeFile = d.Str()
+				rec.segs[i].codeCRC = uint32(d.Uvarint())
+				rec.segs[i].codeSize = int64(d.Uvarint())
 			}
 		}
-		return rtype, rec, d.finish("index")
+		return rtype, rec, finish(&d, "index")
 	case recDropTable:
-		name := d.str()
-		return rtype, name, d.finish("drop-table")
+		name := d.Str()
+		return rtype, name, finish(&d, "drop-table")
 	case recDropIndex:
-		k := ixKey{table: d.str(), source: d.str()}
-		return rtype, k, d.finish("drop-index")
+		k := ixKey{table: d.Str(), source: d.Str()}
+		return rtype, k, finish(&d, "drop-index")
 	case recMixture:
 		rec := mixRec{
-			table:    d.str(),
-			source:   d.str(),
-			n:        d.count(maxFileRecords),
-			colCRC:   uint32(d.uvarint()),
-			exponent: math.Float64frombits(d.uvarint()),
-			mix:      math.Float64frombits(d.uvarint()),
-			file:     d.str(),
-			crc:      uint32(d.uvarint()),
-			size:     int64(d.uvarint()),
+			table:    d.Str(),
+			source:   d.Str(),
+			n:        d.Count(maxFileRecords),
+			colCRC:   uint32(d.Uvarint()),
+			exponent: math.Float64frombits(d.Uvarint()),
+			mix:      math.Float64frombits(d.Uvarint()),
+			file:     d.Str(),
+			crc:      uint32(d.Uvarint()),
+			size:     int64(d.Uvarint()),
 		}
-		return rtype, rec, d.finish("mixture")
+		return rtype, rec, finish(&d, "mixture")
 	case recDropMixture:
-		k := mixKey{ixKey: ixKey{table: d.str(), source: d.str()}}
-		k.exponent, k.mix = d.uvarint(), d.uvarint()
-		return rtype, k, d.finish("drop-mixture")
+		k := mixKey{ixKey: ixKey{table: d.Str(), source: d.Str()}}
+		k.exponent, k.mix = d.Uvarint(), d.Uvarint()
+		return rtype, k, finish(&d, "drop-mixture")
 	default:
 		return 0, nil, fmt.Errorf("manifest: unknown record type %d", rtype)
 	}
@@ -473,8 +463,8 @@ func contiguous(chunks []chunkRec, n int) bool {
 // encodeDataset encodes a table written whole: name plus its one chunk.
 func encodeDataset(name string, c chunkRec) []byte {
 	b := []byte{recDataset}
-	b = appendString(b, name)
-	b = appendString(b, c.file)
+	b = framelog.AppendString(b, name)
+	b = framelog.AppendString(b, c.file)
 	b = binary.AppendUvarint(b, uint64(c.count))
 	b = binary.AppendUvarint(b, uint64(c.crc))
 	b = binary.AppendUvarint(b, uint64(c.size))
@@ -482,11 +472,11 @@ func encodeDataset(name string, c chunkRec) []byte {
 }
 
 func encodeDatasetChunk(name string, c chunkRec) []byte {
-	return appendChunk(appendString([]byte{recDatasetChunk}, name), c)
+	return appendChunk(framelog.AppendString([]byte{recDatasetChunk}, name), c)
 }
 
 func appendChunk(b []byte, c chunkRec) []byte {
-	b = appendString(b, c.file)
+	b = framelog.AppendString(b, c.file)
 	b = binary.AppendUvarint(b, uint64(c.base))
 	b = binary.AppendUvarint(b, uint64(c.count))
 	b = binary.AppendUvarint(b, uint64(c.crc))
@@ -516,13 +506,13 @@ func encodeIndex(rec indexRec) []byte {
 		rtype = recIndexChunked
 	}
 	b := []byte{rtype}
-	b = appendString(b, rec.table)
-	b = appendString(b, rec.source)
-	b = appendString(b, rec.fusion)
-	b = appendString(b, rec.calibOracle)
+	b = framelog.AppendString(b, rec.table)
+	b = framelog.AppendString(b, rec.source)
+	b = framelog.AppendString(b, rec.fusion)
+	b = framelog.AppendString(b, rec.calibOracle)
 	b = binary.AppendUvarint(b, uint64(len(rec.proxies)))
 	for _, p := range rec.proxies {
-		b = appendString(b, p)
+		b = framelog.AppendString(b, p)
 	}
 	b = binary.AppendUvarint(b, uint64(rec.n))
 	if rtype == recIndexChunked {
@@ -531,19 +521,19 @@ func encodeIndex(rec indexRec) []byte {
 			b = appendChunk(b, c)
 		}
 	} else {
-		b = appendString(b, rec.cols[0].file)
+		b = framelog.AppendString(b, rec.cols[0].file)
 		b = binary.AppendUvarint(b, uint64(rec.cols[0].crc))
 		b = binary.AppendUvarint(b, uint64(rec.cols[0].size))
 	}
 	b = binary.AppendUvarint(b, uint64(len(rec.segs)))
 	for _, s := range rec.segs {
-		b = appendString(b, s.file)
+		b = framelog.AppendString(b, s.file)
 		b = binary.AppendUvarint(b, uint64(s.base))
 		b = binary.AppendUvarint(b, uint64(s.count))
 		b = binary.AppendUvarint(b, uint64(s.crc))
 		b = binary.AppendUvarint(b, uint64(s.size))
 		if rec.quantized {
-			b = appendString(b, s.codeFile)
+			b = framelog.AppendString(b, s.codeFile)
 			b = binary.AppendUvarint(b, uint64(s.codeCRC))
 			b = binary.AppendUvarint(b, uint64(s.codeSize))
 		}
@@ -553,272 +543,141 @@ func encodeIndex(rec indexRec) []byte {
 
 func encodeMixture(rec mixRec) []byte {
 	b := []byte{recMixture}
-	b = appendString(b, rec.table)
-	b = appendString(b, rec.source)
+	b = framelog.AppendString(b, rec.table)
+	b = framelog.AppendString(b, rec.source)
 	b = binary.AppendUvarint(b, uint64(rec.n))
 	b = binary.AppendUvarint(b, uint64(rec.colCRC))
 	b = binary.AppendUvarint(b, math.Float64bits(rec.exponent))
 	b = binary.AppendUvarint(b, math.Float64bits(rec.mix))
-	b = appendString(b, rec.file)
+	b = framelog.AppendString(b, rec.file)
 	b = binary.AppendUvarint(b, uint64(rec.crc))
 	b = binary.AppendUvarint(b, uint64(rec.size))
 	return b
 }
 
 func encodeDropMixture(k mixKey) []byte {
-	b := appendString([]byte{recDropMixture}, k.table)
-	b = appendString(b, k.source)
+	b := framelog.AppendString([]byte{recDropMixture}, k.table)
+	b = framelog.AppendString(b, k.source)
 	b = binary.AppendUvarint(b, k.exponent)
 	return binary.AppendUvarint(b, k.mix)
 }
 
 func encodeDropTable(name string) []byte {
-	return appendString([]byte{recDropTable}, name)
+	return framelog.AppendString([]byte{recDropTable}, name)
 }
 
 func encodeDropIndex(k ixKey) []byte {
-	b := appendString([]byte{recDropIndex}, k.table)
-	return appendString(b, k.source)
-}
-
-// decoder is a cursor over a record payload; the first error sticks and
-// poisons all later reads (which return zero values).
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("bad uvarint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// count reads a uvarint bounded by limit, for counts used to size
-// allocations or index files.
-func (d *decoder) count(limit uint64) int {
-	v := d.uvarint()
-	if d.err == nil && v > limit {
-		d.err = fmt.Errorf("count %d exceeds limit %d", v, limit)
-		return 0
-	}
-	return int(v)
-}
-
-// chunk reads one chunk entry (file, base, count, crc, size) with a
-// non-empty count.
-func (d *decoder) chunk() chunkRec {
-	c := chunkRec{file: d.str(), base: d.count(maxFileRecords), count: d.count(maxFileRecords)}
-	c.crc, c.size = uint32(d.uvarint()), int64(d.uvarint())
-	if d.err == nil && c.count == 0 {
-		d.err = fmt.Errorf("empty chunk %q", c.file)
-	}
-	return c
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("string length %d exceeds remaining %d bytes", n, len(d.b))
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
+	b := framelog.AppendString([]byte{recDropIndex}, k.table)
+	return framelog.AppendString(b, k.source)
 }
 
 // finish requires the payload to be fully consumed with no error.
-func (d *decoder) finish(kind string) error {
-	if d.err != nil {
-		return fmt.Errorf("manifest: %s record: %w", kind, d.err)
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("manifest: %s record: %d trailing bytes", kind, len(d.b))
+func finish(d *framelog.Decoder, kind string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("manifest: %s record: %w", kind, err)
 	}
 	return nil
 }
 
-// manifest is the open append handle on the MANIFEST file.
-type manifest struct {
-	path   string
-	f      *os.File
-	frames int64 // frames currently in the file
-	// err is sticky: once an append or a compaction's commit fails, the
-	// log's state on disk is unknown, so every later write reports it
-	// instead of appending to a file a boot might not read (fail-stop).
-	err error
+// readChunk reads one chunk entry (file, base, count, crc, size) with a
+// non-empty count.
+func readChunk(d *framelog.Decoder) chunkRec {
+	c := chunkRec{file: d.Str(), base: d.Count(maxFileRecords), count: d.Count(maxFileRecords)}
+	c.crc, c.size = uint32(d.Uvarint()), int64(d.Uvarint())
+	if d.Err == nil && c.count == 0 {
+		d.Err = fmt.Errorf("empty chunk %q", c.file)
+	}
+	return c
 }
+
+// manifestFormat frames the MANIFEST: CRC32-Castagnoli, and records up
+// to 8 MiB (an index record lists every segment file name; 8 MiB covers
+// ~10^5 segments).
+var manifestFormat = framelog.Format{Table: castagnoli, MaxFrame: 8 << 20}
+
+// manifest is the open MANIFEST log.
+type manifest struct{ *framelog.Log }
 
 // openManifest replays dir/MANIFEST (creating it if absent), truncates
 // any torn tail, and returns an append handle plus the live catalog.
 func openManifest(dir string) (*manifest, manifestState, error) {
-	path := filepath.Join(dir, manifestName)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, manifestState{}, fmt.Errorf("storage: read manifest: %w", err)
-	}
-	st, goodOff := replayManifest(data)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644) //supg:atomiccommit-ok the manifest log is the commit path: records are CRC-framed, fsynced per append, and replay stops at the first torn record
+	st := newManifestState()
+	log, err := framelog.Open(filepath.Join(dir, manifestName), manifestFormat, st.replay)
 	if err != nil {
 		return nil, manifestState{}, fmt.Errorf("storage: open manifest: %w", err)
 	}
-	if goodOff < int64(len(data)) {
-		if err := f.Truncate(goodOff); err != nil {
-			f.Close()
-			return nil, manifestState{}, fmt.Errorf("storage: truncate torn manifest tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, manifestState{}, fmt.Errorf("storage: sync manifest: %w", err)
-		}
-	}
-	if _, err := f.Seek(goodOff, 0); err != nil {
-		f.Close()
-		return nil, manifestState{}, fmt.Errorf("storage: seek manifest: %w", err)
-	}
-	return &manifest{path: path, f: f, frames: st.frames}, st, nil
+	return &manifest{log}, st, nil
 }
 
 // appendRecord frames, writes, and fsyncs one record payload. Catalog
 // mutations are rare (registrations, flushes, invalidations), so every
 // append is synced — a record present in the catalog is durable. A
 // failed write or sync is fail-stop: it may leave a torn frame that
-// would hide every later record from replay.
+// would hide every later record from replay, so the log refuses every
+// later write.
 func (m *manifest) appendRecord(payload []byte) error {
-	if m.err != nil {
-		return m.err
+	if err := m.Append(payload); err != nil {
+		return err
 	}
-	if len(payload) == 0 || len(payload) > manMaxFrame {
-		return fmt.Errorf("storage: manifest record of %d bytes", len(payload))
-	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[8:], payload)
-	if _, err := m.f.Write(frame); err != nil {
-		m.err = fmt.Errorf("storage: append manifest record: %w", err)
-		return m.err
-	}
-	if err := m.f.Sync(); err != nil {
-		m.err = fmt.Errorf("storage: sync manifest: %w", err)
-		return m.err
-	}
-	m.frames++
-	return nil
+	return m.Sync()
 }
 
 // shouldCompact reports whether dead records dominate the log.
 func (m *manifest) shouldCompact(live int64) bool {
-	return m.frames >= compactMinFrames && m.frames > 2*live
+	return m.Frames() >= compactMinFrames && m.Frames() > 2*live
 }
 
-// compact rewrites the live catalog to a fresh log and atomically
-// renames it over the old one. Deterministic record order (sorted
-// names/keys) keeps compacted logs reproducible. The fresh log's open
-// handle, positioned at its end, becomes the live log, so no reopen can
-// fail and leave appends going to the unlinked old file.
+// compact rewrites the live catalog to a fresh log that atomically
+// replaces the old one. Deterministic record order (sorted names/keys)
+// keeps compacted logs reproducible.
 func (m *manifest) compact(st manifestState) error {
-	if m.err != nil {
-		return m.err
-	}
-	tmp := m.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644) //supg:atomiccommit-ok compaction's tmp log; fsynced below, then renamed over the manifest
-	if err != nil {
-		return fmt.Errorf("storage: compact manifest: %w", err)
-	}
-	var buf []byte
-	appendFrame := func(payload []byte) {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
-	}
-	names := make([]string, 0, len(st.tables))
-	for name := range st.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, payload := range encodeTable(st.tables[name]) {
-			appendFrame(payload)
+	return m.Rewrite(func(emit func([]byte) error) error {
+		names := make([]string, 0, len(st.tables))
+		for name := range st.tables {
+			names = append(names, name)
 		}
-	}
-	keys := make([]ixKey, 0, len(st.indexes))
-	for k := range st.indexes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].table != keys[j].table {
-			return keys[i].table < keys[j].table
+		sort.Strings(names)
+		var payloads [][]byte
+		for _, name := range names {
+			payloads = append(payloads, encodeTable(st.tables[name])...)
 		}
-		return keys[i].source < keys[j].source
+		keys := make([]ixKey, 0, len(st.indexes))
+		for k := range st.indexes {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i].table != keys[j].table {
+				return keys[i].table < keys[j].table
+			}
+			return keys[i].source < keys[j].source
+		})
+		for _, k := range keys {
+			payloads = append(payloads, encodeIndex(st.indexes[k]))
+		}
+		// Mixture records follow every index record: replay binds each
+		// one to the index record already folded in.
+		mkeys := make([]mixKey, 0, len(st.mixtures))
+		for k := range st.mixtures {
+			mkeys = append(mkeys, k)
+		}
+		sort.Slice(mkeys, func(i, j int) bool {
+			a, b := mkeys[i], mkeys[j]
+			if a.ixKey != b.ixKey {
+				return a.table < b.table || (a.table == b.table && a.source < b.source)
+			}
+			if a.exponent != b.exponent {
+				return a.exponent < b.exponent
+			}
+			return a.mix < b.mix
+		})
+		for _, k := range mkeys {
+			payloads = append(payloads, encodeMixture(st.mixtures[k]))
+		}
+		for _, p := range payloads {
+			if err := emit(p); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
-	for _, k := range keys {
-		appendFrame(encodeIndex(st.indexes[k]))
-	}
-	// Mixture records follow every index record: replay binds each one
-	// to the index record already folded in.
-	mkeys := make([]mixKey, 0, len(st.mixtures))
-	for k := range st.mixtures {
-		mkeys = append(mkeys, k)
-	}
-	sort.Slice(mkeys, func(i, j int) bool {
-		a, b := mkeys[i], mkeys[j]
-		if a.ixKey != b.ixKey {
-			return a.table < b.table || (a.table == b.table && a.source < b.source)
-		}
-		if a.exponent != b.exponent {
-			return a.exponent < b.exponent
-		}
-		return a.mix < b.mix
-	})
-	for _, k := range mkeys {
-		appendFrame(encodeMixture(st.mixtures[k]))
-	}
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: compact manifest: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, m.path); err != nil { //supg:atomiccommit-ok this IS the compaction commit point: tmp was fsynced above and the directory is synced after
-		return fail(err)
-	}
-	// The old handle now names an unlinked file; the tmp handle is the
-	// log from here on.
-	m.f.Close()
-	m.f = f
-	m.frames = st.live()
-	// Until the directory is synced a crash can bring the old log back
-	// and lose records appended to the new one, while the files those
-	// records superseded are already deleted: fail-stop.
-	if err := syncDir(filepath.Dir(m.path)); err != nil {
-		m.err = fmt.Errorf("storage: compact manifest: sync dir: %w", err)
-		return m.err
-	}
-	return nil
-}
-
-func (m *manifest) Close() error { return m.f.Close() }
-
-// appendString appends a uvarint length prefix followed by the bytes.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }

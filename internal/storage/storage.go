@@ -1,8 +1,9 @@
 // Package storage is the durable tier under the query engine: a
 // write-once, CRC-verified on-disk format for datasets, index score
 // columns, per-segment (score, id) permutations and cached IS sampling
-// mixtures, plus an append-only MANIFEST log that records which files
-// are live for each (table, score source). The contract is zero-rescan
+// mixtures, plus an append-only MANIFEST log (an internal/framelog log,
+// framed like the label store's WAL) that records which files are live
+// for each (table, score source). The contract is zero-rescan
 // recovery with byte-identical results: Open mmaps the persisted files
 // back into index segment views, re-proving (not re-computing) each
 // permutation, so a restarted process answers queries bit-for-bit the
@@ -224,8 +225,9 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// removeCrashLitter deletes temp files a crash may have left behind:
-// half-written *.tmp data files and an uncommitted MANIFEST.compact.
+// removeCrashLitter deletes the half-written *.tmp data files a crash
+// may have left behind (opening the manifest removes an uncommitted
+// MANIFEST.compact).
 func removeCrashLitter(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -233,7 +235,7 @@ func removeCrashLitter(dir string) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") || name == manifestName+".compact" {
+		if strings.HasSuffix(name, ".tmp") {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -695,7 +697,7 @@ func (s *Store) Stats() Stats {
 		SegmentsPersisted: s.segmentsPersisted,
 		MappedBytes:       s.mappedBytes,
 		RecoveryElapsed:   s.recElapsed,
-		ManifestRecords:   s.man.frames,
+		ManifestRecords:   s.man.Frames(),
 		Compactions:       s.compactions,
 		Degraded:          append([]string(nil), s.degraded...),
 	}
@@ -1140,7 +1142,7 @@ func (s *Store) writableLocked() error {
 	if s.closed {
 		return fmt.Errorf("storage: store closed")
 	}
-	return s.man.err
+	return s.man.Err()
 }
 
 // maybeCompactLocked compacts the manifest after an append when dead
@@ -1153,9 +1155,10 @@ func (s *Store) maybeCompactLocked() {
 	}
 }
 
-// Close releases the manifest handle. Mapped files are deliberately
-// left mapped: recovered datasets and indexes alias them and may still
-// be referenced by in-flight queries.
+// Close releases the manifest handle and reports a manifest write that
+// failed. Mapped files are deliberately left mapped: recovered datasets
+// and indexes alias them and may still be referenced by in-flight
+// queries.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
