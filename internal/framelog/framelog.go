@@ -14,7 +14,9 @@
 // frame (a zero or oversized length, a CRC mismatch) or payload the
 // owner rejects ends the usable log — the expected shape of a crash
 // mid-append — and Open truncates the file there and fsyncs it, so
-// appends extend exactly the prefix that was replayed.
+// appends extend exactly the prefix that was replayed. A read that
+// fails before the end of the file is no such end: the bytes behind it
+// may hold whole frames, so Open fails and truncates nothing.
 //
 // Compaction. Rewrite writes a fresh log to <path>.compact, fsyncs it,
 // renames it over the log and fsyncs the directory. The fresh file's
@@ -65,38 +67,52 @@ const (
 // errClosed is what every write to a closed log returns.
 var errClosed = errors.New("framelog: log closed")
 
-// syncDir is SyncDir; tests replace it to fail a directory sync.
-var syncDir = SyncDir
+// Test seams: tests replace syncDir to fail a directory sync and
+// replaySource to fail a read of Open's replay.
+var (
+	syncDir      = SyncDir
+	replaySource = func(f *os.File) io.Reader { return f }
+)
 
 // Scan reads whole frames from r and passes each payload to fn, in
 // order. It stops at the end of r, at the first torn or corrupt frame
 // and at the first payload fn rejects, and returns the number of frames
-// fn accepted and the offset just past the last of them. The payload
-// slice is reused from frame to frame: fn must copy what it keeps.
-func Scan(r io.Reader, format Format, fn func(payload []byte) error) (frames, end int64) {
+// fn accepted and the offset just past the last of them. A read that
+// fails for any reason but the end of r is returned as err: it says
+// nothing about the bytes behind it. The payload slice is reused from
+// frame to frame: fn must copy what it keeps.
+func Scan(r io.Reader, format Format, fn func(payload []byte) error) (frames, end int64, err error) {
 	br := bufio.NewReader(r)
 	var (
 		hdr [headerSize]byte
 		buf []byte
-		err error
 	)
 	for {
 		if _, err = io.ReadFull(br, hdr[:]); err != nil {
-			return frames, end
+			return frames, end, readError(err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[:4])
 		if n == 0 || uint64(n) > uint64(format.MaxFrame) {
-			return frames, end
+			return frames, end, nil
 		}
 		if buf, err = readPayload(br, buf, int(n)); err != nil {
-			return frames, end
+			return frames, end, readError(err)
 		}
 		if crc32.Checksum(buf, format.Table) != binary.LittleEndian.Uint32(hdr[4:]) || fn(buf) != nil {
-			return frames, end
+			return frames, end, nil
 		}
 		frames++
 		end += headerSize + int64(n)
 	}
+}
+
+// readError maps the end of the input, whole or mid-frame, to nil (a
+// torn tail is the log's end) and keeps any other read failure.
+func readError(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
 }
 
 // readPayload reads n bytes into buf's storage. It grows buf by at most
@@ -145,7 +161,9 @@ type Log struct {
 // <path>.compact, replays every whole frame through fn (see Scan),
 // truncates and fsyncs a torn or rejected tail, and syncs the directory
 // of an empty log: the log may be one this call created, whose
-// directory entry is durable only once its directory is synced.
+// directory entry is durable only once its directory is synced. A read
+// that fails during the replay fails Open and leaves the file as it
+// was: the frames behind it may be whole.
 func Open(path string, format Format, fn func(payload []byte) error) (*Log, error) {
 	// A crash mid-Rewrite leaves the tmp log next to an intact log.
 	os.Remove(path + compactSuffix)
@@ -165,8 +183,11 @@ func Open(path string, format Format, fn func(payload []byte) error) (*Log, erro
 // recover replays the file and positions it for appends after the last
 // frame fn accepted.
 func (l *Log) recover(fn func(payload []byte) error) error {
-	var end int64
-	l.frames, end = Scan(l.f, l.format, fn)
+	frames, end, err := Scan(replaySource(l.f), l.format, fn)
+	if err != nil {
+		return err
+	}
+	l.frames = frames
 	fi, err := l.f.Stat()
 	if err != nil {
 		return err
@@ -313,6 +334,24 @@ func (l *Log) Pending() int { return l.pending }
 // Syncs returns the number of fsyncs of the log since Open: Syncs,
 // Closes and Rewrites.
 func (l *Log) Syncs() int64 { return l.syncs }
+
+// FailWrites makes every later write to the log's file fail with err,
+// as a full disk or an I/O error would, so the owner's next Sync fails
+// and the failure sticks like any other (see Failure above). Frames
+// already appended are flushed to the file first. It is the fault seam
+// for tests of a log's owner.
+func (l *Log) FailWrites(err error) {
+	if ferr := l.w.Flush(); ferr != nil {
+		l.fail("flush", ferr)
+		return
+	}
+	l.w.Reset(faultWriter{err})
+}
+
+// faultWriter fails every write with err.
+type faultWriter struct{ err error }
+
+func (w faultWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // SyncDir fsyncs a directory so that a create or rename within it is
 // durable.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -84,8 +85,8 @@ func TestFrameLayout(t *testing.T) {
 	// The polynomial is part of the format: an IEEE reader sees a
 	// corrupt frame.
 	ieee := Format{Table: crc32.IEEETable, MaxFrame: 64}
-	if n, end := Scan(bytes.NewReader(raw), ieee, func([]byte) error { return nil }); n != 0 || end != 0 {
-		t.Fatalf("IEEE scan of a Castagnoli log accepted %d frames", n)
+	if n, end, err := Scan(bytes.NewReader(raw), ieee, func([]byte) error { return nil }); n != 0 || end != 0 || err != nil {
+		t.Fatalf("IEEE scan of a Castagnoli log accepted %d frames (%v)", n, err)
 	}
 }
 
@@ -143,10 +144,56 @@ func TestCorruptLengthEndsLog(t *testing.T) {
 	huge.Write([]byte{65, 0, 0, 0, 0, 0, 0, 0}) // MaxFrame is 64
 	huge.Write(make([]byte, 65))
 	for name, b := range map[string][]byte{"zero": zero.Bytes(), "oversized": huge.Bytes()} {
-		if n, end := Scan(bytes.NewReader(b), testFormat, func([]byte) error { return nil }); n != 0 || end != 0 {
-			t.Fatalf("%s length: %d frames to offset %d", name, n, end)
+		if n, end, err := Scan(bytes.NewReader(b), testFormat, func([]byte) error { return nil }); n != 0 || end != 0 || err != nil {
+			t.Fatalf("%s length: %d frames to offset %d (%v)", name, n, end, err)
 		}
 	}
+}
+
+// failingReader reads r until it has returned n bytes, then fails
+// every read with err.
+type failingReader struct {
+	r   io.Reader
+	n   int
+	err error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, f.err
+	}
+	k, err := f.r.Read(p[:min(len(p), f.n)])
+	f.n -= k
+	return k, err
+}
+
+// TestReadErrorFailsOpen: a read that fails mid-frame for a reason
+// other than the end of the file is not a torn tail. Scan returns it,
+// and Open fails without cutting the frames behind it.
+func TestReadErrorFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	raw := writeLog(t, path, "one", "two", "three")
+	eio := errors.New("input/output error")
+	for _, at := range []int{8 + 3 + 4, 8 + 3 + 8 + 1} { // mid-header, mid-payload of "two"
+		n, end, err := Scan(&failingReader{bytes.NewReader(raw), at, eio}, testFormat, func([]byte) error { return nil })
+		if !errors.Is(err, eio) || n != 1 || end != 8+3 {
+			t.Fatalf("read error at %d: %d frames to %d, err %v", at, n, end, err)
+		}
+		replaySource = func(f *os.File) io.Reader { return &failingReader{f, at, eio} }
+		l, err := Open(path, testFormat, func([]byte) error { return nil })
+		replaySource = func(f *os.File) io.Reader { return f }
+		if err == nil {
+			l.Close()
+		}
+		if !errors.Is(err, eio) {
+			t.Fatalf("read error at %d: Open returned %v, want the read error", at, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("read error at %d: Open changed the log (%d of %d bytes, %v)", at, len(got), len(raw), err)
+		}
+	}
+	_, got := openLog(t, path)
+	assertPayloads(t, got, "one", "two", "three")
 }
 
 func TestAppendRefusesUnframeablePayload(t *testing.T) {
@@ -218,7 +265,9 @@ func TestRewriteAdoptsFreshFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	Scan(bytes.NewReader(raw), testFormat, func(p []byte) error { got = append(got, string(p)); return nil })
+	if _, _, err := Scan(bytes.NewReader(raw), testFormat, func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	assertPayloads(t, got, "c", "d")
 }
 
@@ -278,28 +327,46 @@ func TestRewriteFailureAfterRename(t *testing.T) {
 
 // TestStickyWriteFailure: a failed flush may leave a torn frame, so the
 // log refuses every later write with the first error and Close reports
-// it, every time.
+// it, every time. The flush fails on a closed file and through the
+// FailWrites seam alike, and FailWrites keeps the frames appended
+// before it.
 func TestStickyWriteFailure(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _ := openLog(t, path)
-	if err := l.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	l.f.Close() // the next flush fails
-	first := l.Sync()
-	if first == nil {
-		t.Fatal("sync to a closed file succeeded")
-	}
-	for name, write := range map[string]func() error{
-		"Append":  func() error { return l.Append([]byte("b")) },
-		"Sync":    l.Sync,
-		"Rewrite": func() error { return l.Rewrite(func(func([]byte) error) error { return nil }) },
-		"Err":     l.Err,
-		"Close":   l.Close,
-		"Close 2": l.Close,
+	boom := errors.New("disk full")
+	for fault, inject := range map[string]func(*Log){
+		"closed file": func(l *Log) { l.f.Close() },
+		"FailWrites":  func(l *Log) { l.FailWrites(boom) },
 	} {
-		if got := write(); !errors.Is(got, first) {
-			t.Fatalf("%s after the failure: %v, want %v", name, got, first)
+		path := filepath.Join(t.TempDir(), "log")
+		l, _ := openLog(t, path)
+		if err := l.Append([]byte("a")); err != nil {
+			t.Fatal(err)
+		}
+		inject(l)
+		if err := l.Append([]byte("b")); err != nil {
+			t.Fatalf("%s: a buffered append failed: %v", fault, err)
+		}
+		first := l.Sync()
+		if first == nil {
+			t.Fatalf("%s: sync succeeded", fault)
+		}
+		for name, write := range map[string]func() error{
+			"Append":  func() error { return l.Append([]byte("c")) },
+			"Sync":    l.Sync,
+			"Rewrite": func() error { return l.Rewrite(func(func([]byte) error) error { return nil }) },
+			"Err":     l.Err,
+			"Close":   l.Close,
+			"Close 2": l.Close,
+		} {
+			if got := write(); !errors.Is(got, first) {
+				t.Fatalf("%s: %s after the failure: %v, want %v", fault, name, got, first)
+			}
+		}
+		if fault == "FailWrites" {
+			if !errors.Is(first, boom) {
+				t.Fatalf("sync failed with %v, want the injected %v", first, boom)
+			}
+			_, got := openLog(t, path)
+			assertPayloads(t, got, "a")
 		}
 	}
 }
@@ -355,7 +422,7 @@ func TestScanReusesFrameBuffer(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		b.Reset()
 		b.Write(raw)
-		frames, _ = Scan(&b, w, func([]byte) error { return nil })
+		frames, _, _ = Scan(&b, w, func([]byte) error { return nil })
 	})
 	if frames != 10000 || allocs > 8 {
 		t.Fatalf("scan of %d frames allocated %.0f times", frames, allocs)

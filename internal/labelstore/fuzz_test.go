@@ -72,8 +72,8 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames, end := framelog.Scan(bytes.NewReader(kept), walFormat, func([]byte) error { return nil })
-		if frames != st.WALRecords || end != int64(len(kept)) {
+		frames, end, err := framelog.Scan(bytes.NewReader(kept), walFormat, func([]byte) error { return nil })
+		if err != nil || frames != st.WALRecords || end != int64(len(kept)) {
 			t.Fatalf("kept %d bytes holding %d whole frames to offset %d; WALRecords %d", len(kept), frames, end, st.WALRecords)
 		}
 		// Open compacts a log dominated by dead frames (its one sync);

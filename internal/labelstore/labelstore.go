@@ -92,7 +92,8 @@ type Store struct {
 // Open returns an empty store with the given bounds. When
 // Options.WALPath is set it opens (creating if absent) the
 // write-ahead log, replays every durable label into memory, truncates
-// any torn tail left by a crash, and compacts the log if it has grown
+// any torn tail left by a crash (a read that fails before the end of
+// the log fails Open instead), and compacts the log if it has grown
 // far past the live label set.
 func Open(opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {

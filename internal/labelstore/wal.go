@@ -165,14 +165,18 @@ func (w *wal) appendLabelLocked(c *Cache, i int, v bool) {
 	if w.log.Err() != nil || c.dead.Load() {
 		return
 	}
+	// The id is the cache's only once its def is in the log: a def the
+	// log refuses (names over walFormat.MaxFrame) leaves the cache
+	// unjournaled, its labels memory-only, rather than journaling labels
+	// under an id replay cannot resolve.
 	id, ok := w.ids[c]
 	if !ok {
 		id = w.nextID
-		w.nextID++
-		w.ids[c] = id
 		if w.appendLocked(encodeDef(id, c.key)) != nil {
 			return
 		}
+		w.nextID++
+		w.ids[c] = id
 	}
 	w.appendLocked(encodeLabel(id, i, v))
 }
@@ -194,7 +198,9 @@ func (w *wal) appendTombstone(kind byte, name string) {
 	}
 	// Under group commit nothing else would sync the tombstone until the
 	// next batch; syncing now means a returned invalidation survives a
-	// crash, so superseded labels can never resurrect.
+	// crash, so superseded labels can never resurrect. A tombstone the
+	// log refuses names a table or oracle too long for any def, so no
+	// journaled label needs it.
 	if w.appendLocked(framelog.AppendString([]byte{kind}, name)) == nil && w.syncEvery == 1 {
 		w.log.Sync() // a failure sticks in the log and surfaces from Close
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -264,6 +265,36 @@ func TestWALOpenErrorSurfaced(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Open(Options{WALPath: dir}); err == nil {
 		t.Fatal("opening a directory as WAL must fail")
+	}
+}
+
+// TestWALUnframeableCacheDef: a cache whose def the log refuses (names
+// longer than a frame) journals none of its labels, so no label reaches
+// the log under an id replay cannot resolve. Its labels stay in memory,
+// and the refusal does not stop the log for other caches.
+func TestWALUnframeableCacheDef(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.wal")
+	s := walStore(t, path)
+	huge := s.Cache(strings.Repeat("t", walFormat.MaxFrame), "oracle")
+	for i := 0; i < 3; i++ {
+		huge.Put(i, true)
+	}
+	if v, ok := huge.Get(2); !ok || !v {
+		t.Fatalf("memory tier lost the label: (%v, %v)", v, ok)
+	}
+	if got := s.Stats().WALRecords; got != 0 {
+		t.Fatalf("%d frames journaled for a cache whose def was refused", got)
+	}
+	s.Cache("video", "oracle").Put(7, true)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := walStore(t, path)
+	if st := r.Stats(); r.Len() != 1 || st.WALRecords != 2 || st.WALReplayed != 1 {
+		t.Fatalf("reopen: %d labels, %+v; want the one video label in 2 frames", r.Len(), st)
+	}
+	if v, ok := r.Cache("video", "oracle").Get(7); !ok || !v {
+		t.Fatalf("video label 7: (%v, %v)", v, ok)
 	}
 }
 

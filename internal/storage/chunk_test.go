@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -347,7 +348,7 @@ func TestCorruptChunkBaseStopsReplay(t *testing.T) {
 	for _, base := range []int{d.Len() - 1, d.Len() + 1, 0} {
 		bad := frame(encodeDatasetChunk("t", chunkRec{file: "999990.ds", base: base, count: 900, crc: crc, size: size}))
 		log := append(append(append([]byte{}, good...), bad...), frame(encodeDropIndex(ixKey{"t", "p"}))...)
-		if st, off := replayManifest(log); off != int64(len(good)) || st.tables["t"].records() != d.Len() || len(st.indexes) != 1 {
+		if st, _, off := replayManifest(log); off != int64(len(good)) || st.tables["t"].records() != d.Len() || len(st.indexes) != 1 {
 			t.Fatalf("base %d: replay applied the chunk or went past it (to %d of %d)", base, off, len(good))
 		}
 	}
@@ -492,9 +493,9 @@ func TestCrashAfterCompactionReplaysAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, off := replayManifest(raw)
-	if off != int64(len(raw)) || st.frames != s.man.Frames() {
-		t.Fatalf("replay of the kill copy: %d of %d frames, to offset %d of %d", st.frames, s.man.Frames(), off, len(raw))
+	st, frames, off := replayManifest(raw)
+	if off != int64(len(raw)) || frames != s.man.Frames() {
+		t.Fatalf("replay of the kill copy: %d of %d frames, to offset %d of %d", frames, s.man.Frames(), off, len(raw))
 	}
 	if !reflect.DeepEqual(st.tables, s.st.tables) || !reflect.DeepEqual(st.indexes, s.st.indexes) {
 		t.Fatal("the kill copy replays a different catalog")
@@ -507,40 +508,50 @@ func TestCrashAfterCompactionReplaysAppends(t *testing.T) {
 	assertIndexEquivalent(t, ix, s2.RecoveredIndexes()[0].Index)
 }
 
-// TestCrashManifestWriteFailureIsFailStop: once a manifest write fails,
-// the log may end in a torn frame that would hide every later record
-// from replay, so the log refuses every later write (framelog's
-// TestStickyWriteFailure). The store then refuses every write with that
-// error, and writes no data file for it. A closed log refuses the same
-// way, and stands in for the failed one here.
+// TestCrashManifestWriteFailureIsFailStop: a write whose manifest
+// record fails to commit once its data files are on disk deletes those
+// files. The failure is fail-stop: the log may end in a torn frame that
+// would hide every later record from replay, so the store refuses every
+// later write with that error and writes no data file for it.
+// framelog's FailWrites fails the record's write as a full disk would;
+// an error that wraps it proves the data files were written first.
 func TestCrashManifestWriteFailureIsFailStop(t *testing.T) {
-	dir := t.TempDir()
-	s := openStore(t, Options{Dir: dir, Index: index.Options{SegmentSize: 700}})
-	d, ix := seedChunked(t, s, 1)
-	s.man.Close() // the log takes no more writes
 	extra := testDataset(t, 83, 900)
-	grown := d.Append(extra)
-	err := s.AppendDataset("t", grown, d.Len())
-	if err == nil {
-		t.Fatal("append through a failed manifest succeeded")
-	}
-	before := liveFiles(t, dir)
-	for name, write := range map[string]func() error{
-		"SaveDataset":   func() error { return s.SaveDataset("u", extra) },
-		"AppendDataset": func() error { return s.AppendDataset("t", grown, d.Len()) },
-		"SaveIndex":     func() error { return s.SaveIndex(chunkMeta, ix, s.Epoch("t")) },
-		"DropIndex":     func() error { return s.DropIndex("t", "p") },
-		"DropTable":     func() error { return s.DropTable("t") },
-	} {
-		if got := write(); got == nil || got.Error() != err.Error() {
-			t.Fatalf("%s after the failure: %v, want %v", name, got, err)
+	for _, first := range []string{"SaveDataset", "AppendDataset", "SaveIndex"} {
+		dir := t.TempDir()
+		s := openStore(t, Options{Dir: dir, Index: index.Options{SegmentSize: 700}})
+		d, ix := seedChunked(t, s, 1)
+		grown, err := ix.Append(extra.Scores())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if after := liveFiles(t, dir); !reflect.DeepEqual(before, after) {
-		t.Fatalf("refused writes left files: %v -> %v", before, after)
-	}
-	if got := s.man.compact(s.st); got == nil {
-		t.Fatal("compaction ran after the failure")
+		writes := map[string]func() error{
+			"SaveDataset":   func() error { return s.SaveDataset("u", extra) },
+			"AppendDataset": func() error { return s.AppendDataset("t", d.Append(extra), d.Len()) },
+			"SaveIndex":     func() error { return s.SaveIndex(chunkMeta, grown, s.Epoch("t")) },
+			"DropIndex":     func() error { return s.DropIndex("t", "p") },
+			"DropTable":     func() error { return s.DropTable("t") },
+		}
+		before := liveFiles(t, dir)
+		boom := errors.New("no space left on device")
+		s.man.FailWrites(boom)
+		if err := writes[first](); !errors.Is(err, boom) {
+			t.Fatalf("%s through a failing manifest: %v, want the write failure", first, err)
+		}
+		if after := liveFiles(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s kept the files of its failed commit: %v -> %v", first, before, after)
+		}
+		for name, write := range writes {
+			if got := write(); !errors.Is(got, boom) {
+				t.Fatalf("%s after a failed %s: %v, want the write failure", name, first, got)
+			}
+		}
+		if after := liveFiles(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("refused writes left files: %v -> %v", before, after)
+		}
+		if got := s.man.compact(s.st); !errors.Is(got, boom) {
+			t.Fatalf("compaction after the failure: %v", got)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"testing"
 
 	"supg/internal/dataset"
+	"supg/internal/framelog"
 	"supg/internal/index"
 	"supg/internal/randx"
 )
@@ -26,6 +28,17 @@ func frame(payload []byte) []byte {
 	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(payload, castagnoli))
 	copy(b[8:], payload)
 	return b
+}
+
+// replayManifest folds manifest bytes into the catalog as Open does. It
+// never fails: corruption at offset X means the log is valid up to the
+// last whole, decodable frame before X. It returns the frames applied
+// and goodOff, where that prefix ends; Open truncates the tail there.
+func replayManifest(data []byte) (st manifestState, frames, goodOff int64) {
+	st = newManifestState()
+	// A bytes.Reader fails only at its end, so Scan returns no error.
+	frames, goodOff, _ = framelog.Scan(bytes.NewReader(data), manifestFormat, st.replay)
+	return st, frames, goodOff
 }
 
 // corpusIndex is the index record of the manifest corpus.
@@ -98,18 +111,18 @@ func FuzzManifestReplay(f *testing.F) {
 	corrupt[9] ^= 0xFF // payload bit flip -> CRC mismatch
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, goodOff := replayManifest(data)
+		st, frames, goodOff := replayManifest(data)
 		if goodOff < 0 || goodOff > int64(len(data)) {
 			t.Fatalf("goodOff %d outside [0, %d]", goodOff, len(data))
 		}
 		// Replaying the good prefix alone must reproduce the fold exactly
 		// (this is what Open commits to after truncating the tail).
-		st2, off2 := replayManifest(data[:goodOff])
-		if off2 != goodOff || st2.frames != st.frames ||
+		st2, frames2, off2 := replayManifest(data[:goodOff])
+		if off2 != goodOff || frames2 != frames ||
 			len(st2.tables) != len(st.tables) || len(st2.indexes) != len(st.indexes) ||
 			len(st2.mixtures) != len(st.mixtures) {
 			t.Fatalf("replay of the good prefix diverged: %d/%d frames, off %d/%d",
-				st2.frames, st.frames, off2, goodOff)
+				frames2, frames, off2, goodOff)
 		}
 		// Every live mixture is bound to its live index record.
 		for k, mr := range st.mixtures {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -134,10 +135,16 @@ func TestLegacyIndexUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A flush the manifest refuses to commit.
-	s.man.Close()
-	if err := s.SaveIndex(q.IndexMeta, grown, s.Epoch("t")); err == nil {
-		t.Fatal("flush through a failed manifest succeeded")
+	// A flush whose manifest record fails to commit deletes the files it
+	// wrote.
+	before := liveFiles(t, dir)
+	boom := errors.New("no space left on device")
+	s.man.FailWrites(boom)
+	if err := s.SaveIndex(q.IndexMeta, grown, s.Epoch("t")); !errors.Is(err, boom) {
+		t.Fatalf("flush through a failing manifest: %v, want the write failure", err)
+	}
+	if after := liveFiles(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("the failed flush kept its files: %v -> %v", before, after)
 	}
 	s.Close()
 	s = openStore(t, Options{Dir: dir, Index: index.Options{SegmentSize: 128}})

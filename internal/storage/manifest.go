@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -221,7 +220,6 @@ type manifestState struct {
 	tables   map[string]datasetRec
 	indexes  map[ixKey]indexRec
 	mixtures map[mixKey]mixRec // each bound to its live index record
-	frames   int64             // frames applied (live + dead)
 }
 
 func newManifestState() manifestState {
@@ -338,18 +336,7 @@ func (st *manifestState) replay(payload []byte) error {
 		return err
 	}
 	st.apply(rtype, rec)
-	st.frames++
 	return nil
-}
-
-// replayManifest folds the manifest bytes into the live catalog. It
-// never fails: corruption at offset X means the log is valid up to the
-// last whole, decodable frame before X, and goodOff reports where that
-// prefix ends; Open truncates the tail there.
-func replayManifest(data []byte) (st manifestState, goodOff int64) {
-	st = newManifestState()
-	_, goodOff = framelog.Scan(bytes.NewReader(data), manifestFormat, st.replay)
-	return st, goodOff
 }
 
 // decodeRecord parses one frame payload into its typed record.

@@ -431,7 +431,7 @@ func TestMixtureRecordBinding(t *testing.T) {
 		for _, p := range c.log {
 			log = append(log, frame(p)...)
 		}
-		st, off := replayManifest(log)
+		st, _, off := replayManifest(log)
 		if off != int64(len(log)) || len(st.mixtures) != c.live {
 			t.Fatalf("%s: %d live mixtures (replayed to %d of %d), want %d", c.name, len(st.mixtures), off, len(log), c.live)
 		}

@@ -58,7 +58,8 @@
 // A crash between (1) and (2) leaves orphan files that boot-time
 // cleanup removes; a crash during (1) leaves *.tmp litter, also
 // removed; a crash mid-append leaves a torn manifest tail, truncated
-// at the last whole record. Any file whose size or CRC32 disagrees
+// at the last whole record. A manifest read that fails before its end
+// fails Open, which then truncates and sweeps nothing. Any file whose size or CRC32 disagrees
 // with its manifest record — and any permutation that fails the O(n)
 // ascent proof — causes that table or index to be dropped (durably
 // tombstoned) rather than served: the engine falls back to a rebuild.
