@@ -13,13 +13,12 @@ import (
 // of the values' support, needed only by Hoeffding (binary oracle labels
 // have width 1; importance-reweighted labels have width max m(x)).
 type bounder struct {
-	kind      BoundKind
-	rng       *randx.Rand
-	resamples int
+	kind BoundKind
+	rng  *randx.Rand
 }
 
 func newBounder(cfg Config, rng *randx.Rand) bounder {
-	return bounder{kind: cfg.Bound, rng: rng, resamples: cfg.BootstrapResamples}
+	return bounder{kind: cfg.Bound, rng: rng}
 }
 
 // upper returns an upper confidence bound at failure probability delta
@@ -36,13 +35,10 @@ func (b bounder) upper(values []float64, delta, rangeHint float64) float64 {
 	case BoundHoeffding:
 		return stats.HoeffdingUB(stats.Mean(values), rangeHint, n, delta)
 	case BoundBootstrap:
-		return stats.BootstrapUB(b.rng, values, delta, b.resamples)
+		return stats.BootstrapUB(b.rng, values, delta)
 	case BoundClopperPearson:
 		k := binaryCount(values)
 		return stats.ClopperPearsonUB(k, n, delta)
-	case BoundBernstein:
-		m := stats.Summarize(values)
-		return stats.BernsteinUB(m.Mean(), m.Variance(), rangeHint, n, delta)
 	}
 	panic(fmt.Sprintf("core: unknown bound kind %d", int(b.kind)))
 }
@@ -60,13 +56,10 @@ func (b bounder) lower(values []float64, delta, rangeHint float64) float64 {
 	case BoundHoeffding:
 		return stats.HoeffdingLB(stats.Mean(values), rangeHint, n, delta)
 	case BoundBootstrap:
-		return stats.BootstrapLB(b.rng, values, delta, b.resamples)
+		return stats.BootstrapLB(b.rng, values, delta)
 	case BoundClopperPearson:
 		k := binaryCount(values)
 		return stats.ClopperPearsonLB(k, n, delta)
-	case BoundBernstein:
-		m := stats.Summarize(values)
-		return stats.BernsteinLB(m.Mean(), m.Variance(), rangeHint, n, delta)
 	}
 	panic(fmt.Sprintf("core: unknown bound kind %d", int(b.kind)))
 }

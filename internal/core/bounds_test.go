@@ -38,7 +38,7 @@ func TestBounderBootstrap(t *testing.T) {
 	for i := range values {
 		values[i] = r.Float64()
 	}
-	b := bounder{kind: BoundBootstrap, rng: randx.New(2), resamples: 300}
+	b := bounder{kind: BoundBootstrap, rng: randx.New(2)}
 	lo := b.lower(values, 0.05, 1)
 	hi := b.upper(values, 0.05, 1)
 	mean := stats.Mean(values)

@@ -108,19 +108,3 @@ func TestFiniteNoPositives(t *testing.T) {
 		t.Fatalf("no-positive fallback returned %d of %d records", len(res.Indices), n)
 	}
 }
-
-func TestBernsteinBoundUsableInEstimators(t *testing.T) {
-	d := dataset.Beta(randx.New(6), 30000, 0.05, 1)
-	cfg := DefaultUCI()
-	cfg.Bound = BoundBernstein
-	spec := Spec{Kind: PrecisionTarget, Gamma: 0.8, Delta: 0.05, Budget: 1500}
-	fail := trialStats(t, d, spec, cfg, 40, 52).failRate
-	if fail > 0.1 {
-		t.Fatalf("Bernstein-certified PT failure rate %v", fail)
-	}
-	// As in TestFinitePrecisionValidity, only the Beta(1, 1) cell
-	// certifies a threshold.
-	d = dataset.Beta(randx.New(6), 30000, 1, 1)
-	spec.Gamma = 0.75
-	checkCertified(t, "Bernstein PT", d, spec, cfg, 40, 52, 0.1)
-}

@@ -85,11 +85,12 @@ func (ix *scoreIndex) kthHighest(k int) float64 {
 // estimateISPrecision implements Algorithm 5 (two-stage) or its
 // one-stage variant, per cfg.TwoStage.
 //
-// Implementation note (documented in DESIGN.md): for candidate
-// certification we lower-bound the positive count Σ_D 1[A>=τ]·O by
-// importance sampling and divide by the exactly known |D(τ)|. This
-// keeps the estimator unbiased under weighted sampling, whereas the
-// plain subset-mean of Algorithm 3 is only unbiased for uniform draws.
+// A candidate τ is certified by lower-bounding the positive count
+// Σ_D 1[A>=τ]·O by importance sampling and dividing by the exactly
+// known |D(τ)|, where Algorithm 3 takes the mean label of the sampled
+// records above τ. That subset mean is unbiased only for uniform draws;
+// the count estimate stays unbiased under weighted sampling (README,
+// "Deviations from the paper").
 func estimateISPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
 	if cfg.TwoStage {
 		return estimateISPrecisionTwoStage(r, src, o, spec, cfg, ar)

@@ -34,18 +34,10 @@ func drawUniform(r *randx.Rand, scores []float64, o *oracle.Budgeted, k int, ar 
 	return labelDraws(scores, o, idx, m, ar)
 }
 
-// drawWeighted collects k with-replacement draws from the defensive
-// mixture over the given weights (already normalized to sum 1), with
-// m(x) = (1/n) / w(x). It builds a fresh alias table; hot paths with a
-// cached table use drawWeightedAlias instead.
-func drawWeighted(r *randx.Rand, scores []float64, weights []float64, o *oracle.Budgeted, k int, ar *arena) (*labeledSample, error) {
-	return drawWeightedAlias(r, scores, weights, sampling.NewAlias(weights), o, k, ar)
-}
-
-// drawWeightedAlias is drawWeighted with a prebuilt alias table for the
-// same weights (from ScoreSource.Mixture). Draw sequences are identical
-// to drawWeighted's for the same random stream, since an alias table is
-// a deterministic function of its weights.
+// drawWeightedAlias collects k with-replacement draws from the
+// defensive mixture over the given weights (already normalized to sum
+// 1), with m(x) = (1/n) / w(x), through alias, the table for those
+// weights (from ScoreSource.Mixture).
 func drawWeightedAlias(r *randx.Rand, scores []float64, weights []float64, alias *sampling.Alias, o *oracle.Budgeted, k int, ar *arena) (*labeledSample, error) {
 	if len(weights) != len(scores) {
 		return nil, fmt.Errorf("core: %d weights for %d scores", len(weights), len(scores))

@@ -187,7 +187,7 @@ func TestDrawWeightedReweighting(t *testing.T) {
 	scores := []float64{0.0, 0.5, 1.0}
 	o := oracle.NewBudgeted(oracle.Func(func(i int) (bool, error) { return i == 2, nil }), 1000)
 	weights := sampling.DefensiveWeights(scores, 0.5, 0.1)
-	s, err := drawWeighted(randx.New(2), scores, weights, o, 500, nil)
+	s, err := drawWeightedAlias(randx.New(2), scores, weights, sampling.NewAlias(weights), o, 500, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,17 +34,6 @@ func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, 
 	}
 	cfg = cfg.normalize()
 
-	if cfg.FiniteSample {
-		if spec.Kind == RecallTarget {
-			return estimateFiniteRecall(r, src, o, spec, ar)
-		}
-		// Precision targets: Algorithm 3 with exact Clopper-Pearson
-		// certificates is finite-sample valid under uniform sampling.
-		cfg.Method = MethodUCI
-		cfg.Bound = BoundClopperPearson
-		return estimateUCIPrecision(r, src, o, spec, cfg, ar)
-	}
-
 	switch cfg.Method {
 	case MethodUNoCI:
 		if spec.Kind == RecallTarget {
@@ -61,6 +50,14 @@ func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, 
 			return estimateISRecall(r, src, o, spec, cfg, ar)
 		}
 		return estimateISPrecision(r, src, o, spec, cfg, ar)
+	case MethodFinite:
+		if spec.Kind == RecallTarget {
+			return estimateFiniteRecall(r, src, o, spec, ar)
+		}
+		// Precision targets: Algorithm 3 with exact Clopper-Pearson
+		// certificates is finite-sample valid under uniform sampling.
+		cfg.Bound = BoundClopperPearson
+		return estimateUCIPrecision(r, src, o, spec, cfg, ar)
 	}
 	return TauResult{}, fmt.Errorf("core: unknown method %v", cfg.Method)
 }

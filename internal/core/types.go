@@ -82,6 +82,14 @@ const (
 	// MethodISCI is importance sampling with confidence intervals
 	// (Algorithms 4 and 5) — the SUPG method.
 	MethodISCI
+	// MethodFinite is uniform sampling with certificates that hold at
+	// every sample size rather than asymptotically: an exact
+	// order-statistics construction for recall targets and
+	// Clopper-Pearson-certified candidates (Algorithm 3) for precision
+	// targets, whatever Bound says. This extends the paper, which
+	// analyzes only the asymptotic regime; results are more
+	// conservative (lower quality) than the CLT-based estimators.
+	MethodFinite
 )
 
 // String implements fmt.Stringer.
@@ -93,6 +101,8 @@ func (m Method) String() string {
 		return "U-CI"
 	case MethodISCI:
 		return "IS-CI"
+	case MethodFinite:
+		return "finite-sample"
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
 }
@@ -110,11 +120,6 @@ const (
 	// BoundClopperPearson is the exact binomial interval; valid only for
 	// uniform sampling of binary outcomes (U-CI).
 	BoundClopperPearson
-	// BoundBernstein is the empirical-Bernstein bound: finite-sample
-	// valid like Hoeffding but variance-adaptive like the normal
-	// approximation. An extension beyond the paper (its Section 8 lists
-	// finite-sample analysis as future work).
-	BoundBernstein
 )
 
 // String implements fmt.Stringer.
@@ -128,15 +133,13 @@ func (b BoundKind) String() string {
 		return "bootstrap"
 	case BoundClopperPearson:
 		return "clopper-pearson"
-	case BoundBernstein:
-		return "bernstein"
 	}
 	return fmt.Sprintf("BoundKind(%d)", int(b))
 }
 
 // Config selects and parameterizes an estimation algorithm. The zero
-// value is not useful; start from DefaultSUPG, DefaultUCI, or
-// DefaultUNoCI and adjust.
+// value is not useful; start from DefaultSUPG, DefaultUCI, DefaultUNoCI
+// or DefaultFinite and adjust.
 type Config struct {
 	Method Method
 	// TwoStage enables the Algorithm 5 two-stage sampling for
@@ -154,25 +157,14 @@ type Config struct {
 	// (Algorithms 3/5); the paper uses 100.
 	MinStep int
 	// Bound selects the CI construction; BoundNormal is the default.
+	// MethodFinite ignores it.
 	Bound BoundKind
-	// BootstrapResamples overrides the bootstrap resample count
-	// (0 = stats.DefaultBootstrapResamples).
-	BootstrapResamples int
-	// FiniteSample switches to estimators whose guarantees hold at
-	// every sample size rather than asymptotically: an exact
-	// order-statistics construction for recall targets and
-	// Clopper-Pearson-certified candidates for precision targets. Both
-	// require uniform sampling, so Method is forced to MethodUCI.
-	// This extends the paper, which analyzes only the asymptotic
-	// regime. Results are more conservative (lower quality) than the
-	// default CLT-based estimators.
-	FiniteSample bool
 }
 
 // DefaultFinite returns the finite-sample configuration: uniform
 // sampling with non-asymptotic certificates.
 func DefaultFinite() Config {
-	return Config{Method: MethodUCI, MinStep: 100, Bound: BoundClopperPearson, FiniteSample: true}
+	return Config{Method: MethodFinite, MinStep: 100}
 }
 
 // DefaultSUPG returns the paper's recommended configuration: importance

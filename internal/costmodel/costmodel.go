@@ -44,7 +44,8 @@ const MaskRCNNThroughput = 3.4
 
 // StandardCosts returns the per-dataset cost parameters of Table 5.
 // Proxy per-record costs are back-derived from the paper's reported
-// proxy totals divided by the dataset sizes in DESIGN.md.
+// proxy totals divided by each dataset's record count (Records, the
+// sizes the Table 2 suite is generated at).
 func StandardCosts() []DatasetCosts {
 	return []DatasetCosts{
 		{

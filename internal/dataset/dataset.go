@@ -142,17 +142,6 @@ func (d *Dataset) PositiveRate() float64 {
 	return float64(d.PositiveCount()) / float64(d.Len())
 }
 
-// Positives returns the indices of all true-positive records.
-func (d *Dataset) Positives() []int {
-	out := make([]int, 0, d.PositiveCount())
-	for i, l := range d.labels {
-		if l {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // WithName returns a shallow copy of d renamed to name. The copy shares
 // d's arrays and their extent, so the two count as one parent to
 // Append.

@@ -57,10 +57,6 @@ func TestAccessors(t *testing.T) {
 	if math.Abs(d.PositiveRate()-2.0/3) > 1e-12 {
 		t.Error("PositiveRate")
 	}
-	pos := d.Positives()
-	if len(pos) != 2 || pos[0] != 1 || pos[1] != 2 {
-		t.Errorf("Positives = %v", pos)
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {

@@ -87,12 +87,9 @@ func ImageNetSim(r *randx.Rand) *Dataset {
 	}.Generate(r)
 }
 
-// NightStreetSim mirrors "finding cars in the night-street video":
-// 972,000 frames, 4% TPR, a good but noisier proxy. Scale may be reduced
-// for tests via NightStreetSimN.
-func NightStreetSim(r *randx.Rand) *Dataset { return NightStreetSimN(r, 972_000) }
-
-// NightStreetSimN is NightStreetSim with an explicit record count.
+// NightStreetSimN mirrors "finding cars in the night-street video"
+// (972,000 frames in the paper) at n records: 4% TPR, a good but
+// noisier proxy.
 func NightStreetSimN(r *randx.Rand, n int) *Dataset {
 	return MixtureProfile{
 		Name: "night-street", N: n, TPR: 0.04,

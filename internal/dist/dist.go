@@ -12,23 +12,6 @@ import (
 	"supg/internal/randx"
 )
 
-// SampleGamma draws from Gamma(shape, 1) using the Marsaglia-Tsang
-// squeeze method, with the standard U^(1/shape) boost for shape < 1.
-// It panics if shape is not positive and finite.
-func SampleGamma(r *randx.Rand, shape float64) float64 {
-	if !(shape > 0) || math.IsInf(shape, 1) {
-		panic("dist: gamma shape must be positive and finite")
-	}
-	if shape < 1 {
-		// G(a) =d G(a+1) * U^(1/a); computed in log space by SampleBeta
-		// callers that need it — here the direct product is fine for
-		// shapes that do not underflow.
-		u := 1 - r.Float64() // in (0, 1]
-		return marsagliaTsang(r, shape+1) * math.Pow(u, 1/shape)
-	}
-	return marsagliaTsang(r, shape)
-}
-
 // marsagliaTsang draws from Gamma(shape, 1) for shape >= 1.
 func marsagliaTsang(r *randx.Rand, shape float64) float64 {
 	d := shape - 1.0/3

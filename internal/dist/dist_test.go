@@ -133,7 +133,7 @@ func TestSampleGammaMoments(t *testing.T) {
 		const trials = 60000
 		sum := 0.0
 		for i := 0; i < trials; i++ {
-			v := SampleGamma(r, shape)
+			v := math.Exp(sampleLogGamma(r, shape))
 			if v < 0 || math.IsNaN(v) {
 				t.Fatalf("Gamma(%g) sample %v negative", shape, v)
 			}

@@ -14,7 +14,8 @@ type evalDataset struct {
 	budget int
 }
 
-// paper-scale record counts (see DESIGN.md for derivations).
+// paper-scale record counts: the sizes of the paper's evaluation
+// datasets (Table 2), with 10^6 records for the synthetic Beta ones.
 const (
 	imageNetN    = 50_000
 	nightStreetN = 972_000

@@ -1,6 +1,6 @@
 // Package experiments reproduces every table and figure in the paper's
 // evaluation (Section 6 and the appendix). Each experiment is registered
-// under the id used in DESIGN.md's experiment index (fig1, fig5, ...,
+// under an id that names the paper's figure or table (fig1, fig5, ...,
 // table5, fig15), producing a textual Report with the same rows/series
 // the paper plots. cmd/supg-bench runs them from the command line and
 // the repository-root benchmarks exercise them at reduced scale.
@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -129,16 +128,6 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all registered ids, sorted.
-func IDs() []string {
-	out := make([]string, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // runTrials executes `trials` independent SUPG selections of (spec, cfg)

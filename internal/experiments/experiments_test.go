@@ -22,11 +22,11 @@ func TestRegistryCoversDesignIndex(t *testing.T) {
 	}
 	for _, id := range want {
 		if _, ok := Find(id); !ok {
-			t.Errorf("experiment %q from DESIGN.md not registered", id)
+			t.Errorf("experiment %q for the paper's figure or table not registered", id)
 		}
 	}
-	if len(IDs()) < len(want) {
-		t.Errorf("registry has %d experiments, want >= %d", len(IDs()), len(want))
+	if len(All()) < len(want) {
+		t.Errorf("registry has %d experiments, want >= %d", len(All()), len(want))
 	}
 }
 

@@ -46,7 +46,7 @@ func init() {
 	register(Experiment{
 		ID:    "ablation-defensive",
 		Title: "Ablation: defensive mixing under an adversarial (inverted) proxy",
-		Description: "Extra ablation called out in DESIGN.md: with the proxy scores\n" +
+		Description: "An ablation beyond the paper's figures: with the proxy scores\n" +
 			"inverted (anti-correlated), defensive mixing keeps the recall\n" +
 			"guarantee while mixing=0 fails.",
 		Run: runAblationDefensive,

@@ -24,6 +24,13 @@
 // going to the unlinked old file. A crash before the rename leaves the
 // old log intact next to a stale <path>.compact, which Open removes.
 //
+// Exclusion. Open takes an exclusive lock on <path>.lock and holds it
+// until Close, so a second live Open of one log, from this process or
+// another, fails with ErrLocked instead of appending at the offset its
+// own replay ended and overwriting the first one's frames. The lock is
+// a flock where package syscall has one (linux, darwin and the BSDs)
+// and is not taken elsewhere.
+//
 // Failure. A failed write or sync leaves the file in an unknown state:
 // it may end in a torn frame that would hide every later frame from
 // replay. So the first such error sticks: every later Append, Sync and
@@ -62,10 +69,15 @@ func (f Format) check(payload []byte) error {
 const (
 	headerSize    = 8
 	compactSuffix = ".compact"
+	lockSuffix    = ".lock"
 )
 
 // errClosed is what every write to a closed log returns.
 var errClosed = errors.New("framelog: log closed")
+
+// ErrLocked is what Open returns while another open Log holds the
+// log's lock.
+var ErrLocked = errors.New("framelog: log is open elsewhere")
 
 // Test seams: tests replace syncDir to fail a directory sync and
 // replaySource to fail a read of Open's replay.
@@ -149,6 +161,7 @@ type Log struct {
 	path    string
 	format  Format
 	f       *os.File
+	lock    *os.File // <path>.lock, locked until Close
 	w       *bufio.Writer
 	frames  int64 // frames in the file, the buffered ones included
 	pending int   // frames appended since the last sync
@@ -157,27 +170,47 @@ type Log struct {
 	closed  bool
 }
 
-// Open opens the log at path, creating it if absent. It removes a stale
-// <path>.compact, replays every whole frame through fn (see Scan),
-// truncates and fsyncs a torn or rejected tail, and syncs the directory
-// of an empty log: the log may be one this call created, whose
-// directory entry is durable only once its directory is synced. A read
-// that fails during the replay fails Open and leaves the file as it
-// was: the frames behind it may be whole.
+// Open opens the log at path, creating it if absent. It locks the log
+// (see Exclusion), removes a stale <path>.compact, replays every whole
+// frame through fn (see Scan), truncates and fsyncs a torn or rejected
+// tail, and syncs the directory of an empty log: the log may be one
+// this call created, whose directory entry is durable only once its
+// directory is synced. A read that fails during the replay fails Open
+// and leaves the file as it was: the frames behind it may be whole.
 func Open(path string, format Format, fn func(payload []byte) error) (*Log, error) {
+	lock, err := acquireLock(path + lockSuffix)
+	if err != nil {
+		return nil, fmt.Errorf("framelog: lock %s: %w", path, err)
+	}
 	// A crash mid-Rewrite leaves the tmp log next to an intact log.
 	os.Remove(path + compactSuffix)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644) //supg:atomiccommit-ok the log is the commit path: frames are CRC-framed and fsynced by the owner's cadence, a torn tail is truncated below, and an empty log's directory is synced
 	if err != nil {
+		lock.Close()
 		return nil, fmt.Errorf("framelog: open: %w", err)
 	}
-	l := &Log{path: path, format: format, f: f}
+	l := &Log{path: path, format: format, f: f, lock: lock}
 	if err := l.recover(fn); err != nil {
 		f.Close()
+		lock.Close()
 		return nil, fmt.Errorf("framelog: recover %s: %w", path, err)
 	}
 	l.w = bufio.NewWriter(f)
 	return l, nil
+}
+
+// acquireLock opens the lock file at path, creating it if absent, and
+// locks it, or fails with ErrLocked while another open holds the lock.
+func acquireLock(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644) //supg:atomiccommit-ok the lock file holds no data; only the lock on it matters, and a crash that loses the file loses nothing
+	if err != nil {
+		return nil, err
+	}
+	if err := lockFile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // recover replays the file and positions it for appends after the last
@@ -308,8 +341,8 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Close syncs and closes the file. It returns the sticky error, if a
-// write ever failed, on this and every later call.
+// Close syncs and closes the file and releases the lock. It returns the
+// sticky error, if a write ever failed, on this and every later call.
 func (l *Log) Close() error {
 	if l.closed {
 		return l.err
@@ -321,6 +354,7 @@ func (l *Log) Close() error {
 	if err := l.f.Close(); err != nil && l.err == nil {
 		l.err = fmt.Errorf("framelog: close %s: %w", l.path, err)
 	}
+	l.lock.Close() // only releases the lock; the file holds no data
 	return l.err
 }
 

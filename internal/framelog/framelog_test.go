@@ -225,6 +225,38 @@ func TestOpenRemovesStaleCompact(t *testing.T) {
 	}
 }
 
+// TestSecondOpenIsLocked: while a log is open, a second Open of it
+// fails with ErrLocked before it touches the file or a live Rewrite's
+// <path>.compact, and Close releases the lock.
+func TestSecondOpenIsLocked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _ := openLog(t, path)
+	if err := l.Append([]byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+compactSuffix, []byte("a rewrite in flight"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second, err := Open(path, testFormat, func([]byte) error { return nil })
+	if err == nil {
+		second.Close()
+	}
+	if !errors.Is(err, ErrLocked) {
+		t.Fatalf("second Open of a live log returned %v, want ErrLocked", err)
+	}
+	if _, err := os.Stat(path + compactSuffix); err != nil {
+		t.Fatalf("a refused Open removed the live log's %s: %v", compactSuffix, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got := openLog(t, path)
+	assertPayloads(t, got, "one")
+}
+
 // TestRewriteAdoptsFreshFile: after a Rewrite the log's handle is the
 // file at path, so frames appended after it are what a reopen — or a
 // copy taken without Close, all a kill -9 leaves — replays. Pending

@@ -112,43 +112,6 @@ func BenchmarkGather(b *testing.B) {
 	}
 }
 
-// BenchmarkAscendMerge prices the k-way merge behind KthHighest and
-// threshold discovery: popping the top 4096 records from a segmented
-// index through the loser-tree Ascend versus the historical
-// container/heap merge it replaced (kept as the test oracle). Both
-// emit the identical stream; the tree does one comparison per level
-// instead of interface-dispatched sift calls.
-func BenchmarkAscendMerge(b *testing.B) {
-	scores := benchScores(benchBuildN)
-	const topK = 4096
-	ix, err := NewWithOptions(scores, Options{SegmentSize: 128 << 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range []struct {
-		name   string
-		ascend func(func(int, float64) bool)
-	}{
-		{"loser-tree", ix.Ascend},
-		{"heap", ix.ascendHeap},
-	} {
-		ascend := v.ascend
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				popped := 0
-				ascend(func(id int, score float64) bool {
-					popped++
-					return popped < topK
-				})
-				if popped != topK {
-					b.Fatalf("popped %d", popped)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIndexAppend prices appending one 256k-record segment to an
 // n=10^6 table against re-registering (rebuilding) the combined
 // column — the acceptance target is append >= 4x cheaper. chained

@@ -30,15 +30,12 @@ func grownIndex(t *testing.T, col []float64, opts Options) *ScoreIndex {
 }
 
 // assertSamePrimitives fails unless got answers every primitive
-// exactly as want: counts, gathers, order statistics, the merged
-// order, and the bits of the mixture's weights and alias tables.
+// exactly as want: counts, gathers, order statistics, and the bits of
+// the mixture's weights and alias tables.
 func assertSamePrimitives(t *testing.T, label string, want, got *ScoreIndex) {
 	t.Helper()
 	n := want.Len()
-	assertIndexesEqual(t, want, got, n, got.SegmentSize())
-	if !slices.Equal(collectAscend(want, 0), collectAscend(got, 0)) {
-		t.Fatalf("%s: Ascend order diverged", label)
-	}
+	assertIndexesEqual(t, want, got, n, got.segSize)
 	for _, key := range []MixtureKey{{Exponent: 0.5, Mix: 0.1}, {Exponent: 2.3, Mix: 0.25}} {
 		ww, wa := want.Mixture(key.Exponent, key.Mix)
 		gw, ga := got.Mixture(key.Exponent, key.Mix)

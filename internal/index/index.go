@@ -37,21 +37,12 @@
 //     and walks the bitmap's words low to high. Segments partition the
 //     id space in order, so the concatenation is globally ascending —
 //     the degenerate k-way merge.
-//   - Ascend streams (id, score) pairs in global (score, id) order via
-//     a loser-tree k-way merge of the per-segment sorted runs (see
-//     losertree.go) — the explicit form of the global sorted view a
-//     monolithic index stores. The selection hot path itself needs only
-//     the primitives above; Ascend is the exported iteration surface
-//     for consumers that want the merged order, and the equivalence
-//     tests pin it against both a container/heap merge (ascendHeap in
-//     heapmerge_test.go) and a monolithic sort.
 //   - Mixture computes the defensive weights with the exact per-element
 //     operations and left-to-right summation order of
 //     sampling.DefensiveWeights (segments only parallelize the
 //     embarrassingly-parallel transform step) and feeds them to the
 //     same global alias-table machinery, so weighted draws consume the
-//     random stream identically to the monolithic path. Per-segment
-//     cumulative weight masses are exposed for observability.
+//     random stream identically to the monolithic path.
 //
 // # Incremental append
 //
@@ -430,9 +421,6 @@ func (ix *ScoreIndex) Len() int { return len(ix.scores) }
 // Segments returns the number of segments.
 func (ix *ScoreIndex) Segments() int { return len(ix.segs) }
 
-// SegmentSize returns the configured records-per-segment.
-func (ix *ScoreIndex) SegmentSize() int { return ix.segSize }
-
 // Score returns record i's proxy score.
 func (ix *ScoreIndex) Score(i int) float64 { return ix.scores[i] }
 
@@ -538,38 +526,6 @@ func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
 		dst = s.appendAtLeast(dst, tau)
 	}
 	return dst
-}
-
-// Ascend streams every (record id, score) pair in ascending (score,
-// id) order — the global sorted view a monolithic index stores
-// explicitly — via a loser-tree k-way merge of the per-segment sorted
-// runs (see losertree.go), O(n log S) for S segments with one
-// comparison per level per pop. Iteration stops when yield returns
-// false.
-func (ix *ScoreIndex) Ascend(yield func(id int, score float64) bool) {
-	newLoserTree(ix.segs).ascend(yield)
-}
-
-// MinScore returns the smallest score in the column.
-func (ix *ScoreIndex) MinScore() float64 {
-	min := ix.segs[0].sorted[0]
-	for _, s := range ix.segs[1:] {
-		if v := s.sorted[0]; v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// MaxScore returns the largest score in the column.
-func (ix *ScoreIndex) MaxScore() float64 {
-	max := ix.segs[0].sorted[len(ix.segs[0].sorted)-1]
-	for _, s := range ix.segs[1:] {
-		if v := s.sorted[len(s.sorted)-1]; v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // ResidentBytes estimates the index's resident data memory: the score

@@ -71,8 +71,8 @@ func TestSortedPermutationWithTies(t *testing.T) {
 	if ix.KthHighest(0) != 0.9 || ix.KthHighest(1) != 0.5 || ix.KthHighest(100) != 0 {
 		t.Error("KthHighest order statistics wrong")
 	}
-	if ix.MinScore() != 0 || ix.MaxScore() != 0.9 {
-		t.Error("min/max scores wrong")
+	if ix.KthHighest(len(scores)-1) != 0 {
+		t.Error("lowest score wrong")
 	}
 }
 
@@ -270,7 +270,7 @@ func TestAppendAtLeastConcurrentSharedBitmaps(t *testing.T) {
 				ix, tau := ixs[(g+i)%2], rg.Float64()
 				if got, want := ix.AppendAtLeast(nil, tau), appendAtLeastRef(scores, tau); !slices.Equal(got, want) {
 					t.Errorf("goroutine %d, seg=%d, tau=%v: got %d ids, want %d (first diff at %d)",
-						g, ix.SegmentSize(), tau, len(got), len(want), firstDiff(got, want))
+						g, ix.segSize, tau, len(got), len(want), firstDiff(got, want))
 					return
 				}
 			}
@@ -306,7 +306,7 @@ func TestMixtureCacheKeying(t *testing.T) {
 		t.Error("different exponent must build a distinct mixture")
 	}
 	ix.Mixture(0.5, 0.2)
-	if got := ix.CachedMixtures(); got != 3 {
+	if got := len(ix.CachedMixtureTables()); got != 3 {
 		t.Errorf("cache holds %d entries, want 3", got)
 	}
 	// Cached weights must equal a fresh defensive-mixture build.

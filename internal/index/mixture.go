@@ -97,27 +97,6 @@ func (ix *ScoreIndex) Mixture(exponent, mix float64) ([]float64, *sampling.Alias
 	return m.weights, m.alias
 }
 
-// MixtureSegmentCumulative returns, for the given mixture
-// configuration, the cumulative sampling mass of segments 0..i at each
-// position i (the last entry is the total mass, 1 up to float
-// rounding). This is the per-segment view of the sampling
-// distribution: entry i - entry i-1 is the probability one weighted
-// draw lands in segment i. It is an observability call, computed on
-// demand from the cached weights (O(n)) rather than stored, so the
-// query hot path never pays for it.
-func (ix *ScoreIndex) MixtureSegmentCumulative(exponent, mix float64) []float64 {
-	w := ix.mixtureEntry(exponent, mix).weights
-	segCum := make([]float64, len(ix.segs))
-	cum := 0.0
-	for j, s := range ix.segs {
-		for i := range s.scores {
-			cum += w[s.base+i]
-		}
-		segCum[j] = cum
-	}
-	return segCum
-}
-
 func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) *mixture {
 	key := MixtureKey{Exponent: exponent, Mix: mix}
 	ix.mu.RLock()
@@ -207,14 +186,6 @@ func (ix *ScoreIndex) buildMixture(exponent, mix float64) *mixture {
 // between segments.
 func (ix *ScoreIndex) eachSegmentParallel(fn func(*segment)) {
 	parallel.Run(ix.par, len(ix.segs), func(j int) { fn(ix.segs[j]) })
-}
-
-// CachedMixtures reports how many (exponent, mix) entries the cache
-// holds — observability for tests and metrics.
-func (ix *ScoreIndex) CachedMixtures() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.mixtures)
 }
 
 // CachedMixtureTables returns every cached mixture in persistable form,

@@ -71,7 +71,7 @@ func TestStoredMixtureAdoptedLazily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loads.Load() != 0 || got.CachedMixtures() != 0 {
+	if loads.Load() != 0 || len(got.CachedMixtureTables()) != 0 {
 		t.Fatalf("recovery read %d stored mixtures before any query", loads.Load())
 	}
 	builds := MixtureBuildsTotal()

@@ -57,9 +57,6 @@ func assertIndexesEqual(t *testing.T, mono, seg *ScoreIndex, n, segSize int) {
 	if mono.Len() != seg.Len() {
 		t.Fatalf("lengths differ: %d vs %d", mono.Len(), seg.Len())
 	}
-	if mono.MinScore() != seg.MinScore() || mono.MaxScore() != seg.MaxScore() {
-		t.Fatalf("n=%d segSize=%d: min/max differ", n, segSize)
-	}
 	taus := []float64{-0.5, 0, 0.025, 0.5, 0.975, 1, 1.5, math.Inf(1)}
 	for _, tau := range taus {
 		if m, s := mono.CountAtLeast(tau), seg.CountAtLeast(tau); m != s {
@@ -121,64 +118,6 @@ func TestMixtureMatchesDefensiveWeights(t *testing.T) {
 					t.Fatalf("segSize=%d key=%+v: draw %d: %d vs %d", segSize, key, i, a[i], b[i])
 				}
 			}
-			cum := ix.MixtureSegmentCumulative(key.Exponent, key.Mix)
-			if len(cum) != ix.Segments() {
-				t.Fatalf("segSize=%d: %d cumulative entries for %d segments", segSize, len(cum), ix.Segments())
-			}
-			if total := cum[len(cum)-1]; math.Abs(total-1) > 1e-9 {
-				t.Fatalf("segSize=%d key=%+v: cumulative mass %v, want 1", segSize, key, total)
-			}
-			if !sort.Float64sAreSorted(cum) {
-				t.Fatalf("segSize=%d: cumulative masses not monotone: %v", segSize, cum)
-			}
-		}
-	}
-}
-
-// TestAscendMatchesGlobalSort verifies the k-way merge yields exactly
-// the (score, id)-ascending global order at every segmentation.
-func TestAscendMatchesGlobalSort(t *testing.T) {
-	n := 2500
-	scores := quantizedScores(21, n)
-	type pair struct {
-		id int
-		sc float64
-	}
-	want := make([]pair, n)
-	for i, s := range scores {
-		want[i] = pair{id: i, sc: s}
-	}
-	sort.Slice(want, func(a, b int) bool {
-		if want[a].sc != want[b].sc {
-			return want[a].sc < want[b].sc
-		}
-		return want[a].id < want[b].id
-	})
-	for _, segSize := range segmentSizesFor(n) {
-		ix, err := NewWithOptions(scores, Options{SegmentSize: segSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pos := 0
-		ix.Ascend(func(id int, sc float64) bool {
-			if pos >= n {
-				t.Fatalf("segSize=%d: Ascend yielded more than %d records", segSize, n)
-			}
-			if id != want[pos].id || sc != want[pos].sc {
-				t.Fatalf("segSize=%d: Ascend[%d] = (%d, %v), want (%d, %v)",
-					segSize, pos, id, sc, want[pos].id, want[pos].sc)
-			}
-			pos++
-			return true
-		})
-		if pos != n {
-			t.Fatalf("segSize=%d: Ascend yielded %d of %d records", segSize, pos, n)
-		}
-		// Early stop must be honored.
-		stops := 0
-		ix.Ascend(func(int, float64) bool { stops++; return stops < 5 })
-		if stops != 5 {
-			t.Fatalf("segSize=%d: early stop yielded %d records, want 5", segSize, stops)
 		}
 	}
 }
@@ -322,9 +261,6 @@ func TestNegativeZeroNormalized(t *testing.T) {
 		}
 		if got := ix.KthHighest(len(scores) - 1); math.Signbit(got) {
 			t.Errorf("segSize=%d: KthHighest returned -0.0", segSize)
-		}
-		if got := ix.MinScore(); math.Signbit(got) {
-			t.Errorf("segSize=%d: MinScore returned -0.0", segSize)
 		}
 	}
 }

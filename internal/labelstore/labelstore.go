@@ -94,7 +94,8 @@ type Store struct {
 // write-ahead log, replays every durable label into memory, truncates
 // any torn tail left by a crash (a read that fails before the end of
 // the log fails Open instead), and compacts the log if it has grown
-// far past the live label set.
+// far past the live label set. While another Store has the log open,
+// Open fails with an error that matches framelog.ErrLocked.
 func Open(opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
@@ -297,9 +298,6 @@ type Cache struct {
 	fifo []int // insertion order; fifo[head:] are the cached ids
 	head int
 }
-
-// Key returns the (table, oracle) pair this cache serves.
-func (c *Cache) Key() Key { return c.key }
 
 // Get returns the cached label of record i. A killed (invalidated)
 // cache always misses.

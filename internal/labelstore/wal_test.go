@@ -1,6 +1,7 @@
 package labelstore
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"supg/internal/framelog"
 	"supg/internal/oracle"
 )
 
@@ -258,6 +260,50 @@ func TestWALDisabledIsNoop(t *testing.T) {
 	}
 	if err := nils.CompactWAL(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSecondOpenOfLiveWALIsLocked: two live stores on one WAL append at
+// the offset where their own replay ended, so the second store's frames
+// overwrite the labels the first one committed. A second Open must fail
+// with framelog.ErrLocked, and every committed label must replay once
+// the stores close.
+func TestSecondOpenOfLiveWALIsLocked(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "labels.wal")
+	first := walStore(t, path)
+	second, err := Open(Options{WALPath: path})
+	if err == nil {
+		t.Cleanup(func() { second.Close() })
+		t.Error("a second Open of a live WAL succeeded")
+	} else if !errors.Is(err, framelog.ErrLocked) {
+		t.Fatalf("second Open of a live WAL returned %v, want framelog.ErrLocked", err)
+	}
+	put := func(s *Store, from int) {
+		c := s.Cache("video", "oracle")
+		for i := from; i < from+100; i++ {
+			c.Put(i, true)
+		}
+		c.Commit()
+	}
+	put(first, 0)
+	if second == nil {
+		if err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+		second = walStore(t, path)
+	}
+	put(second, 100)
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := walStore(t, path).Cache("video", "oracle")
+	for i := 0; i < 200; i++ {
+		if _, ok := re.Get(i); !ok {
+			t.Fatalf("committed label %d was lost", i)
+		}
 	}
 }
 

@@ -54,7 +54,6 @@ func Evaluate(d *dataset.Dataset, indices []int) Eval {
 type TrialSet struct {
 	Precisions []float64
 	Recalls    []float64
-	Sizes      []float64
 	Oracle     []float64
 }
 
@@ -62,7 +61,6 @@ type TrialSet struct {
 func (t *TrialSet) Add(e Eval, oracleCalls int) {
 	t.Precisions = append(t.Precisions, e.Precision)
 	t.Recalls = append(t.Recalls, e.Recall)
-	t.Sizes = append(t.Sizes, float64(e.Returned))
 	t.Oracle = append(t.Oracle, float64(oracleCalls))
 }
 
@@ -84,12 +82,6 @@ func (t *TrialSet) MeanMetric(kind TargetMetric) float64 {
 func (t *TrialSet) Box(kind TargetMetric) stats.BoxStats {
 	return stats.NewBoxStats(t.metric(kind))
 }
-
-// MeanOracleCalls returns the mean oracle usage across trials.
-func (t *TrialSet) MeanOracleCalls() float64 { return stats.Mean(t.Oracle) }
-
-// MeanSize returns the mean returned-set size across trials.
-func (t *TrialSet) MeanSize() float64 { return stats.Mean(t.Sizes) }
 
 func (t *TrialSet) metric(kind TargetMetric) []float64 {
 	switch kind {

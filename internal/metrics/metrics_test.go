@@ -77,12 +77,6 @@ func TestTrialSet(t *testing.T) {
 	if got := ts.MeanMetric(MetricRecall); math.Abs(got-0.7) > 1e-12 {
 		t.Errorf("mean recall %v", got)
 	}
-	if got := ts.MeanOracleCalls(); got != 200 {
-		t.Errorf("mean oracle %v", got)
-	}
-	if got := ts.MeanSize(); got != 20 {
-		t.Errorf("mean size %v", got)
-	}
 	box := ts.Box(MetricPrecision)
 	if box.Median != 0.85 {
 		t.Errorf("median %v", box.Median)

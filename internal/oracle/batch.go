@@ -56,9 +56,6 @@ func (d *Dispatcher) WithCounters(c *metrics.Counters) *Dispatcher {
 	return d
 }
 
-// Parallelism returns the configured dispatch width.
-func (d *Dispatcher) Parallelism() int { return d.parallelism }
-
 // Label implements Oracle by delegating to the wrapped oracle, so a
 // Dispatcher can stand anywhere an Oracle is expected.
 func (d *Dispatcher) Label(i int) (bool, error) { return d.inner.Label(i) }

@@ -43,9 +43,6 @@ func TestSimulatedConcurrentAccounting(t *testing.T) {
 	if o.Calls() != workers*perWorker {
 		t.Errorf("Calls = %d, want %d", o.Calls(), workers*perWorker)
 	}
-	if o.UniqueCalls() != workers*perWorker {
-		t.Errorf("UniqueCalls = %d, want %d", o.UniqueCalls(), workers*perWorker)
-	}
 }
 
 func TestDispatcherMatchesSequential(t *testing.T) {
@@ -273,7 +270,7 @@ func TestDispatcherLabelDelegates(t *testing.T) {
 	if v, err := disp.Label(2); err != nil || !v {
 		t.Fatalf("Label(2) = %v, %v", v, err)
 	}
-	if disp.Parallelism() != 4 {
-		t.Errorf("Parallelism = %d", disp.Parallelism())
+	if disp.parallelism != 4 {
+		t.Errorf("parallelism = %d", disp.parallelism)
 	}
 }

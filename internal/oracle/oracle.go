@@ -3,8 +3,7 @@
 // labeler or an expensive DNN — whose calls are counted against a hard
 // budget (the ORACLE LIMIT clause). This package provides the Oracle
 // interface, budget enforcement, call accounting, and a simulated
-// oracle backed by a dataset's hidden ground-truth labels with optional
-// per-call cost and latency modeling.
+// oracle backed by a dataset's hidden ground-truth labels.
 package oracle
 
 import (
@@ -12,8 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"supg/internal/dataset"
 )
@@ -36,37 +34,19 @@ func (f Func) Label(i int) (bool, error) { return f(i) }
 var ErrBudgetExhausted = errors.New("oracle: budget exhausted")
 
 // Simulated is an oracle backed by a dataset's hidden ground-truth
-// labels, with per-call accounting. It stands in for human labelers and
-// ground-truth DNNs per the substitution notes in DESIGN.md. It is safe
-// for concurrent use: the Dispatcher labels batches from multiple
-// goroutines, so the call accounting is guarded by a mutex (the latency
-// sleep happens outside the lock, so concurrent calls overlap the way
-// real oracle backends would).
+// labels, with a call counter. It stands in for the paper's human
+// labelers and ground-truth DNNs: the simulated datasets carry their
+// true labels, and the oracle's only observable cost is its number of
+// calls. It is safe for concurrent use: the Dispatcher labels batches
+// from multiple goroutines.
 type Simulated struct {
-	data        *dataset.Dataset
-	costPerCall float64
-	latency     time.Duration
-
-	mu          sync.Mutex
-	calls       int
-	uniqueCalls map[int]struct{}
+	data  *dataset.Dataset
+	calls atomic.Int64
 }
 
 // NewSimulated returns an oracle that reveals d's ground-truth labels.
 func NewSimulated(d *dataset.Dataset) *Simulated {
-	return &Simulated{data: d, uniqueCalls: make(map[int]struct{})}
-}
-
-// WithCost sets a per-call dollar cost used by the cost model.
-func (s *Simulated) WithCost(dollars float64) *Simulated {
-	s.costPerCall = dollars
-	return s
-}
-
-// WithLatency makes each call sleep for d, for end-to-end demos.
-func (s *Simulated) WithLatency(d time.Duration) *Simulated {
-	s.latency = d
-	return s
+	return &Simulated{data: d}
 }
 
 // Label implements Oracle.
@@ -74,44 +54,12 @@ func (s *Simulated) Label(i int) (bool, error) {
 	if i < 0 || i >= s.data.Len() {
 		return false, Permanent(fmt.Errorf("oracle: record %d out of range [0,%d)", i, s.data.Len()))
 	}
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
-	s.mu.Lock()
-	s.calls++
-	s.uniqueCalls[i] = struct{}{}
-	s.mu.Unlock()
+	s.calls.Add(1)
 	return s.data.TrueLabel(i), nil
 }
 
 // Calls returns the total number of Label invocations.
-func (s *Simulated) Calls() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls
-}
-
-// UniqueCalls returns the number of distinct records labeled.
-func (s *Simulated) UniqueCalls() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.uniqueCalls)
-}
-
-// SpentCost returns calls × cost-per-call in dollars.
-func (s *Simulated) SpentCost() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return float64(s.calls) * s.costPerCall
-}
-
-// Reset clears the call accounting (not the cost configuration).
-func (s *Simulated) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.calls = 0
-	s.uniqueCalls = make(map[int]struct{})
-}
+func (s *Simulated) Calls() int { return int(s.calls.Load()) }
 
 // LabelCache is a shared read-through/write-through label tier for a
 // Budgeted oracle — typically a labelstore.Cache holding the labels
@@ -239,49 +187,17 @@ func (b *Budgeted) Context() context.Context {
 	return b.ctx
 }
 
-// Label implements Oracle with budget enforcement and memoization.
+// Label implements Oracle with budget enforcement and memoization: a
+// memo hit is free, and anything else is a one-record LabelAll.
 func (b *Budgeted) Label(i int) (bool, error) {
 	if v, ok := b.cache[i]; ok {
 		return v, nil
 	}
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			return false, fmt.Errorf("oracle: %w", err)
-		}
-	}
-	if b.store != nil {
-		defer b.commitStore()
-		if v, ok := b.store.Get(i); ok {
-			if b.freeReuse {
-				b.cache[i] = v
-				b.storeHits++
-				return v, nil
-			}
-			if b.used >= b.budget {
-				return false, fmt.Errorf("%w (limit %d)", ErrBudgetExhausted, b.budget)
-			}
-			b.used++
-			b.storeHits++
-			b.cache[i] = v
-			if b.onCharge != nil {
-				b.onCharge(1)
-			}
-			return v, nil
-		}
-	}
-	if b.used >= b.budget {
-		return false, fmt.Errorf("%w (limit %d)", ErrBudgetExhausted, b.budget)
-	}
-	v, err := b.inner.Label(i)
+	labels, err := b.LabelAll([]int{i})
 	if err != nil {
 		return false, err
 	}
-	b.used++
-	b.cache[i] = v
-	if b.store != nil {
-		b.store.Put(i, v)
-	}
-	return v, nil
+	return labels[0], nil
 }
 
 // LabelAll labels idx in order and returns the labels positionally.
@@ -450,21 +366,8 @@ func (b *Budgeted) fetchAll(fetch []int) error {
 // Used returns the number of budget-consuming calls made so far.
 func (b *Budgeted) Used() int { return b.used }
 
-// Remaining returns the budget still available.
-func (b *Budgeted) Remaining() int { return b.budget - b.used }
-
 // Budget returns the configured limit.
 func (b *Budgeted) Budget() int { return b.budget }
-
-// Labeled returns a snapshot of all labeled records so far as a map of
-// record index to label.
-func (b *Budgeted) Labeled() map[int]bool {
-	out := make(map[int]bool, len(b.cache))
-	for k, v := range b.cache {
-		out[k] = v
-	}
-	return out
-}
 
 // LabeledPositives returns the indices labeled positive so far — the R1
 // component of Algorithm 1's result.

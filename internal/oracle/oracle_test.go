@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"supg/internal/dataset"
@@ -34,18 +35,6 @@ func TestSimulatedCounting(t *testing.T) {
 	if o.Calls() != 3 {
 		t.Errorf("Calls = %d, want 3", o.Calls())
 	}
-	if o.UniqueCalls() != 2 {
-		t.Errorf("UniqueCalls = %d, want 2", o.UniqueCalls())
-	}
-}
-
-func TestSimulatedCost(t *testing.T) {
-	o := NewSimulated(testDataset(t)).WithCost(0.08)
-	o.Label(0)
-	o.Label(1)
-	if o.SpentCost() != 0.16 {
-		t.Errorf("SpentCost = %v", o.SpentCost())
-	}
 }
 
 func TestSimulatedOutOfRange(t *testing.T) {
@@ -55,15 +44,6 @@ func TestSimulatedOutOfRange(t *testing.T) {
 	}
 	if _, err := o.Label(4); err == nil {
 		t.Error("index past end should error")
-	}
-}
-
-func TestSimulatedReset(t *testing.T) {
-	o := NewSimulated(testDataset(t))
-	o.Label(0)
-	o.Reset()
-	if o.Calls() != 0 || o.UniqueCalls() != 0 {
-		t.Error("Reset did not clear accounting")
 	}
 }
 
@@ -79,8 +59,8 @@ func TestBudgetedEnforcesLimit(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("expected ErrBudgetExhausted, got %v", err)
 	}
-	if o.Used() != 2 || o.Remaining() != 0 || o.Budget() != 2 {
-		t.Errorf("accounting wrong: used=%d remaining=%d", o.Used(), o.Remaining())
+	if o.Used() != 2 || o.Budget() != 2 {
+		t.Errorf("accounting wrong: used=%d budget=%d", o.Used(), o.Budget())
 	}
 }
 
@@ -106,13 +86,8 @@ func TestBudgetedLabeled(t *testing.T) {
 	o.Label(0)
 	o.Label(1)
 	o.Label(3)
-	labeled := o.Labeled()
-	if len(labeled) != 3 || labeled[0] || !labeled[1] || !labeled[3] {
-		t.Errorf("Labeled = %v", labeled)
-	}
-	pos := o.LabeledPositives()
-	if len(pos) != 2 {
-		t.Errorf("LabeledPositives = %v", pos)
+	if pos := o.LabeledPositives(); !slices.Equal(pos, []int{1, 3}) {
+		t.Errorf("LabeledPositives = %v, want [1 3]", pos)
 	}
 }
 

@@ -314,7 +314,7 @@ func TestFetchAllFoldsParallelBatchPrefix(t *testing.T) {
 	}
 	// Every budget unit spent corresponds to a cached label — nothing
 	// was paid for and thrown away.
-	cached := len(b.Labeled())
+	cached := len(b.cache)
 	if cached != b.Used() {
 		t.Errorf("cached %d labels but charged %d units", cached, b.Used())
 	}

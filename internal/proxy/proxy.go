@@ -1,33 +1,15 @@
 // Package proxy provides proxy-model abstractions and diagnostics. The
 // SUPG algorithms consume a proxy only through its scores; this package
 // adds the calibration analysis the paper uses to justify thresholding
-// (bucketed empirical match rates, §4.2) plus score transforms for
-// building miscalibrated and adversarial proxies in tests and ablations.
+// (bucketed empirical match rates, §4.2) plus the score inversion that
+// builds the adversarial proxy of the defensive-mixing ablation.
 package proxy
 
 import (
-	"fmt"
 	"math"
 
 	"supg/internal/dataset"
 )
-
-// Scorer exposes proxy confidence scores for records of a dataset.
-type Scorer interface {
-	// Score returns the proxy confidence A(x) in [0,1] for record i.
-	Score(i int) float64
-	// Len returns the number of scorable records.
-	Len() int
-}
-
-// DatasetScorer adapts a dataset's score column to the Scorer interface.
-type DatasetScorer struct{ D *dataset.Dataset }
-
-// Score implements Scorer.
-func (s DatasetScorer) Score(i int) float64 { return s.D.Score(i) }
-
-// Len implements Scorer.
-func (s DatasetScorer) Len() int { return s.D.Len() }
 
 // ReliabilityBucket is one row of a calibration (reliability) diagram:
 // records whose score falls in [Lo, Hi) with their empirical match rate.
@@ -93,22 +75,6 @@ func ECE(d *dataset.Dataset, buckets int) float64 {
 		return 0
 	}
 	return sum / float64(total)
-}
-
-// MonotoneDistort returns a copy of d with scores warped by the
-// monotone map s^gamma. Monotone warps preserve the ranking (so
-// threshold selection still works) while destroying calibration —
-// useful for testing that guarantees do not depend on calibration.
-func MonotoneDistort(d *dataset.Dataset, gamma float64) *dataset.Dataset {
-	if gamma <= 0 {
-		panic(fmt.Sprintf("proxy: MonotoneDistort gamma %g must be positive", gamma))
-	}
-	out := d.Clone()
-	scores := out.Scores()
-	for i := range scores {
-		scores[i] = math.Pow(scores[i], gamma)
-	}
-	return out
 }
 
 // Invert returns a copy of d with scores replaced by 1-s: an adversarial

@@ -59,30 +59,15 @@ func TestECECalibratedIsSmall(t *testing.T) {
 
 func TestECEMiscalibratedIsLarger(t *testing.T) {
 	d := dataset.Beta(randx.New(5), 100000, 2, 2)
-	warped := MonotoneDistort(d, 3) // scores^3: same ranking, bad calibration
+	// scores^3: same ranking, bad calibration.
+	warped := d.Clone()
+	scores := warped.Scores()
+	for i := range scores {
+		scores[i] = math.Pow(scores[i], 3)
+	}
 	if ECE(warped, 10) <= ECE(d, 10) {
 		t.Error("monotone distortion should increase ECE")
 	}
-}
-
-func TestMonotoneDistortPreservesOrder(t *testing.T) {
-	d := dataset.MustNew("o", []float64{0.2, 0.8, 0.5}, []bool{false, true, false})
-	w := MonotoneDistort(d, 2.5)
-	if !(w.Score(0) < w.Score(2) && w.Score(2) < w.Score(1)) {
-		t.Error("distortion broke score ordering")
-	}
-	if d.Score(0) != 0.2 {
-		t.Error("distortion mutated the original")
-	}
-}
-
-func TestMonotoneDistortPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("gamma <= 0 should panic")
-		}
-	}()
-	MonotoneDistort(dataset.MustNew("p", []float64{0.5}, []bool{true}), 0)
 }
 
 func TestInvert(t *testing.T) {
@@ -93,13 +78,5 @@ func TestInvert(t *testing.T) {
 	}
 	if inv.TrueLabel(1) != true {
 		t.Error("Invert must not change labels")
-	}
-}
-
-func TestDatasetScorer(t *testing.T) {
-	d := dataset.MustNew("s", []float64{0.3, 0.7}, []bool{false, true})
-	s := DatasetScorer{D: d}
-	if s.Len() != 2 || s.Score(1) != 0.7 {
-		t.Error("DatasetScorer accessors")
 	}
 }

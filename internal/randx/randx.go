@@ -4,7 +4,7 @@
 // All randomness in supg flows through *randx.Rand so that every
 // experiment, test, and benchmark is reproducible from a single uint64
 // seed. Streams are backed by the PCG generator from math/rand/v2.
-// Derived streams (see Split and Stream) let parallel trials consume
+// Derived streams (see Stream) let parallel trials consume
 // independent, deterministic randomness without sharing state.
 package randx
 
@@ -45,23 +45,11 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Seed returns the seed this Rand was created with.
-func (r *Rand) Seed() uint64 { return r.seed }
-
 // Stream derives an independent deterministic sub-stream identified by
 // id. Calling Stream with the same (seed, id) always yields the same
 // sequence regardless of how much randomness the parent has consumed.
 func (r *Rand) Stream(id uint64) *Rand {
 	return New(mix(r.seed ^ mix(id+0x6a09e667f3bcc909)))
-}
-
-// Split derives n independent sub-streams (Stream(0..n-1)).
-func (r *Rand) Split(n int) []*Rand {
-	out := make([]*Rand, n)
-	for i := range out {
-		out[i] = r.Stream(uint64(i))
-	}
-	return out
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -70,17 +58,11 @@ func (r *Rand) Float64() float64 { return r.src.Float64() }
 // NormFloat64 returns a standard normal variate.
 func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 { return r.src.ExpFloat64() }
-
 // IntN returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
 
 // Uint64 returns a uniform 64-bit value.
 func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle randomizes the order of n elements using swap.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }

@@ -46,22 +46,6 @@ func TestStreamsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	r := New(9)
-	streams := r.Split(4)
-	if len(streams) != 4 {
-		t.Fatalf("Split(4) returned %d streams", len(streams))
-	}
-	seen := map[float64]bool{}
-	for _, s := range streams {
-		v := s.Float64()
-		if seen[v] {
-			t.Fatalf("duplicate first draw %v across split streams", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {
@@ -123,18 +107,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(8)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(10)
 	n := 200000
@@ -151,12 +123,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Fatalf("normal variance %v", variance)
-	}
-}
-
-func TestSeedAccessor(t *testing.T) {
-	if New(123).Seed() != 123 {
-		t.Fatal("Seed() mismatch")
 	}
 }
 

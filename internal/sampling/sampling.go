@@ -1,8 +1,7 @@
 // Package sampling implements the record-selection substrates SUPG needs:
 // uniform sampling without replacement, weighted (importance) sampling
-// with replacement via the Vose alias method, reservoir sampling, and
-// the defensive-mixture weight construction from the paper's Algorithms
-// 4 and 5.
+// with replacement via the Vose alias method, and the defensive-mixture
+// weight construction from the paper's Algorithms 4 and 5.
 package sampling
 
 import (
@@ -42,44 +41,6 @@ func UniformWithoutReplacement(r *randx.Rand, n, k int) []int {
 		out = append(out, t)
 	}
 	return out
-}
-
-// UniformWithReplacement returns k indices drawn uniformly with
-// replacement from [0, n).
-func UniformWithReplacement(r *randx.Rand, n, k int) []int {
-	if n <= 0 || k <= 0 {
-		return nil
-	}
-	out := make([]int, k)
-	for i := range out {
-		out[i] = r.IntN(n)
-	}
-	return out
-}
-
-// Reservoir returns k indices sampled uniformly without replacement from
-// a stream of n items using Vitter's Algorithm R. Unlike
-// UniformWithoutReplacement (Floyd's sampler, which needs n up front)
-// it processes items one at a time, so it suits single-pass streaming
-// contexts where the population size is not known in advance.
-func Reservoir(r *randx.Rand, n, k int) []int {
-	if n <= 0 || k <= 0 {
-		return nil
-	}
-	if k > n {
-		k = n
-	}
-	res := make([]int, k)
-	for i := 0; i < k; i++ {
-		res[i] = i
-	}
-	for i := k; i < n; i++ {
-		j := r.IntN(i + 1)
-		if j < k {
-			res[j] = i
-		}
-	}
-	return res
 }
 
 // Alias is a Walker/Vose alias table supporting O(1) draws from an

@@ -62,48 +62,6 @@ func TestUniformWithoutReplacementUniformity(t *testing.T) {
 	}
 }
 
-func TestUniformWithReplacement(t *testing.T) {
-	r := randx.New(5)
-	idx := UniformWithReplacement(r, 10, 1000)
-	if len(idx) != 1000 {
-		t.Fatalf("got %d draws", len(idx))
-	}
-	for _, i := range idx {
-		if i < 0 || i >= 10 {
-			t.Fatalf("index %d out of range", i)
-		}
-	}
-}
-
-func TestReservoirMatchesUniform(t *testing.T) {
-	r := randx.New(6)
-	counts := make([]int, 30)
-	trials := 20000
-	for i := 0; i < trials; i++ {
-		for _, j := range Reservoir(r, 30, 6) {
-			counts[j]++
-		}
-	}
-	want := float64(trials) * 6 / 30
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 0.1*want {
-			t.Fatalf("reservoir index %d drawn %d times, want ~%v", i, c, want)
-		}
-	}
-}
-
-func TestReservoirDistinct(t *testing.T) {
-	r := randx.New(7)
-	idx := Reservoir(r, 50, 10)
-	seen := map[int]bool{}
-	for _, i := range idx {
-		if seen[i] {
-			t.Fatalf("duplicate %d", i)
-		}
-		seen[i] = true
-	}
-}
-
 func TestAliasMatchesWeights(t *testing.T) {
 	r := randx.New(8)
 	weights := []float64{1, 2, 3, 4}

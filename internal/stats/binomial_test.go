@@ -3,84 +3,7 @@ package stats
 import (
 	"math"
 	"testing"
-
-	"supg/internal/randx"
 )
-
-func TestBernsteinSymmetry(t *testing.T) {
-	mu, v, r := 0.3, 0.04, 1.0
-	ub := BernsteinUB(mu, v, r, 200, 0.05)
-	lb := BernsteinLB(mu, v, r, 200, 0.05)
-	if !almostEqual(ub-mu, mu-lb, 1e-12) {
-		t.Error("Bernstein bounds not symmetric")
-	}
-	if ub <= mu {
-		t.Error("UB should exceed the mean")
-	}
-}
-
-func TestBernsteinVarianceAdaptive(t *testing.T) {
-	// Low variance should give a much tighter bound than Hoeffding.
-	mu, n, delta := 0.02, 1000, 0.05
-	v := mu * (1 - mu) // Bernoulli variance
-	bern := BernsteinUB(mu, v, 1, n, delta)
-	hoef := HoeffdingUB(mu, 1, n, delta)
-	if bern >= hoef {
-		t.Errorf("Bernstein %v should beat Hoeffding %v for rare events", bern, hoef)
-	}
-}
-
-func TestBernsteinWiderThanNormal(t *testing.T) {
-	// Finite-sample validity costs something relative to the CLT bound.
-	mu, sd, n, delta := 0.3, 0.458, 500, 0.05
-	bern := BernsteinUB(mu, sd*sd, 1, n, delta)
-	norm := UB(mu, sd, n, delta)
-	if bern <= norm {
-		t.Errorf("Bernstein %v should be at least as wide as normal %v", bern, norm)
-	}
-}
-
-func TestBernsteinDegenerate(t *testing.T) {
-	if !math.IsInf(BernsteinUB(0.5, 0.1, 1, 1, 0.05), 1) {
-		t.Error("n < 2 should give +Inf")
-	}
-	if !math.IsInf(BernsteinUB(0.5, 0.1, 1, 100, 0), 1) {
-		t.Error("delta = 0 should give +Inf")
-	}
-	if BernsteinUB(0.5, 0.1, 1, 100, 1) != 0.5 {
-		t.Error("delta = 1 should give zero radius")
-	}
-}
-
-func TestBernsteinCoverage(t *testing.T) {
-	// Finite-sample bound: the miss rate must stay below delta even at
-	// modest n.
-	r := randx.New(13)
-	const (
-		p      = 0.2
-		n      = 80
-		delta  = 0.1
-		trials = 1500
-	)
-	misses := 0
-	for trial := 0; trial < trials; trial++ {
-		rt := r.Stream(uint64(trial))
-		var m Moments
-		for i := 0; i < n; i++ {
-			if rt.Bernoulli(p) {
-				m.Add(1)
-			} else {
-				m.Add(0)
-			}
-		}
-		if BernsteinUB(m.Mean(), m.Variance(), 1, n, delta) < p {
-			misses++
-		}
-	}
-	if rate := float64(misses) / float64(trials); rate > delta {
-		t.Fatalf("Bernstein miss rate %v exceeds delta %v", rate, delta)
-	}
-}
 
 func TestBinomialCDFKnownValues(t *testing.T) {
 	// Binomial(10, 0.5): P(X <= 5) = 0.623046875.

@@ -6,15 +6,15 @@ import (
 	"supg/internal/randx"
 )
 
-// DefaultBootstrapResamples is the number of resamples used by the
-// bootstrap confidence bounds when the caller does not override it.
-const DefaultBootstrapResamples = 200
+// bootstrapResamples is the number of resampled means behind each
+// bootstrap confidence bound.
+const bootstrapResamples = 200
 
 // BootstrapLB returns the percentile-bootstrap one-sided lower bound at
 // level 1-delta for the mean of xs: the delta-quantile of the resampled
-// means. resamples <= 0 selects DefaultBootstrapResamples.
-func BootstrapLB(r *randx.Rand, xs []float64, delta float64, resamples int) float64 {
-	means := bootstrapMeans(r, xs, resamples)
+// means.
+func BootstrapLB(r *randx.Rand, xs []float64, delta float64) float64 {
+	means := bootstrapMeans(r, xs)
 	if len(means) == 0 {
 		return 0
 	}
@@ -23,24 +23,21 @@ func BootstrapLB(r *randx.Rand, xs []float64, delta float64, resamples int) floa
 
 // BootstrapUB returns the percentile-bootstrap one-sided upper bound at
 // level 1-delta for the mean of xs.
-func BootstrapUB(r *randx.Rand, xs []float64, delta float64, resamples int) float64 {
-	means := bootstrapMeans(r, xs, resamples)
+func BootstrapUB(r *randx.Rand, xs []float64, delta float64) float64 {
+	means := bootstrapMeans(r, xs)
 	if len(means) == 0 {
 		return 0
 	}
 	return Quantile(means, 1-delta)
 }
 
-func bootstrapMeans(r *randx.Rand, xs []float64, resamples int) []float64 {
+func bootstrapMeans(r *randx.Rand, xs []float64) []float64 {
 	if len(xs) == 0 {
 		return nil
 	}
-	if resamples <= 0 {
-		resamples = DefaultBootstrapResamples
-	}
 	n := len(xs)
-	means := make([]float64, resamples)
-	for b := 0; b < resamples; b++ {
+	means := make([]float64, bootstrapResamples)
+	for b := range means {
 		sum := 0.0
 		for i := 0; i < n; i++ {
 			sum += xs[r.IntN(n)]

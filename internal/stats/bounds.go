@@ -36,25 +36,6 @@ func deviation(sigma float64, s int, delta float64) float64 {
 	return sigma / math.Sqrt(float64(s)) * math.Sqrt(2*math.Log(1/delta))
 }
 
-// Interval is a two-sided confidence interval on a mean.
-type Interval struct {
-	Lo, Hi float64
-}
-
-// Clamp restricts the interval to [lo, hi] (useful for proportions).
-func (iv Interval) Clamp(lo, hi float64) Interval {
-	return Interval{Lo: math.Max(iv.Lo, lo), Hi: math.Min(iv.Hi, hi)}
-}
-
-// NormalInterval returns the Lemma 1 two-sided interval at failure
-// probability delta split evenly across the two tails.
-func NormalInterval(mu, sigma float64, s int, delta float64) Interval {
-	return Interval{
-		Lo: LB(mu, sigma, s, delta/2),
-		Hi: UB(mu, sigma, s, delta/2),
-	}
-}
-
 // HoeffdingLB returns the distribution-free Hoeffding lower bound for a
 // mean of s i.i.d. values confined to an interval of width rangeWidth:
 // mu - rangeWidth * sqrt(ln(1/delta) / (2 s)). It uses no variance

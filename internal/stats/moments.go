@@ -66,21 +66,3 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// Variance returns the unbiased sample variance of xs (0 when len < 2).
-func Variance(xs []float64) float64 {
-	m := Summarize(xs)
-	return m.Variance()
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }

@@ -147,17 +147,6 @@ func TestNormalBoundCoverage(t *testing.T) {
 	}
 }
 
-func TestNormalInterval(t *testing.T) {
-	iv := NormalInterval(0.5, 0.1, 100, 0.1)
-	if iv.Lo >= 0.5 || iv.Hi <= 0.5 {
-		t.Error("interval should contain the mean")
-	}
-	c := iv.Clamp(0.49, 0.51)
-	if c.Lo != 0.49 || c.Hi != 0.51 {
-		t.Errorf("clamp failed: %+v", c)
-	}
-}
-
 func TestHoeffdingWiderThanNormalOnBinary(t *testing.T) {
 	// With low variance, the variance-aware normal bound is tighter.
 	mu, sigma := 0.02, 0.14 // Bernoulli(0.02)
@@ -272,8 +261,8 @@ func TestBootstrapBoundsOrder(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.Float64()
 	}
-	lb := BootstrapLB(r, xs, 0.05, 500)
-	ub := BootstrapUB(r, xs, 0.05, 500)
+	lb := BootstrapLB(r, xs, 0.05)
+	ub := BootstrapUB(r, xs, 0.05)
 	mean := Mean(xs)
 	if !(lb <= mean && mean <= ub) {
 		t.Errorf("bootstrap bounds [%v, %v] should bracket mean %v", lb, ub, mean)
@@ -285,7 +274,7 @@ func TestBootstrapBoundsOrder(t *testing.T) {
 
 func TestBootstrapEmpty(t *testing.T) {
 	r := randx.New(1)
-	if BootstrapLB(r, nil, 0.05, 100) != 0 {
+	if BootstrapLB(r, nil, 0.05) != 0 {
 		t.Error("empty input should give 0")
 	}
 }
@@ -345,14 +334,5 @@ func TestFractionBelow(t *testing.T) {
 	}
 	if FractionBelow(nil, 1) != 0 {
 		t.Error("empty should be 0")
-	}
-}
-
-func TestSum(t *testing.T) {
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Error("Sum")
-	}
-	if StdDev([]float64{2, 2, 2}) != 0 {
-		t.Error("StdDev of constants should be 0")
 	}
 }

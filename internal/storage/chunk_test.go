@@ -60,7 +60,8 @@ func seedChunkedMore(t *testing.T, s *Store, d *dataset.Dataset, ix *index.Score
 	return d, ix
 }
 
-// liveFiles lists the data files in dir (everything but the MANIFEST).
+// liveFiles lists the data files in dir: everything but the MANIFEST
+// and the lock file beside it.
 func liveFiles(t *testing.T, dir string) map[string]bool {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -69,7 +70,7 @@ func liveFiles(t *testing.T, dir string) map[string]bool {
 	}
 	out := make(map[string]bool)
 	for _, e := range entries {
-		if e.Name() != manifestName {
+		if e.Name() != manifestName && filepath.Ext(e.Name()) != ".lock" {
 			out[e.Name()] = true
 		}
 	}

@@ -192,7 +192,9 @@ type Store struct {
 // index (mmap'd when the platform allows), removes crash litter and
 // orphan files, and returns the store ready for appends. Corrupt state
 // is dropped — durably tombstoned and reported via Stats().Degraded —
-// never served.
+// never served. While another Store is open on dir, Open fails with an
+// error that matches framelog.ErrLocked and removes nothing: the other
+// store's half-written and not yet recorded files are not litter.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("storage: no directory configured")
@@ -201,11 +203,11 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("storage: create %s: %w", opts.Dir, err)
 	}
 	start := time.Now()
-	removeCrashLitter(opts.Dir)
 	man, st, err := openManifest(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
+	removeCrashLitter(opts.Dir)
 	s := &Store{
 		dir:     opts.Dir,
 		opts:    opts,
@@ -1156,8 +1158,8 @@ func (s *Store) maybeCompactLocked() {
 	}
 }
 
-// Close releases the manifest handle and reports a manifest write that
-// failed. Mapped files are deliberately left mapped: recovered datasets
+// Close releases the manifest handle, and with it the directory's lock,
+// and reports a manifest write that failed. Mapped files are deliberately left mapped: recovered datasets
 // and indexes alias them and may still be referenced by in-flight
 // queries.
 func (s *Store) Close() error {

@@ -1,14 +1,17 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"supg/internal/dataset"
+	"supg/internal/framelog"
 	"supg/internal/index"
 	"supg/internal/randx"
 )
@@ -428,6 +431,61 @@ func TestOrphanSweep(t *testing.T) {
 	}
 	if st := s.Stats(); st.MixturesRecovered != 0 || st.MixturesLive != 0 {
 		t.Fatalf("an unrecorded mixture file was adopted: %+v", st)
+	}
+}
+
+// TestSecondOpenIsLocked: two live stores on one directory append at
+// one manifest offset, so each overwrites the other's records, and the
+// second Open's litter and orphan sweeps delete the first store's
+// in-flight files. A second Open must fail with framelog.ErrLocked and
+// remove nothing, and both tables must be there once the stores close.
+func TestSecondOpenIsLocked(t *testing.T) {
+	dir := t.TempDir()
+	first := openStore(t, Options{Dir: dir})
+	// A data file mid-write and one whose manifest record is not yet
+	// appended: litter and orphans to a store that is not running.
+	inFlight := []string{"999990.ds.tmp", "999991.ds"}
+	for _, name := range inFlight {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("in flight"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, err := Open(Options{Dir: dir})
+	if err == nil {
+		t.Cleanup(func() { second.Close() })
+		t.Error("a second Open of a live directory succeeded")
+	} else if !errors.Is(err, framelog.ErrLocked) {
+		t.Fatalf("second Open of a live directory returned %v, want framelog.ErrLocked", err)
+	}
+	for _, name := range inFlight {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("the second Open removed the live store's %s: %v", name, err)
+		}
+	}
+	if err := first.SaveDataset("t1", testDataset(t, 1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if second == nil {
+		if err := first.Close(); err != nil {
+			t.Fatal(err)
+		}
+		second = openStore(t, Options{Dir: dir})
+	}
+	if err := second.SaveDataset("t2", testDataset(t, 2, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, rt := range openStore(t, Options{Dir: dir}).RecoveredTables() {
+		names = append(names, rt.Name)
+	}
+	if !slices.Equal(names, []string{"t1", "t2"}) {
+		t.Fatalf("recovered tables %v, want [t1 t2]", names)
 	}
 }
 
