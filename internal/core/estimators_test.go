@@ -357,9 +357,10 @@ func TestUnknownMethod(t *testing.T) {
 }
 
 func TestConfigNormalizeDefaults(t *testing.T) {
+	// Exponent 0 with mix 0 is uniform sampling, not an unset config.
 	c := Config{Method: MethodISCI}.normalize()
-	if c.WeightExponent != 0.5 || c.Mix != 0.1 || c.MinStep != 100 {
-		t.Errorf("normalize did not apply IS defaults: %+v", c)
+	if c.WeightExponent != 0 || c.Mix != 0 || c.MinStep != 100 {
+		t.Errorf("normalize rewrote a zero exponent or mix, or left MinStep unset: %+v", c)
 	}
 	c2 := Config{Method: MethodISCI, WeightExponent: 1.0}.normalize()
 	if c2.WeightExponent != 1.0 {

@@ -33,6 +33,11 @@ func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, 
 		return TauResult{}, fmt.Errorf("core: empty dataset")
 	}
 	cfg = cfg.normalize()
+	if cfg.Method == MethodISCI && cfg.Bound == BoundClopperPearson {
+		// The exact binomial interval needs 0/1 samples; IS-CI bounds
+		// reweighted ones.
+		return TauResult{}, fmt.Errorf("core: the Clopper-Pearson bound applies to uniform sampling only, not to %v", cfg.Method)
+	}
 
 	switch cfg.Method {
 	case MethodUNoCI:

