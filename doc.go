@@ -80,14 +80,13 @@
 // layout is invisible to queries — threshold counts sum per-segment
 // binary searches, order statistics come from an exact bit-space
 // binary search, suffix extraction concatenates per-segment ascending
-// id runs, and the defensive-mixture weights are computed with the
-// exact arithmetic and summation order of the monolithic code before
-// feeding the same global alias table — so results are bit-for-bit
-// identical at every segment size, which the test suite asserts
-// segment size by segment size. The same bounded fan-out splits the two
-// per-query phases that work segment by segment — id gathers of 16Ki
-// or more ids and mixture builds — with identical results at every
-// worker count.
+// id runs, and the defensive-mixture weights come from the whole
+// column before feeding the same global alias table — so results are
+// bit-for-bit identical at every segment size, which the test suite
+// asserts segment size by segment size. The same bounded fan-out splits
+// two per-query phases — id gathers of 16Ki or more ids, segment by
+// segment, and mixture builds, in fixed blocks of records — with
+// identical results at every worker count.
 //
 // Segmentation buys two operational properties. Registration of large
 // tables parallelizes: segments sort independently, each with a stable

@@ -14,15 +14,14 @@ import "sync"
 //
 // Ownership rules:
 //
-//   - Arena memory lives until the owning select call releases the
-//     arena. Nothing arena-backed may be stored in a Result, a
-//     TauResult returned by a public function, or any other structure
+//   - SelectBudgeted owns the arena: it acquires one per query and
+//     releases it on return. Arena memory lives until then. Nothing
+//     arena-backed may be stored in a Result or any other structure
 //     that outlives the query (copy it out instead — see assembleFrom's
-//     no-threshold path).
+//     no-threshold path). Labels never live in the arena: the query's
+//     oracle.Budgeted records them.
 //   - A nil *arena is valid everywhere and falls back to plain make,
-//     which is how the public EstimateTau entry point runs: its
-//     TauResult (Labeled map included) escapes to the caller, so it
-//     must own its memory.
+//     so a helper called outside a select owns what it returns.
 //   - Arenas are single-goroutine, like the random stream. The
 //     intra-query parallelism in internal/index never sees them.
 type arena struct {
@@ -30,8 +29,6 @@ type arena struct {
 	intOff   int
 	floatBuf []float64
 	floatOff int
-	free     []map[int]bool // recycled label maps
-	lent     []map[int]bool // maps handed out since the last reset
 }
 
 var arenaPool = sync.Pool{New: func() any { return &arena{} }}
@@ -45,8 +42,6 @@ func (a *arena) release() {
 		return
 	}
 	a.intOff, a.floatOff = 0, 0
-	a.free = append(a.free, a.lent...)
-	a.lent = a.lent[:0]
 	arenaPool.Put(a)
 }
 
@@ -83,25 +78,6 @@ func (a *arena) floats(n int) []float64 {
 	a.floatOff += n
 	clear(s)
 	return s
-}
-
-// labelMap returns an empty map[int]bool, recycled from a previous
-// query when possible. Like slice scratch it dies at release; the
-// public estimator paths (nil arena) get a fresh map the caller owns.
-func (a *arena) labelMap(hint int) map[int]bool {
-	if a == nil {
-		return make(map[int]bool, hint)
-	}
-	var m map[int]bool
-	if n := len(a.free); n > 0 {
-		m = a.free[n-1]
-		a.free = a.free[:n-1]
-		clear(m)
-	} else {
-		m = make(map[int]bool, hint)
-	}
-	a.lent = append(a.lent, m)
-	return m
 }
 
 // growSlab sizes a replacement slab: at least the request, at least

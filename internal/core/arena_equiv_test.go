@@ -65,8 +65,8 @@ func TestSelectParallelismByteIdentical(t *testing.T) {
 // TestSelectArenaMatchesPublicPath pins that routing scratch through
 // the pooled arena changes nothing observable: Select (arena'd) must
 // equal estimateTau with a nil arena (caller-owned memory) + assemble,
-// and repeated Selects — which reuse dirtied slabs and recycled label
-// maps — must keep producing the identical Result.
+// and repeated Selects — which reuse dirtied slabs — must keep
+// producing the identical Result.
 func TestSelectArenaMatchesPublicPath(t *testing.T) {
 	const n = 8000
 	d := dataset.Beta(randx.New(5151), n, 0.01, 2)
@@ -74,15 +74,15 @@ func TestSelectArenaMatchesPublicPath(t *testing.T) {
 		for _, kind := range []TargetKind{RecallTarget, PrecisionTarget} {
 			spec := Spec{Kind: kind, Gamma: 0.9, Delta: 0.05, Budget: 250}
 
-			tr, err := estimateTau(randx.New(77), NewRawSource(d.Scores()),
-				oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget), spec, cfg, nil)
+			b := oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget)
+			tau, err := estimateTau(randx.New(77), NewRawSource(d.Scores()), b, spec, cfg, nil)
 			if err != nil && err != ErrNoPositives {
 				t.Fatalf("%s/%v estimate: %v", name, kind, err)
 			}
 			if err == ErrNoPositives && kind == PrecisionTarget {
-				tr.Tau = math.Inf(1)
+				tau = math.Inf(1)
 			}
-			want := assemble(d.Scores(), tr)
+			want := assemble(d.Scores(), tau, b)
 
 			for round := 0; round < 3; round++ {
 				got, err := selectFrom(randx.New(77), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg)

@@ -189,7 +189,7 @@ func TestUNoCIRecallEmpiricalThreshold(t *testing.T) {
 	d := dataset.MustNew("hand", scores, labels)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.5, Delta: 0.05, Budget: 10}
 	budgeted := oracle.NewBudgeted(oracle.NewSimulated(d), 10)
-	tr, err := EstimateTau(randx.New(1), NewRawSource(scores), budgeted, spec, DefaultUNoCI())
+	tr, err := SelectBudgeted(randx.New(1), NewRawSource(scores), budgeted, spec, DefaultUNoCI())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRecallTauShrinksWithGamma(t *testing.T) {
 	for _, gamma := range []float64{0.5, 0.7, 0.9, 0.99} {
 		spec := Spec{Kind: RecallTarget, Gamma: gamma, Delta: 0.05, Budget: 2000}
 		budgeted := oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget)
-		tr, err := EstimateTau(randx.New(555), NewRawSource(d.Scores()), budgeted, spec, DefaultUCI())
+		tr, err := SelectBudgeted(randx.New(555), NewRawSource(d.Scores()), budgeted, spec, DefaultUCI())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestSpecValidation(t *testing.T) {
 func TestEstimateTauRejectsEmptyDataset(t *testing.T) {
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 100}
 	budgeted := oracle.NewBudgeted(oracle.Func(func(int) (bool, error) { return false, nil }), 100)
-	if _, err := EstimateTau(randx.New(1), NewRawSource(nil), budgeted, spec, DefaultSUPG()); err == nil {
+	if _, err := SelectBudgeted(randx.New(1), NewRawSource(nil), budgeted, spec, DefaultSUPG()); err == nil {
 		t.Fatal("empty dataset should error")
 	}
 }
@@ -379,11 +379,7 @@ func TestMethodStrings(t *testing.T) {
 
 func TestAssembleUnion(t *testing.T) {
 	scores := []float64{0.1, 0.5, 0.9, 0.95}
-	tr := TauResult{
-		Tau:     0.9,
-		Labeled: map[int]bool{0: true, 1: false},
-	}
-	res := assemble(scores, tr)
+	res := assemble(scores, 0.9, labeledBudget(t, map[int]bool{0: true, 1: false}))
 	// R2 = {2, 3}; R1 adds labeled positive 0; label-negative 1 excluded.
 	want := []int{0, 2, 3}
 	if len(res.Indices) != len(want) {
@@ -401,8 +397,7 @@ func TestAssembleUnion(t *testing.T) {
 
 func TestAssembleNoSelection(t *testing.T) {
 	scores := []float64{0.1, 0.9}
-	tr := TauResult{Tau: noSelectionTau(), Labeled: map[int]bool{1: true}}
-	res := assemble(scores, tr)
+	res := assemble(scores, noSelectionTau(), labeledBudget(t, map[int]bool{1: true}))
 	if len(res.Indices) != 1 || res.Indices[0] != 1 {
 		t.Fatalf("expected only the labeled positive, got %v", res.Indices)
 	}

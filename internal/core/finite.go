@@ -33,10 +33,10 @@ import (
 
 // estimateFiniteRecall implements the exact finite-sample RT estimator
 // over a uniform sample.
-func estimateFiniteRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, ar *arena) (TauResult, error) {
+func estimateFiniteRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, ar *arena) (float64, error) {
 	s, err := drawUniform(r, src.Scores(), o, spec.Budget, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 
 	// Collect the sampled positive scores in ascending order (the
@@ -48,13 +48,13 @@ func estimateFiniteRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, sp
 		}
 	}
 	if len(posScores) == 0 {
-		return TauResult{Tau: selectAllTau, Labeled: s.labels, OracleCalls: s.calls}, ErrNoPositives
+		return selectAllTau, ErrNoPositives
 	}
 
 	j := stats.BinomialTailQuantile(len(posScores), 1-spec.Gamma, spec.Delta)
 	if j == 0 {
 		// Even the lowest sampled positive is not a safe threshold.
-		return TauResult{Tau: selectAllTau, Labeled: s.labels, OracleCalls: s.calls}, nil
+		return selectAllTau, nil
 	}
-	return TauResult{Tau: posScores[j-1], Labeled: s.labels, OracleCalls: s.calls}, nil
+	return posScores[j-1], nil
 }

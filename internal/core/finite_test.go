@@ -41,13 +41,13 @@ func TestFiniteTauIsSampledPositiveScore(t *testing.T) {
 	d := dataset.Beta(randx.New(3), 60000, 0.05, 1)
 	spec := Spec{Kind: RecallTarget, Gamma: 0.9, Delta: 0.05, Budget: 2000}
 	budgeted := oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget)
-	fin, err := EstimateTau(randx.New(99), NewRawSource(d.Scores()), budgeted, spec, DefaultFinite())
+	fin, err := SelectBudgeted(randx.New(99), NewRawSource(d.Scores()), budgeted, spec, DefaultFinite())
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for idx, lab := range fin.Labeled {
-		if lab && d.Score(idx) == fin.Tau {
+	for _, idx := range budgeted.AppendLabeledPositives(nil) {
+		if d.Score(idx) == fin.Tau {
 			found = true
 			break
 		}
@@ -57,7 +57,7 @@ func TestFiniteTauIsSampledPositiveScore(t *testing.T) {
 	}
 	// Same seed reproduces.
 	budgeted2 := oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget)
-	fin2, err := EstimateTau(randx.New(99), NewRawSource(d.Scores()), budgeted2, spec, DefaultFinite())
+	fin2, err := SelectBudgeted(randx.New(99), NewRawSource(d.Scores()), budgeted2, spec, DefaultFinite())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 
@@ -33,21 +32,16 @@ func mixtureOf(src ScoreSource, cfg Config) ([]float64, *sampling.Alias, error) 
 // estimateISRecall implements Algorithm 4. It reuses the Algorithm 2
 // body on an importance-weighted sample: the reweighted indicators
 // O(x)·m(x) make the UB/LB machinery estimate dataset-level recall.
-func estimateISRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+func estimateISRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (float64, error) {
 	weights, alias, err := mixtureOf(src, cfg)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	s, err := drawWeightedAlias(r, src.Scores(), weights, alias, o, spec.Budget, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
-	b := newBounder(cfg, r.Stream(0xc0))
-	tau, err := recallThresholdWithCI(s, spec, b, ar)
-	if err != nil {
-		return TauResult{Tau: selectAllTau, Labeled: s.labels, OracleCalls: s.calls}, err
-	}
-	return TauResult{Tau: tau, Labeled: s.labels, OracleCalls: s.calls}, nil
+	return recallThresholdWithCI(s, spec, newBounder(cfg, r.Stream(0xc0)), ar)
 }
 
 // scoreIndex supports O(log n) exact |D(τ)| counts via a sorted copy of
@@ -91,31 +85,30 @@ func (ix *scoreIndex) kthHighest(k int) float64 {
 // records above τ. That subset mean is unbiased only for uniform draws;
 // the count estimate stays unbiased under weighted sampling (README,
 // "Deviations from the paper").
-func estimateISPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+func estimateISPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (float64, error) {
 	if cfg.TwoStage {
 		return estimateISPrecisionTwoStage(r, src, o, spec, cfg, ar)
 	}
 	return estimateISPrecisionOneStage(r, src, o, spec, cfg, ar)
 }
 
-func estimateISPrecisionOneStage(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+func estimateISPrecisionOneStage(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (float64, error) {
 	weights, alias, err := mixtureOf(src, cfg)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	s, err := drawWeightedAlias(r, src.Scores(), weights, alias, o, spec.Budget, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	b := newBounder(cfg, r.Stream(0xc1))
-	tau := certifyMinPrecisionTau(s, src, float64(src.Len()), spec, cfg, b, spec.Delta, ar)
-	return TauResult{Tau: tau, Labeled: s.labels, OracleCalls: s.calls}, nil
+	return certifyMinPrecisionTau(s, src, float64(src.Len()), spec, cfg, b, spec.Delta, ar), nil
 }
 
-func estimateISPrecisionTwoStage(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+func estimateISPrecisionTwoStage(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (float64, error) {
 	weights, alias, err := mixtureOf(src, cfg)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	scores := src.Scores()
 	n := len(scores)
@@ -126,7 +119,7 @@ func estimateISPrecisionTwoStage(r *randx.Rand, src ScoreSource, o *oracle.Budge
 	half := spec.Budget / 2
 	s0, err := drawWeightedAlias(r.Stream(1), scores, weights, alias, o, half, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	z := ar.floats(s0.len())
 	for i := range z {
@@ -144,21 +137,16 @@ func estimateISPrecisionTwoStage(r *randx.Rand, src ScoreSource, o *oracle.Budge
 	subset := src.AppendAtLeast(make([]int, 0, src.CountAtLeast(aCut)), aCut)
 	if len(subset) == 0 {
 		// Degenerate: no plausible matches anywhere.
-		return TauResult{Tau: noSelectionTau(), Labeled: s0.labels, OracleCalls: s0.calls}, nil
+		return noSelectionTau(), nil
 	}
 
 	// Stage 2: weighted sampling within D', candidate certification with
 	// the remaining half of the budget and failure probability.
 	s1, err := drawWeightedSubset(r.Stream(2), scores, subset, weights, o, spec.Budget-half, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
-	tau := certifyMinPrecisionTau(s1, src, float64(len(subset)), spec, cfg, b, spec.Delta/2, ar)
-
-	labels := ar.labelMap(len(s0.labels) + len(s1.labels))
-	maps.Copy(labels, s0.labels)
-	maps.Copy(labels, s1.labels)
-	return TauResult{Tau: tau, Labeled: labels, OracleCalls: s0.calls + s1.calls}, nil
+	return certifyMinPrecisionTau(s1, src, float64(len(subset)), spec, cfg, b, spec.Delta/2, ar), nil
 }
 
 // certifyMinPrecisionTau scans every MinStep-th sampled score ascending

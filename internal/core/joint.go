@@ -93,21 +93,13 @@ func SelectJointFromContextOptions(ctx context.Context, r *randx.Rand, src Score
 		WithStore(sopts.Store, sopts.FreeReuse).WithChargeHook(sopts.OnCachedCharge)
 	stageBudgeted := oracle.NewBudgeted(budgeted, spec.StageBudget).WithContext(ctx)
 
-	// Arena scratch is safe here: candidate.Indices is a fresh heap
-	// slice and nothing else from the estimate outlives this call.
-	ar := acquireArena()
-	defer ar.release()
-	tr, err := estimateTau(r, src, stageBudgeted, rtSpec, cfg, ar)
+	candidate, err := SelectBudgeted(r, src, stageBudgeted, rtSpec, cfg)
 	if err != nil {
-		if err != ErrNoPositives {
-			// Surface the labels-folded-so-far diagnostic on oracle
-			// unavailability (see SelectFromContextOptions).
-			oracle.NoteLabelsFolded(err, budgeted.Used())
-			return JointResult{}, err
-		}
-		tr.Tau = selectAllTau // recall-safe fallback: verify everything
+		// Surface the labels-folded-so-far diagnostic on oracle
+		// unavailability (see SelectFromContextOptions).
+		oracle.NoteLabelsFolded(err, budgeted.Used())
+		return JointResult{}, err
 	}
-	candidate := assembleFrom(src, tr, ar)
 
 	// Stage 3: verify every candidate record; keep true positives.
 	labs, err := budgeted.LabelAll(candidate.Indices)
@@ -127,7 +119,7 @@ func SelectJointFromContextOptions(ctx context.Context, r *randx.Rand, src Score
 		Indices:       final,
 		OracleCalls:   budgeted.Used(),
 		CachedLabels:  budgeted.StoreHits(),
-		Tau:           tr.Tau,
+		Tau:           candidate.Tau,
 		CandidateSize: len(candidate.Indices),
 	}, nil
 }

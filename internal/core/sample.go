@@ -11,15 +11,15 @@ import (
 
 // labeledSample is a set of oracle-labeled draws together with the
 // importance reweighting factors m(x) = u(x)/w(x). Uniform samples have
-// all m == 1. Draws are kept sorted by ascending proxy score.
+// all m == 1. Draws are kept sorted by ascending proxy score. The
+// query's oracle.Budgeted, not the sample, records what was labeled and
+// what the draws cost.
 type labeledSample struct {
-	idx    []int     // record indices (possibly repeated for weighted draws)
-	score  []float64 // proxy score per draw
-	label  []float64 // oracle label per draw (0 or 1)
-	m      []float64 // reweighting factor per draw
-	maxM   float64   // max m over the sample (Hoeffding range hint)
-	calls  int       // budget-consuming oracle calls spent collecting it
-	labels map[int]bool
+	idx   []int     // record indices (possibly repeated for weighted draws)
+	score []float64 // proxy score per draw
+	label []float64 // oracle label per draw (0 or 1)
+	m     []float64 // reweighting factor per draw
+	maxM  float64   // max m over the sample (Hoeffding range hint)
 }
 
 func (s *labeledSample) len() int { return len(s.idx) }
@@ -94,13 +94,11 @@ func drawWeightedSubset(r *randx.Rand, scores []float64, subset []int, weightOf 
 // the labels come back in draw order and the budget accounting matches
 // the sequential loop exactly, so results are identical either way.
 func labelDraws(scores []float64, o *oracle.Budgeted, idx []int, m []float64, ar *arena) (*labeledSample, error) {
-	before := o.Used()
 	s := &labeledSample{
-		idx:    ar.ints(len(idx)),
-		score:  ar.floats(len(idx)),
-		label:  ar.floats(len(idx)),
-		m:      ar.floats(len(idx)),
-		labels: ar.labelMap(len(idx)),
+		idx:   ar.ints(len(idx)),
+		score: ar.floats(len(idx)),
+		label: ar.floats(len(idx)),
+		m:     ar.floats(len(idx)),
 	}
 	order := ar.ints(len(idx))
 	for i := range order {
@@ -128,9 +126,7 @@ func labelDraws(scores []float64, o *oracle.Budgeted, idx []int, m []float64, ar
 		if s.m[pos] > s.maxM {
 			s.maxM = s.m[pos]
 		}
-		s.labels[j] = labs[pos]
 	}
-	s.calls = o.Used() - before
 	return s, nil
 }
 

@@ -5,38 +5,29 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"supg/internal/oracle"
 	"supg/internal/randx"
 )
 
-// EstimateTau dispatches to the configured threshold-estimation
+// estimateTau dispatches to the configured threshold-estimation
 // algorithm (the SampleOracle + EstimateTau stages of Algorithm 1) over
 // src. The oracle must already be budget-wrapped; estimators never
-// exceed spec.Budget draws.
-func EstimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config) (TauResult, error) {
-	// nil arena: the returned TauResult (Labeled map included) escapes
-	// to the caller, so every buffer must be freshly owned.
-	return estimateTau(r, src, o, spec, cfg, nil)
-}
-
-// estimateTau is the arena-threaded dispatch behind EstimateTau and
-// both select entry points.
-// With a non-nil arena the TauResult's Labeled map and any scratch are
-// arena-owned and die when the calling select releases it.
-func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+// exceed spec.Budget draws, and every label they draw lands in o's
+// memo. Scratch comes from ar and dies when the calling select releases
+// it.
+func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (float64, error) {
 	if err := spec.Validate(); err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	if src.Len() == 0 {
-		return TauResult{}, fmt.Errorf("core: empty dataset")
+		return 0, fmt.Errorf("core: empty dataset")
 	}
 	cfg = cfg.normalize()
 	if cfg.Method == MethodISCI && cfg.Bound == BoundClopperPearson {
 		// The exact binomial interval needs 0/1 samples; IS-CI bounds
 		// reweighted ones.
-		return TauResult{}, fmt.Errorf("core: the Clopper-Pearson bound applies to uniform sampling only, not to %v", cfg.Method)
+		return 0, fmt.Errorf("core: the Clopper-Pearson bound applies to uniform sampling only, not to %v", cfg.Method)
 	}
 
 	switch cfg.Method {
@@ -64,7 +55,7 @@ func estimateTau(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, 
 		cfg.Bound = BoundClopperPearson
 		return estimateUCIPrecision(r, src, o, spec, cfg, ar)
 	}
-	return TauResult{}, fmt.Errorf("core: unknown method %v", cfg.Method)
+	return 0, fmt.Errorf("core: unknown method %v", cfg.Method)
 }
 
 // SelectOptions carries execution-environment tuning orthogonal to the
@@ -86,13 +77,10 @@ type SelectOptions struct {
 }
 
 // SelectFromContextOptions answers a SUPG query end to end
-// (Algorithm 1) over src: it wraps the oracle with the budget,
-// estimates tau, and returns R = R1 ∪ R2 = {labeled positives} ∪
-// {x : A(x) >= tau}. For recall-target queries whose sample surfaces no
-// positives, the only recall-safe answer is the full dataset, which it
-// returns (the query stays valid; its quality is the degenerate
-// minimum). For a fixed random stream an index.ScoreIndex and
-// NewRawSource over the same column return exactly the same records.
+// (Algorithm 1) over src: it wraps the oracle with the budget and
+// returns SelectBudgeted's answer over that wrapper. For a fixed random
+// stream an index.ScoreIndex and NewRawSource over the same column
+// return exactly the same records.
 //
 // Once ctx is done the query stops consuming oracle budget and returns
 // ctx's error. When orc implements oracle.BatchOracle (e.g. an
@@ -105,78 +93,84 @@ type SelectOptions struct {
 func SelectFromContextOptions(ctx context.Context, r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec Spec, cfg Config, sopts SelectOptions) (Result, error) {
 	budgeted := oracle.NewBudgeted(orc, spec.Budget).WithContext(ctx).
 		WithStore(sopts.Store, sopts.FreeReuse).WithChargeHook(sopts.OnCachedCharge)
-	ar := acquireArena()
-	defer ar.release()
-	tr, err := estimateTau(r, src, budgeted, spec, cfg, ar)
-	if err != nil && !errors.Is(err, ErrNoPositives) {
+	res, err := SelectBudgeted(r, src, budgeted, spec, cfg)
+	if err != nil {
 		// An unavailable oracle surfaces with the labels-folded-so-far
 		// count: the budget units already consumed are durable (memoized,
 		// and persisted when a label store is attached), so a retry of the
 		// query resumes warm rather than from zero.
 		oracle.NoteLabelsFolded(err, budgeted.Used())
+	}
+	return res, err
+}
+
+// SelectBudgeted runs Algorithm 1 over a budget wrapper the caller
+// owns: it estimates tau with the configured estimator, drawing every
+// label through b, and returns R = R1 ∪ R2 = {records b labeled
+// positive} ∪ {x : A(x) >= tau}. R1 therefore includes any positive b
+// labeled before the call. When the sample surfaces no positives, a
+// recall target keeps the estimator's select-all tau — the full
+// dataset is the only recall-safe answer — and a precision target
+// answers +Inf, returning the labeled positives alone. OracleCalls and
+// CachedLabels report b's totals.
+func SelectBudgeted(r *randx.Rand, src ScoreSource, b *oracle.Budgeted, spec Spec, cfg Config) (Result, error) {
+	ar := acquireArena()
+	defer ar.release()
+	tau, err := estimateTau(r, src, b, spec, cfg, ar)
+	if err != nil && !errors.Is(err, ErrNoPositives) {
 		return Result{}, err
 	}
-	if errors.Is(err, ErrNoPositives) && spec.Kind == PrecisionTarget {
-		// No positives sampled: returning labeled positives only (an
-		// empty R1) is the valid PT answer.
-		tr.Tau = noSelectionTau()
+	if err != nil && spec.Kind == PrecisionTarget {
+		tau = noSelectionTau()
 	}
-	res := assembleFrom(src, tr, ar)
-	res.CachedLabels = budgeted.StoreHits()
-	return res, nil
+	return assembleFrom(src, tau, b, ar), nil
 }
 
 // assembleFrom merges the presorted threshold suffix R2 with the
-// (tiny, sorted) list of labeled positives R1. Unlike the historical
-// map-plus-full-sort construction this allocates only the result slice
-// and the positive list: R2 arrives in ascending id order from the
-// source, and the R1 records below the threshold are folded in with a
-// single backward merge. The positive list is arena scratch; only the
-// result slice (Result.Indices) is a true heap allocation.
-func assembleFrom(src ScoreSource, tr TauResult, ar *arena) Result {
+// (tiny, sorted) list of b's labeled positives R1. It allocates only
+// the result slice: R2 arrives in ascending id order from the source,
+// the positive list is arena scratch, and the R1 records below the
+// threshold are folded in with a single backward merge.
+func assembleFrom(src ScoreSource, tau float64, b *oracle.Budgeted, ar *arena) Result {
 	scores := src.Scores()
 
-	// R1: labeled positives, ascending by id.
-	pos := ar.intCap(len(tr.Labeled))
-	for i, lab := range tr.Labeled { //supg:nondeterminism-ok builds a set of positives; order is restored by the sort below
-		if lab {
-			pos = append(pos, i)
-		}
-	}
-	slices.Sort(pos)
+	// R1: labeled positives, ascending by id. In charged mode each memo
+	// entry consumed a budget unit, so Used() bounds their number.
+	pos := b.AppendLabeledPositives(ar.intCap(b.Used()))
 
-	noThreshold := math.IsInf(tr.Tau, 1)
+	noThreshold := math.IsInf(tau, 1)
 
 	// Keep only the positives the threshold does not already cover —
 	// these are also exactly the "sampled only" records reported in
 	// Result.SampledPositives.
 	extra := pos[:0]
 	for _, i := range pos {
-		if noThreshold || !(scores[i] >= tr.Tau) {
+		if noThreshold || !(scores[i] >= tau) {
 			extra = append(extra, i)
 		}
 	}
 
+	res := Result{
+		Tau:              tau,
+		OracleCalls:      b.Used(),
+		SampledPositives: len(extra),
+		CachedLabels:     b.StoreHits(),
+	}
 	if noThreshold {
 		// extra is arena scratch; the escaping Indices need their own
 		// memory.
-		return Result{
-			Indices:          append(make([]int, 0, len(extra)), extra...),
-			Tau:              tr.Tau,
-			OracleCalls:      tr.OracleCalls,
-			SampledPositives: len(extra),
-		}
+		res.Indices = append(make([]int, 0, len(extra)), extra...)
+		return res
 	}
 
-	out := make([]int, 0, src.CountAtLeast(tr.Tau)+len(extra))
-	out = src.AppendAtLeast(out, tr.Tau)
+	out := make([]int, 0, src.CountAtLeast(tau)+len(extra))
+	out = src.AppendAtLeast(out, tau)
 	k := len(out)
-	onlySample := len(extra)
-	if onlySample > 0 {
+	if len(extra) > 0 {
 		// Backward merge of the two ascending runs; extra does not
 		// alias out, so overwriting out from the tail is safe.
 		out = append(out, extra...)
-		i, j := k-1, onlySample-1
+		i, j := k-1, len(extra)-1
 		for w := len(out) - 1; j >= 0; w-- {
 			if i >= 0 && out[i] > extra[j] {
 				out[w] = out[i]
@@ -187,10 +181,6 @@ func assembleFrom(src ScoreSource, tr TauResult, ar *arena) Result {
 			}
 		}
 	}
-	return Result{
-		Indices:          out,
-		Tau:              tr.Tau,
-		OracleCalls:      tr.OracleCalls,
-		SampledPositives: onlySample,
-	}
+	res.Indices = out
+	return res
 }

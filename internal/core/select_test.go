@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"testing"
 
 	"supg/internal/oracle"
 	"supg/internal/randx"
@@ -19,8 +20,23 @@ func selectJoint(r *randx.Rand, src ScoreSource, orc oracle.Oracle, spec JointSp
 	return SelectJointFromContextOptions(context.Background(), r, src, orc, spec, cfg, SelectOptions{})
 }
 
-// assemble constructs Algorithm 1's R1 ∪ R2 from a threshold estimate
-// over a plain score slice.
-func assemble(scores []float64, tr TauResult) Result {
-	return assembleFrom(NewRawSource(scores), tr, nil)
+// labeledBudget returns a budget wrapper whose memo holds exactly
+// labels, as if a sample had drawn those records.
+func labeledBudget(t *testing.T, labels map[int]bool) *oracle.Budgeted {
+	t.Helper()
+	b := oracle.NewBudgeted(oracle.Func(func(i int) (bool, error) { return labels[i], nil }), len(labels))
+	ids := make([]int, 0, len(labels))
+	for i := range labels {
+		ids = append(ids, i)
+	}
+	if _, err := b.LabelAll(ids); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// assemble constructs Algorithm 1's R1 ∪ R2 from a threshold and the
+// labels b holds, over a plain score slice.
+func assemble(scores []float64, tau float64, b *oracle.Budgeted) Result {
+	return assembleFrom(NewRawSource(scores), tau, b, nil)
 }

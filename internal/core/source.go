@@ -98,7 +98,7 @@ func (s *rawSource) AppendAtLeast(dst []int, tau float64) []int {
 func (s *rawSource) Mixture(exponent, mix float64) ([]float64, *sampling.Alias) {
 	key := [2]float64{exponent, mix}
 	if !s.mixSet || s.mixKey != key {
-		s.weights = sampling.DefensiveWeights(s.scores, exponent, mix)
+		s.weights = sampling.DefensiveWeights(s.scores, exponent, mix, 1)
 		s.alias = sampling.NewAlias(s.weights)
 		s.mixKey = key
 		s.mixSet = true

@@ -98,15 +98,12 @@ func TestAssembleFromMergesSampledPositives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := TauResult{
-		Tau: 0.6,
-		// Positives 1 and 5 sit below tau; positive 0 is above; the
-		// labeled negative 3 must stay excluded.
-		Labeled: map[int]bool{0: true, 1: true, 3: false, 5: true},
-	}
+	// Positives 1 and 5 sit below tau; positive 0 is above; the
+	// labeled negative 3 must stay excluded.
+	b := labeledBudget(t, map[int]bool{0: true, 1: true, 3: false, 5: true})
 	for name, res := range map[string]Result{
-		"raw":     assemble(scores, tr),
-		"indexed": assembleFrom(ix, tr, nil),
+		"raw":     assemble(scores, 0.6, b),
+		"indexed": assembleFrom(ix, 0.6, b, nil),
 	} {
 		want := []int{0, 1, 2, 4, 5}
 		if len(res.Indices) != len(want) {

@@ -202,17 +202,6 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// TauResult is the outcome of threshold estimation.
-type TauResult struct {
-	// Tau is the selection threshold. math.Inf(1) means no threshold
-	// was certifiable and only labeled positives should be returned.
-	Tau float64
-	// Labeled maps each oracle-labeled record index to its label.
-	Labeled map[int]bool
-	// OracleCalls is the number of budget-consuming oracle invocations.
-	OracleCalls int
-}
-
 // Result is a complete SUPG query answer (Algorithm 1's R1 ∪ R2).
 type Result struct {
 	// Indices is the sorted set of returned record indices.
@@ -232,8 +221,8 @@ type Result struct {
 
 // ErrNoPositives is returned by recall-target estimation when the
 // sample contains no positive labels, in which case no data-driven
-// threshold exists. SelectFromContextOptions treats it by returning
-// the whole dataset (the only recall-safe answer).
+// threshold exists. SelectBudgeted treats it by returning the whole
+// dataset (the only recall-safe answer).
 var ErrNoPositives = errors.New("core: no positive oracle labels in sample")
 
 // selectAllTau is the threshold that admits every record.

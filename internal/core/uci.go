@@ -14,17 +14,12 @@ import (
 // threshold for the requested recall, inflates the recall target to γ'
 // to absorb sampling variation (via UB/LB on the above/below-threshold
 // positive indicator means), and re-solves for the threshold at γ'.
-func estimateUCIRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+func estimateUCIRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (float64, error) {
 	s, err := drawUniform(r, src.Scores(), o, spec.Budget, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
-	b := newBounder(cfg, r.Stream(0xb0))
-	tau, err := recallThresholdWithCI(s, spec, b, ar)
-	if err != nil {
-		return TauResult{Tau: selectAllTau, Labeled: s.labels, OracleCalls: s.calls}, err
-	}
-	return TauResult{Tau: tau, Labeled: s.labels, OracleCalls: s.calls}, nil
+	return recallThresholdWithCI(s, spec, newBounder(cfg, r.Stream(0xb0)), ar)
 }
 
 // minPositiveDraws returns the smallest number k of sampled positives
@@ -115,10 +110,10 @@ func recallThresholdWithCI(s *labeledSample, spec Spec, b bounder, ar *arena) (f
 // reading is the one consistent with the paper's minimum step size m
 // and its observation that the normal approximation needs 100+
 // samples.)
-func estimateUCIPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (TauResult, error) {
+func estimateUCIPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, cfg Config, ar *arena) (float64, error) {
 	s, err := drawUniform(r, src.Scores(), o, spec.Budget, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	b := newBounder(cfg, r.Stream(0xb1))
 
@@ -151,5 +146,5 @@ func estimateUCIPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, sp
 			break
 		}
 	}
-	return TauResult{Tau: tau, Labeled: s.labels, OracleCalls: s.calls}, nil
+	return tau, nil
 }

@@ -12,28 +12,27 @@ import (
 // to ~75% of the time.
 
 // estimateUNoCIRecall implements Eq. 6: tau = max{τ : Recall_S(τ) >= γ}.
-func estimateUNoCIRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, ar *arena) (TauResult, error) {
+func estimateUNoCIRecall(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, ar *arena) (float64, error) {
 	s, err := drawUniform(r, src.Scores(), o, spec.Budget, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
 	tau, ok := s.maxTauWithRecall(spec.Gamma, ar)
 	if !ok {
-		return TauResult{Tau: selectAllTau, Labeled: s.labels, OracleCalls: s.calls}, ErrNoPositives
+		return selectAllTau, ErrNoPositives
 	}
-	return TauResult{Tau: tau, Labeled: s.labels, OracleCalls: s.calls}, nil
+	return tau, nil
 }
 
 // estimateUNoCIPrecision implements Eq. 5: tau = min{τ : Precision_S(τ) >= γ},
 // with Precision_S the empirical precision among sampled records at or
 // above τ.
-func estimateUNoCIPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, ar *arena) (TauResult, error) {
+func estimateUNoCIPrecision(r *randx.Rand, src ScoreSource, o *oracle.Budgeted, spec Spec, ar *arena) (float64, error) {
 	s, err := drawUniform(r, src.Scores(), o, spec.Budget, ar)
 	if err != nil {
-		return TauResult{}, err
+		return 0, err
 	}
-	tau := minTauWithEmpiricalPrecision(s, spec.Gamma, ar)
-	return TauResult{Tau: tau, Labeled: s.labels, OracleCalls: s.calls}, nil
+	return minTauWithEmpiricalPrecision(s, spec.Gamma, ar), nil
 }
 
 // minTauWithEmpiricalPrecision scans candidate thresholds (distinct

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -65,6 +66,41 @@ func TestExecuteContextProgress(t *testing.T) {
 	}
 	if int(last.Load()) != res.OracleCalls {
 		t.Errorf("final progress = %d, want %d oracle calls", last.Load(), res.OracleCalls)
+	}
+}
+
+// TestExecuteContextProgressInOrder pins that progress totals arrive
+// one at a time and in increasing order under parallel dispatch: the
+// first report stalls its dispatcher worker in the hook, and no other
+// worker's total may be recorded before it.
+func TestExecuteContextProgressInOrder(t *testing.T) {
+	e, _ := newCtxTestEngine(t, 1)
+	var (
+		stalled atomic.Bool
+		mu      sync.Mutex
+		seen    []int
+	)
+	res, err := e.ExecuteContext(context.Background(), ctxTestSQL, ExecOptions{
+		OracleParallelism: 4,
+		Progress: func(n int) {
+			if stalled.CompareAndSwap(false, true) {
+				time.Sleep(20 * time.Millisecond)
+			}
+			mu.Lock()
+			seen = append(seen, n)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(seen); i++ {
+		if seen[i] < seen[i-1] {
+			t.Fatalf("progress went %d -> %d", seen[i-1], seen[i])
+		}
+	}
+	if len(seen) == 0 || seen[len(seen)-1] != res.OracleCalls {
+		t.Fatalf("progress reports %v end below %d oracle calls", seen, res.OracleCalls)
 	}
 }
 

@@ -156,11 +156,12 @@ type Options struct {
 	SegmentSize int
 	// BuildParallelism bounds the goroutines of one index operation:
 	// proxy scoring of a build or of an append's tail, concurrent
-	// segment builds, and the two per-query fan-outs across segments —
-	// id gathers of 16Ki or more ids and mixture builds
-	// (index.Options.Parallelism). <= 0 selects GOMAXPROCS; 1 runs them
-	// all on the calling goroutine. Results are byte-identical at every
-	// setting — only RNG-free, order-independent phases fan out.
+	// segment builds, and the two per-query fan-outs — id gathers of
+	// 16Ki or more ids across segments, and mixture builds over fixed
+	// blocks of records (index.Options.Parallelism). <= 0 selects
+	// GOMAXPROCS; 1 runs them all on the calling goroutine. Results are
+	// byte-identical at every setting — only RNG-free,
+	// order-independent phases fan out.
 	BuildParallelism int
 	// LabelCacheBytes bounds the cross-query oracle label store shared
 	// by every query and job of this engine (0 selects
@@ -777,9 +778,10 @@ type ExecOptions struct {
 	// and batch labels are merged back in draw order.
 	OracleParallelism int
 	// Progress, when non-nil, receives the cumulative count of
-	// budget-consuming oracle calls as the query runs. It may be invoked
-	// from multiple goroutines concurrently (under parallel dispatch)
-	// and must be fast and goroutine-safe.
+	// budget-consuming oracle calls as the query runs; its last value
+	// equals the result's OracleCalls. Under parallel dispatch it is
+	// called from several goroutines, but one report at a time and in
+	// increasing order. It must be fast: oracle workers wait on it.
 	Progress func(oracleCalls int)
 	// FreeReuse makes cross-query label store hits free instead of
 	// budget-charged for this execution — the ExecOptions form of the
@@ -947,10 +949,13 @@ func (e *Engine) buildOracle(ctx context.Context, plan *query.Plan, fn OracleUDF
 // sources — real UDF invocations (via countingOracle) and charged
 // label-store hits (via the Budgeted charge hook) — into one
 // cumulative total for the progress hook, so progress reports always
-// agree with the result's OracleCalls. Nil-safe: a nil counter or nil
-// hook records nothing.
+// agree with the result's OracleCalls. The mutex spans the add and the
+// hook call, so dispatcher workers deliver their totals one at a time,
+// in increasing order. Nil-safe: a nil counter or nil hook records
+// nothing.
 type progressCounter struct {
-	calls atomic.Int64
+	mu    sync.Mutex
+	calls int
 	hook  func(int)
 }
 
@@ -962,7 +967,10 @@ func (p *progressCounter) add(n int) {
 	if p == nil || p.hook == nil {
 		return
 	}
-	p.hook(int(p.calls.Add(int64(n))))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.calls += n
+	p.hook(p.calls)
 }
 
 // countingOracle reports successful oracle invocations to the shared

@@ -132,17 +132,16 @@ func BenchmarkSelectHotPathPreIndex(b *testing.B) {
 		}
 		r := rng.Stream(hashString(plan.SourceText))
 		budgeted := oracle.NewBudgeted(orc, plan.Spec.Budget)
-		tr, err := core.EstimateTau(r, core.NewRawSource(scores), budgeted, plan.Spec, plan.Config)
+		tr, err := core.SelectBudgeted(r, core.NewRawSource(scores), budgeted, plan.Spec, plan.Config)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Historical assemble: an include-map over up to the whole
-		// table followed by a full sort of the extracted keys.
+		// table followed by a full sort of the extracted keys (on top
+		// of SelectBudgeted's own merge assembly).
 		include := make(map[int]struct{})
-		for j, lab := range tr.Labeled {
-			if lab {
-				include[j] = struct{}{}
-			}
+		for _, j := range budgeted.AppendLabeledPositives(nil) {
+			include[j] = struct{}{}
 		}
 		if !math.IsInf(tr.Tau, 1) {
 			for j, s := range scores {

@@ -11,12 +11,12 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"supg/internal/core"
 	"supg/internal/dataset"
 	"supg/internal/metrics"
 	"supg/internal/oracle"
+	"supg/internal/parallel"
 	"supg/internal/randx"
 )
 
@@ -162,24 +162,14 @@ func runTrialsVia(r *randx.Rand, d *dataset.Dataset, trials, parallelism int,
 		err   error
 	}
 	results := make([]outcome, trials)
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for t := 0; t < trials; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rt := r.Stream(uint64(t) + 1)
-			res, err := run(rt)
-			if err != nil {
-				results[t] = outcome{err: err}
-				return
-			}
-			results[t] = outcome{eval: metrics.Evaluate(d, res.Indices), calls: res.OracleCalls}
-		}(t)
-	}
-	wg.Wait()
+	parallel.Run(parallelism, trials, func(t int) {
+		res, err := run(r.Stream(uint64(t) + 1))
+		if err != nil {
+			results[t] = outcome{err: err}
+			return
+		}
+		results[t] = outcome{eval: metrics.Evaluate(d, res.Indices), calls: res.OracleCalls}
+	})
 
 	ts := &metrics.TrialSet{}
 	for _, o := range results {

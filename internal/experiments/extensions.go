@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"supg/internal/core"
 	"supg/internal/dataset"
 	"supg/internal/metrics"
 	"supg/internal/multiproxy"
 	"supg/internal/oracle"
+	"supg/internal/parallel"
 	"supg/internal/randx"
 )
 
@@ -79,24 +79,15 @@ func runMultiTrials(r *randx.Rand, d *dataset.Dataset, cols [][]float64, spec co
 		err  error
 	}
 	results := make([]outcome, trials)
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for t := 0; t < trials; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			res, err := multiproxy.Select(r.Stream(uint64(t)+1), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), multiproxy.Fuser{Kind: fusion})
-			if err != nil {
-				results[t] = outcome{err: err}
-				return
-			}
-			e := metrics.Evaluate(d, res.Indices)
-			results[t] = outcome{fail: e.Recall < spec.Gamma, prec: e.Precision}
-		}(t)
-	}
-	wg.Wait()
+	parallel.Run(parallelism, trials, func(t int) {
+		res, err := multiproxy.Select(r.Stream(uint64(t)+1), cols, oracle.NewSimulated(d), spec, core.DefaultSUPG(), multiproxy.Fuser{Kind: fusion})
+		if err != nil {
+			results[t] = outcome{err: err}
+			return
+		}
+		e := metrics.Evaluate(d, res.Indices)
+		results[t] = outcome{fail: e.Recall < spec.Gamma, prec: e.Precision}
+	})
 	fails, precSum := 0, 0.0
 	for _, oc := range results {
 		if oc.err != nil {

@@ -3,12 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"supg/internal/core"
 	"supg/internal/dataset"
 	"supg/internal/metrics"
 	"supg/internal/oracle"
+	"supg/internal/parallel"
 	"supg/internal/proxy"
 	"supg/internal/randx"
 	"supg/internal/stats"
@@ -110,25 +110,15 @@ func runJointTrials(r *randx.Rand, d *dataset.Dataset, spec core.JointSpec, cfg 
 		err    error
 	}
 	results := make([]outcome, trials)
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for t := 0; t < trials; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rt := r.Stream(uint64(t) + 1)
-			res, err := core.SelectJointFromContextOptions(context.Background(), rt, core.NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg, core.SelectOptions{})
-			if err != nil {
-				results[t] = outcome{err: err}
-				return
-			}
-			e := metrics.Evaluate(d, res.Indices)
-			results[t] = outcome{calls: res.OracleCalls, recall: e.Recall}
-		}(t)
-	}
-	wg.Wait()
+	parallel.Run(parallelism, trials, func(t int) {
+		res, err := core.SelectJointFromContextOptions(context.Background(), r.Stream(uint64(t)+1), core.NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, cfg, core.SelectOptions{})
+		if err != nil {
+			results[t] = outcome{err: err}
+			return
+		}
+		e := metrics.Evaluate(d, res.Indices)
+		results[t] = outcome{calls: res.OracleCalls, recall: e.Recall}
+	})
 
 	var calls, ok []float64
 	for _, o := range results {

@@ -145,11 +145,11 @@ func naiveFixedThresholdAccuracy(r *randx.Rand, pair dataset.DriftPair, kind cor
 	// "Oracle labels on the entire training dataset": budget = |train|.
 	spec := core.Spec{Kind: kind, Gamma: gamma, Delta: 0.05, Budget: train.Len()}
 	budgeted := oracle.NewBudgeted(oracle.NewSimulated(train), train.Len())
-	tr, err := core.EstimateTau(r, core.NewRawSource(train.Scores()), budgeted, spec, core.DefaultUNoCI())
-	if err != nil && err != core.ErrNoPositives {
+	fit, err := core.SelectBudgeted(r, core.NewRawSource(train.Scores()), budgeted, spec, core.DefaultUNoCI())
+	if err != nil {
 		return 0
 	}
-	tau := tr.Tau
+	tau := fit.Tau
 
 	// Apply the fixed threshold to the shifted test set (no new labels).
 	test := pair.Test

@@ -37,12 +37,11 @@
 //     and walks the bitmap's words low to high. Segments partition the
 //     id space in order, so the concatenation is globally ascending —
 //     the degenerate k-way merge.
-//   - Mixture computes the defensive weights with the exact per-element
-//     operations and left-to-right summation order of
-//     sampling.DefensiveWeights (segments only parallelize the
-//     embarrassingly-parallel transform step) and feeds them to the
-//     same global alias-table machinery, so weighted draws consume the
-//     random stream identically to the monolithic path.
+//   - Mixture computes the defensive weights with
+//     sampling.DefensiveWeights over the whole column, whose weights do
+//     not depend on its worker count, and feeds them to the same global
+//     alias-table machinery, so weighted draws consume the random
+//     stream identically to the monolithic path.
 //
 // # Incremental append
 //
@@ -74,14 +73,16 @@
 //
 // # Intra-query parallelism
 //
-// Two read-path phases fan out across segments on the same
-// parallel.Run the segment build uses, bounded by Options.Parallelism:
-// AppendAtLeast gathers of 16Ki or more ids, into presized per-segment
-// slots, and the mixture transform/normalize passes. Only phases whose
-// outputs are independent of worker assignment parallelize: gathers
-// write disjoint presized slots concatenated in fixed segment order,
-// and the mixture's global normalizing sum stays one sequential
-// left-to-right pass because float addition is not associative.
+// Two read-path phases fan out on the same parallel.Run the segment
+// build uses, bounded by Options.Parallelism: AppendAtLeast gathers of
+// 16Ki or more ids, across segments into presized per-segment slots,
+// and mixture builds, whose weight transform and normalize passes
+// sampling.DefensiveWeights splits into fixed blocks of records. Only
+// phases whose outputs are independent of worker assignment
+// parallelize: gathers write disjoint presized slots concatenated in
+// fixed segment order, and the weights' global normalizing sum stays
+// one sequential left-to-right pass because float addition is not
+// associative.
 // CountAtLeast stays sequential: its per-segment binary searches cost
 // less than dispatching them. The random stream is never consumed off
 // the calling goroutine, so results are byte-identical at every

@@ -310,7 +310,7 @@ func TestMixtureCacheKeying(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 3", got)
 	}
 	// Cached weights must equal a fresh defensive-mixture build.
-	fresh := sampling.DefensiveWeights(ix.Scores(), 0.5, 0.1)
+	fresh := sampling.DefensiveWeights(ix.Scores(), 0.5, 0.1, 1)
 	for i := range fresh {
 		if w1[i] != fresh[i] {
 			t.Fatalf("cached weight %d = %v, want %v", i, w1[i], fresh[i])
@@ -329,7 +329,7 @@ func TestMixtureDrawsMatchUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, alias := ix.Mixture(0.5, 0.1)
-	fresh := sampling.NewAlias(sampling.DefensiveWeights(scores, 0.5, 0.1))
+	fresh := sampling.NewAlias(sampling.DefensiveWeights(scores, 0.5, 0.1, 1))
 	a := alias.DrawN(randx.New(7), 200)
 	b := fresh.DrawN(randx.New(7), 200)
 	for i := range a {

@@ -1,12 +1,10 @@
 package index
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"supg/internal/parallel"
 	"supg/internal/sampling"
 )
 
@@ -25,7 +23,7 @@ type mixture struct {
 	alias   *sampling.Alias
 }
 
-// mixtureBuilds counts buildMixture calls process-wide, so restart
+// mixtureBuilds counts mixture builds process-wide, so restart
 // tests (and operators) can assert that a recovered index served its
 // first query from a persisted mixture instead of rebuilding it.
 var mixtureBuilds atomic.Int64
@@ -84,8 +82,9 @@ func (sm *storedMixture) adopt(n int) *mixture {
 const maxCachedMixtures = 8
 
 // Mixture returns the defensive-mixture weights and alias table for
-// the given exponent/mix, building and caching them on first use (up
-// to maxCachedMixtures distinct keys). A recovered index adopts a
+// the given exponent/mix, building them with sampling.DefensiveWeights
+// at Options.Parallelism and caching them on first use (up to
+// maxCachedMixtures distinct keys). A recovered index adopts a
 // stored mixture for the key instead of building it (see
 // StoredMixture). The returned slices/tables are shared and must be
 // treated as read-only. Concurrent callers may race to build the same
@@ -109,7 +108,9 @@ func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) *mixture {
 		m = sm.adopt(len(ix.scores))
 	}
 	if m == nil {
-		m = ix.buildMixture(exponent, mix)
+		mixtureBuilds.Add(1)
+		w := sampling.DefensiveWeights(ix.scores, exponent, mix, ix.par)
+		m = &mixture{weights: w, alias: sampling.NewAlias(w)}
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -120,72 +121,6 @@ func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) *mixture {
 		ix.mixtures[key] = m
 	}
 	return m // cache full: serve uncached, identical draws
-}
-
-// buildMixture computes the defensive-mixture weights and their alias
-// table. The per-element transform runs in parallel across segments,
-// but every operation and the left-to-right summation order match
-// sampling.DefensiveWeights exactly, so the weight vector — and hence
-// the alias table and every draw made from it — is bit-for-bit the one
-// a monolithic index computes (TestMixtureMatchesDefensiveWeights
-// pins this).
-func (ix *ScoreIndex) buildMixture(exponent, mix float64) *mixture {
-	mixtureBuilds.Add(1)
-	n := len(ix.scores)
-	if mix < 0 {
-		mix = 0
-	}
-	if mix > 1 {
-		mix = 1
-	}
-	w := make([]float64, n)
-	ix.eachSegmentParallel(func(s *segment) {
-		for i, sc := range s.scores {
-			if sc < 0 {
-				sc = 0
-			}
-			var v float64
-			switch {
-			case exponent == 0:
-				v = 1
-			case exponent == 1:
-				v = sc
-			case exponent == 0.5:
-				v = math.Sqrt(sc)
-			default:
-				v = math.Pow(sc, exponent)
-			}
-			w[s.base+i] = v
-		}
-	})
-	// Global left-to-right reduction: float addition is not
-	// associative, so per-segment partial sums would drift from the
-	// monolithic total by rounding and break bit-exact equivalence.
-	total := 0.0
-	for _, v := range w {
-		total += v
-	}
-	uniform := 1.0 / float64(n)
-	if total <= 0 {
-		for i := range w {
-			w[i] = uniform
-		}
-	} else {
-		ix.eachSegmentParallel(func(s *segment) {
-			for i := range s.scores {
-				j := s.base + i
-				w[j] = (1-mix)*w[j]/total + mix*uniform
-			}
-		})
-	}
-	return &mixture{weights: w, alias: sampling.NewAlias(w)}
-}
-
-// eachSegmentParallel runs fn over every segment across up to
-// Options.Parallelism goroutines. fn must only write state disjoint
-// between segments.
-func (ix *ScoreIndex) eachSegmentParallel(fn func(*segment)) {
-	parallel.Run(ix.par, len(ix.segs), func(j int) { fn(ix.segs[j]) })
 }
 
 // CachedMixtureTables returns every cached mixture in persistable form,

@@ -105,7 +105,7 @@ func TestMixtureMatchesDefensiveWeights(t *testing.T) {
 			{Exponent: 2.3, Mix: 0.25},
 		} {
 			w, alias := ix.Mixture(key.Exponent, key.Mix)
-			want := sampling.DefensiveWeights(scores, key.Exponent, key.Mix)
+			want := sampling.DefensiveWeights(scores, key.Exponent, key.Mix, 1)
 			for i := range want {
 				if math.Float64bits(w[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("segSize=%d key=%+v: weight %d = %v, want %v", segSize, key, i, w[i], want[i])

@@ -43,8 +43,10 @@ func (s State) Terminal() bool {
 
 // Runner executes one job's payload under ctx. It should honor ctx
 // promptly (the engine's oracle layer checks it on every uncached
-// call) and report cumulative oracle consumption through progress.
-// The returned value becomes the job's Result.
+// call) and report cumulative oracle consumption through progress,
+// one report at a time with increasing totals, as the engine's
+// ExecOptions.Progress delivers them. The returned value becomes the
+// job's Result.
 type Runner func(ctx context.Context, payload any, progress func(oracleCalls int)) (any, error)
 
 // Config tunes a Manager. The zero value selects the defaults noted on
@@ -344,17 +346,7 @@ func (m *Manager) run(j *Job) {
 	j.mu.Unlock()
 	defer cancel()
 
-	result, err := m.runner(ctx, payload, func(n int) {
-		// Progress reports may arrive out of order from concurrent
-		// dispatcher goroutines; keep the maximum so the cumulative
-		// count never regresses.
-		for {
-			cur := j.oracleCalls.Load()
-			if int64(n) <= cur || j.oracleCalls.CompareAndSwap(cur, int64(n)) {
-				return
-			}
-		}
-	})
+	result, err := m.runner(ctx, payload, func(n int) { j.oracleCalls.Store(int64(n)) })
 
 	j.mu.Lock()
 	defer j.mu.Unlock()

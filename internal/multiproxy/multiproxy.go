@@ -26,7 +26,6 @@ package multiproxy
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"supg/internal/core"
 	"supg/internal/oracle"
@@ -333,13 +332,14 @@ func DefaultCalibration(budget int) int {
 }
 
 // Select answers a SUPG query over multiple proxy columns: fuse with f,
-// then run the configured single-proxy estimator on the fused scores.
-// Calibration shares the query's own oracle budget (the engine path
-// instead charges calibration to index construction and amortizes it
-// across queries): a FuseLogistic Fuser with no CalibrationBudget
-// reserves DefaultCalibration of the budget for the stacker, and the
-// remainder drives threshold estimation; the spec's total budget is
-// never exceeded.
+// then run core.SelectBudgeted on the fused scores over the budget
+// wrapper calibration already spent, so every record calibration
+// labeled positive joins R1 too. Calibration shares the query's own
+// oracle budget (the engine path instead charges calibration to index
+// construction and amortizes it across queries): a FuseLogistic Fuser
+// with no CalibrationBudget reserves DefaultCalibration of the budget
+// for the stacker, and the remainder drives threshold estimation; the
+// spec's total budget is never exceeded.
 func Select(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec core.Spec, cfg core.Config, f Fuser) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -359,36 +359,9 @@ func Select(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec core.Spe
 
 	subSpec := spec
 	subSpec.Budget = spec.Budget - fused.CalibrationCalls
-	tr, err := core.EstimateTau(r.Stream(2), core.NewRawSource(fused.Scores), budgeted, subSpec, cfg)
-	if err != nil && err != core.ErrNoPositives {
+	sel, err := core.SelectBudgeted(r.Stream(2), core.NewRawSource(fused.Scores), budgeted, subSpec, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if err == core.ErrNoPositives && spec.Kind == core.PrecisionTarget {
-		tr.Tau = math.Inf(1)
-	}
-
-	sel := assembleResult(fused.Scores, tr, budgeted)
 	return &Result{Result: sel, Fusion: f.Kind, CalibrationCalls: fused.CalibrationCalls}, nil
-}
-
-// assembleResult mirrors core's R1 ∪ R2 assembly using the budgeted
-// oracle's full label cache (so calibration positives are returned too).
-func assembleResult(scores []float64, tr core.TauResult, budgeted *oracle.Budgeted) core.Result {
-	include := map[int]struct{}{}
-	for _, i := range budgeted.LabeledPositives() {
-		include[i] = struct{}{}
-	}
-	if !math.IsInf(tr.Tau, 1) {
-		for i, s := range scores {
-			if s >= tr.Tau {
-				include[i] = struct{}{}
-			}
-		}
-	}
-	out := make([]int, 0, len(include))
-	for i := range include { //supg:nondeterminism-ok set membership only; out is sorted before it is returned
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return core.Result{Indices: out, Tau: tr.Tau, OracleCalls: budgeted.Used()}
 }

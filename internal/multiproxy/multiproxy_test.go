@@ -242,6 +242,63 @@ func TestSelectMultiMeanAndMax(t *testing.T) {
 	}
 }
 
+// TestSelectReturnsEveryLabeledPositive pins R1 on the multi-proxy
+// path as everything the query's one budget wrapper labeled positive:
+// every record the oracle labeled positive, calibration sample
+// included, is in Indices, and SampledPositives counts the returned
+// records scoring below tau (all of them when tau is +Inf).
+func TestSelectReturnsEveryLabeledPositive(t *testing.T) {
+	d, cols := twoProxyDataset(7, 20000)
+	for _, spec := range []core.Spec{
+		{Kind: core.PrecisionTarget, Gamma: 0.6, Delta: 0.05, Budget: 1000},
+		// Certifies no threshold: tau is +Inf and R1 is the answer.
+		{Kind: core.PrecisionTarget, Gamma: 0.99, Delta: 0.05, Budget: 1000},
+		{Kind: core.RecallTarget, Gamma: 0.6, Delta: 0.05, Budget: 1000},
+	} {
+		kind := spec.Kind
+		for _, fusion := range []Fusion{FuseMean, FuseLogistic} {
+			var positives []int
+			orc := oracle.Func(func(i int) (bool, error) {
+				if d.TrueLabel(i) {
+					positives = append(positives, i)
+				}
+				return d.TrueLabel(i), nil
+			})
+			res, err := Select(randx.New(8), cols, orc, spec, core.DefaultSUPG(), Fuser{Kind: fusion})
+			if err != nil {
+				t.Fatalf("%v/%v: %v", kind, fusion, err)
+			}
+			if len(positives) == 0 {
+				t.Fatalf("%v/%v: the oracle labeled no positive", kind, fusion)
+			}
+			// Fusion is a pure function of its stream and labels, so this
+			// is the column Select thresholded.
+			f := Fuser{Kind: fusion, CalibrationBudget: DefaultCalibration(spec.Budget)}
+			fused, err := f.Fuse(randx.New(8).Stream(1), cols, oracle.NewBudgeted(oracle.NewSimulated(d), spec.Budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			returned := make(map[int]bool, len(res.Indices))
+			below := 0
+			for _, i := range res.Indices {
+				returned[i] = true
+				if !(fused.Scores[i] >= res.Tau) {
+					below++
+				}
+			}
+			if res.SampledPositives != below {
+				t.Errorf("%v/%v: SampledPositives = %d, want the %d of %d returned ids below tau %v",
+					kind, fusion, res.SampledPositives, below, len(res.Indices), res.Tau)
+			}
+			for _, i := range positives {
+				if !returned[i] {
+					t.Fatalf("%v/%v: labeled positive %d not returned", kind, fusion, i)
+				}
+			}
+		}
+	}
+}
+
 func TestSelectMultiValidation(t *testing.T) {
 	d, cols := twoProxyDataset(9, 5000)
 	bad := core.Spec{Kind: core.RecallTarget, Gamma: 0, Delta: 0.05, Budget: 100}

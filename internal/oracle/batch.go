@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"supg/internal/metrics"
+	"supg/internal/parallel"
 )
 
 // BatchOracle labels a set of records in one call. Implementations may
@@ -24,7 +25,7 @@ type BatchOracle interface {
 	LabelBatch(ctx context.Context, idx []int) ([]bool, error)
 }
 
-// Dispatcher fans the labels of a batch out across a bounded pool of
+// Dispatcher fans the labels of a batch out across a bounded number of
 // goroutines, each calling the wrapped oracle's Label. It adapts any
 // per-record Oracle — a user UDF, a Simulated oracle with latency — to
 // the BatchOracle interface, overlapping slow per-call latency (the
@@ -40,8 +41,8 @@ type Dispatcher struct {
 }
 
 // NewDispatcher wraps inner with a dispatch width of parallelism
-// concurrent label fetches per batch. parallelism <= 1 dispatches
-// sequentially (but still batches accounting).
+// concurrent label fetches per batch. parallelism <= 1 labels the batch
+// in order on the calling goroutine (but still batches accounting).
 func NewDispatcher(inner Oracle, parallelism int) *Dispatcher {
 	if parallelism < 1 {
 		parallelism = 1
@@ -60,80 +61,37 @@ func (d *Dispatcher) WithCounters(c *metrics.Counters) *Dispatcher {
 // Dispatcher can stand anywhere an Oracle is expected.
 func (d *Dispatcher) Label(i int) (bool, error) { return d.inner.Label(i) }
 
-// LabelBatch implements BatchOracle with bounded-parallel fan-out.
-// Workers pull positions from a shared cursor; the first error (or a
-// context cancellation) stops the remaining work. Per the BatchOracle
-// contract, on error the longest successfully-labeled prefix is
-// returned alongside it, so callers can keep labels that were already
-// fetched (and paid for) instead of discarding the whole batch.
+// LabelBatch implements BatchOracle with bounded-parallel fan-out on
+// parallel.Run. The first error (or a context cancellation) turns every
+// position not yet started into a no-op. Per the BatchOracle contract,
+// on error the longest successfully-labeled prefix is returned
+// alongside it, so callers can keep labels that were already fetched
+// (and paid for) instead of discarding the whole batch.
 func (d *Dispatcher) LabelBatch(ctx context.Context, idx []int) ([]bool, error) {
 	d.counters.DispatchBatch(len(idx))
 	out := make([]bool, len(idx))
-	if len(idx) == 0 {
-		return out, nil
-	}
-
-	workers := d.parallelism
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	if workers <= 1 {
-		for i, j := range idx {
-			if err := ctx.Err(); err != nil {
-				return out[:i], fmt.Errorf("oracle: %w", err)
-			}
-			v, err := d.inner.Label(j)
-			if err != nil {
-				return out[:i], err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		cursor   atomic.Int64
-		firstErr error
-		errOnce  sync.Once
-		wg       sync.WaitGroup
-	)
-	// done[pos] marks positions whose label landed in out; written by
-	// workers before wg.Done, read only after wg.Wait (the WaitGroup
-	// orders the accesses).
+	// done[pos] marks positions whose label landed in out; parallel.Run
+	// returns only after every write.
 	done := make([]bool, len(idx))
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				pos := int(cursor.Add(1)) - 1
-				if pos >= len(idx) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(fmt.Errorf("oracle: %w", err))
-					return
-				}
-				v, err := d.inner.Label(idx[pos])
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[pos] = v
-				done[pos] = true
-			}
-		}()
-	}
-	wg.Wait()
+	var (
+		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
+	)
+	parallel.Run(d.parallelism, len(idx), func(pos int) {
+		if failed.Load() {
+			return
+		}
+		err := ctx.Err()
+		if err != nil {
+			err = fmt.Errorf("oracle: %w", err)
+		} else if out[pos], err = d.inner.Label(idx[pos]); err == nil {
+			done[pos] = true
+			return
+		}
+		failed.Store(true)
+		errOnce.Do(func() { firstErr = err })
+	})
 	if firstErr != nil {
 		// The contiguous done prefix is exactly what a sequential loop
 		// stopping at the first failure could have kept; later completed

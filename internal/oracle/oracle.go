@@ -10,7 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"supg/internal/dataset"
@@ -351,15 +351,18 @@ func (b *Budgeted) Used() int { return b.used }
 // Budget returns the configured limit.
 func (b *Budgeted) Budget() int { return b.budget }
 
-// LabeledPositives returns the indices labeled positive so far — the R1
-// component of Algorithm 1's result.
-func (b *Budgeted) LabeledPositives() []int {
-	var out []int
+// AppendLabeledPositives appends the records labeled positive so far —
+// the R1 component of Algorithm 1's result — to dst in ascending order
+// and returns the extended slice. In charged mode every labeled record
+// consumed one budget unit, so a dst with spare capacity Used() never
+// grows.
+func (b *Budgeted) AppendLabeledPositives(dst []int) []int {
+	n := len(dst)
 	for k, v := range b.cache {
 		if v {
-			out = append(out, k)
+			dst = append(dst, k)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }

@@ -86,8 +86,9 @@ func TestBudgetedLabeled(t *testing.T) {
 	o.Label(0)
 	o.Label(1)
 	o.Label(3)
-	if pos := o.LabeledPositives(); !slices.Equal(pos, []int{1, 3}) {
-		t.Errorf("LabeledPositives = %v, want [1 3]", pos)
+	// The positives follow dst's existing entries, ascending.
+	if pos := o.AppendLabeledPositives([]int{7}); !slices.Equal(pos, []int{7, 1, 3}) {
+		t.Errorf("AppendLabeledPositives = %v, want [7 1 3]", pos)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package parallel provides Run, the bounded fan-out behind index
-// builds and the two read-path phases that split across segments:
-// large id gathers and mixture transforms. Their results stay a pure
-// function of (data, seed) at every worker count.
+// builds, the two read-path phases that split a query's work (large id
+// gathers and the defensive-weight transform), the oracle dispatcher's
+// labeling batches and the experiments' trial loops. Their results stay
+// a pure function of (data, seed) at every worker count.
 //
 // Run never owns resident goroutines. Each call spawns its helpers for
 // the duration of the loop and the calling goroutine always

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 
+	"supg/internal/parallel"
 	"supg/internal/randx"
 )
 
@@ -252,13 +253,23 @@ func WeightedWithReplacement(r *randx.Rand, weights []float64, k int) []int {
 	return a.DrawN(r, k)
 }
 
+// weightBlock is the number of records one DefensiveWeights task
+// transforms or normalizes: large enough to amortize the dispatch,
+// small enough that a million-record column spreads over many workers.
+const weightBlock = 64 << 10
+
 // DefensiveWeights builds the sampling distribution of Algorithms 4/5:
 // each proxy score is raised to exponent, normalized to sum 1, and mixed
 // with the uniform distribution: w = (1-mix)·pow/||pow||₁ + mix·1/n.
 // The paper uses exponent 0.5 and mix 0.1. The returned slice sums to 1.
 // Scores are clamped at 0 before exponentiation. If every transformed
 // score is zero the result is fully uniform.
-func DefensiveWeights(scores []float64, exponent, mix float64) []float64 {
+//
+// The per-record transform and the normalize pass run over fixed blocks
+// of records on parallel.Run with at most par workers. The normalizing
+// sum stays one left-to-right pass, because float addition is not
+// associative, so the weights are bit-identical at every par.
+func DefensiveWeights(scores []float64, exponent, mix float64, par int) []float64 {
 	n := len(scores)
 	if n == 0 {
 		return nil
@@ -270,23 +281,35 @@ func DefensiveWeights(scores []float64, exponent, mix float64) []float64 {
 		mix = 1
 	}
 	w := make([]float64, n)
+	blocks := (n + weightBlock - 1) / weightBlock
+	eachBlock := func(fn func(w, scores []float64)) {
+		parallel.Run(par, blocks, func(b int) {
+			lo := b * weightBlock
+			hi := min(lo+weightBlock, n)
+			fn(w[lo:hi], scores[lo:hi])
+		})
+	}
+	eachBlock(func(w, scores []float64) {
+		for i, s := range scores {
+			if s < 0 {
+				s = 0
+			}
+			var v float64
+			switch {
+			case exponent == 0:
+				v = 1
+			case exponent == 1:
+				v = s
+			case exponent == 0.5:
+				v = math.Sqrt(s)
+			default:
+				v = math.Pow(s, exponent)
+			}
+			w[i] = v
+		}
+	})
 	total := 0.0
-	for i, s := range scores {
-		if s < 0 {
-			s = 0
-		}
-		var v float64
-		switch {
-		case exponent == 0:
-			v = 1
-		case exponent == 1:
-			v = s
-		case exponent == 0.5:
-			v = math.Sqrt(s)
-		default:
-			v = math.Pow(s, exponent)
-		}
-		w[i] = v
+	for _, v := range w {
 		total += v
 	}
 	uniform := 1.0 / float64(n)
@@ -296,8 +319,10 @@ func DefensiveWeights(scores []float64, exponent, mix float64) []float64 {
 		}
 		return w
 	}
-	for i := range w {
-		w[i] = (1-mix)*w[i]/total + mix*uniform
-	}
+	eachBlock(func(w, _ []float64) {
+		for i := range w {
+			w[i] = (1-mix)*w[i]/total + mix*uniform
+		}
+	})
 	return w
 }

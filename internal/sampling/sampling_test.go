@@ -166,7 +166,7 @@ func TestDefensiveWeightsSumToOne(t *testing.T) {
 	scores := []float64{0.1, 0.5, 0.9, 0.0, 1.0}
 	for _, exp := range []float64{0, 0.5, 1, 0.3} {
 		for _, mix := range []float64{0, 0.1, 0.5, 1} {
-			w := DefensiveWeights(scores, exp, mix)
+			w := DefensiveWeights(scores, exp, mix, 1)
 			sum := 0.0
 			for _, v := range w {
 				if v < 0 {
@@ -183,7 +183,7 @@ func TestDefensiveWeightsSumToOne(t *testing.T) {
 
 func TestDefensiveWeightsMixingFloor(t *testing.T) {
 	scores := []float64{0, 0, 0, 1}
-	w := DefensiveWeights(scores, 0.5, 0.1)
+	w := DefensiveWeights(scores, 0.5, 0.1, 1)
 	floor := 0.1 / 4
 	for i := 0; i < 3; i++ {
 		if math.Abs(w[i]-floor) > 1e-12 {
@@ -197,7 +197,7 @@ func TestDefensiveWeightsMixingFloor(t *testing.T) {
 
 func TestDefensiveWeightsUniformWhenExponentZero(t *testing.T) {
 	scores := []float64{0.1, 0.9, 0.4}
-	w := DefensiveWeights(scores, 0, 0.1)
+	w := DefensiveWeights(scores, 0, 0.1, 1)
 	for _, v := range w {
 		if math.Abs(v-1.0/3) > 1e-12 {
 			t.Fatalf("exponent 0 should be uniform, got %v", w)
@@ -206,7 +206,7 @@ func TestDefensiveWeightsUniformWhenExponentZero(t *testing.T) {
 }
 
 func TestDefensiveWeightsAllZeroScores(t *testing.T) {
-	w := DefensiveWeights([]float64{0, 0}, 0.5, 0)
+	w := DefensiveWeights([]float64{0, 0}, 0.5, 0, 1)
 	for _, v := range w {
 		if v != 0.5 {
 			t.Fatalf("all-zero scores should fall back to uniform, got %v", w)
@@ -216,16 +216,62 @@ func TestDefensiveWeightsAllZeroScores(t *testing.T) {
 
 func TestDefensiveWeightsSqrtShape(t *testing.T) {
 	// With mix=0, weights should be proportional to sqrt(score).
-	w := DefensiveWeights([]float64{0.25, 1.0}, 0.5, 0)
+	w := DefensiveWeights([]float64{0.25, 1.0}, 0.5, 0, 1)
 	if math.Abs(w[1]/w[0]-2) > 1e-9 {
 		t.Fatalf("sqrt weights ratio %v, want 2", w[1]/w[0])
 	}
 }
 
 func TestDefensiveWeightsClampsMix(t *testing.T) {
-	w := DefensiveWeights([]float64{0.3, 0.6}, 0.5, 2.5) // mix > 1 clamps to uniform
+	w := DefensiveWeights([]float64{0.3, 0.6}, 0.5, 2.5, 1) // mix > 1 clamps to uniform
 	if math.Abs(w[0]-0.5) > 1e-12 {
 		t.Fatalf("mix>1 should clamp to uniform, got %v", w)
+	}
+}
+
+// referenceWeights is the defensive-weight formula as one sequential
+// loop per pass.
+func referenceWeights(scores []float64, exponent, mix float64) []float64 {
+	w := make([]float64, len(scores))
+	total := 0.0
+	for i, s := range scores {
+		w[i] = math.Pow(math.Max(s, 0), exponent)
+		if exponent == 0.5 {
+			w[i] = math.Sqrt(math.Max(s, 0))
+		}
+		total += w[i]
+	}
+	for i := range w {
+		w[i] = (1-mix)*w[i]/total + mix/float64(len(w))
+	}
+	return w
+}
+
+// TestDefensiveWeightsBitIdenticalAcrossBlocks runs the weights kernel
+// over three full blocks and a partial fourth at several worker counts:
+// every branch of the transform must give the bits of one sequential
+// loop at every par, because the blocks only split the per-record
+// passes and the sum stays one left-to-right loop.
+func TestDefensiveWeightsBitIdenticalAcrossBlocks(t *testing.T) {
+	n := 3*weightBlock + 5
+	r := randx.New(17)
+	scores := make([]float64, n)
+	for i := range scores {
+		scores[i] = r.Float64()
+	}
+	scores[weightBlock-1], scores[weightBlock], scores[n-1] = 0, 1, 0
+	for _, exp := range []float64{0, 0.5, 1, 2.3} {
+		for _, mix := range []float64{0, 0.1} {
+			want := referenceWeights(scores, exp, mix)
+			for _, par := range []int{1, 2, 8} {
+				got := DefensiveWeights(scores, exp, mix, par)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("exp=%v mix=%v par=%d: weight %d = %v, want %v", exp, mix, par, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -240,7 +286,7 @@ func TestDefensiveWeightsFloorProperty(t *testing.T) {
 			scores[i] = math.Mod(math.Abs(v), 1)
 		}
 		mix := math.Mod(math.Abs(mixRaw), 1)
-		w := DefensiveWeights(scores, 0.5, mix)
+		w := DefensiveWeights(scores, 0.5, mix, 1)
 		floor := mix / float64(len(scores))
 		for _, v := range w {
 			if v < floor-1e-12 {

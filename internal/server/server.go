@@ -54,8 +54,9 @@ type Options struct {
 	SegmentSize int
 	// IndexBuildParallelism bounds the goroutines of one index
 	// operation: proxy scoring, concurrent segment builds, and the two
-	// per-query fan-outs across segments, large id gathers and mixture
-	// builds (default GOMAXPROCS; 1 disables). Results are
+	// per-query fan-outs, large id gathers across segments and mixture
+	// builds over fixed blocks of records (default GOMAXPROCS; 1
+	// disables). Results are
 	// byte-identical at every setting. See
 	// engine.Options.BuildParallelism.
 	IndexBuildParallelism int
