@@ -9,12 +9,13 @@
 //
 // With -persist-dir set, uploaded datasets and built score indexes
 // are flushed to disk and recovered on the next boot (mmap'd, zero
-// proxy re-scans, byte-identical results); a clean shutdown also
-// checkpoints each index's cached IS sampling mixtures, which the
-// first query after the next boot adopts instead of rebuilding. The
-// label WAL defaults to labels.wal inside that directory, so a bare
-// -persist-dir makes the whole server state durable. The boot banner
-// reports what was recovered.
+// proxy re-scans, byte-identical results): datasets at boot, and each
+// index when the first query that needs it checks and adopts it. A
+// clean shutdown also checkpoints each index's cached IS sampling
+// mixtures, which the first query after the next boot adopts instead
+// of rebuilding. The label WAL defaults to labels.wal inside that
+// directory, so a bare -persist-dir makes the whole server state
+// durable. The boot banner reports what was recovered and staged.
 //
 // API:
 //
@@ -96,7 +97,7 @@ func bindFlags(fs *flag.FlagSet, p *processFlags, o *server.Options) {
 	fs.DurationVar(&o.JobRetention, "job-retention", 15*time.Minute, "how long finished jobs stay queryable")
 	fs.DurationVar(&o.OracleLatency, "oracle-latency", 0, "simulated per-call oracle latency for every registered dataset (preloads and uploads)")
 	fs.IntVar(&o.SegmentSize, "segment-size", 0, "records per score-index segment (0 = default 256Ki); identical results at any setting")
-	fs.IntVar(&o.IndexBuildParallelism, "index-build-parallelism", 0, "goroutines per index operation: proxy scoring, concurrent segment builds, and the per-query fan-outs across segments for large id gathers and mixture builds (0 = GOMAXPROCS, 1 disables); byte-identical results at any setting")
+	fs.IntVar(&o.IndexBuildParallelism, "index-build-parallelism", 0, "goroutines per index operation: proxy scoring, concurrent segment builds, and the per-query fan-outs of large id gathers, across segments, and of mixture builds, over fixed 64Ki-record blocks (0 = GOMAXPROCS, 1 disables); byte-identical results at any setting")
 	fs.Int64Var(&o.LabelCacheBytes, "label-cache-bytes", 0, "cross-query oracle label cache budget in bytes (0 = default 64 MiB; negative disables label reuse)")
 	fs.StringVar(&o.LabelWALPath, "label-wal", "", "path of the label store write-ahead log; bought labels are journaled and replayed on restart, so the server re-buys zero labels (empty = not durable)")
 	fs.IntVar(&o.LabelWALSyncEvery, "label-wal-sync-every", 1, "label WAL fsync cadence: 1 = each label is durable before the query that bought it uses it (one fsync per oracle batch); N > 1 = fsync every N records")
@@ -141,7 +142,7 @@ func main() {
 	}
 	if store := srv.Engine().Storage(); store != nil {
 		st := store.Stats()
-		fmt.Printf("persist dir %s: recovered %d tables, %d indexes (%d segments, %d mixtures), %.1f MiB mapped in %s\n",
+		fmt.Printf("persist dir %s: recovered %d tables, %d indexes (%d segments, %d mixtures), %.1f MiB mapped in %s; indexes are staged and checked on first query\n",
 			opts.PersistDir, st.TablesRecovered, st.IndexesRecovered, st.SegmentsRecovered, st.MixturesRecovered,
 			float64(st.MappedBytes)/(1<<20), st.RecoveryElapsed.Round(time.Millisecond))
 		for _, note := range st.Degraded {

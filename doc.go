@@ -245,15 +245,18 @@
 // persist directory (engine.Options.PersistDir, supg-server
 // -persist-dir) flushes each index after build or append — an append
 // writes only its tail, as one new dataset chunk and one new column
-// chunk — and, on boot, mmaps everything back (a grown table's chunks
-// are copied into one heap column): recovery re-sorts zero permutations
-// and calls zero proxy UDFs — persisted segments are verified in
-// O(n) (strict (score, id) ascent, bounds, bitwise agreement with the
-// column), which pins the unique sort order and makes every recovered
-// answer byte-identical to the pre-crash one. Corrupt or torn files
-// are never served: the affected index degrades to a clean rebuild
-// (durably tombstoned, reported in storage.Stats and /v1/stats), and a
-// torn manifest tail is truncated exactly like the WAL's. A clean
+// chunk — and, after a restart, mmaps everything back (a grown table's
+// chunks are copied into one heap column): its datasets at boot, and
+// each index when the first query that needs it loads it, so an index
+// no query reads is never mapped. Recovery re-sorts zero permutations
+// and calls zero proxy UDFs — persisted segments are verified in O(n)
+// on that first use (strict (score, id) ascent, bounds, bitwise
+// agreement with the column), which pins the unique sort order and
+// makes every recovered answer byte-identical to the pre-crash one.
+// Corrupt or torn files are never served: the affected table or index
+// degrades to a clean rebuild (durably dropped, reported in
+// storage.Stats), and a torn manifest tail is truncated exactly like
+// the WAL's. A clean
 // shutdown also checkpoints each index's cached IS sampling mixtures
 // (weights plus Vose alias table), which the first query after the
 // next boot verifies and adopts instead of rebuilding. See

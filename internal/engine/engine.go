@@ -64,6 +64,11 @@ type indexKey struct {
 // work accounting the building query reports.
 type built struct {
 	ix *index.ScoreIndex
+	// recovered reports that ix was adopted from the durable storage
+	// tier, its files checked on this first use (and append-extended
+	// when the table grew since the flush), instead of built by a proxy
+	// scan. See persist.go.
+	recovered bool
 	// proxyCalls is the number of proxy UDF evaluations performed
 	// (members × records for fused sources).
 	proxyCalls int
@@ -104,13 +109,9 @@ type indexEntry struct {
 	// only that one version, never the append chain behind it.
 	table *dataset.Dataset
 
-	// recovered marks an entry adopted from the durable storage tier:
-	// its build verifies (or append-extends) a persisted index instead
-	// of scanning proxies. epoch is the table's invalidation epoch at
-	// entry creation; a flush with a stale epoch abandons itself. See
-	// persist.go.
-	recovered bool
-	epoch     uint64
+	// epoch is the table's invalidation epoch at entry creation; a
+	// flush with a stale epoch abandons itself. See persist.go.
+	epoch uint64
 
 	once    sync.Once
 	done    atomic.Bool // set once res/err are final; see builtIndex
@@ -209,10 +210,11 @@ type Options struct {
 	Clock oracle.Clock
 	// PersistDir, when non-empty, enables the durable storage tier:
 	// registered datasets and built score indexes are flushed to this
-	// directory and recovered on Open — mmap'd back into segment views
-	// with zero proxy UDF calls and zero permutation sorts, answering
-	// queries byte-identically to the pre-restart process. See
-	// internal/storage.
+	// directory and recovered after a restart — datasets on Open, each
+	// index when a query first needs it, mmap'd back into segment views
+	// and checked then, with zero proxy UDF calls and zero permutation
+	// sorts, answering queries byte-identically to the pre-restart
+	// process. See internal/storage.
 	PersistDir string
 }
 
@@ -522,39 +524,36 @@ func (e *Engine) AppendTable(name string, extra *dataset.Dataset) (*dataset.Data
 			fusion:  parent.fusion,
 			table:   combined,
 			epoch:   e.storeEpoch(name),
-			build: e.extendBuild(key.source, fns, parent.fusion, oldLen, newLen, func() (built, error) {
+			build: func() (built, error) {
 				var b built
 				if parent.ensure() {
 					b.proxyCalls = parent.res.proxyCalls
 				}
+				if parent.err != nil {
+					return b, parent.err
+				}
 				b.ix = parent.res.ix
-				return b, parent.err
-			}),
+				return e.extendBuilt(b, key.source, fns, parent.fusion, oldLen, newLen)
+			},
 		}
 	}
 	return combined, nil
 }
 
-// extendBuild returns a build that runs base, scores records [lo, hi)
-// with the label-free source (fns, fusion) and appends them to base's
-// index as fresh segments — an append, indexed without re-scanning or
-// re-sorting the records base covers.
-func (e *Engine) extendBuild(source string, fns []ProxyUDF, fusion query.FusionKind, lo, hi int, base func() (built, error)) func() (built, error) {
-	return func() (built, error) {
-		b, err := base()
-		if err != nil {
-			return b, err
-		}
-		fresh, err := fuseRange(fns, fusion, lo, hi, e.ixOpts.Parallelism)
-		if err == nil {
-			b.proxyCalls += len(fns) * (hi - lo)
-			b.ix, err = b.ix.Append(fresh)
-		}
-		if err != nil {
-			return b, fmt.Errorf("engine: source %q: %w", source, err)
-		}
-		return b, nil
+// extendBuilt scores records [lo, hi) with the label-free source (fns,
+// fusion) and appends them to b's index, which covers [0, lo), as
+// fresh segments — an append, indexed without re-scanning or re-sorting
+// the records b already covers.
+func (e *Engine) extendBuilt(b built, source string, fns []ProxyUDF, fusion query.FusionKind, lo, hi int) (built, error) {
+	fresh, err := fuseRange(fns, fusion, lo, hi, e.ixOpts.Parallelism)
+	if err == nil {
+		b.proxyCalls += len(fns) * (hi - lo)
+		b.ix, err = b.ix.Append(fresh)
 	}
+	if err != nil {
+		return b, fmt.Errorf("engine: source %q: %w", source, err)
+	}
+	return b, nil
 }
 
 // fuseRange evaluates every member proxy over records [lo, hi) across
@@ -731,9 +730,11 @@ type QueryResult struct {
 	IndexBuilt bool
 	// IndexRecovered reports that this query was the first of its
 	// (table, score source) pair and its index came from the durable
-	// storage tier instead of a build: zero sorts, and zero proxy calls
-	// unless the table grew since the flush (then ProxyCalls covers
-	// exactly the appended tail).
+	// storage tier instead of a build, its files checked on this first
+	// use: zero sorts, and zero proxy calls unless the table grew since
+	// the flush (then ProxyCalls covers exactly the appended tail). A
+	// persisted index that fails the check is rebuilt, and the query
+	// reports IndexBuilt instead.
 	IndexRecovered bool
 	// Fusion names the score source's fusion strategy ("mean", "max",
 	// "logistic"; empty for the classic single-proxy form).
@@ -877,7 +878,7 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 
 	res := &QueryResult{Plan: plan, Table: entry.table}
 	if built {
-		if entry.recovered {
+		if entry.res.recovered {
 			res.IndexRecovered = true
 		} else {
 			res.IndexBuilt = true
@@ -1029,8 +1030,8 @@ func (e *Engine) tableIndex(plan *query.Plan) (*indexEntry, bool, error) {
 	}
 	if built {
 		// Flush the fresh index to the durable tier (off the engine
-		// lock; no-op when persistence is off or the entry was recovered
-		// whole from disk).
+		// lock; no-op when persistence is off or the entry adopted its
+		// persisted index whole).
 		e.persistIndex(key, entry)
 	}
 	return entry, built, nil
@@ -1053,30 +1054,42 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 		}
 		fns[i] = fn
 	}
-	opts := e.ixOpts
 	entry := &indexEntry{
 		proxies: append([]string(nil), src.Proxies...),
 		fusion:  src.Fusion,
 		table:   table,
-		epoch:   e.storeEpoch(key.table),
 	}
-
+	if src.Fusion.Calibrated() {
+		entry.calibOracle = plan.OracleUDF
+	}
+	fresh, err := e.freshBuildLocked(key, plan, table, fns)
+	if err != nil {
+		return nil, err
+	}
+	entry.build = fresh
 	// A staged recovered index for this exact (table, source) short-
-	// circuits the build: the persisted permutation was verified at
-	// boot, so the entry adopts it (whole, or as the base of an append
-	// chain when the table grew since the flush).
-	if adopted := e.adoptStagedLocked(key, src, table, fns); adopted != nil {
-		entry.recovered = true
+	// circuits the build: the entry adopts the persisted permutation
+	// (whole, or as the base of an append chain when the table grew
+	// since the flush) once its first use has checked it, and runs
+	// fresh instead if that check fails.
+	if adopted := e.adoptStagedLocked(key, src, table, fns, fresh); adopted != nil {
 		entry.build = adopted
-		if src.Fusion.Calibrated() {
-			entry.calibOracle = plan.OracleUDF
-		}
-		return entry, nil
 	}
+	// Read after adoption: its durable drop of an unusable staged index
+	// advances the epoch, and must not abandon this entry's own flush.
+	entry.epoch = e.storeEpoch(key.table)
+	return entry, nil
+}
 
+// freshBuildLocked returns the build that scans the member proxies over
+// the whole table and indexes the (fused) column, over the
+// registrations snapshotted now. Callers hold e.mu for writing.
+func (e *Engine) freshBuildLocked(key indexKey, plan *query.Plan, table *dataset.Dataset, fns []ProxyUDF) (func() (built, error), error) {
+	src := plan.Source
+	opts := e.ixOpts
 	sourceID := key.source
 	if !src.Fusion.Calibrated() {
-		entry.build = func() (built, error) {
+		return func() (built, error) {
 			n := table.Len()
 			b := built{proxyCalls: len(fns) * n}
 			scores, err := fuseRange(fns, src.Fusion, 0, n, opts.Parallelism)
@@ -1087,8 +1100,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 				return b, fmt.Errorf("engine: source %q: %w", sourceID, err)
 			}
 			return b, nil
-		}
-		return entry, nil
+		}, nil
 	}
 
 	fuser, err := fuserFor(src.Fusion, src.CalibrationBudget)
@@ -1106,13 +1118,12 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 	if !okO {
 		return nil, fmt.Errorf("engine: oracle UDF %q no longer registered", plan.OracleUDF)
 	}
-	entry.calibOracle = plan.OracleUDF
 	var labelCache *labelstore.Cache
 	if e.labels != nil {
 		labelCache = e.labels.Cache(plan.Table, plan.OracleUDF)
 	}
 	seed := e.seed
-	entry.build = func() (built, error) {
+	return func() (built, error) {
 		n := table.Len()
 		cols := make([][]float64, len(fns))
 		for i, fn := range fns {
@@ -1139,8 +1150,7 @@ func (e *Engine) newIndexEntryLocked(key indexKey, plan *query.Plan) (*indexEntr
 		}
 		b.ix = ix
 		return b, nil
-	}
-	return entry, nil
+	}, nil
 }
 
 // scoreBlock is the number of records one proxy-scoring task

@@ -12,9 +12,12 @@ import (
 // The durable storage tier (Options.PersistDir) hooks into the engine
 // at six points:
 //
-//   - Open stages everything the storage tier recovered: datasets and
-//     verified indexes wait in e.staged / e.stagedIx until the
-//     registrations they depend on arrive.
+//   - Open stages everything the storage tier recovered: datasets wait
+//     in e.staged, and index records, whose files the storage tier has
+//     not read yet, in e.stagedIx, until the registrations they depend
+//     on arrive. An index is loaded and checked by the first query that
+//     adopts it; one that fails the check is dropped durably and that
+//     query rebuilds it from the proxies.
 //   - Registration either ADOPTS staged state (first registration of a
 //     recovered name with identical content — loading, not
 //     superseding, mirroring the label store's WAL semantics) or
@@ -42,7 +45,8 @@ import (
 // All staged state is consumed at most once: a staged index either
 // becomes the cache entry for its (table, source) — whole if lengths
 // match, as the base of an append chain if the table grew — or is
-// durably dropped the first time it is found unusable.
+// durably dropped the first time it is found unusable, by its
+// provenance and length at adoption or by its files at first use.
 
 // stagedTable is a recovered dataset awaiting its first registration.
 type stagedTable struct {
@@ -50,10 +54,13 @@ type stagedTable struct {
 	crc uint32
 }
 
-// stagedIndex is a recovered, verified index awaiting the first query
-// of its (table, source) after the member registrations return.
+// stagedIndex is a recovered index record awaiting the first query of
+// its (table, source) after the member registrations return. Its files
+// wait unread: load maps and checks them, once (storage's
+// RecoveredIndex.Load).
 type stagedIndex struct {
-	ix          *index.ScoreIndex
+	n           int // records the persisted index covers
+	load        func() (*index.ScoreIndex, error)
 	proxies     []string
 	fusion      query.FusionKind
 	calibOracle string
@@ -97,7 +104,8 @@ func (e *Engine) openStorage(opts Options) error {
 			continue
 		}
 		e.stagedIx[indexKey{table: ri.Table, source: ri.Source}] = &stagedIndex{
-			ix:          ri.Index,
+			n:           ri.Len,
+			load:        ri.Load,
 			proxies:     ri.Proxies,
 			fusion:      fusion,
 			calibOracle: ri.CalibOracle,
@@ -180,11 +188,14 @@ func (e *Engine) storeEpoch(table string) uint64 {
 }
 
 // adoptStagedLocked consumes a staged recovered index for key, if one
-// exists and is usable against the current table and source. It
-// returns a build closure (plus the recovered flag) or nil to build
-// from scratch. Callers hold e.mu; fns are the snapshotted member
-// proxies of the source.
-func (e *Engine) adoptStagedLocked(key indexKey, src query.ScoreSource, table *dataset.Dataset, fns []ProxyUDF) func() (built, error) {
+// exists and is usable against the current table and source, and
+// returns the build closure that adopts it, or nil to build from
+// scratch. The closure runs outside e.mu and loads the index, which
+// checks its files on this first use; if the load fails, it runs
+// fresh, the build the entry would otherwise have had, over the same
+// snapshot of registrations. Callers hold e.mu; fns are the
+// snapshotted member proxies of the source.
+func (e *Engine) adoptStagedLocked(key indexKey, src query.ScoreSource, table *dataset.Dataset, fns []ProxyUDF, fresh func() (built, error)) func() (built, error) {
 	if e.store == nil {
 		return nil
 	}
@@ -193,40 +204,47 @@ func (e *Engine) adoptStagedLocked(key indexKey, src query.ScoreSource, table *d
 		return nil
 	}
 	delete(e.stagedIx, key) // consumed either way
-	if !si.matches(src) || si.ix.Len() > table.Len() {
+	n := table.Len()
+	// A table shorter than the index is not the one it was built over.
+	// A longer one grew by appends (a larger upload adopted by CRC is
+	// impossible) since the flush: calibrated fusions must recalibrate
+	// against the grown population, so they drop too.
+	if !si.matches(src) || si.n > n || (si.n < n && src.Fusion.Calibrated()) {
 		e.dropIndexDurably(key)
 		return nil
 	}
-	// Whole-index adoption: zero proxy calls, zero sorts — the verified
-	// on-disk permutation answers queries byte-identically.
-	ix := si.ix
-	adopt := func() (built, error) { return built{ix: ix}, nil }
-	if ix.Len() == table.Len() {
-		return adopt
+	return func() (built, error) {
+		ix, err := si.load()
+		if err != nil {
+			// The files failed their check, and the store dropped the
+			// record durably, or the record was dropped meanwhile:
+			// never serve it.
+			return fresh()
+		}
+		// Whole-index adoption: zero proxy calls, zero sorts — the
+		// verified on-disk permutation answers queries byte-identically.
+		b := built{ix: ix, recovered: true}
+		if ix.Len() == n {
+			return b, nil
+		}
+		// Label-free sources extend incrementally: score only the tail
+		// and append it as fresh segments, like an in-process append.
+		return e.extendBuilt(b, key.source, fns, src.Fusion, ix.Len(), n)
 	}
-	// The table grew (AppendTable, or a larger upload adopted by CRC —
-	// impossible, so: appends) since the index was flushed. Label-free
-	// sources extend incrementally: score only the tail and append it
-	// as fresh segments, exactly like an in-process append. Calibrated
-	// fusions must recalibrate against the grown population — drop.
-	if src.Fusion.Calibrated() {
-		e.dropIndexDurably(key)
-		return nil
-	}
-	return e.extendBuild(key.source, fns, src.Fusion, ix.Len(), table.Len(), adopt)
 }
 
 // persistIndex flushes a just-built index to the durable store. Runs
 // without e.mu (column and segment writes are the expensive part); the
 // epoch captured at entry creation makes a flush that lost a race with
 // an invalidation abandon itself (ErrSuperseded) instead of
-// resurrecting dropped state. A fully-recovered entry skips the flush:
-// its on-disk form is already exact.
+// resurrecting dropped state. An entry that adopted its persisted index
+// whole skips the flush: its on-disk form is already exact. One whose
+// persisted index failed its check rebuilt it, and flushes it.
 func (e *Engine) persistIndex(key indexKey, entry *indexEntry) {
 	if e.store == nil || entry.err != nil || entry.res.ix == nil {
 		return
 	}
-	if entry.recovered && entry.res.proxyCalls == 0 {
+	if entry.res.recovered && entry.res.proxyCalls == 0 {
 		return
 	}
 	meta := storage.IndexMeta{
@@ -288,7 +306,7 @@ func (e *Engine) RecoveredDatasets() []*dataset.Dataset {
 }
 
 // Storage exposes the engine's durable store (nil when persistence is
-// off). Its Stats report what Open recovered — tables, indexes,
-// segments, mixtures, mapped bytes, elapsed time and degraded entries —
-// for the server's boot banner and tests.
+// off). Its Stats report what Open recovered and staged — tables,
+// indexes, segments, mixtures, elapsed time — and the mapped bytes and
+// degraded entries so far, for the server's boot banner and tests.
 func (e *Engine) Storage() *storage.Store { return e.store }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -284,7 +285,9 @@ func TestRestartAppendChainsTail(t *testing.T) {
 
 // TestRestartCorruptSegmentRebuilds: a bit-flipped segment file must
 // degrade recovery to a full rebuild with identical results — corrupt
-// bytes are never served.
+// bytes are never served. The first query that needs the index finds
+// the damage, drops the record durably and flushes the rebuild, so the
+// next boot adopts that instead.
 func TestRestartCorruptSegmentRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	d := dataset.Beta(randx.New(35), 10000, 0.01, 2)
@@ -313,9 +316,6 @@ func TestRestartCorruptSegmentRebuilds(t *testing.T) {
 	var calls2 int
 	e2 := persistEngine(t, dir, d, &calls2)
 	info := e2.Storage().Stats()
-	if info.IndexesRecovered != 0 || len(info.Degraded) == 0 {
-		t.Fatalf("corrupt segment not degraded: %+v", info)
-	}
 	if info.TablesRecovered != 1 {
 		t.Fatalf("dataset lost with the corrupt segment: %+v", info)
 	}
@@ -328,6 +328,253 @@ func TestRestartCorruptSegmentRebuilds(t *testing.T) {
 			warm.IndexBuilt, warm.IndexRecovered, calls2)
 	}
 	assertSameResult(t, cold, warm)
+	if info := e2.Storage().Stats(); len(info.Degraded) == 0 {
+		t.Fatalf("corrupt segment not degraded: %+v", info)
+	}
+	e2.Close()
+
+	// The drop is durable: the corrupt file is gone, and the next boot
+	// adopts the flushed rebuild without a note.
+	if _, err := os.Stat(segs[0]); !os.IsNotExist(err) {
+		t.Fatalf("the corrupt segment file survived its drop: %v", err)
+	}
+	var calls3 int
+	e3 := persistEngine(t, dir, d, &calls3)
+	res3, err := execute(e3, persistTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := e3.Storage().Stats(); len(info.Degraded) != 0 || !res3.IndexRecovered || calls3 != 0 {
+		t.Fatalf("third boot: IndexRecovered=%v proxy calls=%d, degraded %v", res3.IndexRecovered, calls3, info.Degraded)
+	}
+	assertSameResult(t, cold, res3)
+}
+
+// fileSet lists the files in dir with the extension.
+func fileSet(t *testing.T, dir, ext string) map[string]bool {
+	t.Helper()
+	m, err := filepath.Glob(filepath.Join(dir, "*"+ext))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]bool, len(m))
+	for _, f := range m {
+		out[f] = true
+	}
+	return out
+}
+
+// TestRestartVerifiesIndexesOnFirstUse: a restart reads no index file
+// at boot; each persisted index is checked by the first query that
+// needs it. With the fused index's segment corrupt, the single-proxy
+// query still adopts its own intact index with zero proxy calls and no
+// note, the fused query rebuilds and answers as before the restart,
+// and the next boot adopts both.
+func TestRestartVerifiesIndexesOnFirstUse(t *testing.T) {
+	const fusedSQL = `SELECT * FROM t WHERE o(x) ORACLE LIMIT 500 USING FUSE(mean, p(x), q(x)) RECALL TARGET 90% WITH PROBABILITY 95%`
+	dir := t.TempDir()
+	d := dataset.Beta(randx.New(38), 20000, 0.01, 2)
+	var calls atomic.Int64
+	open := func() *Engine {
+		e, err := Open(7, Options{PersistDir: dir, SegmentSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		e.RegisterTable("t", d.Clone())
+		e.RegisterOracle("o", func(i int) (bool, error) { return d.TrueLabel(i), nil })
+		e.RegisterProxy("p", func(i int) float64 { calls.Add(1); return d.Score(i) })
+		e.RegisterProxy("q", func(i int) float64 { calls.Add(1); return math.Sqrt(d.Score(i)) })
+		return e
+	}
+
+	e1 := open()
+	single := mustExecute(t, e1, persistTestSQL)
+	singleSegs := fileSet(t, dir, ".seg")
+	fused := mustExecute(t, e1, fusedSQL)
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var victim string
+	for f := range fileSet(t, dir, ".seg") {
+		if !singleSegs[f] {
+			victim = f
+		}
+	}
+	if victim == "" {
+		t.Fatal("the fused index persisted no segment file")
+	}
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	calls.Store(0)
+	e2 := open()
+	sorts := index.BuildSortsTotal()
+	got := mustExecute(t, e2, persistTestSQL)
+	if n := calls.Load(); n != 0 || !got.IndexRecovered || got.IndexBuilt || got.ProxyCalls != 0 {
+		t.Fatalf("single-proxy query: IndexRecovered=%v IndexBuilt=%v, %d proxy calls", got.IndexRecovered, got.IndexBuilt, n)
+	}
+	if n := index.BuildSortsTotal() - sorts; n != 0 {
+		t.Fatalf("the single-proxy query sorted %d permutations, want 0", n)
+	}
+	if info := e2.Storage().Stats(); len(info.Degraded) != 0 {
+		t.Fatalf("the intact index's first use noted %q", info.Degraded)
+	}
+	assertSameResult(t, single, got)
+
+	gotFused := mustExecute(t, e2, fusedSQL)
+	if !gotFused.IndexBuilt || gotFused.IndexRecovered || gotFused.ProxyCalls != 2*d.Len() {
+		t.Fatalf("fused query over a corrupt index: IndexBuilt=%v IndexRecovered=%v ProxyCalls=%d, want a rebuild of %d",
+			gotFused.IndexBuilt, gotFused.IndexRecovered, gotFused.ProxyCalls, 2*d.Len())
+	}
+	assertSameResult(t, fused, gotFused)
+	if info := e2.Storage().Stats(); len(info.Degraded) != 1 {
+		t.Fatalf("degradation notes %q, want the fused index's", info.Degraded)
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	calls.Store(0)
+	e3 := open()
+	for _, c := range []struct {
+		sql  string
+		want *QueryResult
+	}{{persistTestSQL, single}, {fusedSQL, fused}} {
+		res := mustExecute(t, e3, c.sql)
+		if !res.IndexRecovered || res.ProxyCalls != 0 {
+			t.Fatalf("third boot: IndexRecovered=%v ProxyCalls=%d", res.IndexRecovered, res.ProxyCalls)
+		}
+		assertSameResult(t, c.want, res)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("third boot invoked the proxies %d times, want 0", n)
+	}
+	if info := e3.Storage().Stats(); len(info.Degraded) != 0 {
+		t.Fatalf("third boot noted %q", info.Degraded)
+	}
+}
+
+// TestRestartConcurrentFirstQueriesLoadIndexOnce: concurrent first
+// queries of one staged index load and check its files once — the
+// mapped bytes grow by that index's files, not a multiple — and answer
+// identically. Run under -race.
+func TestRestartConcurrentFirstQueriesLoadIndexOnce(t *testing.T) {
+	dir := t.TempDir()
+	d := dataset.Beta(randx.New(39), 15000, 0.01, 2)
+	want := referenceResults(t, d, mixRecallSQL)[0]
+	var calls int
+	e1 := persistEngine(t, dir, d, &calls)
+	mustExecute(t, e1, mixRecallSQL)
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// One index persisted: its column chunk, its segments and the mixture
+	// the shutdown checkpointed, which the recall query also adopts.
+	var indexBytes int64
+	for _, ext := range []string{".col", ".seg", ".mix"} {
+		for f := range fileSet(t, dir, ext) {
+			fi, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			indexBytes += fi.Size()
+		}
+	}
+
+	calls = 0
+	e2 := persistEngine(t, dir, d, &calls)
+	before := e2.Storage().Stats().MappedBytes
+	if before == 0 {
+		indexBytes = 0 // no mmap on this platform: every file is read to the heap
+	}
+	const workers = 8
+	got := make([]*QueryResult, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g], errs[g] = execute(e2, mixRecallSQL)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	recovered := 0
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if got[g].IndexRecovered {
+			recovered++
+		}
+		assertSameResult(t, want, got[g])
+	}
+	if recovered != 1 || calls != 0 {
+		t.Fatalf("%d queries adopted the index, %d proxy calls; want 1 and 0", recovered, calls)
+	}
+	if grew := e2.Storage().Stats().MappedBytes - before; grew != indexBytes {
+		t.Fatalf("mapped bytes grew by %d across %d first queries, want one index's %d", grew, workers, indexBytes)
+	}
+}
+
+// TestRestartGrownCalibratedIndexIsFlushed: a calibrated fused index
+// cannot extend over appended records, so when its table grew between
+// boots the first query drops the staged record and rebuilds the index
+// over the whole table. That rebuild is flushed like any other build,
+// and the next boot adopts it with zero proxy calls.
+func TestRestartGrownCalibratedIndexIsFlushed(t *testing.T) {
+	const logisticSQL = `SELECT * FROM t WHERE o(x) ORACLE LIMIT 500 USING FUSE(logistic, p(x), q(x)) CALIBRATE 100 RECALL TARGET 90% WITH PROBABILITY 95%`
+	dir := t.TempDir()
+	full := dataset.Beta(randx.New(40), 24000, 0.01, 2)
+	var calls atomic.Int64
+	open := func(d *dataset.Dataset) *Engine {
+		e, err := Open(7, Options{PersistDir: dir, SegmentSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		e.RegisterTable("t", d)
+		e.RegisterOracle("o", func(i int) (bool, error) { return full.TrueLabel(i), nil })
+		e.RegisterProxy("p", func(i int) float64 { calls.Add(1); return full.Score(i) })
+		e.RegisterProxy("q", func(i int) float64 { calls.Add(1); return math.Sqrt(full.Score(i)) })
+		return e
+	}
+
+	e1 := open(full.Slice(0, 20000))
+	mustExecute(t, e1, logisticSQL)
+	e1.Close()
+	// A boot that appends and shuts down without querying leaves the
+	// calibrated index record shorter than its table.
+	e2 := open(full.Slice(0, 20000))
+	if _, err := e2.AppendTable("t", full.Slice(20000, full.Len())); err != nil {
+		t.Fatal(err)
+	}
+	e2.Close()
+
+	e3 := open(full.Clone())
+	rebuilt := mustExecute(t, e3, logisticSQL)
+	if !rebuilt.IndexBuilt || rebuilt.ProxyCalls != 2*full.Len() {
+		t.Fatalf("grown calibrated index: IndexBuilt=%v ProxyCalls=%d, want a rebuild of %d", rebuilt.IndexBuilt, rebuilt.ProxyCalls, 2*full.Len())
+	}
+	e3.Close()
+
+	calls.Store(0)
+	e4 := open(full.Clone())
+	res := mustExecute(t, e4, logisticSQL)
+	if !res.IndexRecovered || calls.Load() != 0 {
+		t.Fatalf("next boot: IndexRecovered=%v, %d proxy calls; the rebuild was not flushed", res.IndexRecovered, calls.Load())
+	}
+	assertSameResult(t, rebuilt, res)
 }
 
 // TestRestartDifferentContentRewrites: registering DIFFERENT data under

@@ -139,6 +139,7 @@ func TestAppendWritesOnlyTheTail(t *testing.T) {
 	for _, noMmap := range []bool{false, true} {
 		sorts := index.BuildSortsTotal()
 		s2 := openStore(t, Options{Dir: dir, NoMmap: noMmap, Index: index.Options{SegmentSize: 700}})
+		got := mustLoad(t, s2.RecoveredIndexes()[0])
 		st := s2.Stats()
 		if st.TablesRecovered != 1 || st.IndexesRecovered != 1 || st.MixturesRecovered != 1 || len(st.Degraded) != 0 {
 			t.Fatalf("noMmap=%v: recovered %+v", noMmap, st)
@@ -151,7 +152,6 @@ func TestAppendWritesOnlyTheTail(t *testing.T) {
 		if rt.CRC != DatasetCRC(d) {
 			t.Fatalf("noMmap=%v: recovered identity %08x, want DatasetCRC %08x", noMmap, rt.CRC, DatasetCRC(d))
 		}
-		got := s2.RecoveredIndexes()[0].Index
 		assertIndexEquivalent(t, ix, got)
 		// Chunked columns are copied, not mapped: only segments count.
 		var segBytes int64
@@ -202,7 +202,7 @@ func TestOrphanChunkSweptTableKeepsLength(t *testing.T) {
 		t.Fatalf("recovered %+v", st)
 	}
 	assertSameDataset(t, d, s2.RecoveredTables()[0].Dataset)
-	assertIndexEquivalent(t, ix, s2.RecoveredIndexes()[0].Index)
+	assertIndexEquivalent(t, ix, mustLoad(t, s2.RecoveredIndexes()[0]))
 	// The next append lands after the kept length, above the swept names.
 	grown := d.Append(extra)
 	if err := s2.AppendDataset("t", grown, d.Len()); err != nil {
@@ -276,13 +276,21 @@ func TestCorruptChunkDropsWhole(t *testing.T) {
 			corruptFile(t, filepath.Join(dir, victim), c.truncate)
 
 			s2 := openStore(t, Options{Dir: dir})
-			st := s2.Stats()
-			if st.IndexesRecovered != 0 || st.IndexesLive != 0 {
-				t.Fatalf("corrupt %s: index served: %+v", victim, st)
-			}
+			// A bad dataset chunk drops its table, and the index with it,
+			// at Open; a bad column chunk drops the index when its first
+			// use loads it.
 			wantTables := 1
+			st := s2.Stats()
 			if c.table {
 				wantTables = 0
+				if st.IndexesRecovered != 0 {
+					t.Fatalf("corrupt %s: the dropped table's index was staged: %+v", victim, st)
+				}
+			} else {
+				st = loadCorrupt(t, s2)
+			}
+			if st.IndexesLive != 0 {
+				t.Fatalf("corrupt %s: index served: %+v", victim, st)
 			}
 			if st.TablesRecovered != wantTables || st.TablesLive != wantTables {
 				t.Fatalf("corrupt %s: %d tables recovered / %d live, want %d", victim, st.TablesRecovered, st.TablesLive, wantTables)
@@ -487,7 +495,7 @@ func TestCrashAfterCompactionReplaysAppends(t *testing.T) {
 		t.Fatalf("kill copy recovered %+v", st)
 	}
 	assertSameDataset(t, d, s2.RecoveredTables()[0].Dataset)
-	assertIndexEquivalent(t, ix, s2.RecoveredIndexes()[0].Index)
+	assertIndexEquivalent(t, ix, mustLoad(t, s2.RecoveredIndexes()[0]))
 }
 
 // TestCrashManifestWriteFailureIsFailStop: a write whose manifest

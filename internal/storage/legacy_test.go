@@ -74,7 +74,7 @@ func assertLegacyRecordLive(t *testing.T, s *Store, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIndexEquivalent(t, want, recoveredIndex(t, s, "q").Index)
+	assertIndexEquivalent(t, want, mustLoad(t, recoveredIndex(t, s, "q")))
 }
 
 // TestCorruptLegacyCodeFileIsIgnored: recovery never reads a legacy
@@ -130,7 +130,7 @@ func TestLegacyIndexUpgrade(t *testing.T) {
 	if err := s.AppendDataset("t", combined, d.Len()); err != nil {
 		t.Fatal(err)
 	}
-	grown, err := q.Index.Append(extra.Scores())
+	grown, err := mustLoad(t, q).Append(extra.Scores())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestLegacyIndexUpgrade(t *testing.T) {
 	if st := s.Stats(); st.IndexesRecovered != 2 || len(st.Degraded) != 0 {
 		t.Fatalf("recovered %+v", st)
 	}
-	assertSameAnswers(t, buildIndex(t, combined, 128), recoveredIndex(t, s, "q").Index)
+	assertSameAnswers(t, buildIndex(t, combined, 128), mustLoad(t, recoveredIndex(t, s, "q")))
 	if live, named := liveFiles(t, dir), referencedFiles(s.st); !reflect.DeepEqual(live, named) {
 		t.Fatalf("files on disk %v, want exactly the catalog's %v", live, named)
 	}

@@ -87,11 +87,11 @@ func TestMixtureRoundTripAdoptsLazily(t *testing.T) {
 		if st.MixturesRecovered != 2 || st.MixturesLive != 2 {
 			t.Fatalf("noMmap=%v: recovered %d / live %d mixtures, want 2/2", noMmap, st.MixturesRecovered, st.MixturesLive)
 		}
-		got := s.RecoveredIndexes()[0].Index
+		got := mustLoad(t, s.RecoveredIndexes()[0])
 		if len(got.CachedMixtureTables()) != 0 {
 			t.Fatal("recovery adopted a mixture before any query asked")
 		}
-		mappedBefore := st.MappedBytes
+		mappedBefore := s.Stats().MappedBytes
 		builds := index.MixtureBuildsTotal()
 		assertMixtureEquivalent(t, want, got, keyIS)
 		if d := index.MixtureBuildsTotal() - builds; d != 0 {
@@ -142,7 +142,7 @@ func TestCorruptMixtureFallsBackToRebuild(t *testing.T) {
 		if st := s.Stats(); st.IndexesRecovered != 1 || st.MixturesRecovered != 2 {
 			t.Fatalf("%s: Open judged the mixture early: %+v", name, st)
 		}
-		got := s.RecoveredIndexes()[0].Index
+		got := mustLoad(t, s.RecoveredIndexes()[0])
 		builds := index.MixtureBuildsTotal()
 		assertMixtureEquivalent(t, want, got, keyIS)
 		if d := index.MixtureBuildsTotal() - builds; d != 1 {
@@ -195,7 +195,7 @@ func TestMixtureOutOfBoundsFallsBack(t *testing.T) {
 
 	s2 := openStore(t, Options{Dir: dir})
 	builds := index.MixtureBuildsTotal()
-	assertMixtureEquivalent(t, want, s2.RecoveredIndexes()[0].Index, keyIS)
+	assertMixtureEquivalent(t, want, mustLoad(t, s2.RecoveredIndexes()[0]), keyIS)
 	if index.MixtureBuildsTotal()-builds != 1 {
 		t.Fatal("out-of-bounds alias table was adopted")
 	}
@@ -212,8 +212,9 @@ func TestIndexFlushDropsStaleMixtures(t *testing.T) {
 	seedMixtures(t, dir)
 	s := openStore(t, Options{Dir: dir})
 	rec := s.RecoveredIndexes()[0]
+	recIx := mustLoad(t, rec)
 	extra := testDataset(t, 22, 300)
-	grown, err := rec.Index.Append(extra.Scores())
+	grown, err := recIx.Append(extra.Scores())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestIndexFlushDropsStaleMixtures(t *testing.T) {
 	}
 	// The old index no longer owns the record; only the grown one can
 	// checkpoint.
-	if n, _ := s.SaveMixtures("t", "p", rec.Index); n != 0 {
+	if n, _ := s.SaveMixtures("t", "p", recIx); n != 0 {
 		t.Fatal("superseded index checkpointed its mixtures")
 	}
 	grown.Mixture(keyIS.Exponent, keyIS.Mix)
@@ -258,7 +259,7 @@ func TestDropsCascadeToMixtures(t *testing.T) {
 		dir := t.TempDir()
 		seedMixtures(t, dir)
 		s := openStore(t, Options{Dir: dir})
-		ix := s.RecoveredIndexes()[0].Index
+		ix := mustLoad(t, s.RecoveredIndexes()[0])
 		if err := drop(s); err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +325,7 @@ func TestSaveMixturesConcurrent(t *testing.T) {
 	s2 := openStore(t, Options{Dir: dir})
 	builds := index.MixtureBuildsTotal()
 	for _, ri := range s2.RecoveredIndexes() {
-		assertMixtureEquivalent(t, ixs[0], ri.Index, keyIS)
+		assertMixtureEquivalent(t, ixs[0], mustLoad(t, ri), keyIS)
 	}
 	if index.MixtureBuildsTotal() != builds || s2.Stats().MixturesRecovered != len(sources) {
 		t.Fatal("concurrently checkpointed mixtures were not all adopted")
@@ -375,7 +376,7 @@ func TestCompactionKeepsMixtures(t *testing.T) {
 	}
 	builds := index.MixtureBuildsTotal()
 	for _, ri := range s2.RecoveredIndexes() {
-		assertMixtureEquivalent(t, want, ri.Index, keyAlt)
+		assertMixtureEquivalent(t, want, mustLoad(t, ri), keyAlt)
 	}
 	if index.MixtureBuildsTotal() != builds {
 		t.Fatal("mixture rebuilt after compaction")
@@ -476,9 +477,9 @@ func TestParentManifestReplaysUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIndexEquivalent(t, want, ri.Index)
+		assertIndexEquivalent(t, want, mustLoad(t, ri))
 		builds := index.MixtureBuildsTotal()
-		assertMixtureEquivalent(t, want, ri.Index, keyIS)
+		assertMixtureEquivalent(t, want, mustLoad(t, ri), keyIS)
 		if index.MixtureBuildsTotal()-builds != 2 {
 			t.Fatal("an index without stored mixtures did not build its own")
 		}

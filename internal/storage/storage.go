@@ -4,11 +4,13 @@
 // mixtures, plus an append-only MANIFEST log (an internal/framelog log,
 // framed like the label store's WAL) that records which files are live
 // for each (table, score source). The contract is zero-rescan
-// recovery with byte-identical results: Open mmaps the persisted files
-// back into index segment views, re-proving (not re-computing) each
-// permutation, so a restarted process answers queries bit-for-bit the
-// same as before the crash while invoking zero proxy UDFs and
-// performing zero permutation sorts.
+// recovery with byte-identical results: Open replays the manifest and
+// loads every table, and stages every index with a loader; the first
+// query that needs an index mmaps its files back into segment views and
+// re-proves (never re-computes) each permutation, so a restarted
+// process answers queries bit-for-bit the same as before the crash
+// while invoking zero proxy UDFs and performing zero permutation sorts.
+// An index no query reads is never mapped or checked.
 //
 // # Chunks
 //
@@ -73,11 +75,12 @@
 // before its end fails Open, which then truncates and sweeps nothing.
 // Any file whose size or CRC32 disagrees with its manifest record — and
 // any permutation that fails the O(n) ascent proof — causes that table
-// or index to be dropped (durably tombstoned) rather than served: the
-// engine falls back to a rebuild. One bad chunk drops its whole table
-// or index, never leaves a gap. A failed manifest write, or a
-// compaction whose rename cannot be made durable, stops every later
-// store write (fail-stop).
+// or index to be dropped (durably) rather than served: a table at Open
+// (recovery's tombstone), an index when its first use checks it (a
+// commit step, as for a bad mixture), and the engine rebuilds it. One
+// bad chunk drops its whole table or index, never leaves a gap. A
+// failed manifest write, or a compaction whose rename cannot be made
+// durable, stops every later store write (fail-stop).
 package storage
 
 import (
@@ -87,6 +90,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -133,11 +137,18 @@ type RecoveredTable struct {
 	CRC     uint32 // CRC32 (Castagnoli) of the dataset's binary form
 }
 
-// RecoveredIndex is a segmented index restored from disk at Open —
-// verified, never re-sorted.
+// RecoveredIndex is an index record Open staged: its provenance and
+// length, read from the manifest, and Load, which maps (or reads) its
+// files and checks them on first use — the size and CRC of every column
+// chunk and segment file, the headers, and each permutation's O(n)
+// ascent proof — never re-sorting. Load runs once; concurrent and later
+// calls share its result. An index that fails the checks is dropped
+// durably and noted in Stats().Degraded, and Load returns the error. A
+// record that was dropped or re-flushed since Open yields ErrSuperseded.
 type RecoveredIndex struct {
 	IndexMeta
-	Index *index.ScoreIndex
+	Len  int // records the index covers
+	Load func() (*index.ScoreIndex, error)
 }
 
 // Stats is a point-in-time summary of the store.
@@ -148,7 +159,10 @@ type Stats struct {
 
 	MixturesLive int
 
-	TablesRecovered   int
+	TablesRecovered int
+	// IndexesRecovered and SegmentsRecovered count the index records
+	// Open staged and their segments; each index is checked when first
+	// loaded (RecoveredIndex.Load).
 	IndexesRecovered  int
 	SegmentsRecovered int
 	// MixturesRecovered counts the stored sampling mixtures attached
@@ -159,6 +173,9 @@ type Stats struct {
 	// Open.
 	SegmentsPersisted int64
 
+	// MappedBytes counts the bytes of the files mapped so far: a
+	// one-chunk dataset at Open, an index's files when it is first
+	// loaded, a stored mixture when a query first asks for it.
 	MappedBytes     int64
 	RecoveryElapsed time.Duration
 	ManifestRecords int64
@@ -166,7 +183,8 @@ type Stats struct {
 
 	// Degraded lists human-readable notes about state that was present
 	// in the manifest but could not be served (corrupt or torn files)
-	// and was dropped in favor of a rebuild.
+	// and was dropped in favor of a rebuild: found at Open for tables,
+	// on first use for indexes and mixtures.
 	Degraded []string
 }
 
@@ -183,28 +201,30 @@ type Store struct {
 	seq    uint64
 	closed bool
 	// indexOf maps each live index record to the in-memory index it was
-	// flushed from or recovered as, so SaveMixtures can prove that a
+	// flushed from or loaded as, so SaveMixtures can prove that a
 	// mixture's tables belong to the column the record describes.
 	indexOf map[ixKey]*index.ScoreIndex
 
 	segmentsPersisted int64
 	mappedBytes       int64
 	compactions       int64
+	// degraded grows at Open and with every first-use check that fails.
+	degraded []string
 
 	// Recovery products, immutable after Open.
 	recTables   []RecoveredTable
 	recIndexes  []RecoveredIndex
 	recSegments int
 	recMixtures int
-	degraded    []string
 	recElapsed  time.Duration
 }
 
-// Open replays dir's manifest, loads and verifies every live table and
-// index (mmap'd when the platform allows), removes crash litter and
-// orphan files, and returns the store ready for appends. Corrupt state
-// is dropped — durably tombstoned and reported via Stats().Degraded —
-// never served. While another Store is open on dir, Open fails with an
+// Open replays dir's manifest, loads and verifies every live table
+// (mmap'd when the platform allows), stages every live index for its
+// first use without reading its files (RecoveredIndexes), removes crash
+// litter and orphan files, and returns the store ready for appends.
+// Corrupt state is dropped — durably, and reported via Stats().Degraded
+// — never served. While another Store is open on dir, Open fails with an
 // error that matches framelog.ErrLocked and removes nothing: the other
 // store's half-written and not yet recorded files are not litter.
 func Open(opts Options) (*Store, error) {
@@ -256,8 +276,9 @@ func removeCrashLitter(dir string) {
 	}
 }
 
-// loadCatalog materializes every live manifest entry, dropping (with a
-// durable tombstone) anything that fails verification.
+// loadCatalog loads every live table, dropping (with a durable
+// tombstone) any that fails verification, and stages every live index
+// whose record fits its table, leaving its files to its first use.
 func (s *Store) loadCatalog() {
 	for _, name := range s.st.tableNames() {
 		d, crc, err := s.loadDataset(s.st.tables[name])
@@ -276,15 +297,16 @@ func (s *Store) loadCatalog() {
 			// with it — recDropTable already covers it in the catalog.
 			continue
 		}
-		mixes := s.storedMixtures(k)
-		ix, err := s.loadIndex(rec, tbl.records(), mixes)
-		if err != nil {
-			s.degrade(fmt.Sprintf("index %s/%s: %v", k.table, k.source, err))
+		if rec.n > tbl.records() {
+			s.degrade(fmt.Sprintf("index %s/%s: index covers %d rows but table has %d", k.table, k.source, rec.n, tbl.records()))
 			s.tombstone(encodeDropIndex(k), recDropIndex, k)
 			continue
 		}
-		s.indexOf[k] = ix
-		s.recMixtures += len(mixes)
+		for mk := range s.st.mixtures {
+			if mk.ixKey == k {
+				s.recMixtures++
+			}
+		}
 		s.recIndexes = append(s.recIndexes, RecoveredIndex{
 			IndexMeta: IndexMeta{
 				Table:       rec.table,
@@ -293,10 +315,56 @@ func (s *Store) loadCatalog() {
 				CalibOracle: rec.calibOracle,
 				Proxies:     rec.proxies,
 			},
-			Index: ix,
+			Len: rec.n,
+			Load: sync.OnceValues(func() (*index.ScoreIndex, error) {
+				return s.loadStaged(k, rec)
+			}),
 		})
 		s.recSegments += len(rec.segs)
 	}
+}
+
+// loadStaged is the first-use check of the index record rec that Open
+// staged for k. It loads and verifies the record's files (loadIndex),
+// handing over the loaders of the index's stored mixtures as the
+// catalog lists them now, and binds the index to the record. A record
+// that was dropped or re-flushed meanwhile yields ErrSuperseded. One
+// that fails the checks is dropped durably, as rejectMixture drops a
+// bad mixture, so no later boot reads it again, and its error is
+// returned.
+func (s *Store) loadStaged(k ixKey, rec indexRec) (*index.ScoreIndex, error) {
+	s.mu.Lock()
+	if !s.isLiveLocked(k, rec) {
+		s.mu.Unlock()
+		return nil, ErrSuperseded
+	}
+	mixes := s.storedMixtures(k)
+	s.mu.Unlock()
+
+	ix, err := s.loadIndex(rec, mixes)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.isLiveLocked(k, rec) {
+		// A drop or a newer flush landed during the load; it stands.
+		return nil, ErrSuperseded
+	}
+	if err != nil {
+		s.degrade(fmt.Sprintf("index %s/%s: %v", k.table, k.source, err))
+		// A store that takes no more writes keeps the record: the next
+		// boot stages it again and its first use re-checks it.
+		_ = s.commitLocked(nil, nil, encodeDropIndex(k), recDropIndex, k)
+		return nil, err
+	}
+	s.indexOf[k] = ix
+	return ix, nil
+}
+
+// isLiveLocked reports whether rec is still the live record of index
+// k: the same rows over the same column chunk and segment files.
+// Called with s.mu held.
+func (s *Store) isLiveLocked(k ixKey, rec indexRec) bool {
+	cur, ok := s.st.indexes[k]
+	return ok && cur.n == rec.n && slices.Equal(cur.cols, rec.cols) && slices.Equal(cur.segs, rec.segs)
 }
 
 func (s *Store) degrade(note string) {
@@ -392,11 +460,8 @@ func parseColumnChunk(data []byte, c chunkRec) (columnFile, error) {
 // sorts, zero proxy calls, byte-identical or rejected. A one-chunk
 // column is adopted from its mapping; a chunked one is copied into heap
 // memory. mixes are the index's stored sampling mixtures, handed over
-// unread.
-func (s *Store) loadIndex(rec indexRec, tableRecords int, mixes []index.StoredMixture) (*index.ScoreIndex, error) {
-	if rec.n > tableRecords {
-		return nil, fmt.Errorf("index covers %d rows but table has %d", rec.n, tableRecords)
-	}
+// unread. It runs when a query first needs the index, never at Open.
+func (s *Store) loadIndex(rec indexRec, mixes []index.StoredMixture) (*index.ScoreIndex, error) {
 	var column []float64
 	backing := make([]any, 0, len(rec.segs)+1)
 	if len(rec.cols) == 1 {
@@ -457,6 +522,7 @@ func (s *Store) loadIndex(rec indexRec, tableRecords int, mixes []index.StoredMi
 }
 
 // storedMixtures returns lazy loaders for the live mixtures of index k.
+// Called with s.mu held.
 func (s *Store) storedMixtures(k ixKey) []index.StoredMixture {
 	var out []index.StoredMixture
 	for mk, rec := range s.st.mixtures {
@@ -650,7 +716,9 @@ func (s *Store) nextFileLocked(ext string) string {
 // RecoveredTables returns the datasets restored at Open, sorted by name.
 func (s *Store) RecoveredTables() []RecoveredTable { return s.recTables }
 
-// RecoveredIndexes returns the verified indexes restored at Open.
+// RecoveredIndexes returns the index records Open staged, sorted by
+// table, then source. Each one's files are checked by its Load, on
+// first use.
 func (s *Store) RecoveredIndexes() []RecoveredIndex { return s.recIndexes }
 
 // Epoch returns the table's invalidation epoch. Capture it before
@@ -662,7 +730,9 @@ func (s *Store) Epoch(table string) uint64 {
 	return s.epochs[table]
 }
 
-// Stats returns a point-in-time summary.
+// Stats returns a point-in-time summary. Its recovery counts describe
+// what Open restored and staged; MappedBytes and Degraded also grow
+// with the first-use loads of indexes and mixtures.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

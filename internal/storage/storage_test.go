@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"supg/internal/dataset"
@@ -58,6 +59,17 @@ func seedStore(t testing.TB, dir string, segSize int) (*dataset.Dataset, *index.
 		t.Fatal(err)
 	}
 	return d, ix
+}
+
+// mustLoad runs a staged index's first-use check and returns the
+// index, failing the test when the check does not pass.
+func mustLoad(t testing.TB, ri RecoveredIndex) *index.ScoreIndex {
+	t.Helper()
+	ix, err := ri.Load()
+	if err != nil {
+		t.Fatalf("load index %s/%s: %v", ri.Table, ri.Source, err)
+	}
+	return ix
 }
 
 // assertIndexEquivalent checks that got has want's shape and answers
@@ -158,7 +170,10 @@ func TestRoundTripRecovery(t *testing.T) {
 			if len(ri[0].Proxies) != 1 || ri[0].Proxies[0] != "p" || ri[0].Fusion != "none" {
 				t.Fatalf("provenance diverged: %+v", ri[0].IndexMeta)
 			}
-			assertIndexEquivalent(t, ix, ri[0].Index)
+			assertIndexEquivalent(t, ix, mustLoad(t, ri[0]))
+			if got := index.BuildSortsTotal() - sortsBefore; got != 0 {
+				t.Fatalf("the first-use load performed %d permutation sorts, want 0", got)
+			}
 		})
 	}
 }
@@ -177,7 +192,7 @@ func TestRecoveredIndexAppends(t *testing.T) {
 		t.Fatalf("recovered %d indexes", len(ri))
 	}
 	extra := testDataset(t, 9, 1200).Scores()
-	grown, err := ri[0].Index.Append(extra)
+	grown, err := mustLoad(t, ri[0]).Append(extra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +217,10 @@ func TestRecoveredAppendsCopyMappedColumns(t *testing.T) {
 	dir := t.TempDir()
 	d, ix := seedStore(t, dir, 700)
 	s := openStore(t, Options{Dir: dir, Index: index.Options{SegmentSize: 700}})
+	recD, recIx := s.RecoveredTables()[0].Dataset, mustLoad(t, s.RecoveredIndexes()[0])
 	if s.Stats().MappedBytes == 0 {
 		t.Fatal("nothing was mapped")
 	}
-	recD, recIx := s.RecoveredTables()[0].Dataset, s.RecoveredIndexes()[0].Index
 	extra := testDataset(t, 9, 1200)
 	tailA, tailB := extra.Slice(0, 600), extra.Slice(600, 1200)
 
@@ -265,27 +280,41 @@ func findFile(t *testing.T, dir, ext string) string {
 	return matches[0]
 }
 
+// loadCorrupt requires s to have staged exactly one index and its
+// first-use load to fail, and returns the store's stats after it.
+func loadCorrupt(t *testing.T, s *Store) Stats {
+	t.Helper()
+	ri := s.RecoveredIndexes()
+	if len(ri) != 1 {
+		t.Fatalf("Open staged %d indexes, want 1", len(ri))
+	}
+	if ix, err := ri[0].Load(); err == nil || ix != nil {
+		t.Fatalf("the corrupt index loaded: %v", err)
+	}
+	return s.Stats()
+}
+
 func TestTornSegmentFileDegradesIndexOnly(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, 700)
 	corruptFile(t, findFile(t, dir, ".seg"), true)
 
 	s := openStore(t, Options{Dir: dir})
-	st := s.Stats()
+	st := loadCorrupt(t, s)
 	if st.TablesRecovered != 1 {
 		t.Fatalf("table lost with the segment: %+v", st)
 	}
-	if st.IndexesRecovered != 0 || st.IndexesLive != 0 {
+	if st.IndexesLive != 0 {
 		t.Fatalf("torn segment served: %+v", st)
 	}
 	if len(st.Degraded) == 0 || !strings.Contains(st.Degraded[0], "index t/p") {
 		t.Fatalf("degradation note missing: %v", st.Degraded)
 	}
-	// The tombstone is durable: a second boot sees a clean catalog, not
-	// the same corruption again.
+	// The drop is durable: a second boot sees a clean catalog, not the
+	// same corruption again.
 	s.Close()
 	s2 := openStore(t, Options{Dir: dir})
-	if st2 := s2.Stats(); len(st2.Degraded) != 0 || st2.TablesRecovered != 1 {
+	if st2 := s2.Stats(); len(st2.Degraded) != 0 || st2.TablesRecovered != 1 || st2.IndexesRecovered != 0 {
 		t.Fatalf("second boot re-discovered the corruption: %+v", st2)
 	}
 }
@@ -296,12 +325,107 @@ func TestCorruptColumnCRCDegradesIndexOnly(t *testing.T) {
 	corruptFile(t, findFile(t, dir, ".col"), false)
 
 	s := openStore(t, Options{Dir: dir})
-	st := s.Stats()
-	if st.TablesRecovered != 1 || st.IndexesRecovered != 0 {
-		t.Fatalf("bit-flipped column: recovered %d tables / %d indexes", st.TablesRecovered, st.IndexesRecovered)
+	st := loadCorrupt(t, s)
+	if st.TablesRecovered != 1 || st.IndexesLive != 0 {
+		t.Fatalf("bit-flipped column: recovered %d tables / %d indexes live", st.TablesRecovered, st.IndexesLive)
 	}
 	if len(st.Degraded) == 0 || !strings.Contains(st.Degraded[0], "CRC mismatch") {
 		t.Fatalf("degradation note missing: %v", st.Degraded)
+	}
+	s.Close()
+	if st2 := openStore(t, Options{Dir: dir}).Stats(); len(st2.Degraded) != 0 || st2.IndexesRecovered != 0 {
+		t.Fatalf("second boot re-discovered the corruption: %+v", st2)
+	}
+}
+
+// TestCorruptIndexFoundOnFirstUse: Open reads no index file. It stages
+// both indexes of a table, one with a flipped segment byte, without a
+// note and maps only the dataset. Each index's first load checks its
+// own files: the intact one answers like a fresh build, and the corrupt
+// one fails with its CRC error, noted and durably dropped, so a second
+// Open stages only the intact one.
+func TestCorruptIndexFoundOnFirstUse(t *testing.T) {
+	dir := t.TempDir()
+	d, ix := seedStore(t, dir, 700)
+	s := openStore(t, Options{Dir: dir})
+	meta := IndexMeta{Table: "t", Source: "q", Fusion: "none", Proxies: []string{"q"}}
+	if err := s.SaveIndex(meta, buildIndex(t, d, 700), s.Epoch("t")); err != nil {
+		t.Fatal(err)
+	}
+	victim := s.st.indexes[ixKey{"t", "q"}].segs[1].file
+	dsSize := s.st.tables["t"].chunks[0].size
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptFile(t, filepath.Join(dir, victim), false)
+
+	s2 := openStore(t, Options{Dir: dir})
+	st := s2.Stats()
+	if len(st.Degraded) != 0 || st.TablesRecovered != 1 || st.IndexesRecovered != 2 || st.IndexesLive != 2 {
+		t.Fatalf("Open judged an index: %+v", st)
+	}
+	if !mmapSupported {
+		dsSize = 0
+	}
+	if st.MappedBytes != dsSize {
+		t.Fatalf("Open mapped %d bytes, want the dataset file's %d alone", st.MappedBytes, dsSize)
+	}
+	ri := s2.RecoveredIndexes()
+	if ri[0].Source != "p" || ri[1].Source != "q" || ri[1].Len != d.Len() {
+		t.Fatalf("staged %+v", ri)
+	}
+	// Concurrent first uses share one load: one index, mapped once.
+	loaded := make([]*index.ScoreIndex, 4)
+	var wg sync.WaitGroup
+	for g := range loaded {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			loaded[g], _ = ri[0].Load()
+		}(g)
+	}
+	wg.Wait()
+	for _, got := range loaded {
+		if got != loaded[0] {
+			t.Fatal("concurrent first uses loaded the index twice")
+		}
+	}
+	assertIndexEquivalent(t, ix, mustLoad(t, ri[0]))
+	var ixSize int64
+	if mmapSupported {
+		ir := s2.st.indexes[ixKey{"t", "p"}]
+		for _, c := range ir.cols {
+			ixSize += c.size
+		}
+		for _, sr := range ir.segs {
+			ixSize += sr.size
+		}
+	}
+	if grew := s2.Stats().MappedBytes - st.MappedBytes; grew != ixSize {
+		t.Fatalf("loading the intact index mapped %d bytes, want its files' %d", grew, ixSize)
+	}
+	got, err := ri[1].Load()
+	if got != nil || err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("the corrupt index loaded: %v", err)
+	}
+	if _, again := ri[1].Load(); again != err {
+		t.Fatalf("a second Load re-ran the check: %v, then %v", err, again)
+	}
+	st = s2.Stats()
+	if len(st.Degraded) != 1 || !strings.Contains(st.Degraded[0], "index t/q") || !strings.Contains(st.Degraded[0], victim) {
+		t.Fatalf("degradation notes %q, want one naming index t/q and %s", st.Degraded, victim)
+	}
+	if _, live := s2.st.indexes[ixKey{"t", "q"}]; live || st.IndexesLive != 1 {
+		t.Fatalf("the corrupt index is still live: %+v", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, victim)); !os.IsNotExist(err) {
+		t.Fatalf("the dropped index's segment file survived: %v", err)
+	}
+	s2.Close()
+
+	s3 := openStore(t, Options{Dir: dir})
+	if st3, ri3 := s3.Stats(), s3.RecoveredIndexes(); len(st3.Degraded) != 0 || len(ri3) != 1 || ri3[0].Source != "p" {
+		t.Fatalf("second boot: staged %+v, degraded %q", ri3, st3.Degraded)
 	}
 }
 
@@ -340,7 +464,7 @@ func TestTornManifestTailTruncated(t *testing.T) {
 	if st.TablesRecovered != 1 || st.IndexesRecovered != 1 {
 		t.Fatalf("torn tail lost committed state: %+v", st)
 	}
-	assertIndexEquivalent(t, ix, s.RecoveredIndexes()[0].Index)
+	assertIndexEquivalent(t, ix, mustLoad(t, s.RecoveredIndexes()[0]))
 	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(good)) {
 		t.Fatalf("tail not truncated: %d bytes, want %d (%v)", fi.Size(), len(good), err)
 	}
@@ -393,7 +517,7 @@ func TestCrashMidCompactionLitterRemoved(t *testing.T) {
 	if st := s.Stats(); st.TablesRecovered != 1 || st.IndexesRecovered != 1 {
 		t.Fatalf("compaction litter broke recovery: %+v", st)
 	}
-	assertIndexEquivalent(t, ix, s.RecoveredIndexes()[0].Index)
+	assertIndexEquivalent(t, ix, mustLoad(t, s.RecoveredIndexes()[0]))
 	if _, err := os.Stat(litter); !os.IsNotExist(err) {
 		t.Fatal("MANIFEST.compact litter survived Open")
 	}
@@ -610,7 +734,7 @@ func TestSaveIndexReusesUnchangedSegments(t *testing.T) {
 	s.Close()
 
 	s2 := openStore(t, Options{Dir: dir})
-	assertIndexEquivalent(t, grown, s2.RecoveredIndexes()[0].Index)
+	assertIndexEquivalent(t, grown, mustLoad(t, s2.RecoveredIndexes()[0]))
 }
 
 func TestIndexLongerThanTableRejected(t *testing.T) {
