@@ -58,15 +58,19 @@
 // records and builds an immutable ScoreIndex (internal/index): the
 // validated score vector, an ascending permutation of record ids by
 // score, and a cache of defensive-mixture alias tables keyed by
-// (weight exponent, mixing ratio). Every later query — including
-// concurrent queries of the same table — runs against that shared
-// index: threshold counts are binary searches, the selected suffix
-// {x : A(x) >= tau} is extracted presorted, sampled positives are
-// folded in with a single merge, and weighted draws come from the
-// cached alias table. Steady-state query cost is therefore
-// O(oracle budget + |result|) with a handful of allocations, instead
-// of the O(n log n) time and O(n) allocations per query of a
-// re-scanning implementation; see README.md for measured numbers.
+// (weight exponent, mixing ratio). Each cached mixture also memoizes
+// the stage-2 tables of two-stage precision queries (Algorithm 5),
+// which restrict it to D' = {x : A(x) >= a_cut}, keyed by a_cut. Every
+// later query — including concurrent queries of the same table — runs
+// against that shared index: threshold counts are binary searches, the
+// selected suffix {x : A(x) >= tau} is gathered in ascending id order
+// through a per-segment bitmap, sampled positives are folded in with a
+// single merge, and weighted draws come from the cached alias tables.
+// Steady-state query cost is therefore O(oracle budget + |result|) with
+// a handful of allocations, plus O(|D'|) the first time a precision
+// query uses a cut, instead of the O(n log n) time and O(n) allocations
+// per query of a re-scanning implementation; see README.md for
+// measured numbers.
 //
 // The one-shot supg.Run path computes the same artifacts lazily per
 // call and returns bit-identical results for the same seed.

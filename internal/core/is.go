@@ -16,7 +16,9 @@ import (
 // are proxy scores raised to cfg.WeightExponent (paper optimum: 0.5,
 // Theorem 1) defensively mixed with the uniform distribution; the
 // weights and their alias table come from the ScoreSource, which caches
-// them per (exponent, mix) on the indexed hot path.
+// them per (exponent, mix) on the indexed hot path, and Algorithm 5's
+// stage-2 table from the source's optional Restriction method
+// (restrictionSource), which the index memoizes per cut.
 
 // mixtureOf returns src's defensive mixture for cfg. A source beyond
 // sampling.MaxAliasLen records is refused with an error: its alias
@@ -134,19 +136,43 @@ func estimateISPrecisionTwoStage(r *randx.Rand, src ScoreSource, o *oracle.Budge
 	// (nMatch/γ)-th highest: no lower threshold can reach precision γ.
 	cut := int(nMatchUB / spec.Gamma)
 	aCut := src.KthHighest(cut)
-	subset := src.AppendAtLeast(make([]int, 0, src.CountAtLeast(aCut)), aCut)
-	if len(subset) == 0 {
+	t := restriction(src, weights, cfg, aCut)
+	if t == nil {
 		// Degenerate: no plausible matches anywhere.
 		return noSelectionTau(), nil
 	}
 
 	// Stage 2: weighted sampling within D', candidate certification with
 	// the remaining half of the budget and failure probability.
-	s1, err := drawWeightedSubset(r.Stream(2), scores, subset, weights, o, spec.Budget-half, ar)
+	s1, err := drawRestricted(r.Stream(2), scores, t, o, spec.Budget-half, ar)
 	if err != nil {
 		return 0, err
 	}
-	return certifyMinPrecisionTau(s1, src, float64(len(subset)), spec, cfg, b, spec.Delta/2, ar), nil
+	return certifyMinPrecisionTau(s1, src, float64(len(t.IDs)), spec, cfg, b, spec.Delta/2, ar), nil
+}
+
+// restrictionSource is the optional ScoreSource method stage 2 of
+// Algorithm 5 takes its table from, detected the way oracle.BatchOracle
+// is. The table over D' = {x : A(x) >= aCut} is a pure function of the
+// source, the mixture key and aCut, so index.ScoreIndex memoizes it
+// beside its cached mixture and a repeated query skips the O(|D'|)
+// gather, copy and Vose build. It is not part of ScoreSource: a
+// decorator that implements exactly ScoreSource's methods (a tracing
+// wrapper, say) keeps satisfying that interface, and takes the uncached
+// path, which builds the same table and so draws identically.
+type restrictionSource interface {
+	Restriction(exponent, mix, tau float64) *sampling.Restricted
+}
+
+// restriction returns src's stage-2 table over {x : A(x) >= aCut},
+// restricted from weights, the (cfg.WeightExponent, cfg.Mix) mixture:
+// from the source's memo when it has one, else built. It is nil when
+// the subset is empty.
+func restriction(src ScoreSource, weights []float64, cfg Config, aCut float64) *sampling.Restricted {
+	if rs, ok := src.(restrictionSource); ok {
+		return rs.Restriction(cfg.WeightExponent, cfg.Mix, aCut)
+	}
+	return sampling.Restrict(weights, src.AppendAtLeast(make([]int, 0, src.CountAtLeast(aCut)), aCut))
 }
 
 // certifyMinPrecisionTau scans every MinStep-th sampled score ascending

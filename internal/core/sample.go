@@ -54,36 +54,15 @@ func drawWeightedAlias(r *randx.Rand, scores []float64, weights []float64, alias
 	return labelDraws(scores, o, idx, m, ar)
 }
 
-// drawWeightedSubset draws k records from the subset of record indices
-// subset, with weights proportional to weightOf over the subset, and
-// m(x) = (1/|subset|) / w'(x) where w' is normalized within the subset.
-func drawWeightedSubset(r *randx.Rand, scores []float64, subset []int, weightOf []float64, o *oracle.Budgeted, k int, ar *arena) (*labeledSample, error) {
-	if len(subset) == 0 {
-		return nil, fmt.Errorf("core: empty subset for weighted sampling")
-	}
-	w := ar.floats(len(subset))
-	total := 0.0
-	for i, j := range subset {
-		w[i] = weightOf[j]
-		total += w[i]
-	}
-	if total <= 0 {
-		for i := range w {
-			w[i] = 1
-		}
-		total = float64(len(w))
-	}
-	local := sampling.WeightedWithReplacement(r, w, k)
-	if local == nil {
+// drawRestricted collects k with-replacement draws from t, a table
+// restricted to a subset D′ of the records, with m(x) = (1/|D′|) / w′(x)
+// where w′ is the weight normalized within D′ (sampling.Restricted).
+func drawRestricted(r *randx.Rand, scores []float64, t *sampling.Restricted, o *oracle.Budgeted, k int, ar *arena) (*labeledSample, error) {
+	if k <= 0 {
 		return nil, fmt.Errorf("core: weighted subset sampling produced no draws")
 	}
-	u := 1.0 / float64(len(subset))
-	idx := ar.ints(len(local))
-	m := ar.floats(len(local))
-	for i, li := range local {
-		idx[i] = subset[li]
-		m[i] = u / (w[li] / total)
-	}
+	idx, m := ar.ints(k), ar.floats(k)
+	t.DrawInto(r, idx, m)
 	return labelDraws(scores, o, idx, m, ar)
 }
 

@@ -211,12 +211,12 @@ func TestDrawWeightedReweighting(t *testing.T) {
 	}
 }
 
-func TestDrawWeightedSubset(t *testing.T) {
+func TestDrawRestricted(t *testing.T) {
 	scores := []float64{0.1, 0.2, 0.9, 0.95}
 	o := oracle.NewBudgeted(oracle.Func(func(i int) (bool, error) { return scores[i] > 0.5, nil }), 1000)
 	weights := sampling.DefensiveWeights(scores, 0.5, 0.1, 1)
-	subset := []int{2, 3}
-	s, err := drawWeightedSubset(randx.New(3), scores, subset, weights, o, 100, nil)
+	tab := sampling.Restrict(weights, []int{2, 3})
+	s, err := drawRestricted(randx.New(3), scores, tab, o, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

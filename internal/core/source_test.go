@@ -60,6 +60,47 @@ func TestSelectFromIndexMatchesRawPath(t *testing.T) {
 	}
 }
 
+// sourceOnly hides every method of its source beyond ScoreSource's, as
+// a decorator implementing exactly the interface does: stage 2 of
+// Algorithm 5 then builds its table instead of taking the memoized one.
+type sourceOnly struct{ ScoreSource }
+
+// TestStageTwoMemoMatchesUncached runs two-stage precision queries on
+// one index.ScoreIndex twice (the second run takes the stage-2 table
+// from the index's memo), through NewRawSource, and through a wrapper
+// that hides the memo: every run returns the same result.
+func TestStageTwoMemoMatchesUncached(t *testing.T) {
+	d := dataset.Beta(randx.New(271), 40000, 0.01, 2)
+	cfg := DefaultSUPG()
+	for _, budget := range []int{200, 1000, 3000} {
+		for _, gamma := range []float64{0.8, 0.9, 0.95} {
+			// A fresh index per query: nine cuts on one index would pass
+			// its memo's bound.
+			ix, err := index.NewWithOptions(d.Scores(), index.Options{SegmentSize: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := Spec{Kind: PrecisionTarget, Gamma: gamma, Delta: 0.05, Budget: budget}
+			run := func(src ScoreSource) Result {
+				res, err := selectFrom(randx.New(99), src, oracle.NewSimulated(d), spec, cfg)
+				if err != nil {
+					t.Fatalf("budget %d gamma %v: %v", budget, gamma, err)
+				}
+				return res
+			}
+			label := "budget " + strconv.Itoa(budget) + " gamma " + strconv.FormatFloat(gamma, 'g', -1, 64)
+			first := run(ix)
+			builds := index.RestrictionBuildsTotal()
+			assertResultsEqual(t, label+" memo hit", first, run(ix))
+			if index.RestrictionBuildsTotal() != builds {
+				t.Fatalf("%s: the repeat built its stage-2 table", label)
+			}
+			assertResultsEqual(t, label+" raw", first, run(NewRawSource(d.Scores())))
+			assertResultsEqual(t, label+" hidden memo", first, run(sourceOnly{ix}))
+		}
+	}
+}
+
 // TestSelectJointFromIndexMatchesRawPath is the same equivalence for
 // the joint-target appendix algorithm.
 func TestSelectJointFromIndexMatchesRawPath(t *testing.T) {

@@ -367,6 +367,7 @@ func (e *Engine) readOwnedStats(snap *metrics.CounterSnapshot) {
 	snap.StorageRecoveryMillis = st.RecoveryElapsed.Milliseconds()
 	snap.StorageManifestRecords = st.ManifestRecords
 	snap.StorageManifestCompactions = st.Compactions
+	snap.StorageDegraded = int64(len(st.Degraded))
 }
 
 // LabelStore exposes the engine's cross-query oracle label store (nil

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"supg/internal/dataset"
+	"supg/internal/index"
 	"supg/internal/query"
 	"supg/internal/randx"
 )
@@ -130,5 +132,27 @@ func TestConcurrentQueriesBuildIndexOnce(t *testing.T) {
 	}
 	if proxyCalls != d.Len() {
 		t.Fatalf("proxy UDF invoked %d times across concurrent queries, want %d", proxyCalls, d.Len())
+	}
+}
+
+// TestRepeatedPrecisionQueryReusesStageTwoTable: a repeated precision
+// text finds its stage-2 sampling table in the index's memo instead of
+// rebuilding it over D′, and answers identically.
+func TestRepeatedPrecisionQueryReusesStageTwoTable(t *testing.T) {
+	e, _ := testEngine(t)
+	const sql = `SELECT * FROM video WHERE video_oracle(x) ORACLE LIMIT 800 USING video_proxy(x) PRECISION TARGET 90% WITH PROBABILITY 95%`
+	builds := index.RestrictionBuildsTotal()
+	first := mustExecute(t, e, sql)
+	if index.RestrictionBuildsTotal() == builds {
+		t.Fatal("the first query built no stage-2 table")
+	}
+	builds = index.RestrictionBuildsTotal()
+	second := mustExecute(t, e, sql)
+	if d := index.RestrictionBuildsTotal() - builds; d != 0 {
+		t.Fatalf("the repeated query built %d stage-2 tables, want 0", d)
+	}
+	if first.Tau != second.Tau || first.OracleCalls != second.OracleCalls || !slices.Equal(first.Indices, second.Indices) {
+		t.Fatalf("repeat answered tau %v, %d calls, %d records; first %v, %d, %d",
+			second.Tau, second.OracleCalls, len(second.Indices), first.Tau, first.OracleCalls, len(first.Indices))
 	}
 }

@@ -5,10 +5,13 @@
 // once over the whole dataset; everything a query then needs from the
 // score column — threshold counts |{x : A(x) >= tau}|, order
 // statistics, the defensive-mixture sampling distribution and its Vose
-// alias table — is a pure function of that column. A ScoreIndex
-// precomputes all of it at table/proxy registration so each query costs
-// O(oracle budget + |result|) instead of re-scanning, re-sorting, and
-// rebuilding sampling structures over all n records.
+// alias table, and the stage-2 table a two-stage precision query
+// restricts that distribution to — is a pure function of that column.
+// A ScoreIndex sorts the column at table/proxy registration and caches
+// the sampling structures on first use, so each query costs
+// O(oracle budget + |result|), plus O(|D′|) the first time a precision
+// query restricts a mixture to a cut D′, instead of re-scanning,
+// re-sorting, and rebuilding sampling structures over all n records.
 //
 // # Segmented layout
 //
@@ -42,6 +45,10 @@
 //     not depend on its worker count, and feeds them to the same global
 //     alias-table machinery, so weighted draws consume the random
 //     stream identically to the monolithic path.
+//   - Restriction restricts a mixture's weights to the ascending ids
+//     AppendAtLeast emits and memoizes the result beside the mixture
+//     (sampling.Restrict), so the stage-2 table, too, is the monolithic
+//     one.
 //
 // # Incremental append
 //
@@ -49,8 +56,9 @@
 // re-sorting the existing ones: old segments are reused as-is (their
 // permutations are local, so nothing is rebased), the new records form
 // fresh segments, and only those are validated and sorted. The mixture
-// cache starts empty on the appended index because the defensive
-// weights are a function of the whole column.
+// cache, and with it every stage-2 memo, starts empty on the appended
+// index because the defensive weights are a function of the whole
+// column.
 //
 // The column itself grows in place when it can, so an append costs
 // O(appended records) outside the mixture rebuild. Append writes the
@@ -68,8 +76,8 @@
 // either.
 //
 // A ScoreIndex is immutable after NewWithOptions/Append and safe for
-// concurrent use by any number of queries; the mixture cache is
-// internally synchronized.
+// concurrent use by any number of queries; the mixture cache and its
+// stage-2 memos are internally synchronized.
 //
 // # Intra-query parallelism
 //
@@ -531,11 +539,12 @@ func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
 
 // ResidentBytes estimates the index's resident data memory: the score
 // column's array, spare capacity included, plus each segment's
-// permutation and sorted run. Cached mixtures are excluded — they are a
-// per-configuration cost, not part of the index layout. Indexes that
-// grew in place share one column array (and their common segments),
-// and each member of such a lineage counts the whole array, so summing
-// over a lineage counts it more than once.
+// permutation and sorted run. Cached mixtures and the stage-2 tables
+// memoized beside them are excluded — they are per-configuration
+// caches, bounded on their own (maxCachedMixtures), not part of the
+// index layout. Indexes that grew in place share one column array (and
+// their common segments), and each member of such a lineage counts the
+// whole array, so summing over a lineage counts it more than once.
 func (ix *ScoreIndex) ResidentBytes() int64 {
 	total := int64(8 * cap(ix.scores))
 	for _, s := range ix.segs {

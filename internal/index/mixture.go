@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,10 +18,17 @@ type MixtureKey struct {
 }
 
 // mixture pairs the normalized defensive weights with their alias
-// table. Both are immutable once published in the cache.
+// table, both immutable once published in the cache, and memoizes the
+// stage-2 tables restricted from the weights (Restriction).
 type mixture struct {
 	weights []float64
 	alias   *sampling.Alias
+
+	// cuts holds the memoized stage-2 tables by the bits of their cut,
+	// and cutIDs the sum of their lengths. Both are guarded by the
+	// index's mu, and only a mixture published in the cache fills them.
+	cuts   map[uint64]*sampling.Restricted
+	cutIDs int
 }
 
 // mixtureBuilds counts mixture builds process-wide, so restart
@@ -73,36 +81,52 @@ func (sm *storedMixture) adopt(n int) *mixture {
 	return sm.m
 }
 
-// maxCachedMixtures bounds the per-index mixture cache. Each entry
-// holds O(n) weights plus an O(n) alias table, so an unbounded cache
-// keyed by caller-supplied floats would let a parameter-sweeping
-// workload accrete multi-MB entries for the life of the table. Real
-// serving workloads use one or two (exponent, mix) configurations;
-// past the bound, mixtures are built per call and not retained.
+// maxCachedMixtures bounds the per-index mixture cache, and each cached
+// mixture's memo of stage-2 tables. A mixture holds O(n) weights plus an
+// O(n) alias table, ~20 B per record, so an unbounded cache keyed by
+// caller-supplied floats would let a parameter-sweeping workload accrete
+// multi-MB entries for the life of the table. Real serving workloads use
+// one or two (exponent, mix) configurations; past the bound, mixtures
+// are built per call and not retained. A mixture's stage-2 tables
+// (Restriction) cost ~28 B per id and are bounded twice: at most
+// maxCachedMixtures of them, whose ids total at most the index's length,
+// so the memo never outgrows ~28 B per record beside the mixture's own
+// ~20 B.
 const maxCachedMixtures = 8
+
+// restrictionBuilds counts stage-2 table builds process-wide, so tests
+// can tell a Restriction memo hit from a build.
+var restrictionBuilds atomic.Int64
+
+// RestrictionBuildsTotal reports how many stage-2 sampling tables
+// (Restriction) this process has built across all indexes.
+func RestrictionBuildsTotal() int64 { return restrictionBuilds.Load() }
 
 // Mixture returns the defensive-mixture weights and alias table for
 // the given exponent/mix, building them with sampling.DefensiveWeights
 // at Options.Parallelism and caching them on first use (up to
 // maxCachedMixtures distinct keys). A recovered index adopts a
 // stored mixture for the key instead of building it (see
-// StoredMixture). The returned slices/tables are shared and must be
-// treated as read-only. Concurrent callers may race to build the same
-// entry; the loser's copy is discarded, so every caller observes one
-// canonical value and draws are deterministic for a deterministic
-// random stream.
+// StoredMixture). A cached mixture also memoizes the stage-2 tables
+// Restriction restricts it to; one served uncached keeps none. The
+// returned slices/tables are shared and must be treated as read-only.
+// Concurrent callers may race to build the same entry; the loser's copy
+// is discarded, so every caller observes one canonical value and draws
+// are deterministic for a deterministic random stream.
 func (ix *ScoreIndex) Mixture(exponent, mix float64) ([]float64, *sampling.Alias) {
-	m := ix.mixtureEntry(exponent, mix)
+	m, _ := ix.mixtureEntry(exponent, mix)
 	return m.weights, m.alias
 }
 
-func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) *mixture {
+// mixtureEntry returns the mixture for the key and whether it is the
+// one published in the cache.
+func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) (*mixture, bool) {
 	key := MixtureKey{Exponent: exponent, Mix: mix}
 	ix.mu.RLock()
 	m, sm := ix.mixtures[key], ix.stored[key]
 	ix.mu.RUnlock()
 	if m != nil {
-		return m
+		return m, true
 	}
 	if sm != nil {
 		m = sm.adopt(len(ix.scores))
@@ -116,11 +140,60 @@ func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) *mixture {
 	defer ix.mu.Unlock()
 	switch {
 	case ix.mixtures[key] != nil:
-		return ix.mixtures[key]
+		return ix.mixtures[key], true
 	case len(ix.mixtures) < maxCachedMixtures:
 		ix.mixtures[key] = m
+		return m, true
 	}
-	return m // cache full: serve uncached, identical draws
+	return m, false // cache full: serve uncached, identical draws
+}
+
+// Restriction returns the stage-2 sampling table of Algorithm 5 over
+// D′ = {x : A(x) >= tau}: sampling.Restrict of the (exponent, mix)
+// mixture's weights over AppendAtLeast(tau), or nil when D′ is empty.
+// It gets the mixture as Mixture does, so a configuration the full
+// mixture cache serves uncached pays its mixture build again here. The
+// table is a pure function of the index, the key and tau, so a cached
+// mixture memoizes it by tau's bits, within the bounds
+// maxCachedMixtures describes. Past either bound, and for a mixture
+// served uncached, the table is built per call and not kept; a table is
+// never persisted, and an appended or recovered index starts with an
+// empty memo. Concurrent callers may race to build the same table; the
+// loser's copy is discarded, so every caller observes one canonical
+// table. The table is shared and must be treated as read-only.
+func (ix *ScoreIndex) Restriction(exponent, mix, tau float64) *sampling.Restricted {
+	m, cached := ix.mixtureEntry(exponent, mix)
+	key := math.Float64bits(tau)
+	if cached {
+		ix.mu.RLock()
+		t := m.cuts[key]
+		ix.mu.RUnlock()
+		if t != nil {
+			return t
+		}
+	}
+	k := ix.CountAtLeast(tau)
+	if k == 0 {
+		return nil
+	}
+	restrictionBuilds.Add(1)
+	t := sampling.Restrict(m.weights, ix.AppendAtLeast(make([]int, 0, k), tau))
+	if !cached {
+		return t
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if won := m.cuts[key]; won != nil {
+		return won
+	}
+	if len(m.cuts) < maxCachedMixtures && m.cutIDs+k <= len(ix.scores) {
+		if m.cuts == nil {
+			m.cuts = make(map[uint64]*sampling.Restricted)
+		}
+		m.cuts[key] = t
+		m.cutIDs += k
+	}
+	return t
 }
 
 // CachedMixtureTables returns every cached mixture in persistable form,

@@ -138,6 +138,10 @@ type CounterSnapshot struct {
 	// StorageManifestRecords is a gauge: frames in the manifest log.
 	StorageManifestRecords     int64 `json:"storage_manifest_records"`
 	StorageManifestCompactions int64 `json:"storage_manifest_compactions"`
+	// StorageDegraded counts the storage tier's degraded notes: persisted
+	// state found corrupt and dropped for a rebuild, at boot or when a
+	// query first used it.
+	StorageDegraded int64 `json:"storage_degraded"`
 }
 
 // Snapshot returns a consistent-enough copy of the totals (each field

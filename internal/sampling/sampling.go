@@ -243,14 +243,53 @@ func (a *Alias) DrawNInto(r *randx.Rand, dst []int) []int {
 // Len returns the support size of the table.
 func (a *Alias) Len() int { return len(a.prob) }
 
-// WeightedWithReplacement returns k indices drawn with replacement with
-// probability proportional to weights.
-func WeightedWithReplacement(r *randx.Rand, weights []float64, k int) []int {
-	a := NewAlias(weights)
-	if a == nil || k <= 0 {
+// Restricted is an importance-sampling table over a subset of records,
+// what stage 2 of Algorithm 5 draws from: the subset's ascending record
+// ids, their weights W restricted from a whole-column distribution, the
+// left-to-right sum Total of W, and the alias table over W. It is
+// immutable once built and safe to share across queries.
+type Restricted struct {
+	IDs   []int
+	W     []float64
+	Total float64
+	Alias *Alias
+}
+
+// Restrict builds the table over ids, ascending record ids into
+// weights: W[i] = weights[ids[i]], summed left to right into Total.
+// When Total is not positive the draw falls back to uniform over ids:
+// every W is 1 and Total is len(ids). It returns nil for empty ids. ids
+// is retained and must not be modified.
+func Restrict(weights []float64, ids []int) *Restricted {
+	if len(ids) == 0 {
 		return nil
 	}
-	return a.DrawN(r, k)
+	w := make([]float64, len(ids))
+	total := 0.0
+	for i, j := range ids {
+		w[i] = weights[j]
+		total += w[i]
+	}
+	if total <= 0 {
+		for i := range w {
+			w[i] = 1
+		}
+		total = float64(len(w))
+	}
+	return &Restricted{IDs: ids, W: w, Total: total, Alias: NewAlias(w)}
+}
+
+// DrawInto fills ids with len(ids) record ids drawn with replacement
+// from the table, and m with each draw's importance factor
+// (1/|IDs|) / (W[l]/Total), where l is the draw's position in IDs. The
+// draws consume r exactly as Alias.DrawN(r, len(ids)) does.
+func (t *Restricted) DrawInto(r *randx.Rand, ids []int, m []float64) {
+	u := 1.0 / float64(len(t.IDs))
+	for i := range ids {
+		l := t.Alias.Draw(r)
+		ids[i] = t.IDs[l]
+		m[i] = u / (t.W[l] / t.Total)
+	}
 }
 
 // weightBlock is the number of records one DefensiveWeights task

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -149,16 +150,85 @@ func TestAliasSkewedWeights(t *testing.T) {
 	}
 }
 
-func TestWeightedWithReplacement(t *testing.T) {
+// TestRestrict checks the restricted table's construction: only ids
+// with weight are drawn, a subset with no mass falls back to uniform
+// with Total = len(ids), and an empty subset has no table.
+func TestRestrict(t *testing.T) {
 	r := randx.New(12)
-	idx := WeightedWithReplacement(r, []float64{0, 0, 5}, 100)
-	for _, i := range idx {
-		if i != 2 {
-			t.Fatalf("only index 2 has weight; drew %d", i)
+	tab := Restrict([]float64{0, 0, 5}, []int{0, 1, 2})
+	ids, m := make([]int, 100), make([]float64, 100)
+	tab.DrawInto(r, ids, m)
+	for i, id := range ids {
+		if id != 2 {
+			t.Fatalf("only id 2 has weight; drew %d", id)
+		}
+		if want := (1.0 / 3) / (5.0 / 5.0); m[i] != want {
+			t.Fatalf("m = %v, want %v", m[i], want)
 		}
 	}
-	if WeightedWithReplacement(r, []float64{0}, 10) != nil {
-		t.Error("zero-mass weights should give nil")
+	if Restrict([]float64{0}, nil) != nil {
+		t.Error("an empty subset should give no table")
+	}
+
+	zero := Restrict([]float64{0, 0, 7, 0}, []int{0, 1, 3})
+	if zero.Total != 3 || !reflect.DeepEqual(zero.W, []float64{1, 1, 1}) {
+		t.Fatalf("zero-mass subset: W %v Total %v, want all ones and 3", zero.W, zero.Total)
+	}
+	seen := make(map[int]bool)
+	zero.DrawInto(r, ids, m)
+	for i, id := range ids {
+		seen[id] = true
+		if m[i] != 1 {
+			t.Fatalf("uniform fallback m = %v, want 1", m[i])
+		}
+	}
+	if len(seen) != 3 || seen[2] {
+		t.Fatalf("uniform fallback drew %v, want exactly ids 0, 1 and 3", seen)
+	}
+}
+
+// TestRestrictDrawMatchesAlias pins the restricted draw to the alias
+// table over the restricted weights: the same positions from the same
+// stream, mapped through IDs, with m = (1/|IDs|)/(W/Total), leaving the
+// stream where DrawN leaves it.
+func TestRestrictDrawMatchesAlias(t *testing.T) {
+	weights := mixedWeights(randx.New(5), 2000)
+	var ids []int
+	for i := 3; i < len(weights); i += 7 {
+		ids = append(ids, i)
+	}
+	tab := Restrict(weights, ids)
+	total := 0.0
+	for i, id := range ids {
+		if tab.W[i] != weights[id] {
+			t.Fatalf("W[%d] = %v, want weights[%d] = %v", i, tab.W[i], id, weights[id])
+		}
+		total += weights[id]
+	}
+	if tab.Total != total {
+		t.Fatalf("Total %v, want the left-to-right sum %v", tab.Total, total)
+	}
+	wantProb, wantAlias := NewAlias(tab.W).Tables()
+	prob, alias := tab.Alias.Tables()
+	if !reflect.DeepEqual(prob, wantProb) || !reflect.DeepEqual(alias, wantAlias) {
+		t.Fatal("the table's alias differs from NewAlias(W)")
+	}
+
+	ra, rb := randx.New(77), randx.New(77)
+	local := NewAlias(tab.W).DrawN(ra, 500)
+	got, m := make([]int, 500), make([]float64, 500)
+	tab.DrawInto(rb, got, m)
+	u := 1.0 / float64(len(ids))
+	for i, l := range local {
+		if got[i] != ids[l] {
+			t.Fatalf("draw %d: id %d, want %d", i, got[i], ids[l])
+		}
+		if want := u / (tab.W[l] / tab.Total); math.Float64bits(m[i]) != math.Float64bits(want) {
+			t.Fatalf("draw %d: m %v, want %v", i, m[i], want)
+		}
+	}
+	if ra.Uint64() != rb.Uint64() {
+		t.Fatal("DrawInto left the stream elsewhere than DrawN")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -46,14 +47,14 @@ func getStats(t *testing.T, base string) map[string]int64 {
 	return stats
 }
 
-// checkStatsMatchOwners requires /v1/stats to carry its 24 keys and
+// checkStatsMatchOwners requires /v1/stats to carry its 25 keys and
 // every label-store, WAL, storage and breaker key to equal the value
 // its owner reports. It returns the stats it read.
 func checkStatsMatchOwners(t *testing.T, s *Server, base string) map[string]int64 {
 	t.Helper()
 	got := getStats(t, base)
-	if len(got) != 24 {
-		t.Fatalf("/v1/stats has %d keys, want 24: %v", len(got), got)
+	if len(got) != 25 {
+		t.Fatalf("/v1/stats has %d keys, want 25: %v", len(got), got)
 	}
 	eng := s.Engine()
 	ls := eng.LabelStore().Stats()
@@ -76,6 +77,7 @@ func checkStatsMatchOwners(t *testing.T, s *Server, base string) map[string]int6
 		want["storage_recovery_ms"] = st.RecoveryElapsed.Milliseconds()
 		want["storage_manifest_records"] = st.ManifestRecords
 		want["storage_manifest_compactions"] = st.Compactions
+		want["storage_degraded"] = int64(len(st.Degraded))
 	}
 	for key, w := range want {
 		if g, ok := got[key]; !ok || g != w {
@@ -215,5 +217,57 @@ func TestPersistStatsReadFromOwners(t *testing.T) {
 	}
 	if stats["breaker_state"] != 0 {
 		t.Errorf("breaker_state = %d after a successful probe, want 0", stats["breaker_state"])
+	}
+}
+
+// TestFirstUseCorruptionInStats corrupts a persisted segment file
+// between boots. Boot stages the index unread, so storage_degraded
+// reads 0; the first query finds the corruption, rebuilds the index and
+// answers, and /v1/stats then reads 1.
+func TestFirstUseCorruptionInStats(t *testing.T) {
+	dir := t.TempDir()
+	d := dataset.Beta(randx.New(1), 20000, 0.01, 2)
+	opts := Options{PersistDir: dir}
+	s1, err := Open(7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.RegisterDataset("beta", d)
+	ts1 := httptest.NewServer(s1)
+	if resp, body := postSQL(t, ts1, statsPT); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first boot query: %d (%s)", resp.StatusCode, body)
+	}
+	ts1.Close()
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segment files %v (%v), want one", segs, err)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown(context.Background())
+	ts2 := httptest.NewServer(s2)
+	defer ts2.Close()
+	if got := checkStatsMatchOwners(t, s2, ts2.URL)["storage_degraded"]; got != 0 {
+		t.Fatalf("storage_degraded = %d at boot, want 0: boot reads no index file", got)
+	}
+	if resp, body := postSQL(t, ts2, statsPT); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query over the corrupt index: %d (%s)", resp.StatusCode, body)
+	}
+	if got := checkStatsMatchOwners(t, s2, ts2.URL)["storage_degraded"]; got != 1 {
+		t.Fatalf("storage_degraded = %d after the first query, want 1", got)
 	}
 }

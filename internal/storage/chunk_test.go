@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -553,5 +554,62 @@ func copyFile(t *testing.T, from, to string) {
 	}
 	if err := os.WriteFile(to, b, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chunkedLog returns the record payloads of a table grown by appends
+// chunk records, each followed by the flush of its index over one more
+// column chunk and segment: the manifest an ingest-heavy store replays
+// at boot.
+func chunkedLog(appends int) [][]byte {
+	const rows = 8192
+	seq := 0
+	file := func(ext string) string {
+		seq++
+		return fmt.Sprintf("%06d%s", seq, ext)
+	}
+	ir := indexRec{table: "t", source: "p", fusion: "none", proxies: []string{"p"}}
+	payloads := [][]byte{encodeDataset("t", chunkRec{file: file(".ds"), count: rows, crc: 1, size: 100})}
+	for i := 0; i <= appends; i++ {
+		base := i * rows
+		if i > 0 {
+			payloads = append(payloads, encodeDatasetChunk("t", chunkRec{file: file(".ds"), base: base, count: rows, crc: 2, size: 100}))
+		}
+		// Each flush writes a fresh record naming every file so far.
+		ir.n = base + rows
+		ir.cols = append(ir.cols[:len(ir.cols):len(ir.cols)], chunkRec{file: file(".col"), base: base, count: rows, crc: 3, size: 100})
+		ir.segs = append(ir.segs[:len(ir.segs):len(ir.segs)], segRec{file: file(".seg"), base: base, count: rows, crc: 4, size: 100})
+		payloads = append(payloads, encodeIndex(ir))
+	}
+	return payloads
+}
+
+// TestReplayBuildsNoSupersededLists bounds what replaying a chunked log
+// allocates beyond decoding its records. Replay folds the catalog
+// without the superseded-file lists a commit deletes: the fold's own
+// allocations are the empty catalog, each dataset chunk's fresh chunk
+// list and the maps' growth, under one per record. Building and
+// filtering each flush's old and new file lists cost about three more
+// per index record.
+func TestReplayBuildsNoSupersededLists(t *testing.T) {
+	payloads := chunkedLog(64)
+	decode := testing.AllocsPerRun(10, func() {
+		for _, p := range payloads {
+			if _, _, err := decodeRecord(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	replay := testing.AllocsPerRun(10, func() {
+		st := newManifestState()
+		for _, p := range payloads {
+			if err := st.replay(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("decode %.0f allocs, replay %.0f", decode, replay)
+	if folds := replay - decode; folds > float64(len(payloads)) {
+		t.Fatalf("folding %d records allocated %.0f times beyond decoding them", len(payloads), folds)
 	}
 }

@@ -310,11 +310,22 @@ func (st *manifestState) files() map[string]bool {
 // record and no longer names after it. The work is proportional to the
 // records replaced, never to the whole catalog.
 func (st *manifestState) apply(rtype byte, rec any) []string {
+	return st.fold(rtype, rec, true)
+}
+
+// fold folds one record into the catalog. With superseded set it
+// returns the files the record supersedes (see apply); without, it
+// builds no file list and returns nil, which is what replay and
+// recovery's tombstones need: the orphan sweep after recovery deletes
+// whatever file the catalog no longer names.
+func (st *manifestState) fold(rtype byte, rec any, superseded bool) []string {
 	var dead []string
 	switch rtype {
 	case recDataset:
 		r := rec.(datasetRec)
-		dead = without(appendChunkFiles(nil, st.tables[r.name].chunks), appendChunkFiles(nil, r.chunks))
+		if superseded {
+			dead = without(appendChunkFiles(nil, st.tables[r.name].chunks), appendChunkFiles(nil, r.chunks))
+		}
 		st.tables[r.name] = r
 	case recDatasetChunk:
 		tc := rec.(tableChunk)
@@ -327,30 +338,40 @@ func (st *manifestState) apply(rtype byte, rec any) []string {
 	case recIndex, recIndexQ, recIndexChunked:
 		ir := rec.(indexRec)
 		k := ixKey{ir.table, ir.source}
-		dead = st.indexes[k].appendFiles(nil)
+		if superseded {
+			dead = st.indexes[k].appendFiles(nil)
+		}
 		st.indexes[k] = ir
-		dead = st.dropMixtures(dead, func(mk mixKey, mr mixRec) bool { return mk.ixKey == k && !mr.boundTo(ir) })
-		dead = without(dead, ir.appendFiles(nil))
+		dead = st.dropMixtures(dead, superseded, func(mk mixKey, mr mixRec) bool { return mk.ixKey == k && !mr.boundTo(ir) })
+		if superseded {
+			dead = without(dead, ir.appendFiles(nil))
+		}
 	case recDropTable:
 		name := rec.(string)
-		dead = appendChunkFiles(nil, st.tables[name].chunks)
+		if superseded {
+			dead = appendChunkFiles(nil, st.tables[name].chunks)
+		}
 		delete(st.tables, name)
 		for k, ir := range st.indexes {
 			if k.table == name {
-				dead = ir.appendFiles(dead)
+				if superseded {
+					dead = ir.appendFiles(dead)
+				}
 				delete(st.indexes, k)
 			}
 		}
-		dead = st.dropMixtures(dead, func(mk mixKey, _ mixRec) bool { return mk.table == name })
+		dead = st.dropMixtures(dead, superseded, func(mk mixKey, _ mixRec) bool { return mk.table == name })
 	case recDropIndex:
 		k := rec.(ixKey)
-		dead = st.indexes[k].appendFiles(nil)
+		if superseded {
+			dead = st.indexes[k].appendFiles(nil)
+		}
 		delete(st.indexes, k)
-		dead = st.dropMixtures(dead, func(mk mixKey, _ mixRec) bool { return mk.ixKey == k })
+		dead = st.dropMixtures(dead, superseded, func(mk mixKey, _ mixRec) bool { return mk.ixKey == k })
 	case recMixture:
 		mr := rec.(mixRec)
 		if ir, ok := st.indexes[ixKey{mr.table, mr.source}]; ok && mr.boundTo(ir) {
-			if old, had := st.mixtures[mr.key()]; had && old.file != mr.file {
+			if old, had := st.mixtures[mr.key()]; had && old.file != mr.file && superseded {
 				dead = append(dead, old.file)
 			}
 			st.mixtures[mr.key()] = mr
@@ -358,19 +379,23 @@ func (st *manifestState) apply(rtype byte, rec any) []string {
 	case recDropMixture:
 		k := rec.(mixKey)
 		if mr, ok := st.mixtures[k]; ok {
-			dead = append(dead, mr.file)
+			if superseded {
+				dead = append(dead, mr.file)
+			}
 			delete(st.mixtures, k)
 		}
 	}
 	return dead
 }
 
-// dropMixtures deletes the mixtures drop selects and appends their
-// files to dead.
-func (st *manifestState) dropMixtures(dead []string, drop func(mixKey, mixRec) bool) []string {
+// dropMixtures deletes the mixtures drop selects and, with superseded
+// set, appends their files to dead.
+func (st *manifestState) dropMixtures(dead []string, superseded bool, drop func(mixKey, mixRec) bool) []string {
 	for mk, mr := range st.mixtures {
 		if drop(mk, mr) {
-			dead = append(dead, mr.file)
+			if superseded {
+				dead = append(dead, mr.file)
+			}
 			delete(st.mixtures, mk)
 		}
 	}
@@ -437,7 +462,7 @@ func (st *manifestState) replay(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	st.apply(rtype, rec)
+	st.fold(rtype, rec, false)
 	return nil
 }
 

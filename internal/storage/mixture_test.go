@@ -171,7 +171,8 @@ func TestCorruptMixtureFallsBackToRebuild(t *testing.T) {
 
 // TestMixtureOutOfBoundsFallsBack commits a structurally valid,
 // correctly checksummed file whose alias table points outside the
-// column: the bounds check rejects it and the index rebuilds.
+// column: the bounds check rejects it, releases the file's mapping, and
+// the index rebuilds.
 func TestMixtureOutOfBoundsFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	want := seedMixtures(t, dir)
@@ -194,10 +195,15 @@ func TestMixtureOutOfBoundsFallsBack(t *testing.T) {
 	s.Close()
 
 	s2 := openStore(t, Options{Dir: dir})
+	got := mustLoad(t, s2.RecoveredIndexes()[0])
+	mapped := s2.Stats().MappedBytes
 	builds := index.MixtureBuildsTotal()
-	assertMixtureEquivalent(t, want, mustLoad(t, s2.RecoveredIndexes()[0]), keyIS)
+	assertMixtureEquivalent(t, want, got, keyIS)
 	if index.MixtureBuildsTotal()-builds != 1 {
 		t.Fatal("out-of-bounds alias table was adopted")
+	}
+	if after := s2.Stats().MappedBytes; after != mapped {
+		t.Fatalf("the rejected mixture left %d bytes mapped", after-mapped)
 	}
 	if st := s2.Stats(); len(st.Degraded) != 1 || !strings.Contains(st.Degraded[0], "alias") {
 		t.Fatalf("degraded %q, want an alias bounds note", st.Degraded)

@@ -379,7 +379,7 @@ func (s *Store) tombstone(payload []byte, rtype byte, rec any) {
 		// the same corruption on the next boot.
 		s.degrade(fmt.Sprintf("tombstone append failed: %v", err))
 	}
-	s.st.apply(rtype, rec)
+	s.st.fold(rtype, rec, false)
 }
 
 // loadDataset maps (or reads) and verifies a table's dataset chunks,
@@ -390,26 +390,7 @@ func (s *Store) tombstone(payload []byte, rtype byte, rec any) {
 func (s *Store) loadDataset(rec datasetRec) (*dataset.Dataset, uint32, error) {
 	if len(rec.chunks) == 1 {
 		c := rec.chunks[0]
-		data, mapped, err := s.loadVerified(c.file, c.size, c.crc)
-		if err != nil {
-			return nil, 0, err
-		}
-		df, err := parseDatasetChunk(data, c)
-		if err != nil {
-			return nil, 0, err
-		}
-		var scores []float64
-		if mapped {
-			scores = aliasFloat64s(df.scores)
-		} else {
-			scores = decodeFloat64s(df.scores)
-		}
-		// Labels are always decoded to the heap (bit-unpacking is
-		// required either way). The CRC check above stands in for New's
-		// per-record range scan.
-		labels := make([]bool, df.count)
-		decodeLabelBits(labels, df.labelBits)
-		d, err := dataset.FromColumns(rec.name, scores, labels)
+		d, err := s.loadDatasetFile(rec.name, c)
 		return d, c.crc, err
 	}
 	n := rec.records()
@@ -433,6 +414,38 @@ func (s *Store) loadDataset(rec datasetRec) (*dataset.Dataset, uint32, error) {
 		return nil, 0, err
 	}
 	return d, DatasetCRC(d), nil
+}
+
+// loadDatasetFile loads a table stored as the one dataset file c. A
+// load that fails releases and uncounts the file's mapping.
+func (s *Store) loadDatasetFile(name string, c chunkRec) (d *dataset.Dataset, err error) {
+	data, mapped, err := s.loadVerified(c.file, c.size, c.crc)
+	if err != nil {
+		return nil, err
+	}
+	if mapped {
+		defer func() {
+			if err != nil {
+				s.unmap([][]byte{data})
+			}
+		}()
+	}
+	df, err := parseDatasetChunk(data, c)
+	if err != nil {
+		return nil, err
+	}
+	var scores []float64
+	if mapped {
+		scores = aliasFloat64s(df.scores)
+	} else {
+		scores = decodeFloat64s(df.scores)
+	}
+	// Labels are always decoded to the heap (bit-unpacking is required
+	// either way). The CRC check above stands in for New's per-record
+	// range scan.
+	labels := make([]bool, df.count)
+	decodeLabelBits(labels, df.labelBits)
+	return dataset.FromColumns(name, scores, labels)
 }
 
 // parseDatasetChunk parses one dataset chunk file and checks its record
@@ -460,15 +473,25 @@ func parseColumnChunk(data []byte, c chunkRec) (columnFile, error) {
 // sorts, zero proxy calls, byte-identical or rejected. A one-chunk
 // column is adopted from its mapping; a chunked one is copied into heap
 // memory. mixes are the index's stored sampling mixtures, handed over
-// unread. It runs when a query first needs the index, never at Open.
-func (s *Store) loadIndex(rec indexRec, mixes []index.StoredMixture) (*index.ScoreIndex, error) {
+// unread. It runs when a query first needs the index, never at Open. A
+// load that fails releases and uncounts every file it mapped.
+func (s *Store) loadIndex(rec indexRec, mixes []index.StoredMixture) (ix *index.ScoreIndex, err error) {
 	var column []float64
-	backing := make([]any, 0, len(rec.segs)+1)
+	// The mappings the index aliases, which pin them as its backing.
+	maps := make([][]byte, 0, len(rec.segs)+1)
+	defer func() {
+		if err != nil {
+			s.unmap(maps)
+		}
+	}()
 	if len(rec.cols) == 1 {
 		c := rec.cols[0]
 		colData, colMapped, err := s.loadVerified(c.file, c.size, c.crc)
 		if err != nil {
 			return nil, fmt.Errorf("column %s: %w", c.file, err)
+		}
+		if colMapped {
+			maps = append(maps, colData)
 		}
 		cf, err := parseColumnChunk(colData, c)
 		if err != nil {
@@ -476,7 +499,6 @@ func (s *Store) loadIndex(rec indexRec, mixes []index.StoredMixture) (*index.Sco
 		}
 		if colMapped {
 			column = aliasFloat64s(cf.scores)
-			backing = append(backing, colData)
 		} else {
 			column = decodeFloat64s(cf.scores)
 		}
@@ -501,6 +523,9 @@ func (s *Store) loadIndex(rec indexRec, mixes []index.StoredMixture) (*index.Sco
 		if err != nil {
 			return nil, fmt.Errorf("segment %s: %w", sr.file, err)
 		}
+		if mapped {
+			maps = append(maps, data)
+		}
 		sf, err := parseSegmentFile(data)
 		if err != nil {
 			return nil, fmt.Errorf("segment %s: %w", sr.file, err)
@@ -513,12 +538,11 @@ func (s *Store) loadIndex(rec indexRec, mixes []index.StoredMixture) (*index.Sco
 		// index is adopted from its verified .seg and .col files alone.
 		if mapped {
 			segs[i] = index.SegmentData{Base: sf.base, Perm: aliasInts(sf.perm), Sorted: aliasFloat64s(sf.sorted)}
-			backing = append(backing, data)
 		} else {
 			segs[i] = index.SegmentData{Base: sf.base, Perm: decodeInts(sf.perm), Sorted: decodeFloat64s(sf.sorted)}
 		}
 	}
-	return index.FromExternal(index.External{Column: column, Segments: segs, Backing: backing, Mixtures: mixes}, s.opts.Index)
+	return index.FromExternal(index.External{Column: column, Segments: segs, Backing: maps, Mixtures: mixes}, s.opts.Index)
 }
 
 // storedMixtures returns lazy loaders for the live mixtures of index k.
@@ -548,11 +572,19 @@ func (s *Store) storedMixtures(k ixKey) []index.StoredMixture {
 // its record: exact size and CRC, header key and count, and in-bounds
 // alias tables (what keeps every draw inside the column). The weight
 // values are trusted on the CRC, like every other persisted float. It
-// runs when a query first asks for the mixture, never at Open.
-func (s *Store) loadMixture(rec mixRec) ([]float64, *sampling.Alias, error) {
+// runs when a query first asks for the mixture, never at Open. A load
+// that fails releases and uncounts the file's mapping.
+func (s *Store) loadMixture(rec mixRec) (weights []float64, a *sampling.Alias, err error) {
 	data, mapped, err := s.loadVerified(rec.file, rec.size, rec.crc)
 	if err != nil {
 		return nil, nil, err
+	}
+	if mapped {
+		defer func() {
+			if err != nil {
+				s.unmap([][]byte{data})
+			}
+		}()
 	}
 	mf, err := parseMixtureFile(data)
 	if err != nil {
@@ -563,15 +595,14 @@ func (s *Store) loadMixture(rec mixRec) ([]float64, *sampling.Alias, error) {
 		return nil, nil, fmt.Errorf("mixture file holds key (%g, %g) over %d rows, manifest says (%g, %g) over %d",
 			mf.exponent, mf.mix, mf.count, rec.exponent, rec.mix, rec.n)
 	}
-	var weights, prob []float64
+	var prob []float64
 	var alias []int32
 	if mapped {
 		weights, prob, alias = aliasFloat64s(mf.weights), aliasFloat64s(mf.prob), aliasInt32s(mf.alias)
 	} else {
 		weights, prob, alias = decodeFloat64s(mf.weights), decodeFloat64s(mf.prob), decodeInt32s(mf.alias)
 	}
-	a, err := sampling.AliasFromTables(prob, alias)
-	if err != nil {
+	if a, err = sampling.AliasFromTables(prob, alias); err != nil {
 		return nil, nil, err
 	}
 	return weights, a, nil
@@ -608,6 +639,19 @@ func (s *Store) loadVerified(name string, wantSize int64, wantCRC uint32) ([]byt
 	s.mappedBytes += int64(len(data))
 	s.mu.Unlock()
 	return data, mapped, nil
+}
+
+// unmap releases mappings that loadVerified counted and that a load
+// which failed part-way made: nothing aliases them yet.
+func (s *Store) unmap(maps [][]byte) {
+	var n int64
+	for _, b := range maps {
+		n += int64(len(b))
+		unmapFile(b)
+	}
+	s.mu.Lock()
+	s.mappedBytes -= n
+	s.mu.Unlock()
 }
 
 // copyVerified loads and verifies one named file like loadVerified and

@@ -342,8 +342,9 @@ func TestCorruptColumnCRCDegradesIndexOnly(t *testing.T) {
 // both indexes of a table, one with a flipped segment byte, without a
 // note and maps only the dataset. Each index's first load checks its
 // own files: the intact one answers like a fresh build, and the corrupt
-// one fails with its CRC error, noted and durably dropped, so a second
-// Open stages only the intact one.
+// one fails with its CRC error, noted and durably dropped, with nothing
+// it mapped left mapped or counted, so a second Open stages only the
+// intact one.
 func TestCorruptIndexFoundOnFirstUse(t *testing.T) {
 	dir := t.TempDir()
 	d, ix := seedStore(t, dir, 700)
@@ -404,9 +405,15 @@ func TestCorruptIndexFoundOnFirstUse(t *testing.T) {
 	if grew := s2.Stats().MappedBytes - st.MappedBytes; grew != ixSize {
 		t.Fatalf("loading the intact index mapped %d bytes, want its files' %d", grew, ixSize)
 	}
+	mapped := s2.Stats().MappedBytes
 	got, err := ri[1].Load()
 	if got != nil || err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("the corrupt index loaded: %v", err)
+	}
+	// The good column and first segment were mapped before the corrupt
+	// segment failed its check; the failed load releases them.
+	if after := s2.Stats().MappedBytes; after != mapped {
+		t.Fatalf("the failed load left %d bytes mapped", after-mapped)
 	}
 	if _, again := ri[1].Load(); again != err {
 		t.Fatalf("a second Load re-ran the check: %v, then %v", err, again)
@@ -441,6 +448,30 @@ func TestCorruptDatasetDropsTableAndIndexes(t *testing.T) {
 	}
 	if st.TablesLive != 0 || st.IndexesLive != 0 {
 		t.Fatalf("corrupt catalog entries still live: %+v", st)
+	}
+}
+
+// TestDatasetCountMismatchUnmaps re-records a table's dataset file with
+// one record more than the intact file holds: the file passes its size
+// and CRC check, the count check drops the table, and the load releases
+// the mapping it made.
+func TestDatasetCountMismatchUnmaps(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir, 700)
+	s := openStore(t, Options{Dir: dir})
+	c := s.st.tables["t"].chunks[0]
+	c.count++
+	if err := s.man.appendRecord(encodeDataset("t", c)); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	st := openStore(t, Options{Dir: dir}).Stats()
+	if st.TablesRecovered != 0 || len(st.Degraded) != 1 || !strings.Contains(st.Degraded[0], "manifest says") {
+		t.Fatalf("a dataset file of the wrong length was served: %+v", st)
+	}
+	if st.MappedBytes != 0 {
+		t.Fatalf("the dropped table left %d bytes mapped", st.MappedBytes)
 	}
 }
 
