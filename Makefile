@@ -10,7 +10,7 @@ COVER_FLOOR ?= 79.1
 SMOKE_N ?= 65536
 
 # The hot-path trajectory battery (see bench-json / bench-check).
-BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectMixtureWarm|SelectPrecisionWarm
+BENCH_HOTPATH_ENGINE = SelectHotPath$$|SelectHotPathOmitIndices|SelectMixtureWarm|SelectPrecisionWarm
 BENCH_HOTPATH_INDEX = Gather|IndexAppend|IndexBuild
 
 .PHONY: all build test test-race vet lint lint-fix fmt-check bench bench-json bench-check bench-labelstore bench-multiproxy bench-storage cover cover-check fuzz-smoke chaos-smoke profile
@@ -125,7 +125,8 @@ bench:
 	$(GO) test ./internal/index -bench 'IndexBuild|IndexAppend' -benchmem -run '^$$'
 	$(GO) test . -bench . -run '^$$'
 
-# Records the hot-path benchmark battery — steady-state select, the
+# Records the hot-path benchmark battery — steady-state select, listed
+# and as the server runs it (ExecOptions.OmitIndices, no id list), the
 # mixture-warm spread-column select, the warm precision-target select
 # (whose stage-2 table over D′ the index memoizes; bench-check fails if
 # a warm repeat goes back to building it), the bitmap id gather at 1%,
@@ -139,7 +140,7 @@ bench-json:
 	{ $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section full -n 1000000 \
-	    -note "Hot-path trajectory: steady-state SUPG select, mixture-warm select on a spread column, warm precision-target select (stage-2 table memoized), the bitmap id gather at 1/33/75/99% density (no sort, no score branch), incremental and chained (in-place growth) append, and radix-sorted index builds on uniform and Beta(0.01, 2) columns. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
+	    -note "Hot-path trajectory: steady-state SUPG select (listed, and as the server runs it without the id list), mixture-warm select on a spread column, warm precision-target select (stage-2 table memoized), the bitmap id gather at 1/33/75/99% density (no sort, no score branch), incremental and chained (in-place growth) append, and radix-sorted index builds on uniform and Beta(0.01, 2) columns. ns/op recorded but not gated (noisy on shared VMs); CI gates allocs/op and bytes/op against the smoke section."
 	{ SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/engine -bench '$(BENCH_HOTPATH_ENGINE)' -benchmem -run '^$$' && \
 	  SUPG_BENCH_N=$(SMOKE_N) $(GO) test ./internal/index -bench '$(BENCH_HOTPATH_INDEX)' -benchmem -run '^$$'; } | \
 	  $(GO) run ./cmd/bench-gate emit -out BENCH_hotpath.json -section smoke -n $(SMOKE_N)

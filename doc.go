@@ -62,15 +62,21 @@
 // the stage-2 tables of two-stage precision queries (Algorithm 5),
 // which restrict it to D' = {x : A(x) >= a_cut}, keyed by a_cut. Every
 // later query — including concurrent queries of the same table — runs
-// against that shared index: threshold counts are binary searches, the
-// selected suffix {x : A(x) >= tau} is gathered in ascending id order
-// through a per-segment bitmap, sampled positives are folded in with a
-// single merge, and weighted draws come from the cached alias tables.
-// Steady-state query cost is therefore O(oracle budget + |result|) with
-// a handful of allocations, plus O(|D'|) the first time a precision
-// query uses a cut, instead of the O(n log n) time and O(n) allocations
-// per query of a re-scanning implementation; see README.md for
-// measured numbers.
+// against that shared index: threshold counts are binary searches,
+// weighted draws come from the cached alias tables, and the answer is
+// carried as tau plus the few sampled positives below it (a
+// core.Answer, QueryResult.Answer). Listing it (QueryResult.Indices,
+// which the zero ExecOptions fill) gathers the selected suffix
+// {x : A(x) >= tau} in ascending id order through a per-segment bitmap
+// in which the sampled positives are marked too, so no merge follows.
+// The HTTP server lists nothing (ExecOptions.OmitIndices): it counts
+// the answer, evaluates it by walking each segment's sorted suffix,
+// and streams requested ids from the same bitmap gather. Steady-state
+// query cost is therefore O(oracle budget + |result|) with a handful
+// of allocations, none of them O(|result|) on the served path, plus
+// O(|D'|) the first time a precision query uses a cut, instead of the
+// O(n log n) time and O(n) allocations per query of a re-scanning
+// implementation; see README.md for measured numbers.
 //
 // The one-shot supg.Run path computes the same artifacts lazily per
 // call and returns bit-identical results for the same seed.

@@ -76,7 +76,8 @@ func OpenEngine(seed uint64, opts EngineOptions) (*Engine, error) {
 }
 
 // ExecOptions tune one engine query execution (oracle parallelism,
-// progress reporting, label-reuse charging mode).
+// progress reporting, label-reuse charging mode, and whether the
+// answer is listed into QueryResult.Indices).
 type ExecOptions = engine.ExecOptions
 
 // LabelStoreStats is a snapshot of the engine's cross-query oracle

@@ -156,21 +156,26 @@ func estimateISPrecisionTwoStage(r *randx.Rand, src ScoreSource, o *oracle.Budge
 // is. The table over D' = {x : A(x) >= aCut} is a pure function of the
 // source, the mixture key and aCut, so index.ScoreIndex memoizes it
 // beside its cached mixture and a repeated query skips the O(|D'|)
-// gather, copy and Vose build. It is not part of ScoreSource: a
-// decorator that implements exactly ScoreSource's methods (a tracing
-// wrapper, say) keeps satisfying that interface, and takes the uncached
-// path, which builds the same table and so draws identically.
+// gather, copy and Vose build. Restriction reports false when the
+// source holds no mixture for the key (an index whose mixture cache is
+// full serves stage 1's mixture uncached) rather than build one. It is
+// not part of ScoreSource: a decorator that implements exactly
+// ScoreSource's methods (a tracing wrapper, say) keeps satisfying that
+// interface, and takes the uncached path, which builds the same table
+// and so draws identically.
 type restrictionSource interface {
-	Restriction(exponent, mix, tau float64) *sampling.Restricted
+	Restriction(exponent, mix, tau float64) (*sampling.Restricted, bool)
 }
 
 // restriction returns src's stage-2 table over {x : A(x) >= aCut},
-// restricted from weights, the (cfg.WeightExponent, cfg.Mix) mixture:
-// from the source's memo when it has one, else built. It is nil when
-// the subset is empty.
+// restricted from weights, the (cfg.WeightExponent, cfg.Mix) mixture
+// stage 1 drew from: from the source's memo when it holds that mixture,
+// else built from weights. It is nil when the subset is empty.
 func restriction(src ScoreSource, weights []float64, cfg Config, aCut float64) *sampling.Restricted {
 	if rs, ok := src.(restrictionSource); ok {
-		return rs.Restriction(cfg.WeightExponent, cfg.Mix, aCut)
+		if t, held := rs.Restriction(cfg.WeightExponent, cfg.Mix, aCut); held {
+			return t
+		}
 	}
 	return sampling.Restrict(weights, src.AppendAtLeast(make([]int, 0, src.CountAtLeast(aCut)), aCut))
 }

@@ -102,14 +102,15 @@ func SelectJointFromContextOptions(ctx context.Context, r *randx.Rand, src Score
 	}
 
 	// Stage 3: verify every candidate record; keep true positives.
-	labs, err := budgeted.LabelAll(candidate.Indices)
+	cands := candidate.Answer().List(src)
+	labs, err := budgeted.LabelAll(cands)
 	if err != nil {
 		err = fmt.Errorf("core: joint filter stage: %w", err)
 		oracle.NoteLabelsFolded(err, budgeted.Used())
 		return JointResult{}, err
 	}
 	var final []int
-	for pos, i := range candidate.Indices {
+	for pos, i := range cands {
 		if labs[pos] {
 			final = append(final, i)
 		}
@@ -120,6 +121,6 @@ func SelectJointFromContextOptions(ctx context.Context, r *randx.Rand, src Score
 		OracleCalls:   budgeted.Used(),
 		CachedLabels:  budgeted.StoreHits(),
 		Tau:           candidate.Tau,
-		CandidateSize: len(candidate.Indices),
+		CandidateSize: len(cands),
 	}, nil
 }

@@ -79,11 +79,16 @@ func labelDraws(scores []float64, o *oracle.Budgeted, idx []int, m []float64, ar
 		label: ar.floats(len(idx)),
 		m:     ar.floats(len(idx)),
 	}
+	// The sort compares keys gathered from the n-record column once
+	// instead of two dependent loads through idx per comparison; every
+	// comparison, and so the permutation and its tie order, is the same.
+	keys := ar.floats(len(idx))
 	order := ar.ints(len(idx))
-	for i := range order {
+	for i, j := range idx {
+		keys[i] = scores[j]
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return scores[idx[order[a]]] < scores[idx[order[b]]] })
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 
 	sorted := ar.ints(len(idx))
 	for pos, oi := range order {
@@ -97,7 +102,7 @@ func labelDraws(scores []float64, o *oracle.Budgeted, idx []int, m []float64, ar
 	for pos, oi := range order {
 		j := sorted[pos]
 		s.idx[pos] = j
-		s.score[pos] = scores[j]
+		s.score[pos] = keys[oi]
 		if labs[pos] {
 			s.label[pos] = 1
 		}

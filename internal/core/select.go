@@ -78,9 +78,10 @@ type SelectOptions struct {
 
 // SelectFromContextOptions answers a SUPG query end to end
 // (Algorithm 1) over src: it wraps the oracle with the budget and
-// returns SelectBudgeted's answer over that wrapper. For a fixed random
-// stream an index.ScoreIndex and NewRawSource over the same column
-// return exactly the same records.
+// returns SelectBudgeted's answer over that wrapper, listed into
+// Indices (Answer.List). For a fixed random stream an index.ScoreIndex
+// and NewRawSource over the same column return exactly the same
+// records.
 //
 // Once ctx is done the query stops consuming oracle budget and returns
 // ctx's error. When orc implements oracle.BatchOracle (e.g. an
@@ -100,19 +101,22 @@ func SelectFromContextOptions(ctx context.Context, r *randx.Rand, src ScoreSourc
 		// and persisted when a label store is attached), so a retry of the
 		// query resumes warm rather than from zero.
 		oracle.NoteLabelsFolded(err, budgeted.Used())
+		return res, err
 	}
-	return res, err
+	res.Indices = res.Answer().List(src)
+	return res, nil
 }
 
 // SelectBudgeted runs Algorithm 1 over a budget wrapper the caller
 // owns: it estimates tau with the configured estimator, drawing every
 // label through b, and returns R = R1 ∪ R2 = {records b labeled
-// positive} ∪ {x : A(x) >= tau}. R1 therefore includes any positive b
-// labeled before the call. When the sample surfaces no positives, a
-// recall target keeps the estimator's select-all tau — the full
-// dataset is the only recall-safe answer — and a precision target
-// answers +Inf, returning the labeled positives alone. OracleCalls and
-// CachedLabels report b's totals.
+// positive} ∪ {x : A(x) >= tau} in compact form, as tau and Extra, the
+// positives below it (see Answer); it leaves Indices nil. R1 therefore
+// includes any positive b labeled before the call. When the sample
+// surfaces no positives, a recall target keeps the estimator's
+// select-all tau — the full dataset is the only recall-safe answer —
+// and a precision target answers +Inf, returning the labeled positives
+// alone. OracleCalls and CachedLabels report b's totals.
 func SelectBudgeted(r *randx.Rand, src ScoreSource, b *oracle.Budgeted, spec Spec, cfg Config) (Result, error) {
 	ar := acquireArena()
 	defer ar.release()
@@ -126,11 +130,9 @@ func SelectBudgeted(r *randx.Rand, src ScoreSource, b *oracle.Budgeted, spec Spe
 	return assembleFrom(src, tau, b, ar), nil
 }
 
-// assembleFrom merges the presorted threshold suffix R2 with the
-// (tiny, sorted) list of b's labeled positives R1. It allocates only
-// the result slice: R2 arrives in ascending id order from the source,
-// the positive list is arena scratch, and the R1 records below the
-// threshold are folded in with a single backward merge.
+// assembleFrom assembles R1 ∪ R2 in compact form: tau, and the
+// (tiny, sorted) part of b's labeled positives R1 the threshold
+// suffix R2 does not already cover.
 func assembleFrom(src ScoreSource, tau float64, b *oracle.Budgeted, ar *arena) Result {
 	scores := src.Scores()
 
@@ -149,38 +151,13 @@ func assembleFrom(src ScoreSource, tau float64, b *oracle.Budgeted, ar *arena) R
 			extra = append(extra, i)
 		}
 	}
-
-	res := Result{
-		Tau:              tau,
+	return Result{
+		Tau: tau,
+		// extra is arena scratch; the escaping Extra needs its own
+		// memory.
+		Extra:            append(make([]int, 0, len(extra)), extra...),
 		OracleCalls:      b.Used(),
 		SampledPositives: len(extra),
 		CachedLabels:     b.StoreHits(),
 	}
-	if noThreshold {
-		// extra is arena scratch; the escaping Indices need their own
-		// memory.
-		res.Indices = append(make([]int, 0, len(extra)), extra...)
-		return res
-	}
-
-	out := make([]int, 0, src.CountAtLeast(tau)+len(extra))
-	out = src.AppendAtLeast(out, tau)
-	k := len(out)
-	if len(extra) > 0 {
-		// Backward merge of the two ascending runs; extra does not
-		// alias out, so overwriting out from the tail is safe.
-		out = append(out, extra...)
-		i, j := k-1, len(extra)-1
-		for w := len(out) - 1; j >= 0; w-- {
-			if i >= 0 && out[i] > extra[j] {
-				out[w] = out[i]
-				i--
-			} else {
-				out[w] = extra[j]
-				j--
-			}
-		}
-	}
-	res.Indices = out
-	return res
 }

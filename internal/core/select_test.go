@@ -38,5 +38,13 @@ func labeledBudget(t *testing.T, labels map[int]bool) *oracle.Budgeted {
 // assemble constructs Algorithm 1's R1 ∪ R2 from a threshold and the
 // labels b holds, over a plain score slice.
 func assemble(scores []float64, tau float64, b *oracle.Budgeted) Result {
-	return assembleFrom(NewRawSource(scores), tau, b, nil)
+	return assembleListed(NewRawSource(scores), tau, b)
+}
+
+// assembleListed is assembleFrom over src with Indices listed, as the
+// materializing entry points list them.
+func assembleListed(src ScoreSource, tau float64, b *oracle.Budgeted) Result {
+	res := assembleFrom(src, tau, b, nil)
+	res.Indices = res.Answer().List(src)
+	return res
 }

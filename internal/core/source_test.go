@@ -101,6 +101,36 @@ func TestStageTwoMemoMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestPrecisionQueryBuildsMixtureOnce runs a two-stage precision query
+// over an index whose mixture cache is full of other keys (the index
+// caches 8): stage 1 builds the query's mixture uncached, and stage 2
+// restricts those weights instead of building the mixture a second
+// time, with the raw path's answer.
+func TestPrecisionQueryBuildsMixtureOnce(t *testing.T) {
+	d := dataset.Beta(randx.New(271), 40000, 0.01, 2)
+	ix, err := index.NewWithOptions(d.Scores(), index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 8; k++ {
+		ix.Mixture(1, 0.01*float64(k))
+	}
+	spec := Spec{Kind: PrecisionTarget, Gamma: 0.6, Delta: 0.05, Budget: 1000}
+	builds := index.MixtureBuildsTotal()
+	got, err := selectFrom(randx.New(99), ix, oracle.NewSimulated(d), spec, DefaultSUPG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := index.MixtureBuildsTotal() - builds; n != 1 {
+		t.Fatalf("one precision query built %d mixtures, want 1", n)
+	}
+	want, err := selectFrom(randx.New(99), NewRawSource(d.Scores()), oracle.NewSimulated(d), spec, DefaultSUPG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsEqual(t, "full mixture cache", want, got)
+}
+
 // TestSelectJointFromIndexMatchesRawPath is the same equivalence for
 // the joint-target appendix algorithm.
 func TestSelectJointFromIndexMatchesRawPath(t *testing.T) {
@@ -131,8 +161,10 @@ func TestSelectJointFromIndexMatchesRawPath(t *testing.T) {
 	}
 }
 
-// TestAssembleFromMergesSampledPositives covers the backward merge of
-// labeled positives below the threshold into the presorted suffix.
+// TestAssembleFromMergesSampledPositives covers the merge of labeled
+// positives below the threshold into the presorted suffix: the raw
+// path's backward merge and the index's gather, which marks them in its
+// bitmaps.
 func TestAssembleFromMergesSampledPositives(t *testing.T) {
 	scores := []float64{0.95, 0.05, 0.6, 0.2, 0.8, 0.1}
 	ix, err := index.NewWithOptions(scores, index.Options{})
@@ -144,7 +176,7 @@ func TestAssembleFromMergesSampledPositives(t *testing.T) {
 	b := labeledBudget(t, map[int]bool{0: true, 1: true, 3: false, 5: true})
 	for name, res := range map[string]Result{
 		"raw":     assemble(scores, 0.6, b),
-		"indexed": assembleFrom(ix, 0.6, b, nil),
+		"indexed": assembleListed(ix, 0.6, b),
 	} {
 		want := []int{0, 1, 2, 4, 5}
 		if len(res.Indices) != len(want) {

@@ -204,10 +204,17 @@ func (c Config) normalize() Config {
 
 // Result is a complete SUPG query answer (Algorithm 1's R1 ∪ R2).
 type Result struct {
-	// Indices is the sorted set of returned record indices.
+	// Indices is the sorted set of returned record indices: the answer
+	// (Tau, Extra) listed. SelectBudgeted leaves it nil, and the entry
+	// points that return a Result (SelectFromContextOptions,
+	// multiproxy.Select) fill it through Answer.List.
 	Indices []int
 	// Tau is the proxy threshold used for the R2 component.
 	Tau float64
+	// Extra is the part of R1 the threshold does not cover: the labeled
+	// positives scoring below Tau (all of them when Tau is +Inf),
+	// ascending. With Tau it describes the whole returned set (Answer).
+	Extra []int
 	// OracleCalls is the number of budget-consuming oracle calls made.
 	OracleCalls int
 	// SampledPositives is the number of returned records that came from
@@ -218,6 +225,9 @@ type Result struct {
 	// charged mode these still count in OracleCalls.
 	CachedLabels int
 }
+
+// Answer returns the result's returned set in compact form.
+func (r Result) Answer() Answer { return Answer{Tau: r.Tau, Extra: r.Extra} }
 
 // ErrNoPositives is returned by recall-target estimation when the
 // sample contains no positive labels, in which case no data-driven

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -714,9 +715,24 @@ func (e *Engine) RegisterDatasetDefaults(name string, d *dataset.Dataset) {
 
 // QueryResult is the engine-level answer with execution statistics.
 type QueryResult struct {
-	// Indices is the sorted returned record set.
+	// Indices is the sorted returned record set: Answer listed over
+	// Index. It is nil under ExecOptions.OmitIndices.
 	Indices []int
+	// Answer is the returned set in compact form over Index (see
+	// core.Answer): the threshold and the sampled positives below it for
+	// a recall or precision target, and the oracle-verified list (with
+	// an +Inf threshold) for a joint target. It is set on every result,
+	// so the set's size, quality and ids can be read without Indices:
+	// Answer.Len(Index) counts it, Index.EachAtLeast walks the records
+	// at or above its threshold, and Index.WalkAtLeastWith streams its
+	// ids in ascending order.
+	Answer core.Answer
+	// Index is the immutable score index the query ran over; Answer's
+	// threshold part refers to it, and to Table.
+	Index *index.ScoreIndex
 	// Tau is the chosen proxy threshold (Inf = sample positives only).
+	// For a joint target it is the recall stage's threshold, which
+	// Answer does not use.
 	Tau float64
 	// OracleCalls counts budget-consuming oracle invocations.
 	OracleCalls int
@@ -791,6 +807,12 @@ type ExecOptions struct {
 	// (charged) mode keeps results byte-identical to a cold run; free
 	// reuse stretches the effective sample size the budget buys.
 	FreeReuse bool
+	// OmitIndices leaves QueryResult.Indices nil, so the query lists no
+	// ids: a caller that needs only the set's size and quality, or
+	// streams its ids (the HTTP server), reads them from
+	// QueryResult.Answer and Index. The zero value lists the set, which
+	// in-process callers of the library need.
+	OmitIndices bool
 }
 
 // ExecuteContext parses, plans, and runs a SUPG statement with
@@ -877,7 +899,8 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 		}
 	}
 
-	res := &QueryResult{Plan: plan, Table: entry.table}
+	ix := entry.res.ix
+	res := &QueryResult{Plan: plan, Table: entry.table, Index: ix}
 	if built {
 		if entry.res.recovered {
 			res.IndexRecovered = true
@@ -896,25 +919,33 @@ func (e *Engine) ExecutePlanContext(ctx context.Context, plan *query.Plan, opts 
 	}
 	switch plan.Kind {
 	case query.PlanBudgeted:
-		sel, err := core.SelectFromContextOptions(ctx, rng, entry.res.ix, orc, plan.Spec, plan.Config, sopts)
+		// core.SelectFromContextOptions, without its listing: the budget
+		// wrapper it builds, then SelectBudgeted's compact answer.
+		budgeted := oracle.NewBudgeted(orc, plan.Spec.Budget).WithContext(ctx).
+			WithStore(sopts.Store, sopts.FreeReuse).WithChargeHook(sopts.OnCachedCharge)
+		sel, err := core.SelectBudgeted(rng, ix, budgeted, plan.Spec, plan.Config)
 		if err != nil {
+			oracle.NoteLabelsFolded(err, budgeted.Used())
 			return nil, err
 		}
-		res.Indices = sel.Indices
+		res.Answer = sel.Answer()
 		res.Tau = sel.Tau
 		res.OracleCalls = sel.OracleCalls
 		res.LabelCacheHits = sel.CachedLabels
 	case query.PlanJoint:
-		sel, err := core.SelectJointFromContextOptions(ctx, rng, entry.res.ix, orc, plan.JointSpec, plan.Config, sopts)
+		sel, err := core.SelectJointFromContextOptions(ctx, rng, ix, orc, plan.JointSpec, plan.Config, sopts)
 		if err != nil {
 			return nil, err
 		}
-		res.Indices = sel.Indices
+		res.Answer = core.Answer{Tau: math.Inf(1), Extra: sel.Indices}
 		res.Tau = sel.Tau
 		res.OracleCalls = sel.OracleCalls
 		res.LabelCacheHits = sel.CachedLabels
 	default:
 		return nil, fmt.Errorf("engine: unknown plan kind %d", int(plan.Kind))
+	}
+	if !opts.OmitIndices {
+		res.Indices = res.Answer.List(ix)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil

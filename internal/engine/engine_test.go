@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -202,5 +204,41 @@ func TestExecutePlanDirect(t *testing.T) {
 	}
 	if res.Plan.Config.Method != core.MethodUCI {
 		t.Error("plan config not honored")
+	}
+}
+
+// TestOmitIndicesKeepsTheAnswer runs recall, precision (with and
+// without a certifiable threshold) and joint queries with the zero
+// ExecOptions and with OmitIndices: the opted-out result lists no ids,
+// and its answer counts exactly the zero-options Indices, lists them
+// over its index, and carries the same Tau and oracle calls.
+func TestOmitIndicesKeepsTheAnswer(t *testing.T) {
+	e, _ := testEngine(t)
+	for _, sql := range []string{
+		engineRT,
+		strings.Replace(engineRT, "RECALL TARGET 90%", "PRECISION TARGET 90%", 1),
+		strings.NewReplacer("RECALL TARGET 90%", "PRECISION TARGET 99%", "ORACLE LIMIT 1000", "ORACLE LIMIT 20").Replace(engineRT),
+		strings.NewReplacer("ORACLE LIMIT 1000", "", "RECALL TARGET 90%", "RECALL TARGET 80% PRECISION TARGET 90%").Replace(engineRT),
+	} {
+		listed, err := execute(e, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		omitted, err := e.ExecuteContext(context.Background(), sql, ExecOptions{OmitIndices: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if omitted.Indices != nil {
+			t.Fatalf("%s: OmitIndices listed %d ids", sql, len(omitted.Indices))
+		}
+		if n := omitted.Answer.Len(omitted.Index); n != len(listed.Indices) {
+			t.Fatalf("%s: the answer counts %d ids, the zero options list %d", sql, n, len(listed.Indices))
+		}
+		if got := omitted.Answer.List(omitted.Index); !slices.Equal(got, listed.Indices) {
+			t.Fatalf("%s: the answer lists other ids than the zero options", sql)
+		}
+		if math.Float64bits(omitted.Tau) != math.Float64bits(listed.Tau) || omitted.OracleCalls != listed.OracleCalls {
+			t.Fatalf("%s: tau/calls %v/%d, want %v/%d", sql, omitted.Tau, omitted.OracleCalls, listed.Tau, listed.OracleCalls)
+		}
 	}
 }

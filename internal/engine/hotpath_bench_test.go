@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -77,6 +78,32 @@ func BenchmarkSelectHotPath(b *testing.B) {
 		}
 		if res.IndexBuilt {
 			b.Fatal("steady state rebuilt the index")
+		}
+	}
+}
+
+// BenchmarkSelectHotPathOmitIndices is BenchmarkSelectHotPath's query
+// as the HTTP server runs it, with ExecOptions.OmitIndices: the answer
+// stays (tau, sampled positives), so the timed region allocates no id
+// list, where BenchmarkSelectHotPath lists the whole returned set.
+func BenchmarkSelectHotPathOmitIndices(b *testing.B) {
+	d := benchDataset(b)
+	e := openEngine(b, 42, Options{})
+	e.RegisterDatasetDefaults("video", d)
+	plan := benchPlan(b, "RECALL")
+	opts := ExecOptions{OmitIndices: true}
+	if _, err := e.ExecutePlanContext(context.Background(), plan, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.ExecutePlanContext(context.Background(), plan, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.IndexBuilt || res.Indices != nil {
+			b.Fatal("steady state rebuilt the index or listed the answer")
 		}
 	}
 }

@@ -39,7 +39,11 @@
 //     smaller side of the segment's permutation cut in a pooled bitmap
 //     and walks the bitmap's words low to high. Segments partition the
 //     id space in order, so the concatenation is globally ascending —
-//     the degenerate k-way merge.
+//     the degenerate k-way merge. AppendAtLeastWith marks a few extra
+//     ids below the threshold in the same bitmaps (an answer's sampled
+//     positives), so they come out merged, and WalkAtLeastWith streams
+//     the same ids in fixed-size chunks. EachAtLeast hands out the
+//     sorted suffixes themselves, for callers that only count.
 //   - Mixture computes the defensive weights with
 //     sampling.DefensiveWeights over the whole column, whose weights do
 //     not depend on its worker count, and feeds them to the same global
@@ -103,6 +107,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -163,27 +168,36 @@ func (s *segment) countAtLeast(tau float64) int {
 	return len(s.sorted) - s.cutAtLeast(tau)
 }
 
-// gatherBitmaps recycles the segment-sized bitmaps appendAtLeast marks
+// gatherBitmaps recycles the segment-sized bitmaps gather marks
 // ids in. A bitmap always goes back all zero — emission clears every
 // word it reads — so a gather never has to clear one first, and
 // indexes of any segment size can share the pool.
 var gatherBitmaps = sync.Pool{New: func() any { return new([]uint64) }}
 
-// appendAtLeast appends the segment's global record ids with score >=
-// tau to dst in ascending id order. The matches are exactly the local
-// ids perm[cut:], in score order; the gather sets one bit per local id
-// of the smaller side of the cut — perm[cut:], or perm[:cut] when more
-// than half the segment matches — in a segment-sized bitmap, then walks
-// its words once, low to high, emitting the set bits (or the clear
-// bits). A set of distinct ids has one ascending order, so the output
-// is the id-sorted suffix without a sort and without a branch on any
-// score: O(min(k, S-k)) bit sets, S/64 word reads and k emits.
-func (s *segment) appendAtLeast(dst []int, tau float64) []int {
+// gather appends to dst, in ascending id order, the segment's global
+// record ids with score >= tau together with extra, ascending global
+// ids of the segment's records that score below tau. The matches are
+// exactly the local ids perm[cut:], in score order; the gather sets one
+// bit per local id of the smaller side of the cut — perm[cut:], or
+// perm[:cut] when more than half the segment matches — in a
+// segment-sized bitmap, puts each extra's bit in the emitted state, then
+// walks the words once, low to high, emitting the set bits (or the
+// clear bits). A set of distinct ids has one ascending order, so the
+// output is the id-sorted union without a sort, without a merge and
+// without a branch on any score: O(min(k, S-k) + |extra|) bit writes,
+// S/64 word reads and k+|extra| emits. An extra that scores >= tau after
+// all is emitted once.
+//
+// With a non-nil flush, gather hands dst to it whenever it holds limit
+// or more ids and goes on with dst[:0]: a word emits at most 64 ids, so
+// dst never outgrows limit+63. It stops as soon as flush returns false,
+// and reports whether it ran to the end.
+func (s *segment) gather(dst []int, tau float64, extra []int, limit int, flush func([]int) bool) ([]int, bool) {
 	n := len(s.sorted)
 	cut := s.cutAtLeast(tau)
 	k := n - cut
-	if k == 0 {
-		return dst
+	if k == 0 && len(extra) == 0 {
+		return dst, true
 	}
 	words := (n + 63) >> 6
 	bp := gatherBitmaps.Get().(*[]uint64)
@@ -203,15 +217,44 @@ func (s *segment) appendAtLeast(dst []int, tau float64) []int {
 	for _, p := range mark {
 		bm[p>>6] |= 1 << (p & 63)
 	}
+	for _, id := range extra {
+		p := id - s.base
+		if flip == 0 {
+			bm[p>>6] |= 1 << (p & 63)
+		} else {
+			bm[p>>6] &^= 1 << (p & 63)
+		}
+	}
+	done := true
 	for w, x := range bm {
 		bm[w] = 0
 		id := s.base + w<<6
 		for x ^= flip; x != 0; x &= x - 1 {
 			dst = append(dst, id+bits.TrailingZeros64(x))
 		}
+		if flush != nil && len(dst) >= limit {
+			if !flush(dst) {
+				// The pool takes bitmaps back all zero.
+				clear(bm[w+1:])
+				done = false
+				break
+			}
+			dst = dst[:0]
+		}
 	}
 	gatherBitmaps.Put(bp)
-	return dst
+	return dst, done
+}
+
+// segmentExtra returns the prefix of extra, ascending global ids, that
+// falls in segment s.
+func segmentExtra(s *segment, extra []int) []int {
+	end := s.base + len(s.sorted)
+	i := 0
+	for i < len(extra) && extra[i] < end {
+		i++
+	}
+	return extra[:i]
 }
 
 // ScoreIndex is the precomputed, immutable segmented index over one
@@ -481,17 +524,28 @@ func (ix *ScoreIndex) KthHighest(k int) float64 {
 	return math.Float64frombits(lo)
 }
 
-// appendParallelMinIDs gates the parallel AppendAtLeast gather: below
-// this many emitted ids the sequential per-segment loop beats the cost
-// of the counting pre-pass plus helper spawns.
+// appendParallelMinIDs gates the parallel AppendAtLeastWith gather:
+// below this many emitted ids the sequential per-segment loop beats the
+// cost of the counting pre-pass plus helper spawns.
 const appendParallelMinIDs = 1 << 14
 
 // AppendAtLeast appends the record ids with score >= tau to dst in
-// ascending id order and returns the extended slice. With capacity
-// already in dst (size it with CountAtLeast) the call does not
-// allocate. Segments partition the id space in ascending order, so
-// emitting each segment's ascending matches in segment order yields
-// the globally ascending id list.
+// ascending id order and returns the extended slice: AppendAtLeastWith
+// without extra ids.
+func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
+	return ix.AppendAtLeastWith(dst, tau, nil)
+}
+
+// AppendAtLeastWith appends to dst, in ascending id order, the record
+// ids with score >= tau together with extra, ascending ids of records
+// that score below tau, and returns the extended slice. Each segment
+// marks its share of extra in the bitmap its matches are gathered in,
+// so the two come out merged (see segment.gather). With capacity
+// already in dst (size it with CountAtLeast plus len(extra)) the call
+// does not allocate. Segments partition the id space in ascending
+// order, so emitting each segment's ascending ids in segment order
+// yields the globally ascending list. WalkAtLeastWith emits the same
+// ids in chunks.
 //
 // Large gathers fan out across Options.Parallelism goroutines: an
 // exact per-segment count pre-pass (binary searches) sizes disjoint
@@ -499,42 +553,91 @@ const appendParallelMinIDs = 1 << 14
 // slot concurrently, and the slots concatenate in segment order —
 // every byte of output, and its position, is the one the sequential
 // loop writes.
-func (ix *ScoreIndex) AppendAtLeast(dst []int, tau float64) []int {
+func (ix *ScoreIndex) AppendAtLeastWith(dst []int, tau float64, extra []int) []int {
 	if len(ix.segs) > 1 && ix.par > 1 {
-		base := len(dst)
-		// Common segment counts keep the offset table on the stack so the
-		// pre-pass stays allocation-free on the hot path.
-		var offBuf [33]int
-		offs := offBuf[:]
-		if len(ix.segs)+1 > len(offBuf) {
-			offs = make([]int, len(ix.segs)+1)
+		base, m := len(dst), len(ix.segs)+1
+		// offs[j] is where segment j's ids start past base, and exts[j]
+		// where its share of extra starts. Common segment counts keep the
+		// tables on the stack, so the pre-pass allocates nothing; a
+		// fanned-out gather hands its goroutines a heap copy.
+		var buf [66]int
+		tab := buf[:]
+		if 2*m > len(buf) {
+			tab = make([]int, 2*m)
 		}
+		offs, exts := tab[:m], tab[m:2*m]
 		for j, s := range ix.segs {
-			offs[j+1] = offs[j] + s.countAtLeast(tau)
+			e := len(segmentExtra(s, extra[exts[j]:]))
+			exts[j+1] = exts[j] + e
+			offs[j+1] = offs[j] + s.countAtLeast(tau) + e
 		}
-		if total := offs[len(ix.segs)]; total >= appendParallelMinIDs {
+		if total := offs[m-1]; total >= appendParallelMinIDs {
 			if cap(dst) < base+total {
 				grown := make([]int, base, base+total)
 				copy(grown, dst)
 				dst = grown
 			}
-			// The closure captures out, never dst: a captured parameter
-			// moves to the heap on every call, sequential ones included.
-			out := dst[:base+total]
+			// The closure captures out, ext and the copy, never dst,
+			// extra or tab: a captured parameter or stack table moves to
+			// the heap on every call, sequential ones included.
+			out, ext, at := dst[:base+total], extra, slices.Clone(tab[:2*m])
 			parallel.Run(ix.par, len(ix.segs), func(j int) {
-				lo, hi := base+offs[j], base+offs[j+1]
+				lo, hi := base+at[j], base+at[j+1]
 				// Full slice expression: a slot's cap ends where the next
-				// slot begins, so appendAtLeast can never write outside
-				// its own segment's range.
-				ix.segs[j].appendAtLeast(out[lo:lo:hi], tau)
+				// slot begins, so gather can never write outside its own
+				// segment's range.
+				ix.segs[j].gather(out[lo:lo:hi], tau, ext[at[m+j]:at[m+j+1]], 0, nil)
 			})
 			return out
 		}
 	}
 	for _, s := range ix.segs {
-		dst = s.appendAtLeast(dst, tau)
+		e := segmentExtra(s, extra)
+		dst, _ = s.gather(dst, tau, e, 0, nil)
+		extra = extra[len(e):]
 	}
 	return dst
+}
+
+// WalkAtLeastWith emits the ids AppendAtLeastWith(nil, tau, extra)
+// returns, in the same ascending order and from the same per-segment
+// gather, as a stream of chunks: it appends them to buf[:0] and hands
+// buf to emit whenever fewer than 64 slots of its capacity are left
+// (at the end, whatever it holds), so a caller can write an answer of
+// any size through one buffer of fixed size. emit must not retain the
+// chunk; returning false stops the walk. It runs on the calling
+// goroutine.
+func (ix *ScoreIndex) WalkAtLeastWith(tau float64, extra []int, buf []int, emit func(chunk []int) bool) {
+	limit := cap(buf) - 63
+	if limit < 1 {
+		limit = 1
+	}
+	buf = buf[:0]
+	for _, s := range ix.segs {
+		e := segmentExtra(s, extra)
+		extra = extra[len(e):]
+		var done bool
+		if buf, done = s.gather(buf, tau, e, limit, emit); !done {
+			return
+		}
+	}
+	if len(buf) > 0 {
+		emit(buf)
+	}
+}
+
+// EachAtLeast calls fn once per segment holding records with score >=
+// tau, with the segment's first global id and those records' local ids
+// in ascending score order: record base+local[i]. It is a walk over the
+// sorted suffixes, with no gather and no id order, for callers that
+// only count or test the records (an answer's true positives, say).
+// local is the index's own memory and must not be modified or retained.
+func (ix *ScoreIndex) EachAtLeast(tau float64, fn func(base int, local []int)) {
+	for _, s := range ix.segs {
+		if cut := s.cutAtLeast(tau); cut < len(s.perm) {
+			fn(s.base, s.perm[cut:])
+		}
+	}
 }
 
 // ResidentBytes estimates the index's resident data memory: the score

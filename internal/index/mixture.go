@@ -118,24 +118,42 @@ func (ix *ScoreIndex) Mixture(exponent, mix float64) ([]float64, *sampling.Alias
 	return m.weights, m.alias
 }
 
-// mixtureEntry returns the mixture for the key and whether it is the
-// one published in the cache.
+// mixtureEntry returns the mixture for the key, building it when the
+// index holds none, and whether it is the one published in the cache.
 func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) (*mixture, bool) {
 	key := MixtureKey{Exponent: exponent, Mix: mix}
+	if m, cached := ix.heldMixture(key); m != nil {
+		return m, cached
+	}
+	mixtureBuilds.Add(1)
+	w := sampling.DefensiveWeights(ix.scores, exponent, mix, ix.par)
+	return ix.publish(key, &mixture{weights: w, alias: sampling.NewAlias(w)})
+}
+
+// heldMixture returns the mixture the index holds for key without
+// building one: the cached one, or a stored one it adopts (see
+// StoredMixture), and whether it is the one published in the cache. It
+// is nil when the index holds none.
+func (ix *ScoreIndex) heldMixture(key MixtureKey) (*mixture, bool) {
 	ix.mu.RLock()
 	m, sm := ix.mixtures[key], ix.stored[key]
 	ix.mu.RUnlock()
 	if m != nil {
 		return m, true
 	}
-	if sm != nil {
-		m = sm.adopt(len(ix.scores))
+	if sm == nil {
+		return nil, false
 	}
-	if m == nil {
-		mixtureBuilds.Add(1)
-		w := sampling.DefensiveWeights(ix.scores, exponent, mix, ix.par)
-		m = &mixture{weights: w, alias: sampling.NewAlias(w)}
+	if m = sm.adopt(len(ix.scores)); m == nil {
+		return nil, false
 	}
+	return ix.publish(key, m)
+}
+
+// publish caches m under key unless another caller won the race (its
+// mixture is returned instead) or the cache is full (m is served
+// uncached: identical draws).
+func (ix *ScoreIndex) publish(key MixtureKey, m *mixture) (*mixture, bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	switch {
@@ -145,46 +163,52 @@ func (ix *ScoreIndex) mixtureEntry(exponent, mix float64) (*mixture, bool) {
 		ix.mixtures[key] = m
 		return m, true
 	}
-	return m, false // cache full: serve uncached, identical draws
+	return m, false
 }
 
 // Restriction returns the stage-2 sampling table of Algorithm 5 over
 // D′ = {x : A(x) >= tau}: sampling.Restrict of the (exponent, mix)
 // mixture's weights over AppendAtLeast(tau), or nil when D′ is empty.
-// It gets the mixture as Mixture does, so a configuration the full
-// mixture cache serves uncached pays its mixture build again here. The
-// table is a pure function of the index, the key and tau, so a cached
-// mixture memoizes it by tau's bits, within the bounds
-// maxCachedMixtures describes. Past either bound, and for a mixture
-// served uncached, the table is built per call and not kept; a table is
-// never persisted, and an appended or recovered index starts with an
-// empty memo. Concurrent callers may race to build the same table; the
-// loser's copy is discarded, so every caller observes one canonical
-// table. The table is shared and must be treated as read-only.
-func (ix *ScoreIndex) Restriction(exponent, mix, tau float64) *sampling.Restricted {
-	m, cached := ix.mixtureEntry(exponent, mix)
+// It uses only a mixture the index already holds, cached or adopted
+// from storage, and builds none: when the index holds no mixture for
+// the key (a full cache served it uncached), Restriction reports false,
+// and the caller restricts the weights it already has, which gives the
+// identical table. The table is a pure function of the index, the key
+// and tau, so a cached mixture memoizes it by tau's bits, within the
+// bounds maxCachedMixtures describes. Past either bound, and for an
+// adopted mixture the cache had no room for, the table is built per
+// call and not kept; a table is never persisted, and an appended or
+// recovered index starts with an empty memo. Concurrent callers may
+// race to build the same table; the loser's copy is discarded, so
+// every caller observes one canonical table. The table is shared and
+// must be treated as read-only.
+func (ix *ScoreIndex) Restriction(exponent, mix, tau float64) (*sampling.Restricted, bool) {
+	m, cached := ix.heldMixture(MixtureKey{Exponent: exponent, Mix: mix})
+	if m == nil {
+		return nil, false
+	}
 	key := math.Float64bits(tau)
 	if cached {
 		ix.mu.RLock()
 		t := m.cuts[key]
 		ix.mu.RUnlock()
 		if t != nil {
-			return t
+			return t, true
 		}
 	}
 	k := ix.CountAtLeast(tau)
 	if k == 0 {
-		return nil
+		return nil, true
 	}
 	restrictionBuilds.Add(1)
 	t := sampling.Restrict(m.weights, ix.AppendAtLeast(make([]int, 0, k), tau))
 	if !cached {
-		return t
+		return t, true
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if won := m.cuts[key]; won != nil {
-		return won
+		return won, true
 	}
 	if len(m.cuts) < maxCachedMixtures && m.cutIDs+k <= len(ix.scores) {
 		if m.cuts == nil {
@@ -193,7 +217,7 @@ func (ix *ScoreIndex) Restriction(exponent, mix, tau float64) *sampling.Restrict
 		m.cuts[key] = t
 		m.cutIDs += k
 	}
-	return t
+	return t, true
 }
 
 // CachedMixtureTables returns every cached mixture in persistable form,

@@ -43,6 +43,19 @@ func assertRestrictionMatches(t *testing.T, ix *ScoreIndex, key MixtureKey, tau 
 	}
 }
 
+// heldRestriction returns ix's stage-2 table at tau after taking the
+// key's mixture, as stage 1 of a precision query does, and fails t when
+// the index does not hold that mixture.
+func heldRestriction(t *testing.T, ix *ScoreIndex, exponent, mix, tau float64) *sampling.Restricted {
+	t.Helper()
+	ix.Mixture(exponent, mix)
+	tab, held := ix.Restriction(exponent, mix, tau)
+	if !held {
+		t.Fatalf("(%v, %v) at tau %v: the index holds no mixture", exponent, mix, tau)
+	}
+	return tab
+}
+
 // zeroTopImage returns an external image of scores whose stored
 // (0.5, 0.1) mixture gives every record scoring at least cut a zero
 // weight — weights no DefensiveWeights call produces, but a mixture
@@ -110,7 +123,7 @@ func TestRestrictionMemo(t *testing.T) {
 				t.Fatal("the cut splits no tie")
 			}
 			builds := RestrictionBuildsTotal()
-			first := ix.Restriction(key.Exponent, key.Mix, c.tau)
+			first := heldRestriction(t, ix, key.Exponent, key.Mix, c.tau)
 			if (first == nil) != c.empty {
 				t.Fatalf("table %v, want empty %v", first, c.empty)
 			}
@@ -128,7 +141,7 @@ func TestRestrictionMemo(t *testing.T) {
 			if d := RestrictionBuildsTotal() - builds; d != wantBuilds {
 				t.Fatalf("first call built %d tables, want %d", d, wantBuilds)
 			}
-			if again := ix.Restriction(key.Exponent, key.Mix, c.tau); again != first {
+			if again := heldRestriction(t, ix, key.Exponent, key.Mix, c.tau); again != first {
 				t.Fatal("a repeat returned another table")
 			}
 			if d := RestrictionBuildsTotal() - builds; d != wantBuilds {
@@ -140,8 +153,8 @@ func TestRestrictionMemo(t *testing.T) {
 
 // TestRestrictionMemoBounds checks what the memo keeps: at most
 // maxCachedMixtures cuts per mixture, ids totalling at most Len(), no
-// table for a mixture the full mixture cache serves uncached, and an
-// empty memo on an appended index.
+// table (and no mixture build) for a mixture the full mixture cache
+// serves uncached, and an empty memo on an appended index.
 func TestRestrictionMemoBounds(t *testing.T) {
 	newIndex := func() *ScoreIndex {
 		ix, err := NewWithOptions(testScores(4000), Options{SegmentSize: 1000})
@@ -152,9 +165,9 @@ func TestRestrictionMemoBounds(t *testing.T) {
 	}
 	// retained reports whether a repeat of the cut is a memo hit.
 	retained := func(ix *ScoreIndex, exponent, mix, tau float64) bool {
-		first := ix.Restriction(exponent, mix, tau)
+		first := heldRestriction(t, ix, exponent, mix, tau)
 		builds := RestrictionBuildsTotal()
-		again := ix.Restriction(exponent, mix, tau)
+		again := heldRestriction(t, ix, exponent, mix, tau)
 		return again == first && RestrictionBuildsTotal() == builds
 	}
 
@@ -183,18 +196,26 @@ func TestRestrictionMemoBounds(t *testing.T) {
 	for k := 0; k < maxCachedMixtures; k++ {
 		ix.Mixture(1, 0.01*float64(k))
 	}
-	if retained(ix, 0.5, 0.1, 0.9) {
-		t.Fatal("a mixture served uncached kept a table")
+	ix.Mixture(0.5, 0.1)
+	mixtures, builds := MixtureBuildsTotal(), RestrictionBuildsTotal()
+	if tab, held := ix.Restriction(0.5, 0.1, 0.9); held || tab != nil {
+		t.Fatal("a mixture served uncached counted as held")
+	}
+	if MixtureBuildsTotal() != mixtures || RestrictionBuildsTotal() != builds {
+		t.Fatal("a miss built a mixture or a table")
 	}
 
 	ix = newIndex()
-	first := ix.Restriction(0.5, 0.1, 0.9)
+	first := heldRestriction(t, ix, 0.5, 0.1, 0.9)
 	grown, err := ix.Append([]float64{0.95, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := RestrictionBuildsTotal()
-	got := grown.Restriction(0.5, 0.1, 0.9)
+	if _, held := grown.Restriction(0.5, 0.1, 0.9); held {
+		t.Fatal("the appended index holds its parent's mixture")
+	}
+	builds = RestrictionBuildsTotal()
+	got := heldRestriction(t, grown, 0.5, 0.1, 0.9)
 	if RestrictionBuildsTotal() != builds+1 || got == first {
 		t.Fatal("the appended index served its parent's table")
 	}
@@ -208,17 +229,18 @@ func TestRestrictionConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.Mixture(0.5, 0.1)
 	var wg sync.WaitGroup
 	got := make([]*sampling.Restricted, 8)
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = ix.Restriction(0.5, 0.1, 0.7)
+			got[i], _ = ix.Restriction(0.5, 0.1, 0.7)
 		}()
 	}
 	wg.Wait()
-	kept := ix.Restriction(0.5, 0.1, 0.7)
+	kept := heldRestriction(t, ix, 0.5, 0.1, 0.7)
 	for i, tab := range got {
 		if tab != kept {
 			t.Fatalf("caller %d got a table the memo does not hold", i)

@@ -32,17 +32,24 @@ func Evaluate(d *dataset.Dataset, indices []int) Eval {
 			tp++
 		}
 	}
-	totalPos := d.PositiveCount()
-	e := Eval{Returned: len(indices), TruePos: tp}
-	if len(indices) == 0 {
+	return FromCounts(len(indices), tp, d.PositiveCount())
+}
+
+// FromCounts is Evaluate's formula over counts alone: returned records,
+// truePos of them positives, in a dataset of totalPos positives. A
+// caller that counts a returned set's true positives without listing
+// it gets the same bits as Evaluate over the list.
+func FromCounts(returned, truePos, totalPos int) Eval {
+	e := Eval{Returned: returned, TruePos: truePos}
+	if returned == 0 {
 		e.Precision = 1
 	} else {
-		e.Precision = float64(tp) / float64(len(indices))
+		e.Precision = float64(truePos) / float64(returned)
 	}
 	if totalPos == 0 {
 		e.Recall = 1
 	} else {
-		e.Recall = float64(tp) / float64(totalPos)
+		e.Recall = float64(truePos) / float64(totalPos)
 	}
 	if e.Precision+e.Recall > 0 {
 		e.F1 = 2 * e.Precision * e.Recall / (e.Precision + e.Recall)

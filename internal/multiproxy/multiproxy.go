@@ -359,9 +359,11 @@ func Select(r *randx.Rand, columns [][]float64, orc oracle.Oracle, spec core.Spe
 
 	subSpec := spec
 	subSpec.Budget = spec.Budget - fused.CalibrationCalls
-	sel, err := core.SelectBudgeted(r.Stream(2), core.NewRawSource(fused.Scores), budgeted, subSpec, cfg)
+	src := core.NewRawSource(fused.Scores)
+	sel, err := core.SelectBudgeted(r.Stream(2), src, budgeted, subSpec, cfg)
 	if err != nil {
 		return nil, err
 	}
+	sel.Indices = sel.Answer().List(src)
 	return &Result{Result: sel, Fusion: f.Kind, CalibrationCalls: fused.CalibrationCalls}, nil
 }

@@ -393,9 +393,12 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, name string, extra *
 type QueryRequest struct {
 	SQL string `json:"sql"`
 	// IncludeIndices controls whether the (possibly large) id list is
-	// returned; statistics are always included.
+	// returned; statistics are always included. /v1/query streams the
+	// list from the index as it writes the response, and a job lists it
+	// (up to MaxIndices) only when asked.
 	IncludeIndices bool `json:"include_indices"`
-	// MaxIndices caps the returned id list (0 = no cap).
+	// MaxIndices caps the returned id list (0 = no cap); the walk that
+	// produces the list stops at the cap.
 	MaxIndices int `json:"max_indices"`
 	// FreeReuse makes cross-query label store hits free instead of
 	// budget-charged for this query — the HTTP form of the grammar's
@@ -451,16 +454,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The synchronous path shares the batch-oracle dispatcher with the
-	// job path and is cancelled when the client disconnects.
+	// job path and is cancelled when the client disconnects. The engine
+	// lists no ids: the response counts and evaluates the answer over
+	// the index and streams its ids from there.
 	res, err := s.engine.ExecuteContext(r.Context(), req.SQL, engine.ExecOptions{
 		OracleParallelism: s.opts.OracleParallelism,
 		FreeReuse:         req.FreeReuse,
+		OmitIndices:       true,
 	})
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.buildQueryResponse(req, res))
+	writeQueryResponse(w, req, queryResponse(res), res)
 }
 
 // statusClientClosedRequest is the (nginx-convention) status for a
@@ -542,12 +548,13 @@ func writeBodyTooLarge(w http.ResponseWriter, limit int64) {
 		fmt.Sprintf("request body exceeds the %d-byte limit", limit))
 }
 
-// buildQueryResponse shapes an engine result for the wire, applying the
-// request's index-list controls and attaching achieved quality metrics
-// (computable because uploaded datasets carry ground truth).
-func (s *Server) buildQueryResponse(req QueryRequest, res *engine.QueryResult) QueryResponse {
+// queryResponse shapes an engine result for the wire without its id
+// list: returned counts the answer over the index, and the achieved
+// metrics come from true-positive counts (computable because uploaded
+// datasets carry ground truth).
+func queryResponse(res *engine.QueryResult) QueryResponse {
 	resp := QueryResponse{
-		Returned:             len(res.Indices),
+		Returned:             res.Answer.Len(res.Index),
 		OracleCalls:          res.OracleCalls,
 		ProxyCalls:           res.ProxyCalls,
 		IndexRecovered:       res.IndexRecovered,
@@ -561,23 +568,125 @@ func (s *Server) buildQueryResponse(req QueryRequest, res *engine.QueryResult) Q
 		tau := res.Tau
 		resp.Tau = &tau
 	}
-	// Evaluate against the table version the ids refer to: the table
-	// registered now may have been re-uploaded shorter, or grown by
-	// positives the answer never saw, while the query ran.
-	eval := metrics.Evaluate(res.Table, res.Indices)
+	eval := achieved(res, resp.Returned)
 	resp.AchievedPrecision = eval.Precision
 	resp.AchievedRecall = eval.Recall
-	if req.IncludeIndices {
-		resp.Indices = res.Indices
-		if req.MaxIndices > 0 && len(resp.Indices) > req.MaxIndices {
-			resp.Indices = resp.Indices[:req.MaxIndices]
-			resp.Truncated = true
-		}
-	}
 	return resp
 }
 
-// runJob is the jobs.Runner executing one queued query.
+// achieved evaluates res's answer of returned records against the
+// ground truth of res.Table, the table version its ids refer to (the
+// table registered now may have been re-uploaded shorter, or grown by
+// positives the answer never saw, while the query ran), without
+// listing it: its true positives are the positives among each index
+// segment's records at or above the threshold, plus the extras that
+// are positives. metrics.FromCounts makes the result bit for bit
+// metrics.Evaluate over the listed answer.
+func achieved(res *engine.QueryResult, returned int) metrics.Eval {
+	d, a := res.Table, res.Answer
+	tp := 0
+	for _, i := range a.Extra {
+		if d.TrueLabel(i) {
+			tp++
+		}
+	}
+	if !math.IsInf(a.Tau, 1) {
+		res.Index.EachAtLeast(a.Tau, func(base int, local []int) {
+			// A local count compiles to a branch-free add; tp, captured
+			// by reference, would take a mispredicted branch per record.
+			n := 0
+			for _, p := range local {
+				if d.TrueLabel(base + p) {
+					n++
+				}
+			}
+			tp += n
+		})
+	}
+	return metrics.FromCounts(returned, tp, d.PositiveCount())
+}
+
+// indexChunk is the most ids one step of an answer's walk holds: 32 KiB
+// of ids, whatever the answer's size.
+const indexChunk = 4 << 10
+
+// walkIndices hands emit the ids of res's answer in ascending order, in
+// chunks of at most indexChunk ids from the index's gather
+// (Index.WalkAtLeastWith), and stops after limit ids when limit > 0.
+// emit must not retain a chunk; returning false stops the walk. The
+// streamed synchronous response writes the chunks and a job's result
+// appends them, so both list the same ids.
+func walkIndices(res *engine.QueryResult, limit int, emit func(ids []int) bool) {
+	left := limit
+	res.Index.WalkAtLeastWith(res.Answer.Tau, res.Answer.Extra, make([]int, 0, indexChunk), func(ids []int) bool {
+		if limit > 0 && len(ids) >= left {
+			emit(ids[:left])
+			return false
+		}
+		left -= len(ids)
+		return emit(ids)
+	})
+}
+
+// truncates reports whether req's max_indices cuts an answer of
+// returned ids short.
+func truncates(req QueryRequest, returned int) bool {
+	return req.MaxIndices > 0 && returned > req.MaxIndices
+}
+
+// streamFlush is how many response bytes writeQueryResponse gathers
+// before it writes them out.
+const streamFlush = 32 << 10
+
+// writeQueryResponse writes the 200 response writeJSON would write for
+// resp with its Indices set to the answer's ids (capped by req) and
+// Truncated set accordingly, byte for byte, but streams the ids from
+// the index instead of listing them. encoding/json encodes every field
+// before "indices", so their formatting is its own; the ids are decimal
+// integers, as it writes them.
+func writeQueryResponse(w http.ResponseWriter, req QueryRequest, resp QueryResponse, res *engine.QueryResult) {
+	if !req.IncludeIndices || resp.Returned == 0 {
+		// omitempty drops an empty list, and with it truncated.
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	head, err := json.Marshal(resp)
+	if err != nil {
+		fmt.Printf("server: encoding response: %v\n", err)
+		return
+	}
+	out := make([]byte, 0, 2*streamFlush)
+	out = append(append(out, head[:len(head)-1]...), `,"indices":`...)
+	sep := byte('[')
+	walkIndices(res, req.MaxIndices, func(ids []int) bool {
+		for _, id := range ids {
+			out = strconv.AppendInt(append(out, sep), int64(id), 10)
+			sep = ','
+		}
+		if len(out) >= streamFlush {
+			_, err = w.Write(out)
+			out = out[:0]
+		}
+		return err == nil
+	})
+	if err == nil {
+		out = append(out, ']')
+		if truncates(req, resp.Returned) {
+			out = append(out, `,"truncated":true`...)
+		}
+		_, err = w.Write(append(out, "}\n"...))
+	}
+	if err != nil {
+		// Headers are gone; nothing more to do than note it.
+		fmt.Printf("server: writing response: %v\n", err)
+	}
+}
+
+// runJob is the jobs.Runner executing one queued query. Its result
+// holds an id list only when the request includes one, listed from the
+// walk the synchronous response streams.
 func (s *Server) runJob(ctx context.Context, payload any, progress func(int)) (any, error) {
 	req, ok := payload.(QueryRequest)
 	if !ok {
@@ -587,11 +696,23 @@ func (s *Server) runJob(ctx context.Context, payload any, progress func(int)) (a
 		OracleParallelism: s.opts.OracleParallelism,
 		Progress:          progress,
 		FreeReuse:         req.FreeReuse,
+		OmitIndices:       true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	resp := s.buildQueryResponse(req, res)
+	resp := queryResponse(res)
+	if req.IncludeIndices && resp.Returned > 0 {
+		n := resp.Returned
+		if resp.Truncated = truncates(req, n); resp.Truncated {
+			n = req.MaxIndices
+		}
+		resp.Indices = make([]int, 0, n)
+		walkIndices(res, req.MaxIndices, func(ids []int) bool {
+			resp.Indices = append(resp.Indices, ids...)
+			return true
+		})
+	}
 	return &resp, nil
 }
 
